@@ -19,9 +19,9 @@ price marked up by ``1/(1-tau)`` and sellers receive it marked down by
 the pool, so its pre-fee price is evaluated at the fee-shrunk trade.
 
 All amounts and prices are 64-bit floats (desk-scale simulation, not token
-integer accounting). Closed forms are used where they exist; the generalized
-weighted-geometric pool with asset weight ``alpha`` is solved by bracketed
-root-finding (``alpha = 1/2`` recovers the product function).
+integer accounting). Every quantity has a closed form, including the
+generalized weighted-geometric pool with asset weight ``alpha``
+(``alpha = 1/2`` recovers the product function).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
+import numpy as np
 
 __all__ = [
     "Reserves",
@@ -52,15 +52,13 @@ __all__ = [
 # this fraction of the asset reserve.
 POLE_MARGIN = 1e-12
 
-_MAX_BRACKET_STEPS = 200
-
 
 class InfeasibleTradeError(ValueError):
     """Trade cannot be filled from the current reserves."""
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solver failed to bracket or converge on a solution."""
+    """A rebalance left its effective price off the external price it pins."""
 
 
 @dataclass(frozen=True)
@@ -72,8 +70,10 @@ class Reserves:
 
     def __post_init__(self) -> None:
         # the negated comparison also rejects NaN
-        if not (self.y >= 0.0 and self.x >= 0.0):
-            raise ValueError(f"reserves must be non-negative, got y={self.y}, x={self.x}")
+        if not (0.0 <= self.y < math.inf and 0.0 <= self.x < math.inf):
+            raise ValueError(
+                f"reserves must be finite and non-negative, got y={self.y}, x={self.x}"
+            )
 
     @property
     def spot_price(self) -> float:
@@ -98,8 +98,13 @@ def _check_weight(alpha: float) -> None:
 
 
 def _check_price(price: float) -> None:
-    if not price > 0.0:
-        raise ValueError(f"price must be positive, got {price}")
+    if not 0.0 < price < math.inf:
+        raise ValueError(f"price must be positive and finite, got {price}")
+
+
+def _check_trade(x_trade: float) -> None:
+    if not math.isfinite(x_trade):
+        raise ValueError(f"trade must be finite, got {x_trade}")
 
 
 def cpamm_average_price(reserves: Reserves, x_trade: float) -> float:
@@ -151,45 +156,18 @@ def marginal_price(reserves: Reserves, alpha: float = 0.5) -> float:
     return (alpha / (1.0 - alpha)) * reserves.y / reserves.x
 
 
-def _bracketed_root(f, lo: float, hi: float, lo_floor: float, hi_cap: float) -> float:
-    """Root of f on a bracket grown geometrically from [lo, hi].
-
-    Both ends are pushed outward by 10x per step (clipped to the open
-    domain ``(lo_floor, hi_cap)``) until f changes sign, then the root is
-    polished with Brent's method.
-    """
-    flo, fhi = f(lo), f(hi)
-    for _ in range(_MAX_BRACKET_STEPS):
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi < 0.0:
-            try:
-                # near-zero xtol leaves the relative tolerance in charge
-                return brentq(f, lo, hi, xtol=1e-300, maxiter=200)
-            except RuntimeError as exc:
-                raise ConvergenceError(str(exc)) from exc
-        lo = lo_floor + 0.1 * (lo - lo_floor)
-        hi = hi * 10.0 if math.isinf(hi_cap) else hi_cap - 0.1 * (hi_cap - hi)
-        flo, fhi = f(lo), f(hi)
-    raise ConvergenceError(
-        f"no sign change found in [{lo}, {hi}] after {_MAX_BRACKET_STEPS} expansions"
-    )
-
-
 def solve_clearing_price_consistent(
     reserves: Reserves, x_trade: float, alpha: float = 0.5
 ) -> float:
     """Price p(x) at which the trade's average price equals the post-trade
     marginal price of the weighted pool.
 
-    Solved by bracketed root-finding on
-    ``p - marginal_price(y + p*x_trade, x - x_trade)``, starting from
-    [marginal/10, marginal*10] and widening geometrically.  For
-    ``alpha = 1/2`` the result agrees with :func:`fmamm_price`.
+    The condition ``p = (alpha/(1-alpha)) * (y + p*x_trade) / (x - x_trade)``
+    is linear in ``p`` and solves to ``alpha*y / ((1-alpha)*x - x_trade)``.
+    For ``alpha = 1/2`` this is :func:`fmamm_price`.
     """
     _check_weight(alpha)
+    _check_trade(x_trade)
     mid = marginal_price(reserves, alpha)
     if x_trade == 0.0:
         return mid
@@ -198,13 +176,7 @@ def solve_clearing_price_consistent(
         raise InfeasibleTradeError(
             f"trade {x_trade} is at or beyond the price pole at {(1.0 - alpha) * reserves.x}"
         )
-    ratio = alpha / (1.0 - alpha)
-    x_after = reserves.x - x_trade
-
-    def gap(p: float) -> float:
-        return p - ratio * (reserves.y + p * x_trade) / x_after
-
-    return _bracketed_root(gap, mid / 10.0, mid * 10.0, 0.0, math.inf)
+    return alpha * reserves.y / ((1.0 - alpha) * reserves.x - x_trade)
 
 
 def solve_function_maximizing(
@@ -212,27 +184,19 @@ def solve_function_maximizing(
 ) -> float:
     """Trade maximizing the weighted reserve function at a quoted price.
 
-    Maximizes ``(y + price*x_trade)**(1-alpha) * (x - x_trade)**alpha`` by
-    root-finding its first-order condition
-    ``(1-alpha)*price*(x - x_trade) - alpha*(y + price*x_trade) = 0``
-    (the objective is strictly quasiconcave, so the stationary point is the
-    maximum).  For ``alpha = 1/2`` this matches :func:`fmamm_supply`.
+    Maximizes ``(y + price*x_trade)**(1-alpha) * (x - x_trade)**alpha``.
+    Its first-order condition
+    ``(1-alpha)*price*(x - x_trade) - alpha*(y + price*x_trade) = 0`` is
+    linear in the trade, whose root ``(1-alpha)*x - alpha*y/price`` leaves
+    both post-trade reserves positive; the objective is strictly
+    quasiconcave, so the stationary point is the maximum.  For
+    ``alpha = 1/2`` this is :func:`fmamm_supply`.
     """
     _check_weight(alpha)
     _check_price(price)
     if reserves.x <= 0.0 or reserves.y <= 0.0:
         raise ValueError("maximization requires strictly positive reserves")
-
-    def foc(x_trade: float) -> float:
-        return (1.0 - alpha) * price * (reserves.x - x_trade) - alpha * (
-            reserves.y + price * x_trade
-        )
-
-    # trades must leave both post-trade reserves positive
-    lo_floor = -reserves.y / price * (1.0 - 1e-12)
-    hi_cap = reserves.x * (1.0 - 1e-12)
-    d0 = 1e-6 * min(reserves.x, reserves.y / price)
-    return _bracketed_root(foc, max(-d0, lo_floor), min(d0, hi_cap), lo_floor, hi_cap)
+    return (1.0 - alpha) * reserves.x - alpha * reserves.y / price
 
 
 def pre_fee_price(reserves: Reserves, net_trade: float, tau: float = 0.0) -> float:
@@ -243,6 +207,7 @@ def pre_fee_price(reserves: Reserves, net_trade: float, tau: float = 0.0) -> flo
     fee-shrunk trade; an exactly-netted batch prices at the spot ratio y/x.
     """
     _check_fee(tau)
+    _check_trade(net_trade)
     if net_trade > 0.0:
         return fmamm_price(reserves, net_trade)
     if net_trade < 0.0:
@@ -268,20 +233,25 @@ def effective_price(
     return (1.0 - tau) * base
 
 
-def objective_value(
-    x_trade: float, price: float, tau: float, reserves: Reserves
-) -> float:
+def objective_value(x_trade, price, tau: float, reserves: Reserves):
     """Reserve-product objective the pool maximizes when trading at ``price``.
 
     Two branches by trade sign; the fee grosses up the reserve of whichever
-    token the batch is selling to the pool, and both branches agree at
-    ``x_trade = 0`` where the objective is ``x * y / (1-tau)``.
+    token the batch is selling to the pool, and both branches are exactly
+    ``x * y / (1-tau)`` at ``x_trade = 0``.  ``x_trade`` and ``price``
+    broadcast as numpy arrays; scalar inputs return a float.
     """
     _check_fee(tau)
-    _check_price(price)
-    if x_trade >= 0.0:
-        return (reserves.x - x_trade) * (reserves.y / (1.0 - tau) + price * x_trade)
-    return (reserves.x / (1.0 - tau) - x_trade) * (reserves.y + price * x_trade)
+    t = np.asarray(x_trade, dtype=np.float64)
+    p = np.asarray(price, dtype=np.float64)
+    if not ((p > 0.0) & (p < math.inf)).all():
+        raise ValueError("prices must be positive and finite")
+    keep = 1.0 - tau
+    y, x = reserves.y, reserves.x
+    value = np.where(
+        t >= 0.0, (x - t) * (y + keep * p * t), (x - keep * t) * (y + p * t)
+    ) / keep
+    return float(value) if value.ndim == 0 else value
 
 
 def apply_trade(reserves: Reserves, x_trade: float, tau: float = 0.0) -> Reserves:

@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from fmamm.amm import (
     ConvergenceError,
     Reserves,
+    _check_price,
     effective_price,
     pre_fee_price,
 )
@@ -74,14 +73,16 @@ def optimal_rebalance(
     """Collective arbitrageur order given noise flow and the external price.
 
     Outside the band, arbitrageurs trade until their own effective price
-    equals ``p_star``: closed form when their order leaves the batch's net
-    trade on their own side, bracketed root-finding on the relevant
-    effective-price branch when it does not (the price curve is only
-    piecewise continuous across the netting point).  Ties at the band edge
-    are treated as no-trade.
+    equals ``p_star``.  Every effective-price branch is ``y`` over a
+    linear function of the net trade, so the pin has a closed form: the
+    same-sign solution when their order leaves the batch's net trade on
+    their own side, that solution rescaled by ``(1-tau)`` when the batch
+    still nets to the other side (the price curve is only piecewise
+    continuous across the netting point).  A pinned price that misses
+    ``p_star`` raises :class:`ConvergenceError`.  Ties at the band edge are
+    treated as no-trade.
     """
-    if not p_star > 0.0:
-        raise ValueError(f"external price must be positive, got {p_star}")
+    _check_price(p_star)
     band = no_trade_band(reserves, net_noise, tau)
     if band[0] <= p_star <= band[1]:
         return RebalanceDecision(0.0, False, band)
@@ -93,14 +94,16 @@ def optimal_rebalance(
         net = 0.5 * (x - y / (keep * p_star))
         if net < 0.0:
             # order buys but the batch still net-sells: pin the buy-side
-            # price of a fee-shrunk net trade, Y/((1-tau)(x-2(1-tau)n)) = p*
-            net = _pin_branch(reserves, tau, p_star, +1.0, net_noise, 0.0)
+            # price of a fee-shrunk net trade, Y/((1-tau)(x-2(1-tau)n)) = p*,
+            # whose root is the same-sign root over (1-tau)
+            net /= keep
     else:
         # arbitrageurs sell; same-sign closed form from (1-tau)Y/(x-2(1-tau)n) = p*
         net = 0.5 * (x / keep - y / p_star)
         if net > 0.0:
-            # order sells but the batch still net-buys: (1-tau)Y/(x-2n) = p*
-            net = _pin_branch(reserves, tau, p_star, -1.0, 0.0, net_noise)
+            # order sells but the batch still net-buys: (1-tau)Y/(x-2n) = p*,
+            # whose root is the same-sign root times (1-tau)
+            net *= keep
 
     trade = net - net_noise
     if trade == 0.0:
@@ -114,25 +117,6 @@ def optimal_rebalance(
     return RebalanceDecision(trade, True, band)
 
 
-def _pin_branch(
-    reserves: Reserves,
-    tau: float,
-    p_star: float,
-    order_sign: float,
-    lo: float,
-    hi: float,
-) -> float:
-    """Net trade in [lo, hi] whose effective price at order_sign is p_star."""
-
-    def gap(net: float) -> float:
-        return effective_price(reserves, net, tau, order_sign) - p_star
-
-    try:
-        return brentq(gap, lo, hi, xtol=1e-300, maxiter=200)
-    except (RuntimeError, ValueError) as exc:
-        raise ConvergenceError(f"sign-mixing rebalance solve failed: {exc}") from exc
-
-
 def malicious_operator_attack(reserves: Reserves, p_star: float) -> tuple[float, float]:
     """Censoring batch operator's optimal trade and profit.
 
@@ -143,8 +127,7 @@ def malicious_operator_attack(reserves: Reserves, p_star: float) -> tuple[float,
     the pool already sits at ``p_star``, and exactly half of
     :func:`cpamm_arbitrage_profit`.
     """
-    if not p_star > 0.0:
-        raise ValueError(f"external price must be positive, got {p_star}")
+    _check_price(p_star)
     x_attack = 0.5 * (reserves.x - math.sqrt(reserves.x * reserves.y / p_star))
     gap = reserves.y + p_star * reserves.x - 2.0 * math.sqrt(reserves.x * reserves.y * p_star)
     return x_attack, 0.5 * max(gap, 0.0)
@@ -157,8 +140,7 @@ def cpamm_arbitrage_profit(reserves: Reserves, p_star: float) -> tuple[float, fl
     ``x_trade = x - sqrt(x*y/p_star)`` brings the pool's marginal price to
     ``p_star`` and earns ``y + p_star*x - 2*sqrt(x*y*p_star)``.
     """
-    if not p_star > 0.0:
-        raise ValueError(f"external price must be positive, got {p_star}")
+    _check_price(p_star)
     x_arb = reserves.x - math.sqrt(reserves.x * reserves.y / p_star)
     gap = reserves.y + p_star * reserves.x - 2.0 * math.sqrt(reserves.x * reserves.y * p_star)
     return x_arb, max(gap, 0.0)

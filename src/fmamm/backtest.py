@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from fmamm.amm import Reserves
+from fmamm.amm import Reserves, objective_value
 from fmamm.arbitrage import optimal_rebalance
 from fmamm.batch import Batch, Order, settle_batch
 from fmamm.market_data import LpReturnSeries, PriceSeries, mean_preserving_spread, sample_at
@@ -340,23 +340,19 @@ def value_function(prices, reserves: Reserves, tau: float) -> np.ndarray:
     """Maximized trade objective at each settlement price (vectorized).
 
     Inside the no-trade band the pool keeps ``x*y/(1-tau)``; outside it the
-    optimal buy/sell branch applies.  Piecewise linear-over-quadratic in the
-    price and convex, strictly so wherever a trade happens.
+    optimal buy/sell trade applies, and :func:`fmamm.amm.objective_value`
+    evaluates either.  Piecewise linear-over-quadratic in the price and
+    convex, strictly so wherever a trade happens.
     """
     p = np.asarray(prices, dtype=np.float64)
-    if not (p > 0.0).all():
-        raise ValueError("prices must be positive")
     keep = 1.0 - tau
     y, x = reserves.y, reserves.x
-    buy_threshold = y / (keep * x)
-    sell_threshold = keep * y / x
-    with np.errstate(invalid="ignore"):
+    # invalid prices yield junk trades here; objective_value rejects them
+    with np.errstate(divide="ignore", invalid="ignore"):
         x_buy = 0.5 * (x - y / (keep * p))
-        v_buy = (x - x_buy) * (y / keep + p * x_buy)
         x_sell = 0.5 * (x / keep - y / p)
-        v_sell = (x / keep - x_sell) * (y + p * x_sell)
-    flat = x * y / keep
-    return np.where(p > buy_threshold, v_buy, np.where(p < sell_threshold, v_sell, flat))
+    trade = np.where(p > y / (keep * x), x_buy, np.where(p < keep * y / x, x_sell, 0.0))
+    return objective_value(trade, p, tau, reserves)
 
 
 @dataclass(frozen=True)
@@ -367,16 +363,6 @@ class RiskMonteCarloResult:
     paired_se: float
     z_score: float
     n_draws: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_value_base": self.mean_value_base,
-            "mean_value_spread": self.mean_value_spread,
-            "difference": self.difference,
-            "paired_se": self.paired_se,
-            "z_score": self.z_score,
-            "n_draws": self.n_draws,
-        }
 
 
 def risk_monte_carlo(
@@ -420,9 +406,40 @@ def risk_monte_carlo(
     )
 
 
+def _is_number(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_value(path, key: str, value):
+    """A scenario JSON value checked against its field's type."""
+    if value is None and key in ("swap_csv", "pool_fee"):
+        return value
+    if key in ("fee_grid", "noise_fractions"):
+        if isinstance(value, list) and all(_is_number(v) for v in value):
+            return tuple(float(v) for v in value)
+        kind = "list of finite numbers"
+    elif key in ("pair", "price_csv", "swap_csv", "noise_direction", "compound_cadence"):
+        if isinstance(value, str):
+            return value
+        kind = "string"
+    elif key == "seed":
+        if _is_number(value) and isinstance(value, int):
+            return value
+        kind = "integer"
+    elif _is_number(value):
+        return value
+    else:
+        kind = "finite number"
+    raise ValueError(f"{path}: config key '{key}' must be a {kind}, got {value!r}")
+
+
 @dataclass
 class ScenarioConfig:
-    """Backtest scenario loaded from JSON; unknown keys are rejected.
+    """Backtest scenario loaded from JSON; unknown keys and values of the
+    wrong type are rejected.
 
     ``swap_csv`` plus ``pool_fee`` enable the baseline comparison and the
     fee-implied per-block volume used by noise sweeps.
@@ -450,31 +467,12 @@ class ScenarioConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: config must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         if "pair" not in raw or "price_csv" not in raw:
             raise ValueError(f"{path}: config requires 'pair' and 'price_csv'")
-        for key in ("fee_grid", "noise_fractions"):
-            if key in raw:
-                raw[key] = tuple(float(v) for v in raw[key])
-        return cls(**raw)
-
-    def to_dict(self) -> dict:
-        return {
-            "pair": self.pair,
-            "price_csv": self.price_csv,
-            "swap_csv": self.swap_csv,
-            "pool_fee": self.pool_fee,
-            "fee": self.fee,
-            "fee_grid": list(self.fee_grid),
-            "noise_fractions": list(self.noise_fractions),
-            "noise_direction": self.noise_direction,
-            "mu": self.mu,
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "initial_x": self.initial_x,
-            "baseline_liquidity": self.baseline_liquidity,
-            "compound_cadence": self.compound_cadence,
-        }
+        return cls(**{key: _config_value(path, key, value) for key, value in raw.items()})

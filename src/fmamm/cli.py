@@ -12,7 +12,7 @@ recording the command, resolved parameters, input digests, seed, and tool
 version, so identical manifests reproduce outputs byte for byte (no
 wall-clock state enters any output).
 
-Exit codes: 0 success, 2 input validation, 3 solver failure.
+Exit codes: 0 success, 2 input validation, 3 failed rebalance pin check.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +169,7 @@ def cmd_backtest(args) -> int:
     print(f"{cfg.pair}: {clock.n_blocks} blocks, fee {cfg.fee}")
     print(f"fm_amm terminal roi {result.terminal_roi:+.6%} ({result.n_rebalances} rebalances)")
     runs = {"fm_amm": result.series}
-    summary = {"config": cfg.to_dict(), "fm_amm": result.summary}
+    summary = {"config": asdict(cfg), "fm_amm": result.summary}
     inputs = [cfg.price_csv]
     if cfg.swap_csv is not None:
         records = load_swap_records(cfg.swap_csv)
@@ -189,7 +190,7 @@ def cmd_backtest(args) -> int:
             comparison.write_csv(out / "comparison.csv")
         _write_json(out / "summary.json", summary)
         _write_long_format(out / "long.csv", runs)
-        _write_manifest(out, "backtest", cfg.to_dict(), [args.config] + inputs, cfg.seed,
+        _write_manifest(out, "backtest", asdict(cfg), [args.config] + inputs, cfg.seed,
                         config=args.config)
     return 0
 
@@ -208,9 +209,9 @@ def cmd_sweep_fees(args) -> int:
         runs = {f"fee_{tau:g}": result.series for tau, result in results.items()}
         for run_id, series in runs.items():
             series.write_csv(out / f"{run_id}_returns.csv")
-        _write_json(out / "summary.json", {"config": cfg.to_dict(), "rows": rows})
+        _write_json(out / "summary.json", {"config": asdict(cfg), "rows": rows})
         _write_long_format(out / "long.csv", runs)
-        _write_manifest(out, "sweep-fees", cfg.to_dict(), [args.config, cfg.price_csv],
+        _write_manifest(out, "sweep-fees", asdict(cfg), [args.config, cfg.price_csv],
                         cfg.seed, config=args.config)
     return 0
 
@@ -244,9 +245,9 @@ def cmd_sweep_noise(args) -> int:
         runs = {f"noise_{fraction:g}": result.series for fraction, result in results.items()}
         for run_id, series in runs.items():
             series.write_csv(out / f"{run_id}_returns.csv")
-        _write_json(out / "summary.json", {"config": cfg.to_dict(), "rows": rows})
+        _write_json(out / "summary.json", {"config": asdict(cfg), "rows": rows})
         _write_long_format(out / "long.csv", runs)
-        _write_manifest(out, "sweep-noise", cfg.to_dict(),
+        _write_manifest(out, "sweep-noise", asdict(cfg),
                         [args.config, cfg.price_csv, cfg.swap_csv], cfg.seed,
                         config=args.config)
     return 0
@@ -283,7 +284,7 @@ def cmd_mc_risk(args) -> int:
           f"z {result.z_score:.2f}, n {result.n_draws})")
     out = _out_dir(args)
     if out is not None:
-        _write_json(out / "mc_risk.json", result.to_dict())
+        _write_json(out / "mc_risk.json", asdict(result))
         _write_manifest(out, "mc-risk", vars_without(args, "func"), [], args.seed)
     return 0
 

@@ -3,9 +3,11 @@
 Closed forms are checked against frozen hand computations and against
 independent oracles: reserve-product invariance for the CPAMM, post-trade
 marginal prices for clearing-price consistency, the algebraic fixed-point
-solution for the weighted pool, and finite differences for the maximizer's
-first-order condition.
+solution for the weighted pool, and finite differences and the residual of
+the maximizer's first-order condition.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -159,6 +161,9 @@ class TestClearingPriceConsistent:
             r = Reserves(y, x)
             got = solve_clearing_price_consistent(r, trade, alpha)
             assert got == pytest.approx(weighted_clearing_price(r, trade, alpha), rel=1e-9)
+            # defining condition: the price is the post-trade marginal price
+            after = Reserves(y + got * trade, x - trade)
+            assert got == pytest.approx(marginal_price(after, alpha), rel=1e-9)
 
     def test_pole_rejected(self):
         with pytest.raises(InfeasibleTradeError):
@@ -195,6 +200,12 @@ class TestFunctionMaximizing:
             assert solve_clearing_price_consistent(r, trade, alpha) == pytest.approx(
                 price, rel=1e-7
             )
+            # defining conditions: zero first-order-condition residual, and
+            # the quoted price is the post-trade marginal price
+            foc = (1 - alpha) * price * (x - trade) - alpha * (y + price * trade)
+            assert abs(foc) <= 1e-9 * (y + price * x)
+            after = Reserves(y + price * trade, x - trade)
+            assert price == pytest.approx(marginal_price(after, alpha), rel=1e-9)
 
     def test_first_order_condition_by_finite_differences(self):
         for alpha, price in [(0.5, 2500.0), (0.3, 2000.0), (0.7, 1500.0)]:
@@ -275,6 +286,20 @@ class TestObjectiveValue:
             sell_side = (R.x / (1 - tau) - 0.0) * (R.y + 0.0)
             assert buy_side == pytest.approx(sell_side, rel=1e-15)
             assert objective_value(0.0, 2000.0, tau, R) == pytest.approx(buy_side, rel=1e-15)
+
+    def test_zero_trade_exact_and_broadcasts(self):
+        # zero trade is exactly x*y/(1-tau) on either branch, and arrays give
+        # the same numbers as scalar calls
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            r = Reserves(rng.uniform(1e2, 1e6), rng.uniform(1e-1, 1e3))
+            tau = rng.choice([0.0, 0.0005, 0.003, 0.01, rng.uniform(0.0, 0.1)])
+            price = r.spot_price * rng.uniform(0.5, 2.0)
+            assert objective_value(0.0, price, tau, r) == r.x * r.y / (1 - tau)
+            trades = np.array([-0.1 * r.x, 0.0, 0.1 * r.x])
+            got = objective_value(trades, price, tau, r)
+            assert got.tolist() == [objective_value(t, price, tau, r) for t in trades]
+        assert isinstance(objective_value(1.0, 2500.0, 0.0, R), float)
 
     def test_executed_trades_move_up_the_curve(self):
         rng = np.random.default_rng(31)
@@ -357,6 +382,22 @@ class TestReserves:
             Reserves(1.0, -1.0)
         with pytest.raises(ValueError):
             Reserves(float("nan"), 1.0)
+
+    def test_non_finite_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Reserves(bad, 1.0)
+            with pytest.raises(ValueError):
+                Reserves(1.0, bad)
+            with pytest.raises(ValueError):
+                pre_fee_price(R, bad, 0.003)
+            with pytest.raises(ValueError):
+                solve_clearing_price_consistent(R, bad, 0.3)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                fmamm_supply(R, bad)
+            with pytest.raises(ValueError):
+                objective_value(0.0, [2000.0, bad], 0.0, R)
 
     def test_value_at(self):
         assert R.value_at(2000.0) == 40000.0

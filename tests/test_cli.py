@@ -1,10 +1,15 @@
 """Command-line interface tests: outputs, exit codes, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fmamm
 from fmamm.cli import main
 from fmamm.market_data import GbmParams, sample_gbm_path
 
@@ -52,6 +57,15 @@ class TestQuote:
 
     def test_pole_is_validation_error(self, capsys):
         assert main(["quote", "--y", "20000", "--x-reserve", "10", "--trade", "6"]) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["quote", "--y", "20000", "--x-reserve", "10", "--trade", "nan"],
+        ["quote", "--y", "inf", "--x-reserve", "10", "--trade", "1"],
+        ["attack", "--y", "20000", "--x-reserve", "10", "--p-star", "inf"],
+    ])
+    def test_non_finite_input_is_validation_error(self, argv, capsys):
+        assert main(argv) == 2
         assert "error" in capsys.readouterr().err
 
     def test_sell_side_flag(self, capsys):
@@ -118,6 +132,29 @@ class TestBacktestCommand:
         path = tmp_path / "cfg.json"
         path.write_text('{"pair": "A-B", "price_csv": "p.csv", "wat": 1}')
         assert main(["backtest", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command, overrides, named", [
+        ("backtest", {"mu": "12"}, "'mu'"),
+        ("backtest", {"gamma": "0"}, "'gamma'"),
+        ("backtest", {"initial_x": "1"}, "'initial_x'"),
+        ("backtest", {"fee": "0.003"}, "'fee'"),
+        ("backtest", {"mu": True}, "'mu'"),
+        ("backtest", {"baseline_liquidity": "x"}, "'baseline_liquidity'"),
+        ("backtest", {"fee_grid": 0.003}, "'fee_grid'"),
+        ("sweep-fees", {"fee": "0.003"}, "'fee'"),
+        ("sweep-fees", {"fee_grid": [0.0, "0.003"]}, "'fee_grid'"),
+        ("backtest", None, "JSON object"),
+    ])
+    def test_mistyped_config_is_validation_error(self, tmp_path, capsys, command, overrides,
+                                                 named):
+        write_price_csv(tmp_path / "prices.csv", blocks=10)
+        cfg = tmp_path / "cfg.json"
+        if overrides is None:
+            cfg.write_text("[1, 2]")
+        else:
+            write_config(cfg, tmp_path / "prices.csv", **overrides)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestSweepCommands:
@@ -199,6 +236,14 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert "fmamm" in capsys.readouterr().out
+
+    def test_import_does_not_load_scipy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(fmamm.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import fmamm.cli, sys; sys.exit('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr or "fmamm.cli imported scipy"
 
     def test_console_script_installed(self):
         import subprocess

@@ -26,20 +26,32 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from fmamm.amm import Reserves, objective_value
-from fmamm.arbitrage import optimal_rebalance
-from fmamm.batch import Batch, Order, settle_batch
-from fmamm.market_data import LpReturnSeries, PriceSeries, mean_preserving_spread, sample_at
+from fmamm.amm import (
+    ConvergenceError,
+    InfeasibleTradeError,
+    POLE_MARGIN,
+    Reserves,
+    _check_fee,
+    objective_value,
+)
+from fmamm.arbitrage import _PIN_RTOL
+from fmamm.market_data import (
+    LpReturnSeries,
+    PriceSeries,
+    format_number,
+    mean_preserving_spread,
+    sample_at,
+)
 
 __all__ = [
     "BlockClock",
     "NoiseScenario",
     "NO_NOISE",
-    "TradeRecord",
+    "TRADE_LOG_DTYPE",
     "BacktestResult",
     "ReturnComparison",
     "RiskMonteCarloResult",
@@ -117,28 +129,29 @@ class NoiseScenario:
 NO_NOISE = NoiseScenario()
 
 
-class TradeRecord(NamedTuple):
-    """One block of the backtest log."""
-
-    block: int
-    time: float
-    p_star: float
-    noise_net: float
-    arb_trade: float
-    net_trade: float
-    rebalanced: bool
-    y_before: float
-    x_before: float
-    y_after: float
-    x_after: float
-    fee_numeraire: float
-    fee_asset: float
+# One row per block of the backtest log; ``BacktestResult.trades`` holds
+# them as columns (``trades.p_star``), and ``trades[i]`` reads one block.
+TRADE_LOG_DTYPE = np.dtype([
+    ("block", np.int64),
+    ("time", np.float64),
+    ("p_star", np.float64),
+    ("noise_net", np.float64),
+    ("arb_trade", np.float64),
+    ("net_trade", np.float64),
+    ("rebalanced", np.bool_),
+    ("y_before", np.float64),
+    ("x_before", np.float64),
+    ("y_after", np.float64),
+    ("x_after", np.float64),
+    ("fee_numeraire", np.float64),
+    ("fee_asset", np.float64),
+])
 
 
 @dataclass(frozen=True)
 class BacktestResult:
     series: LpReturnSeries
-    trades: list[TradeRecord]
+    trades: np.recarray
     summary: dict
 
     @property
@@ -147,7 +160,7 @@ class BacktestResult:
 
     @property
     def n_rebalances(self) -> int:
-        return sum(1 for t in self.trades if t.rebalanced)
+        return int(np.count_nonzero(self.trades.rebalanced))
 
 
 def balanced_reserves(price: float, asset_depth: float = 1.0) -> Reserves:
@@ -167,16 +180,27 @@ def block_grid_series(series: PriceSeries, clock: BlockClock) -> PriceSeries:
     return PriceSeries(series.pair, times, sample_at(series, times))
 
 
-def _noise_orders(block: int, volume: float, direction: str, sign: int) -> list[Order]:
-    if volume <= 0.0:
-        return []
-    if direction == "balanced":
-        half = 0.5 * volume
-        return [
-            Order(f"{block}:noise-buy", "noise", half),
-            Order(f"{block}:noise-sell", "noise", -half),
-        ]
-    return [Order(f"{block}:noise", "noise", sign * volume)]
+def _where(block: int, t: float) -> str:
+    return f"block {block} (t={format_number(t)})"
+
+
+def _pole_error(block: int, t: float, net: float, x: float) -> InfeasibleTradeError:
+    return InfeasibleTradeError(
+        f"{_where(block, t)}: net trade {net!r} is at or beyond the price pole "
+        f"x/2 = {x / 2.0!r}"
+    )
+
+
+def _check_reserve_columns(y: np.ndarray, x: np.ndarray, times: np.ndarray) -> None:
+    """Reject the first block whose post-settlement reserves are not finite
+    and non-negative (the condition :class:`Reserves` enforces)."""
+    bad = ~((y >= 0.0) & (y < math.inf) & (x >= 0.0) & (x < math.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"{_where(k + 1, times[k])}: reserves must be finite and non-negative, "
+            f"got y={float(y[k])!r}, x={float(x[k])!r}"
+        )
 
 
 def run_fmamm_backtest(
@@ -189,15 +213,42 @@ def run_fmamm_backtest(
 ) -> BacktestResult:
     """Drive the pool over the price path, one batch per block.
 
-    Per block: sample the external price, generate the scenario's noise
-    orders, add the arbitrageurs' equilibrium order, settle, and mark the
-    reserves at the external price.  ``initial`` defaults to value-balanced
-    reserves of one asset unit at the first price (the fixed point of the
-    zero-fee strategy, so the run starts neutral).
+    Per block: sample the external price, net the scenario's noise orders,
+    add the arbitrageurs' equilibrium order, settle the batch at its uniform
+    pre-fee price, and mark the reserves at the external price.  ``initial``
+    defaults to value-balanced reserves of one asset unit at the first price
+    (the fixed point of the zero-fee strategy, so the run starts neutral).
+
+    The loop works on plain floats with the closed forms of
+    :func:`fmamm.arbitrage.optimal_rebalance` and
+    :func:`fmamm.batch.settle_batch`, in the same order of operations and
+    exact summation, so it matches that composition block by block (bit for
+    bit without noise).  The trade log comes back as columns of
+    :data:`TRADE_LOG_DTYPE`; the summary counts buy-side and sell-side
+    rebalances and sign-mixing blocks (where the arbitrageurs' order leaves
+    the batch netting to the noise's side).
+
+    Errors abort the whole run.  A fee outside ``[0, 1)``, a non-positive
+    or non-finite sampled price, a non-finite noise volume, and arithmetic
+    that overflows or divides by zero raise ``ValueError``.  A batch whose
+    net trade reaches the price pole (noise buying half the asset reserve or
+    more) raises :class:`InfeasibleTradeError` naming the block and its
+    settlement time.  A rebalance that misses the external price it pins
+    raises :class:`ConvergenceError`.  Reserves that stop being finite and
+    non-negative raise ``ValueError`` naming the first such block.  On the
+    command line these are exit code 2, except 3 for the pin.
     """
+    _check_fee(tau)
     times = clock.settlement_times()
     n = times.size
     p_stars = np.asarray(sample_at(prices, times - clock.gamma), dtype=np.float64)
+    bad = ~((p_stars > 0.0) & (p_stars < math.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"{_where(k + 1, times[k])}: price must be positive and finite, "
+            f"got {float(p_stars[k])!r}"
+        )
     p0 = float(sample_at(prices, [clock.start])[0])
     if initial is None:
         initial = balanced_reserves(p0)
@@ -213,41 +264,132 @@ def run_fmamm_backtest(
         volumes = noise.fraction * volume
     else:
         volumes = np.zeros(n)
+    # a non-positive volume sends no noise; NaN and +inf cannot be filled
+    if not (volumes < math.inf).all():
+        raise ValueError("noise volumes must be finite")
+    # per block: noise net, and the noise buy (>= 0) and sell (<= 0) orders
     if noise.direction == "random_sign":
         signs = np.random.default_rng(noise.seed).integers(0, 2, size=n) * 2 - 1
+        noise_net = np.where(volumes > 0.0, signs * volumes, 0.0)
+        buys = np.maximum(noise_net, 0.0)
+        sells = np.minimum(noise_net, 0.0)
     else:
-        signs = np.ones(n, dtype=np.int64)
+        noise_net = np.zeros(n)
+        buys = np.where(volumes > 0.0, 0.5 * volumes, 0.0)
+        sells = -buys
 
-    reserves = initial
-    out_times = np.empty(n + 1)
-    out_values = np.empty(n + 1)
-    out_times[0] = clock.start
-    out_values[0] = initial.value_at(p0)
-    trades: list[TradeRecord] = []
-    for i in range(n):
-        block = i + 1
-        p_star = float(p_stars[i])
-        orders = _noise_orders(block, float(volumes[i]), noise.direction, int(signs[i]))
-        noise_net = math.fsum(o.amount for o in orders)
-        decision = optimal_rebalance(reserves, noise_net, tau, p_star)
-        if decision.trade != 0.0:
-            orders.append(Order(f"{block}:arb", "arbitrageur", decision.trade))
-        before = reserves
-        if orders:
-            reserves, report = settle_batch(reserves, Batch(block, tuple(orders)), tau)
-            net, fee_n, fee_a = report.net_trade, report.fee_numeraire, report.fee_asset
-        else:
-            net, fee_n, fee_a = 0.0, 0.0, 0.0
-        out_times[i + 1] = times[i]
-        out_values[i + 1] = reserves.value_at(p_star)
-        trades.append(
-            TradeRecord(
-                block, float(times[i]), p_star, noise_net, decision.trade, net,
-                decision.rebalanced, before.y, before.x, reserves.y, reserves.x,
-                fee_n, fee_a,
-            )
-        )
+    keep = 1.0 - tau
+    fsum, isclose = math.fsum, math.isclose
+    y, x = initial.y, initial.x
+    log: list[float] = []  # per block: arb trade, y and x after, fee legs
+    record = log.extend
+    n_buy = n_sell = n_mixing = 0
+    try:
+        # a: noise net trade; b, s: noise buy and sell orders (0.0 when absent)
+        for block, (t, p, a, b, s) in enumerate(zip(
+            times.tolist(), p_stars.tolist(), noise_net.tolist(), buys.tolist(), sells.tolist()
+        ), start=1):
+            # no-trade band around the pre-fee price of the noise alone; a
+            # net-selling batch routes only (1-tau) of its volume to the pool
+            if a == 0.0:
+                base = y / x
+            else:
+                d = x - 2.0 * (a if a > 0.0 else a * keep)
+                if d <= POLE_MARGIN * x:
+                    raise _pole_error(block, t, a, x)
+                base = y / d
+            if p > base / keep:
+                # arbitrageurs buy; the rescaled root when the batch still net-sells
+                net = 0.5 * (x - y / (keep * p))
+                mixing = net < 0.0
+                if mixing:
+                    net /= keep
+                trade = net - a
+            elif p < keep * base:
+                # arbitrageurs sell; the rescaled root when the batch still net-buys
+                net = 0.5 * (x / keep - y / p)
+                mixing = net > 0.0
+                if mixing:
+                    net *= keep
+                trade = net - a
+            else:
+                trade = 0.0
 
+            if trade == 0.0:
+                if not (b or s):
+                    record((0.0, y, x, 0.0, 0.0))
+                    continue
+                flow = a
+                arb_flow = fee_n = fee_a = 0.0
+            else:
+                d = x - 2.0 * (net if net > 0.0 else net * keep)
+                if d <= POLE_MARGIN * x:
+                    raise _pole_error(block, t, net, x)
+                base = y / d
+                pinned = base / keep if trade > 0.0 else keep * base
+                if not isclose(pinned, p, rel_tol=_PIN_RTOL):
+                    raise ConvergenceError(
+                        f"{_where(block, t)}: rebalance left effective price {pinned} "
+                        f"!= target {p}"
+                    )
+                n_mixing += mixing
+                # the batch's net trade against the pool: noise plus arbitrage,
+                # which with noise can round away from net and is priced anew
+                flow = a + trade
+                if flow != net:
+                    d = x - 2.0 * (flow if flow > 0.0 else flow * keep)
+                    if d <= POLE_MARGIN * x:
+                        raise _pole_error(block, t, flow, x)
+                    base = y / d
+                if trade > 0.0:
+                    n_buy += 1
+                    arb_flow = trade * (base / keep)
+                    fee_n = trade * base * tau / keep
+                    fee_a = 0.0
+                else:
+                    n_sell += 1
+                    arb_flow = trade * (keep * base)
+                    fee_n = 0.0
+                    fee_a = tau * -trade
+            # every order fills at the uniform price: buyers pay base/(1-tau)
+            # and fund the fee in numeraire, sellers get (1-tau)*base and pay
+            # it in asset; all of it stays in the pool
+            if b or s:
+                y += fsum((b * (base / keep), s * (keep * base), arb_flow))
+                fee_n += b * base * tau / keep
+                fee_a += tau * -s
+            else:
+                y += arb_flow
+            x -= flow
+            record((trade, y, x, fee_n, fee_a))
+    except (ArithmeticError, ValueError, ConvergenceError) as exc:
+        # an earlier block's bad reserves are the first error, as if checked per block
+        done = np.array(log, dtype=np.float64).reshape(-1, 5)
+        _check_reserve_columns(done[:, 1], done[:, 2], times)
+        if isinstance(exc, ArithmeticError):
+            raise ValueError(f"{_where(block, t)}: {exc} at reserves y={y!r}, x={x!r}") from exc
+        raise
+
+    columns = np.array(log, dtype=np.float64).reshape(n, 5)
+    arb_trade, y_after, x_after, fee_n_col, fee_a_col = columns.T
+    _check_reserve_columns(y_after, x_after, times)
+    trades = np.recarray(n, dtype=TRADE_LOG_DTYPE)
+    trades.block = np.arange(1, n + 1)
+    trades.time = times
+    trades.p_star = p_stars
+    trades.noise_net = noise_net
+    trades.arb_trade = arb_trade
+    trades.net_trade = noise_net + arb_trade
+    trades.rebalanced = arb_trade != 0.0
+    trades.y_before = np.concatenate(([initial.y], y_after[:-1]))
+    trades.x_before = np.concatenate(([initial.x], x_after[:-1]))
+    trades.y_after = y_after
+    trades.x_after = x_after
+    trades.fee_numeraire = fee_n_col
+    trades.fee_asset = fee_a_col
+
+    out_times = np.concatenate(([clock.start], times))
+    out_values = np.concatenate(([initial.value_at(p0)], y_after + p_stars * x_after))
     series = LpReturnSeries.from_values("fm_amm", out_times, out_values)
     summary = {
         "venue": "fm_amm",
@@ -257,12 +399,15 @@ def run_fmamm_backtest(
         "noise_direction": noise.direction,
         "seed": noise.seed,
         "n_blocks": n,
-        "n_rebalances": sum(1 for t in trades if t.rebalanced),
+        "n_rebalances": int(np.count_nonzero(trades.rebalanced)),
+        "n_buy_rebalances": n_buy,
+        "n_sell_rebalances": n_sell,
+        "n_sign_mixing": n_mixing,
         "initial_value": float(out_values[0]),
         "terminal_value": float(out_values[-1]),
         "terminal_roi": float(series.roi[-1]),
-        "fee_numeraire_total": math.fsum(t.fee_numeraire for t in trades),
-        "fee_asset_total": math.fsum(t.fee_asset for t in trades),
+        "fee_numeraire_total": math.fsum(fee_n_col),
+        "fee_asset_total": math.fsum(fee_a_col),
     }
     return BacktestResult(series, trades, summary)
 

@@ -133,22 +133,19 @@ def test_criterion_4_no_residual_arbitrage():
     for tau in (0.0, 0.003):
         result = run_fmamm_backtest(path, clock, tau)
         trades = result.trades
-        rebalanced = np.array([t.rebalanced for t in trades])
+        rebalanced = trades.rebalanced
         assert rebalanced.any()
-        p_star = np.array([t.p_star for t in trades])[rebalanced]
-        y_before = np.array([t.y_before for t in trades])[rebalanced]
-        x_before = np.array([t.x_before for t in trades])[rebalanced]
-        net = np.array([t.net_trade for t in trades])[rebalanced]
+        p_star = trades.p_star[rebalanced]
+        y_before = trades.y_before[rebalanced]
+        x_before = trades.x_before[rebalanced]
+        net = trades.net_trade[rebalanced]
         for direction in (+1.0, -1.0):
             dr = direction * 1e-6 * x_before
             prices = _vectorized_effective(y_before, x_before, net + dr, tau, direction)
             profit = dr * (p_star - prices)
             assert np.all(profit <= 1e-9 * np.abs(dr) * p_star)
         if tau == 0.0:
-            p_all = np.array([t.p_star for t in trades])
-            y_after = np.array([t.y_after for t in trades])
-            x_after = np.array([t.x_after for t in trades])
-            rel = np.abs(p_all * x_after - y_after) / y_after
+            rel = np.abs(trades.p_star * trades.x_after - trades.y_after) / trades.y_after
             assert np.all(rel < 1e-9)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

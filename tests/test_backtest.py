@@ -1,20 +1,34 @@
 """Backtest loop, sweeps, value-function, and sandwich-immunity tests.
 
 The two-block backtest is checked against a hand-chained oracle built from
-the pool's supply and trade primitives; the vectorized value function is
-checked against scalar maximization with scipy and against the rebalance
-solver; sweeps are checked for consistency and monotonicity.
+the pool's supply and trade primitives, and the whole loop block by block
+against a reference that composes ``optimal_rebalance`` and ``settle_batch``
+per block; the zero-fee run is checked against its closed form.  The
+vectorized value function is checked against scalar maximization with scipy
+and against the rebalance solver; sweeps are checked for consistency and
+monotonicity.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from fmamm.amm import Reserves, apply_trade, effective_price, fmamm_supply, objective_value
+from fmamm.amm import (
+    ConvergenceError,
+    Reserves,
+    apply_trade,
+    effective_price,
+    fmamm_supply,
+    objective_value,
+)
 from fmamm.arbitrage import optimal_rebalance
 from fmamm.backtest import (
+    NOISE_DIRECTIONS,
+    TRADE_LOG_DTYPE,
     BlockClock,
     NO_NOISE,
     NoiseScenario,
@@ -28,9 +42,11 @@ from fmamm.backtest import (
     run_fmamm_backtest,
     value_function,
 )
-from fmamm.market_data import GbmParams, LpReturnSeries, PriceSeries, sample_gbm_path
+from fmamm.batch import Batch, Order, settle_batch
+from fmamm.market_data import GbmParams, LpReturnSeries, PriceSeries, sample_at, sample_gbm_path
 
 R = Reserves(20000.0, 10.0)
+TAUS = (0.0, 0.0005, 0.003, 0.01)
 
 
 def flat_series(price=2000.0, blocks=3):
@@ -109,6 +125,28 @@ class TestRunBacktest:
         with pytest.raises(ValueError, match="baseline_volume"):
             run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, scenario, R)
 
+    def test_bad_price_and_volume_name_the_problem(self):
+        series = PriceSeries("X-Y", [0, 12, 24, 36], [2000.0, 2000.0, math.inf, 2000.0])
+        with pytest.raises(ValueError, match=r"block 2 \(t=24\): price must be positive"):
+            run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, NO_NOISE, R)
+        series = flat_series(blocks=3)
+        scenario = NoiseScenario("fraction_of_baseline_volume", 0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, scenario, R,
+                                   baseline_volume=[1.0, bad, 1.0])
+
+    def test_overflowing_reserves_name_the_first_block(self):
+        # the fee-grossed buy price overflows, so block 1 leaves y infinite;
+        # block 2 would then miss its pin, but block 1 is reported
+        top = 1.5e308
+        for blocks in (1, 2):
+            series = flat_series(price=top, blocks=blocks)
+            scenario = NoiseScenario("fraction_of_baseline_volume", 1.0)
+            with pytest.raises(ValueError, match=r"block 1 \(t=12\): reserves must be finite"):
+                run_fmamm_backtest(series, BlockClock.for_series(series), 0.5, scenario,
+                                   Reserves(top, 1.0), [1.0] * blocks)
+
     def test_balanced_noise_lower_bound(self):
         path = sample_gbm_path(GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=12 * 300, seed=21))
         clock = BlockClock.for_series(path)
@@ -134,6 +172,137 @@ class TestRunBacktest:
             R, volume,
         )
         assert not np.array_equal(a.series.values, c.series.values)
+
+
+def reference_backtest(prices, clock, tau, noise, initial=None, baseline_volume=None):
+    """Per-block composition of ``optimal_rebalance`` and ``settle_batch``:
+    the trade log and the marked values the kernel must reproduce."""
+    times = clock.settlement_times()
+    p_stars = sample_at(prices, times - clock.gamma)
+    p0 = float(sample_at(prices, [clock.start])[0])
+    reserves = initial if initial is not None else balanced_reserves(p0)
+    volumes = np.zeros(times.size)
+    if noise.mode != "none":
+        volumes = noise.fraction * np.asarray(baseline_volume, dtype=np.float64)
+    signs = np.random.default_rng(noise.seed).integers(0, 2, size=times.size) * 2 - 1
+    rows, values = [], [reserves.value_at(p0)]
+    for i, (t, p, v) in enumerate(zip(times.tolist(), p_stars.tolist(), volumes.tolist())):
+        orders = []
+        if v > 0.0 and noise.direction == "balanced":
+            orders = [Order("buy", "noise", 0.5 * v), Order("sell", "noise", -0.5 * v)]
+        elif v > 0.0:
+            orders = [Order("noise", "noise", int(signs[i]) * v)]
+        noise_net = math.fsum(o.amount for o in orders)
+        decision = optimal_rebalance(reserves, noise_net, tau, p)
+        if decision.trade != 0.0:
+            orders.append(Order("arb", "arbitrageur", decision.trade))
+        before, net, fee_n, fee_a = reserves, 0.0, 0.0, 0.0
+        if orders:
+            reserves, report = settle_batch(reserves, Batch(i + 1, tuple(orders)), tau)
+            net, fee_n, fee_a = report.net_trade, report.fee_numeraire, report.fee_asset
+        rows.append((i + 1, t, p, noise_net, decision.trade, net, decision.rebalanced,
+                     before.y, before.x, reserves.y, reserves.x, fee_n, fee_a))
+        values.append(reserves.value_at(p))
+    return np.rec.fromrecords(rows, dtype=TRADE_LOG_DTYPE), np.array(values)
+
+
+def sign_mixing(log, tau):
+    """Rebalances whose same-sign closed form lands on the noise's side of zero."""
+    keep = 1.0 - tau
+    buy_mixing = (log.arb_trade > 0.0) & (log.x_before - log.y_before / (keep * log.p_star) < 0.0)
+    sell_mixing = (log.arb_trade < 0.0) & (log.x_before / keep - log.y_before / log.p_star > 0.0)
+    return int(np.count_nonzero(buy_mixing | sell_mixing))
+
+
+def assert_matches_reference(result, reference, rtol):
+    log, values = reference
+    got = result.trades
+    assert got.dtype == TRADE_LOG_DTYPE and got.shape == log.shape
+    for name in TRADE_LOG_DTYPE.names:
+        if rtol == 0.0:
+            assert np.array_equal(got[name], log[name]), name
+        else:
+            np.testing.assert_allclose(got[name], log[name], rtol=rtol, atol=0.0, err_msg=name)
+    roi = values / values[0] - 1.0
+    if rtol == 0.0:
+        assert np.array_equal(result.series.values, values)
+        assert np.array_equal(result.series.roi, roi)
+    else:
+        np.testing.assert_allclose(result.series.values, values, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(result.series.roi, roi, rtol=rtol, atol=1e-15)
+
+
+class TestKernelMatchesReference:
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        path = sample_gbm_path(
+            GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=12 * 2000, seed=31)
+        )
+        clock = BlockClock.for_series(path)
+        rng = np.random.default_rng(37)
+        volume = rng.exponential(0.01, clock.n_blocks)
+        volume[rng.random(clock.n_blocks) < 0.3] = 0.0
+        return path, clock, volume
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("kind", ["none", "balanced", "random_sign"])
+    def test_block_by_block(self, scenario, tau, kind):
+        path, clock, volume = scenario
+        noise = NO_NOISE
+        if kind != "none":
+            noise = NoiseScenario("fraction_of_baseline_volume", 2.0, kind, seed=41)
+        result = run_fmamm_backtest(path, clock, tau, noise, None, volume)
+        reference = reference_backtest(path, clock, tau, noise, None, volume)
+        assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
+
+        log = reference[0]
+        summary = result.summary
+        assert summary["n_rebalances"] == np.count_nonzero(log.rebalanced) > 0
+        assert summary["n_buy_rebalances"] == np.count_nonzero(log.arb_trade > 0.0)
+        assert summary["n_sell_rebalances"] == np.count_nonzero(log.arb_trade < 0.0)
+        assert summary["n_sign_mixing"] == sign_mixing(log, tau)
+        if kind == "random_sign":
+            assert summary["n_sign_mixing"] > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        y=st.floats(1e-3, 1e9),
+        x=st.floats(1e-3, 1e6),
+        ratio=st.floats(1e-2, 1e2),
+        # as a share of the asset reserve: a random-sign buy past 1/2 hits the pole
+        volume=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
+        tau=st.floats(0.0, 0.2),
+        direction=st.sampled_from(NOISE_DIRECTIONS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_single_block_property(self, y, x, ratio, volume, tau, direction, seed):
+        series = PriceSeries("X-Y", [0.0, 12.0], [y / x, y / x * ratio])
+        clock = BlockClock.for_series(series)
+        noise = NoiseScenario("fraction_of_baseline_volume", 1.0, direction, seed)
+        args = (series, clock, tau, noise, Reserves(y, x), [volume * x])
+        try:
+            reference = reference_backtest(*args)
+        except (ValueError, ConvergenceError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                run_fmamm_backtest(*args)
+            assert type(raised.value) is type(exc)
+            return
+        assert_matches_reference(run_fmamm_backtest(*args), reference, rtol=1e-12)
+
+
+class TestZeroFeeClosedForm:
+    def test_cumprod_oracle_100k_blocks(self):
+        # zero fee pins y = p*x each block, so x_n = x_{n-1} (1 + p_{n-1}/p_n) / 2
+        path = sample_gbm_path(
+            GbmParams(2000.0, 0.0005, step_seconds=12, horizon_seconds=12 * 100_000, seed=13)
+        )
+        result = run_fmamm_backtest(path, BlockClock.for_series(path), 0.0)
+        p = path.prices
+        x = np.cumprod((1.0 + p[:-1] / p[1:]) / 2.0)
+        y = p[1:] * x
+        np.testing.assert_allclose(result.trades.x_after, x, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(result.trades.y_after, y, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(result.series.values[1:], 2.0 * y, rtol=1e-12, atol=0.0)
 
 
 class TestCompareReturns:

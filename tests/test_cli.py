@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -187,6 +188,16 @@ class TestSweepCommands:
         diffs = [r["diff_vs_zero_noise_pp"] for r in rows]
         assert diffs[0] == 0.0
         assert diffs[1] <= diffs[2] + 1e-12
+
+    def test_noise_beyond_the_pole_names_the_block(self, tmp_path, capsys):
+        # one asset unit of depth; random-sign noise of 0.5-2 units buys past x/2
+        series = write_price_csv(tmp_path / "prices.csv", blocks=100)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
+                           noise_fractions=[1.0], noise_direction="random_sign")
+        assert main(["sweep-noise", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"block \d+ \(t=\d+\): net trade .* price pole", err), err
 
     def test_noise_sweep_requires_swap_csv(self, tmp_path, capsys):
         write_price_csv(tmp_path / "prices.csv", blocks=10)

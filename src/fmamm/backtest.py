@@ -43,6 +43,7 @@ from fmamm.market_data import (
     LpReturnSeries,
     PriceSeries,
     format_number,
+    format_numbers,
     mean_preserving_spread,
     sample_at,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "RiskMonteCarloResult",
     "ScenarioConfig",
     "DEFAULT_FEE_GRID",
+    "MAX_BLOCKS",
     "balanced_reserves",
     "run_fmamm_backtest",
     "compare_returns",
@@ -67,6 +69,11 @@ __all__ = [
 ]
 
 DEFAULT_FEE_GRID = (0.0, 0.0005, 0.003, 0.01)
+
+# Far above the paper's scale (about 1.3M 12-second blocks per pool); a
+# clock with more blocks comes from a mistyped ``mu``, and its settlement
+# grid alone would take gigabytes.
+MAX_BLOCKS = 10**8
 
 NOISE_MODES = ("none", "fraction_of_baseline_volume")
 NOISE_DIRECTIONS = ("balanced", "random_sign")
@@ -89,6 +96,13 @@ class BlockClock:
             raise ValueError(f"need 0 <= gamma < mu, got gamma={self.gamma}, mu={self.mu}")
         if self.end < self.start:
             raise ValueError(f"end {self.end} before start {self.start}")
+        count = (self.end - self.start) // self.mu
+        if count > MAX_BLOCKS:
+            raise ValueError(
+                f"mu={self.mu!r} gives {format_number(count)} blocks over "
+                f"[{format_number(self.start)}, {format_number(self.end)}], "
+                f"more than MAX_BLOCKS={MAX_BLOCKS}"
+            )
 
     @property
     def n_blocks(self) -> int:
@@ -427,15 +441,10 @@ class ReturnComparison:
         return float(100.0 * self.roi_difference[-1])
 
     def write_csv(self, path) -> None:
-        import csv
-
-        from fmamm.market_data import format_number
-
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "roi_difference"])
-            for t, d in zip(self.timestamps, self.roi_difference):
-                writer.writerow([format_number(t), repr(float(d))])
+            fh.write("timestamp,roi_difference\r\n")
+            fh.writelines(map("{},{}\r\n".format, format_numbers(self.timestamps),
+                              map(repr, self.roi_difference.tolist())))
 
 
 def compare_returns(a: LpReturnSeries, b: LpReturnSeries) -> ReturnComparison:

@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 input validation, 3 failed rebalance pin check.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -49,7 +48,7 @@ from fmamm.backtest import (
     run_fmamm_backtest,
 )
 from fmamm.batch import load_order_batches, settle_batch, split_trade_experiment
-from fmamm.market_data import format_number, load_price_series
+from fmamm.market_data import format_numbers, load_price_series
 from fmamm.uniswap import load_swap_records, per_block_swap_volume, run_baseline
 
 __all__ = ["main"]
@@ -97,14 +96,18 @@ def _out_dir(args) -> Path | None:
 
 
 def _write_long_format(path, runs: dict) -> None:
-    """Plot-ready long format: run_id,timestamp,metric,value."""
+    """Plot-ready long format: run_id,timestamp,metric,value.
+
+    Run ids and metric names are plain labels (no comma, quote or brace), so
+    they go into the row format unquoted.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_id", "timestamp", "metric", "value"])
+        fh.write("run_id,timestamp,metric,value\r\n")
         for run_id, series in runs.items():
+            stamps = format_numbers(series.timestamps)
             for metric, column in (("value", series.values), ("cumulative_roi", series.roi)):
-                for t, v in zip(series.timestamps, column):
-                    writer.writerow([run_id, format_number(t), metric, repr(float(v))])
+                row = f"{run_id},{{}},{metric},{{}}\r\n"
+                fh.writelines(map(row.format, stamps, map(repr, column.tolist())))
 
 
 def _reserves(args) -> Reserves:

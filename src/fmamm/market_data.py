@@ -4,6 +4,11 @@ Price CSVs use the schema ``timestamp,price`` (header required) with integer
 epoch seconds and strictly increasing timestamps; pairs are labeled
 ``BASE-QUOTE``.  Series are immutable after construction.
 
+CSV input and output are columnar: a plain file parses in one
+``np.loadtxt`` call and is validated as columns, and only a file that parse
+or a check rejects is re-read row by row, to name its first bad line.
+Writers stream one formatted line per row straight from the columns.
+
 Sampling between observations forward-fills from the last point; gaps longer
 than :data:`LONG_GAP_SECONDS` are surfaced as a warning so that backtests on
 patchy data are flagged rather than silently smoothed.
@@ -36,6 +41,7 @@ __all__ = [
     "sample_gbm_path",
     "mean_preserving_spread",
     "format_number",
+    "format_numbers",
 ]
 
 LONG_GAP_SECONDS = 300.0
@@ -120,10 +126,9 @@ class LpReturnSeries:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "value", "cumulative_roi"])
-            for t, v, r in zip(self.timestamps, self.values, self.roi):
-                writer.writerow([format_number(t), repr(float(v)), repr(float(r))])
+            fh.write("timestamp,value,cumulative_roi\r\n")
+            fh.writelines(map("{},{},{}\r\n".format, format_numbers(self.timestamps),
+                              map(repr, self.values.tolist()), map(repr, self.roi.tolist())))
 
 
 def format_number(x: float) -> str:
@@ -132,8 +137,59 @@ def format_number(x: float) -> str:
     return str(int(x)) if x.is_integer() and abs(x) < 2**53 else repr(x)
 
 
+def format_numbers(values) -> list[str]:
+    """:func:`format_number` of each value.
+
+    A column of integral values below 2**53 in magnitude (the usual epoch
+    timestamps) converts to integers in one pass.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if (np.abs(values) < 2**53).all() and (values == np.trunc(values)).all():
+        return list(map(str, values.astype(np.int64).tolist()))
+    return list(map(format_number, values.tolist()))
+
+
+def _parse_columns(path, header: tuple[str, ...], dtype: np.dtype) -> np.ndarray | None:
+    """Every data row of a plain CSV as one structured array, or None.
+
+    "Plain" means the first line is exactly ``header`` (case and spaces
+    aside, extra trailing names allowed) without quotes, and ``np.loadtxt``
+    takes every row: no quotes, no missing or extra columns, no
+    whitespace-only lines, integers within 64 bits.  None sends the caller
+    to its row-by-row reader, which names the first bad line or accepts the
+    few spellings Python's ``int``/``float`` take and ``loadtxt`` does not
+    (``1_000``, quoted fields, extra columns).  A file with no data rows
+    also returns None.
+    """
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        # loadtxt warns on an empty body rather than raising
+        warnings.simplefilter("error")
+        try:
+            first = fh.readline()
+            names = [h.strip().lower() for h in first.split(",")[: len(header)]]
+            if names != list(header) or '"' in first:
+                return None
+            rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    return rows if rows.size else None
+
+
+_PRICE_ROW_DTYPE = np.dtype([("t", np.int64), ("p", np.float64)])
+
+
 def load_price_series(path, pair: str) -> PriceSeries:
     """Load a ``timestamp,price`` CSV, reporting bad rows by line number."""
+    rows = _parse_columns(path, ("timestamp", "price"), _PRICE_ROW_DTYPE)
+    if rows is not None:
+        ts, px = rows["t"], rows["p"]
+        if ((px > 0.0) & (px < math.inf)).all() and (ts[1:] > ts[:-1]).all():
+            return PriceSeries(pair, ts.astype(np.float64), px)
+    return _read_price_rows(path, pair)
+
+
+def _read_price_rows(path, pair: str) -> PriceSeries:
+    """The row-by-row reader behind :func:`load_price_series`."""
     timestamps: list[int] = []
     prices: list[float] = []
     with open(path, newline="") as fh:

@@ -10,6 +10,8 @@ monotonicity.
 """
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from fmamm.amm import (
 )
 from fmamm.arbitrage import optimal_rebalance
 from fmamm.backtest import (
+    MAX_BLOCKS,
     NOISE_DIRECTIONS,
     TRADE_LOG_DTYPE,
     BlockClock,
@@ -67,6 +70,24 @@ class TestBlockClock:
             BlockClock(mu=0.0)
         with pytest.raises(ValueError):
             BlockClock(start=10.0, end=0.0)
+
+    @pytest.mark.parametrize("mu, end, count", [
+        (1e-300, 1e6, "1e+306"),
+        (1e-300, 1e10, "inf"),
+        (1.0, MAX_BLOCKS + 1.0, str(MAX_BLOCKS + 1)),
+    ])
+    def test_block_count_bounded_without_allocating(self, mu, end, count):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"mu={mu!r} gives {re.escape(count)} blocks"):
+                BlockClock(mu=mu, start=0.0, end=end)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_block_count_at_the_bound_accepted(self):
+        assert BlockClock(mu=1.0, start=0.0, end=float(MAX_BLOCKS)).n_blocks == MAX_BLOCKS
 
 
 class TestRunBacktest:

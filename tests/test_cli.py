@@ -164,6 +164,45 @@ class TestBacktestCommand:
         assert named in capsys.readouterr().err
 
 
+    def test_decreasing_swap_timestamp_names_the_line(self, tmp_path, capsys):
+        write_price_csv(tmp_path / "prices.csv", blocks=20)
+        swaps = tmp_path / "swaps.csv"
+        swaps.write_text(
+            "block,timestamp,fee_amount,fee_token,active_liquidity,post_price\n"
+            "1,1680000150,0.5,token1,1e9,2000.0\n"
+            "1,1680000120,0.5,token1,1e9,2000.0\n"
+            "2,1680000230,0.5,token1,1e9,2000.0\n"
+        )
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", swaps)
+        for command in ("backtest", "sweep-noise"):
+            assert main([command, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "swaps.csv:3: timestamp 1680000120 before the previous" in err, err
+
+    @pytest.mark.parametrize("which, row", [
+        ("prices", "1680000012,-1.0"),
+        ("prices", "1680000012,nan"),
+        ("prices", "1680000012.5,2000.0"),
+        ("prices", "1680000000,2000.0"),
+        ("prices", "   "),
+        ("swaps", "1,1680000012,0.5,token2,1e9,2000.0"),
+        ("swaps", "1,1680000012,-0.5,token1,1e9,2000.0"),
+        ("swaps", "1,1680000012,0.5,token1,0,2000.0"),
+        ("swaps", "1,1680000012,0.5,token1,1e9"),
+        ("swaps", "9223372036854775808,1680000012,0.5,token1,1e9,2000.0"),
+    ])
+    def test_malformed_csv_row_names_its_line(self, tmp_path, capsys, which, row):
+        series = write_price_csv(tmp_path / "prices.csv", blocks=20)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        path = tmp_path / f"{which}.csv"
+        lines = path.read_text().splitlines()
+        lines.insert(3, row)
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv")
+        assert main(["backtest", "--config", str(cfg)]) == 2
+        assert f"{which}.csv:4:" in capsys.readouterr().err
+
+
 class TestSweepCommands:
     def test_fee_sweep(self, tmp_path, capsys):
         write_price_csv(tmp_path / "prices.csv", blocks=100)
@@ -198,6 +237,13 @@ class TestSweepCommands:
         assert main(["sweep-noise", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert re.search(r"block \d+ \(t=\d+\): net trade .* price pole", err), err
+
+    def test_tiny_mu_is_validation_error(self, tmp_path, capsys):
+        write_price_csv(tmp_path / "prices.csv", blocks=10)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", mu=1e-300)
+        assert main(["sweep-fees", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "mu=1e-300 gives 1.2e+302 blocks" in err and "MAX_BLOCKS" in err, err
 
     def test_noise_sweep_requires_swap_csv(self, tmp_path, capsys):
         write_price_csv(tmp_path / "prices.csv", blocks=10)

@@ -1,0 +1,373 @@
+"""Columnar CSV I/O tests: the one-call parses against row-by-row readers,
+and the streaming writers against ``csv.writer``.
+
+The references below are the row-by-row readers and the ``csv.writer``
+writers that the columnar code replaced, kept here as oracles.
+"""
+
+import csv
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fmamm import market_data, uniswap
+from fmamm.backtest import ReturnComparison
+from fmamm.cli import _write_long_format
+from fmamm.market_data import (
+    LpReturnSeries,
+    PriceDataError,
+    PriceSeries,
+    format_number,
+    format_numbers,
+    load_price_series,
+)
+from fmamm.uniswap import SWAP_LOG_DTYPE, SwapRecord, load_swap_records
+
+PRICE_HEADER = "timestamp,price"
+SWAP_HEADER = "block,timestamp,fee_amount,fee_token,active_liquidity,post_price"
+
+
+def reference_prices(path, pair):
+    """Row-by-row price reader: csv.reader, int() and float() per row."""
+    timestamps, prices = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
+            raise PriceDataError(f"{path}:1: expected header 'timestamp,price', got {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                ts = int(row[0])
+                price = float(row[1])
+            except (IndexError, ValueError) as exc:
+                raise PriceDataError(f"{path}:{lineno}: malformed row {row}: {exc}") from exc
+            if not math.isfinite(price) or price <= 0.0:
+                raise PriceDataError(f"{path}:{lineno}: price must be positive, got {row[1]}")
+            if timestamps and ts <= timestamps[-1]:
+                raise PriceDataError(
+                    f"{path}:{lineno}: timestamp {ts} not after previous {timestamps[-1]}"
+                )
+            timestamps.append(ts)
+            prices.append(price)
+    if not timestamps:
+        raise PriceDataError(f"{path}: no data rows")
+    return PriceSeries(pair, np.array(timestamps, float), np.array(prices, float))
+
+
+def reference_swaps(path):
+    """Row-by-row swap reader: one SwapRecord per row, then one array."""
+    fields = SWAP_HEADER.split(",")
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header[:6]] != fields:
+            raise ValueError(f"{path}:1: expected header {SWAP_HEADER}, got {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                rec = SwapRecord(int(row[0]), int(row[1]), float(row[2]), row[3].strip(),
+                                 float(row[4]), float(row[5]))
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed swap record {row}: {exc}") from exc
+            if not all(-2**63 <= v < 2**63 for v in (rec.block, rec.timestamp)):
+                raise ValueError(
+                    f"{path}:{lineno}: block and timestamp must fit in 64 bits, got {row[:2]}"
+                )
+            if records and rec.timestamp < records[-1].timestamp:
+                raise ValueError(
+                    f"{path}:{lineno}: timestamp {rec.timestamp} before the previous "
+                    f"row's {records[-1].timestamp}"
+                )
+            records.append(rec)
+    rows = [(r.block, r.timestamp, r.fee_amount, r.fee_token, r.active_liquidity, r.post_price)
+            for r in records]
+    return np.array(rows, dtype=SWAP_LOG_DTYPE)
+
+
+def outcome(fn, *args):
+    """What a loader does with a file: its arrays as bytes, or its error."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    if isinstance(result, PriceSeries):
+        return ("series", result.pair, result.timestamps.tobytes(), result.prices.tobytes())
+    return ("log", result.dtype.descr, np.asarray(result).tobytes())
+
+
+def assert_same_prices(path):
+    expected = outcome(reference_prices, path, "X-Y")
+    assert outcome(load_price_series, path, "X-Y") == expected
+    return expected
+
+
+def assert_same_swaps(path):
+    expected = outcome(reference_swaps, path)
+    got = outcome(load_swap_records, path)
+    assert got == expected
+    return expected
+
+
+PRICE_CORPUS = {
+    "plain": "1,1.5\n2,2.5\n",
+    "crlf and blank lines": "1,1.5\r\n\r\n2,2.5\r\n\n",
+    "cr only": "1,1.5\r2,2.5\r",
+    "no final newline": "1,1.5\n2,2.5",
+    "plus sign": "+5,1.5\n6,2\n",
+    "spaces": " 5 , 1.5 \n\t6,\t2\n",
+    "underscore int": "1_000,1.5\n1_001,2\n",
+    "underscore float": "1,1_0.5\n",
+    "quoted": '"2",1.5\n3,"2.5"\n',
+    "extra columns": "1,1.5,x\n2,2.5\n",
+    "trailing comma": "1,1.5,\n",
+    "negative timestamps": "-5,1.5\n-4,2\n",
+    "int at 2**63": "9223372036854775807,1.5\n9223372036854775808,2\n",
+    "ints colliding as floats": "9223372036854775808,1.5\n9223372036854775809,2\n",
+    "subnormal price": "1,5e-324\n",
+    "comment marker": "#1,1.5\n",
+    "hash in price": "1,1.5#\n",
+    "whitespace line": "1,1.5\n   \n2,2.5\n",
+    "nan": "1,1.5\n2,nan\n",
+    "inf": "1,inf\n",
+    "overflowing price": "1,1e400\n",
+    "underflowing price": "1,1e-400\n",
+    "negative zero": "1,-0.0\n",
+    "float timestamp": "1.0,2\n",
+    "missing price": "1\n",
+    "empty timestamp": ",2\n",
+    "repeated timestamp": "1,1.5\n1,2\n",
+    "decreasing timestamp": "2,1.5\n1,2\n",
+    "header only": "",
+    "blank body": "\n\n",
+}
+
+
+class TestPriceParse:
+    @pytest.mark.parametrize("name", sorted(PRICE_CORPUS))
+    def test_corpus_matches_row_reader(self, tmp_path, name):
+        path = tmp_path / "p.csv"
+        path.write_text(PRICE_HEADER + "\n" + PRICE_CORPUS[name], newline="")
+        assert_same_prices(path)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n1,2\n", "time,price\n1,2\n", '"timestamp",price\n1,2\n',
+        "Timestamp , PRICE ,extra\n1,2\n", "timestamp\n1,2\n",
+        # an unclosed quote makes the whole rest of the file part of the header
+        'timestamp,price,"note\n1,2\n3,4\n',
+    ])
+    def test_headers_match_row_reader(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        assert_same_prices(path)
+
+    def test_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(PRICE_HEADER + "\n1,1.5\n2,2.5\n3,nan\n")
+        with pytest.raises(PriceDataError, match=r"p\.csv:4: price must be positive"):
+            load_price_series(path, "X-Y")
+
+    def test_plain_file_skips_the_row_reader(self, tmp_path, monkeypatch):
+        def row_reader(*args):
+            raise AssertionError("the row reader ran on a plain file")
+
+        monkeypatch.setattr(market_data, "_read_price_rows", row_reader)
+        path = tmp_path / "p.csv"
+        path.write_text(PRICE_HEADER + "\r\n" + "".join(f"{t},{t / 7!r}\r\n" for t in range(1, 500)))
+        series = load_price_series(path, "X-Y")
+        assert series.timestamps.tolist() == list(range(1, 500))
+        assert series.prices.tolist() == [t / 7 for t in range(1, 500)]
+
+
+ODD_FIELDS = ["", " ", "+3", " 4 ", "1_0", '"5"', "nan", "inf", "-inf", "1e400", "1e-400",
+              "-0.0", "5e-324", "1.0", "#", "x", "token0", "token1", " token1", "token00",
+              "9223372036854775808", "-9223372036854775809"]
+
+
+def plain_float(lo=1e-300, hi=1e300):
+    return st.floats(lo, hi).map(repr)
+
+
+@st.composite
+def csv_text(draw, valid_rows, n_fields):
+    """A CSV body: mostly valid rows, maybe with one field or line made odd."""
+    rows = draw(valid_rows)
+    lines = [",".join(r) for r in rows]
+    edit = draw(st.sampled_from(["none", "field", "line", "blank"]))
+    if lines and edit == "field":
+        i = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[i])
+        row[draw(st.integers(0, n_fields - 1))] = draw(st.sampled_from(ODD_FIELDS))
+        lines[i] = ",".join(row)
+    elif edit == "line":
+        fields = st.lists(st.one_of(st.sampled_from(ODD_FIELDS), plain_float()),
+                          max_size=n_fields + 1)
+        lines.insert(draw(st.integers(0, len(lines))), ",".join(draw(fields)))
+    elif edit == "blank":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + newline for line in lines)
+
+
+@st.composite
+def price_rows(draw):
+    steps = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
+    start = draw(st.integers(-10**9, 10**12))
+    times = np.cumsum([start] + steps[1:]).tolist()
+    return [(str(t), draw(plain_float())) for t in times]
+
+
+@st.composite
+def swap_rows(draw):
+    n = draw(st.integers(1, 8))
+    blocks = np.cumsum(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))).tolist()
+    times = np.cumsum(draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))).tolist()
+    return [
+        (str(b), str(t), draw(plain_float(0.0, 1e12)), draw(st.sampled_from(["token0", "token1"])),
+         draw(plain_float(1e-3, 1e20)), draw(plain_float()))
+        for b, t in zip(blocks, times)
+    ]
+
+
+class TestPropertyFastEqualsRowReader:
+    @settings(max_examples=300, deadline=None)
+    @given(body=csv_text(price_rows(), 2))
+    def test_prices(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("prices") / "p.csv"
+        path.write_text(PRICE_HEADER + "\n" + body, newline="")
+        assert_same_prices(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=csv_text(swap_rows(), 6))
+    def test_swaps(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("swaps") / "s.csv"
+        path.write_text(SWAP_HEADER + "\n" + body, newline="")
+        assert_same_swaps(path)
+
+
+SWAP_CORPUS = {
+    "plain": "1,10,0.5,token0,1e6,2.0\n2,20,0.25,token1,1e6,2.1\n",
+    "spaced token": "1,10,0.5, token1 ,1e6,2.0\n",
+    "long token": "1,10,0.5,token00,1e6,2.0\n",
+    "unknown token": "1,10,0.5,token2,1e6,2.0\n",
+    "quoted": '"1",10,0.5,"token0",1e6,2.0\n',
+    "underscores": "1_0,1_000,0.5,token0,1e6,2.0\n",
+    "extra column": "1,10,0.5,token0,1e6,2.0,x\n",
+    "missing column": "1,10,0.5,token0,1e6\n",
+    "zero fee": "1,10,0.0,token0,1e6,2.0\n",
+    "negative fee": "1,10,-1.0,token0,1e6,2.0\n",
+    "nan fee": "1,10,nan,token0,1e6,2.0\n",
+    "infinite liquidity": "1,10,0.5,token0,inf,2.0\n",
+    "zero liquidity": "1,10,0.5,token0,0,2.0\n",
+    "zero price": "1,10,0.5,token0,1e6,0\n",
+    "block at 2**63": "9223372036854775808,10,0.5,token0,1e6,2.0\n",
+    "timestamp below -2**63": "1,-9223372036854775809,0.5,token0,1e6,2.0\n",
+    "equal timestamps": "1,10,0.5,token0,1e6,2.0\n1,10,0.5,token1,1e6,2.0\n",
+    "decreasing timestamps": "1,150,0.5,token0,1e6,2.0\n1,120,0.5,token0,1e6,2.0\n",
+    "unsorted blocks": "2,10,0.5,token0,1e6,2.0\n1,20,0.5,token0,1e6,2.0\n",
+    "blank lines": "\n1,10,0.5,token0,1e6,2.0\r\n\r\n",
+    "header only": "",
+}
+
+
+class TestSwapParse:
+    @pytest.mark.parametrize("name", sorted(SWAP_CORPUS))
+    def test_corpus_matches_row_reader(self, tmp_path, name):
+        path = tmp_path / "s.csv"
+        path.write_text(SWAP_HEADER + "\n" + SWAP_CORPUS[name], newline="")
+        assert_same_swaps(path)
+
+    def test_decreasing_timestamp_names_the_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(SWAP_HEADER + "\n" + SWAP_CORPUS["decreasing timestamps"])
+        with pytest.raises(ValueError, match=r"s\.csv:3: timestamp 120 before the previous"):
+            load_swap_records(path)
+
+    def test_plain_file_skips_the_row_reader(self, tmp_path, monkeypatch):
+        def row_reader(*args):
+            raise AssertionError("the row reader ran on a plain file")
+
+        monkeypatch.setattr(uniswap, "_read_swap_rows", row_reader)
+        path = tmp_path / "s.csv"
+        path.write_text(SWAP_HEADER + "\n" + SWAP_CORPUS["plain"])
+        log = load_swap_records(path)
+        assert len(log) == 2
+        assert log.fee_token.tolist() == ["token0", "token1"]
+        assert log[1].post_price == 2.1
+
+
+def reference_returns_csv(path, series):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "value", "cumulative_roi"])
+        for t, v, r in zip(series.timestamps, series.values, series.roi):
+            writer.writerow([format_number(t), repr(float(v)), repr(float(r))])
+
+
+def reference_comparison_csv(path, comparison):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "roi_difference"])
+        for t, d in zip(comparison.timestamps, comparison.roi_difference):
+            writer.writerow([format_number(t), repr(float(d))])
+
+
+def reference_long_csv(path, runs):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run_id", "timestamp", "metric", "value"])
+        for run_id, series in runs.items():
+            for metric, column in (("value", series.values), ("cumulative_roi", series.roi)):
+                for t, v in zip(series.timestamps, column):
+                    writer.writerow([run_id, format_number(t), metric, repr(float(v))])
+
+
+ODD_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, 0.1, -2.5, 3.0]
+STAMP_SETS = {
+    "integral": [0.0, 12.0, 1_680_000_000.0, -12.0],
+    "fractional": [0.5, 12.25, 1_680_000_000.125, -0.0],
+    "at 2**53": [2.0**53 - 1, 2.0**53, 2.0**60, -(2.0**53)],
+    "odd": [math.nan, math.inf, -math.inf, 5e-324],
+    "empty": [],
+}
+
+
+class TestWriters:
+    @pytest.mark.parametrize("name", sorted(STAMP_SETS))
+    def test_format_numbers_is_format_number(self, name):
+        values = STAMP_SETS[name] + ODD_VALUES
+        assert format_numbers(values) == [format_number(v) for v in values]
+        stamps = STAMP_SETS[name]
+        assert format_numbers(stamps) == [format_number(v) for v in stamps]
+
+    @pytest.mark.parametrize("name", sorted(STAMP_SETS))
+    def test_byte_identical_to_csv_writer(self, tmp_path, name):
+        stamps = STAMP_SETS[name]
+        n = len(stamps)
+        values = (ODD_VALUES * 2)[:n]
+        roi = (ODD_VALUES[::-1] * 2)[:n]
+        series = LpReturnSeries("venue", stamps, values, roi)
+        comparison = ReturnComparison("a", "b", np.asarray(stamps, float), np.asarray(roi, float))
+        runs = {"fm_amm": series, "fee_0.003": LpReturnSeries("v", stamps, roi, values)}
+        for write, reference in (
+            (series.write_csv, lambda p: reference_returns_csv(p, series)),
+            (comparison.write_csv, lambda p: reference_comparison_csv(p, comparison)),
+            (lambda p: _write_long_format(p, runs), lambda p: reference_long_csv(p, runs)),
+        ):
+            write(tmp_path / "got.csv")
+            reference(tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_long_run_matches(self, tmp_path):
+        rng = np.random.default_rng(5)
+        stamps = 1_680_000_000 + 12.0 * np.arange(5000)
+        series = LpReturnSeries.from_values("v", stamps, 1.0 + rng.standard_normal(5000) ** 2)
+        series.write_csv(tmp_path / "got.csv")
+        reference_returns_csv(tmp_path / "want.csv", series)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -1,13 +1,17 @@
 """Full-range baseline tests: accrual, compounding, and ROI identities."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fmamm.market_data import PriceSeries
+from fmamm.market_data import GbmParams, LpReturnSeries, PriceSeries, sample_at, sample_gbm_path
 from fmamm.uniswap import (
+    SWAP_LOG_DTYPE,
     SimPosition,
     SwapRecord,
     accrue_swap_fees,
+    as_swap_log,
     compound_fees,
     load_swap_records,
     per_block_swap_volume,
@@ -134,6 +138,15 @@ class TestRunBaseline:
         with pytest.raises(ValueError, match="sorted"):
             run_baseline(recs, series, 1.0)
 
+    @pytest.mark.parametrize("as_log", [False, True])
+    def test_decreasing_timestamps_rejected(self, as_log):
+        # sorted by block, but the fee at t=120 would be missed at the t=130
+        # mark behind the record at t=150
+        series = PriceSeries("X-Y", [0, 130, 260], [2.0, 2.0, 2.0])
+        recs = [record(block=1, ts=150), record(block=1, ts=120), record(block=2, ts=250)]
+        with pytest.raises(ValueError, match=r"swap record 1: timestamp 120 before .* 150"):
+            run_baseline(as_swap_log(recs) if as_log else recs, series, 1.0)
+
     def test_cadences_agree_when_prices_align(self):
         # record timestamps sit exactly on marks, so swap/block compounding
         # use the same conversion price
@@ -156,6 +169,95 @@ class TestRunBaseline:
         series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
         with pytest.warns(UserWarning, match="small-position"):
             run_baseline([record(liq=10.0)], series, 1.0)
+
+
+def reference_baseline(records, price_series, initial_liquidity, compound_cadence="block"):
+    """Per-record replay from the scalar helpers, one SimPosition per step."""
+    if compound_cadence == "swap":
+        record_prices = sample_at(price_series, [r.timestamp for r in records]) if records else []
+    position = SimPosition(initial_liquidity)
+    values = []
+    rec_i = 0
+    prev_day = math.floor(price_series.start / 86400.0)
+    for t, price in zip(price_series.timestamps, price_series.prices):
+        while rec_i < len(records) and records[rec_i].timestamp <= t:
+            position = accrue_swap_fees(position, records[rec_i])
+            if compound_cadence == "swap":
+                position = compound_fees(position, float(record_prices[rec_i]))
+            rec_i += 1
+        day = math.floor(t / 86400.0)
+        if compound_cadence == "block" or (compound_cadence == "day" and day != prev_day):
+            position = compound_fees(position, float(price))
+        prev_day = day
+        values.append(position_value(position, float(price)))
+    return LpReturnSeries.from_values("uniswap_v3_full_range", price_series.timestamps, values)
+
+
+def random_replay(seed, heavy=False, n_marks=1500, n_swaps=4000, step=300.0, overhang=900):
+    """A GBM mark grid over several days and sorted random swaps on it,
+    some at mark times, some with zero fee, and with ``overhang`` some
+    after the last mark.
+
+    With ``heavy``, prices sit near 1 and each fee is about 2% of the active
+    liquidity, so the position compounds fast and a reordered floating-point
+    operation shows in the last bits of the values.
+    """
+    p0 = 1.0 if heavy else 1800.0
+    marks = sample_gbm_path(GbmParams(p0, 0.002, step_seconds=step,
+                                      horizon_seconds=step * n_marks, seed=seed,
+                                      start_time=1_680_000_000.0))
+    rng = np.random.default_rng(seed)
+    times = rng.integers(1_680_000_001, int(marks.end) + overhang + 1, size=n_swaps)
+    on_mark = rng.random(n_swaps) < 0.05
+    times[on_mark] = rng.choice(marks.timestamps[1:].astype(np.int64), size=on_mark.sum())
+    times.sort()
+    liquidity = 1e9 * np.exp(0.3 * rng.standard_normal(n_swaps))
+    fees = (0.02 * liquidity if heavy else 2.0) * rng.exponential(1.0, n_swaps)
+    fees *= rng.random(n_swaps) > 0.1
+    tokens = np.where(rng.random(n_swaps) < 0.5, "token0", "token1")
+    prices = p0 * np.exp(0.01 * rng.standard_normal(n_swaps))
+    records = [
+        SwapRecord(i // 3, int(t), float(f), str(k), float(a), float(p))
+        for i, (t, f, k, a, p) in enumerate(zip(times, fees, tokens, liquidity, prices))
+    ]
+    return marks, records
+
+
+class TestBaselineMatchesReference:
+    @pytest.mark.parametrize("seed, heavy", [(0, False), (1, True)])
+    @pytest.mark.parametrize("cadence", ["swap", "block", "day"])
+    def test_bit_identical(self, seed, heavy, cadence, recwarn):
+        # per-swap compounding prices each swap, so no swap may follow the last mark
+        marks, records = random_replay(seed, heavy, overhang=0 if cadence == "swap" else 900)
+        want = reference_baseline(records, marks, 2.5e5, cadence)
+        for given in (records, as_swap_log(records)):
+            got = run_baseline(given, marks, 2.5e5, cadence)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.roi.tobytes() == want.roi.tobytes()
+            assert got.timestamps.tobytes() == want.timestamps.tobytes()
+
+    def test_loaded_log_matches_records(self, tmp_path):
+        marks, records = random_replay(2, n_marks=300, n_swaps=800)
+        path = tmp_path / "swaps.csv"
+        path.write_text(
+            "block,timestamp,fee_amount,fee_token,active_liquidity,post_price\n"
+            + "".join(f"{r.block},{r.timestamp},{r.fee_amount!r},{r.fee_token},"
+                      f"{r.active_liquidity!r},{r.post_price!r}\n" for r in records)
+        )
+        log = load_swap_records(path)
+        assert log.dtype.names == SWAP_LOG_DTYPE.names
+        assert np.asarray(log).tobytes() == np.asarray(as_swap_log(records)).tobytes()
+        with pytest.warns(UserWarning, match="after the last price mark"):
+            got = run_baseline(log, marks, 2.5e5, "day")
+        want = reference_baseline(records, marks, 2.5e5, "day")
+        assert got.values.tobytes() == want.values.tobytes()
+        settle = marks.timestamps[1:]
+        assert np.array_equal(per_block_swap_volume(log, settle, 0.003),
+                              per_block_swap_volume(records, settle, 0.003))
+
+    def test_foreign_array_rejected(self):
+        with pytest.raises(ValueError, match="swap log fields"):
+            as_swap_log(np.zeros(2, dtype=[("block", "i8")]))
 
 
 class TestSwapRecordIo:

@@ -242,9 +242,10 @@ def run_fmamm_backtest(
     rebalances and sign-mixing blocks (where the arbitrageurs' order leaves
     the batch netting to the noise's side).
 
-    Errors abort the whole run.  A fee outside ``[0, 1)``, a non-positive
-    or non-finite sampled price, a non-finite noise volume, and arithmetic
-    that overflows or divides by zero raise ``ValueError``.  A batch whose
+    Errors abort the whole run.  A fee outside ``[0, 1)``, a non-finite
+    noise volume, and arithmetic that overflows or divides by zero raise
+    ``ValueError``; every sampled price is one of ``prices``, which
+    :class:`PriceSeries` holds finite and positive.  A batch whose
     net trade reaches the price pole (noise buying half the asset reserve or
     more) raises :class:`InfeasibleTradeError` naming the block and its
     settlement time.  A rebalance that misses the external price it pins
@@ -255,14 +256,7 @@ def run_fmamm_backtest(
     _check_fee(tau)
     times = clock.settlement_times()
     n = times.size
-    p_stars = np.asarray(sample_at(prices, times - clock.gamma), dtype=np.float64)
-    bad = ~((p_stars > 0.0) & (p_stars < math.inf))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"{_where(k + 1, times[k])}: price must be positive and finite, "
-            f"got {float(p_stars[k])!r}"
-        )
+    p_stars = sample_at(prices, times - clock.gamma)
     p0 = float(sample_at(prices, [clock.start])[0])
     if initial is None:
         initial = balanced_reserves(p0)

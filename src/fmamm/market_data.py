@@ -2,11 +2,13 @@
 
 Price CSVs use the schema ``timestamp,price`` (header required) with integer
 epoch seconds and strictly increasing timestamps; pairs are labeled
-``BASE-QUOTE``.  Series are immutable after construction.
+``BASE-QUOTE``.  :class:`PriceSeries` holds the one rule every series meets
+(finite timestamps, finite positive prices, strictly increasing), and series
+are immutable after construction.
 
 CSV input and output are columnar: a plain file parses in one
-``np.loadtxt`` call and is validated as columns, and only a file that parse
-or a check rejects is re-read row by row, to name its first bad line.
+``np.loadtxt`` call straight into a :class:`PriceSeries`, and only a file that
+parse or the series rejects is re-read row by row, to name its first bad line.
 Writers stream one formatted line per row straight from the columns.
 
 Sampling between observations forward-fills from the last point; gaps longer
@@ -64,7 +66,8 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """External equilibrium prices for one pair, strictly ordered in time."""
+    """External equilibrium prices for one pair: finite positive prices at
+    finite, strictly increasing timestamps (:class:`PriceDataError` otherwise)."""
 
     pair: str
     timestamps: np.ndarray
@@ -77,10 +80,12 @@ class PriceSeries:
             raise PriceDataError(f"{self.pair}: empty price series")
         if ts.shape != px.shape:
             raise PriceDataError(f"{self.pair}: {ts.size} timestamps vs {px.size} prices")
+        if not np.isfinite(ts).all():
+            raise PriceDataError(f"{self.pair}: timestamps must be finite")
         if not (np.diff(ts) > 0).all():
             raise PriceDataError(f"{self.pair}: timestamps must be strictly increasing")
-        if not (px > 0).all():
-            raise PriceDataError(f"{self.pair}: prices must be positive")
+        if not ((px > 0) & (px < math.inf)).all():
+            raise PriceDataError(f"{self.pair}: prices must be finite and positive")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "prices", px)
 
@@ -182,9 +187,10 @@ def load_price_series(path, pair: str) -> PriceSeries:
     """Load a ``timestamp,price`` CSV, reporting bad rows by line number."""
     rows = _parse_columns(path, ("timestamp", "price"), _PRICE_ROW_DTYPE)
     if rows is not None:
-        ts, px = rows["t"], rows["p"]
-        if ((px > 0.0) & (px < math.inf)).all() and (ts[1:] > ts[:-1]).all():
-            return PriceSeries(pair, ts.astype(np.float64), px)
+        try:
+            return PriceSeries(pair, rows["t"], rows["p"])
+        except PriceDataError:
+            pass
     return _read_price_rows(path, pair)
 
 
@@ -237,11 +243,11 @@ def cross_rate(a: PriceSeries, b: PriceSeries) -> PriceSeries:
     return PriceSeries(_cross_label(a.pair, b.pair), common, a.prices[ia] / b.prices[ib])
 
 
-def sample_at(series: PriceSeries, times, max_gap: float = LONG_GAP_SECONDS) -> np.ndarray:
+def sample_at(series: PriceSeries, times) -> np.ndarray:
     """Forward-filled prices at the requested times.
 
     Times must lie inside the series' observed range.  Fills across gaps
-    longer than ``max_gap`` seconds trigger a single aggregated warning.
+    longer than :data:`LONG_GAP_SECONDS` trigger a single aggregated warning.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if times.size == 0:
@@ -253,11 +259,11 @@ def sample_at(series: PriceSeries, times, max_gap: float = LONG_GAP_SECONDS) -> 
         )
     idx = np.searchsorted(series.timestamps, times, side="right") - 1
     gaps = times - series.timestamps[idx]
-    long = gaps > max_gap
+    long = gaps > LONG_GAP_SECONDS
     if long.any():
         warnings.warn(
             f"{series.pair}: forward-filled {int(long.sum())} of {times.size} samples "
-            f"across gaps longer than {max_gap}s (max gap {gaps.max():.0f}s)",
+            f"across gaps longer than {LONG_GAP_SECONDS}s (max gap {gaps.max():.0f}s)",
             stacklevel=2,
         )
     return series.prices[idx]
@@ -267,13 +273,12 @@ def sample_at(series: PriceSeries, times, max_gap: float = LONG_GAP_SECONDS) -> 
 class GbmParams:
     """Geometric-Brownian-motion path parameters.
 
-    ``drift`` is per second and ``volatility`` per square-root second; zero
-    drift makes the discretized path a martingale.
+    ``volatility`` is per square-root second.  Paths are driftless, which
+    makes the discretized path a martingale.
     """
 
     initial_price: float
     volatility: float
-    drift: float = 0.0
     step_seconds: float = 1.0
     horizon_seconds: float = 3600.0
     seed: int = 0
@@ -292,16 +297,14 @@ class GbmParams:
 def sample_gbm_path(params: GbmParams) -> PriceSeries:
     """One log-Euler GBM path, deterministic for a given seed.
 
-    Each step multiplies the price by
-    ``exp((drift - vol^2/2) * dt + vol * sqrt(dt) * z)``, so with zero drift
-    the expected future price equals the current price.
+    Each step multiplies the price by ``exp(-vol^2/2 * dt + vol * sqrt(dt) * z)``,
+    so the expected future price equals the current price.
     """
     n = int(params.horizon_seconds // params.step_seconds)
     rng = np.random.default_rng(params.seed)
     dt = params.step_seconds
-    increments = (params.drift - 0.5 * params.volatility**2) * dt + params.volatility * math.sqrt(
-        dt
-    ) * rng.standard_normal(n)
+    vol = params.volatility
+    increments = -0.5 * vol**2 * dt + vol * math.sqrt(dt) * rng.standard_normal(n)
     log_path = np.concatenate(([0.0], np.cumsum(increments)))
     prices = params.initial_price * np.exp(log_path)
     timestamps = params.start_time + dt * np.arange(n + 1)

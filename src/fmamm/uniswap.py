@@ -15,9 +15,9 @@ initial position size.
 Swap records load from CSVs with schema
 ``block,timestamp,fee_amount,fee_token,active_liquidity,post_price`` where
 ``fee_token`` is ``token0`` (asset) or ``token1`` (numeraire), into a
-columnar swap log (:data:`SWAP_LOG_DTYPE`).  The replay runs over the log's
-columns as plain floats; :class:`SwapRecord`, :class:`SimPosition` and their
-per-swap helpers are the scalar reference it matches bit for bit.
+columnar swap log (:data:`SWAP_LOG_DTYPE`).  :func:`run_baseline` replays
+the log's columns as plain floats, with one rule for swaps outside the price
+marks at every compounding cadence.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,10 +35,6 @@ from fmamm.market_data import LpReturnSeries, PriceSeries, _parse_columns, sampl
 __all__ = [
     "SWAP_LOG_DTYPE",
     "SwapRecord",
-    "SimPosition",
-    "accrue_swap_fees",
-    "compound_fees",
-    "position_value",
     "run_baseline",
     "as_swap_log",
     "load_swap_records",
@@ -90,53 +86,6 @@ class SwapRecord:
             raise ValueError(f"post_price must be positive, got {self.post_price}")
 
 
-@dataclass(frozen=True)
-class SimPosition:
-    """Simulated full-range position: liquidity plus uncompounded fees."""
-
-    liquidity: float
-    fees_token0: float = 0.0
-    fees_token1: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.liquidity > 0.0:
-            raise ValueError(f"liquidity must be positive, got {self.liquidity}")
-
-
-def accrue_swap_fees(position: SimPosition, record: SwapRecord) -> SimPosition:
-    """Credit the position its pro-rata share of one swap's fee."""
-    share = position.liquidity / record.active_liquidity
-    earned = record.fee_amount * share
-    if record.fee_token == "token0":
-        return replace(position, fees_token0=position.fees_token0 + earned)
-    return replace(position, fees_token1=position.fees_token1 + earned)
-
-
-def compound_fees(position: SimPosition, price: float) -> SimPosition:
-    """Convert pending fees into extra full-range liquidity at ``price``.
-
-    Frictionless by assumption: the pending value ``fees0*p + fees1`` buys
-    ``value / (2*sqrt(p))`` liquidity with no slippage or gas.
-    """
-    if not price > 0.0:
-        raise ValueError(f"price must be positive, got {price}")
-    pending = position.fees_token0 * price + position.fees_token1
-    if pending == 0.0:
-        return position
-    return SimPosition(position.liquidity + pending / (2.0 * math.sqrt(price)))
-
-
-def position_value(position: SimPosition, price: float) -> float:
-    """Position value in token1 terms: 2*L*sqrt(p) plus pending fees."""
-    if not price > 0.0:
-        raise ValueError(f"price must be positive, got {price}")
-    return (
-        2.0 * position.liquidity * math.sqrt(price)
-        + position.fees_token0 * price
-        + position.fees_token1
-    )
-
-
 def as_swap_log(records) -> np.recarray:
     """The swap log of ``records``: a :data:`SWAP_LOG_DTYPE` array as it is,
     or a sequence of :class:`SwapRecord` converted to one."""
@@ -151,7 +100,8 @@ def as_swap_log(records) -> np.recarray:
 
 
 def _compounded(liquidity: float, fees0: float, fees1: float, price: float):
-    """:func:`compound_fees` on plain floats; ``price`` is known positive."""
+    """Convert pending fees, worth ``fees0*p + fees1``, into extra liquidity
+    ``pending / (2*sqrt(p))`` at a positive ``price``, frictionlessly."""
     pending = fees0 * price + fees1
     if pending == 0.0:
         return liquidity, fees0, fees1
@@ -167,15 +117,18 @@ def run_baseline(
     """Replay swap records against a price grid and return the ROI series.
 
     Each point of ``price_series`` is one mark (a block boundary, in the
-    usual setup): fees from records up to that time are accrued, compounding
-    runs per the cadence at the external mark price, and the position is
-    valued at the mark price.  Records (a swap log or a sequence of
-    :class:`SwapRecord`) must be sorted by block, with timestamps that
-    never decrease.
+    usual setup): fees from records up to that time are accrued pro rata to
+    the position's liquidity over the swap's ``active_liquidity``,
+    compounding runs per the cadence, and the position is valued at the mark
+    price as ``2*L*sqrt(p)`` plus pending fees.  Records (a swap log or a
+    sequence of :class:`SwapRecord`) must be sorted by block, with
+    timestamps that never decrease.
 
-    The replay is one loop over plain floats in the operation order of
-    :func:`accrue_swap_fees`, :func:`compound_fees` and
-    :func:`position_value`, so it matches them bit for bit.
+    ``block`` and ``day`` compound at the mark price (``day`` at the first
+    mark of each new UTC day); ``swap`` compounds after each swap at the price
+    sampled at its timestamp, clipped to the marks' range.  A swap before
+    the first mark is accrued at the first mark, and one after the last
+    mark is ignored with a warning.
     """
     if not initial_liquidity > 0.0:
         raise ValueError(f"initial_liquidity must be positive, got {initial_liquidity}")
@@ -202,7 +155,8 @@ def run_baseline(
         )
     per_swap = compound_cadence == "swap"
     if per_swap and n:
-        record_prices = sample_at(price_series, log.timestamp).tolist()
+        clipped = np.clip(log.timestamp, price_series.start, price_series.end)
+        record_prices = sample_at(price_series, clipped).tolist()
     times = log.timestamp.tolist()
     fee_amounts = log.fee_amount.tolist()
     active = log.active_liquidity.tolist()

@@ -1,5 +1,7 @@
 """Price series loading, cross rates, sampling, and synthesis tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,19 @@ from fmamm.market_data import (
 def write_csv(path, rows, header="timestamp,price"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return path
+
+
+class TestPriceSeries:
+    @pytest.mark.parametrize("timestamps, prices, problem", [
+        ([0, 1], [2.0, math.inf], "prices must be finite and positive"),
+        ([0, 1], [2.0, 0.0], "prices must be finite and positive"),
+        ([0, math.inf], [2.0, 2.0], "timestamps must be finite"),
+        ([math.nan], [2.0], "timestamps must be finite"),
+        ([1, 1], [2.0, 2.0], "timestamps must be strictly increasing"),
+    ], ids=["inf-price", "zero-price", "inf-time", "nan-time-one-point", "repeated-time"])
+    def test_rule(self, timestamps, prices, problem):
+        with pytest.raises(PriceDataError, match=f"X-Y: {problem}"):
+            PriceSeries("X-Y", timestamps, prices)
 
 
 class TestLoadPriceSeries:
@@ -79,6 +94,13 @@ class TestCrossRate:
         c = cross_rate(a, b)
         assert list(c.timestamps) == [2.0, 3.0]
         assert c.prices[0] == 0.5
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_ratio_rejected(self):
+        a = PriceSeries("A-Q", [1, 2], [1.0, 1e300])
+        b = PriceSeries("B-Q", [1, 2], [1.0, 1e-10])
+        with pytest.raises(PriceDataError, match="A-B: prices must be finite"):
+            cross_rate(a, b)
 
     def test_disjoint_ranges(self):
         a = PriceSeries("A-Q", [1, 2], [1.0, 2.0])

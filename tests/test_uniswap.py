@@ -1,6 +1,7 @@
 """Full-range baseline tests: accrual, compounding, and ROI identities."""
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -8,86 +9,16 @@ import pytest
 from fmamm.market_data import GbmParams, LpReturnSeries, PriceSeries, sample_at, sample_gbm_path
 from fmamm.uniswap import (
     SWAP_LOG_DTYPE,
-    SimPosition,
     SwapRecord,
-    accrue_swap_fees,
     as_swap_log,
-    compound_fees,
     load_swap_records,
     per_block_swap_volume,
-    position_value,
     run_baseline,
 )
 
 
 def record(block=1, ts=10, fee=100.0, token="token1", liq=1e6, price=4.0):
     return SwapRecord(block, ts, fee, token, liq, price)
-
-
-class TestAccrual:
-    def test_proportional_share(self):
-        pos = accrue_swap_fees(SimPosition(1.0), record(fee=100.0, liq=1e6))
-        assert pos.fees_token1 == pytest.approx(1e-4, rel=1e-12)
-        assert pos.fees_token0 == 0.0
-
-    def test_zero_fee_unchanged(self):
-        pos = SimPosition(1.0)
-        assert accrue_swap_fees(pos, record(fee=0.0)) == pos
-
-    def test_tiny_share_no_underflow(self):
-        pos = accrue_swap_fees(SimPosition(1e-6), record(fee=1.0, liq=1e6))
-        assert pos.fees_token1 == pytest.approx(1e-12, rel=1e-12)
-        assert pos.fees_token1 > 0.0
-
-    def test_token0_fee(self):
-        pos = accrue_swap_fees(SimPosition(2.0), record(fee=50.0, token="token0", liq=100.0))
-        assert pos.fees_token0 == pytest.approx(1.0, rel=1e-12)
-
-
-class TestCompounding:
-    def test_zero_pending_unchanged(self):
-        pos = SimPosition(1.0)
-        assert compound_fees(pos, 4.0) == pos
-
-    def test_value_identity(self):
-        # pending worth 2 token1 at price 4 buys 2/(2*sqrt(4)) = 0.5 liquidity
-        pos = SimPosition(1.0, fees_token1=2.0)
-        out = compound_fees(pos, 4.0)
-        assert out.liquidity == pytest.approx(1.5, rel=1e-12)
-        assert out.fees_token1 == 0.0
-
-    def test_token0_converted_at_price(self):
-        pos = SimPosition(1.0, fees_token0=1.0)
-        out = compound_fees(pos, 4.0)
-        assert out.liquidity == pytest.approx(1.0 + 4.0 / 4.0, rel=1e-12)
-
-    def test_two_compounds_equal_one_at_fixed_price(self):
-        a = compound_fees(compound_fees(SimPosition(1.0, fees_token1=1.0), 4.0), 4.0)
-        b = compound_fees(SimPosition(1.0, fees_token1=1.0), 4.0)
-        assert a.liquidity == pytest.approx(b.liquidity, rel=1e-15)
-        split = compound_fees(
-            SimPosition(compound_fees(SimPosition(1.0, fees_token1=0.4), 4.0).liquidity, fees_token1=0.6),
-            4.0,
-        )
-        assert split.liquidity == pytest.approx(b.liquidity, rel=1e-12)
-
-    def test_compounding_preserves_value(self):
-        pos = SimPosition(1.0, fees_token0=0.5, fees_token1=2.0)
-        out = compound_fees(pos, 4.0)
-        assert position_value(out, 4.0) == pytest.approx(position_value(pos, 4.0), rel=1e-12)
-
-
-class TestPositionValue:
-    def test_identity(self):
-        assert position_value(SimPosition(1.0), 4.0) == 4.0
-
-    def test_zero_liquidity_rejected(self):
-        with pytest.raises(ValueError):
-            SimPosition(0.0)
-
-    def test_monotone_in_price(self):
-        values = [position_value(SimPosition(3.0), p) for p in (1.0, 2.0, 4.0, 9.0)]
-        assert values == sorted(values)
 
 
 class TestRunBaseline:
@@ -171,10 +102,128 @@ class TestRunBaseline:
             run_baseline([record(liq=10.0)], series, 1.0)
 
 
+# The scalar reference replay: one SimPosition per step, built from the
+# per-swap helpers below.  run_baseline must match it bit for bit.
+
+
+@dataclass(frozen=True)
+class SimPosition:
+    """Simulated full-range position: liquidity plus uncompounded fees."""
+
+    liquidity: float
+    fees_token0: float = 0.0
+    fees_token1: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.liquidity > 0.0:
+            raise ValueError(f"liquidity must be positive, got {self.liquidity}")
+
+
+def accrue_swap_fees(position: SimPosition, record: SwapRecord) -> SimPosition:
+    """Credit the position its pro-rata share of one swap's fee."""
+    share = position.liquidity / record.active_liquidity
+    earned = record.fee_amount * share
+    if record.fee_token == "token0":
+        return replace(position, fees_token0=position.fees_token0 + earned)
+    return replace(position, fees_token1=position.fees_token1 + earned)
+
+
+def compound_fees(position: SimPosition, price: float) -> SimPosition:
+    """Convert pending fees into extra full-range liquidity at ``price``.
+
+    Frictionless by assumption: the pending value ``fees0*p + fees1`` buys
+    ``value / (2*sqrt(p))`` liquidity with no slippage or gas.
+    """
+    if not price > 0.0:
+        raise ValueError(f"price must be positive, got {price}")
+    pending = position.fees_token0 * price + position.fees_token1
+    if pending == 0.0:
+        return position
+    return SimPosition(position.liquidity + pending / (2.0 * math.sqrt(price)))
+
+
+def position_value(position: SimPosition, price: float) -> float:
+    """Position value in token1 terms: 2*L*sqrt(p) plus pending fees."""
+    if not price > 0.0:
+        raise ValueError(f"price must be positive, got {price}")
+    return (
+        2.0 * position.liquidity * math.sqrt(price)
+        + position.fees_token0 * price
+        + position.fees_token1
+    )
+
+
+class TestAccrual:
+    def test_proportional_share(self):
+        pos = accrue_swap_fees(SimPosition(1.0), record(fee=100.0, liq=1e6))
+        assert pos.fees_token1 == pytest.approx(1e-4, rel=1e-12)
+        assert pos.fees_token0 == 0.0
+
+    def test_zero_fee_unchanged(self):
+        pos = SimPosition(1.0)
+        assert accrue_swap_fees(pos, record(fee=0.0)) == pos
+
+    def test_tiny_share_no_underflow(self):
+        pos = accrue_swap_fees(SimPosition(1e-6), record(fee=1.0, liq=1e6))
+        assert pos.fees_token1 == pytest.approx(1e-12, rel=1e-12)
+        assert pos.fees_token1 > 0.0
+
+    def test_token0_fee(self):
+        pos = accrue_swap_fees(SimPosition(2.0), record(fee=50.0, token="token0", liq=100.0))
+        assert pos.fees_token0 == pytest.approx(1.0, rel=1e-12)
+
+
+class TestCompounding:
+    def test_zero_pending_unchanged(self):
+        pos = SimPosition(1.0)
+        assert compound_fees(pos, 4.0) == pos
+
+    def test_value_identity(self):
+        # pending worth 2 token1 at price 4 buys 2/(2*sqrt(4)) = 0.5 liquidity
+        pos = SimPosition(1.0, fees_token1=2.0)
+        out = compound_fees(pos, 4.0)
+        assert out.liquidity == pytest.approx(1.5, rel=1e-12)
+        assert out.fees_token1 == 0.0
+
+    def test_token0_converted_at_price(self):
+        pos = SimPosition(1.0, fees_token0=1.0)
+        out = compound_fees(pos, 4.0)
+        assert out.liquidity == pytest.approx(1.0 + 4.0 / 4.0, rel=1e-12)
+
+    def test_two_compounds_equal_one_at_fixed_price(self):
+        a = compound_fees(compound_fees(SimPosition(1.0, fees_token1=1.0), 4.0), 4.0)
+        b = compound_fees(SimPosition(1.0, fees_token1=1.0), 4.0)
+        assert a.liquidity == pytest.approx(b.liquidity, rel=1e-15)
+        split = compound_fees(
+            SimPosition(compound_fees(SimPosition(1.0, fees_token1=0.4), 4.0).liquidity, fees_token1=0.6),
+            4.0,
+        )
+        assert split.liquidity == pytest.approx(b.liquidity, rel=1e-12)
+
+    def test_compounding_preserves_value(self):
+        pos = SimPosition(1.0, fees_token0=0.5, fees_token1=2.0)
+        out = compound_fees(pos, 4.0)
+        assert position_value(out, 4.0) == pytest.approx(position_value(pos, 4.0), rel=1e-12)
+
+
+class TestPositionValue:
+    def test_identity(self):
+        assert position_value(SimPosition(1.0), 4.0) == 4.0
+
+    def test_zero_liquidity_rejected(self):
+        with pytest.raises(ValueError):
+            SimPosition(0.0)
+
+    def test_monotone_in_price(self):
+        values = [position_value(SimPosition(3.0), p) for p in (1.0, 2.0, 4.0, 9.0)]
+        assert values == sorted(values)
+
+
 def reference_baseline(records, price_series, initial_liquidity, compound_cadence="block"):
     """Per-record replay from the scalar helpers, one SimPosition per step."""
-    if compound_cadence == "swap":
-        record_prices = sample_at(price_series, [r.timestamp for r in records]) if records else []
+    if compound_cadence == "swap" and records:
+        clipped = [min(max(r.timestamp, price_series.start), price_series.end) for r in records]
+        record_prices = sample_at(price_series, clipped)
     position = SimPosition(initial_liquidity)
     values = []
     rec_i = 0
@@ -227,14 +276,30 @@ class TestBaselineMatchesReference:
     @pytest.mark.parametrize("seed, heavy", [(0, False), (1, True)])
     @pytest.mark.parametrize("cadence", ["swap", "block", "day"])
     def test_bit_identical(self, seed, heavy, cadence, recwarn):
-        # per-swap compounding prices each swap, so no swap may follow the last mark
-        marks, records = random_replay(seed, heavy, overhang=0 if cadence == "swap" else 900)
+        marks, records = random_replay(seed, heavy)
         want = reference_baseline(records, marks, 2.5e5, cadence)
         for given in (records, as_swap_log(records)):
             got = run_baseline(given, marks, 2.5e5, cadence)
             assert got.values.tobytes() == want.values.tobytes()
             assert got.roi.tobytes() == want.roi.tobytes()
             assert got.timestamps.tobytes() == want.timestamps.tobytes()
+
+    @pytest.mark.parametrize("cadence", ["swap", "block", "day"])
+    def test_swaps_outside_the_marks(self, cadence):
+        # one rule at every cadence: a swap before the first mark is accrued
+        # at the first mark, and one after the last mark is ignored
+        marks, inside = random_replay(3, heavy=True, n_marks=300, n_swaps=800, overhang=0)
+        start, end = int(marks.start), int(marks.end)
+        early = [replace(r, block=0, timestamp=start - 50 + 10 * k) for k, r in enumerate(inside[:4])]
+        late = [replace(r, block=10**6, timestamp=end + 1 + k) for k, r in enumerate(inside[:3])]
+        records = early + inside + late
+        want = run_baseline([replace(r, timestamp=start) for r in early] + inside,
+                            marks, 2.5e5, cadence)
+        with pytest.warns(UserWarning, match="3 swap records after the last price mark"):
+            got = run_baseline(records, marks, 2.5e5, cadence)
+        assert got.values.tobytes() == want.values.tobytes()
+        oracle = reference_baseline(records, marks, 2.5e5, cadence)
+        assert oracle.values.tobytes() == want.values.tobytes()
 
     def test_loaded_log_matches_records(self, tmp_path):
         marks, records = random_replay(2, n_marks=300, n_swaps=800)

@@ -43,9 +43,9 @@ from fmamm.market_data import (
     LpReturnSeries,
     PriceSeries,
     format_number,
-    format_numbers,
     mean_preserving_spread,
     sample_at,
+    write_rows,
 )
 
 __all__ = [
@@ -437,8 +437,7 @@ class ReturnComparison:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("timestamp,roi_difference\r\n")
-            fh.writelines(map("{},{}\r\n".format, format_numbers(self.timestamps),
-                              map(repr, self.roi_difference.tolist())))
+            write_rows(self.timestamps, (self.roi_difference,), (fh.write, (0, ",", 1, "\r\n")))
 
 
 def compare_returns(a: LpReturnSeries, b: LpReturnSeries) -> ReturnComparison:

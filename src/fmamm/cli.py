@@ -48,7 +48,7 @@ from fmamm.backtest import (
     run_fmamm_backtest,
 )
 from fmamm.batch import load_order_batches, settle_batch, split_trade_experiment
-from fmamm.market_data import format_numbers, load_price_series
+from fmamm.market_data import LpReturnSeries, load_price_series, write_rows
 from fmamm.uniswap import load_swap_records, per_block_swap_volume, run_baseline
 
 __all__ = ["main"]
@@ -95,19 +95,38 @@ def _out_dir(args) -> Path | None:
     return out
 
 
-def _write_long_format(path, runs: dict) -> None:
-    """Plot-ready long format: run_id,timestamp,metric,value.
+LONG_HEADER = "run_id,timestamp,metric,value\r\n"
 
-    Run ids and metric names are plain labels (no comma, quote or brace), so
-    they go into the row format unquoted.
+
+def _write_long_run(long, run_id: str, series: LpReturnSeries, *sinks) -> None:
+    """One run's ``long.csv`` rows, and ``sinks`` fed from the same formatting.
+
+    Run ids are plain labels (no comma or quote), so they go in unquoted.  The
+    ``cumulative_roi`` rows wait in memory until the ``value`` rows are out.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write("run_id,timestamp,metric,value\r\n")
+    pending: list[str] = []
+    write_rows(series.timestamps, (series.values, series.roi),
+               (long.write, (f"{run_id},", 0, ",value,", 1, "\r\n")),
+               (pending.append, (f"{run_id},", 0, ",cumulative_roi,", 2, "\r\n")), *sinks)
+    long.writelines(pending)
+
+
+def _write_long_format(path, runs: dict) -> None:
+    """Plot-ready long format: run_id,timestamp,metric,value."""
+    with open(path, "w", newline="") as long:
+        long.write(LONG_HEADER)
         for run_id, series in runs.items():
-            stamps = format_numbers(series.timestamps)
-            for metric, column in (("value", series.values), ("cumulative_roi", series.roi)):
-                row = f"{run_id},{{}},{metric},{{}}\r\n"
-                fh.writelines(map(row.format, stamps, map(repr, column.tolist())))
+            _write_long_run(long, run_id, series)
+
+
+def _write_runs(out: Path, runs: dict) -> None:
+    """Each run's ``<run_id>_returns.csv`` and ``long.csv``, from one formatting."""
+    with open(out / "long.csv", "w", newline="") as long:
+        long.write(LONG_HEADER)
+        for run_id, series in runs.items():
+            with open(out / f"{run_id}_returns.csv", "w", newline="") as fh:
+                fh.write(series.CSV_HEADER)
+                _write_long_run(long, run_id, series, (fh.write, series.CSV_ROW))
 
 
 def _reserves(args) -> Reserves:
@@ -187,12 +206,10 @@ def cmd_backtest(args) -> int:
         inputs.append(cfg.swap_csv)
     out = _out_dir(args)
     if out is not None:
-        for run_id, series in runs.items():
-            series.write_csv(out / f"{run_id}_returns.csv")
+        _write_runs(out, runs)
         if cfg.swap_csv is not None:
             comparison.write_csv(out / "comparison.csv")
         _write_json(out / "summary.json", summary)
-        _write_long_format(out / "long.csv", runs)
         _write_manifest(out, "backtest", asdict(cfg), [args.config] + inputs, cfg.seed,
                         config=args.config)
     return 0
@@ -209,11 +226,8 @@ def cmd_sweep_fees(args) -> int:
                      "n_rebalances": result.n_rebalances})
     out = _out_dir(args)
     if out is not None:
-        runs = {f"fee_{tau:g}": result.series for tau, result in results.items()}
-        for run_id, series in runs.items():
-            series.write_csv(out / f"{run_id}_returns.csv")
+        _write_runs(out, {f"fee_{tau:g}": result.series for tau, result in results.items()})
         _write_json(out / "summary.json", {"config": asdict(cfg), "rows": rows})
-        _write_long_format(out / "long.csv", runs)
         _write_manifest(out, "sweep-fees", asdict(cfg), [args.config, cfg.price_csv],
                         cfg.seed, config=args.config)
     return 0
@@ -245,11 +259,9 @@ def cmd_sweep_noise(args) -> int:
                      "diff_vs_zero_noise_pp": diff_pp})
     out = _out_dir(args)
     if out is not None:
-        runs = {f"noise_{fraction:g}": result.series for fraction, result in results.items()}
-        for run_id, series in runs.items():
-            series.write_csv(out / f"{run_id}_returns.csv")
+        _write_runs(out, {f"noise_{fraction:g}": result.series
+                          for fraction, result in results.items()})
         _write_json(out / "summary.json", {"config": asdict(cfg), "rows": rows})
-        _write_long_format(out / "long.csv", runs)
         _write_manifest(out, "sweep-noise", asdict(cfg),
                         [args.config, cfg.price_csv, cfg.swap_csv], cfg.seed,
                         config=args.config)

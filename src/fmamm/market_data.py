@@ -9,7 +9,7 @@ are immutable after construction.
 CSV input and output are columnar: a plain file parses in one
 ``np.loadtxt`` call straight into a :class:`PriceSeries`, and only a file that
 parse or the series rejects is re-read row by row, to name its first bad line.
-Writers stream one formatted line per row straight from the columns.
+Every CSV writer goes through one chunked row assembler, :func:`write_rows`.
 
 Sampling between observations forward-fills from the last point; gaps longer
 than :data:`LONG_GAP_SECONDS` are surfaced as a warning so that backtests on
@@ -26,6 +26,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -44,9 +45,11 @@ __all__ = [
     "mean_preserving_spread",
     "format_number",
     "format_numbers",
+    "write_rows",
 ]
 
 LONG_GAP_SECONDS = 300.0
+CSV_CHUNK_ROWS = 1 << 12
 
 
 class PriceDataError(ValueError):
@@ -108,6 +111,9 @@ class PriceSeries:
 class LpReturnSeries:
     """Per-block portfolio value and cumulative return for one venue."""
 
+    CSV_HEADER = "timestamp,value,cumulative_roi\r\n"
+    CSV_ROW = (0, ",", 1, ",", 2, "\r\n")  # a write_rows layout
+
     venue: str
     timestamps: np.ndarray
     values: np.ndarray
@@ -131,9 +137,8 @@ class LpReturnSeries:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write("timestamp,value,cumulative_roi\r\n")
-            fh.writelines(map("{},{},{}\r\n".format, format_numbers(self.timestamps),
-                              map(repr, self.values.tolist()), map(repr, self.roi.tolist())))
+            fh.write(self.CSV_HEADER)
+            write_rows(self.timestamps, (self.values, self.roi), (fh.write, self.CSV_ROW))
 
 
 def format_number(x: float) -> str:
@@ -152,6 +157,23 @@ def format_numbers(values) -> list[str]:
     if (np.abs(values) < 2**53).all() and (values == np.trunc(values)).all():
         return list(map(str, values.astype(np.int64).tolist()))
     return list(map(format_number, values.tolist()))
+
+
+def write_rows(timestamps, columns, *sinks) -> None:
+    """Write CSV rows of ``timestamps`` and float ``columns`` to each sink.
+
+    A sink is ``(write, layout)``; ``layout`` spells a row as literal strings
+    and field numbers: 0 is :func:`format_numbers` of the timestamp, ``i`` is
+    ``repr`` of ``columns[i - 1]``.  Each chunk of :data:`CSV_CHUNK_ROWS` rows
+    is formatted once for all sinks and reaches each sink as one string.
+    """
+    for lo in range(0, len(timestamps), CSV_CHUNK_ROWS):
+        hi = lo + CSV_CHUNK_ROWS
+        fields = [format_numbers(timestamps[lo:hi])]
+        fields += [list(map(repr, column[lo:hi].tolist())) for column in columns]
+        for write, layout in sinks:
+            parts = (repeat(f) if isinstance(f, str) else fields[f] for f in layout)
+            write("".join(chain.from_iterable(zip(*parts))))
 
 
 def _parse_columns(path, header: tuple[str, ...], dtype: np.dtype) -> np.ndarray | None:
@@ -240,18 +262,22 @@ def cross_rate(a: PriceSeries, b: PriceSeries) -> PriceSeries:
     common, ia, ib = np.intersect1d(a.timestamps, b.timestamps, return_indices=True)
     if common.size == 0:
         raise PriceDataError(f"{a.pair} and {b.pair} have no overlapping timestamps")
-    return PriceSeries(_cross_label(a.pair, b.pair), common, a.prices[ia] / b.prices[ib])
+    with np.errstate(over="ignore"):  # PriceSeries rejects an overflow's inf
+        return PriceSeries(_cross_label(a.pair, b.pair), common, a.prices[ia] / b.prices[ib])
 
 
 def sample_at(series: PriceSeries, times) -> np.ndarray:
     """Forward-filled prices at the requested times.
 
-    Times must lie inside the series' observed range.  Fills across gaps
-    longer than :data:`LONG_GAP_SECONDS` trigger a single aggregated warning.
+    Times must be finite and inside the series' observed range.  Fills across
+    gaps longer than :data:`LONG_GAP_SECONDS` trigger a single aggregated warning.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if times.size == 0:
         return np.empty(0)
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise PriceDataError(f"{series.pair}: requested time {times[bad[0]]} is not finite")
     if times.min() < series.start or times.max() > series.end:
         raise PriceDataError(
             f"{series.pair}: requested times [{times.min()}, {times.max()}] outside "

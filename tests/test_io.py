@@ -1,5 +1,5 @@
 """Columnar CSV I/O tests: the one-call parses against row-by-row readers,
-and the streaming writers against ``csv.writer``.
+and the chunked writers against ``csv.writer``.
 
 The references below are the row-by-row readers and the ``csv.writer``
 writers that the columnar code replaced, kept here as oracles.
@@ -7,15 +7,18 @@ writers that the columnar code replaced, kept here as oracles.
 
 import csv
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import write_config, write_price_csv, write_swap_csv
 
-from fmamm import market_data, uniswap
+from fmamm import cli, market_data, uniswap
 from fmamm.backtest import ReturnComparison
-from fmamm.cli import _write_long_format
+from fmamm.cli import _write_long_format, _write_runs, main
 from fmamm.market_data import (
     LpReturnSeries,
     PriceDataError,
@@ -328,6 +331,17 @@ def reference_long_csv(path, runs):
                     writer.writerow([run_id, format_number(t), metric, repr(float(v))])
 
 
+def assert_out_dir_matches(out, runs):
+    """``_write_runs``' files against the ``csv.writer`` oracles."""
+    for run_id, series in runs.items():
+        reference_returns_csv(out / "want.csv", series)
+        assert (out / f"{run_id}_returns.csv").read_bytes() == (out / "want.csv").read_bytes()
+    reference_long_csv(out / "want.csv", runs)
+    assert (out / "long.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+SMALL_CHUNK = 8
+RUN = (1_680_000_000 + 12.0 * np.arange(2 * SMALL_CHUNK + 3)).tolist()  # ends mid-chunk
 ODD_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, 0.1, -2.5, 3.0]
 STAMP_SETS = {
     "integral": [0.0, 12.0, 1_680_000_000.0, -12.0],
@@ -335,7 +349,19 @@ STAMP_SETS = {
     "at 2**53": [2.0**53 - 1, 2.0**53, 2.0**60, -(2.0**53)],
     "odd": [math.nan, math.inf, -math.inf, 5e-324],
     "empty": [],
+    # SMALL_CHUNK rows per chunk: format_numbers' integer fast path holds in
+    # some chunks of these runs and not in others
+    "three chunks, integral": RUN,
+    "three chunks, fractional in the last": RUN[:-1] + [RUN[-1] + 0.5],
+    "three chunks, 2**53 in the last": RUN[:-1] + [2.0**53],
+    "three chunks, fractional in the first only": [RUN[0] + 0.5] + RUN[1:],
+    "two full chunks": RUN[: 2 * SMALL_CHUNK],
 }
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(market_data, "CSV_CHUNK_ROWS", SMALL_CHUNK)
 
 
 class TestWriters:
@@ -347,14 +373,15 @@ class TestWriters:
         assert format_numbers(stamps) == [format_number(v) for v in stamps]
 
     @pytest.mark.parametrize("name", sorted(STAMP_SETS))
-    def test_byte_identical_to_csv_writer(self, tmp_path, name):
+    def test_byte_identical_to_csv_writer(self, tmp_path, name, small_chunks):
         stamps = STAMP_SETS[name]
         n = len(stamps)
         values = (ODD_VALUES * 2)[:n]
         roi = (ODD_VALUES[::-1] * 2)[:n]
         series = LpReturnSeries("venue", stamps, values, roi)
         comparison = ReturnComparison("a", "b", np.asarray(stamps, float), np.asarray(roi, float))
-        runs = {"fm_amm": series, "fee_0.003": LpReturnSeries("v", stamps, roi, values)}
+        runs = {"fm_amm": series, "fee_0.003": LpReturnSeries("v", stamps, roi, values),
+                "noise_0.1": LpReturnSeries("w", stamps[:3], roi[:3], values[:3])}
         for write, reference in (
             (series.write_csv, lambda p: reference_returns_csv(p, series)),
             (comparison.write_csv, lambda p: reference_comparison_csv(p, comparison)),
@@ -363,6 +390,8 @@ class TestWriters:
             write(tmp_path / "got.csv")
             reference(tmp_path / "want.csv")
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        _write_runs(tmp_path, runs)
+        assert_out_dir_matches(tmp_path, runs)
 
     def test_long_run_matches(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -371,3 +400,59 @@ class TestWriters:
         series.write_csv(tmp_path / "got.csv")
         reference_returns_csv(tmp_path / "want.csv", series)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_out_dir_writer_holds_one_chunk(self, tmp_path):
+        """The out-dir writer's peak allocation, less the ``cumulative_roi``
+        text that ``long.csv`` must hold back until the run's ``value`` rows
+        are out, stays well below one fully formatted column: it never holds
+        a whole column of strings or a whole file."""
+        n = 50_000  # about 12 chunks; tracemalloc makes each row cost ~20 us
+        rng = np.random.default_rng(7)
+        series = LpReturnSeries.from_values(
+            "v", 1_680_000_000 + 12.0 * np.arange(n), np.exp(np.cumsum(rng.normal(0, 1e-3, n))))
+        column = list(map(repr, series.values.tolist()))
+        column_bytes = sys.getsizeof(column) + sum(map(sys.getsizeof, column))
+        del column
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _write_runs(tmp_path, {"fm_amm": series})
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        long = (tmp_path / "long.csv").read_bytes()
+        pending = len(long) - long.index(b"fm_amm,1680000000,cumulative_roi,")
+        assert peak - pending < column_bytes / 2, (peak, pending, column_bytes)
+
+
+class TestCommandOutDirs:
+    """The sweeps' out-dir CSVs against the oracles, with runs spanning chunks."""
+
+    def run(self, monkeypatch, argv):
+        monkeypatch.setattr(market_data, "CSV_CHUNK_ROWS", 32)
+        seen = {}
+
+        def recording(out, runs):
+            seen.update(runs)
+            return _write_runs(out, runs)
+
+        monkeypatch.setattr(cli, "_write_runs", recording)
+        assert main(argv) == 0
+        assert len(seen) >= 2 and all(len(s.timestamps) == 101 for s in seen.values())
+        return seen
+
+    def test_sweep_fees(self, tmp_path, monkeypatch):
+        write_price_csv(tmp_path / "prices.csv", blocks=100)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", fee_grid=[0.0, 0.003])
+        out = tmp_path / "out"
+        runs = self.run(monkeypatch, ["sweep-fees", "--config", str(cfg), "--out-dir", str(out)])
+        assert_out_dir_matches(out, runs)
+
+    def test_sweep_noise(self, tmp_path, monkeypatch):
+        series = write_price_csv(tmp_path / "prices.csv", blocks=100)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
+                           noise_fractions=[0.1, 0.3])
+        out = tmp_path / "out"
+        runs = self.run(monkeypatch, ["sweep-noise", "--config", str(cfg), "--out-dir", str(out)])
+        assert_out_dir_matches(out, runs)

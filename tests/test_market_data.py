@@ -95,12 +95,12 @@ class TestCrossRate:
         assert list(c.timestamps) == [2.0, 3.0]
         assert c.prices[0] == 0.5
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_ratio_rejected(self):
+    def test_overflowing_ratio_rejected(self, recwarn):
         a = PriceSeries("A-Q", [1, 2], [1.0, 1e300])
         b = PriceSeries("B-Q", [1, 2], [1.0, 1e-10])
         with pytest.raises(PriceDataError, match="A-B: prices must be finite"):
             cross_rate(a, b)
+        assert not recwarn.list
 
     def test_disjoint_ranges(self):
         a = PriceSeries("A-Q", [1, 2], [1.0, 2.0])
@@ -121,6 +121,12 @@ class TestSampleAt:
             sample_at(s, [11])
         with pytest.raises(PriceDataError, match="outside"):
             sample_at(s, [-1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        s = PriceSeries("X-Y", [0, 10, 20], [1.0, 2.0, 3.0])
+        with pytest.raises(PriceDataError, match=rf"X-Y: requested time {bad} is not finite"):
+            sample_at(s, [5, bad])
 
     def test_long_gap_warns(self):
         s = PriceSeries("X-Y", [0, 1000], [1.0, 2.0])

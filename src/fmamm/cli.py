@@ -48,7 +48,7 @@ from fmamm.backtest import (
     run_fmamm_backtest,
 )
 from fmamm.batch import load_order_batches, settle_batch, split_trade_experiment
-from fmamm.market_data import LpReturnSeries, load_price_series, write_rows
+from fmamm.market_data import load_price_series, write_rows
 from fmamm.uniswap import load_swap_records, per_block_swap_volume, run_baseline
 
 __all__ = ["main"]
@@ -95,38 +95,24 @@ def _out_dir(args) -> Path | None:
     return out
 
 
-LONG_HEADER = "run_id,timestamp,metric,value\r\n"
-
-
-def _write_long_run(long, run_id: str, series: LpReturnSeries, *sinks) -> None:
-    """One run's ``long.csv`` rows, and ``sinks`` fed from the same formatting.
-
-    Run ids are plain labels (no comma or quote), so they go in unquoted.  The
-    ``cumulative_roi`` rows wait in memory until the ``value`` rows are out.
-    """
-    pending: list[str] = []
-    write_rows(series.timestamps, (series.values, series.roi),
-               (long.write, (f"{run_id},", 0, ",value,", 1, "\r\n")),
-               (pending.append, (f"{run_id},", 0, ",cumulative_roi,", 2, "\r\n")), *sinks)
-    long.writelines(pending)
-
-
-def _write_long_format(path, runs: dict) -> None:
-    """Plot-ready long format: run_id,timestamp,metric,value."""
-    with open(path, "w", newline="") as long:
-        long.write(LONG_HEADER)
-        for run_id, series in runs.items():
-            _write_long_run(long, run_id, series)
-
-
 def _write_runs(out: Path, runs: dict) -> None:
-    """Each run's ``<run_id>_returns.csv`` and ``long.csv``, from one formatting."""
+    """Each run's ``<run_id>_returns.csv`` and the plot-ready ``long.csv``
+    (run_id,timestamp,metric,value), all from one formatting of each column.
+
+    Run ids are plain labels (no comma or quote), so they go in unquoted.  A
+    run's ``cumulative_roi`` rows wait in memory until its ``value`` rows are out.
+    """
     with open(out / "long.csv", "w", newline="") as long:
-        long.write(LONG_HEADER)
+        long.write("run_id,timestamp,metric,value\r\n")
         for run_id, series in runs.items():
+            pending: list[str] = []
             with open(out / f"{run_id}_returns.csv", "w", newline="") as fh:
                 fh.write(series.CSV_HEADER)
-                _write_long_run(long, run_id, series, (fh.write, series.CSV_ROW))
+                write_rows(series.timestamps, (series.values, series.roi),
+                           (fh.write, series.CSV_ROW),
+                           (long.write, (f"{run_id},", 0, ",value,", 1, "\r\n")),
+                           (pending.append, (f"{run_id},", 0, ",cumulative_roi,", 2, "\r\n")))
+            long.writelines(pending)
 
 
 def _reserves(args) -> Reserves:

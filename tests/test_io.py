@@ -18,7 +18,7 @@ from test_cli import write_config, write_price_csv, write_swap_csv
 
 from fmamm import cli, market_data, uniswap
 from fmamm.backtest import ReturnComparison
-from fmamm.cli import _write_long_format, _write_runs, main
+from fmamm.cli import _write_runs, main
 from fmamm.market_data import (
     LpReturnSeries,
     PriceDataError,
@@ -385,7 +385,6 @@ class TestWriters:
         for write, reference in (
             (series.write_csv, lambda p: reference_returns_csv(p, series)),
             (comparison.write_csv, lambda p: reference_comparison_csv(p, comparison)),
-            (lambda p: _write_long_format(p, runs), lambda p: reference_long_csv(p, runs)),
         ):
             write(tmp_path / "got.csv")
             reference(tmp_path / "want.csv")

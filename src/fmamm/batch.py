@@ -219,46 +219,33 @@ def load_order_batches(path) -> list[Batch]:
     """Read batches from a JSON-lines file of {block, trader_kind, amount}.
 
     Orders are grouped by block in file order; block numbers must be
-    non-decreasing so that batches come out strictly increasing.  Malformed
-    lines are reported with their line number.  An optional "id" field
-    overrides the default "<block>:<n>" order id.
+    non-decreasing so that batches come out strictly increasing.  The file
+    is read in one pass, and the first malformed line is reported with its
+    line number.  An optional "id" field overrides the default "<block>:<n>"
+    order id.
     """
-    rows: list[tuple[int, int, dict]] = []
+    bad_line = (KeyError, TypeError, ValueError, OverflowError)
+    groups: list[tuple[int, list[Order]]] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 row = json.loads(line)
-                rows.append((lineno, int(row["block"]), row))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                block = int(row["block"])
+                if block < 1:
+                    raise ValueError(f"block must be >= 1, got {block}")
+            except bad_line as exc:
                 raise ValueError(f"{path}:{lineno}: bad order line: {exc}") from exc
-            if len(rows) > 1 and rows[-1][1] < rows[-2][1]:
-                raise ValueError(
-                    f"{path}:{lineno}: block {rows[-1][1]} after block {rows[-2][1]}; "
-                    "blocks must be non-decreasing"
-                )
-
-    batches: list[Batch] = []
-    current_block: int | None = None
-    current_orders: list[Order] = []
-    for lineno, block, row in rows:
-        if block != current_block:
-            if current_block is not None:
-                batches.append(Batch(current_block, tuple(current_orders)))
-            current_block = block
-            current_orders = []
-        try:
-            current_orders.append(
-                Order(
-                    id=str(row.get("id", f"{block}:{len(current_orders)}")),
-                    trader_kind=row["trader_kind"],
-                    amount=float(row["amount"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad order line: {exc}") from exc
-    if current_block is not None:
-        batches.append(Batch(current_block, tuple(current_orders)))
-    return batches
+            if groups and block < groups[-1][0]:
+                raise ValueError(f"{path}:{lineno}: block {block} after block {groups[-1][0]}; "
+                                 "blocks must be non-decreasing")
+            if not groups or block > groups[-1][0]:
+                groups.append((block, []))
+            orders = groups[-1][1]
+            try:
+                orders.append(Order(str(row.get("id", f"{block}:{len(orders)}")),
+                                    row["trader_kind"], float(row["amount"])))
+            except bad_line as exc:
+                raise ValueError(f"{path}:{lineno}: bad order line: {exc}") from exc
+    return [Batch(block, tuple(orders)) for block, orders in groups]

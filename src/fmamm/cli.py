@@ -6,11 +6,13 @@ counterfactual return studies, ``attack`` for the operator-vs-arbitrageur
 profit bounds, ``mc-risk`` for the spread Monte Carlo, and ``split-demo``
 for the trade-splitting path-dependence table.
 
-Human-readable tables go to stdout; when ``--out-dir`` is given, every
-numeric result is also written as CSV/JSON alongside a ``manifest.json``
-recording the command, resolved parameters, input digests, seed, and tool
-version, so identical manifests reproduce outputs byte for byte (no
-wall-clock state enters any output).
+A command computes and prints its human-readable table to stdout, and
+returns its :class:`Outputs`.  When ``--out-dir`` is given, :func:`main`
+alone writes them: every numeric result as CSV/JSON alongside a
+``manifest.json`` recording the command, resolved parameters, input digests,
+seed, and tool version, so identical manifests reproduce outputs byte for
+byte (no wall-clock state enters any output).  A failing command writes
+nothing.
 
 Exit codes: 0 success, 2 input validation, 3 failed rebalance pin check.
 """
@@ -23,6 +25,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,26 +76,20 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_manifest(
-    out_dir: Path, command: str, parameters: dict, inputs: list, seed, config=None
-) -> None:
-    manifest = {
-        "command": command,
-        "config": str(config) if config is not None else None,
-        "parameters": parameters,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "seed": seed,
-        "version": __version__,
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+class Outputs(NamedTuple):
+    """What a command leaves for ``--out-dir``.
 
+    ``files`` maps a file name to a JSON payload or a ``write(path)``
+    callable, and ``runs`` maps a run id to its return series.  The manifest
+    records ``parameters`` (by default the command-line arguments), the
+    config and ``inputs`` by digest, and ``seed``.
+    """
 
-def _out_dir(args) -> Path | None:
-    if args.out_dir is None:
-        return None
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    files: dict
+    runs: dict | None = None
+    parameters: dict | None = None
+    inputs: Sequence = ()
+    seed: int | None = None
 
 
 def _write_runs(out: Path, runs: dict) -> None:
@@ -119,7 +116,7 @@ def _reserves(args) -> Reserves:
     return Reserves(args.y, args.x_reserve)
 
 
-def cmd_quote(args) -> int:
+def cmd_quote(args) -> Outputs:
     reserves = _reserves(args)
     sign = args.side_sign if args.side_sign is not None else (1.0 if args.trade >= 0 else -1.0)
     base = pre_fee_price(reserves, args.trade, args.fee)
@@ -128,18 +125,12 @@ def cmd_quote(args) -> int:
     print(f"effective price  {effective:.6f}")
     if args.trade != 0.0 and args.trade < reserves.x:
         print(f"cpamm average    {cpamm_average_price(reserves, args.trade):.6f}")
-    out = _out_dir(args)
-    if out is not None:
-        _write_json(
-            out / "quote.json",
-            {"pre_fee_price": base, "effective_price": effective, "net_trade": args.trade,
-             "fee": args.fee, "order_sign": sign, "y": reserves.y, "x": reserves.x},
-        )
-        _write_manifest(out, "quote", vars_without(args, "func"), [], None)
-    return 0
+    return Outputs({"quote.json": {
+        "pre_fee_price": base, "effective_price": effective, "net_trade": args.trade,
+        "fee": args.fee, "order_sign": sign, "y": reserves.y, "x": reserves.x}})
 
 
-def cmd_settle(args) -> int:
+def cmd_settle(args) -> Outputs:
     reserves = _reserves(args)
     batches = load_order_batches(args.orders)
     reports = []
@@ -154,12 +145,9 @@ def cmd_settle(args) -> int:
             f"matched {report.matched_volume:.6f} pre-fee {report.pre_fee_price:.6f} | {fills}"
         )
     print(f"final reserves: y={reserves.y!r} x={reserves.x!r}")
-    out = _out_dir(args)
-    if out is not None:
-        _write_json(out / "settlements.json", {"reports": reports,
-                                               "final_reserves": {"y": reserves.y, "x": reserves.x}})
-        _write_manifest(out, "settle", vars_without(args, "func"), [args.orders], None)
-    return 0
+    return Outputs({"settlements.json": {"reports": reports,
+                                         "final_reserves": {"y": reserves.y, "x": reserves.x}}},
+                   inputs=[args.orders])
 
 
 def _load_scenario(args):
@@ -171,13 +159,14 @@ def _load_scenario(args):
     return cfg, prices, clock, initial
 
 
-def cmd_backtest(args) -> int:
+def cmd_backtest(args) -> Outputs:
     cfg, prices, clock, initial = _load_scenario(args)
     result = run_fmamm_backtest(prices, clock, cfg.fee, NO_NOISE, initial)
     print(f"{cfg.pair}: {clock.n_blocks} blocks, fee {cfg.fee}")
     print(f"fm_amm terminal roi {result.terminal_roi:+.6%} ({result.n_rebalances} rebalances)")
     runs = {"fm_amm": result.series}
     summary = {"config": asdict(cfg), "fm_amm": result.summary}
+    files = {"summary.json": summary}
     inputs = [cfg.price_csv]
     if cfg.swap_csv is not None:
         records = load_swap_records(cfg.swap_csv)
@@ -189,19 +178,12 @@ def cmd_backtest(args) -> int:
         runs["uniswap_v3_full_range"] = baseline
         summary["uniswap_v3_full_range"] = {"terminal_roi": baseline.terminal_roi}
         summary["terminal_difference_pp"] = comparison.terminal_difference_pp
+        files["comparison.csv"] = comparison.write_csv
         inputs.append(cfg.swap_csv)
-    out = _out_dir(args)
-    if out is not None:
-        _write_runs(out, runs)
-        if cfg.swap_csv is not None:
-            comparison.write_csv(out / "comparison.csv")
-        _write_json(out / "summary.json", summary)
-        _write_manifest(out, "backtest", asdict(cfg), [args.config] + inputs, cfg.seed,
-                        config=args.config)
-    return 0
+    return Outputs(files, runs, asdict(cfg), inputs, cfg.seed)
 
 
-def cmd_sweep_fees(args) -> int:
+def cmd_sweep_fees(args) -> Outputs:
     cfg, prices, clock, initial = _load_scenario(args)
     results = fee_sweep(prices, clock, cfg.fee_grid, initial)
     print(f"{cfg.pair}: zero-noise terminal roi by fee")
@@ -210,16 +192,12 @@ def cmd_sweep_fees(args) -> int:
         print(f"  fee {tau:<8g} roi {result.terminal_roi:+.6%}  rebalances {result.n_rebalances}")
         rows.append({"fee": tau, "terminal_roi": result.terminal_roi,
                      "n_rebalances": result.n_rebalances})
-    out = _out_dir(args)
-    if out is not None:
-        _write_runs(out, {f"fee_{tau:g}": result.series for tau, result in results.items()})
-        _write_json(out / "summary.json", {"config": asdict(cfg), "rows": rows})
-        _write_manifest(out, "sweep-fees", asdict(cfg), [args.config, cfg.price_csv],
-                        cfg.seed, config=args.config)
-    return 0
+    return Outputs({"summary.json": {"config": asdict(cfg), "rows": rows}},
+                   {f"fee_{tau:g}": result.series for tau, result in results.items()},
+                   asdict(cfg), [cfg.price_csv], cfg.seed)
 
 
-def cmd_sweep_noise(args) -> int:
+def cmd_sweep_noise(args) -> Outputs:
     cfg, prices, clock, initial = _load_scenario(args)
     if cfg.swap_csv is None or cfg.pool_fee is None:
         raise ValueError("sweep-noise needs 'swap_csv' and 'pool_fee' in the config "
@@ -243,18 +221,12 @@ def cmd_sweep_noise(args) -> int:
         rows.append({"fraction": fraction, "approx_noise_volume_share": noise_share,
                      "terminal_roi": result.terminal_roi,
                      "diff_vs_zero_noise_pp": diff_pp})
-    out = _out_dir(args)
-    if out is not None:
-        _write_runs(out, {f"noise_{fraction:g}": result.series
-                          for fraction, result in results.items()})
-        _write_json(out / "summary.json", {"config": asdict(cfg), "rows": rows})
-        _write_manifest(out, "sweep-noise", asdict(cfg),
-                        [args.config, cfg.price_csv, cfg.swap_csv], cfg.seed,
-                        config=args.config)
-    return 0
+    return Outputs({"summary.json": {"config": asdict(cfg), "rows": rows}},
+                   {f"noise_{fraction:g}": result.series for fraction, result in results.items()},
+                   asdict(cfg), [cfg.price_csv, cfg.swap_csv], cfg.seed)
 
 
-def cmd_attack(args) -> int:
+def cmd_attack(args) -> Outputs:
     reserves = _reserves(args)
     x_op, op_profit = malicious_operator_attack(reserves, args.p_star)
     x_arb, arb_profit = cpamm_arbitrage_profit(reserves, args.p_star)
@@ -262,18 +234,13 @@ def cmd_attack(args) -> int:
     print(f"cpamm arbitrageur:      trade {x_arb:+.6f}  profit {arb_profit:.6f}")
     ratio = op_profit / arb_profit if arb_profit > 0 else 0.5
     print(f"operator/cpamm profit ratio: {ratio:.6f}")
-    out = _out_dir(args)
-    if out is not None:
-        _write_json(out / "attack.json", {
-            "p_star": args.p_star, "y": reserves.y, "x": reserves.x,
-            "operator_trade": x_op, "operator_profit": op_profit,
-            "cpamm_trade": x_arb, "cpamm_profit": arb_profit, "ratio": ratio,
-        })
-        _write_manifest(out, "attack", vars_without(args, "func"), [], None)
-    return 0
+    return Outputs({"attack.json": {
+        "p_star": args.p_star, "y": reserves.y, "x": reserves.x,
+        "operator_trade": x_op, "operator_profit": op_profit,
+        "cpamm_trade": x_arb, "cpamm_profit": arb_profit, "ratio": ratio}})
 
 
-def cmd_mc_risk(args) -> int:
+def cmd_mc_risk(args) -> Outputs:
     reserves = _reserves(args)
     base_price = args.base_price if args.base_price is not None else reserves.spot_price
     base = np.full(args.n_draws, base_price)
@@ -283,14 +250,10 @@ def cmd_mc_risk(args) -> int:
     print(f"mean objective, spread prices: {result.mean_value_spread:.6f}")
     print(f"difference {result.difference:.6f} (paired se {result.paired_se:.6f}, "
           f"z {result.z_score:.2f}, n {result.n_draws})")
-    out = _out_dir(args)
-    if out is not None:
-        _write_json(out / "mc_risk.json", asdict(result))
-        _write_manifest(out, "mc-risk", vars_without(args, "func"), [], args.seed)
-    return 0
+    return Outputs({"mc_risk.json": asdict(result)}, seed=args.seed)
 
 
-def cmd_split_demo(args) -> int:
+def cmd_split_demo(args) -> Outputs:
     reserves = _reserves(args)
     print(f"splitting a trade of {args.trade} into n sequential batches:")
     rows = []
@@ -301,15 +264,7 @@ def cmd_split_demo(args) -> int:
     if args.trade < reserves.x:
         limit = reserves.y * reserves.x / (reserves.x - args.trade)
         print(f"  constant-product limit       {limit:.6f}")
-    out = _out_dir(args)
-    if out is not None:
-        _write_json(out / "split_demo.json", {"rows": rows})
-        _write_manifest(out, "split-demo", vars_without(args, "func"), [], None)
-    return 0
-
-
-def vars_without(args, *skip) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in skip and not callable(v)}
+    return Outputs({"split_demo.json": {"rows": rows}})
 
 
 def _add_reserves_args(parser) -> None:
@@ -392,7 +347,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        outputs = args.func(args)
+        if args.out_dir is None:
+            return 0
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        if outputs.runs:
+            _write_runs(out, outputs.runs)
+        for name, payload in outputs.files.items():
+            if callable(payload):
+                payload(out / name)
+            else:
+                _write_json(out / name, payload)
+        config = getattr(args, "config", None)
+        inputs = (config, *outputs.inputs) if config is not None else outputs.inputs
+        parameters = outputs.parameters
+        if parameters is None:
+            parameters = {k: v for k, v in vars(args).items() if not callable(v)}
+        _write_json(out / "manifest.json", {
+            "command": args.command, "config": config, "parameters": parameters,
+            "inputs": {str(p): _sha256(p) for p in inputs}, "seed": outputs.seed,
+            "version": __version__})
+        return 0
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

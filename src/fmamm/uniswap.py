@@ -88,15 +88,34 @@ class SwapRecord:
 
 def as_swap_log(records) -> np.recarray:
     """The swap log of ``records``: a :data:`SWAP_LOG_DTYPE` array as it is,
-    or a sequence of :class:`SwapRecord` converted to one."""
+    or a sequence of :class:`SwapRecord` converted to one.
+
+    Every row is checked as :class:`SwapRecord` checks it, and timestamps
+    must never decrease.
+    """
     if isinstance(records, np.ndarray):
         if records.dtype.names != SWAP_LOG_DTYPE.names:
             raise ValueError(f"swap log fields must be {SWAP_LOG_DTYPE.names}, "
                              f"got {records.dtype.names}")
-        return records.view(np.recarray)
-    rows = [(r.block, r.timestamp, r.fee_amount, r.fee_token, r.active_liquidity, r.post_price)
-            for r in records]
-    return np.array(rows, dtype=SWAP_LOG_DTYPE).view(np.recarray)
+        log = records.view(np.recarray)
+        bad = np.flatnonzero(~np.isin(log.fee_token, FEE_TOKENS) | ~(log.fee_amount >= 0.0)
+                             | ~(log.active_liquidity > 0.0) | ~(log.post_price > 0.0))
+        if bad.size:
+            try:
+                SwapRecord(*log[bad[0]].tolist())
+            except ValueError as exc:
+                raise ValueError(f"swap record {bad[0]}: {exc}") from None
+    else:
+        log = np.array([(r.block, r.timestamp, r.fee_amount, r.fee_token, r.active_liquidity,
+                         r.post_price) for r in records], dtype=SWAP_LOG_DTYPE).view(np.recarray)
+    back = np.flatnonzero(log.timestamp[1:] < log.timestamp[:-1])
+    if back.size:
+        k = int(back[0]) + 1
+        raise ValueError(
+            f"swap record {k}: timestamp {log.timestamp[k]} before the previous "
+            f"record's {log.timestamp[k - 1]}"
+        )
+    return log
 
 
 def _compounded(liquidity: float, fees0: float, fees1: float, price: float):
@@ -137,13 +156,6 @@ def run_baseline(
     log = as_swap_log(records)
     if (log.block[1:] < log.block[:-1]).any():
         raise ValueError("swap records must be sorted by block")
-    back = np.flatnonzero(log.timestamp[1:] < log.timestamp[:-1])
-    if back.size:
-        k = int(back[0]) + 1
-        raise ValueError(
-            f"swap record {k}: timestamp {log.timestamp[k]} before the previous "
-            f"record's {log.timestamp[k - 1]}"
-        )
 
     n = len(log)
     share = float((initial_liquidity / log.active_liquidity).max()) if n else 0.0
@@ -193,21 +205,16 @@ def run_baseline(
 def load_swap_records(path) -> np.recarray:
     """Load a swap CSV as a swap log, reporting bad rows by line number.
 
-    Rows are checked as :class:`SwapRecord` checks them, and timestamps must
-    never decrease.  ``len`` of the log is the number of data rows.
+    Rows are checked as :func:`as_swap_log` checks them.  ``len`` of the log
+    is the number of data rows.
     """
     rows = _parse_columns(path, SWAP_LOG_DTYPE.names, _SWAP_PARSE_DTYPE)
     if rows is not None:
-        token = rows["fee_token"]
-        ts = rows["timestamp"]
-        if (
-            np.isin(token, FEE_TOKENS).all()
-            and (rows["fee_amount"] >= 0.0).all()
-            and (rows["active_liquidity"] > 0.0).all()
-            and (rows["post_price"] > 0.0).all()
-            and (ts[1:] >= ts[:-1]).all()
-        ):
-            return rows.astype(SWAP_LOG_DTYPE).view(np.recarray)
+        try:
+            as_swap_log(rows)  # before the cast, which would cut a long token name
+        except ValueError:
+            return _read_swap_rows(path)  # it names the bad line
+        return rows.astype(SWAP_LOG_DTYPE).view(np.recarray)
     return _read_swap_rows(path)
 
 

@@ -334,6 +334,41 @@ class TestZeroFeeClosedForm:
         np.testing.assert_allclose(result.series.values[1:], 2.0 * y, rtol=1e-12, atol=0.0)
 
 
+class TestZeroLvr:
+    """The arbitrageurs' pinned order fills at ``p*`` fee included, so without
+    noise each block's LP value change is exactly ``x_{n-1}·(p*_n − p*_{n-1})``:
+    the LP loses nothing against rebalancing at the market price (zero LVR).
+    Noise fills at or outside the band around ``p*``, so it can only add."""
+
+    PATH = sample_gbm_path(
+        GbmParams(2000.0, 0.0005, step_seconds=12, horizon_seconds=12 * 100_000, seed=17)
+    )
+
+    def residual(self, tau, noise=NO_NOISE, volume=None):
+        """Per block: LP value change less ``x_{n-1}·Δp*``, over the pool value."""
+        path = self.PATH
+        result = run_fmamm_backtest(path, BlockClock.for_series(path), tau, noise,
+                                    baseline_volume=volume)
+        assert np.array_equal(result.trades.p_star, path.prices[1:])
+        values = result.series.values
+        change = np.diff(values) - result.trades.x_before * np.diff(path.prices)
+        return change / values[1:]
+
+    @pytest.mark.parametrize("tau", [0.0, 0.0005, 0.003])
+    def test_zero_noise_value_change_is_the_price_move(self, tau):
+        residual = self.residual(tau)
+        assert np.abs(residual).max() <= 1e-12
+
+    @pytest.mark.parametrize("direction", NOISE_DIRECTIONS)
+    def test_noise_only_adds(self, direction):
+        # up to 2% of the one-unit asset reserve per block, well short of the pole
+        volume = np.random.default_rng(3).uniform(0.0, 0.02, len(self.PATH) - 1)
+        noise = NoiseScenario("fraction_of_baseline_volume", 1.0, direction, seed=5)
+        residual = self.residual(0.003, noise, volume)
+        assert residual.min() >= -1e-12
+        assert residual.max() > 0.0
+
+
 class TestCompareReturns:
     def test_identical_is_zero(self):
         s = LpReturnSeries.from_values("a", [0, 12, 24], [1.0, 1.1, 1.2])

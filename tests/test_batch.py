@@ -226,6 +226,29 @@ class TestLoadOrderBatches:
         with pytest.raises(ValueError, match="non-decreasing"):
             load_order_batches(path)
 
+    @pytest.mark.parametrize("lines, where, message", [
+        # line 2 is bad before line 4 lowers the block
+        (['{"block": 3, "trader_kind": "noise", "amount": 1.0}',
+          '{"block": 3, "trader_kind": "bogus", "amount": 1.0}',
+          '{"block": 3, "trader_kind": "noise", "amount": 1.0}',
+          '{"block": 2, "trader_kind": "noise", "amount": 1.0}'], 2, "bad order line: trader_kind"),
+        (['{"block": 0, "trader_kind": "noise", "amount": 1.0}'], 1,
+         "bad order line: block must be >= 1, got 0"),
+        (['{"block": 1e400, "trader_kind": "noise", "amount": 1.0}'], 1, "bad order line"),
+        (['{"block": 1, "trader_kind": "noise", "amount": 1%s}' % ("0" * 400)], 1,
+         "bad order line"),
+        (['{"block": 2, "trader_kind": "noise", "amount": 1.0}',
+          '{"block": 1, "trader_kind": "bogus", "amount": 1.0}'], 2,
+         "block 1 after block 2; blocks must be non-decreasing"),
+    ], ids=["bad kind before lower block", "block 0", "infinite block", "huge amount",
+            "lower block with bad kind"])
+    def test_first_bad_line_is_named(self, tmp_path, lines, where, message):
+        path = tmp_path / "o.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_order_batches(path)
+        assert str(exc.value).startswith(f"{path}:{where}: {message}"), exc.value
+
 
 class TestOrderValidation:
     def test_zero_amount(self):

@@ -1,5 +1,6 @@
 """Command-line interface tests: outputs, exit codes, and reproducibility."""
 
+import hashlib
 import json
 import os
 import re
@@ -286,6 +287,76 @@ class TestSplitDemoCommand:
         out = capsys.readouterr().out
         assert "26666.66" in out
         assert "25000.0" in out  # constant-product limit line
+
+
+RESERVES = ["--y", "20000", "--x-reserve", "10"]
+
+# command -> (arguments after the command, files written besides manifest.json,
+# input names recorded after the config, seed); "{cfg}" and "{orders}" are
+# filled in per test
+OUT_DIR_CONTRACT = {
+    "quote": (RESERVES + ["--trade", "1", "--fee", "0.003"], {"quote.json"}, [], None),
+    "settle": (RESERVES + ["--orders", "{orders}"], {"settlements.json"}, ["orders.jsonl"], None),
+    "backtest": (["--config", "{cfg}"],
+                 {"fm_amm_returns.csv", "uniswap_v3_full_range_returns.csv", "comparison.csv",
+                  "summary.json", "long.csv"}, ["prices.csv", "swaps.csv"], 3),
+    "sweep-fees": (["--config", "{cfg}"],
+                   {"fee_0_returns.csv", "fee_0.003_returns.csv", "summary.json", "long.csv"},
+                   ["prices.csv"], 3),
+    "sweep-noise": (["--config", "{cfg}"],
+                    {"noise_0_returns.csv", "noise_0.1_returns.csv", "summary.json", "long.csv"},
+                    ["prices.csv", "swaps.csv"], 3),
+    "attack": (RESERVES + ["--p-star", "2420"], {"attack.json"}, [], None),
+    "mc-risk": (RESERVES + ["--epsilon-sd", "200", "--n-draws", "1000", "--seed", "7"],
+                {"mc_risk.json"}, [], 7),
+    "split-demo": (RESERVES + ["--trade", "2", "--n", "1", "10"], {"split_demo.json"}, [], None),
+}
+
+
+class TestOutDirContract:
+    @pytest.mark.parametrize("command", sorted(OUT_DIR_CONTRACT))
+    def test_files_manifest_and_rerun(self, tmp_path, monkeypatch, capsys, command):
+        args, files, input_names, seed = OUT_DIR_CONTRACT[command]
+        data = tmp_path / "data"
+        data.mkdir()
+        series = write_price_csv(data / "prices.csv", blocks=40)
+        write_swap_csv(data / "swaps.csv", series)
+        cfg = write_config(data / "cfg.json", data / "prices.csv", data / "swaps.csv",
+                           fee_grid=[0.0, 0.003], noise_fractions=[0.1])
+        (data / "orders.jsonl").write_text(
+            '{"block": 1, "trader_kind": "noise", "amount": 1.0}\n'
+            '{"block": 2, "trader_kind": "arbitrageur", "amount": -0.5}\n')
+        argv = [command] + [a.format(cfg=cfg, orders=data / "orders.jsonl") for a in args]
+        # the same relative --out-dir from two working directories, so the
+        # arguments recorded in the manifest agree too
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            assert main(argv + ["--out-dir", "out"]) == 0
+        out_a, out_b = tmp_path / "a" / "out", tmp_path / "b" / "out"
+        assert {p.name for p in out_a.iterdir()} == files | {"manifest.json"}
+        for name in files | {"manifest.json"}:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        config = str(cfg) if "{cfg}" in args else None
+        inputs = ([config] if config else []) + [str(data / name) for name in input_names]
+        assert manifest["command"] == command
+        assert manifest["config"] == config
+        assert manifest["inputs"] == {
+            p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
+        assert manifest["seed"] == seed
+        assert manifest["version"] == fmamm.__version__
+
+    @pytest.mark.parametrize("argv", [
+        ["quote"] + RESERVES + ["--trade", "6"],
+        ["settle"] + RESERVES + ["--orders", "absent.jsonl"],
+        ["backtest", "--config", "absent.json"],
+    ])
+    def test_failing_command_creates_no_out_dir(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out-dir", "out"]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestParser:

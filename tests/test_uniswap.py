@@ -1,6 +1,7 @@
 """Full-range baseline tests: accrual, compounding, and ROI identities."""
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -323,6 +324,25 @@ class TestBaselineMatchesReference:
     def test_foreign_array_rejected(self):
         with pytest.raises(ValueError, match="swap log fields"):
             as_swap_log(np.zeros(2, dtype=[("block", "i8")]))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("fee_token", "tokX", "fee_token must be one of"),
+        ("fee_amount", -1.0, "fee_amount must be non-negative"),
+        ("fee_amount", math.nan, "fee_amount must be non-negative"),
+        ("active_liquidity", -1e6, "active_liquidity must be positive"),
+        ("post_price", 0.0, "post_price must be positive"),
+        ("timestamp", 4, "timestamp 4 before the previous record's 5"),
+    ])
+    def test_raw_log_values_checked(self, field, value, message):
+        """A raw array gets the record rules: "tokX" is neither token, so the
+        baseline replay and the volume inference cannot read it two ways."""
+        log = np.array(as_swap_log([record(block=1, ts=5), record(block=2, ts=17)]))
+        log[field][1] = value
+        series = PriceSeries("X-Y", [0, 12, 24], [4.0, 4.0, 4.0])
+        for use in (as_swap_log, lambda log: run_baseline(log, series, 1.0),
+                    lambda log: per_block_swap_volume(log, series.timestamps[1:], 0.003)):
+            with pytest.raises(ValueError, match=f"swap record 1: {re.escape(message)}"):
+                use(log)
 
 
 class TestSwapRecordIo:

@@ -49,7 +49,7 @@ def splitting():
     trade = 2.0
     print(f"buying {trade} in n sequential batches, final numeraire reserve:")
     for n in (1, 2, 10, 100, 10_000, 100_000):
-        final = split_trade_experiment(POOL, trade, n)[-1]
+        final = split_trade_experiment(POOL, trade, n)
         print(f"  n={n:<8} y'={final.y:,.3f}")
     cpamm_limit = POOL.y * POOL.x / (POOL.x - trade)
     print(f"  limit      y'={cpamm_limit:,.3f}  (constant-product outcome)")

@@ -107,6 +107,12 @@ def _check_trade(x_trade: float) -> None:
         raise ValueError(f"trade must be finite, got {x_trade}")
 
 
+def _finite(price: float, name: str, reserves: Reserves, net_trade: float) -> float:
+    if not math.isfinite(price):
+        raise ValueError(f"{name} overflows at y={reserves.y}, x={reserves.x}, trade {net_trade}")
+    return price
+
+
 def cpamm_average_price(reserves: Reserves, x_trade: float) -> float:
     """Average price y/(x - x_trade) paid on a constant-product pool.
 
@@ -205,14 +211,15 @@ def pre_fee_price(reserves: Reserves, net_trade: float, tau: float = 0.0) -> flo
     A net-selling batch only routes ``(1-tau)`` of its volume through the
     pool (the rest is retained as fee), so its price is evaluated at the
     fee-shrunk trade; an exactly-netted batch prices at the spot ratio y/x.
+    A price that overflows raises ``ValueError``, as in :func:`effective_price`.
     """
     _check_fee(tau)
     _check_trade(net_trade)
-    if net_trade > 0.0:
-        return fmamm_price(reserves, net_trade)
-    if net_trade < 0.0:
-        return fmamm_price(reserves, net_trade * (1.0 - tau))
-    return reserves.spot_price
+    if net_trade == 0.0:
+        price = reserves.spot_price
+    else:
+        price = fmamm_price(reserves, net_trade if net_trade > 0.0 else net_trade * (1.0 - tau))
+    return _finite(price, "pre-fee price", reserves, net_trade)
 
 
 def effective_price(
@@ -228,9 +235,8 @@ def effective_price(
     if order_sign == 0.0 or not math.isfinite(order_sign):
         raise ValueError("order_sign must be a nonzero finite value")
     base = pre_fee_price(reserves, net_trade, tau)
-    if order_sign > 0.0:
-        return base / (1.0 - tau)
-    return (1.0 - tau) * base
+    price = base / (1.0 - tau) if order_sign > 0.0 else (1.0 - tau) * base
+    return _finite(price, "effective price", reserves, net_trade)
 
 
 def objective_value(x_trade, price, tau: float, reserves: Reserves):

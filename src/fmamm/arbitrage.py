@@ -127,10 +127,8 @@ def malicious_operator_attack(reserves: Reserves, p_star: float) -> tuple[float,
     the pool already sits at ``p_star``, and exactly half of
     :func:`cpamm_arbitrage_profit`.
     """
-    _check_price(p_star)
-    x_attack = 0.5 * (reserves.x - math.sqrt(reserves.x * reserves.y / p_star))
-    gap = reserves.y + p_star * reserves.x - 2.0 * math.sqrt(reserves.x * reserves.y * p_star)
-    return x_attack, 0.5 * max(gap, 0.0)
+    x_arb, profit = cpamm_arbitrage_profit(reserves, p_star)
+    return 0.5 * x_arb, 0.5 * profit
 
 
 def cpamm_arbitrage_profit(reserves: Reserves, p_star: float) -> tuple[float, float]:
@@ -138,9 +136,12 @@ def cpamm_arbitrage_profit(reserves: Reserves, p_star: float) -> tuple[float, fl
 
     Maximizes ``x_trade * (p_star - y/(x - x_trade))``; the optimum
     ``x_trade = x - sqrt(x*y/p_star)`` brings the pool's marginal price to
-    ``p_star`` and earns ``y + p_star*x - 2*sqrt(x*y*p_star)``.
+    ``p_star`` and earns ``y + p_star*x - 2*sqrt(x*y*p_star)``.  A trade or
+    profit that overflows raises ``ValueError``.
     """
     _check_price(p_star)
     x_arb = reserves.x - math.sqrt(reserves.x * reserves.y / p_star)
     gap = reserves.y + p_star * reserves.x - 2.0 * math.sqrt(reserves.x * reserves.y * p_star)
+    if not (math.isfinite(x_arb) and math.isfinite(gap)):
+        raise ValueError(f"arbitrage overflows at y={reserves.y}, x={reserves.x}, p_star={p_star}")
     return x_arb, max(gap, 0.0)

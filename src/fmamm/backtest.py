@@ -508,7 +508,7 @@ class RiskMonteCarloResult:
     mean_value_spread: float
     difference: float
     paired_se: float
-    z_score: float
+    z_score: float | None  # None when the se is 0 but the difference is not
     n_draws: int
 
 
@@ -528,6 +528,8 @@ def risk_monte_carlo(
     The paired difference is non-negative draw by draw; it is zero whenever
     both prices fall inside the no-trade band.
     """
+    if n_draws < 2:
+        raise ValueError(f"n_draws must be at least 2 for a paired se, got {n_draws}")
     base = np.asarray(base_draws, dtype=np.float64)
     if base.size == 0:
         raise ValueError("base_draws must be non-empty")
@@ -538,11 +540,8 @@ def risk_monte_carlo(
     v_spread = value_function(spread, reserves, tau)
     diffs = v_spread - v_base
     difference = float(diffs.mean())
-    se = float(diffs.std(ddof=1) / math.sqrt(diffs.size)) if diffs.size > 1 else 0.0
-    if se > 0.0:
-        z = difference / se
-    else:
-        z = 0.0 if difference == 0.0 else math.inf
+    se = float(diffs.std(ddof=1) / math.sqrt(diffs.size))
+    z = difference / se if se > 0.0 else (0.0 if difference == 0.0 else None)
     return RiskMonteCarloResult(
         mean_value_base=float(v_base.mean()),
         mean_value_spread=float(v_spread.mean()),

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from fmamm.amm import (
     InfeasibleTradeError,
     POLE_MARGIN,
@@ -185,34 +183,30 @@ def settle_batch(
     return after, report
 
 
-def split_trade_experiment(reserves: Reserves, x_trade: float, n: int) -> list[Reserves]:
-    """Reserves along the way when one trade executes as n sequential batches.
+def split_trade_experiment(reserves: Reserves, x_trade: float, n: int) -> Reserves:
+    """Final reserves when one trade executes as n sequential batches.
 
-    Each slice ``x_trade / n`` settles fee-free on its own, so the numeraire
-    reserve compounds by ``(x_i - d) / (x_i - 2d)`` per step.  Returns n+1
-    states including the initial one.  Splitting a buy strictly lowers the
-    final numeraire reserve, approaching ``y * x / (x - x_trade)`` -- the
-    constant-product outcome -- as n grows.
+    Each slice ``d = x_trade / n`` settles fee-free on its own, so the
+    numeraire reserve compounds by ``(x_i - d) / (x_i - 2d)`` per step; the
+    factors telescope to ``y * (x - d) / (x - (n+1)*d)``.  Splitting a buy
+    strictly lowers the final numeraire reserve, approaching
+    ``y * x / (x - x_trade)`` -- the constant-product outcome -- as n grows.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if x_trade == 0.0:
-        return [reserves] * (n + 1)
+        return reserves
     step = x_trade / n
-    x_before = reserves.x - step * np.arange(n)
-    denom = x_before - 2.0 * step
-    infeasible = denom <= POLE_MARGIN * reserves.x
-    if infeasible.any():
-        k = int(np.argmax(infeasible))
+    # step k is infeasible when x - (k+1)*d <= POLE_MARGIN*x: for a buy the
+    # last step comes nearest, and a sell never gets there
+    if reserves.x - (n + 1) * step <= POLE_MARGIN * reserves.x:
+        k = min(n, max(1, math.ceil((1.0 - POLE_MARGIN) * reserves.x / step) - 1))
         raise InfeasibleTradeError(
-            f"split trade infeasible at step {k + 1} of {n}: "
-            f"slice {step} hits the price pole with asset reserve {x_before[k]}"
+            f"split trade infeasible at step {k} of {n}: "
+            f"slice {step} hits the price pole with asset reserve {reserves.x - (k - 1) * step}"
         )
-    y_after = reserves.y * np.cumprod((x_before - step) / denom)
-    out = [reserves]
-    for i in range(n):
-        out.append(Reserves(float(y_after[i]), float(reserves.x - (i + 1) * step)))
-    return out
+    return Reserves(reserves.y * (reserves.x - step) / (reserves.x - (n + 1) * step),
+                    reserves.x - n * step)
 
 
 def load_order_batches(path) -> list[Batch]:

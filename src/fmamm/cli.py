@@ -248,8 +248,9 @@ def cmd_mc_risk(args) -> Outputs:
                               n_draws=args.n_draws, seed=args.seed)
     print(f"mean objective, base prices:   {result.mean_value_base:.6f}")
     print(f"mean objective, spread prices: {result.mean_value_spread:.6f}")
+    z = "n/a" if result.z_score is None else f"{result.z_score:.2f}"
     print(f"difference {result.difference:.6f} (paired se {result.paired_se:.6f}, "
-          f"z {result.z_score:.2f}, n {result.n_draws})")
+          f"z {z}, n {result.n_draws})")
     return Outputs({"mc_risk.json": asdict(result)}, seed=args.seed)
 
 
@@ -258,7 +259,7 @@ def cmd_split_demo(args) -> Outputs:
     print(f"splitting a trade of {args.trade} into n sequential batches:")
     rows = []
     for n in args.n:
-        final = split_trade_experiment(reserves, args.trade, n)[-1]
+        final = split_trade_experiment(reserves, args.trade, n)
         print(f"  n {n:<8d} final numeraire reserve {final.y:.6f}")
         rows.append({"n": n, "final_y": final.y, "final_x": final.x})
     if args.trade < reserves.x:

@@ -86,9 +86,9 @@ def test_criterion_2_path_dependence_limit():
     """Splitting one buy into 1e5 slices converges to the constant-product reserve."""
     start = time.perf_counter()
     r = Reserves(20000.0, 10.0)
-    single = split_trade_experiment(r, 2.0, 1)[-1].y
+    single = split_trade_experiment(r, 2.0, 1).y
     assert single == pytest.approx(20000.0 * 8.0 / 6.0, rel=1e-9)
-    final = split_trade_experiment(r, 2.0, 100_000)[-1].y
+    final = split_trade_experiment(r, 2.0, 100_000).y
     limit = 20000.0 * 10.0 / 8.0
     assert final == pytest.approx(limit, rel=1e-3)
     elapsed = time.perf_counter() - start

@@ -399,5 +399,11 @@ class TestReserves:
             with pytest.raises(ValueError):
                 objective_value(0.0, [2000.0, bad], 0.0, R)
 
+    def test_overflowing_price_rejected(self):
+        with pytest.raises(ValueError, match="pre-fee price overflows at y=1e"):
+            pre_fee_price(Reserves(1e308, 1e-308), 0.0)
+        with pytest.raises(ValueError, match="effective price overflows"):
+            effective_price(Reserves(1.7e308, 1.0), 0.0, 0.9, 1.0)
+
     def test_value_at(self):
         assert R.value_at(2000.0) == 40000.0

@@ -200,6 +200,11 @@ class TestAttackProfits:
             assert malicious_operator_attack(r, p_star)[1] >= 0.0
             assert cpamm_arbitrage_profit(r, p_star)[1] >= 0.0
 
+    def test_overflow_rejected(self):
+        for attack in (malicious_operator_attack, cpamm_arbitrage_profit):
+            with pytest.raises(ValueError, match="arbitrage overflows .* p_star=1e"):
+                attack(Reserves(1e308, 1e308), 1e300)
+
     def test_rejects_bad_price(self):
         with pytest.raises(ValueError):
             malicious_operator_attack(R, 0.0)

@@ -499,6 +499,10 @@ class TestRiskMonteCarlo:
         assert out.difference == 0.0
         assert out.z_score == 0.0
 
+    def test_one_draw_rejected(self):
+        with pytest.raises(ValueError, match="n_draws must be at least 2"):
+            risk_monte_carlo(np.full(10, 2000.0), 200.0, R, 0.003, n_draws=1)
+
     def test_degenerate_base_significant_gain(self):
         out = risk_monte_carlo(np.full(10_000, 2000.0), 200.0, R, 0.003, n_draws=10_000, seed=1)
         assert out.difference > 0

@@ -152,40 +152,39 @@ class TestSettleBatch:
 
 class TestSplitTradeExperiment:
     def test_single_shot(self):
-        states = split_trade_experiment(R, 2.0, 1)
-        assert len(states) == 2
-        assert states[-1].y == pytest.approx(20000.0 * 8.0 / 6.0, rel=1e-12)
-        assert states[-1].x == 8.0
+        final = split_trade_experiment(R, 2.0, 1)
+        assert final.y == pytest.approx(20000.0 * 8.0 / 6.0, rel=1e-12)
+        assert final.x == 8.0
 
     def test_matches_sequential_apply_trade(self):
-        states = split_trade_experiment(R, 2.0, 7)
+        # k slices of 2/7 each end where k sequential trades of 2/7 end
         r = R
-        for i in range(7):
+        for k in range(1, 8):
             r = apply_trade(r, 2.0 / 7, 0.0)
-            assert states[i + 1].y == pytest.approx(r.y, rel=1e-12)
+            final = split_trade_experiment(R, 2.0 * k / 7, k)
+            assert final.y == pytest.approx(r.y, rel=1e-12)
+            assert final.x == pytest.approx(r.x, rel=1e-12)
 
     def test_limit_is_constant_product(self):
-        states = split_trade_experiment(R, 2.0, 100_000)
-        assert states[-1].y == pytest.approx(25000.0, rel=1e-3)
+        assert split_trade_experiment(R, 2.0, 100_000).y == pytest.approx(25000.0, rel=1e-3)
 
     def test_monotone_in_n(self):
-        finals = [split_trade_experiment(R, 2.0, n)[-1].y for n in (1, 2, 5, 10, 100)]
+        finals = [split_trade_experiment(R, 2.0, n).y for n in (1, 2, 5, 10, 100)]
         assert all(a > b for a, b in zip(finals, finals[1:]))
 
     def test_zero_trade(self):
-        states = split_trade_experiment(R, 0.0, 5)
-        assert len(states) == 6
-        assert all(s == R for s in states)
+        assert split_trade_experiment(R, 0.0, 5) == R
 
     def test_infeasible_mid_sequence_names_step(self):
-        # 9.5 total is fine per slice at first but the pole hits later
-        with pytest.raises(InfeasibleTradeError, match=r"step \d+"):
+        # 9.5 total is fine per slice at first but the pole hits later: the
+        # tenth slice of 0.95 leaves 10 - 11*0.95 < 0
+        with pytest.raises(InfeasibleTradeError, match=r"step 10 of 10"):
             split_trade_experiment(R, 9.5, 10)
 
     def test_sell_side_always_feasible(self):
-        states = split_trade_experiment(R, -50.0, 100)
-        assert states[-1].x == pytest.approx(60.0, rel=1e-12)
-        assert states[-1].y > 0
+        final = split_trade_experiment(R, -50.0, 100)
+        assert final.x == pytest.approx(60.0, rel=1e-12)
+        assert final.y > 0
 
 
 class TestLoadOrderBatches:

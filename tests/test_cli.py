@@ -279,6 +279,18 @@ class TestMcRiskCommand:
         assert payload["difference"] > 0
         assert payload["z_score"] > 5
 
+    def test_undefined_z(self, tmp_path, capsys, monkeypatch):
+        # both draws move by the same nonzero amount: se 0, so no z
+        monkeypatch.setattr("fmamm.backtest.mean_preserving_spread",
+                            lambda draws, sd, rng: 1.5 * draws)
+        out = tmp_path / "out"
+        assert main(["mc-risk"] + RESERVES + ["--fee", "0.003", "--epsilon-sd", "200",
+                                              "--n-draws", "2", "--out-dir", str(out)]) == 0
+        assert "(paired se 0.000000, z n/a, n 2)" in capsys.readouterr().out
+        payload = json.loads((out / "mc_risk.json").read_text())
+        assert payload["difference"] > 0
+        assert payload["z_score"] is None
+
 
 class TestSplitDemoCommand:
     def test_table(self, capsys):
@@ -290,6 +302,10 @@ class TestSplitDemoCommand:
 
 
 RESERVES = ["--y", "20000", "--x-reserve", "10"]
+
+
+def reject_constant(name):
+    raise ValueError(f"out-dir JSON holds {name}")
 
 # command -> (arguments after the command, files written besides manifest.json,
 # input names recorded after the config, seed); "{cfg}" and "{orders}" are
@@ -337,6 +353,8 @@ class TestOutDirContract:
         assert {p.name for p in out_a.iterdir()} == files | {"manifest.json"}
         for name in files | {"manifest.json"}:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+            if name.endswith(".json"):  # strict JSON: no NaN or Infinity
+                json.loads((out_a / name).read_text(), parse_constant=reject_constant)
 
         manifest = json.loads((out_a / "manifest.json").read_text())
         config = str(cfg) if "{cfg}" in args else None
@@ -352,6 +370,10 @@ class TestOutDirContract:
         ["quote"] + RESERVES + ["--trade", "6"],
         ["settle"] + RESERVES + ["--orders", "absent.jsonl"],
         ["backtest", "--config", "absent.json"],
+        ["quote", "--y", "1e308", "--x-reserve", "1e-308", "--trade", "0"],
+        ["quote", "--y", "1.7e308", "--x-reserve", "1", "--trade", "0", "--fee", "0.9"],
+        ["attack", "--y", "1e308", "--x-reserve", "1e308", "--p-star", "1e300"],
+        ["mc-risk"] + RESERVES + ["--epsilon-sd", "200", "--n-draws", "1"],
     ])
     def test_failing_command_creates_no_out_dir(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

@@ -2,10 +2,13 @@
 
 import math
 import re
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmamm.market_data import GbmParams, LpReturnSeries, PriceSeries, sample_at, sample_gbm_path
 from fmamm.uniswap import (
@@ -104,7 +107,10 @@ class TestRunBaseline:
 
 
 # The scalar reference replay: one SimPosition per step, built from the
-# per-swap helpers below.  run_baseline must match it bit for bit.
+# per-swap helpers below.  run_baseline's cumulative products must match it
+# within ORACLE_RTOL.
+
+ORACLE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -273,17 +279,49 @@ def random_replay(seed, heavy=False, n_marks=1500, n_swaps=4000, step=300.0, ove
     return marks, records
 
 
+def assert_matches_oracle(got, want):
+    np.testing.assert_allclose(got.values, want.values, rtol=ORACLE_RTOL, atol=0.0)
+    assert got.timestamps.tobytes() == want.timestamps.tobytes()
+
+
+@st.composite
+def swap_logs(draw):
+    """A few marks over several days and a sorted swap log around them,
+    some swaps before the first mark, on marks or after the last one, each
+    fee up to 5% of its active liquidity."""
+    steps = draw(st.lists(st.integers(1, 2 * 86400), max_size=25))
+    times = 1_680_000_000 + np.cumsum([0] + steps)
+    prices = draw(st.lists(st.floats(1e-3, 1e3), min_size=times.size, max_size=times.size))
+    marks = PriceSeries("X-Y", times, prices)
+    when = st.integers(int(times[0]) - 600, int(times[-1]) + 600) | st.sampled_from(times)
+    swap = st.tuples(when,
+                     st.just(0.0) | st.floats(0.0, 0.05), st.sampled_from(("token0", "token1")),
+                     st.floats(1e3, 1e12), st.floats(1e-3, 1e3))
+    swaps = sorted(draw(st.lists(swap, max_size=60)), key=lambda s: s[0])
+    records = [SwapRecord(i, int(t), f * a, k, a, p) for i, (t, f, k, a, p) in enumerate(swaps)]
+    return marks, records
+
+
 class TestBaselineMatchesReference:
     @pytest.mark.parametrize("seed, heavy", [(0, False), (1, True)])
     @pytest.mark.parametrize("cadence", ["swap", "block", "day"])
-    def test_bit_identical(self, seed, heavy, cadence, recwarn):
+    def test_matches_reference(self, seed, heavy, cadence, recwarn):
         marks, records = random_replay(seed, heavy)
         want = reference_baseline(records, marks, 2.5e5, cadence)
-        for given in (records, as_swap_log(records)):
-            got = run_baseline(given, marks, 2.5e5, cadence)
-            assert got.values.tobytes() == want.values.tobytes()
-            assert got.roi.tobytes() == want.roi.tobytes()
-            assert got.timestamps.tobytes() == want.timestamps.tobytes()
+        got = run_baseline(records, marks, 2.5e5, cadence)
+        assert_matches_oracle(got, want)
+        from_log = run_baseline(as_swap_log(records), marks, 2.5e5, cadence)
+        assert from_log.values.tobytes() == got.values.tobytes()
+        assert from_log.roi.tobytes() == got.roi.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(swap_logs(), st.sampled_from(["swap", "block", "day"]))
+    def test_random_logs_match_reference(self, replay, cadence):
+        marks, records = replay
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # big positions, ignored swaps
+            assert_matches_oracle(run_baseline(records, marks, 1.0, cadence),
+                                  reference_baseline(records, marks, 1.0, cadence))
 
     @pytest.mark.parametrize("cadence", ["swap", "block", "day"])
     def test_swaps_outside_the_marks(self, cadence):
@@ -299,8 +337,12 @@ class TestBaselineMatchesReference:
         with pytest.warns(UserWarning, match="3 swap records after the last price mark"):
             got = run_baseline(records, marks, 2.5e5, cadence)
         assert got.values.tobytes() == want.values.tobytes()
-        oracle = reference_baseline(records, marks, 2.5e5, cadence)
-        assert oracle.values.tobytes() == want.values.tobytes()
+        assert_matches_oracle(got, reference_baseline(records, marks, 2.5e5, cadence))
+        # with every swap after the last mark, the position stays at 2*L*sqrt(p)
+        with pytest.warns(UserWarning, match="3 swap records after the last price mark"):
+            flat = run_baseline(late, marks, 2.5e5, cadence)
+        assert flat.values.tobytes() == (2.0 * 2.5e5 * np.sqrt(marks.prices)).tobytes()
+        assert_matches_oracle(flat, reference_baseline(late, marks, 2.5e5, cadence))
 
     def test_loaded_log_matches_records(self, tmp_path):
         marks, records = random_replay(2, n_marks=300, n_swaps=800)
@@ -315,8 +357,7 @@ class TestBaselineMatchesReference:
         assert np.asarray(log).tobytes() == np.asarray(as_swap_log(records)).tobytes()
         with pytest.warns(UserWarning, match="after the last price mark"):
             got = run_baseline(log, marks, 2.5e5, "day")
-        want = reference_baseline(records, marks, 2.5e5, "day")
-        assert got.values.tobytes() == want.values.tobytes()
+        assert_matches_oracle(got, reference_baseline(records, marks, 2.5e5, "day"))
         settle = marks.timestamps[1:]
         assert np.array_equal(per_block_swap_volume(log, settle, 0.003),
                               per_block_swap_volume(records, settle, 0.003))

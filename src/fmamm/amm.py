@@ -87,9 +87,9 @@ class Reserves:
         return self.y + price * self.x
 
 
-def _check_fee(tau: float) -> None:
+def _check_fee(tau: float, name: str = "fee") -> None:
     if not 0.0 <= tau < 1.0:
-        raise ValueError(f"fee must satisfy 0 <= tau < 1, got {tau}")
+        raise ValueError(f"{name} must satisfy 0 <= tau < 1, got {tau}")
 
 
 def _check_weight(alpha: float) -> None:

@@ -78,9 +78,10 @@ def optimal_rebalance(
     same-sign solution when their order leaves the batch's net trade on
     their own side, that solution rescaled by ``(1-tau)`` when the batch
     still nets to the other side (the price curve is only piecewise
-    continuous across the netting point).  A pinned price that misses
-    ``p_star`` raises :class:`ConvergenceError`.  Ties at the band edge are
-    treated as no-trade.
+    continuous across the netting point).  The pin is checked at the batch's
+    settled net trade, noise plus order, which rounding can move off the
+    root; a pinned price that misses ``p_star`` raises
+    :class:`ConvergenceError`.  Ties at the band edge are treated as no-trade.
     """
     _check_price(p_star)
     band = no_trade_band(reserves, net_noise, tau)
@@ -109,7 +110,7 @@ def optimal_rebalance(
     if trade == 0.0:
         # p_star is within rounding of the band edge; treat as the tie case
         return RebalanceDecision(0.0, False, band)
-    pinned = effective_price(reserves, net, tau, trade)
+    pinned = effective_price(reserves, net_noise + trade, tau, trade)
     if not math.isclose(pinned, p_star, rel_tol=_PIN_RTOL):
         raise ConvergenceError(
             f"rebalance solve left effective price {pinned} != target {p_star}"

@@ -47,6 +47,7 @@ from fmamm.market_data import (
     sample_at,
     write_rows,
 )
+from fmamm.uniswap import COMPOUND_CADENCES
 
 __all__ = [
     "BlockClock",
@@ -227,9 +228,10 @@ def run_fmamm_backtest(
 ) -> BacktestResult:
     """Drive the pool over the price path, one batch per block.
 
-    Per block: sample the external price, net the scenario's noise orders,
-    add the arbitrageurs' equilibrium order, settle the batch at its uniform
-    pre-fee price, and mark the reserves at the external price.  ``initial``
+    Per block: sample the external price ``gamma`` seconds before settlement,
+    net the scenario's noise orders, add the arbitrageurs' equilibrium order,
+    settle the batch at its uniform pre-fee price, and mark the reserves at
+    the external price at settlement, as the baseline is marked.  ``initial``
     defaults to value-balanced reserves of one asset unit at the first price
     (the fixed point of the zero-fee strategy, so the run starts neutral).
 
@@ -237,10 +239,12 @@ def run_fmamm_backtest(
     :func:`fmamm.arbitrage.optimal_rebalance` and
     :func:`fmamm.batch.settle_batch`, in the same order of operations and
     exact summation, so it matches that composition block by block (bit for
-    bit without noise).  The trade log comes back as columns of
-    :data:`TRADE_LOG_DTYPE`; the summary counts buy-side and sell-side
-    rebalances and sign-mixing blocks (where the arbitrageurs' order leaves
-    the batch netting to the noise's side).
+    bit without noise).  A rebalancing batch is priced once, at its net
+    trade (noise plus arbitrage), and the arbitrageurs' pin is checked at that
+    settled price.  The trade log comes back as columns of
+    :data:`TRADE_LOG_DTYPE`, and the summary's counts of buy-side and
+    sell-side rebalances and sign-mixing blocks (where the arbitrageurs'
+    order leaves the batch netting to the noise's side) are read off it.
 
     Errors abort the whole run.  A fee outside ``[0, 1)``, a non-finite
     noise volume, and arithmetic that overflows or divides by zero raise
@@ -275,14 +279,12 @@ def run_fmamm_backtest(
     # a non-positive volume sends no noise; NaN and +inf cannot be filled
     if not (volumes < math.inf).all():
         raise ValueError("noise volumes must be finite")
-    # per block: noise net, and the noise buy (>= 0) and sell (<= 0) orders
+    # per block: the noise buy (>= 0) and sell (<= 0) orders
     if noise.direction == "random_sign":
         signs = np.random.default_rng(noise.seed).integers(0, 2, size=n) * 2 - 1
-        noise_net = np.where(volumes > 0.0, signs * volumes, 0.0)
-        buys = np.maximum(noise_net, 0.0)
-        sells = np.minimum(noise_net, 0.0)
+        signed = np.where(volumes > 0.0, signs * volumes, 0.0)
+        buys, sells = np.maximum(signed, 0.0), np.minimum(signed, 0.0)
     else:
-        noise_net = np.zeros(n)
         buys = np.where(volumes > 0.0, 0.5 * volumes, 0.0)
         sells = -buys
 
@@ -291,12 +293,13 @@ def run_fmamm_backtest(
     y, x = initial.y, initial.x
     log: list[float] = []  # per block: arb trade, y and x after, fee legs
     record = log.extend
-    n_buy = n_sell = n_mixing = 0
     try:
-        # a: noise net trade; b, s: noise buy and sell orders (0.0 when absent)
-        for block, (t, p, a, b, s) in enumerate(zip(
-            times.tolist(), p_stars.tolist(), noise_net.tolist(), buys.tolist(), sells.tolist()
+        # b, s: noise buy and sell orders (0.0 when absent); a: their net,
+        # exact because balanced legs cancel and a random sign leaves one at 0
+        for block, (t, p, b, s) in enumerate(zip(
+            times.tolist(), p_stars.tolist(), buys.tolist(), sells.tolist()
         ), start=1):
+            a = b + s
             # no-trade band around the pre-fee price of the noise alone; a
             # net-selling batch routes only (1-tau) of its volume to the pool
             if a == 0.0:
@@ -306,20 +309,14 @@ def run_fmamm_backtest(
                 if d <= POLE_MARGIN * x:
                     raise _pole_error(block, t, a, x)
                 base = y / d
+            # the arbitrageurs' same-sign root, rescaled when the batch still
+            # nets to the noise's side (sign mixing)
             if p > base / keep:
-                # arbitrageurs buy; the rescaled root when the batch still net-sells
                 net = 0.5 * (x - y / (keep * p))
-                mixing = net < 0.0
-                if mixing:
-                    net /= keep
-                trade = net - a
+                trade = (net if net >= 0.0 else net / keep) - a
             elif p < keep * base:
-                # arbitrageurs sell; the rescaled root when the batch still net-buys
                 net = 0.5 * (x / keep - y / p)
-                mixing = net > 0.0
-                if mixing:
-                    net *= keep
-                trade = net - a
+                trade = (net * keep if net > 0.0 else net) - a
             else:
                 trade = 0.0
 
@@ -330,9 +327,12 @@ def run_fmamm_backtest(
                 flow = a
                 arb_flow = fee_n = fee_a = 0.0
             else:
-                d = x - 2.0 * (net if net > 0.0 else net * keep)
+                # the batch's net trade against the pool, priced once; the
+                # arbitrageurs' effective price there must be the one they pin
+                flow = a + trade
+                d = x - 2.0 * (flow if flow > 0.0 else flow * keep)
                 if d <= POLE_MARGIN * x:
-                    raise _pole_error(block, t, net, x)
+                    raise _pole_error(block, t, flow, x)
                 base = y / d
                 pinned = base / keep if trade > 0.0 else keep * base
                 if not isclose(pinned, p, rel_tol=_PIN_RTOL):
@@ -340,25 +340,9 @@ def run_fmamm_backtest(
                         f"{_where(block, t)}: rebalance left effective price {pinned} "
                         f"!= target {p}"
                     )
-                n_mixing += mixing
-                # the batch's net trade against the pool: noise plus arbitrage,
-                # which with noise can round away from net and is priced anew
-                flow = a + trade
-                if flow != net:
-                    d = x - 2.0 * (flow if flow > 0.0 else flow * keep)
-                    if d <= POLE_MARGIN * x:
-                        raise _pole_error(block, t, flow, x)
-                    base = y / d
-                if trade > 0.0:
-                    n_buy += 1
-                    arb_flow = trade * (base / keep)
-                    fee_n = trade * base * tau / keep
-                    fee_a = 0.0
-                else:
-                    n_sell += 1
-                    arb_flow = trade * (keep * base)
-                    fee_n = 0.0
-                    fee_a = tau * -trade
+                arb_flow = trade * pinned
+                fee_n = trade * base * tau / keep if trade > 0.0 else 0.0
+                fee_a = 0.0 if trade > 0.0 else tau * -trade
             # every order fills at the uniform price: buyers pay base/(1-tau)
             # and fund the fee in numeraire, sellers get (1-tau)*base and pay
             # it in asset; all of it stays in the pool
@@ -370,34 +354,30 @@ def run_fmamm_backtest(
                 y += arb_flow
             x -= flow
             record((trade, y, x, fee_n, fee_a))
-    except (ArithmeticError, ValueError, ConvergenceError) as exc:
-        # an earlier block's bad reserves are the first error, as if checked per block
-        done = np.array(log, dtype=np.float64).reshape(-1, 5)
-        _check_reserve_columns(done[:, 1], done[:, 2], times)
-        if isinstance(exc, ArithmeticError):
-            raise ValueError(f"{_where(block, t)}: {exc} at reserves y={y!r}, x={x!r}") from exc
-        raise
+    except ArithmeticError as exc:
+        raise ValueError(f"{_where(block, t)}: {exc} at reserves y={y!r}, x={x!r}") from exc
+    finally:
+        # every settled block's reserves: an earlier bad block wins over a later error
+        columns = np.array(log, dtype=np.float64).reshape(-1, 5)
+        _check_reserve_columns(columns[:, 1], columns[:, 2], times)
 
-    columns = np.array(log, dtype=np.float64).reshape(n, 5)
     arb_trade, y_after, x_after, fee_n_col, fee_a_col = columns.T
-    _check_reserve_columns(y_after, x_after, times)
-    trades = np.recarray(n, dtype=TRADE_LOG_DTYPE)
-    trades.block = np.arange(1, n + 1)
-    trades.time = times
-    trades.p_star = p_stars
-    trades.noise_net = noise_net
-    trades.arb_trade = arb_trade
-    trades.net_trade = noise_net + arb_trade
-    trades.rebalanced = arb_trade != 0.0
-    trades.y_before = np.concatenate(([initial.y], y_after[:-1]))
-    trades.x_before = np.concatenate(([initial.x], x_after[:-1]))
-    trades.y_after = y_after
-    trades.x_after = x_after
-    trades.fee_numeraire = fee_n_col
-    trades.fee_asset = fee_a_col
+    y_before = np.concatenate(([initial.y], y_after[:-1]))
+    x_before = np.concatenate(([initial.x], x_after[:-1]))
+    noise_net = buys + sells
+    trades = np.rec.fromarrays(
+        (np.arange(1, n + 1), times, p_stars, noise_net, arb_trade, noise_net + arb_trade,
+         arb_trade != 0.0, y_before, x_before, y_after, x_after, fee_n_col, fee_a_col),
+        dtype=TRADE_LOG_DTYPE,
+    )
+    # sign mixing: the arbitrageurs' order leaves the batch netting to the noise's side
+    buy, sell = arb_trade > 0.0, arb_trade < 0.0
+    mixing = buy & (trades.net_trade < 0.0) | sell & (trades.net_trade > 0.0)
 
+    # marked at the settlement-time price, as the baseline is, whatever the latency
+    marks = sample_at(prices, times)
     out_times = np.concatenate(([clock.start], times))
-    out_values = np.concatenate(([initial.value_at(p0)], y_after + p_stars * x_after))
+    out_values = np.concatenate(([initial.value_at(p0)], y_after + marks * x_after))
     series = LpReturnSeries.from_values("fm_amm", out_times, out_values)
     summary = {
         "venue": "fm_amm",
@@ -408,9 +388,9 @@ def run_fmamm_backtest(
         "seed": noise.seed,
         "n_blocks": n,
         "n_rebalances": int(np.count_nonzero(trades.rebalanced)),
-        "n_buy_rebalances": n_buy,
-        "n_sell_rebalances": n_sell,
-        "n_sign_mixing": n_mixing,
+        "n_buy_rebalances": int(np.count_nonzero(buy)),
+        "n_sell_rebalances": int(np.count_nonzero(sell)),
+        "n_sign_mixing": int(np.count_nonzero(mixing)),
         "initial_value": float(out_values[0]),
         "terminal_value": float(out_values[-1]),
         "terminal_roi": float(series.roi[-1]),
@@ -584,8 +564,8 @@ def _config_value(path, key: str, value):
 
 @dataclass
 class ScenarioConfig:
-    """Backtest scenario loaded from JSON; unknown keys and values of the
-    wrong type are rejected.
+    """Backtest scenario loaded from JSON; unknown keys, values of the wrong
+    type and values out of range are rejected.
 
     ``swap_csv`` plus ``pool_fee`` enable the baseline comparison and the
     fee-implied per-block volume used by noise sweeps.
@@ -621,4 +601,21 @@ class ScenarioConfig:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         if "pair" not in raw or "price_csv" not in raw:
             raise ValueError(f"{path}: config requires 'pair' and 'price_csv'")
-        return cls(**{key: _config_value(path, key, value) for key, value in raw.items()})
+        cfg = cls(**{key: _config_value(path, key, value) for key, value in raw.items()})
+        _check_fee(cfg.fee, f"{path}: config key 'fee'")
+        for tau in cfg.fee_grid:
+            _check_fee(tau, f"{path}: config key 'fee_grid' entry")
+        for key, ok, want in (
+            ("noise_direction", cfg.noise_direction in NOISE_DIRECTIONS,
+             f"one of {NOISE_DIRECTIONS}"),
+            ("compound_cadence", cfg.compound_cadence in COMPOUND_CADENCES,
+             f"one of {COMPOUND_CADENCES}"),
+            ("pool_fee", cfg.pool_fee is None or 0.0 < cfg.pool_fee < 1.0, "null or in (0, 1)"),
+            ("noise_fractions", min(cfg.noise_fractions, default=0.0) >= 0.0, "non-negative"),
+            ("initial_x", cfg.initial_x > 0.0, "positive"),
+            ("baseline_liquidity", cfg.baseline_liquidity > 0.0, "positive"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"{path}: config key '{key}' must be {want}, got {getattr(cfg, key)!r}")
+        return cfg

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmamm.amm import (
     InfeasibleTradeError,
@@ -111,12 +113,14 @@ class TestFmammSupply:
     def test_sell_price(self):
         assert fmamm_supply(R, 20000.0 / 12.0) == pytest.approx(-1.0, rel=1e-12)
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            price = R.spot_price * rng.uniform(0.2, 5.0)
-            trade = fmamm_supply(R, price)
-            assert fmamm_price(R, trade) == pytest.approx(price, rel=1e-12)
+    @settings(max_examples=500, deadline=None)
+    @given(y=st.floats(1e-6, 1e12), x=st.floats(1e-6, 1e9), ratio=st.floats(1e-3, 1e3))
+    def test_round_trip(self, y, x, ratio):
+        # any price within a factor 1000 of the spot price y/x
+        reserves = Reserves(y, x)
+        price = reserves.spot_price * ratio
+        assert fmamm_price(reserves, fmamm_supply(reserves, price)) == pytest.approx(
+            price, rel=1e-12)
 
     def test_rejects_nonpositive_price(self):
         with pytest.raises(ValueError):

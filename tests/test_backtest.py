@@ -143,6 +143,23 @@ class TestRunBacktest:
         result = run_fmamm_backtest(series, clock, 0.0, NO_NOISE, R)
         assert result.trades[0].p_star == 2500.0
 
+    def test_latency_marks_at_the_settlement_price(self):
+        # trades see p(t - gamma), but the pool is marked at p(t), as the
+        # baseline is on the same block grid
+        path = sample_gbm_path(
+            GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=1200, seed=6)
+        )
+        clock = BlockClock.for_series(path, gamma=6.0)
+        result = run_fmamm_backtest(path, clock, 0.003, NO_NOISE, R)
+        last = result.trades[-1]
+        assert last.time == path.end and last.p_star == sample_at(path, [path.end - 6.0])[0]
+        assert result.summary["terminal_value"] == last.y_after + path.prices[-1] * last.x_after
+        marks = block_grid_series(path, clock)
+        assert np.array_equal(result.series.timestamps, marks.timestamps)
+        values = result.trades.y_after + marks.prices[1:] * result.trades.x_after
+        assert np.array_equal(result.series.values[1:], values)
+        assert not np.array_equal(result.trades.p_star, marks.prices[1:])
+
     def test_misaligned_volume_rejected(self):
         series = flat_series(blocks=3)
         scenario = NoiseScenario("fraction_of_baseline_volume", 0.1)
@@ -208,6 +225,7 @@ def reference_backtest(prices, clock, tau, noise, initial=None, baseline_volume=
     the trade log and the marked values the kernel must reproduce."""
     times = clock.settlement_times()
     p_stars = sample_at(prices, times - clock.gamma)
+    marks = sample_at(prices, times)
     p0 = float(sample_at(prices, [clock.start])[0])
     reserves = initial if initial is not None else balanced_reserves(p0)
     volumes = np.zeros(times.size)
@@ -215,7 +233,9 @@ def reference_backtest(prices, clock, tau, noise, initial=None, baseline_volume=
         volumes = noise.fraction * np.asarray(baseline_volume, dtype=np.float64)
     signs = np.random.default_rng(noise.seed).integers(0, 2, size=times.size) * 2 - 1
     rows, values = [], [reserves.value_at(p0)]
-    for i, (t, p, v) in enumerate(zip(times.tolist(), p_stars.tolist(), volumes.tolist())):
+    for i, (t, p, mark, v) in enumerate(
+        zip(times.tolist(), p_stars.tolist(), marks.tolist(), volumes.tolist())
+    ):
         orders = []
         if v > 0.0 and noise.direction == "balanced":
             orders = [Order("buy", "noise", 0.5 * v), Order("sell", "noise", -0.5 * v)]
@@ -231,12 +251,14 @@ def reference_backtest(prices, clock, tau, noise, initial=None, baseline_volume=
             net, fee_n, fee_a = report.net_trade, report.fee_numeraire, report.fee_asset
         rows.append((i + 1, t, p, noise_net, decision.trade, net, decision.rebalanced,
                      before.y, before.x, reserves.y, reserves.x, fee_n, fee_a))
-        values.append(reserves.value_at(p))
+        values.append(reserves.value_at(mark))
     return np.rec.fromrecords(rows, dtype=TRADE_LOG_DTYPE), np.array(values)
 
 
 def sign_mixing(log, tau):
-    """Rebalances whose same-sign closed form lands on the noise's side of zero."""
+    """Rebalances whose same-sign closed form lands on the noise's side of zero:
+    the branch ``optimal_rebalance`` takes, which the kernel's count, read off
+    the signs of its trades, must agree with."""
     keep = 1.0 - tau
     buy_mixing = (log.arb_trade > 0.0) & (log.x_before - log.y_before / (keep * log.p_star) < 0.0)
     sell_mixing = (log.arb_trade < 0.0) & (log.x_before / keep - log.y_before / log.p_star > 0.0)
@@ -292,6 +314,37 @@ class TestKernelMatchesReference:
         assert summary["n_sign_mixing"] == sign_mixing(log, tau)
         if kind == "random_sign":
             assert summary["n_sign_mixing"] > 0
+
+    @pytest.mark.parametrize("kind", ["none", "random_sign"])
+    def test_block_by_block_with_latency(self, kind):
+        path = sample_gbm_path(
+            GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=12 * 300, seed=43)
+        )
+        clock = BlockClock.for_series(path, gamma=6.0)
+        volume = np.random.default_rng(47).exponential(0.01, clock.n_blocks)
+        noise = NO_NOISE
+        if kind != "none":
+            noise = NoiseScenario("fraction_of_baseline_volume", 2.0, kind, seed=53)
+        result = run_fmamm_backtest(path, clock, 0.003, noise, None, volume)
+        reference = reference_backtest(path, clock, 0.003, noise, None, volume)
+        assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
+
+    @pytest.mark.parametrize("seed, settles", [(0, True), (1, False)])  # noise buy, sell
+    def test_pin_checked_at_the_settled_trade(self, seed, settles):
+        # at p/spot = 2.5e7 the pole is 4e-8 away, and noise plus trade rounds
+        # by about ulp(0.3): with the noise selling, the solved root pins the
+        # price but the settled trade misses it by more than the tolerance.
+        # Both paths check the pin at the settled trade, so both raise.
+        series = PriceSeries("X-Y", [0.0, 12.0], [1.0, 2.5e7])
+        noise = NoiseScenario("fraction_of_baseline_volume", 1.0, "random_sign", seed)
+        args = (series, BlockClock.for_series(series), 0.0, noise, Reserves(1.0, 1.0), [0.3])
+        if settles:
+            assert_matches_reference(run_fmamm_backtest(*args), reference_backtest(*args), 1e-12)
+            return
+        with pytest.raises(ConvergenceError):
+            reference_backtest(*args)
+        with pytest.raises(ConvergenceError, match=r"block 1 \(t=12\)"):
+            run_fmamm_backtest(*args)
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -9,6 +9,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmamm.amm import InfeasibleTradeError, Reserves, apply_trade
 from fmamm.batch import (
@@ -112,11 +114,23 @@ class TestSettleBatch:
                 after, _ = settle_batch(R, Batch(1, (order(net),)), tau)
                 assert after == apply_trade(R, net, tau)
 
-    def test_order_permutation_invariance(self):
-        orders = [order(0.31, oid="a"), order(-1.11, oid="b"), order(2.07, oid="c"), order(-0.5, oid="d")]
-        base_after, base_report = settle_batch(R, Batch(1, tuple(orders)), 0.01)
-        perm = [orders[2], orders[0], orders[3], orders[1]]
-        after, report = settle_batch(R, Batch(1, tuple(perm)), 0.01)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        amounts=st.lists(st.floats(-3.0, 3.0).filter(bool), min_size=1, max_size=8),
+        tau=st.floats(0.0, 0.2),
+        data=st.data(),
+    )
+    def test_order_permutation_invariance(self, amounts, tau, data):
+        # exact sums make settlement independent of the order of the orders
+        orders = [order(a, oid=f"o{i}") for i, a in enumerate(amounts)]
+        perm = data.draw(st.permutations(orders))
+        try:
+            base_after, base_report = settle_batch(R, Batch(1, tuple(orders)), tau)
+        except InfeasibleTradeError:  # net buy at or past the pole x/2
+            with pytest.raises(InfeasibleTradeError):
+                settle_batch(R, Batch(1, tuple(perm)), tau)
+            return
+        after, report = settle_batch(R, Batch(1, tuple(perm)), tau)
         assert after == base_after
         assert report.pre_fee_price == base_report.pre_fee_price
         assert report.fee_numeraire == base_report.fee_numeraire

@@ -152,6 +152,17 @@ class TestBacktestCommand:
         ("sweep-fees", {"fee": "0.003"}, "'fee'"),
         ("sweep-fees", {"fee_grid": [0.0, "0.003"]}, "'fee_grid'"),
         ("backtest", None, "JSON object"),
+        # well typed, but out of range
+        ("backtest", {"noise_direction": "up"}, "'noise_direction'"),
+        ("backtest", {"noise_fractions": [-0.5]}, "'noise_fractions'"),
+        ("backtest", {"pool_fee": 1.5}, "'pool_fee'"),
+        ("backtest", {"pool_fee": 0.0}, "'pool_fee'"),
+        ("backtest", {"initial_x": 0}, "'initial_x'"),
+        ("sweep-fees", {"compound_cadence": "weekly"}, "'compound_cadence'"),
+        ("sweep-fees", {"fee": 2.0}, "'fee'"),
+        ("sweep-fees", {"fee_grid": [0.0, 1.0]}, "'fee_grid'"),
+        ("sweep-fees", {"baseline_liquidity": 0}, "'baseline_liquidity'"),
+        ("sweep-noise", {"initial_x": -1.0}, "'initial_x'"),
     ])
     def test_mistyped_config_is_validation_error(self, tmp_path, capsys, command, overrides,
                                                  named):
@@ -378,6 +389,17 @@ class TestOutDirContract:
     def test_failing_command_creates_no_out_dir(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv + ["--out-dir", "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_missed_pin_exits_three_naming_the_block(self, tmp_path, monkeypatch, capsys):
+        # with no tolerance, rounding in the settled price misses the pin
+        monkeypatch.setattr("fmamm.backtest._PIN_RTOL", 0.0)
+        monkeypatch.chdir(tmp_path)
+        write_price_csv(tmp_path / "prices.csv")
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", fee=0.0)
+        assert main(["backtest", "--config", str(cfg), "--out-dir", "out"]) == 3
+        assert re.search(r"block \d+ \(t=\d+\): rebalance left effective price",
+                         capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
 

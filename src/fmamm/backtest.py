@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -78,6 +79,9 @@ MAX_BLOCKS = 10**8
 
 NOISE_MODES = ("none", "fraction_of_baseline_volume")
 NOISE_DIRECTIONS = ("balanced", "random_sign")
+
+# blocks per pass of the kernel loop: bounds the Python floats alive at once
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -165,9 +169,19 @@ TRADE_LOG_DTYPE = np.dtype([
 
 @dataclass(frozen=True)
 class BacktestResult:
+    """A run's marked series and summary, and its trade log as the kernel's
+    columns: ``columns`` holds per block the arbitrage trade, the reserves
+    ``y`` and ``x`` after settlement and the two fee legs; ``times``,
+    ``p_stars`` and ``noise_net`` the settlement time, the sampled price and
+    the noise's net order; ``initial`` the reserves before block 1."""
+
     series: LpReturnSeries
-    trades: np.recarray
     summary: dict
+    columns: np.ndarray
+    times: np.ndarray
+    p_stars: np.ndarray
+    noise_net: np.ndarray
+    initial: Reserves
 
     @property
     def terminal_roi(self) -> float:
@@ -175,7 +189,20 @@ class BacktestResult:
 
     @property
     def n_rebalances(self) -> int:
-        return int(np.count_nonzero(self.trades.rebalanced))
+        return self.summary["n_rebalances"]
+
+    @cached_property
+    def trades(self) -> np.recarray:
+        """The trade log as :data:`TRADE_LOG_DTYPE` records, built on first access."""
+        arb_trade, y_after, x_after, fee_n, fee_a = self.columns.T
+        y_before = np.concatenate(([self.initial.y], y_after[:-1]))
+        x_before = np.concatenate(([self.initial.x], x_after[:-1]))
+        return np.rec.fromarrays(
+            (np.arange(1, self.times.size + 1), self.times, self.p_stars, self.noise_net,
+             arb_trade, self.noise_net + arb_trade, arb_trade != 0.0,
+             y_before, x_before, y_after, x_after, fee_n, fee_a),
+            dtype=TRADE_LOG_DTYPE,
+        )
 
 
 def balanced_reserves(price: float, asset_depth: float = 1.0) -> Reserves:
@@ -241,10 +268,12 @@ def run_fmamm_backtest(
     exact summation, so it matches that composition block by block (bit for
     bit without noise).  A rebalancing batch is priced once, at its net
     trade (noise plus arbitrage), and the arbitrageurs' pin is checked at that
-    settled price.  The trade log comes back as columns of
-    :data:`TRADE_LOG_DTYPE`, and the summary's counts of buy-side and
-    sell-side rebalances and sign-mixing blocks (where the arbitrageurs'
-    order leaves the batch netting to the noise's side) are read off it.
+    settled price.  The loop walks the blocks in chunks, so only one chunk's
+    Python floats are alive at a time.  The summary's counts of buy-side
+    and sell-side rebalances and sign-mixing blocks (where the arbitrageurs'
+    order leaves the batch netting to the noise's side) are read off the
+    log's columns; :attr:`BacktestResult.trades` builds the
+    :data:`TRADE_LOG_DTYPE` records from them when first read.
 
     Errors abort the whole run.  A fee outside ``[0, 1)``, a non-finite
     noise volume, and arithmetic that overflows or divides by zero raise
@@ -291,88 +320,94 @@ def run_fmamm_backtest(
     keep = 1.0 - tau
     fsum, isclose = math.fsum, math.isclose
     y, x = initial.y, initial.x
-    log: list[float] = []  # per block: arb trade, y and x after, fee legs
-    record = log.extend
+    # per block: arb trade, y and x after, fee legs; each chunk's Python
+    # floats land in ``flat`` (the rows of ``columns``) at the chunk's end
+    columns = np.empty((n, 5))
+    flat = columns.reshape(-1)
+    lo, log = 0, []
     try:
-        # b, s: noise buy and sell orders (0.0 when absent); a: their net,
-        # exact because balanced legs cancel and a random sign leaves one at 0
-        for block, (t, p, b, s) in enumerate(zip(
-            times.tolist(), p_stars.tolist(), buys.tolist(), sells.tolist()
-        ), start=1):
-            a = b + s
-            # no-trade band around the pre-fee price of the noise alone; a
-            # net-selling batch routes only (1-tau) of its volume to the pool
-            if a == 0.0:
-                base = y / x
-            else:
-                d = x - 2.0 * (a if a > 0.0 else a * keep)
-                if d <= POLE_MARGIN * x:
-                    raise _pole_error(block, t, a, x)
-                base = y / d
-            # the arbitrageurs' same-sign root, rescaled when the batch still
-            # nets to the noise's side (sign mixing)
-            if p > base / keep:
-                net = 0.5 * (x - y / (keep * p))
-                trade = (net if net >= 0.0 else net / keep) - a
-            elif p < keep * base:
-                net = 0.5 * (x / keep - y / p)
-                trade = (net * keep if net > 0.0 else net) - a
-            else:
-                trade = 0.0
+        for lo in range(0, n, _CHUNK):
+            hi = lo + _CHUNK
+            log = []
+            record = log.extend
+            # b, s: noise buy and sell orders (0.0 when absent); a: their net,
+            # exact because balanced legs cancel and a random sign leaves one at 0
+            for block, (t, p, b, s) in enumerate(zip(
+                times[lo:hi].tolist(), p_stars[lo:hi].tolist(),
+                buys[lo:hi].tolist(), sells[lo:hi].tolist(),
+            ), start=lo + 1):
+                a = b + s
+                # no-trade band around the pre-fee price of the noise alone; a
+                # net-selling batch routes only (1-tau) of its volume to the pool
+                if a == 0.0:
+                    base = y / x
+                else:
+                    d = x - 2.0 * (a if a > 0.0 else a * keep)
+                    if d <= POLE_MARGIN * x:
+                        raise _pole_error(block, t, a, x)
+                    base = y / d
+                # the arbitrageurs' same-sign root, rescaled when the batch still
+                # nets to the noise's side (sign mixing)
+                if p > base / keep:
+                    net = 0.5 * (x - y / (keep * p))
+                    trade = (net if net >= 0.0 else net / keep) - a
+                elif p < keep * base:
+                    net = 0.5 * (x / keep - y / p)
+                    trade = (net * keep if net > 0.0 else net) - a
+                else:
+                    trade = 0.0
 
-            if trade == 0.0:
-                if not (b or s):
-                    record((0.0, y, x, 0.0, 0.0))
-                    continue
-                flow = a
-                arb_flow = fee_n = fee_a = 0.0
-            else:
-                # the batch's net trade against the pool, priced once; the
-                # arbitrageurs' effective price there must be the one they pin
-                flow = a + trade
-                d = x - 2.0 * (flow if flow > 0.0 else flow * keep)
-                if d <= POLE_MARGIN * x:
-                    raise _pole_error(block, t, flow, x)
-                base = y / d
-                pinned = base / keep if trade > 0.0 else keep * base
-                if not isclose(pinned, p, rel_tol=_PIN_RTOL):
-                    raise ConvergenceError(
-                        f"{_where(block, t)}: rebalance left effective price {pinned} "
-                        f"!= target {p}"
-                    )
-                arb_flow = trade * pinned
-                fee_n = trade * base * tau / keep if trade > 0.0 else 0.0
-                fee_a = 0.0 if trade > 0.0 else tau * -trade
-            # every order fills at the uniform price: buyers pay base/(1-tau)
-            # and fund the fee in numeraire, sellers get (1-tau)*base and pay
-            # it in asset; all of it stays in the pool
-            if b or s:
-                y += fsum((b * (base / keep), s * (keep * base), arb_flow))
-                fee_n += b * base * tau / keep
-                fee_a += tau * -s
-            else:
-                y += arb_flow
-            x -= flow
-            record((trade, y, x, fee_n, fee_a))
+                if trade == 0.0:
+                    if not (b or s):
+                        record((0.0, y, x, 0.0, 0.0))
+                        continue
+                    flow = a
+                    arb_flow = fee_n = fee_a = 0.0
+                else:
+                    # the batch's net trade against the pool, priced once; the
+                    # arbitrageurs' effective price there must be the one they pin
+                    flow = a + trade
+                    d = x - 2.0 * (flow if flow > 0.0 else flow * keep)
+                    if d <= POLE_MARGIN * x:
+                        raise _pole_error(block, t, flow, x)
+                    base = y / d
+                    pinned = base / keep if trade > 0.0 else keep * base
+                    if not isclose(pinned, p, rel_tol=_PIN_RTOL):
+                        raise ConvergenceError(
+                            f"{_where(block, t)}: rebalance left effective price {pinned} "
+                            f"!= target {p}"
+                        )
+                    arb_flow = trade * pinned
+                    fee_n = trade * base * tau / keep if trade > 0.0 else 0.0
+                    fee_a = 0.0 if trade > 0.0 else tau * -trade
+                # every order fills at the uniform price: buyers pay base/(1-tau)
+                # and fund the fee in numeraire, sellers get (1-tau)*base and pay
+                # it in asset; all of it stays in the pool
+                if b or s:
+                    y += fsum((b * (base / keep), s * (keep * base), arb_flow))
+                    fee_n += b * base * tau / keep
+                    fee_a += tau * -s
+                else:
+                    y += arb_flow
+                x -= flow
+                record((trade, y, x, fee_n, fee_a))
+            flat[5 * lo : 5 * lo + len(log)] = log
     except ArithmeticError as exc:
         raise ValueError(f"{_where(block, t)}: {exc} at reserves y={y!r}, x={x!r}") from exc
     finally:
-        # every settled block's reserves: an earlier bad block wins over a later error
-        columns = np.array(log, dtype=np.float64).reshape(-1, 5)
-        _check_reserve_columns(columns[:, 1], columns[:, 2], times)
+        # the failing chunk's settled blocks too (after a full run this
+        # rewrites the last chunk's rows unchanged); then every settled
+        # block's reserves, so an earlier bad block wins over a later error
+        settled = lo + len(log) // 5
+        flat[5 * lo : 5 * settled] = log
+        _check_reserve_columns(columns[:settled, 1], columns[:settled, 2], times)
 
     arb_trade, y_after, x_after, fee_n_col, fee_a_col = columns.T
-    y_before = np.concatenate(([initial.y], y_after[:-1]))
-    x_before = np.concatenate(([initial.x], x_after[:-1]))
     noise_net = buys + sells
-    trades = np.rec.fromarrays(
-        (np.arange(1, n + 1), times, p_stars, noise_net, arb_trade, noise_net + arb_trade,
-         arb_trade != 0.0, y_before, x_before, y_after, x_after, fee_n_col, fee_a_col),
-        dtype=TRADE_LOG_DTYPE,
-    )
     # sign mixing: the arbitrageurs' order leaves the batch netting to the noise's side
+    net_trade = noise_net + arb_trade
     buy, sell = arb_trade > 0.0, arb_trade < 0.0
-    mixing = buy & (trades.net_trade < 0.0) | sell & (trades.net_trade > 0.0)
+    mixing = buy & (net_trade < 0.0) | sell & (net_trade > 0.0)
 
     # marked at the settlement-time price, as the baseline is, whatever the latency
     marks = sample_at(prices, times)
@@ -387,7 +422,7 @@ def run_fmamm_backtest(
         "noise_direction": noise.direction,
         "seed": noise.seed,
         "n_blocks": n,
-        "n_rebalances": int(np.count_nonzero(trades.rebalanced)),
+        "n_rebalances": int(np.count_nonzero(arb_trade)),
         "n_buy_rebalances": int(np.count_nonzero(buy)),
         "n_sell_rebalances": int(np.count_nonzero(sell)),
         "n_sign_mixing": int(np.count_nonzero(mixing)),
@@ -397,7 +432,7 @@ def run_fmamm_backtest(
         "fee_numeraire_total": math.fsum(fee_n_col),
         "fee_asset_total": math.fsum(fee_a_col),
     }
-    return BacktestResult(series, trades, summary)
+    return BacktestResult(series, summary, columns, times, p_stars, noise_net, initial)
 
 
 @dataclass(frozen=True)
@@ -426,6 +461,12 @@ def compare_returns(a: LpReturnSeries, b: LpReturnSeries) -> ReturnComparison:
     if common.size == 0:
         raise ValueError(f"{a.venue} and {b.venue} share no timestamps")
     return ReturnComparison(a.venue, b.venue, common, a.roi[ia] - b.roi[ib])
+
+
+def sweep_run_id(prefix: str, value: float) -> str:
+    """A sweep run's id: ``fee_0.003`` for fee 0.003, ``noise_0.1`` for
+    fraction 0.1; values equal to 6 significant digits share one."""
+    return f"{prefix}_{value:g}"
 
 
 def fee_sweep(
@@ -605,6 +646,17 @@ class ScenarioConfig:
         _check_fee(cfg.fee, f"{path}: config key 'fee'")
         for tau in cfg.fee_grid:
             _check_fee(tau, f"{path}: config key 'fee_grid' entry")
+        # the noise sweep's implicit 0.0 cannot collide: only zero formats as "0"
+        for key, prefix, grid in (("fee_grid", "fee", cfg.fee_grid),
+                                  ("noise_fractions", "noise", cfg.noise_fractions)):
+            seen: dict[str, float] = {}
+            for value in grid:
+                run_id = sweep_run_id(prefix, value)
+                first = seen.setdefault(run_id, value)
+                if first != value:
+                    raise ValueError(
+                        f"{path}: config key '{key}' entries {first!r} and {value!r} "
+                        f"give one run id '{run_id}'")
         for key, ok, want in (
             ("noise_direction", cfg.noise_direction in NOISE_DIRECTIONS,
              f"one of {NOISE_DIRECTIONS}"),

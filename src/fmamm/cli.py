@@ -49,6 +49,7 @@ from fmamm.backtest import (
     noise_volume_sweep,
     risk_monte_carlo,
     run_fmamm_backtest,
+    sweep_run_id,
 )
 from fmamm.batch import load_order_batches, settle_batch, split_trade_experiment
 from fmamm.market_data import load_price_series, write_rows
@@ -193,7 +194,7 @@ def cmd_sweep_fees(args) -> Outputs:
         rows.append({"fee": tau, "terminal_roi": result.terminal_roi,
                      "n_rebalances": result.n_rebalances})
     return Outputs({"summary.json": {"config": asdict(cfg), "rows": rows}},
-                   {f"fee_{tau:g}": result.series for tau, result in results.items()},
+                   {sweep_run_id("fee", tau): result.series for tau, result in results.items()},
                    asdict(cfg), [cfg.price_csv], cfg.seed)
 
 
@@ -222,7 +223,8 @@ def cmd_sweep_noise(args) -> Outputs:
                      "terminal_roi": result.terminal_roi,
                      "diff_vs_zero_noise_pp": diff_pp})
     return Outputs({"summary.json": {"config": asdict(cfg), "rows": rows}},
-                   {f"noise_{fraction:g}": result.series for fraction, result in results.items()},
+                   {sweep_run_id("noise", fraction): result.series
+                    for fraction, result in results.items()},
                    asdict(cfg), [cfg.price_csv, cfg.swap_csv], cfg.seed)
 
 

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmamm.amm import Reserves, effective_price, fmamm_price, fmamm_supply
 from fmamm.arbitrage import (
@@ -135,6 +137,27 @@ class TestOptimalRebalance:
             for dr in (1e-6 * R.x, -1e-6 * R.x):
                 extra = dr * (p_star - effective_price(R, net + dr, tau, dr))
                 assert extra <= 1e-9 * abs(dr) * p_star
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        y=st.floats(1e-3, 1e9),
+        x=st.floats(1e-3, 1e6),
+        ratio=st.floats(1e-2, 1e2),
+        noise=st.floats(-0.4, 0.4),  # net noise as a share of the asset reserve
+        tau=st.floats(0.0, 0.2),
+        share=st.floats(1e-9, 1e-3),
+    )
+    def test_no_profitable_perturbation_property(self, y, x, ratio, noise, tau, share):
+        # after the arbitrageurs' order, inside the band or out of it, one
+        # more order of either sign settles at a price that does not beat
+        # the external price: no residual arbitrage
+        reserves = Reserves(y, x)
+        p_star = ratio * reserves.spot_price
+        dec = optimal_rebalance(reserves, noise * x, tau, p_star)
+        net = noise * x + dec.trade
+        for dr in (share * x, -share * x):
+            extra = dr * (p_star - effective_price(reserves, net + dr, tau, dr))
+            assert extra <= 1e-9 * abs(dr) * p_star, (dec, dr, extra)
 
     def test_band_consistency_when_not_rebalanced(self):
         rng = np.random.default_rng(53)

@@ -182,16 +182,22 @@ class TestRunBacktest:
                 run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, scenario, R,
                                    baseline_volume=[1.0, bad, 1.0])
 
-    def test_overflowing_reserves_name_the_first_block(self):
-        # the fee-grossed buy price overflows, so block 1 leaves y infinite;
-        # block 2 would then miss its pin, but block 1 is reported
+    def test_overflowing_reserves_name_the_first_block(self, monkeypatch):
+        # the fee-grossed buy price overflows, so the first noisy block leaves
+        # y infinite; the next would then miss its pin, but the first is
+        # reported, also when it ends one chunk of the loop and the next
+        # block raises in the following chunk
         top = 1.5e308
-        for blocks in (1, 2):
-            series = flat_series(price=top, blocks=blocks)
-            scenario = NoiseScenario("fraction_of_baseline_volume", 1.0)
-            with pytest.raises(ValueError, match=r"block 1 \(t=12\): reserves must be finite"):
-                run_fmamm_backtest(series, BlockClock.for_series(series), 0.5, scenario,
-                                   Reserves(top, 1.0), [1.0] * blocks)
+        scenario = NoiseScenario("fraction_of_baseline_volume", 1.0)
+        for quiet in (0, 6):  # blocks before it, without noise, at spot: no trade
+            if quiet:
+                monkeypatch.setattr("fmamm.backtest._CHUNK", quiet + 1)
+            first = rf"block {quiet + 1} \(t={12 * (quiet + 1)}\): reserves must be finite"
+            for blocks in (1, 2):
+                series = flat_series(price=top, blocks=quiet + blocks)
+                with pytest.raises(ValueError, match=first):
+                    run_fmamm_backtest(series, BlockClock.for_series(series), 0.5, scenario,
+                                       Reserves(top, 1.0), [0.0] * quiet + [1.0] * blocks)
 
     def test_balanced_noise_lower_bound(self):
         path = sample_gbm_path(GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=12 * 300, seed=21))
@@ -218,6 +224,25 @@ class TestRunBacktest:
             R, volume,
         )
         assert not np.array_equal(a.series.values, c.series.values)
+
+    def test_peak_memory_per_block_is_bounded(self):
+        # a run's numpy columns peak near 155 bytes per block, and the loop's
+        # Python floats for one chunk add a fixed amount (about 30 bytes per
+        # block at this size); floats for every block at once and a record
+        # log built per run took about 350
+        blocks = 12_000
+        path = sample_gbm_path(
+            GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=12 * blocks, seed=59)
+        )
+        clock = BlockClock.for_series(path)
+        tracemalloc.start()
+        try:
+            result = run_fmamm_backtest(path, clock, 0.003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n_rebalances > 0
+        assert peak <= 250 * blocks, peak / blocks
 
 
 def reference_backtest(prices, clock, tau, noise, initial=None, baseline_volume=None):
@@ -314,6 +339,19 @@ class TestKernelMatchesReference:
         assert summary["n_sign_mixing"] == sign_mixing(log, tau)
         if kind == "random_sign":
             assert summary["n_sign_mixing"] > 0
+
+    @pytest.mark.parametrize("kind", ["none", "balanced", "random_sign"])
+    def test_block_by_block_across_chunks(self, scenario, monkeypatch, kind):
+        # 2,000 blocks fit in one chunk of the loop; in chunks of 7 the
+        # reserves and the log must carry across every boundary unchanged
+        monkeypatch.setattr("fmamm.backtest._CHUNK", 7)
+        path, clock, volume = scenario
+        noise = NO_NOISE
+        if kind != "none":
+            noise = NoiseScenario("fraction_of_baseline_volume", 2.0, kind, seed=41)
+        result = run_fmamm_backtest(path, clock, 0.003, noise, None, volume)
+        reference = reference_backtest(path, clock, 0.003, noise, None, volume)
+        assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
 
     @pytest.mark.parametrize("kind", ["none", "random_sign"])
     def test_block_by_block_with_latency(self, kind):

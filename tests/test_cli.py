@@ -163,6 +163,12 @@ class TestBacktestCommand:
         ("sweep-fees", {"fee_grid": [0.0, 1.0]}, "'fee_grid'"),
         ("sweep-fees", {"baseline_liquidity": 0}, "'baseline_liquidity'"),
         ("sweep-noise", {"initial_x": -1.0}, "'initial_x'"),
+        # distinct grid values whose run ids collide would lose a run's files
+        ("sweep-fees", {"fee_grid": [0.001, 0.0010000001]},
+         "'fee_grid' entries 0.001 and 0.0010000001 give one run id 'fee_0.001'"),
+        ("sweep-noise", {"noise_fractions": [0.1, 0.3, 0.30000001]},
+         "'noise_fractions' entries 0.3 and 0.30000001 give one run id 'noise_0.3'"),
+        ("backtest", {"fee_grid": [0.5, 0.0, 0.5000001]}, "entries 0.5 and 0.5000001"),
     ])
     def test_mistyped_config_is_validation_error(self, tmp_path, capsys, command, overrides,
                                                  named):

@@ -20,11 +20,8 @@ from fmamm.amm import (
     effective_price,
     fmamm_price,
     fmamm_supply,
-    marginal_price,
     objective_value,
     pre_fee_price,
-    solve_clearing_price_consistent,
-    solve_function_maximizing,
 )
 
 __all__ = [
@@ -37,9 +34,6 @@ __all__ = [
     "effective_price",
     "fmamm_price",
     "fmamm_supply",
-    "marginal_price",
     "objective_value",
     "pre_fee_price",
-    "solve_clearing_price_consistent",
-    "solve_function_maximizing",
 ]

@@ -19,9 +19,8 @@ price marked up by ``1/(1-tau)`` and sellers receive it marked down by
 the pool, so its pre-fee price is evaluated at the fee-shrunk trade.
 
 All amounts and prices are 64-bit floats (desk-scale simulation, not token
-integer accounting). Every quantity has a closed form, including the
-generalized weighted-geometric pool with asset weight ``alpha``
-(``alpha = 1/2`` recovers the product function).
+integer accounting). The pool is the product function throughout, and every
+quantity has a closed form.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ __all__ = [
     "cpamm_average_price",
     "fmamm_price",
     "fmamm_supply",
-    "marginal_price",
-    "solve_clearing_price_consistent",
-    "solve_function_maximizing",
     "pre_fee_price",
     "effective_price",
     "objective_value",
@@ -90,11 +86,6 @@ class Reserves:
 def _check_fee(tau: float, name: str = "fee") -> None:
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"{name} must satisfy 0 <= tau < 1, got {tau}")
-
-
-def _check_weight(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"asset weight must satisfy 0 < alpha < 1, got {alpha}")
 
 
 def _check_price(price: float) -> None:
@@ -148,61 +139,6 @@ def fmamm_supply(reserves: Reserves, price: float) -> float:
     """
     _check_price(price)
     return 0.5 * (reserves.x - reserves.y / price)
-
-
-def marginal_price(reserves: Reserves, alpha: float = 0.5) -> float:
-    """Marginal price of the weighted pool: (alpha/(1-alpha)) * y/x.
-
-    Ratio of the partial derivatives (asset over numeraire) of the weighted
-    geometric mean ``y**(1-alpha) * x**alpha``; ``alpha = 1/2`` gives y/x.
-    """
-    _check_weight(alpha)
-    if reserves.x <= 0.0 or reserves.y <= 0.0:
-        raise ValueError("marginal price requires strictly positive reserves")
-    return (alpha / (1.0 - alpha)) * reserves.y / reserves.x
-
-
-def solve_clearing_price_consistent(
-    reserves: Reserves, x_trade: float, alpha: float = 0.5
-) -> float:
-    """Price p(x) at which the trade's average price equals the post-trade
-    marginal price of the weighted pool.
-
-    The condition ``p = (alpha/(1-alpha)) * (y + p*x_trade) / (x - x_trade)``
-    is linear in ``p`` and solves to ``alpha*y / ((1-alpha)*x - x_trade)``.
-    For ``alpha = 1/2`` this is :func:`fmamm_price`.
-    """
-    _check_weight(alpha)
-    _check_trade(x_trade)
-    mid = marginal_price(reserves, alpha)
-    if x_trade == 0.0:
-        return mid
-    # price pole of the weighted pool sits at x_trade = (1-alpha)*x
-    if (1.0 - alpha) * reserves.x - x_trade <= POLE_MARGIN * reserves.x:
-        raise InfeasibleTradeError(
-            f"trade {x_trade} is at or beyond the price pole at {(1.0 - alpha) * reserves.x}"
-        )
-    return alpha * reserves.y / ((1.0 - alpha) * reserves.x - x_trade)
-
-
-def solve_function_maximizing(
-    reserves: Reserves, price: float, alpha: float = 0.5
-) -> float:
-    """Trade maximizing the weighted reserve function at a quoted price.
-
-    Maximizes ``(y + price*x_trade)**(1-alpha) * (x - x_trade)**alpha``.
-    Its first-order condition
-    ``(1-alpha)*price*(x - x_trade) - alpha*(y + price*x_trade) = 0`` is
-    linear in the trade, whose root ``(1-alpha)*x - alpha*y/price`` leaves
-    both post-trade reserves positive; the objective is strictly
-    quasiconcave, so the stationary point is the maximum.  For
-    ``alpha = 1/2`` this is :func:`fmamm_supply`.
-    """
-    _check_weight(alpha)
-    _check_price(price)
-    if reserves.x <= 0.0 or reserves.y <= 0.0:
-        raise ValueError("maximization requires strictly positive reserves")
-    return (1.0 - alpha) * reserves.x - alpha * reserves.y / price
 
 
 def pre_fee_price(reserves: Reserves, net_trade: float, tau: float = 0.0) -> float:

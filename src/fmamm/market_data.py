@@ -135,11 +135,6 @@ class LpReturnSeries:
     def terminal_roi(self) -> float:
         return float(self.roi[-1])
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.CSV_HEADER)
-            write_rows(self.timestamps, (self.values, self.roi), (fh.write, self.CSV_ROW))
-
 
 def format_number(x: float) -> str:
     """Shortest exact decimal form; integral values print without a dot."""
@@ -346,7 +341,7 @@ def mean_preserving_spread(base, epsilon_sd: float, rng=0) -> np.ndarray:
     ``numpy.random.Generator``.
     """
     base = np.asarray(base, dtype=np.float64)
-    if epsilon_sd < 0.0:
+    if not epsilon_sd >= 0.0:  # the negated comparison also rejects NaN
         raise ValueError(f"epsilon_sd must be non-negative, got {epsilon_sd}")
     if epsilon_sd == 0.0:
         return base.copy()

@@ -19,7 +19,6 @@ from fmamm.amm import (
     apply_trade,
     effective_price,
     fmamm_price,
-    solve_clearing_price_consistent,
 )
 from fmamm.arbitrage import cpamm_arbitrage_profit, malicious_operator_attack, optimal_rebalance
 from fmamm.backtest import (
@@ -63,7 +62,7 @@ def bisect_clearing_price(y, x, trade):
 
 
 def test_criterion_1_closed_form_agreement():
-    """fmamm_price and the clearing-price solve match a bisection oracle to 1e-7 over 1,000 pools."""
+    """fmamm_price matches a bisection oracle to 1e-7 over 1,000 pools."""
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -73,10 +72,9 @@ def test_criterion_1_closed_form_agreement():
         trade = float(rng.uniform(-x, 0.49 * x))
         r = Reserves(y, x)
         oracle = bisect_clearing_price(y, x, trade)
-        for got in (fmamm_price(r, trade), solve_clearing_price_consistent(r, trade, alpha=0.5)):
-            rel = abs(got - oracle) / oracle
-            worst = max(worst, rel)
-            assert rel < 1e-7
+        rel = abs(fmamm_price(r, trade) - oracle) / oracle
+        worst = max(worst, rel)
+        assert rel < 1e-7
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(1, f"1000 pools, worst relative gap to bisection {worst:.2e}, {elapsed:.2f}s")

@@ -2,9 +2,9 @@
 
 Closed forms are checked against frozen hand computations and against
 independent oracles: reserve-product invariance for the CPAMM, post-trade
-marginal prices for clearing-price consistency, the algebraic fixed-point
-solution for the weighted pool, and finite differences and the residual of
-the maximizer's first-order condition.
+marginal prices and the algebraic fixed-point solution for clearing-price
+consistency, and finite differences and the residual of the first-order
+condition for the pool's supply.
 """
 
 import math
@@ -22,11 +22,8 @@ from fmamm.amm import (
     effective_price,
     fmamm_price,
     fmamm_supply,
-    marginal_price,
     objective_value,
     pre_fee_price,
-    solve_clearing_price_consistent,
-    solve_function_maximizing,
 )
 
 R = Reserves(20000.0, 10.0)
@@ -129,49 +126,21 @@ class TestFmammSupply:
 
 class TestMarginalPrice:
     def test_product_function(self):
-        assert marginal_price(R) == 2000.0
-        assert marginal_price(Reserves(1.0, 1.0)) == 1.0
-
-    def test_weighted(self):
-        assert marginal_price(R, alpha=0.3) == pytest.approx((0.3 / 0.7) * 2000.0, rel=1e-12)
+        assert R.spot_price == 2000.0
+        assert Reserves(1.0, 1.0).spot_price == 1.0
 
     def test_zero_reserve_rejected(self):
         with pytest.raises(ValueError):
-            marginal_price(Reserves(0.0, 10.0))
-        with pytest.raises(ValueError):
-            marginal_price(Reserves(10.0, 0.0))
+            Reserves(10.0, 0.0).spot_price
 
 
 class TestClearingPriceConsistent:
     def test_matches_closed_form_product(self):
-        assert solve_clearing_price_consistent(R, 1.0) == pytest.approx(2500.0, rel=1e-9)
+        assert fmamm_price(R, 1.0) == pytest.approx(2500.0, rel=1e-9)
 
     def test_zero_trade(self):
-        assert solve_clearing_price_consistent(R, 0.0) == 2000.0
-        assert solve_clearing_price_consistent(Reserves(123.0, 7.0), 0.0) == 123.0 / 7.0
-
-    def test_weighted_self_consistency(self):
-        p = solve_clearing_price_consistent(R, 1.0, alpha=0.3)
-        after = Reserves(R.y + p * 1.0, R.x - 1.0)
-        assert p == pytest.approx(marginal_price(after, 0.3), rel=1e-9)
-
-    def test_weighted_against_algebraic_oracle(self):
-        rng = np.random.default_rng(19)
-        for _ in range(200):
-            alpha = rng.uniform(0.1, 0.9)
-            y = rng.uniform(1e2, 1e6)
-            x = rng.uniform(1e-1, 1e3)
-            trade = rng.uniform(-x, 0.95 * (1 - alpha) * x)
-            r = Reserves(y, x)
-            got = solve_clearing_price_consistent(r, trade, alpha)
-            assert got == pytest.approx(weighted_clearing_price(r, trade, alpha), rel=1e-9)
-            # defining condition: the price is the post-trade marginal price
-            after = Reserves(y + got * trade, x - trade)
-            assert got == pytest.approx(marginal_price(after, alpha), rel=1e-9)
-
-    def test_pole_rejected(self):
-        with pytest.raises(InfeasibleTradeError):
-            solve_clearing_price_consistent(R, 7.1, alpha=0.3)
+        assert fmamm_price(R, 0.0) == 2000.0
+        assert fmamm_price(Reserves(123.0, 7.0), 0.0) == 123.0 / 7.0
 
     def test_extreme_scales(self):
         # relative agreement must hold from dust pools to whale pools
@@ -179,52 +148,47 @@ class TestClearingPriceConsistent:
             r = Reserves(y, x)
             for frac in (-0.8, -0.1, 0.2, 0.45):
                 trade = frac * x
-                got = solve_clearing_price_consistent(r, trade)
-                assert got == pytest.approx(fmamm_price(r, trade), rel=1e-9)
+                got = fmamm_price(r, trade)
+                assert got == pytest.approx(weighted_clearing_price(r, trade, 0.5), rel=1e-9)
 
 
 class TestFunctionMaximizing:
     def test_matches_supply(self):
-        assert solve_function_maximizing(R, 2500.0) == pytest.approx(1.0, rel=1e-9)
+        assert fmamm_supply(R, 2500.0) == pytest.approx(1.0, rel=1e-9)
 
     def test_no_trade_at_marginal_price(self):
-        assert solve_function_maximizing(R, 2000.0) == pytest.approx(0.0, abs=1e-9)
+        assert fmamm_supply(R, 2000.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_round_trip_equivalence(self):
-        # maximizing at p then asking the clearing-price-consistent price of
-        # that trade must return p, for any weight
+        # the product pool's supply at p, priced back, returns p, with a zero
+        # first-order-condition residual and p the post-trade marginal price
         rng = np.random.default_rng(23)
         for _ in range(200):
-            alpha = rng.uniform(0.1, 0.9)
             y = rng.uniform(1e2, 1e6)
             x = rng.uniform(1e-1, 1e3)
             r = Reserves(y, x)
-            price = marginal_price(r, alpha) * rng.uniform(0.3, 3.0)
-            trade = solve_function_maximizing(r, price, alpha)
-            assert solve_clearing_price_consistent(r, trade, alpha) == pytest.approx(
-                price, rel=1e-7
-            )
-            # defining conditions: zero first-order-condition residual, and
-            # the quoted price is the post-trade marginal price
-            foc = (1 - alpha) * price * (x - trade) - alpha * (y + price * trade)
+            price = r.spot_price * rng.uniform(0.3, 3.0)
+            trade = fmamm_supply(r, price)
+            assert fmamm_price(r, trade) == pytest.approx(price, rel=1e-7)
+            foc = 0.5 * price * (x - trade) - 0.5 * (y + price * trade)
             assert abs(foc) <= 1e-9 * (y + price * x)
             after = Reserves(y + price * trade, x - trade)
-            assert price == pytest.approx(marginal_price(after, alpha), rel=1e-9)
+            assert price == pytest.approx(after.spot_price, rel=1e-9)
 
     def test_first_order_condition_by_finite_differences(self):
-        for alpha, price in [(0.5, 2500.0), (0.3, 2000.0), (0.7, 1500.0)]:
-            trade = solve_function_maximizing(R, price, alpha)
+        price = 2500.0
+        trade = fmamm_supply(R, price)
 
-            def psi(x_trade):
-                return (R.y + price * x_trade) ** (1 - alpha) * (R.x - x_trade) ** alpha
+        def psi(x_trade):
+            return (R.y + price * x_trade) ** 0.5 * (R.x - x_trade) ** 0.5
 
-            h = 1e-6
-            grad = (psi(trade + h) - psi(trade - h)) / (2 * h)
-            scale = abs(psi(trade)) / R.x
-            assert abs(grad) < 1e-5 * scale
-            # stationary point is a maximum
-            assert psi(trade) >= psi(trade + 1e-3) - 1e-12
-            assert psi(trade) >= psi(trade - 1e-3) - 1e-12
+        h = 1e-6
+        grad = (psi(trade + h) - psi(trade - h)) / (2 * h)
+        scale = abs(psi(trade)) / R.x
+        assert abs(grad) < 1e-5 * scale
+        # stationary point is a maximum
+        assert psi(trade) >= psi(trade + 1e-3) - 1e-12
+        assert psi(trade) >= psi(trade - 1e-3) - 1e-12
 
 
 class TestEffectivePrice:
@@ -395,8 +359,6 @@ class TestReserves:
                 Reserves(1.0, bad)
             with pytest.raises(ValueError):
                 pre_fee_price(R, bad, 0.003)
-            with pytest.raises(ValueError):
-                solve_clearing_price_consistent(R, bad, 0.3)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 fmamm_supply(R, bad)

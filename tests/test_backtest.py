@@ -435,9 +435,9 @@ class TestZeroLvr:
         GbmParams(2000.0, 0.0005, step_seconds=12, horizon_seconds=12 * 100_000, seed=17)
     )
 
-    def residual(self, tau, noise=NO_NOISE, volume=None):
+    @staticmethod
+    def residual(path, tau, noise=NO_NOISE, volume=None):
         """Per block: LP value change less ``x_{n-1}·Δp*``, over the pool value."""
-        path = self.PATH
         result = run_fmamm_backtest(path, BlockClock.for_series(path), tau, noise,
                                     baseline_volume=volume)
         assert np.array_equal(result.trades.p_star, path.prices[1:])
@@ -447,7 +447,7 @@ class TestZeroLvr:
 
     @pytest.mark.parametrize("tau", [0.0, 0.0005, 0.003])
     def test_zero_noise_value_change_is_the_price_move(self, tau):
-        residual = self.residual(tau)
+        residual = self.residual(self.PATH, tau)
         assert np.abs(residual).max() <= 1e-12
 
     @pytest.mark.parametrize("direction", NOISE_DIRECTIONS)
@@ -455,9 +455,26 @@ class TestZeroLvr:
         # up to 2% of the one-unit asset reserve per block, well short of the pole
         volume = np.random.default_rng(3).uniform(0.0, 0.02, len(self.PATH) - 1)
         noise = NoiseScenario("fraction_of_baseline_volume", 1.0, direction, seed=5)
-        residual = self.residual(0.003, noise, volume)
+        residual = self.residual(self.PATH, 0.003, noise, volume)
         assert residual.min() >= -1e-12
         assert residual.max() > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        blocks=st.integers(2, 500),
+        tau=st.floats(0.0, 0.05),
+        direction=st.sampled_from(NOISE_DIRECTIONS),
+        fraction=st.floats(0.0, 1.0),
+        volume=st.floats(0.0, 0.02),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noise_only_adds_property(self, blocks, tau, direction, fraction, volume, seed):
+        # per-block volume up to 2% of the one-unit asset reserve
+        path = sample_gbm_path(
+            GbmParams(2000.0, 0.0005, step_seconds=12, horizon_seconds=12 * blocks, seed=seed))
+        volumes = np.random.default_rng(seed).uniform(0.0, volume, blocks)
+        noise = NoiseScenario("fraction_of_baseline_volume", fraction, direction, seed=seed)
+        assert self.residual(path, tau, noise, volumes).min() >= -1e-12
 
 
 class TestCompareReturns:

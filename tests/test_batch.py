@@ -136,6 +136,28 @@ class TestSettleBatch:
         assert report.fee_numeraire == base_report.fee_numeraire
         assert report.fee_asset == base_report.fee_asset
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        y=st.floats(1e-3, 1e9),
+        x=st.floats(1e-3, 1e6),
+        # as shares of the asset reserve: a net buy past 1/2 hits the pole
+        shares=st.lists(st.floats(-1.0, 1.0).filter(lambda s: abs(s) > 1e-12),
+                        min_size=1, max_size=8),
+        tau=st.floats(0.0, 0.2),
+    )
+    def test_fee_value_retained(self, y, x, shares, tau):
+        # at the batch's pre-fee price the pool gains exactly the fees it keeps
+        reserves = Reserves(y, x)
+        orders = tuple(order(s * x, oid=f"o{i}") for i, s in enumerate(shares))
+        try:
+            after, report = settle_batch(reserves, Batch(1, orders), tau)
+        except InfeasibleTradeError:
+            return
+        base = report.pre_fee_price
+        gain = (after.y + base * after.x) - (y + base * x)
+        fees = report.fee_numeraire + base * report.fee_asset
+        assert abs(gain - fees) <= 1e-12 * (y + base * x)
+
     def test_infeasible_batch_rejected_whole(self):
         with pytest.raises(InfeasibleTradeError):
             settle_batch(R, Batch(1, (order(4.0), order(1.5))), 0.0)

@@ -309,6 +309,12 @@ class TestMcRiskCommand:
         assert payload["z_score"] is None
 
 
+    @pytest.mark.parametrize("sd", ["-1", "nan"])
+    def test_bad_spread_is_validation_error(self, capsys, sd):
+        assert main(["mc-risk"] + RESERVES + ["--epsilon-sd", sd]) == 2
+        assert "epsilon_sd must be non-negative" in capsys.readouterr().err
+
+
 class TestSplitDemoCommand:
     def test_table(self, capsys):
         assert main(["split-demo", "--y", "20000", "--x-reserve", "10", "--trade", "2",

@@ -382,13 +382,9 @@ class TestWriters:
         comparison = ReturnComparison("a", "b", np.asarray(stamps, float), np.asarray(roi, float))
         runs = {"fm_amm": series, "fee_0.003": LpReturnSeries("v", stamps, roi, values),
                 "noise_0.1": LpReturnSeries("w", stamps[:3], roi[:3], values[:3])}
-        for write, reference in (
-            (series.write_csv, lambda p: reference_returns_csv(p, series)),
-            (comparison.write_csv, lambda p: reference_comparison_csv(p, comparison)),
-        ):
-            write(tmp_path / "got.csv")
-            reference(tmp_path / "want.csv")
-            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        comparison.write_csv(tmp_path / "got.csv")
+        reference_comparison_csv(tmp_path / "want.csv", comparison)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         _write_runs(tmp_path, runs)
         assert_out_dir_matches(tmp_path, runs)
 
@@ -396,9 +392,8 @@ class TestWriters:
         rng = np.random.default_rng(5)
         stamps = 1_680_000_000 + 12.0 * np.arange(5000)
         series = LpReturnSeries.from_values("v", stamps, 1.0 + rng.standard_normal(5000) ** 2)
-        series.write_csv(tmp_path / "got.csv")
-        reference_returns_csv(tmp_path / "want.csv", series)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        _write_runs(tmp_path, {"v": series})
+        assert_out_dir_matches(tmp_path, {"v": series})
 
     def test_out_dir_writer_holds_one_chunk(self, tmp_path):
         """The out-dir writer's peak allocation, less the ``cumulative_roi``

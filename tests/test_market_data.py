@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fmamm.cli import _write_runs
 from fmamm.market_data import (
     GbmParams,
     LpReturnSeries,
@@ -203,8 +204,9 @@ class TestMeanPreservingSpread:
         assert set(np.unique(out)) <= {0.5, 1.5}
 
     def test_negative_sd_rejected(self):
-        with pytest.raises(ValueError):
-            mean_preserving_spread([1.0], -1.0)
+        for sd in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon_sd"):
+                mean_preserving_spread([1.0], sd)
 
 
 class TestLpReturnSeries:
@@ -212,11 +214,12 @@ class TestLpReturnSeries:
         s = LpReturnSeries.from_values("venue", [0, 12, 24], [100.0, 110.0, 99.0])
         assert s.roi[0] == 0.0
         assert s.terminal_roi == pytest.approx(-0.01, rel=1e-12)
-        path = tmp_path / "lp.csv"
-        s.write_csv(path)
+        for out in (tmp_path / "a", tmp_path / "b"):
+            out.mkdir()
+            _write_runs(out, {"venue": s})
+        path = tmp_path / "a" / "venue_returns.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "timestamp,value,cumulative_roi"
         assert lines[1] == "0,100.0,0.0"
         # byte-identical on rewrite
-        s.write_csv(tmp_path / "lp2.csv")
-        assert (tmp_path / "lp2.csv").read_bytes() == path.read_bytes()
+        assert (tmp_path / "b" / "venue_returns.csv").read_bytes() == path.read_bytes()

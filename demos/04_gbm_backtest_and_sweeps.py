@@ -7,7 +7,13 @@
 
 import numpy as np
 
-from fmamm.backtest import BlockClock, fee_sweep, noise_volume_sweep
+from fmamm.backtest import (
+    DEFAULT_FEE_GRID,
+    NO_NOISE,
+    BlockClock,
+    NoiseScenario,
+    run_fmamm_backtest,
+)
 from fmamm.market_data import GbmParams, sample_gbm_path
 
 BLOCKS = 20_000
@@ -24,7 +30,8 @@ def main():
           f"(start {path.prices[0]:.0f})\n")
 
     print("zero-noise terminal ROI by fee (the lower bound for LPs):")
-    for tau, result in fee_sweep(path, clock).items():
+    for tau in DEFAULT_FEE_GRID:
+        result = run_fmamm_backtest(path, clock, tau, NO_NOISE)
         print(f"  fee {tau:<8g} roi {result.terminal_roi:+9.4%}  "
               f"rebalances {result.n_rebalances:>6}")
 
@@ -32,12 +39,13 @@ def main():
     # here a constant 0.2% of the pool's asset reserve per block
     volume = np.full(clock.n_blocks, 0.002 * 1.0)
     print("\nterminal ROI by balanced noise volume (fee 0.003):")
-    sweep = noise_volume_sweep(path, clock, 0.003, [0.1, 0.3, 0.5, 1.0], volume)
-    zero = sweep[0.0].terminal_roi
-    for fraction, result in sweep.items():
-        lift = 100 * (result.terminal_roi - zero)
-        print(f"  fraction {fraction:<5g} roi {result.terminal_roi:+9.4%}  "
-              f"vs zero-noise {lift:+7.4f}pp")
+    for fraction in (0.0, 0.1, 0.3, 0.5, 1.0):
+        roi = run_fmamm_backtest(path, clock, 0.003, NoiseScenario(fraction),
+                                 baseline_volume=volume).terminal_roi
+        if fraction == 0.0:
+            zero = roi
+        lift = 100 * (roi - zero)
+        print(f"  fraction {fraction:<5g} roi {roi:+9.4%}  vs zero-noise {lift:+7.4f}pp")
     print("\nbalanced noise nets to zero, so it never changes the trades -- "
           "it only adds fee revenue")
 

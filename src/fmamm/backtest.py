@@ -11,11 +11,10 @@ Zero-noise runs are the revenue floor: noise adds fee income and nothing
 else, so any balanced-noise scenario ends at or above the zero-noise return
 on the same price path.
 
-The module also provides the fee and noise-volume sweeps over a shared
-price path, and a paired Monte Carlo measuring how the pool's maximized
-objective responds to a mean-preserving spread of the settlement price (the
-value function is flat inside the no-trade band and convex outside it, so
-spreads can only help).
+The module also provides a paired Monte Carlo measuring how the pool's
+maximized objective responds to a mean-preserving spread of the settlement
+price (the value function is flat inside the no-trade band and convex
+outside it, so spreads can only help).
 
 Runs are deterministic given config and seeds; scenario configs load from
 JSON (see :class:`ScenarioConfig`).
@@ -64,8 +63,6 @@ __all__ = [
     "balanced_reserves",
     "run_fmamm_backtest",
     "compare_returns",
-    "fee_sweep",
-    "noise_volume_sweep",
     "value_function",
     "risk_monte_carlo",
 ]
@@ -77,7 +74,6 @@ DEFAULT_FEE_GRID = (0.0, 0.0005, 0.003, 0.01)
 # grid alone would take gigabytes.
 MAX_BLOCKS = 10**8
 
-NOISE_MODES = ("none", "fraction_of_baseline_volume")
 NOISE_DIRECTIONS = ("balanced", "random_sign")
 
 # blocks per pass of the kernel loop: bounds the Python floats alive at once
@@ -125,23 +121,20 @@ class BlockClock:
 class NoiseScenario:
     """How much noise flow each block receives and how it is signed.
 
-    ``fraction_of_baseline_volume`` scales a caller-supplied per-block
-    volume series; ``balanced`` splits it into an equal buy and sell (net
-    zero, the conservative reading), ``random_sign`` puts the whole volume
-    on one seeded random side.
+    Each block's noise volume is ``fraction`` of the caller-supplied
+    per-block baseline volume (zero without one); ``balanced`` splits it
+    into an equal buy and sell (net zero, the conservative reading),
+    ``random_sign`` puts the whole volume on one seeded random side.
     """
 
-    mode: str = "none"
     fraction: float = 0.0
     direction: str = "balanced"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in NOISE_MODES:
-            raise ValueError(f"mode must be one of {NOISE_MODES}, got {self.mode!r}")
         if self.direction not in NOISE_DIRECTIONS:
             raise ValueError(f"direction must be one of {NOISE_DIRECTIONS}, got {self.direction!r}")
-        if self.fraction < 0.0:
+        if not self.fraction >= 0.0:
             raise ValueError(f"fraction must be non-negative, got {self.fraction}")
 
 
@@ -171,14 +164,15 @@ TRADE_LOG_DTYPE = np.dtype([
 class BacktestResult:
     """A run's marked series and summary, and its trade log as the kernel's
     columns: ``columns`` holds per block the arbitrage trade, the reserves
-    ``y`` and ``x`` after settlement and the two fee legs; ``times``,
-    ``p_stars`` and ``noise_net`` the settlement time, the sampled price and
-    the noise's net order; ``initial`` the reserves before block 1."""
+    ``y`` and ``x`` after settlement and the two fee legs; ``marks`` the
+    external price at the start and at each settlement (the block grid the
+    run is marked on); ``p_stars`` and ``noise_net`` per block the sampled
+    price and the noise's net order; ``initial`` the reserves before block 1."""
 
     series: LpReturnSeries
     summary: dict
     columns: np.ndarray
-    times: np.ndarray
+    marks: PriceSeries
     p_stars: np.ndarray
     noise_net: np.ndarray
     initial: Reserves
@@ -198,8 +192,8 @@ class BacktestResult:
         y_before = np.concatenate(([self.initial.y], y_after[:-1]))
         x_before = np.concatenate(([self.initial.x], x_after[:-1]))
         return np.rec.fromarrays(
-            (np.arange(1, self.times.size + 1), self.times, self.p_stars, self.noise_net,
-             arb_trade, self.noise_net + arb_trade, arb_trade != 0.0,
+            (np.arange(1, self.p_stars.size + 1), self.marks.timestamps[1:], self.p_stars,
+             self.noise_net, arb_trade, self.noise_net + arb_trade, arb_trade != 0.0,
              y_before, x_before, y_after, x_after, fee_n, fee_a),
             dtype=TRADE_LOG_DTYPE,
         )
@@ -256,9 +250,10 @@ def run_fmamm_backtest(
     """Drive the pool over the price path, one batch per block.
 
     Per block: sample the external price ``gamma`` seconds before settlement,
-    net the scenario's noise orders, add the arbitrageurs' equilibrium order,
-    settle the batch at its uniform pre-fee price, and mark the reserves at
-    the external price at settlement, as the baseline is marked.  ``initial``
+    net the scenario's noise orders (``noise.fraction`` of ``baseline_volume``,
+    none without it), add the arbitrageurs' equilibrium order, settle the batch
+    at its uniform pre-fee price, and mark the reserves at the external price
+    at settlement, as the baseline is marked.  ``initial``
     defaults to value-balanced reserves of one asset unit at the first price
     (the fixed point of the zero-fee strategy, so the run starts neutral).
 
@@ -275,8 +270,13 @@ def run_fmamm_backtest(
     log's columns; :attr:`BacktestResult.trades` builds the
     :data:`TRADE_LOG_DTYPE` records from them when first read.
 
-    Errors abort the whole run.  A fee outside ``[0, 1)``, a non-finite
-    noise volume, and arithmetic that overflows or divides by zero raise
+    The block grid (:func:`block_grid_series`) is sampled once, for the
+    start price and the marks; a nonzero ``gamma`` samples the trade prices
+    once more.
+
+    Errors abort the whole run.  A fee outside ``[0, 1)``, a positive noise
+    fraction without a ``baseline_volume``, a non-finite noise volume, and
+    arithmetic that overflows or divides by zero raise
     ``ValueError``; every sampled price is one of ``prices``, which
     :class:`PriceSeries` holds finite and positive.  A batch whose
     net trade reaches the price pole (noise buying half the asset reserve or
@@ -287,22 +287,24 @@ def run_fmamm_backtest(
     command line these are exit code 2, except 3 for the pin.
     """
     _check_fee(tau)
-    times = clock.settlement_times()
+    marks = block_grid_series(prices, clock)
+    times = marks.timestamps[1:]
     n = times.size
-    p_stars = sample_at(prices, times - clock.gamma)
-    p0 = float(sample_at(prices, [clock.start])[0])
+    p_stars = sample_at(prices, times - clock.gamma) if clock.gamma else marks.prices[1:]
+    p0 = float(marks.prices[0])
     if initial is None:
         initial = balanced_reserves(p0)
 
-    if noise.mode == "fraction_of_baseline_volume":
-        if baseline_volume is None:
-            raise ValueError("noise scenario needs a per-block baseline_volume series")
+    if baseline_volume is not None:
         volume = np.asarray(baseline_volume, dtype=np.float64)
         if volume.shape != (n,):
             raise ValueError(
                 f"baseline volume series misaligned: {volume.size} entries for {n} blocks"
             )
         volumes = noise.fraction * volume
+    elif noise.fraction > 0.0:
+        raise ValueError(f"noise fraction {noise.fraction!r} needs a per-block "
+                         "baseline_volume series")
     else:
         volumes = np.zeros(n)
     # a non-positive volume sends no noise; NaN and +inf cannot be filled
@@ -410,14 +412,11 @@ def run_fmamm_backtest(
     mixing = buy & (net_trade < 0.0) | sell & (net_trade > 0.0)
 
     # marked at the settlement-time price, as the baseline is, whatever the latency
-    marks = sample_at(prices, times)
-    out_times = np.concatenate(([clock.start], times))
-    out_values = np.concatenate(([initial.value_at(p0)], y_after + marks * x_after))
-    series = LpReturnSeries.from_values("fm_amm", out_times, out_values)
+    out_values = np.concatenate(([initial.value_at(p0)], y_after + marks.prices[1:] * x_after))
+    series = LpReturnSeries.from_values("fm_amm", marks.timestamps, out_values)
     summary = {
         "venue": "fm_amm",
         "tau": tau,
-        "noise_mode": noise.mode,
         "noise_fraction": noise.fraction,
         "noise_direction": noise.direction,
         "seed": noise.seed,
@@ -432,7 +431,7 @@ def run_fmamm_backtest(
         "fee_numeraire_total": math.fsum(fee_n_col),
         "fee_asset_total": math.fsum(fee_a_col),
     }
-    return BacktestResult(series, summary, columns, times, p_stars, noise_net, initial)
+    return BacktestResult(series, summary, columns, marks, p_stars, noise_net, initial)
 
 
 @dataclass(frozen=True)
@@ -467,41 +466,6 @@ def sweep_run_id(prefix: str, value: float) -> str:
     """A sweep run's id: ``fee_0.003`` for fee 0.003, ``noise_0.1`` for
     fraction 0.1; values equal to 6 significant digits share one."""
     return f"{prefix}_{value:g}"
-
-
-def fee_sweep(
-    prices: PriceSeries,
-    clock: BlockClock,
-    fees: Sequence[float] = DEFAULT_FEE_GRID,
-    initial: Reserves | None = None,
-) -> dict[float, BacktestResult]:
-    """One zero-noise backtest per fee, on the same path and start state."""
-    return {tau: run_fmamm_backtest(prices, clock, tau, NO_NOISE, initial) for tau in fees}
-
-
-def noise_volume_sweep(
-    prices: PriceSeries,
-    clock: BlockClock,
-    tau: float,
-    fractions: Sequence[float],
-    baseline_volume: Sequence[float],
-    initial: Reserves | None = None,
-    direction: str = "balanced",
-    seed: int = 0,
-) -> dict[float, BacktestResult]:
-    """One backtest per noise fraction of the baseline per-block volume.
-
-    A zero fraction is always included so callers can report each entry's
-    gap to the zero-noise floor.
-    """
-    fracs = list(fractions)
-    if 0.0 not in fracs:
-        fracs.insert(0, 0.0)
-    out: dict[float, BacktestResult] = {}
-    for fraction in fracs:
-        scenario = NoiseScenario("fraction_of_baseline_volume", fraction, direction, seed)
-        out[fraction] = run_fmamm_backtest(prices, clock, tau, scenario, initial, baseline_volume)
-    return out
 
 
 def value_function(prices, reserves: Reserves, tau: float) -> np.ndarray:

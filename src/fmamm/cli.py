@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -41,12 +42,10 @@ from fmamm.arbitrage import cpamm_arbitrage_profit, malicious_operator_attack
 from fmamm.backtest import (
     BlockClock,
     NO_NOISE,
+    NoiseScenario,
     ScenarioConfig,
     balanced_reserves,
-    block_grid_series,
     compare_returns,
-    fee_sweep,
-    noise_volume_sweep,
     risk_monte_carlo,
     run_fmamm_backtest,
     sweep_run_id,
@@ -171,8 +170,8 @@ def cmd_backtest(args) -> Outputs:
     inputs = [cfg.price_csv]
     if cfg.swap_csv is not None:
         records = load_swap_records(cfg.swap_csv)
-        marks = block_grid_series(prices, clock)
-        baseline = run_baseline(records, marks, cfg.baseline_liquidity, cfg.compound_cadence)
+        baseline = run_baseline(records, result.marks, cfg.baseline_liquidity,
+                                cfg.compound_cadence)
         comparison = compare_returns(result.series, baseline)
         print(f"uniswap terminal roi {baseline.terminal_roi:+.6%}")
         print(f"difference {comparison.terminal_difference_pp:+.4f}pp (fm_amm minus uniswap)")
@@ -185,17 +184,21 @@ def cmd_backtest(args) -> Outputs:
 
 
 def cmd_sweep_fees(args) -> Outputs:
+    """One zero-noise backtest per distinct fee of ``fee_grid``, on the same
+    path and start state; a run keeps its series and the numbers printed."""
     cfg, prices, clock, initial = _load_scenario(args)
-    results = fee_sweep(prices, clock, cfg.fee_grid, initial)
-    print(f"{cfg.pair}: zero-noise terminal roi by fee")
-    rows = []
-    for tau, result in results.items():
-        print(f"  fee {tau:<8g} roi {result.terminal_roi:+.6%}  rebalances {result.n_rebalances}")
+    runs, rows = {}, []
+    for tau in dict.fromkeys(cfg.fee_grid):
+        result = run_fmamm_backtest(prices, clock, tau, NO_NOISE, initial)
+        runs[sweep_run_id("fee", tau)] = result.series
         rows.append({"fee": tau, "terminal_roi": result.terminal_roi,
                      "n_rebalances": result.n_rebalances})
+    print(f"{cfg.pair}: zero-noise terminal roi by fee")
+    for row in rows:
+        print(f"  fee {row['fee']:<8g} roi {row['terminal_roi']:+.6%}  "
+              f"rebalances {row['n_rebalances']}")
     return Outputs({"summary.json": {"config": asdict(cfg), "rows": rows}},
-                   {sweep_run_id("fee", tau): result.series for tau, result in results.items()},
-                   asdict(cfg), [cfg.price_csv], cfg.seed)
+                   runs, asdict(cfg), [cfg.price_csv], cfg.seed)
 
 
 def cmd_sweep_noise(args) -> Outputs:
@@ -205,27 +208,30 @@ def cmd_sweep_noise(args) -> Outputs:
                          "to infer per-block baseline volume")
     records = load_swap_records(cfg.swap_csv)
     volume = per_block_swap_volume(records, clock.settlement_times(), cfg.pool_fee)
-    results = noise_volume_sweep(
-        prices, clock, cfg.fee, cfg.noise_fractions, volume, initial,
-        cfg.noise_direction, cfg.seed,
-    )
-    zero_roi = results[0.0].terminal_roi
+    # one backtest per distinct fraction, with zero first unless listed, so
+    # each entry is reported against the zero-noise floor
+    fractions = list(dict.fromkeys(cfg.noise_fractions))
+    if 0.0 not in fractions:
+        fractions.insert(0, 0.0)
+    runs, rois = {}, {}
+    for fraction in fractions:
+        scenario = NoiseScenario(fraction, cfg.noise_direction, cfg.seed)
+        result = run_fmamm_backtest(prices, clock, cfg.fee, scenario, initial, volume)
+        runs[sweep_run_id("noise", fraction)] = result.series
+        rois[fraction] = result.terminal_roi
     print(f"{cfg.pair}: terminal roi by noise fraction (fee {cfg.fee}, {cfg.noise_direction})")
     print(f"  (fractions are of TOTAL baseline volume; the share of its noise volume "
           f"assumes ~{NOISE_SHARE_OF_VOLUME:.0%} of volume is noise)")
     rows = []
-    for fraction, result in results.items():
-        diff_pp = 100.0 * (result.terminal_roi - zero_roi)
+    for fraction, roi in rois.items():
+        diff_pp = 100.0 * (roi - rois[0.0])
         noise_share = fraction / NOISE_SHARE_OF_VOLUME
         print(f"  fraction {fraction:<6g} (~{noise_share:.0%} of noise volume) "
-              f"roi {result.terminal_roi:+.6%}  vs zero-noise {diff_pp:+.4f}pp")
+              f"roi {roi:+.6%}  vs zero-noise {diff_pp:+.4f}pp")
         rows.append({"fraction": fraction, "approx_noise_volume_share": noise_share,
-                     "terminal_roi": result.terminal_roi,
-                     "diff_vs_zero_noise_pp": diff_pp})
+                     "terminal_roi": roi, "diff_vs_zero_noise_pp": diff_pp})
     return Outputs({"summary.json": {"config": asdict(cfg), "rows": rows}},
-                   {sweep_run_id("noise", fraction): result.series
-                    for fraction, result in results.items()},
-                   asdict(cfg), [cfg.price_csv, cfg.swap_csv], cfg.seed)
+                   runs, asdict(cfg), [cfg.price_csv, cfg.swap_csv], cfg.seed)
 
 
 def cmd_attack(args) -> Outputs:
@@ -244,7 +250,11 @@ def cmd_attack(args) -> Outputs:
 
 def cmd_mc_risk(args) -> Outputs:
     reserves = _reserves(args)
-    base_price = args.base_price if args.base_price is not None else reserves.spot_price
+    base_price = args.base_price
+    if base_price is None:
+        base_price = reserves.spot_price
+    elif not 0.0 < base_price < math.inf:
+        raise ValueError(f"--base-price must be positive and finite, got {base_price!r}")
     base = np.full(args.n_draws, base_price)
     result = risk_monte_carlo(base, args.epsilon_sd, reserves, args.fee,
                               n_draws=args.n_draws, seed=args.seed)

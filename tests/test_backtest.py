@@ -29,6 +29,7 @@ from fmamm.amm import (
 )
 from fmamm.arbitrage import optimal_rebalance
 from fmamm.backtest import (
+    DEFAULT_FEE_GRID,
     MAX_BLOCKS,
     NOISE_DIRECTIONS,
     TRADE_LOG_DTYPE,
@@ -39,8 +40,6 @@ from fmamm.backtest import (
     balanced_reserves,
     block_grid_series,
     compare_returns,
-    fee_sweep,
-    noise_volume_sweep,
     risk_monte_carlo,
     run_fmamm_backtest,
     value_function,
@@ -155,19 +154,43 @@ class TestRunBacktest:
         assert last.time == path.end and last.p_star == sample_at(path, [path.end - 6.0])[0]
         assert result.summary["terminal_value"] == last.y_after + path.prices[-1] * last.x_after
         marks = block_grid_series(path, clock)
+        assert np.array_equal(result.marks.timestamps, marks.timestamps)
+        assert np.array_equal(result.marks.prices, marks.prices)
         assert np.array_equal(result.series.timestamps, marks.timestamps)
         values = result.trades.y_after + marks.prices[1:] * result.trades.x_after
         assert np.array_equal(result.series.values[1:], values)
         assert not np.array_equal(result.trades.p_star, marks.prices[1:])
 
+    @pytest.mark.parametrize("gamma, calls", [(0.0, 1), (6.0, 2)])
+    def test_block_grid_sampled_once(self, monkeypatch, gamma, calls):
+        # the grid gives the start price, the marks and, without latency, the
+        # trade prices; only a latency samples again
+        path = sample_gbm_path(
+            GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=1200, seed=6)
+        )
+        clock = BlockClock.for_series(path, gamma=gamma)
+        sampled = []
+
+        def counting(series, times):
+            sampled.append(np.size(times))
+            return sample_at(series, times)
+
+        monkeypatch.setattr("fmamm.backtest.sample_at", counting)
+        result = run_fmamm_backtest(path, clock, 0.003)
+        assert len(sampled) == calls and sampled[0] == clock.n_blocks + 1
+        assert np.array_equal(result.p_stars, sample_at(path, result.trades.time - gamma))
+        if gamma == 0.0:
+            assert np.array_equal(result.p_stars, result.marks.prices[1:])
+
     def test_misaligned_volume_rejected(self):
         series = flat_series(blocks=3)
-        scenario = NoiseScenario("fraction_of_baseline_volume", 0.1)
+        scenario = NoiseScenario(0.1)
         with pytest.raises(ValueError, match="misaligned"):
             run_fmamm_backtest(
                 series, BlockClock.for_series(series), 0.0, scenario, R, baseline_volume=[1.0]
             )
-        with pytest.raises(ValueError, match="baseline_volume"):
+        # a positive fraction of no volume is an error, not silently no noise
+        with pytest.raises(ValueError, match="noise fraction 0.1 needs a per-block baseline_volume"):
             run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, scenario, R)
 
     def test_bad_price_and_volume_name_the_problem(self):
@@ -176,7 +199,7 @@ class TestRunBacktest:
         with pytest.raises(PriceDataError, match="X-Y: prices must be finite and positive"):
             PriceSeries("X-Y", [0, 12, 24, 36], [2000.0, 2000.0, math.inf, 2000.0])
         series = flat_series(blocks=3)
-        scenario = NoiseScenario("fraction_of_baseline_volume", 0.1)
+        scenario = NoiseScenario(0.1)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, scenario, R,
@@ -188,7 +211,7 @@ class TestRunBacktest:
         # reported, also when it ends one chunk of the loop and the next
         # block raises in the following chunk
         top = 1.5e308
-        scenario = NoiseScenario("fraction_of_baseline_volume", 1.0)
+        scenario = NoiseScenario(1.0)
         for quiet in (0, 6):  # blocks before it, without noise, at spot: no trade
             if quiet:
                 monkeypatch.setattr("fmamm.backtest._CHUNK", quiet + 1)
@@ -206,7 +229,7 @@ class TestRunBacktest:
         zero = run_fmamm_backtest(path, clock, 0.003, NO_NOISE, R)
         noisy = run_fmamm_backtest(
             path, clock, 0.003,
-            NoiseScenario("fraction_of_baseline_volume", 1.0), R, volume,
+            NoiseScenario(1.0), R, volume,
         )
         assert noisy.terminal_roi >= zero.terminal_roi
 
@@ -214,13 +237,13 @@ class TestRunBacktest:
         path = sample_gbm_path(GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=1200, seed=5))
         clock = BlockClock.for_series(path)
         volume = np.full(clock.n_blocks, 0.02)
-        scenario = NoiseScenario("fraction_of_baseline_volume", 1.0, "random_sign", seed=77)
+        scenario = NoiseScenario(1.0, "random_sign", seed=77)
         a = run_fmamm_backtest(path, clock, 0.003, scenario, R, volume)
         b = run_fmamm_backtest(path, clock, 0.003, scenario, R, volume)
         assert np.array_equal(a.series.values, b.series.values)
         c = run_fmamm_backtest(
             path, clock, 0.003,
-            NoiseScenario("fraction_of_baseline_volume", 1.0, "random_sign", seed=78),
+            NoiseScenario(1.0, "random_sign", seed=78),
             R, volume,
         )
         assert not np.array_equal(a.series.values, c.series.values)
@@ -254,7 +277,7 @@ def reference_backtest(prices, clock, tau, noise, initial=None, baseline_volume=
     p0 = float(sample_at(prices, [clock.start])[0])
     reserves = initial if initial is not None else balanced_reserves(p0)
     volumes = np.zeros(times.size)
-    if noise.mode != "none":
+    if baseline_volume is not None:
         volumes = noise.fraction * np.asarray(baseline_volume, dtype=np.float64)
     signs = np.random.default_rng(noise.seed).integers(0, 2, size=times.size) * 2 - 1
     rows, values = [], [reserves.value_at(p0)]
@@ -326,7 +349,7 @@ class TestKernelMatchesReference:
         path, clock, volume = scenario
         noise = NO_NOISE
         if kind != "none":
-            noise = NoiseScenario("fraction_of_baseline_volume", 2.0, kind, seed=41)
+            noise = NoiseScenario(2.0, kind, seed=41)
         result = run_fmamm_backtest(path, clock, tau, noise, None, volume)
         reference = reference_backtest(path, clock, tau, noise, None, volume)
         assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
@@ -348,7 +371,7 @@ class TestKernelMatchesReference:
         path, clock, volume = scenario
         noise = NO_NOISE
         if kind != "none":
-            noise = NoiseScenario("fraction_of_baseline_volume", 2.0, kind, seed=41)
+            noise = NoiseScenario(2.0, kind, seed=41)
         result = run_fmamm_backtest(path, clock, 0.003, noise, None, volume)
         reference = reference_backtest(path, clock, 0.003, noise, None, volume)
         assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
@@ -362,7 +385,7 @@ class TestKernelMatchesReference:
         volume = np.random.default_rng(47).exponential(0.01, clock.n_blocks)
         noise = NO_NOISE
         if kind != "none":
-            noise = NoiseScenario("fraction_of_baseline_volume", 2.0, kind, seed=53)
+            noise = NoiseScenario(2.0, kind, seed=53)
         result = run_fmamm_backtest(path, clock, 0.003, noise, None, volume)
         reference = reference_backtest(path, clock, 0.003, noise, None, volume)
         assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
@@ -374,7 +397,7 @@ class TestKernelMatchesReference:
         # price but the settled trade misses it by more than the tolerance.
         # Both paths check the pin at the settled trade, so both raise.
         series = PriceSeries("X-Y", [0.0, 12.0], [1.0, 2.5e7])
-        noise = NoiseScenario("fraction_of_baseline_volume", 1.0, "random_sign", seed)
+        noise = NoiseScenario(1.0, "random_sign", seed)
         args = (series, BlockClock.for_series(series), 0.0, noise, Reserves(1.0, 1.0), [0.3])
         if settles:
             assert_matches_reference(run_fmamm_backtest(*args), reference_backtest(*args), 1e-12)
@@ -398,7 +421,7 @@ class TestKernelMatchesReference:
     def test_single_block_property(self, y, x, ratio, volume, tau, direction, seed):
         series = PriceSeries("X-Y", [0.0, 12.0], [y / x, y / x * ratio])
         clock = BlockClock.for_series(series)
-        noise = NoiseScenario("fraction_of_baseline_volume", 1.0, direction, seed)
+        noise = NoiseScenario(1.0, direction, seed)
         args = (series, clock, tau, noise, Reserves(y, x), [volume * x])
         try:
             reference = reference_backtest(*args)
@@ -454,7 +477,7 @@ class TestZeroLvr:
     def test_noise_only_adds(self, direction):
         # up to 2% of the one-unit asset reserve per block, well short of the pole
         volume = np.random.default_rng(3).uniform(0.0, 0.02, len(self.PATH) - 1)
-        noise = NoiseScenario("fraction_of_baseline_volume", 1.0, direction, seed=5)
+        noise = NoiseScenario(1.0, direction, seed=5)
         residual = self.residual(self.PATH, 0.003, noise, volume)
         assert residual.min() >= -1e-12
         assert residual.max() > 0.0
@@ -473,7 +496,7 @@ class TestZeroLvr:
         path = sample_gbm_path(
             GbmParams(2000.0, 0.0005, step_seconds=12, horizon_seconds=12 * blocks, seed=seed))
         volumes = np.random.default_rng(seed).uniform(0.0, volume, blocks)
-        noise = NoiseScenario("fraction_of_baseline_volume", fraction, direction, seed=seed)
+        noise = NoiseScenario(fraction, direction, seed=seed)
         assert self.residual(path, tau, noise, volumes).min() >= -1e-12
 
 
@@ -501,17 +524,39 @@ class TestCompareReturns:
             compare_returns(a, c)
 
 
+class TestNoiseScenario:
+    def test_fraction_must_be_non_negative(self):
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="fraction must be non-negative"):
+                NoiseScenario(bad)
+
+    def test_summary_reports_the_applied_fraction(self):
+        series = PriceSeries("X-Y", [0, 12], [2000.0, 2100.0])
+        clock = BlockClock.for_series(series)
+        for fraction in (0.0, 0.25):
+            noise = NoiseScenario(fraction, "balanced", 4)
+            summary = run_fmamm_backtest(series, clock, 0.003, noise, R, [1.0]).summary
+            assert "noise_mode" not in summary
+            assert (summary["noise_fraction"], summary["noise_direction"], summary["seed"]) == (
+                fraction, "balanced", 4)
+            # the arbitrageurs buy, so only the noise's sell leg pays in asset
+            assert (summary["fee_asset_total"] > 0.0) == (fraction > 0.0)
+        assert run_fmamm_backtest(series, clock, 0.003, NO_NOISE, R).summary["noise_fraction"] == 0.0
+
+
 class TestFeeSweep:
     def test_constant_price_all_zero(self):
         series = flat_series()
-        results = fee_sweep(series, BlockClock.for_series(series), initial=R)
-        assert set(results) == {0.0, 0.0005, 0.003, 0.01}
-        assert all(res.terminal_roi == 0.0 for res in results.values())
+        clock = BlockClock.for_series(series)
+        for tau in DEFAULT_FEE_GRID:
+            assert run_fmamm_backtest(series, clock, tau, NO_NOISE, R).terminal_roi == 0.0
 
     def test_zero_fee_entry_matches_plain_run(self):
+        # runs over one path and start state share nothing: the zero-fee run
+        # of a grid is a plain run
         path = sample_gbm_path(GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=1200, seed=2))
         clock = BlockClock.for_series(path)
-        sweep = fee_sweep(path, clock, initial=R)
+        sweep = {tau: run_fmamm_backtest(path, clock, tau, NO_NOISE, R) for tau in DEFAULT_FEE_GRID}
         plain = run_fmamm_backtest(path, clock, 0.0, NO_NOISE, R)
         assert np.array_equal(sweep[0.0].series.values, plain.series.values)
 
@@ -520,29 +565,42 @@ class TestFeeSweep:
         prices = 2000.0 * 1.001 ** np.arange(101)  # steady one-way trend
         series = PriceSeries("X-Y", ts, prices)
         clock = BlockClock.for_series(series)
-        sweep = fee_sweep(series, clock, fees=(0.0, 0.003, 0.05), initial=R)
-        assert sweep[0.0].n_rebalances == 100
-        assert sweep[0.0].n_rebalances >= sweep[0.003].n_rebalances >= sweep[0.05].n_rebalances
-        assert sweep[0.05].n_rebalances < 100
+        counts = [run_fmamm_backtest(series, clock, tau, NO_NOISE, R).n_rebalances
+                  for tau in (0.0, 0.003, 0.05)]
+        assert counts[0] == 100
+        assert counts[0] >= counts[1] >= counts[2]
+        assert counts[2] < 100
 
 
 class TestNoiseSweep:
     def make_path(self):
         return sample_gbm_path(GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=12 * 200, seed=3))
 
+    @staticmethod
+    def sweep(path, fractions, volume):
+        clock = BlockClock.for_series(path)
+        return {f: run_fmamm_backtest(path, clock, 0.003, NoiseScenario(f), R, volume)
+                for f in fractions}
+
     def test_zero_fraction_is_zero_noise(self):
+        # given a volume, a zero fraction runs bit for bit as no noise at all
         path = self.make_path()
         clock = BlockClock.for_series(path)
         volume = np.full(clock.n_blocks, 0.05)
-        sweep = noise_volume_sweep(path, clock, 0.003, [0.0, 0.5], volume, R)
         plain = run_fmamm_backtest(path, clock, 0.003, NO_NOISE, R)
-        assert np.array_equal(sweep[0.0].series.values, plain.series.values)
+        assert plain.n_rebalances > 0
+        assert self.sweep(path, (0.5,), volume)[0.5].terminal_roi > plain.terminal_roi
+        for direction in NOISE_DIRECTIONS:
+            zero = run_fmamm_backtest(path, clock, 0.003, NoiseScenario(0.0, direction, 9), R,
+                                      volume)
+            assert np.array_equal(zero.series.values, plain.series.values)
+            assert np.array_equal(zero.series.roi, plain.series.roi)
+            for name in TRADE_LOG_DTYPE.names:
+                assert np.array_equal(zero.trades[name], plain.trades[name]), name
 
     def test_fee_revenue_linear_in_fraction_per_block(self):
         series = PriceSeries("X-Y", [0, 12], [2000.0, 2100.0])
-        clock = BlockClock.for_series(series)
-        volume = np.array([1.0])
-        sweep = noise_volume_sweep(series, clock, 0.003, [0.25, 0.5], volume, R)
+        sweep = self.sweep(series, (0.0, 0.25, 0.5), np.array([1.0]))
         fee0 = sweep[0.0].trades[0]
         fee1 = sweep[0.25].trades[0]
         fee2 = sweep[0.5].trades[0]
@@ -556,10 +614,9 @@ class TestNoiseSweep:
 
     def test_roi_nondecreasing_in_fraction(self):
         path = self.make_path()
-        clock = BlockClock.for_series(path)
-        volume = np.full(clock.n_blocks, 0.05)
-        sweep = noise_volume_sweep(path, clock, 0.003, [0.1, 0.3, 0.5], volume, R)
-        rois = [sweep[f].terminal_roi for f in (0.0, 0.1, 0.3, 0.5)]
+        volume = np.full(len(path) - 1, 0.05)
+        sweep = self.sweep(path, (0.0, 0.1, 0.3, 0.5), volume)
+        rois = [result.terminal_roi for result in sweep.values()]
         assert all(b >= a - 1e-15 for a, b in zip(rois, rois[1:]))
 
 

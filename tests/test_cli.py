@@ -222,7 +222,7 @@ class TestBacktestCommand:
 
 
 class TestSweepCommands:
-    def test_fee_sweep(self, tmp_path, capsys):
+    def test_sweep_fees(self, tmp_path, capsys):
         write_price_csv(tmp_path / "prices.csv", blocks=100)
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv",
                            fee_grid=[0.0, 0.003])
@@ -245,6 +245,50 @@ class TestSweepCommands:
         diffs = [r["diff_vs_zero_noise_pp"] for r in rows]
         assert diffs[0] == 0.0
         assert diffs[1] <= diffs[2] + 1e-12
+
+    def test_duplicate_grid_entries_run_once(self, tmp_path, capsys, monkeypatch):
+        series = write_price_csv(tmp_path / "prices.csv", blocks=100)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
+                           fee_grid=[0.003, 0.003, 0.0], noise_fractions=[0.1, 0.1])
+        calls = []
+        run = fmamm.cli.run_fmamm_backtest
+        monkeypatch.setattr("fmamm.cli.run_fmamm_backtest",
+                            lambda *args: calls.append(args[2:4]) or run(*args))
+        for command, key, grid, runs in (
+            ("sweep-fees", "fee", [0.003, 0.0], ["fee_0.003", "fee_0"]),
+            ("sweep-noise", "fraction", [0.0, 0.1], ["noise_0", "noise_0.1"]),
+        ):
+            calls.clear()
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split()[1] for line in lines if line.startswith(f"  {key} ")] == [
+                f"{v:g}" for v in grid]
+            rows = json.loads((out / "summary.json").read_text())["rows"]
+            assert [r[key] for r in rows] == grid
+            assert sorted(f.name for f in out.glob("*_returns.csv")) == sorted(
+                f"{run}_returns.csv" for run in runs)
+            if command == "sweep-fees":
+                assert [tau for tau, _ in calls] == grid
+            else:
+                assert [noise.fraction for _, noise in calls] == grid
+
+    def test_one_forward_fill_warning_per_command(self, tmp_path):
+        # a 360 s gap in the price rows: each command samples the block grid
+        # once per run and warns once
+        series = write_price_csv(tmp_path / "prices.csv", blocks=100)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        lines = (tmp_path / "prices.csv").read_text().splitlines()
+        (tmp_path / "prices.csv").write_text("\n".join(lines[:41] + lines[71:]) + "\n")
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
+                           fee_grid=[0.0, 0.003], noise_fractions=[0.1])
+        for command in ("backtest", "sweep-fees", "sweep-noise"):
+            done = subprocess.run([sys.executable, "-m", "fmamm.cli", command, "--config", str(cfg)],
+                                  env=checkout_env(), capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert done.stderr.count("forward-filled") == 1, (command, done.stderr)
+            assert "(max gap 360s)" in done.stderr
 
     def test_noise_beyond_the_pole_names_the_block(self, tmp_path, capsys):
         # one asset unit of depth; random-sign noise of 0.5-2 units buys past x/2
@@ -308,6 +352,13 @@ class TestMcRiskCommand:
         assert payload["difference"] > 0
         assert payload["z_score"] is None
 
+
+    @pytest.mark.parametrize("price", ["nan", "inf", "-5", "0"])
+    def test_bad_base_price_is_validation_error(self, capsys, price):
+        assert main(["mc-risk"] + RESERVES + ["--epsilon-sd", "1", "--n-draws", "10",
+                                              "--base-price", price]) == 2
+        err = capsys.readouterr().err
+        assert "--base-price must be positive and finite" in err, err
 
     @pytest.mark.parametrize("sd", ["-1", "nan"])
     def test_bad_spread_is_validation_error(self, capsys, sd):

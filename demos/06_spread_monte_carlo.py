@@ -27,8 +27,7 @@ def spread_experiment():
     base = np.full(N_DRAWS, POOL.spot_price)
     print(f"degenerate base price {POOL.spot_price:.0f}, +-10% two-point spread:")
     for tau in (0.003, 0.01, 0.05, 0.15):
-        out = risk_monte_carlo(base, 0.1 * POOL.spot_price, POOL, tau,
-                               n_draws=N_DRAWS, seed=1)
+        out = risk_monte_carlo(base, 0.1 * POOL.spot_price, POOL, tau, seed=1)
         print(f"  fee {tau:<6g} objective gain {out.difference:12.4f} "
               f"(z={out.z_score:7.2f})")
     print("once the band is wide enough to swallow both atoms the gain is exactly zero")

@@ -81,7 +81,9 @@ def optimal_rebalance(
     continuous across the netting point).  The pin is checked at the batch's
     settled net trade, noise plus order, which rounding can move off the
     root; a pinned price that misses ``p_star`` raises
-    :class:`ConvergenceError`.  Ties at the band edge are treated as no-trade.
+    :class:`ConvergenceError`.  Ties at the band edge are treated as no-trade,
+    as is a price just outside it whose order rounds to the wrong side of
+    zero (a buy at or below zero, a sell at or above it).
     """
     _check_price(p_star)
     band = no_trade_band(reserves, net_noise, tau)
@@ -107,8 +109,9 @@ def optimal_rebalance(
             net *= keep
 
     trade = net - net_noise
-    if trade == 0.0:
-        # p_star is within rounding of the band edge; treat as the tie case
+    if (trade <= 0.0) if p_star > band[1] else (trade >= 0.0):
+        # an order rounded to the wrong side of zero: p_star is within
+        # rounding of the band edge, the tie case
         return RebalanceDecision(0.0, False, band)
     pinned = effective_price(reserves, net_noise + trade, tau, trade)
     if not math.isclose(pinned, p_star, rel_tol=_PIN_RTOL):

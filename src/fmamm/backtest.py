@@ -45,7 +45,6 @@ from fmamm.market_data import (
     format_number,
     mean_preserving_spread,
     sample_at,
-    write_rows,
 )
 from fmamm.uniswap import COMPOUND_CADENCES
 
@@ -55,14 +54,12 @@ __all__ = [
     "NO_NOISE",
     "TRADE_LOG_DTYPE",
     "BacktestResult",
-    "ReturnComparison",
     "RiskMonteCarloResult",
     "ScenarioConfig",
     "DEFAULT_FEE_GRID",
     "MAX_BLOCKS",
     "balanced_reserves",
     "run_fmamm_backtest",
-    "compare_returns",
     "value_function",
     "risk_monte_carlo",
 ]
@@ -349,13 +346,18 @@ def run_fmamm_backtest(
                         raise _pole_error(block, t, a, x)
                     base = y / d
                 # the arbitrageurs' same-sign root, rescaled when the batch still
-                # nets to the noise's side (sign mixing)
+                # nets to the noise's side (sign mixing); an order rounded to the
+                # wrong side of zero is the band-edge tie
                 if p > base / keep:
                     net = 0.5 * (x - y / (keep * p))
                     trade = (net if net >= 0.0 else net / keep) - a
+                    if trade < 0.0:
+                        trade = 0.0
                 elif p < keep * base:
                     net = 0.5 * (x / keep - y / p)
                     trade = (net * keep if net > 0.0 else net) - a
+                    if trade > 0.0:
+                        trade = 0.0
                 else:
                     trade = 0.0
 
@@ -434,38 +436,11 @@ def run_fmamm_backtest(
     return BacktestResult(series, summary, columns, marks, p_stars, noise_net, initial)
 
 
-@dataclass(frozen=True)
-class ReturnComparison:
-    """Pointwise ROI difference between two venues on common timestamps."""
-
-    venue_a: str
-    venue_b: str
-    timestamps: np.ndarray
-    roi_difference: np.ndarray
-
-    @property
-    def terminal_difference_pp(self) -> float:
-        """Terminal ROI gap in percentage points (a minus b)."""
-        return float(100.0 * self.roi_difference[-1])
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("timestamp,roi_difference\r\n")
-            write_rows(self.timestamps, (self.roi_difference,), (fh.write, (0, ",", 1, "\r\n")))
-
-
-def compare_returns(a: LpReturnSeries, b: LpReturnSeries) -> ReturnComparison:
-    """ROI difference a minus b on the timestamp intersection."""
-    common, ia, ib = np.intersect1d(a.timestamps, b.timestamps, return_indices=True)
-    if common.size == 0:
-        raise ValueError(f"{a.venue} and {b.venue} share no timestamps")
-    return ReturnComparison(a.venue, b.venue, common, a.roi[ia] - b.roi[ib])
-
-
 def sweep_run_id(prefix: str, value: float) -> str:
     """A sweep run's id: ``fee_0.003`` for fee 0.003, ``noise_0.1`` for
-    fraction 0.1; values equal to 6 significant digits share one."""
-    return f"{prefix}_{value:g}"
+    fraction 0.1, the value in :func:`format_number`'s exact form, so
+    distinct values get distinct ids."""
+    return f"{prefix}_{format_number(value)}"
 
 
 def value_function(prices, reserves: Reserves, tau: float) -> np.ndarray:
@@ -502,25 +477,19 @@ def risk_monte_carlo(
     epsilon_sd: float,
     reserves: Reserves,
     tau: float,
-    n_draws: int = 100_000,
     seed: int = 0,
 ) -> RiskMonteCarloResult:
     """Paired Monte Carlo of the value function under a mean-preserving spread.
 
-    Draws settlement prices from the supplied base sample (resampling with
-    replacement if sizes differ), perturbs each with exact conditional-mean-
-    zero noise, and compares the pool's maximized objective under the two.
-    The paired difference is non-negative draw by draw; it is zero whenever
-    both prices fall inside the no-trade band.
+    Perturbs each base settlement price (one draw each) with exact
+    conditional-mean-zero noise, and compares the pool's maximized objective
+    under the two.  The paired difference is non-negative draw by draw; it
+    is zero whenever both prices fall inside the no-trade band.
     """
-    if n_draws < 2:
-        raise ValueError(f"n_draws must be at least 2 for a paired se, got {n_draws}")
-    base = np.asarray(base_draws, dtype=np.float64)
-    if base.size == 0:
-        raise ValueError("base_draws must be non-empty")
-    rng = np.random.default_rng(seed)
-    draws = base if base.size == n_draws else rng.choice(base, size=n_draws, replace=True)
-    spread = mean_preserving_spread(draws, epsilon_sd, rng)
+    draws = np.asarray(base_draws, dtype=np.float64)
+    if draws.size < 2:
+        raise ValueError(f"n_draws must be at least 2 for a paired se, got {draws.size}")
+    spread = mean_preserving_spread(draws, epsilon_sd, np.random.default_rng(seed))
     v_base = value_function(draws, reserves, tau)
     v_spread = value_function(spread, reserves, tau)
     diffs = v_spread - v_base
@@ -610,22 +579,12 @@ class ScenarioConfig:
         _check_fee(cfg.fee, f"{path}: config key 'fee'")
         for tau in cfg.fee_grid:
             _check_fee(tau, f"{path}: config key 'fee_grid' entry")
-        # the noise sweep's implicit 0.0 cannot collide: only zero formats as "0"
-        for key, prefix, grid in (("fee_grid", "fee", cfg.fee_grid),
-                                  ("noise_fractions", "noise", cfg.noise_fractions)):
-            seen: dict[str, float] = {}
-            for value in grid:
-                run_id = sweep_run_id(prefix, value)
-                first = seen.setdefault(run_id, value)
-                if first != value:
-                    raise ValueError(
-                        f"{path}: config key '{key}' entries {first!r} and {value!r} "
-                        f"give one run id '{run_id}'")
         for key, ok, want in (
             ("noise_direction", cfg.noise_direction in NOISE_DIRECTIONS,
              f"one of {NOISE_DIRECTIONS}"),
             ("compound_cadence", cfg.compound_cadence in COMPOUND_CADENCES,
              f"one of {COMPOUND_CADENCES}"),
+            ("fee_grid", len(cfg.fee_grid) > 0, "non-empty"),
             ("pool_fee", cfg.pool_fee is None or 0.0 < cfg.pool_fee < 1.0, "null or in (0, 1)"),
             ("noise_fractions", min(cfg.noise_fractions, default=0.0) >= 0.0, "non-negative"),
             ("initial_x", cfg.initial_x > 0.0, "positive"),

@@ -45,7 +45,6 @@ from fmamm.backtest import (
     NoiseScenario,
     ScenarioConfig,
     balanced_reserves,
-    compare_returns,
     risk_monte_carlo,
     run_fmamm_backtest,
     sweep_run_id,
@@ -112,6 +111,13 @@ def _write_runs(out: Path, runs: dict) -> None:
             long.writelines(pending)
 
 
+def _write_comparison(path, timestamps, roi_difference) -> None:
+    """``comparison.csv``: the ROI gap between two venues marked on one grid."""
+    with open(path, "w", newline="") as fh:
+        fh.write("timestamp,roi_difference\r\n")
+        write_rows(timestamps, (roi_difference,), (fh.write, (0, ",", 1, "\r\n")))
+
+
 def _reserves(args) -> Reserves:
     return Reserves(args.y, args.x_reserve)
 
@@ -155,6 +161,9 @@ def _load_scenario(args):
     prices = load_price_series(cfg.price_csv, cfg.pair)
     clock = BlockClock.for_series(prices, mu=cfg.mu, gamma=cfg.gamma)
     p0 = float(prices.prices[0])
+    if not p0 * cfg.initial_x < math.inf:
+        raise ValueError(f"{args.config}: config key 'initial_x' {cfg.initial_x!r} at the "
+                         f"first price {p0!r} overflows the numeraire reserve")
     initial = balanced_reserves(p0, cfg.initial_x)
     return cfg, prices, clock, initial
 
@@ -172,13 +181,16 @@ def cmd_backtest(args) -> Outputs:
         records = load_swap_records(cfg.swap_csv)
         baseline = run_baseline(records, result.marks, cfg.baseline_liquidity,
                                 cfg.compound_cadence)
-        comparison = compare_returns(result.series, baseline)
+        # both venues are marked on the run's block grid
+        gap = result.series.roi - baseline.roi
+        gap_pp = float(100.0 * gap[-1])
         print(f"uniswap terminal roi {baseline.terminal_roi:+.6%}")
-        print(f"difference {comparison.terminal_difference_pp:+.4f}pp (fm_amm minus uniswap)")
+        print(f"difference {gap_pp:+.4f}pp (fm_amm minus uniswap)")
         runs["uniswap_v3_full_range"] = baseline
         summary["uniswap_v3_full_range"] = {"terminal_roi": baseline.terminal_roi}
-        summary["terminal_difference_pp"] = comparison.terminal_difference_pp
-        files["comparison.csv"] = comparison.write_csv
+        summary["terminal_difference_pp"] = gap_pp
+        files["comparison.csv"] = lambda path: _write_comparison(
+            path, result.series.timestamps, gap)
         inputs.append(cfg.swap_csv)
     return Outputs(files, runs, asdict(cfg), inputs, cfg.seed)
 
@@ -256,8 +268,7 @@ def cmd_mc_risk(args) -> Outputs:
     elif not 0.0 < base_price < math.inf:
         raise ValueError(f"--base-price must be positive and finite, got {base_price!r}")
     base = np.full(args.n_draws, base_price)
-    result = risk_monte_carlo(base, args.epsilon_sd, reserves, args.fee,
-                              n_draws=args.n_draws, seed=args.seed)
+    result = risk_monte_carlo(base, args.epsilon_sd, reserves, args.fee, seed=args.seed)
     print(f"mean objective, base prices:   {result.mean_value_base:.6f}")
     print(f"mean objective, spread prices: {result.mean_value_spread:.6f}")
     z = "n/a" if result.z_score is None else f"{result.z_score:.2f}"

@@ -27,7 +27,7 @@ from fmamm.amm import (
     fmamm_supply,
     objective_value,
 )
-from fmamm.arbitrage import optimal_rebalance
+from fmamm.arbitrage import no_trade_band, optimal_rebalance
 from fmamm.backtest import (
     DEFAULT_FEE_GRID,
     MAX_BLOCKS,
@@ -39,15 +39,14 @@ from fmamm.backtest import (
     ScenarioConfig,
     balanced_reserves,
     block_grid_series,
-    compare_returns,
     risk_monte_carlo,
     run_fmamm_backtest,
+    sweep_run_id,
     value_function,
 )
 from fmamm.batch import Batch, Order, settle_batch
 from fmamm.market_data import (
     GbmParams,
-    LpReturnSeries,
     PriceDataError,
     PriceSeries,
     sample_at,
@@ -432,6 +431,42 @@ class TestKernelMatchesReference:
             return
         assert_matches_reference(run_fmamm_backtest(*args), reference, rtol=1e-12)
 
+    def test_band_edge_tie_is_no_trade(self):
+        # p* is one ulp above the band's upper edge; the buy root rounds to
+        # -1.8e-15, and a buy on the wrong side of zero is the tie
+        reserves = Reserves(56223.62199100347, 25.893870671161515)
+        tau, p_star = 0.05, 2285.5895413289027
+        assert math.nextafter(no_trade_band(reserves, 0.0, tau)[1], math.inf) == p_star
+        assert optimal_rebalance(reserves, 0.0, tau, p_star).trade == 0.0
+        series = PriceSeries("A-B", [0.0, 12.0], [2171.0, p_star])
+        result = run_fmamm_backtest(series, BlockClock.for_series(series), tau, initial=reserves)
+        assert result.n_rebalances == 0
+        assert (result.columns[0, 1], result.columns[0, 2]) == (reserves.y, reserves.x)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        y=st.floats(1e-3, 1e9),
+        x=st.floats(1e-3, 1e6),
+        tau=st.floats(0.0, 0.2),
+        # the noise's net order as a share of the asset reserve, short of the pole
+        noise=st.one_of(st.just(0.0), st.floats(-0.4, 0.4)),
+        edge=st.sampled_from([0, 1]),
+        toward=st.sampled_from([-math.inf, math.inf]),
+    )
+    def test_band_edge_property(self, y, x, tau, noise, edge, toward):
+        # p* one ulp either side of either band edge: neither path raises,
+        # and both take the same trade, bit for bit
+        reserves, a = Reserves(y, x), noise * x
+        p_star = math.nextafter(no_trade_band(reserves, a, tau)[edge], toward)
+        decision = optimal_rebalance(reserves, a, tau, p_star)
+        series = PriceSeries("X-Y", [0.0, 12.0], [y / x, p_star])
+        # random-sign noise: seed 0 buys, seed 1 sells
+        scenario = NoiseScenario(1.0, "random_sign", seed=int(a < 0.0))
+        result = run_fmamm_backtest(series, BlockClock.for_series(series), tau, scenario,
+                                    reserves, [abs(a)])
+        assert result.noise_net[0] == a
+        assert result.columns[0, 0] == decision.trade
+
 
 class TestZeroFeeClosedForm:
     def test_cumprod_oracle_100k_blocks(self):
@@ -498,30 +533,6 @@ class TestZeroLvr:
         volumes = np.random.default_rng(seed).uniform(0.0, volume, blocks)
         noise = NoiseScenario(fraction, direction, seed=seed)
         assert self.residual(path, tau, noise, volumes).min() >= -1e-12
-
-
-class TestCompareReturns:
-    def test_identical_is_zero(self):
-        s = LpReturnSeries.from_values("a", [0, 12, 24], [1.0, 1.1, 1.2])
-        cmp = compare_returns(s, s)
-        assert np.all(cmp.roi_difference == 0.0)
-        assert cmp.terminal_difference_pp == 0.0
-
-    def test_constant_offset(self):
-        a = LpReturnSeries("a", [0, 12], [1.0, 1.0], [0.005, 0.005])
-        b = LpReturnSeries("b", [0, 12], [1.0, 1.0], [0.0, 0.0])
-        cmp = compare_returns(a, b)
-        assert np.allclose(cmp.roi_difference, 0.005)
-        assert cmp.terminal_difference_pp == pytest.approx(0.5, rel=1e-12)
-
-    def test_intersection_and_empty(self):
-        a = LpReturnSeries.from_values("a", [0, 12, 24], [1.0, 1.1, 1.2])
-        b = LpReturnSeries.from_values("b", [12, 24, 36], [1.0, 1.1, 1.2])
-        cmp = compare_returns(a, b)
-        assert list(cmp.timestamps) == [12.0, 24.0]
-        c = LpReturnSeries.from_values("c", [100, 200], [1.0, 1.0])
-        with pytest.raises(ValueError, match="share no timestamps"):
-            compare_returns(a, c)
 
 
 class TestNoiseScenario:
@@ -660,28 +671,29 @@ class TestValueFunction:
 
 class TestRiskMonteCarlo:
     def test_zero_spread_exact_zero(self):
-        out = risk_monte_carlo(np.full(1000, 2000.0), 0.0, R, 0.003, n_draws=1000)
+        out = risk_monte_carlo(np.full(1000, 2000.0), 0.0, R, 0.003)
         assert out.difference == 0.0
         assert out.z_score == 0.0
 
     def test_one_draw_rejected(self):
-        with pytest.raises(ValueError, match="n_draws must be at least 2"):
-            risk_monte_carlo(np.full(10, 2000.0), 200.0, R, 0.003, n_draws=1)
+        for n in (0, 1):
+            with pytest.raises(ValueError, match=f"n_draws must be at least 2 .*, got {n}"):
+                risk_monte_carlo(np.full(n, 2000.0), 200.0, R, 0.003)
 
     def test_degenerate_base_significant_gain(self):
-        out = risk_monte_carlo(np.full(10_000, 2000.0), 200.0, R, 0.003, n_draws=10_000, seed=1)
+        out = risk_monte_carlo(np.full(10_000, 2000.0), 200.0, R, 0.003, seed=1)
         assert out.difference > 0
         assert out.z_score >= 5.0
 
     def test_band_containing_atoms_no_gain(self):
         # +-10% atoms stay inside the band once the fee passes 10%
-        out = risk_monte_carlo(np.full(10_000, 2000.0), 200.0, R, 0.15, n_draws=10_000, seed=1)
+        out = risk_monte_carlo(np.full(10_000, 2000.0), 200.0, R, 0.15, seed=1)
         assert out.difference == 0.0
 
     def test_paired_differences_nonnegative(self):
         rng = np.random.default_rng(71)
         base = rng.lognormal(math.log(2000.0), 0.1, size=5000)
-        out = risk_monte_carlo(base, 100.0, R, 0.003, n_draws=5000, seed=2)
+        out = risk_monte_carlo(base, 100.0, R, 0.003, seed=2)
         assert out.mean_value_spread >= out.mean_value_base
         assert out.difference >= 0.0
 
@@ -769,6 +781,22 @@ class TestScenarioConfig:
         path.write_text('{"pair": "A-B"}')
         with pytest.raises(ValueError, match="price_csv"):
             ScenarioConfig.from_json(path)
+
+
+class TestSweepRunId:
+    @settings(max_examples=500)
+    @given(mantissa=st.integers(0, 999_999), exponent=st.integers(-20, 0),
+           prefix=st.sampled_from(["fee", "noise"]))
+    def test_short_values_keep_the_g_form(self, mantissa, exponent, prefix):
+        # below 1e6 with at most 6 significant digits (the default and bench
+        # grids), the exact id is the one the 6-digit {:g} form gives
+        value = float(f"{mantissa}e{exponent}")
+        assert sweep_run_id(prefix, value) == f"{prefix}_{value:g}"
+
+    def test_exact_form(self):
+        assert sweep_run_id("fee", 0.0010000001) == "fee_0.0010000001"
+        assert sweep_run_id("noise", 1e6) == "noise_1000000"
+        assert sweep_run_id("fee", -0.0) == "fee_0"
 
 
 class TestBalancedReserves:

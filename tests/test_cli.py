@@ -122,6 +122,23 @@ class TestBacktestCommand:
         assert manifest["config"] == str(cfg)
         assert len(manifest["inputs"]) == 3  # config, prices, swaps
 
+    @pytest.mark.parametrize("gamma", [0, 5])
+    def test_comparison_is_the_roi_gap(self, tmp_path, capsys, gamma):
+        series = write_price_csv(tmp_path / "prices.csv")
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
+                           gamma=gamma)
+        out = tmp_path / "out"
+        assert main(["backtest", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        fm, uni, gap = (np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2) for name in (
+            "fm_amm_returns.csv", "uniswap_v3_full_range_returns.csv", "comparison.csv"))
+        assert gap.shape == (201, 2)
+        assert np.array_equal(gap[:, 0], fm[:, 0]) and np.array_equal(gap[:, 0], uni[:, 0])
+        assert np.array_equal(gap[:, 1], fm[:, 2] - uni[:, 2])
+        gap_pp = json.loads((out / "summary.json").read_text())["terminal_difference_pp"]
+        assert gap_pp == 100.0 * gap[-1, 1]
+        assert f"difference {gap_pp:+.4f}pp" in capsys.readouterr().out
+
     def test_byte_identical_reruns(self, tmp_path):
         write_price_csv(tmp_path / "prices.csv")
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv")
@@ -163,12 +180,10 @@ class TestBacktestCommand:
         ("sweep-fees", {"fee_grid": [0.0, 1.0]}, "'fee_grid'"),
         ("sweep-fees", {"baseline_liquidity": 0}, "'baseline_liquidity'"),
         ("sweep-noise", {"initial_x": -1.0}, "'initial_x'"),
-        # distinct grid values whose run ids collide would lose a run's files
-        ("sweep-fees", {"fee_grid": [0.001, 0.0010000001]},
-         "'fee_grid' entries 0.001 and 0.0010000001 give one run id 'fee_0.001'"),
-        ("sweep-noise", {"noise_fractions": [0.1, 0.3, 0.30000001]},
-         "'noise_fractions' entries 0.3 and 0.30000001 give one run id 'noise_0.3'"),
-        ("backtest", {"fee_grid": [0.5, 0.0, 0.5000001]}, "entries 0.5 and 0.5000001"),
+        # in range, but the start reserves overflow at the first price
+        ("backtest", {"initial_x": 1e308}, "'initial_x' 1e+308 at the first price 2000.0"),
+        # an empty grid would run nothing and exit 0
+        ("sweep-fees", {"fee_grid": []}, "'fee_grid' must be non-empty"),
     ])
     def test_mistyped_config_is_validation_error(self, tmp_path, capsys, command, overrides,
                                                  named):
@@ -273,6 +288,30 @@ class TestSweepCommands:
                 assert [tau for tau, _ in calls] == grid
             else:
                 assert [noise.fraction for _, noise in calls] == grid
+
+    def test_grid_values_equal_to_six_digits_get_a_run_each(self, tmp_path, capsys):
+        series = write_price_csv(tmp_path / "prices.csv", blocks=40)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
+                           fee_grid=[0.001, 0.0010000001], noise_fractions=[0.3, 0.30000001])
+        for command, key, grid, runs in (
+            ("sweep-fees", "fee", [0.001, 0.0010000001], ["fee_0.001", "fee_0.0010000001"]),
+            ("sweep-noise", "fraction", [0.0, 0.3, 0.30000001],
+             ["noise_0", "noise_0.3", "noise_0.30000001"]),
+        ):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len([line for line in lines if line.startswith(f"  {key} ")]) == len(grid)
+            rows = json.loads((out / "summary.json").read_text())["rows"]
+            assert [r[key] for r in rows] == grid
+            assert sorted(f.name for f in out.glob("*_returns.csv")) == sorted(
+                f"{run}_returns.csv" for run in runs)
+            long_ids = [line.split(",")[0] for line in
+                        (out / "long.csv").read_text().splitlines()[1:]]
+            assert list(dict.fromkeys(long_ids)) == runs
+            assert len(long_ids) == len(runs) * 2 * 41
+        assert main(["backtest", "--config", str(cfg)]) == 0
 
     def test_one_forward_fill_warning_per_command(self, tmp_path):
         # a 360 s gap in the price rows: each command samples the block grid

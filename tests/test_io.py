@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from test_cli import write_config, write_price_csv, write_swap_csv
 
 from fmamm import cli, market_data, uniswap
-from fmamm.backtest import ReturnComparison
-from fmamm.cli import _write_runs, main
+from fmamm.cli import _write_comparison, _write_runs, main
 from fmamm.market_data import (
     LpReturnSeries,
     PriceDataError,
@@ -313,11 +312,11 @@ def reference_returns_csv(path, series):
             writer.writerow([format_number(t), repr(float(v)), repr(float(r))])
 
 
-def reference_comparison_csv(path, comparison):
+def reference_comparison_csv(path, timestamps, roi_difference):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "roi_difference"])
-        for t, d in zip(comparison.timestamps, comparison.roi_difference):
+        for t, d in zip(timestamps, roi_difference):
             writer.writerow([format_number(t), repr(float(d))])
 
 
@@ -379,11 +378,11 @@ class TestWriters:
         values = (ODD_VALUES * 2)[:n]
         roi = (ODD_VALUES[::-1] * 2)[:n]
         series = LpReturnSeries("venue", stamps, values, roi)
-        comparison = ReturnComparison("a", "b", np.asarray(stamps, float), np.asarray(roi, float))
         runs = {"fm_amm": series, "fee_0.003": LpReturnSeries("v", stamps, roi, values),
                 "noise_0.1": LpReturnSeries("w", stamps[:3], roi[:3], values[:3])}
-        comparison.write_csv(tmp_path / "got.csv")
-        reference_comparison_csv(tmp_path / "want.csv", comparison)
+        gap = np.asarray(roi, float)
+        _write_comparison(tmp_path / "got.csv", np.asarray(stamps, float), gap)
+        reference_comparison_csv(tmp_path / "want.csv", stamps, gap)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         _write_runs(tmp_path, runs)
         assert_out_dir_matches(tmp_path, runs)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from fmamm.amm import (
     ConvergenceError,
     Reserves,
@@ -32,6 +34,7 @@ from fmamm.amm import (
 __all__ = [
     "RebalanceDecision",
     "no_trade_band",
+    "arbitrage_order",
     "optimal_rebalance",
     "malicious_operator_attack",
     "cpamm_arbitrage_profit",
@@ -67,51 +70,47 @@ def no_trade_band(reserves: Reserves, net_noise: float, tau: float) -> tuple[flo
     return ((1.0 - tau) * base, base / (1.0 - tau))
 
 
+def arbitrage_order(y, x, net_noise, tau: float, p_star):
+    """Arbitrageurs' order against reserves ``(y, x)``, element by element.
+
+    Outside the band, arbitrageurs trade until their own effective price
+    equals ``p_star``: the same-sign root when their order leaves the batch's
+    net trade on their side, that root rescaled by ``(1-tau)`` when the batch
+    still nets to the noise's side (sign mixing).  Inside the band, on its
+    edges and where the order rounds to the wrong side of zero (the tie), it
+    is 0.  Inputs broadcast (``tau`` scalar), scalars return a float, and
+    nothing is checked: invalid inputs give junk orders.
+    """
+    y, x, a, p = (np.asarray(v, dtype=np.float64) for v in (y, x, net_noise, p_star))
+    keep = 1.0 - tau
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a net-selling batch routes only (1-tau) of its volume to the pool
+        base = np.where(a == 0.0, y / x, y / (x - 2.0 * np.where(a > 0.0, a, a * keep)))
+        # buy: Y/((1-tau)(x-2n)) = p*, over (1-tau) when the batch still net-sells
+        buy = 0.5 * (x - y / (keep * p))
+        buy = np.where(buy >= 0.0, buy, buy / keep) - a
+        # sell: (1-tau)Y/(x-2(1-tau)n) = p*, times (1-tau) when the batch still net-buys
+        sell = 0.5 * (x / keep - y / p)
+        sell = np.where(sell > 0.0, sell * keep, sell) - a
+        trade = np.where(p > base / keep, np.where(buy > 0.0, buy, 0.0),
+                         np.where(p < keep * base, np.where(sell < 0.0, sell, 0.0), 0.0))
+    return float(trade) if trade.ndim == 0 else trade
+
+
 def optimal_rebalance(
     reserves: Reserves, net_noise: float, tau: float, p_star: float
 ) -> RebalanceDecision:
     """Collective arbitrageur order given noise flow and the external price.
 
-    Outside the band, arbitrageurs trade until their own effective price
-    equals ``p_star``.  Every effective-price branch is ``y`` over a
-    linear function of the net trade, so the pin has a closed form: the
-    same-sign solution when their order leaves the batch's net trade on
-    their own side, that solution rescaled by ``(1-tau)`` when the batch
-    still nets to the other side (the price curve is only piecewise
-    continuous across the netting point).  The pin is checked at the batch's
-    settled net trade, noise plus order, which rounding can move off the
-    root; a pinned price that misses ``p_star`` raises
-    :class:`ConvergenceError`.  Ties at the band edge are treated as no-trade,
-    as is a price just outside it whose order rounds to the wrong side of
-    zero (a buy at or below zero, a sell at or above it).
+    :func:`arbitrage_order` at one price, with the inputs checked.  The pin
+    is checked at the batch's settled net trade, noise plus order, which
+    rounding can move off the root; a price that misses ``p_star`` raises
+    :class:`ConvergenceError`.
     """
     _check_price(p_star)
     band = no_trade_band(reserves, net_noise, tau)
-    if band[0] <= p_star <= band[1]:
-        return RebalanceDecision(0.0, False, band)
-
-    keep = 1.0 - tau
-    y, x = reserves.y, reserves.x
-    if p_star > band[1]:
-        # arbitrageurs buy; same-sign closed form from Y/((1-tau)(x-2n)) = p*
-        net = 0.5 * (x - y / (keep * p_star))
-        if net < 0.0:
-            # order buys but the batch still net-sells: pin the buy-side
-            # price of a fee-shrunk net trade, Y/((1-tau)(x-2(1-tau)n)) = p*,
-            # whose root is the same-sign root over (1-tau)
-            net /= keep
-    else:
-        # arbitrageurs sell; same-sign closed form from (1-tau)Y/(x-2(1-tau)n) = p*
-        net = 0.5 * (x / keep - y / p_star)
-        if net > 0.0:
-            # order sells but the batch still net-buys: (1-tau)Y/(x-2n) = p*,
-            # whose root is the same-sign root times (1-tau)
-            net *= keep
-
-    trade = net - net_noise
-    if (trade <= 0.0) if p_star > band[1] else (trade >= 0.0):
-        # an order rounded to the wrong side of zero: p_star is within
-        # rounding of the band edge, the tie case
+    trade = arbitrage_order(reserves.y, reserves.x, net_noise, tau, p_star)
+    if trade == 0.0:
         return RebalanceDecision(0.0, False, band)
     pinned = effective_price(reserves, net_noise + trade, tau, trade)
     if not math.isclose(pinned, p_star, rel_tol=_PIN_RTOL):

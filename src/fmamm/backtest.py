@@ -38,7 +38,7 @@ from fmamm.amm import (
     _check_fee,
     objective_value,
 )
-from fmamm.arbitrage import _PIN_RTOL
+from fmamm.arbitrage import _PIN_RTOL, arbitrage_order
 from fmamm.market_data import (
     LpReturnSeries,
     PriceSeries,
@@ -254,18 +254,18 @@ def run_fmamm_backtest(
     defaults to value-balanced reserves of one asset unit at the first price
     (the fixed point of the zero-fee strategy, so the run starts neutral).
 
-    The loop works on plain floats with the closed forms of
-    :func:`fmamm.arbitrage.optimal_rebalance` and
-    :func:`fmamm.batch.settle_batch`, in the same order of operations and
-    exact summation, so it matches that composition block by block (bit for
-    bit without noise).  A rebalancing batch is priced once, at its net
-    trade (noise plus arbitrage), and the arbitrageurs' pin is checked at that
-    settled price.  The loop walks the blocks in chunks, so only one chunk's
-    Python floats are alive at a time.  The summary's counts of buy-side
-    and sell-side rebalances and sign-mixing blocks (where the arbitrageurs'
-    order leaves the batch netting to the noise's side) are read off the
-    log's columns; :attr:`BacktestResult.trades` builds the
-    :data:`TRADE_LOG_DTYPE` records from them when first read.
+    The loop works on plain floats.  Its arbitrage order inlines
+    :func:`fmamm.arbitrage.arbitrage_order` bit for bit, and it settles with
+    the closed forms, operation order and exact summation of
+    :func:`fmamm.batch.settle_batch`, so it matches their per-block
+    composition (bit for bit without noise).  A rebalancing batch is priced
+    once, at its net trade (noise plus arbitrage), and the arbitrageurs' pin
+    is checked at that settled price.  The loop walks the blocks in chunks,
+    so only one chunk's Python floats are alive at a time.  The summary's
+    counts of buy-side and sell-side rebalances and sign-mixing blocks
+    (where the arbitrageurs' order leaves the batch netting to the noise's
+    side) are read off the log's columns; :attr:`BacktestResult.trades`
+    builds the :data:`TRADE_LOG_DTYPE` records from them when first read.
 
     The block grid (:func:`block_grid_series`) is sampled once, for the
     start price and the marks; a nonzero ``gamma`` samples the trade prices
@@ -345,9 +345,9 @@ def run_fmamm_backtest(
                     if d <= POLE_MARGIN * x:
                         raise _pole_error(block, t, a, x)
                     base = y / d
-                # the arbitrageurs' same-sign root, rescaled when the batch still
-                # nets to the noise's side (sign mixing); an order rounded to the
-                # wrong side of zero is the band-edge tie
+                # fmamm.arbitrage.arbitrage_order inlined, operation for operation:
+                # the same-sign root, rescaled on sign mixing; an order rounded to
+                # the wrong side of zero is the band-edge tie
                 if p > base / keep:
                     net = 0.5 * (x - y / (keep * p))
                     trade = (net if net >= 0.0 else net / keep) - a
@@ -446,20 +446,13 @@ def sweep_run_id(prefix: str, value: float) -> str:
 def value_function(prices, reserves: Reserves, tau: float) -> np.ndarray:
     """Maximized trade objective at each settlement price (vectorized).
 
-    Inside the no-trade band the pool keeps ``x*y/(1-tau)``; outside it the
-    optimal buy/sell trade applies, and :func:`fmamm.amm.objective_value`
-    evaluates either.  Piecewise linear-over-quadratic in the price and
-    convex, strictly so wherever a trade happens.
+    :func:`fmamm.amm.objective_value` at the arbitrageurs' zero-noise order
+    (:func:`fmamm.arbitrage.arbitrage_order`): ``x*y/(1-tau)`` inside the
+    no-trade band, and convex in the price, strictly so wherever a trade
+    happens.  ``objective_value`` rejects invalid prices.
     """
     p = np.asarray(prices, dtype=np.float64)
-    keep = 1.0 - tau
-    y, x = reserves.y, reserves.x
-    # invalid prices yield junk trades here; objective_value rejects them
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_buy = 0.5 * (x - y / (keep * p))
-        x_sell = 0.5 * (x / keep - y / p)
-    trade = np.where(p > y / (keep * x), x_buy, np.where(p < keep * y / x, x_sell, 0.0))
-    return objective_value(trade, p, tau, reserves)
+    return objective_value(arbitrage_order(reserves.y, reserves.x, 0.0, tau, p), p, tau, reserves)
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,10 @@ __all__ = ["main"]
 # noise sweep's second volume label, never in any computation
 NOISE_SHARE_OF_VOLUME = 0.6
 
+# mc-risk peaks at about 74 bytes per draw under tracemalloc (measured at
+# 1e5 draws), so the largest run accepted stays under 1 GB
+MAX_DRAWS = 10**7
+
 
 def _sha256(path) -> str:
     digest = hashlib.sha256()
@@ -267,6 +271,9 @@ def cmd_mc_risk(args) -> Outputs:
         base_price = reserves.spot_price
     elif not 0.0 < base_price < math.inf:
         raise ValueError(f"--base-price must be positive and finite, got {base_price!r}")
+    if not 2 <= args.n_draws <= MAX_DRAWS:
+        bound = "at least 2 for a paired se" if args.n_draws < 2 else f"at most {MAX_DRAWS=}"
+        raise ValueError(f"--n-draws: n_draws must be {bound}, got {args.n_draws}")
     base = np.full(args.n_draws, base_price)
     result = risk_monte_carlo(base, args.epsilon_sd, reserves, args.fee, seed=args.seed)
     print(f"mean objective, base prices:   {result.mean_value_base:.6f}")

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmamm.amm import Reserves, effective_price, fmamm_price, fmamm_supply
+from fmamm.amm import Reserves, effective_price, fmamm_price, fmamm_supply, pre_fee_price
 from fmamm.arbitrage import (
+    arbitrage_order,
     cpamm_arbitrage_profit,
     malicious_operator_attack,
     no_trade_band,
@@ -176,6 +177,54 @@ class TestOptimalRebalance:
         net = dec.trade
         after = Reserves(R.y + net * 2500.0, R.x - net)
         assert 2500.0 * after.x == pytest.approx(after.y, rel=1e-12)
+
+
+class TestArbitrageOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tau=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+        blocks=st.lists(
+            st.tuples(
+                st.floats(1e-3, 1e9),  # y
+                st.floats(1e-3, 1e6),  # x
+                # the noise's net order as a share of the asset reserve, short of the pole
+                st.one_of(st.just(0.0), st.floats(-0.4, 0.4)),
+                # p* over the band's center, or one ulp either side of a band edge
+                st.one_of(st.floats(0.2, 5.0),
+                          st.tuples(st.sampled_from([0, 1]), st.sampled_from([-1, 1]))),
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_array_call_matches_optimal_rebalance(self, tau, blocks):
+        # one array call, sign mixing included, equals the scalar solver per element
+        rows = []
+        for y, x, share, price in blocks:
+            reserves, a = Reserves(y, x), share * x
+            if isinstance(price, tuple):
+                edge, toward = price
+                p = math.nextafter(no_trade_band(reserves, a, tau)[edge], toward * math.inf)
+            else:
+                p = price * pre_fee_price(reserves, a, tau)
+            rows.append((y, x, a, p, optimal_rebalance(reserves, a, tau, p).trade))
+        y, x, noise, p_star, want = map(np.array, zip(*rows))
+        assert np.array_equal(arbitrage_order(y, x, noise, tau, p_star), want)
+
+    @pytest.mark.parametrize("y, x, tau, edge, toward", [
+        # the buy root rounds to -1.8e-15 one ulp above the upper edge, the
+        # sell root to +1.1e-16 one ulp below the lower edge: both are the tie
+        (56223.62199100347, 25.893870671161515, 0.05, 1, math.inf),
+        (39777.87575596558, 1.1811219405617384, 0.027274754812566818, 0, 0.0),
+    ])
+    def test_wrong_side_root_is_the_tie(self, y, x, tau, edge, toward):
+        reserves = Reserves(y, x)
+        p_star = math.nextafter(no_trade_band(reserves, 0.0, tau)[edge], toward)
+        assert arbitrage_order(y, x, 0.0, tau, [p_star]).tolist() == [0.0]
+        assert optimal_rebalance(reserves, 0.0, tau, p_star).trade == 0.0
+
+    def test_scalar_call_returns_a_float(self):
+        trade = arbitrage_order(R.y, R.x, 0.0, 0.0, 2500.0)
+        assert type(trade) is float and trade == optimal_rebalance(R, 0.0, 0.0, 2500.0).trade
 
 
 class TestAttackProfits:

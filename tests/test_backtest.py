@@ -27,7 +27,7 @@ from fmamm.amm import (
     fmamm_supply,
     objective_value,
 )
-from fmamm.arbitrage import no_trade_band, optimal_rebalance
+from fmamm.arbitrage import arbitrage_order, no_trade_band, optimal_rebalance
 from fmamm.backtest import (
     DEFAULT_FEE_GRID,
     MAX_BLOCKS,
@@ -52,6 +52,7 @@ from fmamm.market_data import (
     sample_at,
     sample_gbm_path,
 )
+from fmamm.uniswap import SWAP_LOG_DTYPE, run_baseline
 
 R = Reserves(20000.0, 10.0)
 TAUS = (0.0, 0.0005, 0.003, 0.01)
@@ -467,6 +468,28 @@ class TestKernelMatchesReference:
         assert result.noise_net[0] == a
         assert result.columns[0, 0] == decision.trade
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        blocks=st.integers(1, 300),
+        tau=st.floats(0.0, 0.1),
+        kind=st.sampled_from(["none", *NOISE_DIRECTIONS]),
+        gamma=st.sampled_from([0.0, 6.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_arbitrage_column_is_arbitrage_order_property(self, blocks, tau, kind, gamma, seed):
+        # the kernel inlines arbitrage_order: on the run's own columns the two
+        # agree on every block, bit for bit, noise included, across chunks of 7
+        path = sample_gbm_path(
+            GbmParams(2000.0, 0.001, step_seconds=3, horizon_seconds=12 * blocks, seed=seed))
+        clock = BlockClock.for_series(path, gamma=gamma)
+        volume = np.random.default_rng(seed).exponential(0.01, blocks)
+        noise = NO_NOISE if kind == "none" else NoiseScenario(2.0, kind, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("fmamm.backtest._CHUNK", 7)
+            log = run_fmamm_backtest(path, clock, tau, noise, None, volume).trades
+        want = arbitrage_order(log.y_before, log.x_before, log.noise_net, tau, log.p_star)
+        assert np.array_equal(log.arb_trade, want)
+
 
 class TestZeroFeeClosedForm:
     def test_cumprod_oracle_100k_blocks(self):
@@ -481,6 +504,32 @@ class TestZeroFeeClosedForm:
         np.testing.assert_allclose(result.trades.x_after, x, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(result.trades.y_after, y, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(result.series.values[1:], 2.0 * y, rtol=1e-12, atol=0.0)
+
+
+class TestLvrKeptIdentity:
+    """At zero fee and zero noise the FM-AMM maps value ``V`` to ``V(1+R)/2``
+    per mark, ``R = p_n/p_{n-1}``, while the full-range position with no
+    swaps is the constant-product pool arbitraged at every mark, worth
+    ``2L√p``.  So the ratio of their gross returns is ``∏ cosh(½·Δlog p)``:
+    the FM-AMM LP keeps exactly what the constant-product LP loses to
+    arbitrageurs (its LVR, arXiv:2208.06046), on every path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blocks=st.integers(2, 10_000),
+        volatility=st.floats(1e-4, 1e-2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gross_return_ratio_is_the_cosh_product(self, blocks, volatility, seed):
+        path = sample_gbm_path(GbmParams(2000.0, volatility, step_seconds=12,
+                                         horizon_seconds=12 * blocks, seed=seed))
+        result = run_fmamm_backtest(path, BlockClock.for_series(path), 0.0)
+        baseline = run_baseline(np.empty(0, SWAP_LOG_DTYPE), result.marks, 1.0)
+        fm, cp = result.series.values, baseline.values
+        ratio = (fm[-1] / fm[0]) / (cp[-1] / cp[0])
+        kept = np.prod(np.cosh(0.5 * np.diff(np.log(result.marks.prices))))
+        assert kept >= 1.0
+        assert ratio == pytest.approx(kept, rel=1e-12, abs=0.0)
 
 
 class TestZeroLvr:
@@ -633,14 +682,46 @@ class TestNoiseSweep:
 
 class TestValueFunction:
     def test_matches_scalar_rebalance_and_objective(self):
+        # random prices, and each band edge and one ulp either side of it
         rng = np.random.default_rng(67)
+        cases = []
         for _ in range(200):
             tau = rng.uniform(0.0, 0.1)
-            p = 2000.0 * rng.uniform(0.4, 2.5)
-            dec = optimal_rebalance(R, 0.0, tau, p)
-            want = objective_value(dec.trade, p, tau, R)
-            got = value_function([p], R, tau)[0]
-            assert got == pytest.approx(want, rel=1e-12)
+            cases.append((R, tau, 2000.0 * rng.uniform(0.4, 2.5)))
+        cases.append((Reserves(56223.62199100347, 25.893870671161515), 0.05, 2062.744561049334))
+        for reserves, tau, _ in list(cases):
+            for edge in no_trade_band(reserves, 0.0, tau):
+                for p in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                    cases.append((reserves, tau, p))
+        for reserves, tau, p in cases:
+            dec = optimal_rebalance(reserves, 0.0, tau, p)
+            want = objective_value(dec.trade, p, tau, reserves)
+            assert value_function([p], reserves, tau)[0] == want, (reserves, tau, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        y=st.floats(1e-3, 1e9),
+        x=st.floats(1e-3, 1e6),
+        tau=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+        ratio=st.floats(0.2, 5.0),
+        ulps=st.sampled_from([-1, 0, 1]),
+    )
+    def test_matches_scalar_rebalance_property(self, y, x, tau, ratio, ulps):
+        # a random price, and every band edge one ulp either side or on it
+        reserves = Reserves(y, x)
+        prices = [reserves.spot_price * ratio]
+        for edge in no_trade_band(reserves, 0.0, tau):
+            prices.append(math.nextafter(edge, ulps * math.inf) if ulps else edge)
+        want = [objective_value(optimal_rebalance(reserves, 0.0, tau, p).trade, p, tau, reserves)
+                for p in prices]
+        assert value_function(prices, reserves, tau).tolist() == want
+
+    def test_zero_asset_reserve_is_the_sell_root(self):
+        # no spot price: every finite price lies below the band, and the sell
+        # root -y/(2p) gives y^2/(4p), with no warning from the division by x = 0
+        p = np.array([1000.0, 2000.0, 4000.0])
+        got = value_function(p, Reserves(20000.0, 0.0), 0.003)
+        np.testing.assert_allclose(got, 20000.0**2 / (4.0 * p), rtol=1e-15, atol=0.0)
 
     def test_matches_scipy_maximization(self):
         for tau, p in [(0.0, 2500.0), (0.003, 1800.0), (0.05, 2100.0), (0.1, 900.0)]:

@@ -7,13 +7,14 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fmamm
-from fmamm.cli import main
+from fmamm.cli import MAX_DRAWS, main
 from fmamm.market_data import GbmParams, sample_gbm_path
 
 
@@ -398,6 +399,19 @@ class TestMcRiskCommand:
                                               "--base-price", price]) == 2
         err = capsys.readouterr().err
         assert "--base-price must be positive and finite" in err, err
+
+    @pytest.mark.parametrize("n, bound", [(-3, "at least 2"), (MAX_DRAWS + 1, "at most MAX_DRAWS")])
+    def test_draw_count_out_of_range_allocates_nothing(self, capsys, n, bound):
+        tracemalloc.start()
+        try:
+            code = main(["mc-risk"] + RESERVES + ["--epsilon-sd", "200", "--n-draws", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--n-draws: n_draws must be {bound}" in err and f"got {n}" in err, err
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("sd", ["-1", "nan"])
     def test_bad_spread_is_validation_error(self, capsys, sd):

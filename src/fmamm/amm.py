@@ -186,8 +186,9 @@ def objective_value(x_trade, price, tau: float, reserves: Reserves):
     _check_fee(tau)
     t = np.asarray(x_trade, dtype=np.float64)
     p = np.asarray(price, dtype=np.float64)
-    if not ((p > 0.0) & (p < math.inf)).all():
-        raise ValueError("prices must be positive and finite")
+    bad = ~((p > 0.0) & (p < math.inf))
+    if bad.any():
+        raise ValueError(f"prices must be positive and finite, got {float(p[bad][0])!r}")
     keep = 1.0 - tau
     y, x = reserves.y, reserves.x
     value = np.where(

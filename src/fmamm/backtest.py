@@ -13,8 +13,9 @@ on the same price path.
 
 The module also provides a paired Monte Carlo measuring how the pool's
 maximized objective responds to a mean-preserving spread of the settlement
-price (the value function is flat inside the no-trade band and convex
-outside it, so spreads can only help).
+price.  The value function is flat inside the no-trade band and convex
+outside it, so a spread cannot lower the expected objective; a single draw
+can still lose, when it moves a price from off the band toward it.
 
 Runs are deterministic given config and seeds; scenario configs load from
 JSON (see :class:`ScenarioConfig`).
@@ -449,10 +450,18 @@ def value_function(prices, reserves: Reserves, tau: float) -> np.ndarray:
     :func:`fmamm.amm.objective_value` at the arbitrageurs' zero-noise order
     (:func:`fmamm.arbitrage.arbitrage_order`): ``x*y/(1-tau)`` inside the
     no-trade band, and convex in the price, strictly so wherever a trade
-    happens.  ``objective_value`` rejects invalid prices.
+    happens.  ``objective_value`` rejects invalid prices, and a value that
+    overflows raises ``ValueError`` naming its price and the reserves.
     """
     p = np.asarray(prices, dtype=np.float64)
-    return objective_value(arbitrage_order(reserves.y, reserves.x, 0.0, tau, p), p, tau, reserves)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = objective_value(arbitrage_order(reserves.y, reserves.x, 0.0, tau, p), p, tau,
+                                reserves)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise ValueError(f"value function is not finite at price {float(p[bad][0])!r} "
+                         f"with reserves y={reserves.y!r}, x={reserves.x!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -476,27 +485,29 @@ def risk_monte_carlo(
 
     Perturbs each base settlement price (one draw each) with exact
     conditional-mean-zero noise, and compares the pool's maximized objective
-    under the two.  The paired difference is non-negative draw by draw; it
-    is zero whenever both prices fall inside the no-trade band.
+    under the two.  The paired difference is non-negative in expectation,
+    by the value function's convexity, but not draw by draw: off the
+    no-trade band, a move toward it lowers the value.  It is zero whenever
+    both prices fall inside the band.  Statistics that overflow raise
+    ``ValueError``.
     """
     draws = np.asarray(base_draws, dtype=np.float64)
     if draws.size < 2:
         raise ValueError(f"n_draws must be at least 2 for a paired se, got {draws.size}")
-    spread = mean_preserving_spread(draws, epsilon_sd, np.random.default_rng(seed))
+    with np.errstate(over="ignore"):  # value_function rejects an overflow's inf
+        spread = mean_preserving_spread(draws, epsilon_sd, np.random.default_rng(seed))
     v_base = value_function(draws, reserves, tau)
     v_spread = value_function(spread, reserves, tau)
-    diffs = v_spread - v_base
-    difference = float(diffs.mean())
-    se = float(diffs.std(ddof=1) / math.sqrt(diffs.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = v_spread - v_base
+        stats = (float(v_base.mean()), float(v_spread.mean()), float(diffs.mean()),
+                 float(diffs.std(ddof=1) / math.sqrt(diffs.size)))
+    if not all(map(math.isfinite, stats)):
+        raise ValueError(f"Monte Carlo statistics overflow at reserves y={reserves.y!r}, "
+                         f"x={reserves.x!r}: {stats}")
+    mean_base, mean_spread, difference, se = stats
     z = difference / se if se > 0.0 else (0.0 if difference == 0.0 else None)
-    return RiskMonteCarloResult(
-        mean_value_base=float(v_base.mean()),
-        mean_value_spread=float(v_spread.mean()),
-        difference=difference,
-        paired_se=se,
-        z_score=z,
-        n_draws=int(diffs.size),
-    )
+    return RiskMonteCarloResult(mean_base, mean_spread, difference, se, z, int(diffs.size))
 
 
 def _is_number(value) -> bool:

@@ -147,40 +147,44 @@ def settle_batch(
     asset reserve changes by exactly the net trade (sellers' asset fees stay
     in the pool but fund matched buyers' fills); the numeraire reserve takes
     in every buyer payment and pays out every seller receipt, which leaves
-    all fee value inside the pool.
+    all fee value inside the pool.  A batch whose sums overflow raises
+    ``ValueError`` naming its block.
     """
-    flow = net_orders(batch.orders)
-    base = pre_fee_price(reserves, flow.net, tau)  # InfeasibleTradeError rejects the batch
-    buy_price = base / (1.0 - tau)
-    sell_price = (1.0 - tau) * base
+    try:
+        flow = net_orders(batch.orders)
+        base = pre_fee_price(reserves, flow.net, tau)  # InfeasibleTradeError rejects the batch
+        buy_price = base / (1.0 - tau)
+        sell_price = (1.0 - tau) * base
 
-    fills = []
-    buyer_fees = []
-    seller_fees = []
-    numeraire_flows = []
-    for order in batch.orders:
-        if order.amount > 0.0:
-            fee = order.amount * base * tau / (1.0 - tau)
-            fills.append(Fill(order.id, order.amount, buy_price, fee, "numeraire"))
-            buyer_fees.append(fee)
-            numeraire_flows.append(order.amount * buy_price)
-        else:
-            fee = tau * -order.amount
-            fills.append(Fill(order.id, order.amount, sell_price, fee, "asset"))
-            seller_fees.append(fee)
-            numeraire_flows.append(order.amount * sell_price)
+        fills = []
+        buyer_fees = []
+        seller_fees = []
+        numeraire_flows = []
+        for order in batch.orders:
+            if order.amount > 0.0:
+                fee = order.amount * base * tau / (1.0 - tau)
+                fills.append(Fill(order.id, order.amount, buy_price, fee, "numeraire"))
+                buyer_fees.append(fee)
+                numeraire_flows.append(order.amount * buy_price)
+            else:
+                fee = tau * -order.amount
+                fills.append(Fill(order.id, order.amount, sell_price, fee, "asset"))
+                seller_fees.append(fee)
+                numeraire_flows.append(order.amount * sell_price)
 
-    after = Reserves(reserves.y + math.fsum(numeraire_flows), reserves.x - flow.net)
-    report = SettlementReport(
-        block_index=batch.block_index,
-        net_trade=flow.net,
-        matched_volume=flow.matched,
-        pre_fee_price=base,
-        fills=tuple(fills),
-        fee_numeraire=math.fsum(buyer_fees),
-        fee_asset=math.fsum(seller_fees),
-    )
-    return after, report
+        after = Reserves(reserves.y + math.fsum(numeraire_flows), reserves.x - flow.net)
+        report = SettlementReport(
+            block_index=batch.block_index,
+            net_trade=flow.net,
+            matched_volume=flow.matched,
+            pre_fee_price=base,
+            fills=tuple(fills),
+            fee_numeraire=math.fsum(buyer_fees),
+            fee_asset=math.fsum(seller_fees),
+        )
+        return after, report
+    except OverflowError as exc:
+        raise ValueError(f"block {batch.block_index}: batch sums overflow: {exc}") from exc
 
 
 def split_trade_experiment(reserves: Reserves, x_trade: float, n: int) -> Reserves:

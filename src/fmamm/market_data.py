@@ -1,15 +1,15 @@
 """Timestamped price and return series: loading, cross rates, and synthesis.
 
-Price CSVs use the schema ``timestamp,price`` (header required) with integer
-epoch seconds and strictly increasing timestamps; pairs are labeled
-``BASE-QUOTE``.  :class:`PriceSeries` holds the one rule every series meets
-(finite timestamps, finite positive prices, strictly increasing), and series
-are immutable after construction.
+Price CSVs use the schema ``timestamp,price`` (header required) with 64-bit
+integer epoch seconds; pairs are labeled ``BASE-QUOTE``.  One price rule holds
+for every series, loaded, built or composed: finite timestamps, strictly
+increasing as float64, and finite positive prices.  Series are immutable.
 
-CSV input and output are columnar: a plain file parses in one
-``np.loadtxt`` call straight into a :class:`PriceSeries`, and only a file that
-parse or the series rejects is re-read row by row, to name its first bad line.
-Every CSV writer goes through one chunked row assembler, :func:`write_rows`.
+CSV input and output are columnar.  Both loaders (swaps in
+:mod:`fmamm.uniswap`) go through one reader, :func:`_read_csv`: a plain file
+parses in one ``np.loadtxt`` call and one rule pass, and only a file either
+rejects is read again row by row, to name its first bad line.  Every CSV
+writer goes through one chunked row assembler, :func:`write_rows`.
 
 Sampling between observations forward-fills from the last point; gaps longer
 than :data:`LONG_GAP_SECONDS` are surfaced as a warning so that backtests on
@@ -67,6 +67,22 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def _price_fault(timestamps, prices) -> tuple[int, str] | None:
+    """The price rule, finite timestamps strictly increasing as float64 and
+    finite positive prices: the first point that breaks it and why, or None."""
+    ts, px = np.asarray(timestamps, np.float64), np.asarray(prices, np.float64)
+    bad = ~(np.isfinite(ts) & (px > 0.0) & (px < math.inf))
+    bad[1:] |= ~(ts[1:] > ts[:-1])
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    if not math.isfinite(ts[k]):
+        return k, f"timestamp {float(ts[k])} is not finite"
+    if not 0.0 < px[k] < math.inf:
+        return k, f"price must be finite and positive, got {float(px[k])!r}"
+    return k, f"timestamp {format_number(ts[k])} not after previous {format_number(ts[k - 1])}"
+
+
 @dataclass(frozen=True)
 class PriceSeries:
     """External equilibrium prices for one pair: finite positive prices at
@@ -83,12 +99,9 @@ class PriceSeries:
             raise PriceDataError(f"{self.pair}: empty price series")
         if ts.shape != px.shape:
             raise PriceDataError(f"{self.pair}: {ts.size} timestamps vs {px.size} prices")
-        if not np.isfinite(ts).all():
-            raise PriceDataError(f"{self.pair}: timestamps must be finite")
-        if not (np.diff(ts) > 0).all():
-            raise PriceDataError(f"{self.pair}: timestamps must be strictly increasing")
-        if not ((px > 0) & (px < math.inf)).all():
-            raise PriceDataError(f"{self.pair}: prices must be finite and positive")
+        fault = _price_fault(ts, px)
+        if fault is not None:
+            raise PriceDataError(f"{self.pair}: point {fault[0]}: {fault[1]}")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "prices", px)
 
@@ -171,74 +184,83 @@ def write_rows(timestamps, columns, *sinks) -> None:
             write("".join(chain.from_iterable(zip(*parts))))
 
 
-def _parse_columns(path, header: tuple[str, ...], dtype: np.dtype) -> np.ndarray | None:
-    """Every data row of a plain CSV as one structured array, or None.
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} does not fit in 64 bits")
+    return value
 
-    "Plain" means the first line is exactly ``header`` (case and spaces
-    aside, extra trailing names allowed) without quotes, and ``np.loadtxt``
-    takes every row: no quotes, no missing or extra columns, no
-    whitespace-only lines, integers within 64 bits.  None sends the caller
-    to its row-by-row reader, which names the first bad line or accepts the
-    few spellings Python's ``int``/``float`` take and ``loadtxt`` does not
-    (``1_000``, quoted fields, extra columns).  A file with no data rows
-    also returns None.
+
+# how the row reader parses a field of each dtype kind
+_FIELD_PARSERS = {"i": _int64, "f": float, "U": str.strip}
+
+
+def _read_csv(path, dtype: np.dtype, rule, error=ValueError) -> np.ndarray:
+    """Every data row of a CSV as one ``dtype`` array that ``rule`` accepts.
+
+    The header is ``dtype``'s field names (case and spaces aside, extra
+    trailing names allowed).  ``rule(rows)`` gives the first row that breaks
+    the file's rule and why, or None, judging a row by the rows up to it.
+    Only a file that ``np.loadtxt`` or the rule rejects goes on to
+    :func:`_read_rows`, which raises ``error`` naming ``path:line``.
     """
-    with open(path, newline="") as fh, warnings.catch_warnings():
-        # loadtxt warns on an empty body rather than raising
-        warnings.simplefilter("error")
+    names = list(dtype.names)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if [h.strip().lower() for h in (header or [])[: len(names)]] != names:
+            raise error(f"{path}:1: expected header {','.join(names)!r}, got {header}")
         try:
-            first = fh.readline()
-            names = [h.strip().lower() for h in first.split(",")[: len(header)]]
-            if names != list(header) or '"' in first:
-                return None
-            rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on an empty body
+                rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+            if rule(rows) is None:
+                return rows
         except (ValueError, Warning):
-            return None
-    return rows if rows.size else None
+            pass
+        fh.seek(0)
+        next(reader)
+        return _read_rows(path, reader, dtype, rule, error)
 
 
-_PRICE_ROW_DTYPE = np.dtype([("t", np.int64), ("p", np.float64)])
+def _read_rows(path, reader, dtype: np.dtype, rule, error) -> np.ndarray:
+    """The row-by-row reader behind :func:`_read_csv`, from line 2 on.
+
+    Each field goes through Python's ``int`` (within 64 bits) or ``float``,
+    or is stripped text, so ``1_000``, quoted fields and extra columns are
+    taken; blank lines are skipped.  The first bad line is the first row
+    that does not parse, or an earlier row that ``rule`` names.
+    """
+    parsers = [_FIELD_PARSERS[dtype[name].kind] for name in dtype.names]
+    values, lines, failure = [], [], None
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            values.append(tuple(parse(row[i]) for i, parse in enumerate(parsers)))
+        except (IndexError, ValueError) as exc:
+            failure = f"{lineno}: malformed row {row}: {exc}"
+            break
+        lines.append(lineno)
+    rows = np.array(values, dtype)
+    fault = rule(rows)
+    if fault is not None:
+        failure = f"{lines[fault[0]]}: {fault[1]}"
+    if failure is not None:
+        raise error(f"{path}:{failure}")
+    return rows
+
+
+_PRICE_ROW_DTYPE = np.dtype([("timestamp", np.int64), ("price", np.float64)])
 
 
 def load_price_series(path, pair: str) -> PriceSeries:
     """Load a ``timestamp,price`` CSV, reporting bad rows by line number."""
-    rows = _parse_columns(path, ("timestamp", "price"), _PRICE_ROW_DTYPE)
-    if rows is not None:
-        try:
-            return PriceSeries(pair, rows["t"], rows["p"])
-        except PriceDataError:
-            pass
-    return _read_price_rows(path, pair)
-
-
-def _read_price_rows(path, pair: str) -> PriceSeries:
-    """The row-by-row reader behind :func:`load_price_series`."""
-    timestamps: list[int] = []
-    prices: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
-            raise PriceDataError(f"{path}:1: expected header 'timestamp,price', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                ts = int(row[0])
-                price = float(row[1])
-            except (IndexError, ValueError) as exc:
-                raise PriceDataError(f"{path}:{lineno}: malformed row {row}: {exc}") from exc
-            if not math.isfinite(price) or price <= 0.0:
-                raise PriceDataError(f"{path}:{lineno}: price must be positive, got {row[1]}")
-            if timestamps and ts <= timestamps[-1]:
-                raise PriceDataError(
-                    f"{path}:{lineno}: timestamp {ts} not after previous {timestamps[-1]}"
-                )
-            timestamps.append(ts)
-            prices.append(price)
-    if not timestamps:
+    rows = _read_csv(path, _PRICE_ROW_DTYPE,
+                     lambda rows: _price_fault(rows["timestamp"], rows["price"]), PriceDataError)
+    if not rows.size:
         raise PriceDataError(f"{path}: no data rows")
-    return PriceSeries(pair, np.array(timestamps, float), np.array(prices, float))
+    return PriceSeries(pair, rows["timestamp"], rows["price"])
 
 
 def _cross_label(pair_a: str, pair_b: str) -> str:
@@ -341,8 +363,8 @@ def mean_preserving_spread(base, epsilon_sd: float, rng=0) -> np.ndarray:
     ``numpy.random.Generator``.
     """
     base = np.asarray(base, dtype=np.float64)
-    if not epsilon_sd >= 0.0:  # the negated comparison also rejects NaN
-        raise ValueError(f"epsilon_sd must be non-negative, got {epsilon_sd}")
+    if not 0.0 <= epsilon_sd < math.inf:  # the negated comparison also rejects NaN
+        raise ValueError(f"epsilon_sd must be non-negative and finite, got {epsilon_sd}")
     if epsilon_sd == 0.0:
         return base.copy()
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)

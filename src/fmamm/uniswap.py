@@ -15,7 +15,8 @@ initial position size.
 Swap records load from CSVs with schema
 ``block,timestamp,fee_amount,fee_token,active_liquidity,post_price`` where
 ``fee_token`` is ``token0`` (asset) or ``token1`` (numeraire), into a
-columnar swap log (:data:`SWAP_LOG_DTYPE`).  :func:`run_baseline` replays
+columnar swap log (:data:`SWAP_LOG_DTYPE`) by :mod:`fmamm.market_data`'s one
+CSV reader; every log meets the swap rules.  :func:`run_baseline` replays
 the log in closed form: ``L`` is constant between compounding points, so one
 cumulative product of per-point growth factors serves every cadence, with one
 rule for swaps outside the price marks.  It agrees with a per-record replay
@@ -24,14 +25,13 @@ within 1e-12 relative.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from fmamm.market_data import LpReturnSeries, PriceSeries, _parse_columns, sample_at
+from fmamm.market_data import LpReturnSeries, PriceSeries, _read_csv, sample_at
 
 __all__ = [
     "SWAP_LOG_DTYPE",
@@ -62,7 +62,6 @@ SWAP_LOG_DTYPE = np.dtype([
 _SWAP_PARSE_DTYPE = np.dtype(
     [(name, "U7" if name == "fee_token" else SWAP_LOG_DTYPE[name]) for name in SWAP_LOG_DTYPE.names]
 )
-_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,23 @@ class SwapRecord:
             raise ValueError(f"post_price must be positive, got {self.post_price}")
 
 
+def _swap_fault(log) -> tuple[int, str] | None:
+    """The swap rules, the :class:`SwapRecord` checks and timestamps that
+    never decrease: the first row of a swap log that breaks them and why."""
+    bad = (~np.isin(log["fee_token"], FEE_TOKENS) | ~(log["fee_amount"] >= 0.0)
+           | ~(log["active_liquidity"] > 0.0) | ~(log["post_price"] > 0.0))
+    bad[1:] |= log["timestamp"][1:] < log["timestamp"][:-1]
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    try:
+        SwapRecord(*log[k].tolist())
+    except ValueError as exc:
+        return k, str(exc)
+    return k, (f"timestamp {log['timestamp'][k]} before the previous record's "
+               f"{log['timestamp'][k - 1]}")
+
+
 def as_swap_log(records) -> np.recarray:
     """The swap log of ``records``: a :data:`SWAP_LOG_DTYPE` array as it is,
     or a sequence of :class:`SwapRecord` converted to one.
@@ -99,23 +115,12 @@ def as_swap_log(records) -> np.recarray:
             raise ValueError(f"swap log fields must be {SWAP_LOG_DTYPE.names}, "
                              f"got {records.dtype.names}")
         log = records.view(np.recarray)
-        bad = np.flatnonzero(~np.isin(log.fee_token, FEE_TOKENS) | ~(log.fee_amount >= 0.0)
-                             | ~(log.active_liquidity > 0.0) | ~(log.post_price > 0.0))
-        if bad.size:
-            try:
-                SwapRecord(*log[bad[0]].tolist())
-            except ValueError as exc:
-                raise ValueError(f"swap record {bad[0]}: {exc}") from None
     else:
         log = np.array([(r.block, r.timestamp, r.fee_amount, r.fee_token, r.active_liquidity,
                          r.post_price) for r in records], dtype=SWAP_LOG_DTYPE).view(np.recarray)
-    back = np.flatnonzero(log.timestamp[1:] < log.timestamp[:-1])
-    if back.size:
-        k = int(back[0]) + 1
-        raise ValueError(
-            f"swap record {k}: timestamp {log.timestamp[k]} before the previous "
-            f"record's {log.timestamp[k - 1]}"
-        )
+    fault = _swap_fault(log)
+    if fault is not None:
+        raise ValueError(f"swap record {fault[0]}: {fault[1]}")
     return log
 
 
@@ -201,54 +206,12 @@ def run_baseline(
 def load_swap_records(path) -> np.recarray:
     """Load a swap CSV as a swap log, reporting bad rows by line number.
 
-    Rows are checked as :func:`as_swap_log` checks them.  ``len`` of the log
-    is the number of data rows.
+    Rows are checked as :func:`as_swap_log` checks them, before the cast
+    that would cut a long token name.  ``len`` of the log is the number of
+    data rows.
     """
-    rows = _parse_columns(path, SWAP_LOG_DTYPE.names, _SWAP_PARSE_DTYPE)
-    if rows is not None:
-        try:
-            as_swap_log(rows)  # before the cast, which would cut a long token name
-        except ValueError:
-            return _read_swap_rows(path)  # it names the bad line
-        return rows.astype(SWAP_LOG_DTYPE).view(np.recarray)
-    return _read_swap_rows(path)
-
-
-def _read_swap_rows(path) -> np.recarray:
-    """The row-by-row reader behind :func:`load_swap_records`."""
-    expected = list(SWAP_LOG_DTYPE.names)
-    records: list[SwapRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[: len(expected)]] != expected:
-            raise ValueError(f"{path}:1: expected header {','.join(expected)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                record = SwapRecord(
-                    block=int(row[0]),
-                    timestamp=int(row[1]),
-                    fee_amount=float(row[2]),
-                    fee_token=row[3].strip(),
-                    active_liquidity=float(row[4]),
-                    post_price=float(row[5]),
-                )
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed swap record {row}: {exc}") from exc
-            if not (_INT64.min <= record.block <= _INT64.max
-                    and _INT64.min <= record.timestamp <= _INT64.max):
-                raise ValueError(
-                    f"{path}:{lineno}: block and timestamp must fit in 64 bits, got {row[:2]}"
-                )
-            if records and record.timestamp < records[-1].timestamp:
-                raise ValueError(
-                    f"{path}:{lineno}: timestamp {record.timestamp} before the previous "
-                    f"row's {records[-1].timestamp}"
-                )
-            records.append(record)
-    return as_swap_log(records)
+    rows = _read_csv(path, _SWAP_PARSE_DTYPE, _swap_fault)
+    return rows.astype(SWAP_LOG_DTYPE).view(np.recarray)
 
 
 def per_block_swap_volume(

@@ -21,6 +21,7 @@ from scipy.optimize import minimize_scalar
 
 from fmamm.amm import (
     ConvergenceError,
+    InfeasibleTradeError,
     Reserves,
     apply_trade,
     effective_price,
@@ -49,6 +50,7 @@ from fmamm.market_data import (
     GbmParams,
     PriceDataError,
     PriceSeries,
+    mean_preserving_spread,
     sample_at,
     sample_gbm_path,
 )
@@ -196,7 +198,7 @@ class TestRunBacktest:
     def test_bad_price_and_volume_name_the_problem(self):
         # the price series itself rejects an infinite price, so the kernel
         # never samples one
-        with pytest.raises(PriceDataError, match="X-Y: prices must be finite and positive"):
+        with pytest.raises(PriceDataError, match="X-Y: point 2: price must be finite and positive"):
             PriceSeries("X-Y", [0, 12, 24, 36], [2000.0, 2000.0, math.inf, 2000.0])
         series = flat_series(blocks=3)
         scenario = NoiseScenario(0.1)
@@ -221,6 +223,23 @@ class TestRunBacktest:
                 with pytest.raises(ValueError, match=first):
                     run_fmamm_backtest(series, BlockClock.for_series(series), 0.5, scenario,
                                        Reserves(top, 1.0), [0.0] * quiet + [1.0] * blocks)
+
+    def test_trade_at_the_pole_names_the_block(self):
+        # a 1e13x jump: the arbitrageurs' buy rounds onto the pole x/2 itself,
+        # which the check of the batch's settled net trade rejects
+        series = PriceSeries("X-Y", [0, 12, 24], [2000.0, 2000.0, 2e16])
+        with pytest.raises(InfeasibleTradeError, match=re.escape(
+                "block 2 (t=24): net trade 0.49999999999995 is at or beyond the price pole "
+                "x/2 = 0.5")):
+            run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, NO_NOISE,
+                               balanced_reserves(2000.0, 1.0))
+
+    def test_arithmetic_error_names_the_block_and_reserves(self):
+        series = flat_series(blocks=1)
+        with pytest.raises(ValueError, match=re.escape(
+                "block 1 (t=12): float division by zero at reserves y=1.0, x=0.0")):
+            run_fmamm_backtest(series, BlockClock.for_series(series), 0.003, NO_NOISE,
+                               Reserves(1.0, 0.0))
 
     def test_balanced_noise_lower_bound(self):
         path = sample_gbm_path(GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=12 * 300, seed=21))
@@ -590,6 +609,11 @@ class TestNoiseScenario:
             with pytest.raises(ValueError, match="fraction must be non-negative"):
                 NoiseScenario(bad)
 
+    def test_direction_must_be_known(self):
+        with pytest.raises(ValueError, match=re.escape(
+                f"direction must be one of {NOISE_DIRECTIONS}, got 'up'")):
+            NoiseScenario(0.1, "up")
+
     def test_summary_reports_the_applied_fraction(self):
         series = PriceSeries("X-Y", [0, 12], [2000.0, 2100.0])
         clock = BlockClock.for_series(series)
@@ -723,6 +747,17 @@ class TestValueFunction:
         got = value_function(p, Reserves(20000.0, 0.0), 0.003)
         np.testing.assert_allclose(got, 20000.0**2 / (4.0 * p), rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("p, reserves, named", [
+        (1e-320, R, "1e-320 with reserves y=20000.0, x=10.0"),
+        (1e308, R, "1e+308 with reserves y=20000.0, x=10.0"),
+        (3000.0, Reserves(1e308, 1e-308), "3000.0 with reserves y=1e+308, x=1e-308"),
+    ])
+    def test_overflowing_value_is_rejected(self, p, reserves, named):
+        # the order overflows to +-inf, and inf*(-inf) would give nan or a wrong-signed inf
+        named = f"value function is not finite at price {named}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            value_function([p], reserves, 0.003)
+
     def test_matches_scipy_maximization(self):
         for tau, p in [(0.0, 2500.0), (0.003, 1800.0), (0.05, 2100.0), (0.1, 900.0)]:
             res = minimize_scalar(
@@ -777,6 +812,42 @@ class TestRiskMonteCarlo:
         out = risk_monte_carlo(base, 100.0, R, 0.003, seed=2)
         assert out.mean_value_spread >= out.mean_value_base
         assert out.difference >= 0.0
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ratio=st.one_of(st.floats(0.99, 1.01), st.floats(0.2, 5.0)),
+        sd=st.floats(0.0, 1e4),
+        tau=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+    )
+    def test_two_point_expectation_nonnegative_property(self, ratio, sd, tau):
+        # the spread's exact expectation, each atom with probability 1/2, is
+        # at least the base value by convexity, inside the band and off it,
+        # up to the rounding of the three values (a tiny spread's gain is below it)
+        base = R.spot_price * ratio
+        delta = min(sd, 0.5 * base)
+        down, mid, up = value_function([base - delta, base, base + delta], R, tau)
+        assert 0.5 * (up + down) - mid >= -1e-13 * mid, (base, delta, down, mid, up)
+
+    def test_single_draws_can_lose(self):
+        # base 3000 lies above the band: the draws moving toward it lose value,
+        # though the exact expectation is a gain
+        base = np.full(10, 3000.0)
+        tau = 0.003
+        spread = mean_preserving_spread(base, 200.0, np.random.default_rng(0))
+        diffs = value_function(spread, R, tau) - value_function(base, R, tau)
+        assert sorted(np.round(diffs, 1).tolist()) == [-2604.7] * 6 + [2904.1] * 4
+        assert risk_monte_carlo(base, 200.0, R, tau, seed=0).difference == pytest.approx(
+            diffs.mean(), rel=1e-12)
+        assert diffs.mean() == pytest.approx(-401.2, abs=0.05)
+        down, mid, up = value_function([2800.0, 3000.0, 3200.0], R, tau)
+        assert 0.5 * (up + down) - mid == pytest.approx(149.7, abs=0.05)
+
+    def test_overflowing_statistics_are_rejected(self):
+        # every value is finite, but the squares in the standard error are not
+        with pytest.raises(ValueError, match=re.escape(
+                "Monte Carlo statistics overflow at reserves y=1e+200, x=1e+100")):
+            risk_monte_carlo(np.full(10, 1e100), 1e99, Reserves(1e200, 1e100), 0.003)
 
 
 class TestSandwichImmunity:
@@ -864,6 +935,24 @@ class TestScenarioConfig:
             ScenarioConfig.from_json(path)
 
 
+    def test_null_swap_csv_is_no_swap_csv(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"pair": "A-B", "price_csv": "p.csv", "swap_csv": null}')
+        assert ScenarioConfig.from_json(path).swap_csv is None
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"pair": 5, "price_csv": "p.csv"}', "config key 'pair' must be a string, got 5"),
+        ('{"pair": "A-B", "price_csv": "p.csv", "seed": 1.5}',
+         "config key 'seed' must be a integer, got 1.5"),
+        ('{"pair": "A-B", "price_csv": "p.csv",', "invalid JSON: "),
+    ])
+    def test_rejected_naming_the_file(self, tmp_path, text, named):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
+            ScenarioConfig.from_json(path)
+
+
 class TestSweepRunId:
     @settings(max_examples=500)
     @given(mantissa=st.integers(0, 999_999), exponent=st.integers(-20, 0),
@@ -885,6 +974,13 @@ class TestBalancedReserves:
         r = balanced_reserves(2000.0, 5.0)
         assert r.y == pytest.approx(2000.0 * 5.0)
         assert r.y == pytest.approx(2000.0 * r.x)
+
+
+    @pytest.mark.parametrize("price, depth", [(0.0, 1.0), (-2000.0, 1.0), (2000.0, 0.0),
+                                              (2000.0, -1.0), (math.nan, 1.0)])
+    def test_non_positive_rejected(self, price, depth):
+        with pytest.raises(ValueError, match="price and asset_depth must be positive"):
+            balanced_reserves(price, depth)
 
 
 class TestBlockGridSeries:

@@ -162,6 +162,13 @@ class TestSettleBatch:
         with pytest.raises(InfeasibleTradeError):
             settle_batch(R, Batch(1, (order(4.0), order(1.5))), 0.0)
 
+    @pytest.mark.parametrize("amounts", [[1e308, 1e308], [-1e308, -1e308]])
+    def test_overflowing_sums_name_the_block(self, amounts):
+        batch = Batch(4, tuple(order(a, kind, f"o{i}") for i, (a, kind) in
+                               enumerate(zip(amounts, ("noise", "arbitrageur")))))
+        with pytest.raises(ValueError, match="block 4: batch sums overflow: intermediate overflow"):
+            settle_batch(R, batch, 0.003)
+
     def test_same_net_same_price_any_composition(self):
         # the uniform pre-fee price depends on the batch only via its net
         lumped = settle_batch(R, Batch(1, (order(1.2),)), 0.01)[1]
@@ -191,6 +198,11 @@ class TestSplitTradeExperiment:
         final = split_trade_experiment(R, 2.0, 1)
         assert final.y == pytest.approx(20000.0 * 8.0 / 6.0, rel=1e-12)
         assert final.x == 8.0
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            split_trade_experiment(R, 2.0, n)
 
     def test_matches_sequential_apply_trade(self):
         # k slices of 2/7 each end where k sequential trades of 2/7 end
@@ -239,6 +251,15 @@ class TestLoadOrderBatches:
         assert [b.block_index for b in batches] == [1, 3]
         assert [o.id for o in batches[0].orders] == ["1:0", "1:1"]
         assert batches[1].orders[0].id == "arb"
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "orders.jsonl"
+        path.write_text('{"block": 1, "trader_kind": "noise", "amount": 1.0}\n\n  \n'
+                        '{"block": 2, "trader_kind": "noise", "amount": 0.5}\nnot json\n')
+        with pytest.raises(ValueError, match=":5: bad order line"):
+            load_order_batches(path)
+        path.write_text(path.read_text().replace("not json\n", "\n"))
+        assert [[o.amount for o in b.orders] for b in load_order_batches(path)] == [[1.0], [0.5]]
 
     def test_bad_line_reports_lineno(self, tmp_path):
         path = tmp_path / "orders.jsonl"

@@ -101,6 +101,25 @@ class TestSettle:
         assert data["reports"][0]["matched_volume"] == 1.0
         assert data["final_reserves"]["x"] == 9.0
 
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        orders = tmp_path / "orders.jsonl"
+        orders.write_text('\n{"block": 1, "trader_kind": "noise", "amount": 1.0}\n\n'
+                          '{"block": 2, "trader_kind": "noise", "amount": -1.0}\n\n')
+        assert main(["settle", "--y", "20000", "--x-reserve", "10", "--orders", str(orders)]) == 0
+        out = capsys.readouterr().out
+        assert "block 1: net +1.000000" in out and "block 2: net -1.000000" in out
+
+    @pytest.mark.parametrize("amount", ["1e308", "-1e308"])
+    def test_overflowing_batch_is_validation_error(self, tmp_path, capsys, amount):
+        orders = tmp_path / "orders.jsonl"
+        orders.write_text(f'{{"block": 1, "trader_kind": "noise", "amount": {amount}}}\n'
+                          f'{{"block": 1, "trader_kind": "arbitrageur", "amount": {amount}}}\n')
+        code = main(["settle", "--y", "20000", "--x-reserve", "10", "--orders", str(orders),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: block 1: batch sums overflow" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_orders_file(self, tmp_path, capsys):
         code = main(["settle", "--y", "1", "--x-reserve", "1", "--orders", str(tmp_path / "no.jsonl")])
         assert code == 2
@@ -185,6 +204,8 @@ class TestBacktestCommand:
         ("backtest", {"initial_x": 1e308}, "'initial_x' 1e+308 at the first price 2000.0"),
         # an empty grid would run nothing and exit 0
         ("sweep-fees", {"fee_grid": []}, "'fee_grid' must be non-empty"),
+        ("backtest", {"pair": 5}, "config key 'pair' must be a string, got 5"),
+        ("backtest", {"seed": 1.5}, "config key 'seed' must be a integer, got 1.5"),
     ])
     def test_mistyped_config_is_validation_error(self, tmp_path, capsys, command, overrides,
                                                  named):
@@ -197,6 +218,28 @@ class TestBacktestCommand:
         assert main([command, "--config", str(cfg)]) == 2
         assert named in capsys.readouterr().err
 
+
+    def test_invalid_json_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"pair": "WETH-USDT",')
+        assert main(["backtest", "--config", str(cfg)]) == 2
+        assert f"error: {cfg}: invalid JSON: " in capsys.readouterr().err
+
+    def test_null_swap_csv_runs_without_baseline(self, tmp_path, capsys):
+        write_price_csv(tmp_path / "prices.csv", blocks=10)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv")
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "swap_csv": None}))
+        assert main(["backtest", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        assert "uniswap" not in capsys.readouterr().out
+        assert not (tmp_path / "out" / "comparison.csv").exists()
+
+    def test_trade_at_the_pole_is_validation_error(self, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_text("timestamp,price\n0,2000\n12,2000\n24,2e16\n")
+        cfg = write_config(tmp_path / "cfg.json", prices, fee=0.0)
+        assert main(["backtest", "--config", str(cfg)]) == 2
+        assert ("error: block 2 (t=24): net trade 0.49999999999995 is at or beyond the price "
+                "pole x/2 = 0.5") in capsys.readouterr().err
 
     def test_decreasing_swap_timestamp_names_the_line(self, tmp_path, capsys):
         write_price_csv(tmp_path / "prices.csv", blocks=20)
@@ -413,10 +456,29 @@ class TestMcRiskCommand:
         assert f"--n-draws: n_draws must be {bound}" in err and f"got {n}" in err, err
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("sd", ["-1", "nan"])
-    def test_bad_spread_is_validation_error(self, capsys, sd):
-        assert main(["mc-risk"] + RESERVES + ["--epsilon-sd", sd]) == 2
-        assert "epsilon_sd must be non-negative" in capsys.readouterr().err
+    @pytest.mark.parametrize("args, named", [
+        (["--y", "20000", "--x-reserve", "10", "--base-price", "1e-320"],
+         "value function is not finite at price 1e-320 with reserves y=20000.0, x=10.0"),
+        (["--y", "20000", "--x-reserve", "10", "--base-price", "1e308"],
+         "value function is not finite at price 1e+308 with reserves y=20000.0, x=10.0"),
+        (["--y", "1e308", "--x-reserve", "1e-308", "--base-price", "3000"],
+         "value function is not finite at price 3000.0 with reserves y=1e+308, x=1e-308"),
+        (["--y", "1e200", "--x-reserve", "1e100", "--epsilon-sd", "1e99"],
+         "Monte Carlo statistics overflow at reserves y=1e+200, x=1e+100"),
+    ])
+    def test_non_finite_result_is_validation_error(self, tmp_path, capsys, args, named):
+        argv = ["mc-risk", "--epsilon-sd", "200", "--n-draws", "10"] + args
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert f"error: {named}" in err and out == "", (out, err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sd", ["-1", "nan", "inf"])
+    def test_bad_spread_is_validation_error(self, tmp_path, capsys, sd):
+        argv = ["mc-risk"] + RESERVES + ["--epsilon-sd", sd, "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert f"epsilon_sd must be non-negative and finite, got {sd}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSplitDemoCommand:
@@ -426,6 +488,13 @@ class TestSplitDemoCommand:
         out = capsys.readouterr().out
         assert "26666.66" in out
         assert "25000.0" in out  # constant-product limit line
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_n_below_one_is_validation_error(self, tmp_path, capsys, n):
+        argv = ["split-demo", "--y", "20000", "--x-reserve", "10", "--trade", "2", "--n", "1", n]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert f"error: n must be >= 1, got {n}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 RESERVES = ["--y", "20000", "--x-reserve", "10"]
@@ -517,6 +586,70 @@ class TestOutDirContract:
         assert re.search(r"block \d+ \(t=\d+\): rebalance left effective price",
                          capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+
+# the exit-code contract sweep: each command from a valid base, with one
+# value (the reserves also two at once) replaced by each extreme
+EXTREMES = ["0", "-1", "nan", "inf", "1e308", "1e-320"]
+CONTRACT_BASES = {
+    "quote": {"--trade": "1", "--fee": "0.003"},
+    "attack": {"--p-star": "2420"},
+    "mc-risk": {"--fee": "0.003", "--epsilon-sd": "200", "--base-price": "3000",
+                "--n-draws": "10"},
+    "split-demo": {"--trade": "2", "--n": "10"},
+    # "amount" is each of the two block-1 orders of the orders file
+    "settle": {"--fee": "0.003", "amount": "1"},
+}
+
+
+def contract_cases():
+    for command, base in CONTRACT_BASES.items():
+        base = {"--y": "20000", "--x-reserve": "10", **base}
+        for y in EXTREMES + ["20000"]:
+            for x in EXTREMES + ["10"]:
+                yield command, {**base, "--y": y, "--x-reserve": x}
+        for flag in [f for f in base if f not in ("--y", "--x-reserve")]:
+            for value in EXTREMES:
+                yield command, {**base, flag: value}
+
+
+class TestExitCodeContract:
+    def test_extreme_values_sweep(self, tmp_path, capsys):
+        """0, 2 or 3; ``error:`` and no out-dir on a failure; no nan or inf
+        printed on a success; every out-dir JSON strict."""
+        broken = []
+        for i, (command, values) in enumerate(contract_cases()):
+            values = dict(values)
+            argv = [command]
+            if command == "settle":
+                orders = tmp_path / f"orders{i}.jsonl"
+                amount = values.pop("amount")
+                orders.write_text(
+                    f'{{"block": 1, "trader_kind": "noise", "amount": {amount}}}\n'
+                    f'{{"block": 1, "trader_kind": "arbitrageur", "amount": {amount}}}\n')
+                argv += ["--orders", str(orders)]
+            for flag, value in values.items():
+                argv += [f"{flag}={value}"]  # "=" keeps "-1" a value
+            out_dir = tmp_path / f"out{i}"
+            try:
+                code = main(argv + ["--out-dir", str(out_dir)])
+            except SystemExit as exc:  # argparse rejects the value
+                code = exc.code
+            except Exception as exc:  # a traceback, or a warning (an error in this suite)
+                code = repr(exc)
+            out, err = capsys.readouterr()
+            if code not in (0, 2, 3):
+                broken.append((argv, f"exit {code}"))
+            elif code and ("error:" not in err or out_dir.exists()):
+                broken.append((argv, "no error line, or an out-dir left"))
+            elif not code and re.search(r"\b(nan|inf)\b", out, re.IGNORECASE):
+                broken.append((argv, "nan or inf printed"))
+            for path in out_dir.glob("*.json"):
+                try:
+                    json.loads(path.read_text(), parse_constant=reject_constant)
+                except ValueError as exc:
+                    broken.append((argv, str(exc)))
+        assert not broken, (len(broken), broken[:10])
 
 
 class TestParser:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli import write_config, write_price_csv, write_swap_csv
 
-from fmamm import cli, market_data, uniswap
+from fmamm import cli, market_data
 from fmamm.cli import _write_comparison, _write_runs, main
 from fmamm.market_data import (
     LpReturnSeries,
@@ -32,62 +32,68 @@ PRICE_HEADER = "timestamp,price"
 SWAP_HEADER = "block,timestamp,fee_amount,fee_token,active_liquidity,post_price"
 
 
-def reference_prices(path, pair):
-    """Row-by-row price reader: csv.reader, int() and float() per row."""
-    timestamps, prices = [], []
+def int64(text):
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{value} does not fit in 64 bits")
+    return value
+
+
+def reference_rows(path, header, parsers, error):
+    """(line number, parsed fields) of each data row, read with csv.reader;
+    a row that does not parse raises ``error`` naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
-            raise PriceDataError(f"{path}:1: expected header 'timestamp,price', got {header}")
+        names = next(reader, None)
+        if names is None or [h.strip().lower() for h in names[:len(parsers)]] != header:
+            raise error(f"{path}:1: expected header {','.join(header)!r}, got {names}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                ts = int(row[0])
-                price = float(row[1])
+                fields = [parse(row[i]) for i, parse in enumerate(parsers)]
             except (IndexError, ValueError) as exc:
-                raise PriceDataError(f"{path}:{lineno}: malformed row {row}: {exc}") from exc
-            if not math.isfinite(price) or price <= 0.0:
-                raise PriceDataError(f"{path}:{lineno}: price must be positive, got {row[1]}")
-            if timestamps and ts <= timestamps[-1]:
-                raise PriceDataError(
-                    f"{path}:{lineno}: timestamp {ts} not after previous {timestamps[-1]}"
-                )
-            timestamps.append(ts)
-            prices.append(price)
+                raise error(f"{path}:{lineno}: malformed row {row}: {exc}") from exc
+            yield lineno, fields
+
+
+def reference_prices(path, pair):
+    """Row-by-row price reader: csv.reader, int() and float() per row."""
+    timestamps, prices = [], []
+    for lineno, (ts, price) in reference_rows(path, ["timestamp", "price"], [int64, float],
+                                              PriceDataError):
+        if not math.isfinite(price) or price <= 0.0:
+            raise PriceDataError(
+                f"{path}:{lineno}: price must be finite and positive, got {price!r}")
+        if timestamps and float(ts) <= float(timestamps[-1]):
+            raise PriceDataError(f"{path}:{lineno}: timestamp {format_number(ts)} not after "
+                                 f"previous {format_number(timestamps[-1])}")
+        timestamps.append(ts)
+        prices.append(price)
     if not timestamps:
         raise PriceDataError(f"{path}: no data rows")
     return PriceSeries(pair, np.array(timestamps, float), np.array(prices, float))
 
 
 def reference_swaps(path):
-    """Row-by-row swap reader: one SwapRecord per row, then one array."""
-    fields = SWAP_HEADER.split(",")
+    """Row-by-row swap reader: one SwapRecord per row, then one array.
+
+    The loader reads ``fee_token`` into 7 characters, one more than a token
+    name, so a longer one is quoted cut to 7 in its error.
+    """
+    parsers = [int64, int64, float, lambda text: text.strip()[:7], float, float]
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:6]] != fields:
-            raise ValueError(f"{path}:1: expected header {SWAP_HEADER}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rec = SwapRecord(int(row[0]), int(row[1]), float(row[2]), row[3].strip(),
-                                 float(row[4]), float(row[5]))
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed swap record {row}: {exc}") from exc
-            if not all(-2**63 <= v < 2**63 for v in (rec.block, rec.timestamp)):
-                raise ValueError(
-                    f"{path}:{lineno}: block and timestamp must fit in 64 bits, got {row[:2]}"
-                )
-            if records and rec.timestamp < records[-1].timestamp:
-                raise ValueError(
-                    f"{path}:{lineno}: timestamp {rec.timestamp} before the previous "
-                    f"row's {records[-1].timestamp}"
-                )
-            records.append(rec)
+    for lineno, fields in reference_rows(path, SWAP_HEADER.split(","), parsers, ValueError):
+        try:
+            rec = SwapRecord(*fields)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if records and rec.timestamp < records[-1].timestamp:
+            raise ValueError(
+                f"{path}:{lineno}: timestamp {rec.timestamp} before the previous "
+                f"record's {records[-1].timestamp}"
+            )
+        records.append(rec)
     rows = [(r.block, r.timestamp, r.fee_amount, r.fee_token, r.active_liquidity, r.post_price)
             for r in records]
     return np.array(rows, dtype=SWAP_LOG_DTYPE)
@@ -132,6 +138,9 @@ PRICE_CORPUS = {
     "negative timestamps": "-5,1.5\n-4,2\n",
     "int at 2**63": "9223372036854775807,1.5\n9223372036854775808,2\n",
     "ints colliding as floats": "9223372036854775808,1.5\n9223372036854775809,2\n",
+    "ints colliding as float64": "9007199254740992,1.5\n9007199254740993,2\n",
+    "int below -2**63": "-9223372036854775809,1.5\n",
+    "decrease before a bad row": "2,1.5\n1,2\noops\n",
     "subnormal price": "1,5e-324\n",
     "comment marker": "#1,1.5\n",
     "hash in price": "1,1.5#\n",
@@ -172,14 +181,14 @@ class TestPriceParse:
     def test_errors_name_the_line(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(PRICE_HEADER + "\n1,1.5\n2,2.5\n3,nan\n")
-        with pytest.raises(PriceDataError, match=r"p\.csv:4: price must be positive"):
+        with pytest.raises(PriceDataError, match=r"p\.csv:4: price must be finite and positive, got nan$"):
             load_price_series(path, "X-Y")
 
     def test_plain_file_skips_the_row_reader(self, tmp_path, monkeypatch):
         def row_reader(*args):
             raise AssertionError("the row reader ran on a plain file")
 
-        monkeypatch.setattr(market_data, "_read_price_rows", row_reader)
+        monkeypatch.setattr(market_data, "_read_rows", row_reader)
         path = tmp_path / "p.csv"
         path.write_text(PRICE_HEADER + "\r\n" + "".join(f"{t},{t / 7!r}\r\n" for t in range(1, 500)))
         series = load_price_series(path, "X-Y")
@@ -273,6 +282,8 @@ SWAP_CORPUS = {
     "equal timestamps": "1,10,0.5,token0,1e6,2.0\n1,10,0.5,token1,1e6,2.0\n",
     "decreasing timestamps": "1,150,0.5,token0,1e6,2.0\n1,120,0.5,token0,1e6,2.0\n",
     "unsorted blocks": "2,10,0.5,token0,1e6,2.0\n1,20,0.5,token0,1e6,2.0\n",
+    "decrease before a bad row": "1,20,0.5,token0,1e6,2.0\n1,10,0.5,token0,1e6,2.0\n1,30\n",
+    "bad token before a bad row": "1,10,0.5,token00,1e6,2.0\n1,x,0.5,token0,1e6,2.0\n",
     "blank lines": "\n1,10,0.5,token0,1e6,2.0\r\n\r\n",
     "header only": "",
 }
@@ -295,7 +306,7 @@ class TestSwapParse:
         def row_reader(*args):
             raise AssertionError("the row reader ran on a plain file")
 
-        monkeypatch.setattr(uniswap, "_read_swap_rows", row_reader)
+        monkeypatch.setattr(market_data, "_read_rows", row_reader)
         path = tmp_path / "s.csv"
         path.write_text(SWAP_HEADER + "\n" + SWAP_CORPUS["plain"])
         log = load_swap_records(path)

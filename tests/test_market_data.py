@@ -1,6 +1,7 @@
 """Price series loading, cross rates, sampling, and synthesis tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,14 +27,19 @@ def write_csv(path, rows, header="timestamp,price"):
 
 class TestPriceSeries:
     @pytest.mark.parametrize("timestamps, prices, problem", [
-        ([0, 1], [2.0, math.inf], "prices must be finite and positive"),
-        ([0, 1], [2.0, 0.0], "prices must be finite and positive"),
-        ([0, math.inf], [2.0, 2.0], "timestamps must be finite"),
-        ([math.nan], [2.0], "timestamps must be finite"),
-        ([1, 1], [2.0, 2.0], "timestamps must be strictly increasing"),
-    ], ids=["inf-price", "zero-price", "inf-time", "nan-time-one-point", "repeated-time"])
+        ([0, 1], [2.0, math.inf], "point 1: price must be finite and positive, got inf"),
+        ([0, 1], [2.0, 0.0], "point 1: price must be finite and positive, got 0.0"),
+        ([0, math.inf], [2.0, 2.0], "point 1: timestamp inf is not finite"),
+        ([math.nan], [2.0], "point 0: timestamp nan is not finite"),
+        ([1, 1], [2.0, 2.0], "point 1: timestamp 1 not after previous 1"),
+        ([2**53, 2**53 + 1], [2.0, 2.0],
+         "point 1: timestamp 9007199254740992.0 not after previous 9007199254740992.0"),
+        ([], [], "empty price series"),
+        ([0, 1], [2.0], "2 timestamps vs 1 prices"),
+    ], ids=["inf-price", "zero-price", "inf-time", "nan-time-one-point", "repeated-time",
+            "ints-colliding-as-float64", "empty", "mismatched"])
     def test_rule(self, timestamps, prices, problem):
-        with pytest.raises(PriceDataError, match=f"X-Y: {problem}"):
+        with pytest.raises(PriceDataError, match=f"^X-Y: {re.escape(problem)}$"):
             PriceSeries("X-Y", timestamps, prices)
 
 
@@ -96,10 +102,17 @@ class TestCrossRate:
         assert list(c.timestamps) == [2.0, 3.0]
         assert c.prices[0] == 0.5
 
+    @pytest.mark.parametrize("pair_a, pair_b, label", [
+        ("A", "B-Q", "A/B-Q"), ("A-Q", "B-R", "A-Q/B-R"), ("A-B-Q", "C-B-Q", "A-B-Q/C-B-Q")])
+    def test_label_falls_back_to_a_slash_b(self, pair_a, pair_b, label):
+        a = PriceSeries(pair_a, [1, 2], [1.0, 2.0])
+        b = PriceSeries(pair_b, [1, 2], [4.0, 4.0])
+        assert cross_rate(a, b).pair == label
+
     def test_overflowing_ratio_rejected(self, recwarn):
         a = PriceSeries("A-Q", [1, 2], [1.0, 1e300])
         b = PriceSeries("B-Q", [1, 2], [1.0, 1e-10])
-        with pytest.raises(PriceDataError, match="A-B: prices must be finite"):
+        with pytest.raises(PriceDataError, match="A-B: point 1: price must be finite and positive"):
             cross_rate(a, b)
         assert not recwarn.list
 
@@ -223,3 +236,8 @@ class TestLpReturnSeries:
         assert lines[1] == "0,100.0,0.0"
         # byte-identical on rewrite
         assert (tmp_path / "b" / "venue_returns.csv").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("values, roi", [([1.0, 2.0], [0.0]), ([1.0], [0.0, 1.0])])
+    def test_mismatched_lengths_rejected(self, values, roi):
+        with pytest.raises(ValueError, match="^venue: mismatched series lengths$"):
+            LpReturnSeries("venue", [0, 12], values, roi)

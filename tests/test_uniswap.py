@@ -31,6 +31,18 @@ class TestRunBaseline:
         out = run_baseline([], series, 1.0)
         assert np.all(out.roi == 0.0)
 
+    @pytest.mark.parametrize("liquidity", [0.0, -1.0, math.nan])
+    def test_bad_liquidity_rejected(self, liquidity):
+        series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
+        with pytest.raises(ValueError, match=f"initial_liquidity must be positive, got {liquidity}"):
+            run_baseline([], series, liquidity)
+
+    def test_bad_cadence_rejected(self):
+        series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
+        with pytest.raises(ValueError, match=re.escape(
+                "compound_cadence must be one of ('swap', 'block', 'day')")):
+            run_baseline([], series, 1.0, "hourly")
+
     def test_no_swaps_divergence_identity(self):
         series = PriceSeries("X-Y", [0, 12], [4.0, 9.0])
         out = run_baseline([], series, 7.0)
@@ -426,6 +438,17 @@ class TestPerBlockVolume:
         # block 1: 3/0.01/2 + 1/0.01 = 150 + 100; block 2: 2/0.01/4 = 50
         assert vols[0] == pytest.approx(250.0, rel=1e-12)
         assert vols[1] == pytest.approx(50.0, rel=1e-12)
+
+    @pytest.mark.parametrize("pool_fee", [0.0, 1.0, -0.1, math.nan])
+    def test_bad_pool_fee_rejected(self, pool_fee):
+        with pytest.raises(ValueError, match=f"pool_fee must be in \\(0, 1\\), got {pool_fee}"):
+            per_block_swap_volume([record()], np.array([12.0]), pool_fee)
+
+    def test_empty_log_is_zero_volume(self):
+        empty = np.empty(0, SWAP_LOG_DTYPE)
+        for records in ([], empty):
+            vols = per_block_swap_volume(records, np.array([12.0, 24.0]), 0.003)
+            assert vols.tolist() == [0.0, 0.0]
 
     def test_swaps_after_last_block_dropped(self):
         recs = [record(block=1, ts=100, fee=1.0)]

@@ -225,18 +225,6 @@ def _pole_error(block: int, t: float, net: float, x: float) -> InfeasibleTradeEr
     )
 
 
-def _check_reserve_columns(y: np.ndarray, x: np.ndarray, times: np.ndarray) -> None:
-    """Reject the first block whose post-settlement reserves are not finite
-    and non-negative (the condition :class:`Reserves` enforces)."""
-    bad = ~((y >= 0.0) & (y < math.inf) & (x >= 0.0) & (x < math.inf))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"{_where(k + 1, times[k])}: reserves must be finite and non-negative, "
-            f"got y={float(y[k])!r}, x={float(x[k])!r}"
-        )
-
-
 def run_fmamm_backtest(
     prices: PriceSeries,
     clock: BlockClock,
@@ -299,7 +287,8 @@ def run_fmamm_backtest(
             raise ValueError(
                 f"baseline volume series misaligned: {volume.size} entries for {n} blocks"
             )
-        volumes = noise.fraction * volume
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            volumes = noise.fraction * volume
     elif noise.fraction > 0.0:
         raise ValueError(f"noise fraction {noise.fraction!r} needs a per-block "
                          "baseline_volume series")
@@ -318,13 +307,12 @@ def run_fmamm_backtest(
         sells = -buys
 
     keep = 1.0 - tau
-    fsum, isclose = math.fsum, math.isclose
+    fsum, isclose, inf = math.fsum, math.isclose, math.inf
     y, x = initial.y, initial.x
     # per block: arb trade, y and x after, fee legs; each chunk's Python
     # floats land in ``flat`` (the rows of ``columns``) at the chunk's end
     columns = np.empty((n, 5))
     flat = columns.reshape(-1)
-    lo, log = 0, []
     try:
         for lo in range(0, n, _CHUNK):
             hi = lo + _CHUNK
@@ -395,17 +383,15 @@ def run_fmamm_backtest(
                 else:
                     y += arb_flow
                 x -= flow
+                # the rule Reserves holds; a block that does not trade keeps
+                # the reserves checked when they last changed
+                if not (0.0 <= y < inf and 0.0 <= x < inf):
+                    raise ValueError(f"{_where(block, t)}: reserves must be finite and "
+                                     f"non-negative, got y={y!r}, x={x!r}")
                 record((trade, y, x, fee_n, fee_a))
             flat[5 * lo : 5 * lo + len(log)] = log
     except ArithmeticError as exc:
         raise ValueError(f"{_where(block, t)}: {exc} at reserves y={y!r}, x={x!r}") from exc
-    finally:
-        # the failing chunk's settled blocks too (after a full run this
-        # rewrites the last chunk's rows unchanged); then every settled
-        # block's reserves, so an earlier bad block wins over a later error
-        settled = lo + len(log) // 5
-        flat[5 * lo : 5 * settled] = log
-        _check_reserve_columns(columns[:settled, 1], columns[:settled, 2], times)
 
     arb_trade, y_after, x_after, fee_n_col, fee_a_col = columns.T
     noise_net = buys + sells
@@ -591,6 +577,7 @@ class ScenarioConfig:
             ("fee_grid", len(cfg.fee_grid) > 0, "non-empty"),
             ("pool_fee", cfg.pool_fee is None or 0.0 < cfg.pool_fee < 1.0, "null or in (0, 1)"),
             ("noise_fractions", min(cfg.noise_fractions, default=0.0) >= 0.0, "non-negative"),
+            ("seed", cfg.seed >= 0, "non-negative"),
             ("initial_x", cfg.initial_x > 0.0, "positive"),
             ("baseline_liquidity", cfg.baseline_liquidity > 0.0, "positive"),
         ):

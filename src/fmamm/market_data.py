@@ -207,7 +207,10 @@ def _read_csv(path, dtype: np.dtype, rule, error=ValueError) -> np.ndarray:
     names = list(dtype.names)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise error(f"{path}:1: {exc}") from exc
         if [h.strip().lower() for h in (header or [])[: len(names)]] != names:
             raise error(f"{path}:1: expected header {','.join(names)!r}, got {header}")
         try:
@@ -233,15 +236,19 @@ def _read_rows(path, reader, dtype: np.dtype, rule, error) -> np.ndarray:
     """
     parsers = [_FIELD_PARSERS[dtype[name].kind] for name in dtype.names]
     values, lines, failure = [], [], None
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            values.append(tuple(parse(row[i]) for i, parse in enumerate(parsers)))
-        except (IndexError, ValueError) as exc:
-            failure = f"{lineno}: malformed row {row}: {exc}"
-            break
-        lines.append(lineno)
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                values.append(tuple(parse(row[i]) for i, parse in enumerate(parsers)))
+            except (IndexError, ValueError) as exc:
+                failure = f"{lineno}: malformed row {row}: {exc}"
+                break
+            lines.append(lineno)
+    except csv.Error as exc:  # the line after the last one read
+        failure = f"{lineno + 1}: {exc}"
     rows = np.array(values, dtype)
     fault = rule(rows)
     if fault is not None:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fmamm.market_data import LpReturnSeries, PriceSeries, _read_csv, sample_at
+from fmamm.market_data import LpReturnSeries, PriceSeries, _read_csv, format_number, sample_at
 
 __all__ = [
     "SWAP_LOG_DTYPE",
@@ -144,7 +144,8 @@ def run_baseline(
     mark of each new UTC day); ``swap`` compounds after each swap at the price
     sampled at its timestamp, clipped to the marks' range.  A swap before
     the first mark is accrued at the first mark, and one after the last
-    mark is ignored with a warning.
+    mark is ignored with a warning.  A value that overflows raises
+    ``ValueError`` naming the first such mark and the liquidity.
     """
     if not initial_liquidity > 0.0:
         raise ValueError(f"initial_liquidity must be positive, got {initial_liquidity}")
@@ -165,36 +166,45 @@ def run_baseline(
     marks, prices = price_series.timestamps, price_series.prices
     cut = np.searchsorted(log.timestamp, marks, "right")  # swaps accrued by each mark
     kept = int(cut[-1])
-    per_liquidity = log.fee_amount[:kept] / log.active_liquidity[:kept]
-    fees0 = np.where(log.fee_token[:kept] == "token0", per_liquidity, 0.0)
-    fees1 = per_liquidity - fees0
+    # an overflow's inf or NaN reaches the values, which are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_liquidity = log.fee_amount[:kept] / log.active_liquidity[:kept]
+        fees0 = np.where(log.fee_token[:kept] == "token0", per_liquidity, 0.0)
+        fees1 = per_liquidity - fees0
 
-    # The compounding points: how many swaps each has accrued and the price
-    # it converts them at; ``passed`` counts the points at or before each mark.
-    if compound_cadence == "swap":
-        accrued = np.arange(1, kept + 1)
-        point_prices = sample_at(price_series, np.maximum(log.timestamp[:kept], marks[0]))
-        passed = cut
-    else:  # every mark, or the first mark of each new UTC day
-        days = np.floor(marks / 86400.0)
-        at_mark = (np.diff(days, prepend=days[0]) != 0) | (compound_cadence == "block")
-        accrued, point_prices = cut[at_mark], prices[at_mark]
-        passed = np.cumsum(at_mark)
-    # L is constant between points, so a point's fees per unit of liquidity
-    # (A0, A1) multiply L by 1 + (A0*q + A1) / (2*sqrt(q)) at its price q
-    point = np.searchsorted(accrued, np.arange(kept), "right")
-    a0, a1 = (np.bincount(point, fees, accrued.size + 1)[:-1] for fees in (fees0, fees1))
-    growth = 1.0 + (a0 * point_prices + a1) / (2.0 * np.sqrt(point_prices))
-    liquidity = np.cumprod(np.concatenate(([initial_liquidity], growth)))[passed]
-    # Fees a mark accrued since its last point stay pending (``day`` only).
-    # Running sums that drop each point's total at the next swap hold them
-    # without the rounding of a difference of two long cumulative sums; a
-    # mark with no swap since its last point has nothing pending.
-    since = np.concatenate(([0], accrued))[passed]
-    r0, r1 = (np.cumsum(np.concatenate(([0.0], fees - np.bincount(accrued, a, kept + 1)[:kept])))
-              for fees, a in ((fees0, a0), (fees1, a1)))
-    pending = np.where(cut > since, r0[cut] * prices + r1[cut], 0.0)
-    values = liquidity * (2.0 * np.sqrt(prices) + pending)
+        # The compounding points: how many swaps each has accrued and the price
+        # it converts them at; ``passed`` counts the points at or before each mark.
+        if compound_cadence == "swap":
+            accrued = np.arange(1, kept + 1)
+            point_prices = sample_at(price_series, np.maximum(log.timestamp[:kept], marks[0]))
+            passed = cut
+        else:  # every mark, or the first mark of each new UTC day
+            days = np.floor(marks / 86400.0)
+            at_mark = (np.diff(days, prepend=days[0]) != 0) | (compound_cadence == "block")
+            accrued, point_prices = cut[at_mark], prices[at_mark]
+            passed = np.cumsum(at_mark)
+        # L is constant between points, so a point's fees per unit of liquidity
+        # (A0, A1) multiply L by 1 + (A0*q + A1) / (2*sqrt(q)) at its price q
+        point = np.searchsorted(accrued, np.arange(kept), "right")
+        a0, a1 = (np.bincount(point, fees, accrued.size + 1)[:-1] for fees in (fees0, fees1))
+        growth = 1.0 + (a0 * point_prices + a1) / (2.0 * np.sqrt(point_prices))
+        liquidity = np.cumprod(np.concatenate(([initial_liquidity], growth)))[passed]
+        # Fees a mark accrued since its last point stay pending (``day`` only).
+        # Running sums that drop each point's total at the next swap hold them
+        # without the rounding of a difference of two long cumulative sums; a
+        # mark with no swap since its last point has nothing pending.
+        since = np.concatenate(([0], accrued))[passed]
+        r0, r1 = (
+            np.cumsum(np.concatenate(([0.0], fees - np.bincount(accrued, a, kept + 1)[:kept])))
+            for fees, a in ((fees0, a0), (fees1, a1)))
+        pending = np.where(cut > since, r0[cut] * prices + r1[cut], 0.0)
+        values = liquidity * (2.0 * np.sqrt(prices) + pending)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"baseline value is not finite at mark {format_number(marks[k])} "
+                         f"(price {float(prices[k])!r}) with initial_liquidity "
+                         f"{initial_liquidity!r}")
     if kept < n:
         warnings.warn(
             f"{n - kept} swap records after the last price mark were ignored",
@@ -232,7 +242,8 @@ def per_block_swap_volume(
     if not len(log):
         return volumes
     times = log.timestamp.astype(np.float64)
-    sizes = log.fee_amount / pool_fee / np.where(log.fee_token == "token1", log.post_price, 1.0)
+    with np.errstate(over="ignore"):  # the kernel rejects an overflow's inf volume
+        sizes = log.fee_amount / pool_fee / np.where(log.fee_token == "token1", log.post_price, 1.0)
     idx = np.searchsorted(settlement_times, times, side="left")
     keep = idx < settlement_times.size
     np.add.at(volumes, idx[keep], sizes[keep])

@@ -54,7 +54,7 @@ from fmamm.market_data import (
     sample_at,
     sample_gbm_path,
 )
-from fmamm.uniswap import SWAP_LOG_DTYPE, run_baseline
+from fmamm.uniswap import SWAP_LOG_DTYPE, SwapRecord, per_block_swap_volume, run_baseline
 
 R = Reserves(20000.0, 10.0)
 TAUS = (0.0, 0.0005, 0.003, 0.01)
@@ -206,6 +206,17 @@ class TestRunBacktest:
             with pytest.raises(ValueError, match="finite"):
                 run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, scenario, R,
                                    baseline_volume=[1.0, bad, 1.0])
+
+    @pytest.mark.parametrize("fraction, pool_fee", [(0.0, 1e-320), (1e308, 0.003)])
+    def test_overflowing_noise_volume_is_rejected_without_a_warning(self, fraction, pool_fee):
+        # a fee over a subnormal pool fee overflows to an infinite volume, and
+        # zero noise times it is NaN; a huge fraction overflows a finite one
+        series = flat_series(blocks=3)
+        swaps = [SwapRecord(1, 5, 1.0, "token0", 1e9, 2000.0)]
+        clock = BlockClock.for_series(series)
+        volume = per_block_swap_volume(swaps, clock.settlement_times(), pool_fee)
+        with pytest.raises(ValueError, match="noise volumes must be finite"):
+            run_fmamm_backtest(series, clock, 0.003, NoiseScenario(fraction), R, volume)
 
     def test_overflowing_reserves_name_the_first_block(self, monkeypatch):
         # the fee-grossed buy price overflows, so the first noisy block leaves

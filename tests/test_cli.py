@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,8 @@ class TestBacktestCommand:
         ("sweep-fees", {"fee_grid": []}, "'fee_grid' must be non-empty"),
         ("backtest", {"pair": 5}, "config key 'pair' must be a string, got 5"),
         ("backtest", {"seed": 1.5}, "config key 'seed' must be a integer, got 1.5"),
+        ("sweep-noise", {"seed": -1, "noise_direction": "random_sign"},
+         "config key 'seed' must be non-negative, got -1"),
     ])
     def test_mistyped_config_is_validation_error(self, tmp_path, capsys, command, overrides,
                                                  named):
@@ -473,6 +476,12 @@ class TestMcRiskCommand:
         assert f"error: {named}" in err and out == "", (out, err)
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        argv = ["mc-risk"] + RESERVES + ["--epsilon-sd", "200", "--n-draws", "10", "--seed=-1"]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert "error: --seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("sd", ["-1", "nan", "inf"])
     def test_bad_spread_is_validation_error(self, tmp_path, capsys, sd):
         argv = ["mc-risk"] + RESERVES + ["--epsilon-sd", sd, "--out-dir", str(tmp_path / "out")]
@@ -595,7 +604,7 @@ CONTRACT_BASES = {
     "quote": {"--trade": "1", "--fee": "0.003"},
     "attack": {"--p-star": "2420"},
     "mc-risk": {"--fee": "0.003", "--epsilon-sd": "200", "--base-price": "3000",
-                "--n-draws": "10"},
+                "--n-draws": "10", "--seed": "0"},
     "split-demo": {"--trade": "2", "--n": "10"},
     # "amount" is each of the two block-1 orders of the orders file
     "settle": {"--fee": "0.003", "amount": "1"},
@@ -613,10 +622,39 @@ def contract_cases():
                 yield command, {**base, flag: value}
 
 
+def contract_breach(argv, out_dir, capsys):
+    """How one run of ``argv`` with ``--out-dir`` breaks the exit-code
+    contract, or None: 0, 2 or 3; ``error:`` and no out-dir on a failure; no
+    nan or inf printed on a success; every out-dir JSON strict."""
+    try:
+        code = main(argv + ["--out-dir", str(out_dir)])
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    except Exception as exc:  # a traceback, or a warning (an error in this suite)
+        code = repr(exc)
+    out, err = capsys.readouterr()
+    if code not in (0, 2, 3):
+        return f"exit {code}"
+    if code and ("error:" not in err or out_dir.exists()):
+        return "no error line, or an out-dir left"
+    if not code and re.search(r"\b(nan|inf)\b", out, re.IGNORECASE):
+        return "nan or inf printed"
+    for path in out_dir.glob("*.json"):
+        try:
+            json.loads(path.read_text(), parse_constant=reject_constant)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+# the scenario sweep: each numeric config key of a small valid scenario with
+# swaps replaced by each extreme (``noise_fractions`` as its one entry)
+SCENARIO_KEYS = ["fee", "mu", "gamma", "seed", "initial_x", "baseline_liquidity", "pool_fee",
+                 "noise_fractions"]
+
+
 class TestExitCodeContract:
     def test_extreme_values_sweep(self, tmp_path, capsys):
-        """0, 2 or 3; ``error:`` and no out-dir on a failure; no nan or inf
-        printed on a success; every out-dir JSON strict."""
         broken = []
         for i, (command, values) in enumerate(contract_cases()):
             values = dict(values)
@@ -630,25 +668,36 @@ class TestExitCodeContract:
                 argv += ["--orders", str(orders)]
             for flag, value in values.items():
                 argv += [f"{flag}={value}"]  # "=" keeps "-1" a value
-            out_dir = tmp_path / f"out{i}"
-            try:
-                code = main(argv + ["--out-dir", str(out_dir)])
-            except SystemExit as exc:  # argparse rejects the value
-                code = exc.code
-            except Exception as exc:  # a traceback, or a warning (an error in this suite)
-                code = repr(exc)
-            out, err = capsys.readouterr()
-            if code not in (0, 2, 3):
-                broken.append((argv, f"exit {code}"))
-            elif code and ("error:" not in err or out_dir.exists()):
-                broken.append((argv, "no error line, or an out-dir left"))
-            elif not code and re.search(r"\b(nan|inf)\b", out, re.IGNORECASE):
-                broken.append((argv, "nan or inf printed"))
-            for path in out_dir.glob("*.json"):
-                try:
-                    json.loads(path.read_text(), parse_constant=reject_constant)
-                except ValueError as exc:
-                    broken.append((argv, str(exc)))
+            breach = contract_breach(argv, tmp_path / f"out{i}", capsys)
+            if breach:
+                broken.append((argv, breach))
+        assert not broken, (len(broken), broken[:10])
+
+    def test_scenario_config_sweep(self, tmp_path, capsys):
+        """``backtest``, ``sweep-fees`` and ``sweep-noise`` on a 50-block
+        scenario with a swap every 10 blocks, one config value at a time."""
+        series = write_price_csv(tmp_path / "prices.csv", blocks=50)
+        write_swap_csv(tmp_path / "swaps.csv", series, every=10)
+        base = {"mu": 12, "gamma": 0, "initial_x": 1, "baseline_liquidity": 1,
+                "noise_direction": "random_sign"}
+        broken = []
+        for key in SCENARIO_KEYS:
+            for extreme in EXTREMES:
+                value = json.loads({"nan": "NaN", "inf": "Infinity"}.get(extreme, extreme))
+                if key == "noise_fractions":
+                    value = [value]
+                cfg = write_config(tmp_path / f"{key}{extreme}.json", tmp_path / "prices.csv",
+                                   tmp_path / "swaps.csv", **{**base, key: value})
+                for command in ("backtest", "sweep-fees", "sweep-noise"):
+                    argv = [command, "--config", str(cfg)]
+                    # the data warnings (a forward-filled gap, a large position)
+                    # are documented output; any other warning is a failure
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)
+                        breach = contract_breach(argv, tmp_path / f"{cfg.stem}-{command}",
+                                                 capsys)
+                    if breach:
+                        broken.append((key, extreme, command, breach))
         assert not broken, (len(broken), broken[:10])
 
 

@@ -315,6 +315,24 @@ class TestSwapParse:
         assert log[1].post_price == 2.1
 
 
+# beyond the csv module's default field limit of 128 KiB
+OVERSIZED = "1" * 200_000
+
+
+@pytest.mark.parametrize("load, header, row, big_row", [
+    (lambda path: load_price_series(path, "X-Y"), PRICE_HEADER, "1,1.5", f"2,{OVERSIZED}"),
+    (load_swap_records, SWAP_HEADER, "1,10,0.5,token0,1e6,2.0",
+     f"{OVERSIZED},11,0.5,token0,1e6,2.0"),
+], ids=["prices", "swaps"])
+def test_oversized_field_names_its_line(tmp_path, load, header, row, big_row):
+    path = tmp_path / "in.csv"
+    for text, line in ((f"{header},{OVERSIZED}\n{row}\n", 1),
+                       (f"{header}\n{row}\n\n{big_row}\n", 4)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"in\.csv:{line}: field larger than field limit"):
+            load(path)
+
+
 def reference_returns_csv(path, series):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

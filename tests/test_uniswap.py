@@ -43,6 +43,19 @@ class TestRunBaseline:
                 "compound_cadence must be one of ('swap', 'block', 'day')")):
             run_baseline([], series, 1.0, "hourly")
 
+    @pytest.mark.parametrize("cadence", ["swap", "block", "day"])
+    def test_overflowing_value_names_the_mark(self, cadence):
+        # the position alone overflows at the first mark; a fee whose share
+        # per unit of liquidity overflows, at the mark that accrues it
+        series = PriceSeries("X-Y", [0, 12, 24], [4.0, 4.0, 4.0])
+        with pytest.raises(ValueError, match=re.escape(
+                "baseline value is not finite at mark 0 (price 4.0) with initial_liquidity 1e+308")):
+            run_baseline([], series, 1e308, cadence)
+        swaps = [record(block=1, ts=5, fee=1e300, liq=1e-10)]
+        with pytest.warns(UserWarning, match="small-position"), pytest.raises(
+                ValueError, match=re.escape("at mark 12 (price 4.0) with initial_liquidity 1.0")):
+            run_baseline(swaps, series, 1.0, cadence)
+
     def test_no_swaps_divergence_identity(self):
         series = PriceSeries("X-Y", [0, 12], [4.0, 9.0])
         out = run_baseline([], series, 7.0)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
@@ -569,6 +570,7 @@ class ScenarioConfig:
         _check_fee(cfg.fee, f"{path}: config key 'fee'")
         for tau in cfg.fee_grid:
             _check_fee(tau, f"{path}: config key 'fee_grid' entry")
+        normal = sys.float_info.min
         for key, ok, want in (
             ("noise_direction", cfg.noise_direction in NOISE_DIRECTIONS,
              f"one of {NOISE_DIRECTIONS}"),
@@ -578,8 +580,12 @@ class ScenarioConfig:
             ("pool_fee", cfg.pool_fee is None or 0.0 < cfg.pool_fee < 1.0, "null or in (0, 1)"),
             ("noise_fractions", min(cfg.noise_fractions, default=0.0) >= 0.0, "non-negative"),
             ("seed", cfg.seed >= 0, "non-negative"),
-            ("initial_x", cfg.initial_x > 0.0, "positive"),
-            ("baseline_liquidity", cfg.baseline_liquidity > 0.0, "positive"),
+            ("mu", cfg.mu > 0.0, "positive"),
+            ("gamma", 0.0 <= cfg.gamma < cfg.mu, f"in [0, mu) with mu={cfg.mu!r}"),
+            # sizes are normal floats: a subnormal one lacks the precision that
+            # the kernel's pins and the baseline's fee growth need
+            ("initial_x", cfg.initial_x >= normal, f"at least {normal!r}"),
+            ("baseline_liquidity", cfg.baseline_liquidity >= normal, f"at least {normal!r}"),
         ):
             if not ok:
                 raise ValueError(

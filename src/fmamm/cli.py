@@ -160,8 +160,11 @@ def cmd_settle(args) -> Outputs:
                    inputs=[args.orders])
 
 
-def _load_scenario(args):
+def _load_scenario(args, needs_swaps=False):
     cfg = ScenarioConfig.from_json(args.config)
+    if needs_swaps and (cfg.swap_csv is None or cfg.pool_fee is None):
+        raise ValueError(f"{args.config}: {args.command} needs config keys 'swap_csv' and "
+                         "'pool_fee' to infer per-block baseline volume")
     prices = load_price_series(cfg.price_csv, cfg.pair)
     clock = BlockClock.for_series(prices, mu=cfg.mu, gamma=cfg.gamma)
     p0 = float(prices.prices[0])
@@ -218,10 +221,7 @@ def cmd_sweep_fees(args) -> Outputs:
 
 
 def cmd_sweep_noise(args) -> Outputs:
-    cfg, prices, clock, initial = _load_scenario(args)
-    if cfg.swap_csv is None or cfg.pool_fee is None:
-        raise ValueError("sweep-noise needs 'swap_csv' and 'pool_fee' in the config "
-                         "to infer per-block baseline volume")
+    cfg, prices, clock, initial = _load_scenario(args, needs_swaps=True)
     records = load_swap_records(cfg.swap_csv)
     volume = per_block_swap_volume(records, clock.settlement_times(), cfg.pool_fee)
     # one backtest per distinct fraction, with zero first unless listed, so

@@ -16,7 +16,7 @@ Swap records load from CSVs with schema
 ``block,timestamp,fee_amount,fee_token,active_liquidity,post_price`` where
 ``fee_token`` is ``token0`` (asset) or ``token1`` (numeraire), into a
 columnar swap log (:data:`SWAP_LOG_DTYPE`) by :mod:`fmamm.market_data`'s one
-CSV reader; every log meets the swap rules.  :func:`run_baseline` replays
+CSV reader; every log meets the swap rule.  :func:`run_baseline` replays
 the log in closed form: ``L`` is constant between compounding points, so one
 cumulative product of per-point growth factors serves every cadence, with one
 rule for swaps outside the price marks.  It agrees with a per-record replay
@@ -66,7 +66,7 @@ _SWAP_PARSE_DTYPE = np.dtype(
 
 @dataclass(frozen=True)
 class SwapRecord:
-    """One pool swap: the fee it paid and the liquidity that shared it."""
+    """One pool swap, a plain record: :func:`as_swap_log` checks it."""
 
     block: int
     timestamp: int
@@ -75,53 +75,51 @@ class SwapRecord:
     active_liquidity: float
     post_price: float
 
-    def __post_init__(self) -> None:
-        if self.fee_token not in FEE_TOKENS:
-            raise ValueError(f"fee_token must be one of {FEE_TOKENS}, got {self.fee_token!r}")
-        if not self.fee_amount >= 0.0:
-            raise ValueError(f"fee_amount must be non-negative, got {self.fee_amount}")
-        if not self.active_liquidity > 0.0:
-            raise ValueError(f"active_liquidity must be positive, got {self.active_liquidity}")
-        if not self.post_price > 0.0:
-            raise ValueError(f"post_price must be positive, got {self.post_price}")
+
+# The swap rule: each field's test on a column and what it must be, then the
+# columns that must never decrease
+_SWAP_FIELD_RULES = (
+    ("fee_token", lambda v: np.isin(v, FEE_TOKENS), f"one of {FEE_TOKENS}"),
+    ("fee_amount", lambda v: (v >= 0.0) & (v < np.inf), "non-negative and finite"),
+    ("active_liquidity", lambda v: (v > 0.0) & (v < np.inf), "positive and finite"),
+    ("post_price", lambda v: (v > 0.0) & (v < np.inf), "positive and finite"),
+)
+_SWAP_SORTED_BY = ("block", "timestamp")
 
 
 def _swap_fault(log) -> tuple[int, str] | None:
-    """The swap rules, the :class:`SwapRecord` checks and timestamps that
-    never decrease: the first row of a swap log that breaks them and why."""
-    bad = (~np.isin(log["fee_token"], FEE_TOKENS) | ~(log["fee_amount"] >= 0.0)
-           | ~(log["active_liquidity"] > 0.0) | ~(log["post_price"] > 0.0))
-    bad[1:] |= log["timestamp"][1:] < log["timestamp"][:-1]
+    """The swap rule: the first row of a swap log that breaks it and why, or None."""
+    bad = np.zeros(len(log), bool)
+    for name, ok, _ in _SWAP_FIELD_RULES:
+        bad |= ~ok(log[name])
+    for name in _SWAP_SORTED_BY:
+        bad[1:] |= log[name][1:] < log[name][:-1]
     if not bad.any():
         return None
     k = int(bad.argmax())
-    try:
-        SwapRecord(*log[k].tolist())
-    except ValueError as exc:
-        return k, str(exc)
-    return k, (f"timestamp {log['timestamp'][k]} before the previous record's "
-               f"{log['timestamp'][k - 1]}")
+    for name, ok, want in _SWAP_FIELD_RULES:
+        if not ok(log[name][k]):
+            return k, f"{name} must be {want}, got {log[name][k].item()!r}"
+    name = next(name for name in _SWAP_SORTED_BY if log[name][k] < log[name][k - 1])
+    return k, (f"{name} {log[name][k]} before the previous record's {log[name][k - 1]}; "
+               f"swap records must be sorted by {name}")
 
 
 def as_swap_log(records) -> np.recarray:
-    """The swap log of ``records``: a :data:`SWAP_LOG_DTYPE` array as it is,
-    or a sequence of :class:`SwapRecord` converted to one.
-
-    Every row is checked as :class:`SwapRecord` checks it, and timestamps
-    must never decrease.
-    """
+    """The swap log of ``records``, a :data:`SWAP_LOG_DTYPE` array or a
+    sequence of :class:`SwapRecord`, once every row meets the swap rule."""
     if isinstance(records, np.ndarray):
         if records.dtype.names != SWAP_LOG_DTYPE.names:
             raise ValueError(f"swap log fields must be {SWAP_LOG_DTYPE.names}, "
                              f"got {records.dtype.names}")
-        log = records.view(np.recarray)
+        rows = records
     else:
-        log = np.array([(r.block, r.timestamp, r.fee_amount, r.fee_token, r.active_liquidity,
-                         r.post_price) for r in records], dtype=SWAP_LOG_DTYPE).view(np.recarray)
-    fault = _swap_fault(log)
+        rows = np.array([(r.block, r.timestamp, r.fee_amount, r.fee_token, r.active_liquidity,
+                          r.post_price) for r in records], dtype=_SWAP_PARSE_DTYPE)
+    fault = _swap_fault(rows)
     if fault is not None:
         raise ValueError(f"swap record {fault[0]}: {fault[1]}")
-    return log
+    return rows.astype(SWAP_LOG_DTYPE, copy=False).view(np.recarray)
 
 
 def run_baseline(
@@ -137,8 +135,8 @@ def run_baseline(
     the position's liquidity over the swap's ``active_liquidity``,
     compounding runs per the cadence, and the position is valued at the mark
     price as ``2*L*sqrt(p)`` plus pending fees.  Records (a swap log or a
-    sequence of :class:`SwapRecord`) must be sorted by block, with
-    timestamps that never decrease.
+    sequence of :class:`SwapRecord`) must meet the swap rule, which sorts
+    them by block and by timestamp.
 
     ``block`` and ``day`` compound at the mark price (``day`` at the first
     mark of each new UTC day); ``swap`` compounds after each swap at the price
@@ -152,8 +150,6 @@ def run_baseline(
     if compound_cadence not in COMPOUND_CADENCES:
         raise ValueError(f"compound_cadence must be one of {COMPOUND_CADENCES}")
     log = as_swap_log(records)
-    if (log.block[1:] < log.block[:-1]).any():
-        raise ValueError("swap records must be sorted by block")
 
     n = len(log)
     share = float((initial_liquidity / log.active_liquidity).max()) if n else 0.0
@@ -216,9 +212,9 @@ def run_baseline(
 def load_swap_records(path) -> np.recarray:
     """Load a swap CSV as a swap log, reporting bad rows by line number.
 
-    Rows are checked as :func:`as_swap_log` checks them, before the cast
-    that would cut a long token name.  ``len`` of the log is the number of
-    data rows.
+    Rows must meet the swap rule (finite fields, blocks and timestamps that
+    never decrease), checked before the cast that would cut a long token
+    name.  ``len`` of the log is the number of data rows.
     """
     rows = _read_csv(path, _SWAP_PARSE_DTYPE, _swap_fault)
     return rows.astype(SWAP_LOG_DTYPE).view(np.recarray)

@@ -209,15 +209,27 @@ class TestBacktestCommand:
         ("backtest", {"seed": 1.5}, "config key 'seed' must be a integer, got 1.5"),
         ("sweep-noise", {"seed": -1, "noise_direction": "random_sign"},
          "config key 'seed' must be non-negative, got -1"),
+        # checked before any CSV is read: the price file does not exist
+        ("backtest", {"price_csv": "absent.csv", "mu": 0}, "config key 'mu' must be positive"),
+        ("sweep-fees", {"price_csv": "absent.csv", "gamma": 12},
+         "config key 'gamma' must be in [0, mu) with mu=12.0, got 12"),
+        ("sweep-noise", {"price_csv": "absent.csv", "mu": 6, "gamma": -1}, "'gamma'"),
+        ("sweep-noise", {"price_csv": "absent.csv"}, "config keys 'swap_csv' and 'pool_fee'"),
+        # subnormal sizes
+        ("backtest", {"price_csv": "absent.csv", "initial_x": 1e-320},
+         "config key 'initial_x' must be at least 2.2250738585072014e-308, got 1e-320"),
+        ("sweep-fees", {"price_csv": "absent.csv", "baseline_liquidity": 1e-320},
+         "config key 'baseline_liquidity' must be at least"),
     ])
-    def test_mistyped_config_is_validation_error(self, tmp_path, capsys, command, overrides,
-                                                 named):
+    def test_mistyped_config_is_validation_error(self, tmp_path, capsys, monkeypatch, command,
+                                                 overrides, named):
+        monkeypatch.chdir(tmp_path)
         write_price_csv(tmp_path / "prices.csv", blocks=10)
         cfg = tmp_path / "cfg.json"
         if overrides is None:
             cfg.write_text("[1, 2]")
         else:
-            write_config(cfg, tmp_path / "prices.csv", **overrides)
+            write_config(cfg, **{"price_csv": tmp_path / "prices.csv", **overrides})
         assert main([command, "--config", str(cfg)]) == 2
         assert named in capsys.readouterr().err
 
@@ -270,8 +282,15 @@ class TestBacktestCommand:
         ("swaps", "1,1680000012,0.5,token1,0,2000.0"),
         ("swaps", "1,1680000012,0.5,token1,1e9"),
         ("swaps", "9223372036854775808,1680000012,0.5,token1,1e9,2000.0"),
+        # between the swaps at blocks 4 (t=48) and 7 (t=84): a decreasing
+        # block, an infinite liquidity, an infinite price
+        ("swaps", "3,1680000060,0.5,token1,1e9,2000.0"),
+        ("swaps", "5,1680000060,0.5,token1,inf,2000.0"),
+        ("swaps", "5,1680000060,0.5,token1,1e9,inf"),
     ])
     def test_malformed_csv_row_names_its_line(self, tmp_path, capsys, which, row):
+        """Every command that reads the file gives it one verdict: exit 2
+        naming the line, and no out-dir."""
         series = write_price_csv(tmp_path / "prices.csv", blocks=20)
         write_swap_csv(tmp_path / "swaps.csv", series)
         path = tmp_path / f"{which}.csv"
@@ -279,8 +298,12 @@ class TestBacktestCommand:
         lines.insert(3, row)
         path.write_text("\n".join(lines) + "\n")
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv")
-        assert main(["backtest", "--config", str(cfg)]) == 2
-        assert f"{which}.csv:4:" in capsys.readouterr().err
+        for command in ("backtest", "sweep-noise"):
+            out = tmp_path / f"out-{command}"
+            assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"{which}.csv:4:" in err, (command, err)
+            assert not out.exists()
 
 
 class TestSweepCommands:
@@ -622,10 +645,11 @@ def contract_cases():
                 yield command, {**base, flag: value}
 
 
-def contract_breach(argv, out_dir, capsys):
+def contract_breach(argv, out_dir, capsys, codes=(0, 2, 3)):
     """How one run of ``argv`` with ``--out-dir`` breaks the exit-code
-    contract, or None: 0, 2 or 3; ``error:`` and no out-dir on a failure; no
-    nan or inf printed on a success; every out-dir JSON strict."""
+    contract, or None: an exit code in ``codes``; ``error:`` and no out-dir
+    on a failure; no nan or inf printed on a success; every out-dir JSON
+    strict."""
     try:
         code = main(argv + ["--out-dir", str(out_dir)])
     except SystemExit as exc:  # argparse rejects the value
@@ -633,7 +657,7 @@ def contract_breach(argv, out_dir, capsys):
     except Exception as exc:  # a traceback, or a warning (an error in this suite)
         code = repr(exc)
     out, err = capsys.readouterr()
-    if code not in (0, 2, 3):
+    if code not in codes:
         return f"exit {code}"
     if code and ("error:" not in err or out_dir.exists()):
         return "no error line, or an out-dir left"
@@ -675,7 +699,8 @@ class TestExitCodeContract:
 
     def test_scenario_config_sweep(self, tmp_path, capsys):
         """``backtest``, ``sweep-fees`` and ``sweep-noise`` on a 50-block
-        scenario with a swap every 10 blocks, one config value at a time."""
+        scenario with a swap every 10 blocks, one config value at a time: a
+        config value is an input, so it gives exit 0 or 2, never 3."""
         series = write_price_csv(tmp_path / "prices.csv", blocks=50)
         write_swap_csv(tmp_path / "swaps.csv", series, every=10)
         base = {"mu": 12, "gamma": 0, "initial_x": 1, "baseline_liquidity": 1,
@@ -695,7 +720,7 @@ class TestExitCodeContract:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", UserWarning)
                         breach = contract_breach(argv, tmp_path / f"{cfg.stem}-{command}",
-                                                 capsys)
+                                                 capsys, codes=(0, 2))
                     if breach:
                         broken.append((key, extreme, command, breach))
         assert not broken, (len(broken), broken[:10])

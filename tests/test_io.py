@@ -26,7 +26,7 @@ from fmamm.market_data import (
     format_numbers,
     load_price_series,
 )
-from fmamm.uniswap import SWAP_LOG_DTYPE, SwapRecord, load_swap_records
+from fmamm.uniswap import SWAP_LOG_DTYPE, load_swap_records
 
 PRICE_HEADER = "timestamp,price"
 SWAP_HEADER = "block,timestamp,fee_amount,fee_token,active_liquidity,post_price"
@@ -75,27 +75,39 @@ def reference_prices(path, pair):
     return PriceSeries(pair, np.array(timestamps, float), np.array(prices, float))
 
 
+def reference_swap_fault(fields, previous):
+    """The swap rule for one row, written out again so the oracle does not
+    lean on the code under test: why ``fields`` breaks it after the row
+    ``previous`` (None for the first), or None."""
+    block, timestamp, fee_amount, fee_token, active_liquidity, post_price = fields
+    if fee_token not in ("token0", "token1"):
+        return f"fee_token must be one of ('token0', 'token1'), got {fee_token!r}"
+    if not 0.0 <= fee_amount < math.inf:
+        return f"fee_amount must be non-negative and finite, got {fee_amount!r}"
+    if not 0.0 < active_liquidity < math.inf:
+        return f"active_liquidity must be positive and finite, got {active_liquidity!r}"
+    if not 0.0 < post_price < math.inf:
+        return f"post_price must be positive and finite, got {post_price!r}"
+    for i, name in ((0, "block"), (1, "timestamp")):
+        if previous is not None and fields[i] < previous[i]:
+            return (f"{name} {fields[i]} before the previous record's {previous[i]}; "
+                    f"swap records must be sorted by {name}")
+    return None
+
+
 def reference_swaps(path):
-    """Row-by-row swap reader: one SwapRecord per row, then one array.
+    """Row-by-row swap reader: the rule per row, then one array.
 
     The loader reads ``fee_token`` into 7 characters, one more than a token
     name, so a longer one is quoted cut to 7 in its error.
     """
     parsers = [int64, int64, float, lambda text: text.strip()[:7], float, float]
-    records = []
+    rows = []
     for lineno, fields in reference_rows(path, SWAP_HEADER.split(","), parsers, ValueError):
-        try:
-            rec = SwapRecord(*fields)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if records and rec.timestamp < records[-1].timestamp:
-            raise ValueError(
-                f"{path}:{lineno}: timestamp {rec.timestamp} before the previous "
-                f"record's {records[-1].timestamp}"
-            )
-        records.append(rec)
-    rows = [(r.block, r.timestamp, r.fee_amount, r.fee_token, r.active_liquidity, r.post_price)
-            for r in records]
+        fault = reference_swap_fault(fields, rows[-1] if rows else None)
+        if fault is not None:
+            raise ValueError(f"{path}:{lineno}: {fault}")
+        rows.append(tuple(fields))
     return np.array(rows, dtype=SWAP_LOG_DTYPE)
 
 

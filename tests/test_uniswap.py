@@ -398,6 +398,10 @@ class TestBaselineMatchesReference:
         ("active_liquidity", -1e6, "active_liquidity must be positive"),
         ("post_price", 0.0, "post_price must be positive"),
         ("timestamp", 4, "timestamp 4 before the previous record's 5"),
+        ("fee_amount", math.inf, "fee_amount must be non-negative and finite, got inf"),
+        ("active_liquidity", math.inf, "active_liquidity must be positive and finite, got inf"),
+        ("post_price", math.inf, "post_price must be positive and finite, got inf"),
+        ("block", 0, "block 0 before the previous record's 1; swap records must be sorted by block"),
     ])
     def test_raw_log_values_checked(self, field, value, message):
         """A raw array gets the record rules: "tokX" is neither token, so the
@@ -409,6 +413,15 @@ class TestBaselineMatchesReference:
                     lambda log: per_block_swap_volume(log, series.timestamps[1:], 0.003)):
             with pytest.raises(ValueError, match=f"swap record 1: {re.escape(message)}"):
                 use(log)
+
+
+    @pytest.mark.parametrize("token", ["token00", "token1 "])
+    def test_records_checked_before_the_token_is_cut(self, token):
+        """A record is plain data; the log made from it is checked at one
+        character past a token name, so no longer name is cut to a valid one."""
+        with pytest.raises(ValueError, match=re.escape(f"swap record 0: fee_token must be one "
+                                                       f"of ('token0', 'token1'), got {token!r}")):
+            as_swap_log([record(token=token)])
 
 
 class TestSwapRecordIo:

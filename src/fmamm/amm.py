@@ -26,6 +26,7 @@ quantity has a closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,28 @@ class Reserves:
         return self.y + price * self.x
 
 
+def _is_integer(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number: a finite float, or an integer within the float range."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_integer(value) and abs(value) <= sys.float_info.max
+
+
 def _check_fee(tau: float, name: str = "fee") -> None:
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"{name} must satisfy 0 <= tau < 1, got {tau}")
+
+
+def _check_size(size: float, name: str) -> None:
+    # sizes are normal floats: a subnormal one lacks the precision that the
+    # kernel's pins and the baseline's fee growth need
+    if not size >= sys.float_info.min:
+        raise ValueError(f"{name} must be at least {sys.float_info.min!r}, got {size!r}")
 
 
 def _check_price(price: float) -> None:

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -38,6 +37,10 @@ from fmamm.amm import (
     POLE_MARGIN,
     Reserves,
     _check_fee,
+    _check_price,
+    _check_size,
+    _is_integer,
+    _is_number,
     objective_value,
 )
 from fmamm.arbitrage import _PIN_RTOL, arbitrage_order
@@ -48,7 +51,7 @@ from fmamm.market_data import (
     mean_preserving_spread,
     sample_at,
 )
-from fmamm.uniswap import COMPOUND_CADENCES
+from fmamm.uniswap import _check_cadence, _check_pool_fee
 
 __all__ = [
     "BlockClock",
@@ -79,10 +82,18 @@ NOISE_DIRECTIONS = ("balanced", "random_sign")
 _CHUNK = 1 << 12
 
 
+def _check_clock(mu: float, gamma: float, mu_name: str = "mu", gamma_name: str = "gamma") -> None:
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"{mu_name} must be positive and finite, got {mu!r}")
+    if not 0.0 <= gamma < mu:
+        raise ValueError(f"{gamma_name} must be in [0, mu) with mu={mu!r}, got {gamma!r}")
+
+
 @dataclass(frozen=True)
 class BlockClock:
     """Block cadence: settlement every ``mu`` seconds from ``start``,
-    prices observed ``gamma`` seconds before each settlement."""
+    prices observed ``gamma`` seconds before each settlement.  Every field
+    is finite, ``mu`` is positive and ``0 <= gamma < mu``."""
 
     mu: float = 12.0
     gamma: float = 0.0
@@ -90,10 +101,10 @@ class BlockClock:
     end: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not 0.0 <= self.gamma < self.mu:
-            raise ValueError(f"need 0 <= gamma < mu, got gamma={self.gamma}, mu={self.mu}")
+        _check_clock(self.mu, self.gamma)
+        for name in ("start", "end"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.end < self.start:
             raise ValueError(f"end {self.end} before start {self.start}")
         count = (self.end - self.start) // self.mu
@@ -116,6 +127,23 @@ class BlockClock:
         return cls(mu=mu, gamma=gamma, start=series.start, end=series.end)
 
 
+def _check_direction(direction: str, name: str = "direction") -> None:
+    if direction not in NOISE_DIRECTIONS:
+        raise ValueError(f"{name} must be one of {NOISE_DIRECTIONS}, got {direction!r}")
+
+
+def _check_fraction(fraction: float, name: str = "fraction") -> None:
+    if not 0.0 <= fraction < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {fraction!r}")
+
+
+def _check_seed(seed: int, name: str = "seed") -> None:
+    if not _is_integer(seed):
+        raise ValueError(f"{name} must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class NoiseScenario:
     """How much noise flow each block receives and how it is signed.
@@ -124,6 +152,7 @@ class NoiseScenario:
     per-block baseline volume (zero without one); ``balanced`` splits it
     into an equal buy and sell (net zero, the conservative reading),
     ``random_sign`` puts the whole volume on one seeded random side.
+    ``fraction`` is finite and non-negative, ``seed`` a non-negative integer.
     """
 
     fraction: float = 0.0
@@ -131,10 +160,9 @@ class NoiseScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.direction not in NOISE_DIRECTIONS:
-            raise ValueError(f"direction must be one of {NOISE_DIRECTIONS}, got {self.direction!r}")
-        if not self.fraction >= 0.0:
-            raise ValueError(f"fraction must be non-negative, got {self.fraction}")
+        _check_direction(self.direction)
+        _check_fraction(self.fraction)
+        _check_seed(self.seed)
 
 
 NO_NOISE = NoiseScenario()
@@ -199,9 +227,10 @@ class BacktestResult:
 
 
 def balanced_reserves(price: float, asset_depth: float = 1.0) -> Reserves:
-    """Reserves whose two sides hold equal value at the given price."""
-    if not (price > 0.0 and asset_depth > 0.0):
-        raise ValueError("price and asset_depth must be positive")
+    """Reserves whose two sides hold equal value at the given price, with
+    ``asset_depth`` a normal float like every size."""
+    _check_price(price)
+    _check_size(asset_depth, "asset_depth")
     return Reserves(price * asset_depth, asset_depth)
 
 
@@ -497,40 +526,35 @@ def risk_monte_carlo(
     return RiskMonteCarloResult(mean_base, mean_spread, difference, se, z, int(diffs.size))
 
 
-def _is_number(value) -> bool:
-    if isinstance(value, float):
-        return math.isfinite(value)
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
+# how a scenario field's annotated type is read from JSON: the test a value
+# passes and what it must be otherwise
+_JSON_TYPES = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    float: (_is_number, "a finite number"),
+    int: (_is_integer, "an integer"),
+    tuple[float, ...]: (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                        "a list of finite numbers"),
+}
 
 
-def _config_value(path, key: str, value):
-    """A scenario JSON value checked against its field's type."""
-    if value is None and key in ("swap_csv", "pool_fee"):
-        return value
-    if key in ("fee_grid", "noise_fractions"):
-        if isinstance(value, list) and all(_is_number(v) for v in value):
-            return tuple(float(v) for v in value)
-        kind = "list of finite numbers"
-    elif key in ("pair", "price_csv", "swap_csv", "noise_direction", "compound_cadence"):
-        if isinstance(value, str):
+def _config_value(path, key: str, value, kind):
+    """A scenario JSON value checked against its field's type ``kind``; a
+    list becomes a tuple of floats."""
+    if type(None) in get_args(kind):  # ``X | None``
+        if value is None:
             return value
-        kind = "string"
-    elif key == "seed":
-        if _is_number(value) and isinstance(value, int):
-            return value
-        kind = "integer"
-    elif _is_number(value):
-        return value
-    else:
-        kind = "finite number"
-    raise ValueError(f"{path}: config key '{key}' must be a {kind}, got {value!r}")
+        kind = get_args(kind)[0]
+    ok, what = _JSON_TYPES[kind]
+    if not ok(value):
+        raise ValueError(f"{path}: config key '{key}' must be {what}, got {value!r}")
+    return tuple(map(float, value)) if isinstance(value, list) else value
 
 
 @dataclass
 class ScenarioConfig:
-    """Backtest scenario loaded from JSON; unknown keys, values of the wrong
-    type and values out of range are rejected.
+    """Backtest scenario loaded from JSON; unknown keys and values of the
+    wrong type are rejected, and so are values out of range, by the checks
+    of the objects that take them.
 
     ``swap_csv`` plus ``pool_fee`` enable the baseline comparison and the
     fee-implied per-block volume used by noise sweeps.
@@ -560,34 +584,30 @@ class ScenarioConfig:
                 raise ValueError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object, got {type(raw).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        kinds = get_type_hints(cls)
+        unknown = set(raw) - set(kinds)
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         if "pair" not in raw or "price_csv" not in raw:
             raise ValueError(f"{path}: config requires 'pair' and 'price_csv'")
-        cfg = cls(**{key: _config_value(path, key, value) for key, value in raw.items()})
-        _check_fee(cfg.fee, f"{path}: config key 'fee'")
+        cfg = cls(**{key: _config_value(path, key, value, kinds[key]) for key, value in raw.items()})
+
+        def name(key: str) -> str:
+            return f"{path}: config key '{key}'"
+
+        _check_fee(cfg.fee, name("fee"))
         for tau in cfg.fee_grid:
-            _check_fee(tau, f"{path}: config key 'fee_grid' entry")
-        normal = sys.float_info.min
-        for key, ok, want in (
-            ("noise_direction", cfg.noise_direction in NOISE_DIRECTIONS,
-             f"one of {NOISE_DIRECTIONS}"),
-            ("compound_cadence", cfg.compound_cadence in COMPOUND_CADENCES,
-             f"one of {COMPOUND_CADENCES}"),
-            ("fee_grid", len(cfg.fee_grid) > 0, "non-empty"),
-            ("pool_fee", cfg.pool_fee is None or 0.0 < cfg.pool_fee < 1.0, "null or in (0, 1)"),
-            ("noise_fractions", min(cfg.noise_fractions, default=0.0) >= 0.0, "non-negative"),
-            ("seed", cfg.seed >= 0, "non-negative"),
-            ("mu", cfg.mu > 0.0, "positive"),
-            ("gamma", 0.0 <= cfg.gamma < cfg.mu, f"in [0, mu) with mu={cfg.mu!r}"),
-            # sizes are normal floats: a subnormal one lacks the precision that
-            # the kernel's pins and the baseline's fee growth need
-            ("initial_x", cfg.initial_x >= normal, f"at least {normal!r}"),
-            ("baseline_liquidity", cfg.baseline_liquidity >= normal, f"at least {normal!r}"),
-        ):
-            if not ok:
-                raise ValueError(
-                    f"{path}: config key '{key}' must be {want}, got {getattr(cfg, key)!r}")
+            _check_fee(tau, f"{name('fee_grid')} entry")
+        if not cfg.fee_grid:
+            raise ValueError(f"{name('fee_grid')} must be non-empty, got ()")
+        _check_direction(cfg.noise_direction, name("noise_direction"))
+        _check_cadence(cfg.compound_cadence, name("compound_cadence"))
+        if cfg.pool_fee is not None:
+            _check_pool_fee(cfg.pool_fee, name("pool_fee"))
+        for fraction in cfg.noise_fractions:
+            _check_fraction(fraction, f"{name('noise_fractions')} entry")
+        _check_seed(cfg.seed, name("seed"))
+        _check_clock(cfg.mu, cfg.gamma, name("mu"), name("gamma"))
+        _check_size(cfg.initial_x, name("initial_x"))
+        _check_size(cfg.baseline_liquidity, name("baseline_liquidity"))
         return cfg

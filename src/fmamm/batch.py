@@ -17,7 +17,9 @@ as ``n`` sequential batches, which converges to constant-product pricing as
 ``n`` grows (the reason batching must be enforced in the first place).
 
 External formats: batches load from JSON lines ``{"block": int,
-"trader_kind": str, "amount": float}`` and reports serialize to JSON dicts.
+"trader_kind": str, "amount": number}`` (a JSON integer block and a finite
+JSON number amount, never a string or a boolean) and reports serialize to
+JSON dicts.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from fmamm.amm import (
     InfeasibleTradeError,
     POLE_MARGIN,
     Reserves,
+    _is_integer,
+    _is_number,
     pre_fee_price,
 )
 
@@ -230,9 +234,13 @@ def load_order_batches(path) -> list[Batch]:
                 continue
             try:
                 row = json.loads(line)
-                block = int(row["block"])
+                block, amount = row["block"], row["amount"]
+                if not _is_integer(block):
+                    raise ValueError(f"block must be an integer, got {block!r}")
                 if block < 1:
                     raise ValueError(f"block must be >= 1, got {block}")
+                if not _is_number(amount):
+                    raise ValueError(f"amount must be a finite number, got {amount!r}")
             except bad_line as exc:
                 raise ValueError(f"{path}:{lineno}: bad order line: {exc}") from exc
             if groups and block < groups[-1][0]:
@@ -243,7 +251,7 @@ def load_order_batches(path) -> list[Batch]:
             orders = groups[-1][1]
             try:
                 orders.append(Order(str(row.get("id", f"{block}:{len(orders)}")),
-                                    row["trader_kind"], float(row["amount"])))
+                                    row["trader_kind"], float(amount)))
             except bad_line as exc:
                 raise ValueError(f"{path}:{lineno}: bad order line: {exc}") from exc
     return [Batch(block, tuple(orders)) for block, orders in groups]

@@ -44,6 +44,7 @@ from fmamm.backtest import (
     NO_NOISE,
     NoiseScenario,
     ScenarioConfig,
+    _check_seed,
     balanced_reserves,
     risk_monte_carlo,
     run_fmamm_backtest,
@@ -274,8 +275,7 @@ def cmd_mc_risk(args) -> Outputs:
     if not 2 <= args.n_draws <= MAX_DRAWS:
         bound = "at least 2 for a paired se" if args.n_draws < 2 else f"at most {MAX_DRAWS=}"
         raise ValueError(f"--n-draws: n_draws must be {bound}, got {args.n_draws}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    _check_seed(args.seed, "--seed")
     base = np.full(args.n_draws, base_price)
     result = risk_monte_carlo(base, args.epsilon_sd, reserves, args.fee, seed=args.seed)
     print(f"mean objective, base prices:   {result.mean_value_base:.6f}")

@@ -336,12 +336,18 @@ class GbmParams:
     pair: str = "GBM"
 
     def __post_init__(self) -> None:
-        if self.initial_price <= 0.0:
-            raise ValueError(f"initial price must be positive, got {self.initial_price}")
-        if self.volatility < 0.0:
-            raise ValueError(f"volatility must be non-negative, got {self.volatility}")
-        if self.step_seconds <= 0.0 or self.horizon_seconds < self.step_seconds:
-            raise ValueError("need 0 < step_seconds <= horizon_seconds")
+        # the negated comparisons also reject NaN
+        if not 0.0 < self.initial_price < math.inf:
+            raise ValueError(f"initial_price must be positive and finite, got {self.initial_price}")
+        if not 0.0 <= self.volatility < math.inf:
+            raise ValueError(f"volatility must be non-negative and finite, got {self.volatility}")
+        if not 0.0 < self.step_seconds < math.inf:
+            raise ValueError(f"step_seconds must be positive and finite, got {self.step_seconds}")
+        if not self.step_seconds <= self.horizon_seconds < math.inf:
+            raise ValueError(f"horizon_seconds must be finite and at least step_seconds="
+                             f"{self.step_seconds}, got {self.horizon_seconds}")
+        if not -math.inf < self.start_time < math.inf:
+            raise ValueError(f"start_time must be finite, got {self.start_time}")
 
 
 def sample_gbm_path(params: GbmParams) -> PriceSeries:

@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from fmamm.amm import _check_size
 from fmamm.market_data import LpReturnSeries, PriceSeries, _read_csv, format_number, sample_at
 
 __all__ = [
@@ -122,6 +123,16 @@ def as_swap_log(records) -> np.recarray:
     return rows.astype(SWAP_LOG_DTYPE, copy=False).view(np.recarray)
 
 
+def _check_cadence(cadence: str, name: str = "compound_cadence") -> None:
+    if cadence not in COMPOUND_CADENCES:
+        raise ValueError(f"{name} must be one of {COMPOUND_CADENCES}, got {cadence!r}")
+
+
+def _check_pool_fee(pool_fee: float, name: str = "pool_fee") -> None:
+    if not 0.0 < pool_fee < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {pool_fee!r}")
+
+
 def run_baseline(
     records: Sequence[SwapRecord] | np.ndarray,
     price_series: PriceSeries,
@@ -142,13 +153,13 @@ def run_baseline(
     mark of each new UTC day); ``swap`` compounds after each swap at the price
     sampled at its timestamp, clipped to the marks' range.  A swap before
     the first mark is accrued at the first mark, and one after the last
-    mark is ignored with a warning.  A value that overflows raises
-    ``ValueError`` naming the first such mark and the liquidity.
+    mark is ignored with a warning.  ``initial_liquidity`` is a normal
+    float, like every size (at least ``sys.float_info.min``).  A value that
+    overflows raises ``ValueError`` naming the first such mark and the
+    liquidity.
     """
-    if not initial_liquidity > 0.0:
-        raise ValueError(f"initial_liquidity must be positive, got {initial_liquidity}")
-    if compound_cadence not in COMPOUND_CADENCES:
-        raise ValueError(f"compound_cadence must be one of {COMPOUND_CADENCES}")
+    _check_size(initial_liquidity, "initial_liquidity")
+    _check_cadence(compound_cadence)
     log = as_swap_log(records)
 
     n = len(log)
@@ -230,8 +241,7 @@ def per_block_swap_volume(
     Volumes are summed into the half-open block intervals ending at each
     settlement time.
     """
-    if not 0.0 < pool_fee < 1.0:
-        raise ValueError(f"pool_fee must be in (0, 1), got {pool_fee}")
+    _check_pool_fee(pool_fee)
     settlement_times = np.asarray(settlement_times, dtype=np.float64)
     volumes = np.zeros(settlement_times.size)
     log = as_swap_log(records)

@@ -4,7 +4,7 @@ The two-block backtest is checked against a hand-chained oracle built from
 the pool's supply and trade primitives, and the whole loop block by block
 against a reference that composes ``optimal_rebalance`` and ``settle_batch``
 per block; the zero-fee run is checked against its closed form.  The
-vectorized value function is checked against scalar maximization with scipy
+vectorized value function is checked against a golden-section maximization
 and against the rebalance solver; sweeps are checked for consistency and
 monotonicity.
 """
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
 
 from fmamm.amm import (
     ConvergenceError,
@@ -78,6 +77,12 @@ class TestBlockClock:
             BlockClock(mu=0.0)
         with pytest.raises(ValueError):
             BlockClock(start=10.0, end=0.0)
+
+    @pytest.mark.parametrize("field", ["mu", "gamma", "start", "end"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            BlockClock(**{field: value})
 
     @pytest.mark.parametrize("mu, end, count", [
         (1e-300, 1e6, "1e+306"),
@@ -620,6 +625,15 @@ class TestNoiseScenario:
             with pytest.raises(ValueError, match="fraction must be non-negative"):
                 NoiseScenario(bad)
 
+    @pytest.mark.parametrize("seed, named", [
+        (-1, "seed must be non-negative, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ])
+    def test_seed_must_be_a_non_negative_integer(self, seed, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            NoiseScenario(0.1, "random_sign", seed)
+
     def test_direction_must_be_known(self):
         with pytest.raises(ValueError, match=re.escape(
                 f"direction must be one of {NOISE_DIRECTIONS}, got 'up'")):
@@ -769,17 +783,22 @@ class TestValueFunction:
         with pytest.raises(ValueError, match=re.escape(named)):
             value_function([p], reserves, 0.003)
 
-    def test_matches_scipy_maximization(self):
+    def test_matches_golden_section_maximization(self):
+        # each branch of the objective is a concave quadratic in the trade and
+        # the kink at 0 is concave, so a golden-section search finds its maximum
+        shrink = (math.sqrt(5.0) - 1.0) / 2.0
         for tau, p in [(0.0, 2500.0), (0.003, 1800.0), (0.05, 2100.0), (0.1, 900.0)]:
-            res = minimize_scalar(
-                lambda x: -objective_value(x, p, tau, R),
-                bounds=(-R.y / p * 0.999, R.x * 0.499),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
+            def f(x):
+                return objective_value(x, p, tau, R)
+
+            a, b = -R.y / p * 0.999, R.x * 0.499
+            while b - a > 1e-12:
+                c, d = b - shrink * (b - a), a + shrink * (b - a)
+                a, b = (a, d) if f(c) > f(d) else (c, b)
+            best = f(0.5 * (a + b))
             got = value_function([p], R, tau)[0]
-            assert got == pytest.approx(-res.fun, rel=1e-9)
-            assert got >= -res.fun - 1e-6
+            assert got == pytest.approx(best, rel=1e-9)
+            assert got >= best - 1e-6
 
     def test_flat_inside_band(self):
         tau = 0.01
@@ -954,7 +973,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("text, named", [
         ('{"pair": 5, "price_csv": "p.csv"}', "config key 'pair' must be a string, got 5"),
         ('{"pair": "A-B", "price_csv": "p.csv", "seed": 1.5}',
-         "config key 'seed' must be a integer, got 1.5"),
+         "config key 'seed' must be an integer, got 1.5"),
         ('{"pair": "A-B", "price_csv": "p.csv",', "invalid JSON: "),
     ])
     def test_rejected_naming_the_file(self, tmp_path, text, named):
@@ -988,9 +1007,11 @@ class TestBalancedReserves:
 
 
     @pytest.mark.parametrize("price, depth", [(0.0, 1.0), (-2000.0, 1.0), (2000.0, 0.0),
-                                              (2000.0, -1.0), (math.nan, 1.0)])
+                                              (2000.0, -1.0), (math.nan, 1.0), (2000.0, 1e-320)])
     def test_non_positive_rejected(self, price, depth):
-        with pytest.raises(ValueError, match="price and asset_depth must be positive"):
+        named = ("price must be positive and finite" if depth == 1.0
+                 else "asset_depth must be at least 2.2250738585072014e-308")
+        with pytest.raises(ValueError, match=named):
             balanced_reserves(price, depth)
 
 

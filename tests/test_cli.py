@@ -15,8 +15,16 @@ import numpy as np
 import pytest
 
 import fmamm
+from fmamm.backtest import (
+    BlockClock,
+    NoiseScenario,
+    ScenarioConfig,
+    balanced_reserves,
+    run_fmamm_backtest,
+)
 from fmamm.cli import MAX_DRAWS, main
-from fmamm.market_data import GbmParams, sample_gbm_path
+from fmamm.market_data import GbmParams, PriceSeries, sample_gbm_path
+from fmamm.uniswap import per_block_swap_volume, run_baseline
 
 
 def checkout_env():
@@ -121,6 +129,22 @@ class TestSettle:
         assert "error: block 1: batch sums overflow" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line, named", [
+        ('{"block": 1.5, "trader_kind": "noise", "amount": 1.0}', "block must be an integer, got 1.5"),
+        ('{"block": true, "trader_kind": "noise", "amount": -0.5}',
+         "block must be an integer, got True"),
+        ('{"block": 1, "trader_kind": "noise", "amount": "2"}',
+         "amount must be a finite number, got '2'"),
+    ])
+    def test_order_fields_are_not_coerced(self, tmp_path, capsys, line, named):
+        orders = tmp_path / "orders.jsonl"
+        orders.write_text('{"block": 1, "trader_kind": "noise", "amount": 1.0}\n' + line + "\n")
+        code = main(["settle", "--y", "20000", "--x-reserve", "10", "--orders", str(orders),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {orders}:2: bad order line: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_orders_file(self, tmp_path, capsys):
         code = main(["settle", "--y", "1", "--x-reserve", "1", "--orders", str(tmp_path / "no.jsonl")])
         assert code == 2
@@ -206,7 +230,7 @@ class TestBacktestCommand:
         # an empty grid would run nothing and exit 0
         ("sweep-fees", {"fee_grid": []}, "'fee_grid' must be non-empty"),
         ("backtest", {"pair": 5}, "config key 'pair' must be a string, got 5"),
-        ("backtest", {"seed": 1.5}, "config key 'seed' must be a integer, got 1.5"),
+        ("backtest", {"seed": 1.5}, "config key 'seed' must be an integer, got 1.5"),
         ("sweep-noise", {"seed": -1, "noise_direction": "random_sign"},
          "config key 'seed' must be non-negative, got -1"),
         # checked before any CSV is read: the price file does not exist
@@ -675,6 +699,48 @@ def contract_breach(argv, out_dir, capsys, codes=(0, 2, 3)):
 # swaps replaced by each extreme (``noise_fractions`` as its one entry)
 SCENARIO_KEYS = ["fee", "mu", "gamma", "seed", "initial_x", "baseline_liquidity", "pool_fee",
                  "noise_fractions"]
+
+
+def library_rejects(key, value) -> bool:
+    """Whether the library object that takes a scenario key's value rejects it."""
+    flat = PriceSeries("X-Y", [0.0, 12.0], [0.25, 0.25])  # 2*sqrt(p) = 1: no overflow
+    takes = {
+        "fee": lambda v: run_fmamm_backtest(flat, BlockClock.for_series(flat), v),
+        "mu": lambda v: BlockClock(mu=v),
+        "gamma": lambda v: BlockClock(gamma=v),
+        "seed": lambda v: NoiseScenario(seed=v),
+        "initial_x": lambda v: balanced_reserves(1.0, v),
+        "baseline_liquidity": lambda v: run_baseline([], flat, v),
+        "pool_fee": lambda v: per_block_swap_volume([], np.array([12.0]), v),
+        "noise_fractions": lambda v: NoiseScenario(v),
+        "noise_direction": lambda v: NoiseScenario(0.0, v),
+        "compound_cadence": lambda v: run_baseline([], flat, 1.0, v),
+    }
+    try:
+        takes[key](value)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("key", SCENARIO_KEYS + ["noise_direction", "compound_cadence"])
+def test_config_range_is_the_library_range(tmp_path, key):
+    """``from_json`` rejects a value exactly when the object that takes it does."""
+    values = [json.loads({"nan": "NaN", "inf": "Infinity"}.get(e, e)) for e in EXTREMES]
+    if key in ("noise_direction", "compound_cadence"):
+        values += ["up", "random_sign", "day"]
+    differ = []
+    for value in values:
+        path = write_config(tmp_path / "cfg.json", tmp_path / "absent.csv",
+                            **{key: [value] if key == "noise_fractions" else value})
+        try:
+            ScenarioConfig.from_json(path)
+            config_rejects = False
+        except ValueError:
+            config_rejects = True
+        if config_rejects != library_rejects(key, value):
+            differ.append((value, config_rejects))
+    assert not differ
 
 
 class TestExitCodeContract:

@@ -188,6 +188,13 @@ class TestGbm:
         with pytest.raises(ValueError):
             GbmParams(1.0, 0.1, step_seconds=10, horizon_seconds=5)
 
+    @pytest.mark.parametrize("field", ["initial_price", "volatility", "step_seconds",
+                                       "horizon_seconds", "start_time"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            GbmParams(**{"initial_price": 1.0, "volatility": 0.1, field: value})
+
 
 class TestMeanPreservingSpread:
     def test_zero_sd_identity(self):

@@ -31,10 +31,11 @@ class TestRunBaseline:
         out = run_baseline([], series, 1.0)
         assert np.all(out.roi == 0.0)
 
-    @pytest.mark.parametrize("liquidity", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("liquidity", [0.0, -1.0, math.nan, 1e-320])
     def test_bad_liquidity_rejected(self, liquidity):
         series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
-        with pytest.raises(ValueError, match=f"initial_liquidity must be positive, got {liquidity}"):
+        with pytest.raises(ValueError, match=f"initial_liquidity must be at least "
+                                             f"2.2250738585072014e-308, got {liquidity}"):
             run_baseline([], series, liquidity)
 
     def test_bad_cadence_rejected(self):

@@ -550,11 +550,22 @@ def _config_value(path, key: str, value, kind):
     return tuple(map(float, value)) if isinstance(value, list) else value
 
 
+def _unique_keys(path, pairs) -> dict:
+    """A JSON object of the config, rejecting a key given twice (``json``
+    would keep the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"{path}: config key '{key}' is given more than once")
+        obj[key] = value
+    return obj
+
+
 @dataclass
 class ScenarioConfig:
-    """Backtest scenario loaded from JSON; unknown keys and values of the
-    wrong type are rejected, and so are values out of range, by the checks
-    of the objects that take them.
+    """Backtest scenario loaded from JSON; unknown or repeated keys and
+    values of the wrong type are rejected, and so are values out of range,
+    by the checks of the objects that take them.
 
     ``swap_csv`` plus ``pool_fee`` enable the baseline comparison and the
     fee-implied per-block volume used by noise sweeps.
@@ -579,7 +590,7 @@ class ScenarioConfig:
     def from_json(cls, path) -> "ScenarioConfig":
         with open(path) as fh:
             try:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=lambda kv: _unique_keys(path, kv))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):

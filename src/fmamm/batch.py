@@ -18,8 +18,8 @@ as ``n`` sequential batches, which converges to constant-product pricing as
 
 External formats: batches load from JSON lines ``{"block": int,
 "trader_kind": str, "amount": number}`` (a JSON integer block and a finite
-JSON number amount, never a string or a boolean) and reports serialize to
-JSON dicts.
+JSON number amount, never a string or a boolean; an optional ``"id"`` is a
+JSON string) and reports serialize to JSON dicts.
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ def net_orders(orders: Iterable[Order]) -> NetFlow:
     buys = math.fsum(a for a in amounts if a > 0.0)
     sells = math.fsum(a for a in amounts if a < 0.0)
     net = math.fsum(amounts)
-    return NetFlow(net=net, matched=min(buys, -sells), buys=buys, sells=sells)
+    # 0.0 - sells, not -sells: a batch with no sells matches 0.0, never -0.0
+    return NetFlow(net=net, matched=min(buys, 0.0 - sells), buys=buys, sells=sells)
 
 
 def settle_batch(
@@ -223,8 +224,8 @@ def load_order_batches(path) -> list[Batch]:
     Orders are grouped by block in file order; block numbers must be
     non-decreasing so that batches come out strictly increasing.  The file
     is read in one pass, and the first malformed line is reported with its
-    line number.  An optional "id" field overrides the default "<block>:<n>"
-    order id.
+    line number.  An optional "id" field, a JSON string, overrides the
+    default "<block>:<n>" order id.
     """
     bad_line = (KeyError, TypeError, ValueError, OverflowError)
     groups: list[tuple[int, list[Order]]] = []
@@ -250,8 +251,10 @@ def load_order_batches(path) -> list[Batch]:
                 groups.append((block, []))
             orders = groups[-1][1]
             try:
-                orders.append(Order(str(row.get("id", f"{block}:{len(orders)}")),
-                                    row["trader_kind"], float(amount)))
+                order_id = row.get("id", f"{block}:{len(orders)}")
+                if not isinstance(order_id, str):
+                    raise ValueError(f"id must be a string, got {order_id!r}")
+                orders.append(Order(order_id, row["trader_kind"], float(amount)))
             except bad_line as exc:
                 raise ValueError(f"{path}:{lineno}: bad order line: {exc}") from exc
     return [Batch(block, tuple(orders)) for block, orders in groups]

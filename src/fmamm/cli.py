@@ -12,7 +12,7 @@ alone writes them: every numeric result as CSV/JSON alongside a
 ``manifest.json`` recording the command, resolved parameters, input digests,
 seed, and tool version, so identical manifests reproduce outputs byte for
 byte (no wall-clock state enters any output).  A failing command writes
-nothing.
+nothing to ``--out-dir`` and does not create it.
 
 Exit codes: 0 success, 2 input validation, 3 failed rebalance pin check.
 """
@@ -20,13 +20,12 @@ Exit codes: 0 success, 2 input validation, 3 failed rebalance pin check.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from fmamm.backtest import (
     sweep_run_id,
 )
 from fmamm.batch import load_order_batches, settle_batch, split_trade_experiment
-from fmamm.market_data import load_price_series, write_rows
+from fmamm.market_data import _sha256, load_price_series, write_rows
 from fmamm.uniswap import load_swap_records, per_block_swap_volume, run_baseline
 
 __all__ = ["main"]
@@ -66,12 +65,9 @@ NOISE_SHARE_OF_VOLUME = 0.6
 MAX_DRAWS = 10**7
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
+def _file_sha256(path) -> str:
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return _sha256(fh)
 
 
 def _write_json(path, payload) -> None:
@@ -86,13 +82,15 @@ class Outputs(NamedTuple):
     ``files`` maps a file name to a JSON payload or a ``write(path)``
     callable, and ``runs`` maps a run id to its return series.  The manifest
     records ``parameters`` (by default the command-line arguments), the
-    config and ``inputs`` by digest, and ``seed``.
+    config and ``inputs`` by digest, and ``seed``; ``inputs`` maps each
+    input path to the SHA-256 its loader took, or to None for ``main`` to
+    hash the file.
     """
 
     files: dict
     runs: dict | None = None
     parameters: dict | None = None
-    inputs: Sequence = ()
+    inputs: dict | None = None
     seed: int | None = None
 
 
@@ -158,15 +156,17 @@ def cmd_settle(args) -> Outputs:
     print(f"final reserves: y={reserves.y!r} x={reserves.x!r}")
     return Outputs({"settlements.json": {"reports": reports,
                                          "final_reserves": {"y": reserves.y, "x": reserves.x}}},
-                   inputs=[args.orders])
+                   inputs={args.orders: None})
 
 
-def _load_scenario(args, needs_swaps=False):
+def _load_scenario(args, inputs: dict, needs_swaps=False):
+    """The config, its price series, block clock and start reserves; the
+    price CSV's digest goes into ``inputs``."""
     cfg = ScenarioConfig.from_json(args.config)
     if needs_swaps and (cfg.swap_csv is None or cfg.pool_fee is None):
         raise ValueError(f"{args.config}: {args.command} needs config keys 'swap_csv' and "
                          "'pool_fee' to infer per-block baseline volume")
-    prices = load_price_series(cfg.price_csv, cfg.pair)
+    prices = load_price_series(cfg.price_csv, cfg.pair, inputs)
     clock = BlockClock.for_series(prices, mu=cfg.mu, gamma=cfg.gamma)
     p0 = float(prices.prices[0])
     if not p0 * cfg.initial_x < math.inf:
@@ -177,16 +177,16 @@ def _load_scenario(args, needs_swaps=False):
 
 
 def cmd_backtest(args) -> Outputs:
-    cfg, prices, clock, initial = _load_scenario(args)
+    inputs = {}
+    cfg, prices, clock, initial = _load_scenario(args, inputs)
     result = run_fmamm_backtest(prices, clock, cfg.fee, NO_NOISE, initial)
     print(f"{cfg.pair}: {clock.n_blocks} blocks, fee {cfg.fee}")
     print(f"fm_amm terminal roi {result.terminal_roi:+.6%} ({result.n_rebalances} rebalances)")
     runs = {"fm_amm": result.series}
     summary = {"config": asdict(cfg), "fm_amm": result.summary}
     files = {"summary.json": summary}
-    inputs = [cfg.price_csv]
     if cfg.swap_csv is not None:
-        records = load_swap_records(cfg.swap_csv)
+        records = load_swap_records(cfg.swap_csv, inputs)
         baseline = run_baseline(records, result.marks, cfg.baseline_liquidity,
                                 cfg.compound_cadence)
         # both venues are marked on the run's block grid
@@ -199,14 +199,14 @@ def cmd_backtest(args) -> Outputs:
         summary["terminal_difference_pp"] = gap_pp
         files["comparison.csv"] = lambda path: _write_comparison(
             path, result.series.timestamps, gap)
-        inputs.append(cfg.swap_csv)
     return Outputs(files, runs, asdict(cfg), inputs, cfg.seed)
 
 
 def cmd_sweep_fees(args) -> Outputs:
     """One zero-noise backtest per distinct fee of ``fee_grid``, on the same
     path and start state; a run keeps its series and the numbers printed."""
-    cfg, prices, clock, initial = _load_scenario(args)
+    inputs = {}
+    cfg, prices, clock, initial = _load_scenario(args, inputs)
     runs, rows = {}, []
     for tau in dict.fromkeys(cfg.fee_grid):
         result = run_fmamm_backtest(prices, clock, tau, NO_NOISE, initial)
@@ -218,12 +218,13 @@ def cmd_sweep_fees(args) -> Outputs:
         print(f"  fee {row['fee']:<8g} roi {row['terminal_roi']:+.6%}  "
               f"rebalances {row['n_rebalances']}")
     return Outputs({"summary.json": {"config": asdict(cfg), "rows": rows}},
-                   runs, asdict(cfg), [cfg.price_csv], cfg.seed)
+                   runs, asdict(cfg), inputs, cfg.seed)
 
 
 def cmd_sweep_noise(args) -> Outputs:
-    cfg, prices, clock, initial = _load_scenario(args, needs_swaps=True)
-    records = load_swap_records(cfg.swap_csv)
+    inputs = {}
+    cfg, prices, clock, initial = _load_scenario(args, inputs, needs_swaps=True)
+    records = load_swap_records(cfg.swap_csv, inputs)
     volume = per_block_swap_volume(records, clock.settlement_times(), cfg.pool_fee)
     # one backtest per distinct fraction, with zero first unless listed, so
     # each entry is reported against the zero-noise floor
@@ -248,7 +249,7 @@ def cmd_sweep_noise(args) -> Outputs:
         rows.append({"fraction": fraction, "approx_noise_volume_share": noise_share,
                      "terminal_roi": roi, "diff_vs_zero_noise_pp": diff_pp})
     return Outputs({"summary.json": {"config": asdict(cfg), "rows": rows}},
-                   runs, asdict(cfg), [cfg.price_csv, cfg.swap_csv], cfg.seed)
+                   runs, asdict(cfg), inputs, cfg.seed)
 
 
 def cmd_attack(args) -> Outputs:
@@ -393,14 +394,15 @@ def main(argv=None) -> int:
             else:
                 _write_json(out / name, payload)
         config = getattr(args, "config", None)
-        inputs = (config, *outputs.inputs) if config is not None else outputs.inputs
+        inputs = {config: None} if config is not None else {}
+        inputs.update(outputs.inputs or {})
         parameters = outputs.parameters
         if parameters is None:
             parameters = {k: v for k, v in vars(args).items() if not callable(v)}
         _write_json(out / "manifest.json", {
             "command": args.command, "config": config, "parameters": parameters,
-            "inputs": {str(p): _sha256(p) for p in inputs}, "seed": outputs.seed,
-            "version": __version__})
+            "inputs": {str(p): digest or _file_sha256(p) for p, digest in inputs.items()},
+            "seed": outputs.seed, "version": __version__})
         return 0
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,10 @@ increasing as float64, and finite positive prices.  Series are immutable.
 CSV input and output are columnar.  Both loaders (swaps in
 :mod:`fmamm.uniswap`) go through one reader, :func:`_read_csv`: a plain file
 parses in one ``np.loadtxt`` call and one rule pass, and only a file either
-rejects is read again row by row, to name its first bad line.  Every CSV
-writer goes through one chunked row assembler, :func:`write_rows`.
+rejects is read again row by row, to name its first bad line.  The rows of a
+file that loads are kept in ``__fmamm_cache__`` beside it, keyed by the
+file's SHA-256, so a later load of the same bytes skips the parse.  Every
+CSV writer goes through one chunked row assembler, :func:`write_rows`.
 
 Sampling between observations forward-fills from the last point; gaps longer
 than :data:`LONG_GAP_SECONDS` are surfaced as a warning so that backtests on
@@ -23,10 +25,15 @@ exactly conditional-mean-zero two-point noise for risk experiments.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
+import os
+import re
+import stat
 import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -195,35 +202,129 @@ def _int64(text: str) -> int:
 _FIELD_PARSERS = {"i": _int64, "f": float, "U": str.strip}
 
 
-def _read_csv(path, dtype: np.dtype, rule, error=ValueError) -> np.ndarray:
+# Cache entries live in this directory beside each input CSV.  Bump the
+# format when a CSV would parse to other rows; a change of rule needs no
+# bump, since a cached array meets its file's rule again on every load.
+_CACHE_DIR = "__fmamm_cache__"
+_CACHE_FORMAT = 1
+
+
+def _sha256(fh) -> str:
+    """SHA-256 hex digest of the rest of an open binary file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(1 << 20), b""):
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _read_csv(path, dtype: np.dtype, rule, error=ValueError, digests=None) -> np.ndarray:
     """Every data row of a CSV as one ``dtype`` array that ``rule`` accepts.
 
+    ``rule(rows)`` gives the first row that breaks the file's rule and why,
+    or None, judging a row by the rows up to it.  A regular file is hashed
+    first, and a cache entry for its bytes (:func:`_cache_entry`) that loads
+    as a 1-D ``dtype`` array that ``rule`` accepts stands in for the parse;
+    any other entry is a miss.  On a miss the file is parsed
+    (:func:`_parse_csv`) and the accepted rows, if any, are cached.
+    ``digests``, when given, maps ``str(path)`` to the file's SHA-256 (None
+    for a file that is not regular, which is neither hashed nor cached).
+    """
+    with open(path, newline="") as fh:
+        before = os.fstat(fh.fileno())
+        digest = entry = None
+        if stat.S_ISREG(before.st_mode):
+            digest = _sha256(fh.buffer)
+            entry = _cache_entry(path, digest, dtype)
+        if digests is not None:
+            digests[str(path)] = digest
+        if entry is not None:
+            rows = _cached_rows(entry, dtype, rule)
+            if rows is not None:
+                return rows
+            fh.seek(0)
+        rows = _parse_csv(path, fh, dtype, rule, error)
+        after = os.fstat(fh.fileno())
+    # a file edited while it was read is not cached, nor one with no rows
+    # (which a loader may still reject: a price file needs one)
+    unchanged = (before.st_size, before.st_mtime_ns) == (after.st_size, after.st_mtime_ns)
+    if entry is not None and unchanged and rows.size:
+        _store_rows(entry, path, rows)
+    return rows
+
+
+def _cache_entry(path, digest: str, dtype: np.dtype) -> Path:
+    """``<dir>/__fmamm_cache__/<name>.<sha256 of the CSV>.<tag>.npy``, where
+    the tag stands for the row dtype and :data:`_CACHE_FORMAT`."""
+    path = Path(path)
+    tag = hashlib.sha256(f"{_CACHE_FORMAT} {dtype.descr}".encode()).hexdigest()[:8]
+    return path.parent / _CACHE_DIR / f"{path.name}.{digest}.{tag}.npy"
+
+
+def _cached_rows(entry: Path, dtype: np.dtype, rule) -> np.ndarray | None:
+    """The rows a cache entry holds, if it loads as a 1-D ``dtype`` array
+    that ``rule`` accepts; None otherwise."""
+    try:
+        with open(entry, "rb") as fh:
+            rows = np.load(fh, allow_pickle=False)
+        if (isinstance(rows, np.ndarray) and rows.dtype == dtype and rows.ndim == 1
+                and rule(rows) is None):
+            return rows
+    except Exception:
+        # an entry is untrusted, and a foreign file makes np.load raise
+        # ValueError, EOFError, OverflowError, MemoryError, BadZipFile...:
+        # whatever it raises, the entry is a miss, never an input error
+        pass
+    return None
+
+
+def _store_rows(entry: Path, path, rows: np.ndarray) -> None:
+    """Save ``rows`` as ``entry``, through a temporary file, and delete the
+    other entries of the same CSV; a cache that cannot be written is skipped."""
+    tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    stale = re.compile(re.escape(Path(path).name)
+                       + r"\.[0-9a-f]{64}\.[0-9a-f]{8}\.npy(\.\d+\.tmp)?")
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        with open(tmp, "wb") as fh:
+            np.save(fh, rows, allow_pickle=False)
+        os.replace(tmp, entry)
+        for old in os.listdir(entry.parent):
+            if old != entry.name and stale.fullmatch(old):
+                os.unlink(entry.parent / old)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
+def _parse_csv(path, fh, dtype: np.dtype, rule, error) -> np.ndarray:
+    """The rows of an open CSV (text, ``newline=""``) for :func:`_read_csv`.
+
     The header is ``dtype``'s field names (case and spaces aside, extra
-    trailing names allowed).  ``rule(rows)`` gives the first row that breaks
-    the file's rule and why, or None, judging a row by the rows up to it.
-    Only a file that ``np.loadtxt`` or the rule rejects goes on to
-    :func:`_read_rows`, which raises ``error`` naming ``path:line``.
+    trailing names allowed).  Only a file that ``np.loadtxt`` or the rule
+    rejects goes on to :func:`_read_rows`, which raises ``error`` naming
+    ``path:line``.
     """
     names = list(dtype.names)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise error(f"{path}:1: {exc}") from exc
-        if [h.strip().lower() for h in (header or [])[: len(names)]] != names:
-            raise error(f"{path}:1: expected header {','.join(names)!r}, got {header}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns on an empty body
-                rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
-            if rule(rows) is None:
-                return rows
-        except (ValueError, Warning):
-            pass
-        fh.seek(0)
-        next(reader)
-        return _read_rows(path, reader, dtype, rule, error)
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise error(f"{path}:1: {exc}") from exc
+    if [h.strip().lower() for h in (header or [])[: len(names)]] != names:
+        raise error(f"{path}:1: expected header {','.join(names)!r}, got {header}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on an empty body
+            rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+        if rule(rows) is None:
+            return rows
+    except (ValueError, Warning):
+        pass
+    fh.seek(0)
+    next(reader)
+    return _read_rows(path, reader, dtype, rule, error)
 
 
 def _read_rows(path, reader, dtype: np.dtype, rule, error) -> np.ndarray:
@@ -261,10 +362,14 @@ def _read_rows(path, reader, dtype: np.dtype, rule, error) -> np.ndarray:
 _PRICE_ROW_DTYPE = np.dtype([("timestamp", np.int64), ("price", np.float64)])
 
 
-def load_price_series(path, pair: str) -> PriceSeries:
-    """Load a ``timestamp,price`` CSV, reporting bad rows by line number."""
+def load_price_series(path, pair: str, digests=None) -> PriceSeries:
+    """Load a ``timestamp,price`` CSV, reporting bad rows by line number.
+
+    ``digests``, when given, gets the file's SHA-256 under ``str(path)``.
+    """
     rows = _read_csv(path, _PRICE_ROW_DTYPE,
-                     lambda rows: _price_fault(rows["timestamp"], rows["price"]), PriceDataError)
+                     lambda rows: _price_fault(rows["timestamp"], rows["price"]), PriceDataError,
+                     digests)
     if not rows.size:
         raise PriceDataError(f"{path}: no data rows")
     return PriceSeries(pair, rows["timestamp"], rows["price"])

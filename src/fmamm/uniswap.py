@@ -220,14 +220,15 @@ def run_baseline(
     return LpReturnSeries.from_values("uniswap_v3_full_range", price_series.timestamps, values)
 
 
-def load_swap_records(path) -> np.recarray:
+def load_swap_records(path, digests=None) -> np.recarray:
     """Load a swap CSV as a swap log, reporting bad rows by line number.
 
     Rows must meet the swap rule (finite fields, blocks and timestamps that
     never decrease), checked before the cast that would cut a long token
-    name.  ``len`` of the log is the number of data rows.
+    name.  ``len`` of the log is the number of data rows.  ``digests``, when
+    given, gets the file's SHA-256 under ``str(path)``.
     """
-    rows = _read_csv(path, _SWAP_PARSE_DTYPE, _swap_fault)
+    rows = _read_csv(path, _SWAP_PARSE_DTYPE, _swap_fault, ValueError, digests)
     return rows.astype(SWAP_LOG_DTYPE).view(np.recarray)
 
 

@@ -64,6 +64,11 @@ class TestNetOrders:
         flow = net_orders([])
         assert flow == (0.0, 0.0, 0.0, -0.0)
 
+    @pytest.mark.parametrize("amounts", [[1.0], [1.0, 2.0], [-1.0], []])
+    def test_one_sided_batch_matches_positive_zero(self, amounts):
+        matched = net_orders([order(a) for a in amounts]).matched
+        assert matched == 0.0 and math.copysign(1.0, matched) == 1.0
+
 
 class TestSettleBatch:
     def test_single_buy_no_fee(self):
@@ -281,6 +286,16 @@ class TestLoadOrderBatches:
         )
         with pytest.raises(ValueError, match="non-decreasing"):
             load_order_batches(path)
+
+    @pytest.mark.parametrize("order_id", ["null", "5", "true", '["a"]'])
+    def test_id_that_is_not_a_string_names_its_line(self, tmp_path, order_id):
+        # with str(), two null ids would settle as one id "None"
+        path = tmp_path / "o.jsonl"
+        line = '{"block": 1, "trader_kind": "noise", "amount": 1.0, "id": %s}\n'
+        path.write_text(line % '"a"' + 2 * (line % order_id))
+        with pytest.raises(ValueError) as exc:
+            load_order_batches(path)
+        assert str(exc.value).startswith(f"{path}:2: bad order line: id must be a string, got ")
 
     @pytest.mark.parametrize("lines, where, message", [
         # line 2 is bad before line 4 lowers the block

@@ -118,6 +118,25 @@ class TestSettle:
         out = capsys.readouterr().out
         assert "block 1: net +1.000000" in out and "block 2: net -1.000000" in out
 
+    def test_one_sided_batch_matches_positive_zero(self, tmp_path, capsys):
+        orders = tmp_path / "orders.jsonl"
+        orders.write_text('{"block": 1, "trader_kind": "noise", "amount": 1.0}\n'
+                          '{"block": 2, "trader_kind": "noise", "amount": -1.0}\n')
+        assert main(["settle", "--y", "20000", "--x-reserve", "10", "--orders", str(orders),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" matched 0.000000 ") == 2 and "-0.0" not in out
+        text = (tmp_path / "out" / "settlements.json").read_text()
+        assert '"matched_volume": 0.0,' in text and "-0.0" not in text
+
+    def test_null_order_id_is_validation_error(self, tmp_path, capsys):
+        orders = tmp_path / "orders.jsonl"
+        orders.write_text('{"block": 1, "trader_kind": "noise", "amount": 1.0, "id": null}\n'
+                          '{"block": 1, "trader_kind": "noise", "amount": 2.0, "id": null}\n')
+        assert main(["settle", "--y", "20000", "--x-reserve", "10", "--orders", str(orders)]) == 2
+        err = capsys.readouterr().err
+        assert f"{orders}:1: bad order line: id must be a string, got None" in err
+
     @pytest.mark.parametrize("amount", ["1e308", "-1e308"])
     def test_overflowing_batch_is_validation_error(self, tmp_path, capsys, amount):
         orders = tmp_path / "orders.jsonl"
@@ -244,6 +263,9 @@ class TestBacktestCommand:
          "config key 'initial_x' must be at least 2.2250738585072014e-308, got 1e-320"),
         ("sweep-fees", {"price_csv": "absent.csv", "baseline_liquidity": 1e-320},
          "config key 'baseline_liquidity' must be at least"),
+        # the config's JSON text: json would keep the last fee and run at 0.003
+        ("backtest", '{"pair": "A-B", "price_csv": "prices.csv", "fee": 0.9, "fee": 0.003}',
+         "config key 'fee' is given more than once"),
     ])
     def test_mistyped_config_is_validation_error(self, tmp_path, capsys, monkeypatch, command,
                                                  overrides, named):
@@ -252,6 +274,8 @@ class TestBacktestCommand:
         cfg = tmp_path / "cfg.json"
         if overrides is None:
             cfg.write_text("[1, 2]")
+        elif isinstance(overrides, str):
+            cfg.write_text(overrides)
         else:
             write_config(cfg, **{"price_csv": tmp_path / "prices.csv", **overrides})
         assert main([command, "--config", str(cfg)]) == 2
@@ -581,20 +605,27 @@ OUT_DIR_CONTRACT = {
 }
 
 
+def contract_argv(tmp_path, command):
+    """The inputs of ``OUT_DIR_CONTRACT[command]`` under ``tmp_path / "data"``:
+    the command's argv, the data directory and the config path."""
+    data = tmp_path / "data"
+    data.mkdir()
+    series = write_price_csv(data / "prices.csv", blocks=40)
+    write_swap_csv(data / "swaps.csv", series)
+    cfg = write_config(data / "cfg.json", data / "prices.csv", data / "swaps.csv",
+                       fee_grid=[0.0, 0.003], noise_fractions=[0.1])
+    (data / "orders.jsonl").write_text(
+        '{"block": 1, "trader_kind": "noise", "amount": 1.0}\n'
+        '{"block": 2, "trader_kind": "arbitrageur", "amount": -0.5}\n')
+    args = OUT_DIR_CONTRACT[command][0]
+    return [command] + [a.format(cfg=cfg, orders=data / "orders.jsonl") for a in args], data, cfg
+
+
 class TestOutDirContract:
     @pytest.mark.parametrize("command", sorted(OUT_DIR_CONTRACT))
     def test_files_manifest_and_rerun(self, tmp_path, monkeypatch, capsys, command):
         args, files, input_names, seed = OUT_DIR_CONTRACT[command]
-        data = tmp_path / "data"
-        data.mkdir()
-        series = write_price_csv(data / "prices.csv", blocks=40)
-        write_swap_csv(data / "swaps.csv", series)
-        cfg = write_config(data / "cfg.json", data / "prices.csv", data / "swaps.csv",
-                           fee_grid=[0.0, 0.003], noise_fractions=[0.1])
-        (data / "orders.jsonl").write_text(
-            '{"block": 1, "trader_kind": "noise", "amount": 1.0}\n'
-            '{"block": 2, "trader_kind": "arbitrageur", "amount": -0.5}\n')
-        argv = [command] + [a.format(cfg=cfg, orders=data / "orders.jsonl") for a in args]
+        argv, data, cfg = contract_argv(tmp_path, command)
         # the same relative --out-dir from two working directories, so the
         # arguments recorded in the manifest agree too
         for run in ("a", "b"):
@@ -617,6 +648,33 @@ class TestOutDirContract:
             p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
         assert manifest["seed"] == seed
         assert manifest["version"] == fmamm.__version__
+
+    @pytest.mark.parametrize("command", ["settle", "backtest", "sweep-fees", "sweep-noise"])
+    def test_each_input_is_hashed_once(self, tmp_path, monkeypatch, capsys, command):
+        """The loader's digest of a CSV is the one the manifest records, so
+        no file is hashed twice, with the input cache cold or warm."""
+        argv, data, _ = contract_argv(tmp_path, command)
+        sha256, finished = hashlib.sha256, []
+
+        class Recorded:
+            def __init__(self, *data):
+                self._hash = sha256(*data)
+
+            def update(self, chunk):
+                self._hash.update(chunk)
+
+            def hexdigest(self):
+                finished.append(self._hash.hexdigest())
+                return finished[-1]
+
+        want = {sha256(p.read_bytes()).hexdigest(): p.name for p in data.iterdir() if p.is_file()}
+        monkeypatch.setattr(hashlib, "sha256", Recorded)
+        for run in ("cold", "warm"):
+            finished.clear()
+            assert main(argv + ["--out-dir", str(tmp_path / run)]) == 0
+            manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+            hashed = sorted(want[d] for d in finished if d in want)
+            assert hashed == sorted(Path(p).name for p in manifest["inputs"]), run
 
     @pytest.mark.parametrize("argv", [
         ["quote"] + RESERVES + ["--trade", "6"],

@@ -6,8 +6,12 @@ writers that the columnar code replaced, kept here as oracles.
 """
 
 import csv
+import hashlib
 import math
+import os
+import shutil
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -490,3 +494,183 @@ class TestCommandOutDirs:
         out = tmp_path / "out"
         runs = self.run(monkeypatch, ["sweep-noise", "--config", str(cfg), "--out-dir", str(out)])
         assert_out_dir_matches(out, runs)
+
+
+PLAIN_PRICES = PRICE_HEADER + "\n" + "".join(f"{t},{t / 7!r}\n" for t in range(1, 200))
+# the row reader's spellings: an underscore int and quoted fields
+ODD_PRICES = PRICE_HEADER + '\n1_000,1.5\n"1001",2.5\n1002,"0.25"\n'
+SWAPS = SWAP_HEADER + "\n" + SWAP_CORPUS["plain"]
+ODD_SWAPS = SWAP_HEADER + '\n1_0,"100",0.5,"token0",1e6,2.0\n11,1_01,0.25,token1,2e6,2.5\n'
+
+
+def break_rule(rows):
+    """A copy of cached rows that breaks its file's rule in the first row."""
+    rows = rows.copy()
+    if "price" in rows.dtype.names:
+        rows["price"][0] = -1.0
+    else:
+        rows["fee_token"][0] = "token9"
+    return rows
+
+
+def save_npz(entry, rows):
+    with open(entry, "wb") as fh:
+        np.savez(fh, rows=rows)
+
+
+def claim_rows(n):
+    """A spoiler that keeps the rows' bytes under a header claiming ``n`` rows."""
+    def spoil(entry, rows):
+        header = {"descr": np.lib.format.dtype_to_descr(rows.dtype), "fortran_order": False,
+                  "shape": (n,)}
+        with open(entry, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            fh.write(rows.tobytes())
+    return spoil
+
+
+# ways a cache entry goes bad: each writes ``entry`` from the rows it held
+SPOILS = {
+    "truncated": lambda entry, rows: entry.write_bytes(entry.read_bytes()[:-5]),
+    "header only": lambda entry, rows: entry.write_bytes(entry.read_bytes()[:40]),
+    "empty": lambda entry, rows: entry.write_bytes(b""),
+    "foreign": lambda entry, rows: entry.write_bytes(b"not an array"),
+    # the same names, with the float fields rounded to single precision
+    "wrong dtype": lambda entry, rows: np.save(entry, rows.astype(
+        [(n, "<f4" if rows.dtype[n].kind == "f" else rows.dtype[n]) for n in rows.dtype.names])),
+    "two-dimensional": lambda entry, rows: np.save(entry, np.stack([rows, rows])),
+    "pickled objects": lambda entry, rows: np.save(
+        entry, np.array([{"rows": 1}, None], dtype=object), allow_pickle=True),
+    "npz archive": save_npz,
+    "corrupt zip": lambda entry, rows: entry.write_bytes(b"PK\x03\x04" + rows.tobytes()),
+    # more rows than memory holds (MemoryError), than int64 counts (OverflowError)
+    "claims 10**15 rows": claim_rows(10**15),
+    "claims 10**23 rows": claim_rows(10**23),
+    "breaks the rule": lambda entry, rows: np.save(entry, break_rule(rows)),
+}
+
+
+def cache_entries(directory):
+    cache = directory / "__fmamm_cache__"
+    return sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
+
+
+class TestInputCache:
+    """The binary copy of each loaded CSV kept in ``__fmamm_cache__`` beside it."""
+
+    @pytest.mark.parametrize("text, load", [
+        (PLAIN_PRICES, lambda path: load_price_series(path, "X-Y")),
+        (ODD_PRICES, lambda path: load_price_series(path, "X-Y")),
+        (SWAPS, load_swap_records),
+        (ODD_SWAPS, load_swap_records),
+    ], ids=["plain prices", "odd prices", "plain swaps", "odd swaps"])
+    def test_warm_load_is_bit_identical_and_skips_the_parse(self, tmp_path, monkeypatch, text,
+                                                            load):
+        path = tmp_path / "in.csv"
+        path.write_text(text, newline="")
+        cold = outcome(load, path)
+        assert cold[0] != "error"
+        [entry] = cache_entries(tmp_path)
+        assert entry.startswith("in.csv.") and entry.endswith(".npy")
+
+        def parse(*args):
+            raise AssertionError("a warm load parsed the CSV")
+
+        monkeypatch.setattr(market_data, "_parse_csv", parse)
+        assert outcome(load, path) == cold
+        assert cache_entries(tmp_path) == [entry]
+
+    @pytest.mark.parametrize("spoil", sorted(SPOILS))
+    def test_spoiled_entry_is_a_miss_and_is_rewritten(self, tmp_path, monkeypatch, capsys, spoil):
+        monkeypatch.chdir(tmp_path)
+        series = write_price_csv(tmp_path / "prices.csv", blocks=60)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        cfg = write_config(tmp_path / "cfg.json", "prices.csv", "swaps.csv")
+        argv = ["backtest", "--config", str(cfg)]
+        assert main(argv + ["--out-dir", "cold"]) == 0
+        printed = capsys.readouterr()
+        cache = tmp_path / "__fmamm_cache__"
+        entries = {name: np.load(cache / name) for name in cache_entries(tmp_path)}
+        assert len(entries) == 2
+        for name, rows in entries.items():
+            SPOILS[spoil](cache / name, rows)
+        assert main(argv + ["--out-dir", "spoiled"]) == 0
+        assert capsys.readouterr() == printed
+        for name in ("fm_amm_returns.csv", "uniswap_v3_full_range_returns.csv", "manifest.json"):
+            assert (tmp_path / "spoiled" / name).read_bytes() == \
+                (tmp_path / "cold" / name).read_bytes(), name
+        assert cache_entries(tmp_path) == sorted(entries)
+        for name, rows in entries.items():
+            assert np.load(cache / name).tobytes() == rows.tobytes()
+
+    def test_edited_csv_misses_and_names_its_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_price_csv(tmp_path / "prices.csv", blocks=60)
+        cfg = write_config(tmp_path / "cfg.json", "prices.csv")
+        assert main(["backtest", "--config", str(cfg)]) == 0
+        lines = (tmp_path / "prices.csv").read_text().splitlines(keepends=True)
+        lines[2] = lines[2].split(",")[0] + ",-1.0\n"
+        with open(tmp_path / "prices.csv", "r+") as fh:  # in place, the same file
+            fh.write("".join(lines))
+            fh.truncate()
+        capsys.readouterr()
+        assert main(["backtest", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: prices.csv:3: price must be finite and positive, got -1.0\n")
+
+    @pytest.mark.parametrize("text, load", [
+        (PRICE_HEADER + "\n1,1.5\n1,2.5\n", lambda path: load_price_series(path, "X-Y")),
+        (PRICE_HEADER + "\n", lambda path: load_price_series(path, "X-Y")),
+        ("time,price\n1,1.5\n", lambda path: load_price_series(path, "X-Y")),
+        (SWAP_HEADER + "\n" + SWAP_CORPUS["decreasing timestamps"], load_swap_records),
+    ], ids=["repeated timestamp", "no rows", "bad header", "swaps out of order"])
+    def test_failing_csv_is_never_cached(self, tmp_path, text, load):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                load(path)
+        assert cache_entries(tmp_path) == []
+
+    def test_unwritable_cache_leaves_the_run_uncached(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_price_csv(tmp_path / "prices.csv", blocks=60)
+        cfg = write_config(tmp_path / "cfg.json", "prices.csv")
+        assert main(["sweep-fees", "--config", str(cfg)]) == 0
+        printed = capsys.readouterr()
+        shutil.rmtree(tmp_path / "__fmamm_cache__")
+        # a regular file where the directory would go: it cannot be created
+        (tmp_path / "__fmamm_cache__").write_text("mine")
+        for _ in range(2):
+            assert main(["sweep-fees", "--config", str(cfg)]) == 0
+            assert capsys.readouterr() == printed
+        assert (tmp_path / "__fmamm_cache__").read_text() == "mine"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "__fmamm_cache__", "cfg.json", "prices.csv"]
+
+    def test_pipe_is_read_once_and_not_cached(self, tmp_path):
+        path = tmp_path / "in.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(PLAIN_PRICES,))
+        writer.start()
+        digests = {}
+        try:
+            series = load_price_series(path, "X-Y", digests)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert len(series) == 199 and digests == {str(path): None}
+        assert cache_entries(tmp_path) == []
+
+    def test_one_entry_per_input_after_edits(self, tmp_path):
+        # a second input whose name starts with the first one's keeps its entry
+        prices, swaps = tmp_path / "p.csv", tmp_path / "p.csv.old.csv"
+        swaps.write_text(SWAPS)
+        load_swap_records(swaps)
+        for n in (5, 6, 7, 5):
+            prices.write_text(PRICE_HEADER + "\n" + "".join(f"{t},1.5\n" for t in range(n)))
+            assert len(load_price_series(prices, "X-Y")) == n
+            digest = hashlib.sha256(prices.read_bytes()).hexdigest()
+            names = cache_entries(tmp_path)
+            assert len(names) == 2 and names[0].startswith(f"p.csv.{digest}."), names
+            assert names[1].startswith("p.csv.old.csv.")

@@ -33,6 +33,7 @@ from fmamm.amm import (
     InfeasibleTradeError,
     POLE_MARGIN,
     Reserves,
+    _check_trade,
     _is_integer,
     _is_number,
     pre_fee_price,
@@ -201,6 +202,7 @@ def split_trade_experiment(reserves: Reserves, x_trade: float, n: int) -> Reserv
     strictly lowers the final numeraire reserve, approaching
     ``y * x / (x - x_trade)`` -- the constant-product outcome -- as n grows.
     """
+    _check_trade(x_trade)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if x_trade == 0.0:

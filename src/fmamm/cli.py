@@ -50,7 +50,7 @@ from fmamm.backtest import (
     sweep_run_id,
 )
 from fmamm.batch import load_order_batches, settle_batch, split_trade_experiment
-from fmamm.market_data import _sha256, load_price_series, write_rows
+from fmamm.market_data import _sha256, formatted_chunks, load_price_series
 from fmamm.uniswap import load_swap_records, per_block_swap_volume, run_baseline
 
 __all__ = ["main"]
@@ -106,11 +106,12 @@ def _write_runs(out: Path, runs: dict) -> None:
         for run_id, series in runs.items():
             pending: list[str] = []
             with open(out / f"{run_id}_returns.csv", "w", newline="") as fh:
-                fh.write(series.CSV_HEADER)
-                write_rows(series.timestamps, (series.values, series.roi),
-                           (fh.write, series.CSV_ROW),
-                           (long.write, (f"{run_id},", 0, ",value,", 1, "\r\n")),
-                           (pending.append, (f"{run_id},", 0, ",cumulative_roi,", 2, "\r\n")))
+                fh.write("timestamp,value,cumulative_roi\r\n")
+                for ts, vs, rs in formatted_chunks(series.timestamps, series.values, series.roi):
+                    fh.write("".join([f"{t},{v},{r}\r\n" for t, v, r in zip(ts, vs, rs)]))
+                    long.write("".join([f"{run_id},{t},value,{v}\r\n" for t, v in zip(ts, vs)]))
+                    pending.append("".join(
+                        [f"{run_id},{t},cumulative_roi,{r}\r\n" for t, r in zip(ts, rs)]))
             long.writelines(pending)
 
 
@@ -118,7 +119,8 @@ def _write_comparison(path, timestamps, roi_difference) -> None:
     """``comparison.csv``: the ROI gap between two venues marked on one grid."""
     with open(path, "w", newline="") as fh:
         fh.write("timestamp,roi_difference\r\n")
-        write_rows(timestamps, (roi_difference,), (fh.write, (0, ",", 1, "\r\n")))
+        for ts, ds in formatted_chunks(timestamps, roi_difference):
+            fh.write("".join([f"{t},{d}\r\n" for t, d in zip(ts, ds)]))
 
 
 def _reserves(args) -> Reserves:

@@ -10,8 +10,8 @@ CSV input and output are columnar.  Both loaders (swaps in
 parses in one ``np.loadtxt`` call and one rule pass, and only a file either
 rejects is read again row by row, to name its first bad line.  The rows of a
 file that loads are kept in ``__fmamm_cache__`` beside it, keyed by the
-file's SHA-256, so a later load of the same bytes skips the parse.  Every
-CSV writer goes through one chunked row assembler, :func:`write_rows`.
+file's SHA-256, so a later load of the same bytes skips the parse.  Output
+columns are formatted a chunk at a time by :func:`formatted_chunks`.
 
 Sampling between observations forward-fills from the last point; gaps longer
 than :data:`LONG_GAP_SECONDS` are surfaced as a warning so that backtests on
@@ -32,7 +32,6 @@ import re
 import stat
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,7 +51,7 @@ __all__ = [
     "mean_preserving_spread",
     "format_number",
     "format_numbers",
-    "write_rows",
+    "formatted_chunks",
 ]
 
 LONG_GAP_SECONDS = 300.0
@@ -131,9 +130,6 @@ class PriceSeries:
 class LpReturnSeries:
     """Per-block portfolio value and cumulative return for one venue."""
 
-    CSV_HEADER = "timestamp,value,cumulative_roi\r\n"
-    CSV_ROW = (0, ",", 1, ",", 2, "\r\n")  # a write_rows layout
-
     venue: str
     timestamps: np.ndarray
     values: np.ndarray
@@ -174,21 +170,14 @@ def format_numbers(values) -> list[str]:
     return list(map(format_number, values.tolist()))
 
 
-def write_rows(timestamps, columns, *sinks) -> None:
-    """Write CSV rows of ``timestamps`` and float ``columns`` to each sink.
-
-    A sink is ``(write, layout)``; ``layout`` spells a row as literal strings
-    and field numbers: 0 is :func:`format_numbers` of the timestamp, ``i`` is
-    ``repr`` of ``columns[i - 1]``.  Each chunk of :data:`CSV_CHUNK_ROWS` rows
-    is formatted once for all sinks and reaches each sink as one string.
-    """
+def formatted_chunks(timestamps, *columns):
+    """Each chunk of :data:`CSV_CHUNK_ROWS` rows as lists of field text:
+    :func:`format_numbers` of the timestamps, then ``repr`` of each float
+    column, so every column is formatted once for all the files that use it."""
     for lo in range(0, len(timestamps), CSV_CHUNK_ROWS):
         hi = lo + CSV_CHUNK_ROWS
-        fields = [format_numbers(timestamps[lo:hi])]
-        fields += [list(map(repr, column[lo:hi].tolist())) for column in columns]
-        for write, layout in sinks:
-            parts = (repeat(f) if isinstance(f, str) else fields[f] for f in layout)
-            write("".join(chain.from_iterable(zip(*parts))))
+        yield (format_numbers(timestamps[lo:hi]),
+               *(list(map(repr, column[lo:hi].tolist())) for column in columns))
 
 
 def _int64(text: str) -> int:
@@ -203,10 +192,11 @@ _FIELD_PARSERS = {"i": _int64, "f": float, "U": str.strip}
 
 
 # Cache entries live in this directory beside each input CSV.  Bump the
-# format when a CSV would parse to other rows; a change of rule needs no
-# bump, since a cached array meets its file's rule again on every load.
+# format when a CSV would parse to other rows or an entry's layout changes;
+# a change of rule needs no bump, since a cached array meets its file's rule
+# again on every load.
 _CACHE_DIR = "__fmamm_cache__"
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 
 
 def _sha256(fh) -> str:
@@ -223,7 +213,7 @@ def _read_csv(path, dtype: np.dtype, rule, error=ValueError, digests=None) -> np
     ``rule(rows)`` gives the first row that breaks the file's rule and why,
     or None, judging a row by the rows up to it.  A regular file is hashed
     first, and a cache entry for its bytes (:func:`_cache_entry`) that loads
-    as a 1-D ``dtype`` array that ``rule`` accepts stands in for the parse;
+    as rows that ``rule`` accepts stands in for the parse;
     any other entry is a miss.  On a miss the file is parsed
     (:func:`_parse_csv`) and the accepted rows, if any, are cached.
     ``digests``, when given, maps ``str(path)`` to the file's SHA-256 (None
@@ -260,15 +250,26 @@ def _cache_entry(path, digest: str, dtype: np.dtype) -> Path:
     return path.parent / _CACHE_DIR / f"{path.name}.{digest}.{tag}.npy"
 
 
+def _stored_dtype(dtype: np.dtype) -> np.dtype:
+    """How a cache entry stores rows of ``dtype``: each text field as ASCII
+    bytes of the same length (a quarter of the ``U`` size), the rest as is.
+    Only rows that meet their file's rule are stored, and the one text field
+    it allows, ``fee_token``, holds a token name."""
+    return np.dtype([(name, f"S{dtype[name].itemsize // 4}" if dtype[name].kind == "U"
+                      else dtype[name]) for name in dtype.names])
+
+
 def _cached_rows(entry: Path, dtype: np.dtype, rule) -> np.ndarray | None:
-    """The rows a cache entry holds, if it loads as a 1-D ``dtype`` array
-    that ``rule`` accepts; None otherwise."""
+    """The rows a cache entry holds, as ``dtype``, if it loads as a 1-D
+    array of their stored dtype and ``rule`` accepts them; None otherwise."""
     try:
         with open(entry, "rb") as fh:
             rows = np.load(fh, allow_pickle=False)
-        if (isinstance(rows, np.ndarray) and rows.dtype == dtype and rows.ndim == 1
-                and rule(rows) is None):
-            return rows
+        if (isinstance(rows, np.ndarray) and rows.dtype == _stored_dtype(dtype)
+                and rows.ndim == 1):
+            rows = rows.astype(dtype, copy=False)
+            if rule(rows) is None:
+                return rows
     except Exception:
         # an entry is untrusted, and a foreign file makes np.load raise
         # ValueError, EOFError, OverflowError, MemoryError, BadZipFile...:
@@ -278,15 +279,17 @@ def _cached_rows(entry: Path, dtype: np.dtype, rule) -> np.ndarray | None:
 
 
 def _store_rows(entry: Path, path, rows: np.ndarray) -> None:
-    """Save ``rows`` as ``entry``, through a temporary file, and delete the
-    other entries of the same CSV; a cache that cannot be written is skipped."""
+    """Save ``rows`` as ``entry`` in their stored dtype, through a temporary
+    file, and delete the other entries of the same CSV; a cache that cannot
+    be written is skipped."""
     tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
     stale = re.compile(re.escape(Path(path).name)
                        + r"\.[0-9a-f]{64}\.[0-9a-f]{8}\.npy(\.\d+\.tmp)?")
     try:
+        stored = rows.astype(_stored_dtype(rows.dtype), copy=False)
         entry.parent.mkdir(exist_ok=True)
         with open(tmp, "wb") as fh:
-            np.save(fh, rows, allow_pickle=False)
+            np.save(fh, stored, allow_pickle=False)
         os.replace(tmp, entry)
         for old in os.listdir(entry.parent):
             if old != entry.name and stale.fullmatch(old):
@@ -302,9 +305,10 @@ def _parse_csv(path, fh, dtype: np.dtype, rule, error) -> np.ndarray:
     """The rows of an open CSV (text, ``newline=""``) for :func:`_read_csv`.
 
     The header is ``dtype``'s field names (case and spaces aside, extra
-    trailing names allowed).  Only a file that ``np.loadtxt`` or the rule
-    rejects goes on to :func:`_read_rows`, which raises ``error`` naming
-    ``path:line``.
+    trailing names allowed).  ``np.loadtxt`` reads only the named columns,
+    with the csv module's quoting, so extra columns take the one-call parse
+    too.  Only a file that ``np.loadtxt`` or the rule rejects goes on to
+    :func:`_read_rows`, which raises ``error`` naming ``path:line``.
     """
     names = list(dtype.names)
     reader = csv.reader(fh)
@@ -317,7 +321,8 @@ def _parse_csv(path, fh, dtype: np.dtype, rule, error) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on an empty body
-            rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+            rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1,
+                              usecols=range(len(names)), quotechar='"')
         if rule(rows) is None:
             return rows
     except (ValueError, Warning):

@@ -619,6 +619,42 @@ class TestZeroLvr:
         assert self.residual(path, tau, noise, volumes).min() >= -1e-12
 
 
+class TestTradeFrequency:
+    """The fee path against an oracle that shares no code with it: on a
+    Poisson block clock of rate ``1/mu``, a pool whose no-trade band is
+    ``[keep·p, p/keep]`` trades in a fraction ``1/(1 + √(2/mu)·γ/σ)`` of
+    blocks, ``γ = −log(keep)`` (Milionis, Moallemi and Roughgarden,
+    arXiv:2305.14604).  GBM log-increments over exponential intervals of
+    mean ``mu`` are laid on the fixed ``mu`` grid the kernel walks."""
+
+    MU = 12.0
+    SIGMA = 0.8 / math.sqrt(365 * 86400)  # 80% a year, per √second
+    SEEDS = range(8)
+    BLOCKS = 100_000
+
+    @pytest.fixture(scope="class")
+    def paths(self):
+        def path(seed):
+            rng = np.random.default_rng(seed)
+            dt = rng.exponential(self.MU, self.BLOCKS)
+            steps = -0.5 * self.SIGMA**2 * dt + self.SIGMA * np.sqrt(dt) * rng.standard_normal(
+                self.BLOCKS)
+            return PriceSeries("X-Y", self.MU * np.arange(self.BLOCKS + 1),
+                               2000.0 * np.exp(np.concatenate(([0.0], np.cumsum(steps)))))
+        return [path(seed) for seed in self.SEEDS]
+
+    @pytest.mark.parametrize("tau", [0.0005, 0.003, 0.01, 0.03])
+    def test_fraction_of_blocks_that_trade(self, paths, tau):
+        fractions = []
+        for path in paths:
+            result = run_fmamm_backtest(path, BlockClock.for_series(path, mu=self.MU), tau)
+            fractions.append(result.n_rebalances / result.summary["n_blocks"])
+        gamma = -math.log1p(-tau)
+        want = 1.0 / (1.0 + math.sqrt(2.0 / self.MU) * gamma / self.SIGMA)
+        se = np.std(fractions, ddof=1) / math.sqrt(len(fractions))
+        assert abs(np.mean(fractions) - want) <= 3.0 * se, (np.mean(fractions), want, se)
+
+
 class TestNoiseScenario:
     def test_fraction_must_be_non_negative(self):
         for bad in (-0.1, math.nan):

@@ -576,6 +576,13 @@ class TestSplitDemoCommand:
         assert f"error: n must be >= 1, got {n}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("trade", ["nan", "inf", "-inf"])
+    def test_non_finite_trade_is_validation_error(self, tmp_path, capsys, trade):
+        argv = ["split-demo", "--y", "20000", "--x-reserve", "10", f"--trade={trade}"]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: trade must be finite, got {trade}\n"
+        assert not (tmp_path / "out").exists()
+
 
 RESERVES = ["--y", "20000", "--x-reserve", "10"]
 

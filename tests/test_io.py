@@ -150,6 +150,8 @@ PRICE_CORPUS = {
     "underscore float": "1,1_0.5\n",
     "quoted": '"2",1.5\n3,"2.5"\n',
     "extra columns": "1,1.5,x\n2,2.5\n",
+    # csv quoting: the quoted extra field spans two lines, so three rows are two
+    "quoted extra column across lines": '1,1.5,"note\n2,2.5,"\n3,3.5\n',
     "trailing comma": "1,1.5,\n",
     "negative timestamps": "-5,1.5\n-4,2\n",
     "int at 2**63": "9223372036854775807,1.5\n9223372036854775808,2\n",
@@ -286,6 +288,8 @@ SWAP_CORPUS = {
     "quoted": '"1",10,0.5,"token0",1e6,2.0\n',
     "underscores": "1_0,1_000,0.5,token0,1e6,2.0\n",
     "extra column": "1,10,0.5,token0,1e6,2.0,x\n",
+    "quoted extra column across lines":
+        '1,10,0.5,token0,1e6,2.0,"a\n2,20,0.25,token1,1e6,2.1,"\n3,30,0.5,token0,1e6,2.2\n',
     "missing column": "1,10,0.5,token0,1e6\n",
     "zero fee": "1,10,0.0,token0,1e6,2.0\n",
     "negative fee": "1,10,-1.0,token0,1e6,2.0\n",
@@ -329,6 +333,31 @@ class TestSwapParse:
         assert len(log) == 2
         assert log.fee_token.tolist() == ["token0", "token1"]
         assert log[1].post_price == 2.1
+
+
+@pytest.mark.parametrize("load, header, rows, extra", [
+    (lambda path: load_price_series(path, "X-Y"), PRICE_HEADER,
+     [f"{t},{t / 7!r}" for t in range(1, 500)], ",volume"),
+    (load_swap_records, SWAP_HEADER,
+     [f"{t},{10 * t},0.5,token{t % 2},1e6,2.0" for t in range(1, 500)], ",tx,"),
+], ids=["prices", "swaps"])
+def test_extra_columns_skip_the_row_reader(tmp_path, monkeypatch, load, header, rows, extra):
+    def row_reader(*args):
+        raise AssertionError("the row reader ran on a file with extra columns")
+
+    monkeypatch.setattr(market_data, "_read_rows", row_reader)
+    plain, wide = tmp_path / "plain.csv", tmp_path / "wide.csv"
+    plain.write_text(header + "\n" + "".join(f"{row}\n" for row in rows))
+    wide.write_text(header + extra + "\n" + "".join(f"{row}{extra}\n" for row in rows))
+    assert outcome(load, wide) == outcome(load, plain)
+
+
+def test_extra_columns_are_not_read(tmp_path):
+    """Only the named columns are parsed, so an extra field over the csv
+    module's 128 KiB limit does not stop a file that loads."""
+    path = tmp_path / "p.csv"
+    path.write_text(PRICE_HEADER + f"\n1,1.5,{'1' * 200_000}\n2,2.5\n")
+    assert load_price_series(path, "X-Y").prices.tolist() == [1.5, 2.5]
 
 
 # beyond the csv module's default field limit of 128 KiB
@@ -513,6 +542,15 @@ def break_rule(rows):
     return rows
 
 
+def non_ascii(rows):
+    """A copy of cached rows with a byte above 127 in each text field."""
+    rows = rows.copy()
+    for name in rows.dtype.names:
+        if rows.dtype[name].kind == "S":
+            rows[name][0] = b"\xfftoken"
+    return rows
+
+
 def save_npz(entry, rows):
     with open(entry, "wb") as fh:
         np.savez(fh, rows=rows)
@@ -547,6 +585,11 @@ SPOILS = {
     "claims 10**15 rows": claim_rows(10**15),
     "claims 10**23 rows": claim_rows(10**23),
     "breaks the rule": lambda entry, rows: np.save(entry, break_rule(rows)),
+    # text fields as the loaders return them, or bytes that are not ASCII
+    "unicode text": lambda entry, rows: np.save(entry, rows.astype(
+        [(n, f"U{rows.dtype[n].itemsize}" if rows.dtype[n].kind == "S" else rows.dtype[n])
+         for n in rows.dtype.names])),
+    "non-ASCII text": lambda entry, rows: np.save(entry, non_ascii(rows)),
 }
 
 
@@ -579,6 +622,23 @@ class TestInputCache:
         monkeypatch.setattr(market_data, "_parse_csv", parse)
         assert outcome(load, path) == cold
         assert cache_entries(tmp_path) == [entry]
+
+    def test_swap_entry_stores_text_as_ascii_bytes(self, tmp_path):
+        """A swap row takes 47 bytes in its entry: five 8-byte numbers and
+        ``fee_token`` as 7 ASCII bytes, not the 28 of a 7-character str."""
+        n = 1000
+        path = tmp_path / "s.csv"
+        path.write_text(SWAP_HEADER + "\n" + "".join(
+            f"{t},{10 * t},0.5,token{t % 2},1e6,2.0\n" for t in range(n)))
+        log = load_swap_records(path)
+        [name] = cache_entries(tmp_path)
+        with open(tmp_path / "__fmamm_cache__" / name, "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            _, _, dtype = np.lib.format.read_array_header_1_0(fh)
+            header = fh.tell()
+        assert dtype.itemsize == 47 and dtype["fee_token"] == np.dtype("S7")
+        assert os.path.getsize(tmp_path / "__fmamm_cache__" / name) == header + 47 * n
+        assert log.fee_token.tolist() == [f"token{t % 2}" for t in range(n)]
 
     @pytest.mark.parametrize("spoil", sorted(SPOILS))
     def test_spoiled_entry_is_a_miss_and_is_rewritten(self, tmp_path, monkeypatch, capsys, spoil):

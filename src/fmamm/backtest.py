@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -244,15 +245,22 @@ def block_grid_series(series: PriceSeries, clock: BlockClock) -> PriceSeries:
     return PriceSeries(series.pair, times, sample_at(series, times))
 
 
-def _where(block: int, t: float) -> str:
-    return f"block {block} (t={format_number(t)})"
+def _where(times: np.ndarray, i: int) -> str:
+    return f"block {i + 1} (t={format_number(times[i])})"
 
 
-def _pole_error(block: int, t: float, net: float, x: float) -> InfeasibleTradeError:
+def _pole_error(times: np.ndarray, i: int, net: float, x: float) -> InfeasibleTradeError:
     return InfeasibleTradeError(
-        f"{_where(block, t)}: net trade {net!r} is at or beyond the price pole "
+        f"{_where(times, i)}: net trade {net!r} is at or beyond the price pole "
         f"x/2 = {x / 2.0!r}"
     )
+
+
+def _fsum_nonzero(column: np.ndarray) -> float:
+    """The exact sum of a column's nonzero entries, fed as floats a chunk at a time."""
+    nonzero = column[column != 0.0]
+    return math.fsum(chain.from_iterable(map(np.ndarray.tolist, np.split(
+        nonzero, range(_CHUNK, nonzero.size, _CHUNK)))))
 
 
 def run_fmamm_backtest(
@@ -280,11 +288,13 @@ def run_fmamm_backtest(
     composition (bit for bit without noise).  A rebalancing batch is priced
     once, at its net trade (noise plus arbitrage), and the arbitrageurs' pin
     is checked at that settled price.  The loop walks the blocks in chunks,
-    so only one chunk's Python floats are alive at a time.  The summary's
-    counts of buy-side and sell-side rebalances and sign-mixing blocks
-    (where the arbitrageurs' order leaves the batch netting to the noise's
-    side) are read off the log's columns; :attr:`BacktestResult.trades`
-    builds the :data:`TRADE_LOG_DTYPE` records from them when first read.
+    so only one chunk's Python floats are alive at a time.  A block without
+    noise inside the no-trade band costs one comparison; only blocks that
+    move the pool are logged.  The summary's counts of buy-side and
+    sell-side rebalances and sign-mixing blocks (where the arbitrageurs'
+    order leaves the batch netting to the noise's side) are read off the
+    log's columns; :attr:`BacktestResult.trades` builds the
+    :data:`TRADE_LOG_DTYPE` records from them when first read.
 
     The block grid (:func:`block_grid_series`) is sampled once, for the
     start price and the marks; a nonzero ``gamma`` samples the trade prices
@@ -337,23 +347,33 @@ def run_fmamm_backtest(
         sells = -buys
 
     keep = 1.0 - tau
-    fsum, isclose, inf = math.fsum, math.isclose, math.inf
+    fsum, isclose, inf, nan = math.fsum, math.isclose, math.inf, math.nan
     y, x = initial.y, initial.x
-    # per block: arb trade, y and x after, fee legs; each chunk's Python
-    # floats land in ``flat`` (the rows of ``columns``) at the chunk's end
-    columns = np.empty((n, 5))
-    flat = columns.reshape(-1)
+    # the no-trade band of a block without noise, kept while the reserves stay;
+    # a zero x leaves its division, and the error, to the first block's body
+    spot = y / x if x else nan
+    top, bottom = spot / keep, keep * spot
+    # the price each block is screened at: NaN, which fails every comparison,
+    # sends a block with noise to the body (inf would pass when top is inf)
+    quiet_run = not (buys.any() or sells.any())
+    screen = p_stars if quiet_run else np.where((buys != 0.0) | (sells != 0.0), nan, p_stars)
+    # per block: arb trade, y and x after, fee legs; a block that moves the pool is
+    # logged as (index in chunk, row), scattered at the chunk's end, then filled forward
+    columns = np.zeros((n, 5))
     try:
         for lo in range(0, n, _CHUNK):
             hi = lo + _CHUNK
-            log = []
+            log, held = [], [(y, x)]
             record = log.extend
-            # b, s: noise buy and sell orders (0.0 when absent); a: their net,
-            # exact because balanced legs cancel and a random sign leaves one at 0
-            for block, (t, p, b, s) in enumerate(zip(
-                times[lo:hi].tolist(), p_stars[lo:hi].tolist(),
-                buys[lo:hi].tolist(), sells[lo:hi].tolist(),
-            ), start=lo + 1):
+            screened = screen[lo:hi].tolist()
+            ps, bs, ss = (screened, [0.0] * _CHUNK, [0.0] * _CHUNK) if quiet_run else (
+                p_stars[lo:hi].tolist(), buys[lo:hi].tolist(), sells[lo:hi].tolist())
+            for i, p in enumerate(screened):
+                if bottom <= p <= top:  # a quiet block: no noise, inside the band
+                    continue
+                # b, s: noise buy and sell orders (0.0 when absent); a: their net,
+                # exact because balanced legs cancel and a random sign leaves one at 0
+                p, b, s = ps[i], bs[i], ss[i]
                 a = b + s
                 # no-trade band around the pre-fee price of the noise alone; a
                 # net-selling batch routes only (1-tau) of its volume to the pool
@@ -362,7 +382,7 @@ def run_fmamm_backtest(
                 else:
                     d = x - 2.0 * (a if a > 0.0 else a * keep)
                     if d <= POLE_MARGIN * x:
-                        raise _pole_error(block, t, a, x)
+                        raise _pole_error(times, lo + i, a, x)
                     base = y / d
                 # fmamm.arbitrage.arbitrage_order inlined, operation for operation:
                 # the same-sign root, rescaled on sign mixing; an order rounded to
@@ -382,8 +402,7 @@ def run_fmamm_backtest(
 
                 if trade == 0.0:
                     if not (b or s):
-                        record((0.0, y, x, 0.0, 0.0))
-                        continue
+                        continue  # the tie without noise moves nothing either
                     flow = a
                     arb_flow = fee_n = fee_a = 0.0
                 else:
@@ -392,14 +411,12 @@ def run_fmamm_backtest(
                     flow = a + trade
                     d = x - 2.0 * (flow if flow > 0.0 else flow * keep)
                     if d <= POLE_MARGIN * x:
-                        raise _pole_error(block, t, flow, x)
+                        raise _pole_error(times, lo + i, flow, x)
                     base = y / d
                     pinned = base / keep if trade > 0.0 else keep * base
                     if not isclose(pinned, p, rel_tol=_PIN_RTOL):
-                        raise ConvergenceError(
-                            f"{_where(block, t)}: rebalance left effective price {pinned} "
-                            f"!= target {p}"
-                        )
+                        raise ConvergenceError(f"{_where(times, lo + i)}: rebalance left "
+                                               f"effective price {pinned} != target {p}")
                     arb_flow = trade * pinned
                     fee_n = trade * base * tau / keep if trade > 0.0 else 0.0
                     fee_a = 0.0 if trade > 0.0 else tau * -trade
@@ -416,12 +433,19 @@ def run_fmamm_backtest(
                 # the rule Reserves holds; a block that does not trade keeps
                 # the reserves checked when they last changed
                 if not (0.0 <= y < inf and 0.0 <= x < inf):
-                    raise ValueError(f"{_where(block, t)}: reserves must be finite and "
-                                     f"non-negative, got y={y!r}, x={x!r}")
-                record((trade, y, x, fee_n, fee_a))
-            flat[5 * lo : 5 * lo + len(log)] = log
+                    raise ValueError(f"{_where(times, lo + i)}: reserves must be finite "
+                                     f"and non-negative, got y={y!r}, x={x!r}")
+                spot = y / x if x else nan
+                top, bottom = spot / keep, keep * spot
+                record((i, trade, y, x, fee_n, fee_a))
+            rows = np.empty((len(log) // 6, 6))
+            rows.reshape(-1)[:] = log
+            at, chunk = rows[:, 0].astype(np.intp), columns[lo:hi]
+            chunk[at] = rows[:, 1:]
+            chunk[:, 1:3] = np.repeat(np.concatenate((held, rows[:, 2:4])),
+                                      np.diff(at, prepend=0, append=len(chunk)), axis=0)
     except ArithmeticError as exc:
-        raise ValueError(f"{_where(block, t)}: {exc} at reserves y={y!r}, x={x!r}") from exc
+        raise ValueError(f"{_where(times, lo + i)}: {exc} at reserves y={y!r}, x={x!r}") from exc
 
     arb_trade, y_after, x_after, fee_n_col, fee_a_col = columns.T
     noise_net = buys + sells
@@ -447,8 +471,8 @@ def run_fmamm_backtest(
         "initial_value": float(out_values[0]),
         "terminal_value": float(out_values[-1]),
         "terminal_roi": float(series.roi[-1]),
-        "fee_numeraire_total": math.fsum(fee_n_col),
-        "fee_asset_total": math.fsum(fee_a_col),
+        "fee_numeraire_total": _fsum_nonzero(fee_n_col),
+        "fee_asset_total": _fsum_nonzero(fee_a_col),
     }
     return BacktestResult(series, summary, columns, marks, p_stars, noise_net, initial)
 

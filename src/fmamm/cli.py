@@ -291,12 +291,12 @@ def cmd_mc_risk(args) -> Outputs:
 
 def cmd_split_demo(args) -> Outputs:
     reserves = _reserves(args)
+    # every row before the first line, so a failing n prints nothing
+    finals = [split_trade_experiment(reserves, args.trade, n) for n in args.n]
     print(f"splitting a trade of {args.trade} into n sequential batches:")
-    rows = []
-    for n in args.n:
-        final = split_trade_experiment(reserves, args.trade, n)
+    for n, final in zip(args.n, finals):
         print(f"  n {n:<8d} final numeraire reserve {final.y:.6f}")
-        rows.append({"n": n, "final_y": final.y, "final_x": final.x})
+    rows = [{"n": n, "final_y": final.y, "final_x": final.x} for n, final in zip(args.n, finals)]
     if args.trade < reserves.x:
         limit = reserves.y * reserves.x / (reserves.x - args.trade)
         print(f"  constant-product limit       {limit:.6f}")

@@ -280,11 +280,13 @@ def _cached_rows(entry: Path, dtype: np.dtype, rule) -> np.ndarray | None:
 
 def _store_rows(entry: Path, path, rows: np.ndarray) -> None:
     """Save ``rows`` as ``entry`` in their stored dtype, through a temporary
-    file, and delete the other entries of the same CSV; a cache that cannot
-    be written is skipped."""
+    file, and delete the other entries of the same CSV and tag: an entry of
+    another tag is another row dtype or format, which another version of
+    fmamm may still read.  A cache that cannot be written is skipped."""
     tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    tag = entry.name.rsplit(".", 2)[1]
     stale = re.compile(re.escape(Path(path).name)
-                       + r"\.[0-9a-f]{64}\.[0-9a-f]{8}\.npy(\.\d+\.tmp)?")
+                       + rf"\.[0-9a-f]{{64}}\.{tag}\.npy(\.\d+\.tmp)?")
     try:
         stored = rows.astype(_stored_dtype(rows.dtype), copy=False)
         entry.parent.mkdir(exist_ok=True)

@@ -284,8 +284,8 @@ class TestRunBacktest:
         assert not np.array_equal(a.series.values, c.series.values)
 
     def test_peak_memory_per_block_is_bounded(self):
-        # a run's numpy columns peak near 155 bytes per block, and the loop's
-        # Python floats for one chunk add a fixed amount (about 30 bytes per
+        # a run's numpy columns peak near 142 bytes per block, and the loop's
+        # Python floats for one chunk add a fixed amount (about 50 bytes per
         # block at this size); floats for every block at once and a record
         # log built per run took about 350
         blocks = 12_000
@@ -397,6 +397,9 @@ class TestKernelMatchesReference:
         assert summary["n_sign_mixing"] == sign_mixing(log, tau)
         if kind == "random_sign":
             assert summary["n_sign_mixing"] > 0
+        # the totals over the nonzero fees are the exact sums of whole columns
+        assert summary["fee_numeraire_total"] == math.fsum(result.columns[:, 3].tolist())
+        assert summary["fee_asset_total"] == math.fsum(result.columns[:, 4].tolist())
 
     @pytest.mark.parametrize("kind", ["none", "balanced", "random_sign"])
     def test_block_by_block_across_chunks(self, scenario, monkeypatch, kind):
@@ -513,11 +516,15 @@ class TestKernelMatchesReference:
     )
     def test_arbitrage_column_is_arbitrage_order_property(self, blocks, tau, kind, gamma, seed):
         # the kernel inlines arbitrage_order: on the run's own columns the two
-        # agree on every block, bit for bit, noise included, across chunks of 7
+        # agree on every block, bit for bit, noise included, across chunks of 7;
+        # blocks without volume mix quiet blocks, which the screen may skip,
+        # with noisy ones, which always run the body
         path = sample_gbm_path(
             GbmParams(2000.0, 0.001, step_seconds=3, horizon_seconds=12 * blocks, seed=seed))
         clock = BlockClock.for_series(path, gamma=gamma)
-        volume = np.random.default_rng(seed).exponential(0.01, blocks)
+        rng = np.random.default_rng(seed)
+        volume = rng.exponential(0.01, blocks)
+        volume[rng.random(blocks) < 0.5] = 0.0
         noise = NO_NOISE if kind == "none" else NoiseScenario(2.0, kind, seed=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("fmamm.backtest._CHUNK", 7)

@@ -569,6 +569,15 @@ class TestSplitDemoCommand:
         assert "26666.66" in out
         assert "25000.0" in out  # constant-product limit line
 
+    def test_failing_split_prints_nothing(self, tmp_path, capsys):
+        # five slices of 12 out of 10 units reach the pole at the fourth
+        argv = ["split-demo", "--y", "20000", "--x-reserve", "10", "--trade", "12", "--n", "5"]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("error: split trade infeasible at step 4 of 5")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_n_below_one_is_validation_error(self, tmp_path, capsys, n):
         argv = ["split-demo", "--y", "20000", "--x-reserve", "10", "--trade", "2", "--n", "1", n]

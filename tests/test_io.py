@@ -623,6 +623,28 @@ class TestInputCache:
         assert outcome(load, path) == cold
         assert cache_entries(tmp_path) == [entry]
 
+    def test_store_keeps_the_entries_of_other_tags(self, tmp_path, monkeypatch):
+        # one entry per CSV name and tag: a store deletes the stale entry of
+        # its own tag and keeps that of another format, which another version
+        # reading the same directory loads
+        path = tmp_path / "in.csv"
+        path.write_text(PLAIN_PRICES)
+        load_price_series(path, "X-Y")
+        [old_format] = cache_entries(tmp_path)
+        monkeypatch.setattr(market_data, "_CACHE_FORMAT", market_data._CACHE_FORMAT + 1)
+        load_price_series(path, "X-Y")
+        [stale] = set(cache_entries(tmp_path)) - {old_format}
+        assert old_format in cache_entries(tmp_path)
+        path.write_text(ODD_PRICES)
+        load_price_series(path, "X-Y")
+        [new] = set(cache_entries(tmp_path)) - {old_format}
+        assert old_format in cache_entries(tmp_path)
+        assert new != stale and new.split(".")[-2] == stale.split(".")[-2]
+        monkeypatch.undo()
+        load_price_series(path, "X-Y")
+        assert new in cache_entries(tmp_path) and old_format not in cache_entries(tmp_path)
+        assert len(cache_entries(tmp_path)) == 2
+
     def test_swap_entry_stores_text_as_ascii_bytes(self, tmp_path):
         """A swap row takes 47 bytes in its entry: five 8-byte numbers and
         ``fee_token`` as 7 ASCII bytes, not the 28 of a 7-character str."""

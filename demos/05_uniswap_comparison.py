@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from fmamm.backtest import BlockClock, run_fmamm_backtest
+from fmamm.backtest import BlockClock, block_grid_series, run_fmamm_backtest
 from fmamm.market_data import GbmParams, sample_gbm_path
 from fmamm.uniswap import SwapRecord, run_baseline
 
@@ -43,10 +43,10 @@ def main():
         GbmParams(1850.0, 0.0006, step_seconds=12, horizon_seconds=12 * BLOCKS, seed=13)
     )
     records = synthetic_swaps(path, rng)
-    clock = BlockClock.for_series(path)
-    counterfactual = run_fmamm_backtest(path, clock, POOL_FEE)
-    # both venues are marked on the run's block grid, so the gap is a difference
-    baseline = run_baseline(records, counterfactual.marks, initial_liquidity=1.0)
+    grid = block_grid_series(path, BlockClock.for_series(path))
+    counterfactual = run_fmamm_backtest(grid, POOL_FEE)
+    # both venues are marked on one block grid, so the gap is a difference
+    baseline = run_baseline(records, grid.marks, initial_liquidity=1.0)
     gap_pp = 100.0 * (counterfactual.terminal_roi - baseline.terminal_roi)
 
     print(f"{BLOCKS} blocks at fee {POOL_FEE:.2%}, {len(records)} baseline swaps")

@@ -56,6 +56,7 @@ from fmamm.uniswap import _check_cadence, _check_pool_fee
 
 __all__ = [
     "BlockClock",
+    "BlockGrid",
     "NoiseScenario",
     "NO_NOISE",
     "TRADE_LOG_DTYPE",
@@ -65,7 +66,9 @@ __all__ = [
     "DEFAULT_FEE_GRID",
     "MAX_BLOCKS",
     "balanced_reserves",
+    "block_grid_series",
     "run_fmamm_backtest",
+    "sweep_run_id",
     "value_function",
     "risk_monte_carlo",
 ]
@@ -119,9 +122,6 @@ class BlockClock:
     @property
     def n_blocks(self) -> int:
         return int((self.end - self.start) // self.mu)
-
-    def settlement_times(self) -> np.ndarray:
-        return self.start + self.mu * np.arange(1, self.n_blocks + 1)
 
     @classmethod
     def for_series(cls, series: PriceSeries, mu: float = 12.0, gamma: float = 0.0) -> "BlockClock":
@@ -189,19 +189,33 @@ TRADE_LOG_DTYPE = np.dtype([
 
 
 @dataclass(frozen=True)
+class BlockGrid:
+    """A path sampled on a block clock: ``marks`` the price at the start and at
+    each settlement, ``p_stars`` one finite positive trade price per block."""
+
+    marks: PriceSeries
+    p_stars: np.ndarray
+
+    def __post_init__(self) -> None:
+        p_stars, n = np.asarray(self.p_stars, np.float64), len(self.marks) - 1
+        if p_stars.shape != (n,):
+            raise ValueError(f"block grid misaligned: {p_stars.size} trade prices for {n} blocks")
+        if not ((p_stars > 0.0) & (p_stars < math.inf)).all():
+            raise ValueError("block grid trade prices must be finite and positive")
+        object.__setattr__(self, "p_stars", p_stars)
+
+
+@dataclass(frozen=True)
 class BacktestResult:
-    """A run's marked series and summary, and its trade log as the kernel's
-    columns: ``columns`` holds per block the arbitrage trade, the reserves
-    ``y`` and ``x`` after settlement and the two fee legs; ``marks`` the
-    external price at the start and at each settlement (the block grid the
-    run is marked on); ``p_stars`` and ``noise_net`` per block the sampled
-    price and the noise's net order; ``initial`` the reserves before block 1."""
+    """A run's marked series and summary, its block grid, and its trade log
+    as the kernel's columns: ``columns`` holds per block the arbitrage trade,
+    the reserves ``y`` and ``x`` after settlement and the two fee legs,
+    ``noise_net`` the noise's net order; ``initial`` the reserves before block 1."""
 
     series: LpReturnSeries
     summary: dict
     columns: np.ndarray
-    marks: PriceSeries
-    p_stars: np.ndarray
+    grid: BlockGrid
     noise_net: np.ndarray
     initial: Reserves
 
@@ -220,9 +234,9 @@ class BacktestResult:
         y_before = np.concatenate(([self.initial.y], y_after[:-1]))
         x_before = np.concatenate(([self.initial.x], x_after[:-1]))
         return np.rec.fromarrays(
-            (np.arange(1, self.p_stars.size + 1), self.marks.timestamps[1:], self.p_stars,
-             self.noise_net, arb_trade, self.noise_net + arb_trade, arb_trade != 0.0,
-             y_before, x_before, y_after, x_after, fee_n, fee_a),
+            (np.arange(1, self.noise_net.size + 1), self.grid.marks.timestamps[1:],
+             self.grid.p_stars, self.noise_net, arb_trade, self.noise_net + arb_trade,
+             arb_trade != 0.0, y_before, x_before, y_after, x_after, fee_n, fee_a),
             dtype=TRADE_LOG_DTYPE,
         )
 
@@ -235,14 +249,15 @@ def balanced_reserves(price: float, asset_depth: float = 1.0) -> Reserves:
     return Reserves(price * asset_depth, asset_depth)
 
 
-def block_grid_series(series: PriceSeries, clock: BlockClock) -> PriceSeries:
-    """The price series resampled onto the clock's block boundaries.
-
-    Dense (e.g. per-second) series can be marked per block this way, which
-    also makes their timestamps intersect a backtest's series exactly.
-    """
-    times = np.concatenate(([clock.start], clock.settlement_times()))
-    return PriceSeries(series.pair, times, sample_at(series, times))
+def block_grid_series(series: PriceSeries, clock: BlockClock) -> BlockGrid:
+    """The series sampled once onto the clock's block grid, for every
+    scenario on this path: the forward-filled marks at the start and at each
+    settlement are the trade prices too, unless ``gamma`` samples those
+    again, ``gamma`` seconds before each settlement."""
+    times = clock.start + clock.mu * np.arange(clock.n_blocks + 1)
+    marks = PriceSeries(series.pair, times, sample_at(series, times))
+    return BlockGrid(marks, sample_at(series, times[1:] - clock.gamma) if clock.gamma
+                     else marks.prices[1:])
 
 
 def _where(times: np.ndarray, i: int) -> str:
@@ -264,22 +279,23 @@ def _fsum_nonzero(column: np.ndarray) -> float:
 
 
 def run_fmamm_backtest(
-    prices: PriceSeries,
-    clock: BlockClock,
+    grid: BlockGrid,
     tau: float,
     noise: NoiseScenario = NO_NOISE,
     initial: Reserves | None = None,
     baseline_volume: Sequence[float] | None = None,
 ) -> BacktestResult:
-    """Drive the pool over the price path, one batch per block.
+    """Drive the pool over a block grid, one batch per block.
 
-    Per block: sample the external price ``gamma`` seconds before settlement,
-    net the scenario's noise orders (``noise.fraction`` of ``baseline_volume``,
-    none without it), add the arbitrageurs' equilibrium order, settle the batch
-    at its uniform pre-fee price, and mark the reserves at the external price
-    at settlement, as the baseline is marked.  ``initial``
-    defaults to value-balanced reserves of one asset unit at the first price
-    (the fixed point of the zero-fee strategy, so the run starts neutral).
+    Per block: take the grid's trade price, net the scenario's noise orders
+    (``noise.fraction`` of ``baseline_volume``, none without it), add the
+    arbitrageurs' equilibrium order, settle the batch at its uniform pre-fee
+    price, and mark the reserves at the grid's mark, as the baseline is
+    marked.  ``initial`` defaults to value-balanced reserves of one asset
+    unit at the first mark (the fixed point of the zero-fee strategy, so the
+    run starts neutral).  The kernel samples nothing: :func:`block_grid_series`
+    samples the grid, once for every scenario on a path, so a forward-fill
+    warning on a gapped series names that function's line.
 
     The loop works on plain floats.  Its arbitrage order inlines
     :func:`fmamm.arbitrage.arbitrage_order` bit for bit, and it settles with
@@ -296,15 +312,11 @@ def run_fmamm_backtest(
     log's columns; :attr:`BacktestResult.trades` builds the
     :data:`TRADE_LOG_DTYPE` records from them when first read.
 
-    The block grid (:func:`block_grid_series`) is sampled once, for the
-    start price and the marks; a nonzero ``gamma`` samples the trade prices
-    once more.
-
     Errors abort the whole run.  A fee outside ``[0, 1)``, a positive noise
     fraction without a ``baseline_volume``, a non-finite noise volume, and
     arithmetic that overflows or divides by zero raise
-    ``ValueError``; every sampled price is one of ``prices``, which
-    :class:`PriceSeries` holds finite and positive.  A batch whose
+    ``ValueError``; every price of the grid is finite and positive, as
+    :class:`BlockGrid` and :class:`PriceSeries` hold it.  A batch whose
     net trade reaches the price pole (noise buying half the asset reserve or
     more) raises :class:`InfeasibleTradeError` naming the block and its
     settlement time.  A rebalance that misses the external price it pins
@@ -313,10 +325,8 @@ def run_fmamm_backtest(
     command line these are exit code 2, except 3 for the pin.
     """
     _check_fee(tau)
-    marks = block_grid_series(prices, clock)
-    times = marks.timestamps[1:]
-    n = times.size
-    p_stars = sample_at(prices, times - clock.gamma) if clock.gamma else marks.prices[1:]
+    marks, p_stars = grid.marks, grid.p_stars
+    times, n = marks.timestamps[1:], p_stars.size
     p0 = float(marks.prices[0])
     if initial is None:
         initial = balanced_reserves(p0)
@@ -474,7 +484,7 @@ def run_fmamm_backtest(
         "fee_numeraire_total": _fsum_nonzero(fee_n_col),
         "fee_asset_total": _fsum_nonzero(fee_a_col),
     }
-    return BacktestResult(series, summary, columns, marks, p_stars, noise_net, initial)
+    return BacktestResult(series, summary, columns, grid, noise_net, initial)
 
 
 def sweep_run_id(prefix: str, value: float) -> str:

@@ -45,6 +45,7 @@ from fmamm.backtest import (
     ScenarioConfig,
     _check_seed,
     balanced_reserves,
+    block_grid_series,
     risk_monte_carlo,
     run_fmamm_backtest,
     sweep_run_id,
@@ -162,8 +163,8 @@ def cmd_settle(args) -> Outputs:
 
 
 def _load_scenario(args, inputs: dict, needs_swaps=False):
-    """The config, its price series, block clock and start reserves; the
-    price CSV's digest goes into ``inputs``."""
+    """The config, its block grid (the dense series is dropped once sampled)
+    and start reserves; the price CSV's digest goes into ``inputs``."""
     cfg = ScenarioConfig.from_json(args.config)
     if needs_swaps and (cfg.swap_csv is None or cfg.pool_fee is None):
         raise ValueError(f"{args.config}: {args.command} needs config keys 'swap_csv' and "
@@ -174,22 +175,21 @@ def _load_scenario(args, inputs: dict, needs_swaps=False):
     if not p0 * cfg.initial_x < math.inf:
         raise ValueError(f"{args.config}: config key 'initial_x' {cfg.initial_x!r} at the "
                          f"first price {p0!r} overflows the numeraire reserve")
-    initial = balanced_reserves(p0, cfg.initial_x)
-    return cfg, prices, clock, initial
+    return cfg, block_grid_series(prices, clock), balanced_reserves(p0, cfg.initial_x)
 
 
 def cmd_backtest(args) -> Outputs:
     inputs = {}
-    cfg, prices, clock, initial = _load_scenario(args, inputs)
-    result = run_fmamm_backtest(prices, clock, cfg.fee, NO_NOISE, initial)
-    print(f"{cfg.pair}: {clock.n_blocks} blocks, fee {cfg.fee}")
+    cfg, grid, initial = _load_scenario(args, inputs)
+    result = run_fmamm_backtest(grid, cfg.fee, NO_NOISE, initial)
+    print(f"{cfg.pair}: {grid.p_stars.size} blocks, fee {cfg.fee}")
     print(f"fm_amm terminal roi {result.terminal_roi:+.6%} ({result.n_rebalances} rebalances)")
     runs = {"fm_amm": result.series}
     summary = {"config": asdict(cfg), "fm_amm": result.summary}
     files = {"summary.json": summary}
     if cfg.swap_csv is not None:
         records = load_swap_records(cfg.swap_csv, inputs)
-        baseline = run_baseline(records, result.marks, cfg.baseline_liquidity,
+        baseline = run_baseline(records, grid.marks, cfg.baseline_liquidity,
                                 cfg.compound_cadence)
         # both venues are marked on the run's block grid
         gap = result.series.roi - baseline.roi
@@ -208,10 +208,10 @@ def cmd_sweep_fees(args) -> Outputs:
     """One zero-noise backtest per distinct fee of ``fee_grid``, on the same
     path and start state; a run keeps its series and the numbers printed."""
     inputs = {}
-    cfg, prices, clock, initial = _load_scenario(args, inputs)
+    cfg, grid, initial = _load_scenario(args, inputs)
     runs, rows = {}, []
     for tau in dict.fromkeys(cfg.fee_grid):
-        result = run_fmamm_backtest(prices, clock, tau, NO_NOISE, initial)
+        result = run_fmamm_backtest(grid, tau, NO_NOISE, initial)
         runs[sweep_run_id("fee", tau)] = result.series
         rows.append({"fee": tau, "terminal_roi": result.terminal_roi,
                      "n_rebalances": result.n_rebalances})
@@ -225,9 +225,9 @@ def cmd_sweep_fees(args) -> Outputs:
 
 def cmd_sweep_noise(args) -> Outputs:
     inputs = {}
-    cfg, prices, clock, initial = _load_scenario(args, inputs, needs_swaps=True)
-    records = load_swap_records(cfg.swap_csv, inputs)
-    volume = per_block_swap_volume(records, clock.settlement_times(), cfg.pool_fee)
+    cfg, grid, initial = _load_scenario(args, inputs, needs_swaps=True)
+    volume = per_block_swap_volume(load_swap_records(cfg.swap_csv, inputs),
+                                   grid.marks.timestamps[1:], cfg.pool_fee)
     # one backtest per distinct fraction, with zero first unless listed, so
     # each entry is reported against the zero-noise floor
     fractions = list(dict.fromkeys(cfg.noise_fractions))
@@ -236,7 +236,7 @@ def cmd_sweep_noise(args) -> Outputs:
     runs, rois = {}, {}
     for fraction in fractions:
         scenario = NoiseScenario(fraction, cfg.noise_direction, cfg.seed)
-        result = run_fmamm_backtest(prices, clock, cfg.fee, scenario, initial, volume)
+        result = run_fmamm_backtest(grid, cfg.fee, scenario, initial, volume)
         runs[sweep_run_id("noise", fraction)] = result.series
         rois[fraction] = result.terminal_roi
     print(f"{cfg.pair}: terminal roi by noise fraction (fee {cfg.fee}, {cfg.noise_direction})")

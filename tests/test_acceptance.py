@@ -126,9 +126,9 @@ def test_criterion_4_no_residual_arbitrage():
     path = sample_gbm_path(
         GbmParams(2000.0, 0.0005, step_seconds=12, horizon_seconds=12 * 100_000, seed=11)
     )
-    clock = BlockClock.for_series(path)
+    grid = block_grid_series(path, BlockClock.for_series(path))
     for tau in (0.0, 0.003):
-        result = run_fmamm_backtest(path, clock, tau)
+        result = run_fmamm_backtest(grid, tau)
         trades = result.trades
         rebalanced = trades.rebalanced
         assert rebalanced.any()
@@ -253,9 +253,9 @@ def test_criterion_8_data_dependent_reproduction():
         pair, fee = entry["pair"], float(entry["pool_fee"])
         prices = load_price_series(data_dir / entry["price_csv"], pair)
         records = load_swap_records(data_dir / entry["swap_csv"])
-        clock = BlockClock.for_series(prices)
-        result = run_fmamm_backtest(prices, clock, fee)
-        baseline = run_baseline(records, block_grid_series(prices, clock), 1.0)
+        grid = block_grid_series(prices, BlockClock.for_series(prices))
+        result = run_fmamm_backtest(grid, fee)
+        baseline = run_baseline(records, grid.marks, 1.0)
         got_pp = 100.0 * (result.terminal_roi - baseline.terminal_roi)
         expected = float(entry.get("expected_diff_pp", REFERENCE_ZERO_NOISE_PP[(pair, fee)]))
         assert np.sign(got_pp) == np.sign(expected), (pair, fee, got_pp, expected)

@@ -34,6 +34,7 @@ from fmamm.backtest import (
     NOISE_DIRECTIONS,
     TRADE_LOG_DTYPE,
     BlockClock,
+    BlockGrid,
     NO_NOISE,
     NoiseScenario,
     ScenarioConfig,
@@ -59,6 +60,11 @@ R = Reserves(20000.0, 10.0)
 TAUS = (0.0, 0.0005, 0.003, 0.01)
 
 
+def backtest(prices, clock, tau, *args, **kwargs):
+    """A run on the block grid of ``prices``, sampled as the CLI samples it."""
+    return run_fmamm_backtest(block_grid_series(prices, clock), tau, *args, **kwargs)
+
+
 def flat_series(price=2000.0, blocks=3):
     ts = 12.0 * np.arange(blocks + 1)
     return PriceSeries("X-Y", ts, np.full(blocks + 1, price))
@@ -68,7 +74,8 @@ class TestBlockClock:
     def test_settlement_grid(self):
         clock = BlockClock(mu=12.0, gamma=2.0, start=0.0, end=48.0)
         assert clock.n_blocks == 4
-        assert list(clock.settlement_times()) == [12.0, 24.0, 36.0, 48.0]
+        grid = block_grid_series(flat_series(blocks=4), clock)
+        assert list(grid.marks.timestamps) == [0.0, 12.0, 24.0, 36.0, 48.0]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -106,7 +113,7 @@ class TestBlockClock:
 class TestRunBacktest:
     def test_constant_price_no_trades(self):
         series = flat_series()
-        result = run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, NO_NOISE, R)
+        result = backtest(series, BlockClock.for_series(series), 0.0, NO_NOISE, R)
         assert np.all(result.series.roi == 0.0)
         assert result.n_rebalances == 0
 
@@ -117,7 +124,7 @@ class TestRunBacktest:
         assert (r1.y, r1.x) == (22500.0, 9.0)
         r2 = apply_trade(r1, fmamm_supply(r1, 2000.0), 0.0)
         assert (r2.y, r2.x) == (20250.0, 10.125)
-        result = run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, NO_NOISE, R)
+        result = backtest(series, BlockClock.for_series(series), 0.0, NO_NOISE, R)
         assert result.series.values[0] == 40000.0
         assert result.series.values[1] == pytest.approx(r1.value_at(2500.0), rel=1e-12)
         assert result.series.values[2] == pytest.approx(r2.value_at(2000.0), rel=1e-12)
@@ -126,27 +133,27 @@ class TestRunBacktest:
 
     def test_wide_band_only_marks(self):
         series = PriceSeries("X-Y", [0, 12, 24], [2000.0, 2100.0, 1900.0])
-        result = run_fmamm_backtest(series, BlockClock.for_series(series), 0.5, NO_NOISE, R)
+        result = backtest(series, BlockClock.for_series(series), 0.5, NO_NOISE, R)
         assert result.n_rebalances == 0
         assert result.series.values[1] == pytest.approx(R.value_at(2100.0), rel=1e-12)
         assert result.series.values[2] == pytest.approx(R.value_at(1900.0), rel=1e-12)
 
     def test_zero_fee_rebalance_invariance(self):
         path = sample_gbm_path(GbmParams(2000.0, 0.002, step_seconds=12, horizon_seconds=12 * 500, seed=9))
-        result = run_fmamm_backtest(path, BlockClock.for_series(path), 0.0)
+        result = backtest(path, BlockClock.for_series(path), 0.0)
         assert result.n_rebalances > 400
         for t in result.trades:
             assert abs(t.p_star * t.x_after - t.y_after) / t.y_after < 1e-9
 
     def test_default_initial_is_balanced(self):
         series = flat_series(price=1234.0)
-        result = run_fmamm_backtest(series, BlockClock.for_series(series), 0.0)
+        result = backtest(series, BlockClock.for_series(series), 0.0)
         assert result.summary["initial_value"] == pytest.approx(2 * 1234.0, rel=1e-12)
 
     def test_latency_samples_earlier_price(self):
         series = PriceSeries("X-Y", [0, 10, 12], [2000.0, 2500.0, 3000.0])
         clock = BlockClock(mu=12.0, gamma=2.0, start=0.0, end=12.0)
-        result = run_fmamm_backtest(series, clock, 0.0, NO_NOISE, R)
+        result = backtest(series, clock, 0.0, NO_NOISE, R)
         assert result.trades[0].p_star == 2500.0
 
     def test_latency_marks_at_the_settlement_price(self):
@@ -156,22 +163,21 @@ class TestRunBacktest:
             GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=1200, seed=6)
         )
         clock = BlockClock.for_series(path, gamma=6.0)
-        result = run_fmamm_backtest(path, clock, 0.003, NO_NOISE, R)
+        result = backtest(path, clock, 0.003, NO_NOISE, R)
         last = result.trades[-1]
         assert last.time == path.end and last.p_star == sample_at(path, [path.end - 6.0])[0]
         assert result.summary["terminal_value"] == last.y_after + path.prices[-1] * last.x_after
-        marks = block_grid_series(path, clock)
-        assert np.array_equal(result.marks.timestamps, marks.timestamps)
-        assert np.array_equal(result.marks.prices, marks.prices)
-        assert np.array_equal(result.series.timestamps, marks.timestamps)
-        values = result.trades.y_after + marks.prices[1:] * result.trades.x_after
+        marks = sample_at(path, np.arange(0.0, path.end + 1.0, 12.0))
+        assert np.array_equal(result.grid.marks.prices, marks)
+        assert np.array_equal(result.series.timestamps, result.grid.marks.timestamps)
+        values = result.trades.y_after + marks[1:] * result.trades.x_after
         assert np.array_equal(result.series.values[1:], values)
-        assert not np.array_equal(result.trades.p_star, marks.prices[1:])
+        assert not np.array_equal(result.trades.p_star, marks[1:])
 
     @pytest.mark.parametrize("gamma, calls", [(0.0, 1), (6.0, 2)])
     def test_block_grid_sampled_once(self, monkeypatch, gamma, calls):
         # the grid gives the start price, the marks and, without latency, the
-        # trade prices; only a latency samples again
+        # trade prices; only a latency samples again, and the kernel never does
         path = sample_gbm_path(
             GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=1200, seed=6)
         )
@@ -183,22 +189,44 @@ class TestRunBacktest:
             return sample_at(series, times)
 
         monkeypatch.setattr("fmamm.backtest.sample_at", counting)
-        result = run_fmamm_backtest(path, clock, 0.003)
+        grid = block_grid_series(path, clock)
         assert len(sampled) == calls and sampled[0] == clock.n_blocks + 1
-        assert np.array_equal(result.p_stars, sample_at(path, result.trades.time - gamma))
+        results = [run_fmamm_backtest(grid, tau) for tau in TAUS]
+        assert len(sampled) == calls
+        for result in results:
+            assert result.grid is grid
+            assert np.array_equal(result.trades.p_star,
+                                  sample_at(path, result.trades.time - gamma))
         if gamma == 0.0:
-            assert np.array_equal(result.p_stars, result.marks.prices[1:])
+            assert np.array_equal(grid.p_stars, grid.marks.prices[1:])
+
+    @pytest.mark.parametrize("p_stars, named", [
+        ([2000.0, 2000.0], "block grid misaligned: 2 trade prices for 3 blocks"),
+        ([[2000.0], [2000.0], [2000.0]], "block grid misaligned: 3 trade prices for 3 blocks"),
+        ([2000.0, math.nan, 2000.0], "block grid trade prices must be finite and positive"),
+        ([2000.0, 2000.0, math.inf], "block grid trade prices must be finite and positive"),
+        ([2000.0, 0.0, 2000.0], "block grid trade prices must be finite and positive"),
+        ([-2000.0, 2000.0, 2000.0], "block grid trade prices must be finite and positive"),
+    ])
+    def test_hand_built_grid_is_checked(self, p_stars, named):
+        # every trade price the kernel reads is one a PriceSeries would hold
+        marks = block_grid_series(flat_series(blocks=3), BlockClock(start=0.0, end=36.0)).marks
+        with pytest.raises(ValueError, match=re.escape(named)):
+            BlockGrid(marks, p_stars)
+        grid = BlockGrid(marks, [2000.0, 2100.0, 1900.0])
+        assert isinstance(grid.p_stars, np.ndarray)
+        assert run_fmamm_backtest(grid, 0.003, NO_NOISE, R).n_rebalances == 2
 
     def test_misaligned_volume_rejected(self):
         series = flat_series(blocks=3)
         scenario = NoiseScenario(0.1)
         with pytest.raises(ValueError, match="misaligned"):
-            run_fmamm_backtest(
+            backtest(
                 series, BlockClock.for_series(series), 0.0, scenario, R, baseline_volume=[1.0]
             )
         # a positive fraction of no volume is an error, not silently no noise
         with pytest.raises(ValueError, match="noise fraction 0.1 needs a per-block baseline_volume"):
-            run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, scenario, R)
+            backtest(series, BlockClock.for_series(series), 0.0, scenario, R)
 
     def test_bad_price_and_volume_name_the_problem(self):
         # the price series itself rejects an infinite price, so the kernel
@@ -209,7 +237,7 @@ class TestRunBacktest:
         scenario = NoiseScenario(0.1)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, scenario, R,
+                backtest(series, BlockClock.for_series(series), 0.0, scenario, R,
                                    baseline_volume=[1.0, bad, 1.0])
 
     @pytest.mark.parametrize("fraction, pool_fee", [(0.0, 1e-320), (1e308, 0.003)])
@@ -218,10 +246,10 @@ class TestRunBacktest:
         # zero noise times it is NaN; a huge fraction overflows a finite one
         series = flat_series(blocks=3)
         swaps = [SwapRecord(1, 5, 1.0, "token0", 1e9, 2000.0)]
-        clock = BlockClock.for_series(series)
-        volume = per_block_swap_volume(swaps, clock.settlement_times(), pool_fee)
+        grid = block_grid_series(series, BlockClock.for_series(series))
+        volume = per_block_swap_volume(swaps, grid.marks.timestamps[1:], pool_fee)
         with pytest.raises(ValueError, match="noise volumes must be finite"):
-            run_fmamm_backtest(series, clock, 0.003, NoiseScenario(fraction), R, volume)
+            run_fmamm_backtest(grid, 0.003, NoiseScenario(fraction), R, volume)
 
     def test_overflowing_reserves_name_the_first_block(self, monkeypatch):
         # the fee-grossed buy price overflows, so the first noisy block leaves
@@ -237,7 +265,7 @@ class TestRunBacktest:
             for blocks in (1, 2):
                 series = flat_series(price=top, blocks=quiet + blocks)
                 with pytest.raises(ValueError, match=first):
-                    run_fmamm_backtest(series, BlockClock.for_series(series), 0.5, scenario,
+                    backtest(series, BlockClock.for_series(series), 0.5, scenario,
                                        Reserves(top, 1.0), [0.0] * quiet + [1.0] * blocks)
 
     def test_trade_at_the_pole_names_the_block(self):
@@ -247,22 +275,22 @@ class TestRunBacktest:
         with pytest.raises(InfeasibleTradeError, match=re.escape(
                 "block 2 (t=24): net trade 0.49999999999995 is at or beyond the price pole "
                 "x/2 = 0.5")):
-            run_fmamm_backtest(series, BlockClock.for_series(series), 0.0, NO_NOISE,
+            backtest(series, BlockClock.for_series(series), 0.0, NO_NOISE,
                                balanced_reserves(2000.0, 1.0))
 
     def test_arithmetic_error_names_the_block_and_reserves(self):
         series = flat_series(blocks=1)
         with pytest.raises(ValueError, match=re.escape(
                 "block 1 (t=12): float division by zero at reserves y=1.0, x=0.0")):
-            run_fmamm_backtest(series, BlockClock.for_series(series), 0.003, NO_NOISE,
+            backtest(series, BlockClock.for_series(series), 0.003, NO_NOISE,
                                Reserves(1.0, 0.0))
 
     def test_balanced_noise_lower_bound(self):
         path = sample_gbm_path(GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=12 * 300, seed=21))
         clock = BlockClock.for_series(path)
         volume = np.full(clock.n_blocks, 0.05)
-        zero = run_fmamm_backtest(path, clock, 0.003, NO_NOISE, R)
-        noisy = run_fmamm_backtest(
+        zero = backtest(path, clock, 0.003, NO_NOISE, R)
+        noisy = backtest(
             path, clock, 0.003,
             NoiseScenario(1.0), R, volume,
         )
@@ -273,10 +301,10 @@ class TestRunBacktest:
         clock = BlockClock.for_series(path)
         volume = np.full(clock.n_blocks, 0.02)
         scenario = NoiseScenario(1.0, "random_sign", seed=77)
-        a = run_fmamm_backtest(path, clock, 0.003, scenario, R, volume)
-        b = run_fmamm_backtest(path, clock, 0.003, scenario, R, volume)
+        a = backtest(path, clock, 0.003, scenario, R, volume)
+        b = backtest(path, clock, 0.003, scenario, R, volume)
         assert np.array_equal(a.series.values, b.series.values)
-        c = run_fmamm_backtest(
+        c = backtest(
             path, clock, 0.003,
             NoiseScenario(1.0, "random_sign", seed=78),
             R, volume,
@@ -295,7 +323,7 @@ class TestRunBacktest:
         clock = BlockClock.for_series(path)
         tracemalloc.start()
         try:
-            result = run_fmamm_backtest(path, clock, 0.003)
+            result = backtest(path, clock, 0.003)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -306,7 +334,7 @@ class TestRunBacktest:
 def reference_backtest(prices, clock, tau, noise, initial=None, baseline_volume=None):
     """Per-block composition of ``optimal_rebalance`` and ``settle_batch``:
     the trade log and the marked values the kernel must reproduce."""
-    times = clock.settlement_times()
+    times = clock.start + clock.mu * np.arange(1, clock.n_blocks + 1)
     p_stars = sample_at(prices, times - clock.gamma)
     marks = sample_at(prices, times)
     p0 = float(sample_at(prices, [clock.start])[0])
@@ -385,7 +413,7 @@ class TestKernelMatchesReference:
         noise = NO_NOISE
         if kind != "none":
             noise = NoiseScenario(2.0, kind, seed=41)
-        result = run_fmamm_backtest(path, clock, tau, noise, None, volume)
+        result = backtest(path, clock, tau, noise, None, volume)
         reference = reference_backtest(path, clock, tau, noise, None, volume)
         assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
 
@@ -410,7 +438,7 @@ class TestKernelMatchesReference:
         noise = NO_NOISE
         if kind != "none":
             noise = NoiseScenario(2.0, kind, seed=41)
-        result = run_fmamm_backtest(path, clock, 0.003, noise, None, volume)
+        result = backtest(path, clock, 0.003, noise, None, volume)
         reference = reference_backtest(path, clock, 0.003, noise, None, volume)
         assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
 
@@ -424,7 +452,7 @@ class TestKernelMatchesReference:
         noise = NO_NOISE
         if kind != "none":
             noise = NoiseScenario(2.0, kind, seed=53)
-        result = run_fmamm_backtest(path, clock, 0.003, noise, None, volume)
+        result = backtest(path, clock, 0.003, noise, None, volume)
         reference = reference_backtest(path, clock, 0.003, noise, None, volume)
         assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
 
@@ -438,12 +466,12 @@ class TestKernelMatchesReference:
         noise = NoiseScenario(1.0, "random_sign", seed)
         args = (series, BlockClock.for_series(series), 0.0, noise, Reserves(1.0, 1.0), [0.3])
         if settles:
-            assert_matches_reference(run_fmamm_backtest(*args), reference_backtest(*args), 1e-12)
+            assert_matches_reference(backtest(*args), reference_backtest(*args), 1e-12)
             return
         with pytest.raises(ConvergenceError):
             reference_backtest(*args)
         with pytest.raises(ConvergenceError, match=r"block 1 \(t=12\)"):
-            run_fmamm_backtest(*args)
+            backtest(*args)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -465,10 +493,10 @@ class TestKernelMatchesReference:
             reference = reference_backtest(*args)
         except (ValueError, ConvergenceError) as exc:
             with pytest.raises(type(exc)) as raised:
-                run_fmamm_backtest(*args)
+                backtest(*args)
             assert type(raised.value) is type(exc)
             return
-        assert_matches_reference(run_fmamm_backtest(*args), reference, rtol=1e-12)
+        assert_matches_reference(backtest(*args), reference, rtol=1e-12)
 
     def test_band_edge_tie_is_no_trade(self):
         # p* is one ulp above the band's upper edge; the buy root rounds to
@@ -478,7 +506,7 @@ class TestKernelMatchesReference:
         assert math.nextafter(no_trade_band(reserves, 0.0, tau)[1], math.inf) == p_star
         assert optimal_rebalance(reserves, 0.0, tau, p_star).trade == 0.0
         series = PriceSeries("A-B", [0.0, 12.0], [2171.0, p_star])
-        result = run_fmamm_backtest(series, BlockClock.for_series(series), tau, initial=reserves)
+        result = backtest(series, BlockClock.for_series(series), tau, initial=reserves)
         assert result.n_rebalances == 0
         assert (result.columns[0, 1], result.columns[0, 2]) == (reserves.y, reserves.x)
 
@@ -501,7 +529,7 @@ class TestKernelMatchesReference:
         series = PriceSeries("X-Y", [0.0, 12.0], [y / x, p_star])
         # random-sign noise: seed 0 buys, seed 1 sells
         scenario = NoiseScenario(1.0, "random_sign", seed=int(a < 0.0))
-        result = run_fmamm_backtest(series, BlockClock.for_series(series), tau, scenario,
+        result = backtest(series, BlockClock.for_series(series), tau, scenario,
                                     reserves, [abs(a)])
         assert result.noise_net[0] == a
         assert result.columns[0, 0] == decision.trade
@@ -528,7 +556,7 @@ class TestKernelMatchesReference:
         noise = NO_NOISE if kind == "none" else NoiseScenario(2.0, kind, seed=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("fmamm.backtest._CHUNK", 7)
-            log = run_fmamm_backtest(path, clock, tau, noise, None, volume).trades
+            log = backtest(path, clock, tau, noise, None, volume).trades
         want = arbitrage_order(log.y_before, log.x_before, log.noise_net, tau, log.p_star)
         assert np.array_equal(log.arb_trade, want)
 
@@ -539,13 +567,29 @@ class TestZeroFeeClosedForm:
         path = sample_gbm_path(
             GbmParams(2000.0, 0.0005, step_seconds=12, horizon_seconds=12 * 100_000, seed=13)
         )
-        result = run_fmamm_backtest(path, BlockClock.for_series(path), 0.0)
+        result = backtest(path, BlockClock.for_series(path), 0.0)
         p = path.prices
         x = np.cumprod((1.0 + p[:-1] / p[1:]) / 2.0)
         y = p[1:] * x
         np.testing.assert_allclose(result.trades.x_after, x, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(result.trades.y_after, y, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(result.series.values[1:], 2.0 * y, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("gamma", [1.0, 6.0, 11.0])
+    def test_latency_closed_form(self, gamma):
+        # the pool trades at s_n, sampled gamma seconds early, so y = s_n*x and
+        # x_n = x_{n-1} (s_{n-1} + s_n) / (2 s_n), from s_0 the start mark; it is
+        # marked at the settlement price p_n, so V_n = x_n (s_n + p_n)
+        path = sample_gbm_path(
+            GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=12 * 50_000, seed=19)
+        )
+        grid = block_grid_series(path, BlockClock.for_series(path, gamma=gamma))
+        result = run_fmamm_backtest(grid, 0.0)
+        s = np.concatenate((grid.marks.prices[:1], grid.p_stars))
+        x = np.cumprod((s[:-1] + s[1:]) / (2.0 * s[1:]))
+        np.testing.assert_allclose(result.trades.x_after, x, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(result.series.values[1:], x * (s[1:] + grid.marks.prices[1:]),
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestLvrKeptIdentity:
@@ -565,11 +609,11 @@ class TestLvrKeptIdentity:
     def test_gross_return_ratio_is_the_cosh_product(self, blocks, volatility, seed):
         path = sample_gbm_path(GbmParams(2000.0, volatility, step_seconds=12,
                                          horizon_seconds=12 * blocks, seed=seed))
-        result = run_fmamm_backtest(path, BlockClock.for_series(path), 0.0)
-        baseline = run_baseline(np.empty(0, SWAP_LOG_DTYPE), result.marks, 1.0)
+        result = backtest(path, BlockClock.for_series(path), 0.0)
+        baseline = run_baseline(np.empty(0, SWAP_LOG_DTYPE), result.grid.marks, 1.0)
         fm, cp = result.series.values, baseline.values
         ratio = (fm[-1] / fm[0]) / (cp[-1] / cp[0])
-        kept = np.prod(np.cosh(0.5 * np.diff(np.log(result.marks.prices))))
+        kept = np.prod(np.cosh(0.5 * np.diff(np.log(result.grid.marks.prices))))
         assert kept >= 1.0
         assert ratio == pytest.approx(kept, rel=1e-12, abs=0.0)
 
@@ -587,7 +631,7 @@ class TestZeroLvr:
     @staticmethod
     def residual(path, tau, noise=NO_NOISE, volume=None):
         """Per block: LP value change less ``x_{n-1}·Δp*``, over the pool value."""
-        result = run_fmamm_backtest(path, BlockClock.for_series(path), tau, noise,
+        result = backtest(path, BlockClock.for_series(path), tau, noise,
                                     baseline_volume=volume)
         assert np.array_equal(result.trades.p_star, path.prices[1:])
         values = result.series.values
@@ -654,7 +698,7 @@ class TestTradeFrequency:
     def test_fraction_of_blocks_that_trade(self, paths, tau):
         fractions = []
         for path in paths:
-            result = run_fmamm_backtest(path, BlockClock.for_series(path, mu=self.MU), tau)
+            result = backtest(path, BlockClock.for_series(path, mu=self.MU), tau)
             fractions.append(result.n_rebalances / result.summary["n_blocks"])
         gamma = -math.log1p(-tau)
         want = 1.0 / (1.0 + math.sqrt(2.0 / self.MU) * gamma / self.SIGMA)
@@ -687,37 +731,37 @@ class TestNoiseScenario:
         clock = BlockClock.for_series(series)
         for fraction in (0.0, 0.25):
             noise = NoiseScenario(fraction, "balanced", 4)
-            summary = run_fmamm_backtest(series, clock, 0.003, noise, R, [1.0]).summary
+            summary = backtest(series, clock, 0.003, noise, R, [1.0]).summary
             assert "noise_mode" not in summary
             assert (summary["noise_fraction"], summary["noise_direction"], summary["seed"]) == (
                 fraction, "balanced", 4)
             # the arbitrageurs buy, so only the noise's sell leg pays in asset
             assert (summary["fee_asset_total"] > 0.0) == (fraction > 0.0)
-        assert run_fmamm_backtest(series, clock, 0.003, NO_NOISE, R).summary["noise_fraction"] == 0.0
+        assert backtest(series, clock, 0.003, NO_NOISE, R).summary["noise_fraction"] == 0.0
 
 
 class TestFeeSweep:
     def test_constant_price_all_zero(self):
         series = flat_series()
-        clock = BlockClock.for_series(series)
+        grid = block_grid_series(series, BlockClock.for_series(series))
         for tau in DEFAULT_FEE_GRID:
-            assert run_fmamm_backtest(series, clock, tau, NO_NOISE, R).terminal_roi == 0.0
+            assert run_fmamm_backtest(grid, tau, NO_NOISE, R).terminal_roi == 0.0
 
     def test_zero_fee_entry_matches_plain_run(self):
-        # runs over one path and start state share nothing: the zero-fee run
-        # of a grid is a plain run
+        # runs on one grid and start state share nothing: the zero-fee run
+        # of a sweep is a plain run
         path = sample_gbm_path(GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=1200, seed=2))
-        clock = BlockClock.for_series(path)
-        sweep = {tau: run_fmamm_backtest(path, clock, tau, NO_NOISE, R) for tau in DEFAULT_FEE_GRID}
-        plain = run_fmamm_backtest(path, clock, 0.0, NO_NOISE, R)
+        grid = block_grid_series(path, BlockClock.for_series(path))
+        sweep = {tau: run_fmamm_backtest(grid, tau, NO_NOISE, R) for tau in DEFAULT_FEE_GRID}
+        plain = backtest(path, BlockClock.for_series(path), 0.0, NO_NOISE, R)
         assert np.array_equal(sweep[0.0].series.values, plain.series.values)
 
     def test_trend_rebalance_counts_fall_with_fee(self):
         ts = 12.0 * np.arange(101)
         prices = 2000.0 * 1.001 ** np.arange(101)  # steady one-way trend
         series = PriceSeries("X-Y", ts, prices)
-        clock = BlockClock.for_series(series)
-        counts = [run_fmamm_backtest(series, clock, tau, NO_NOISE, R).n_rebalances
+        grid = block_grid_series(series, BlockClock.for_series(series))
+        counts = [run_fmamm_backtest(grid, tau, NO_NOISE, R).n_rebalances
                   for tau in (0.0, 0.003, 0.05)]
         assert counts[0] == 100
         assert counts[0] >= counts[1] >= counts[2]
@@ -730,8 +774,8 @@ class TestNoiseSweep:
 
     @staticmethod
     def sweep(path, fractions, volume):
-        clock = BlockClock.for_series(path)
-        return {f: run_fmamm_backtest(path, clock, 0.003, NoiseScenario(f), R, volume)
+        grid = block_grid_series(path, BlockClock.for_series(path))
+        return {f: run_fmamm_backtest(grid, 0.003, NoiseScenario(f), R, volume)
                 for f in fractions}
 
     def test_zero_fraction_is_zero_noise(self):
@@ -739,11 +783,11 @@ class TestNoiseSweep:
         path = self.make_path()
         clock = BlockClock.for_series(path)
         volume = np.full(clock.n_blocks, 0.05)
-        plain = run_fmamm_backtest(path, clock, 0.003, NO_NOISE, R)
+        plain = backtest(path, clock, 0.003, NO_NOISE, R)
         assert plain.n_rebalances > 0
         assert self.sweep(path, (0.5,), volume)[0.5].terminal_roi > plain.terminal_roi
         for direction in NOISE_DIRECTIONS:
-            zero = run_fmamm_backtest(path, clock, 0.003, NoiseScenario(0.0, direction, 9), R,
+            zero = backtest(path, clock, 0.003, NoiseScenario(0.0, direction, 9), R,
                                       volume)
             assert np.array_equal(zero.series.values, plain.series.values)
             assert np.array_equal(zero.series.roi, plain.series.roi)
@@ -1066,15 +1110,8 @@ class TestBlockGridSeries:
         series = PriceSeries("X-Y", ts, prices)
         clock = BlockClock(mu=12.0, start=0.0, end=60.0)
         grid = block_grid_series(series, clock)
-        assert list(grid.timestamps) == [0.0, 12.0, 24.0, 36.0, 48.0, 60.0]
-        assert list(grid.prices) == [2000.0, 2012.0, 2024.0, 2036.0, 2048.0, 2060.0]
-
-    def test_grid_intersects_backtest_series_fully(self):
-        ts = np.arange(0, 241)
-        rng = np.random.default_rng(0)
-        series = PriceSeries("X-Y", ts, 2000.0 * np.exp(rng.normal(0, 1e-4, ts.size)).cumprod())
-        clock = BlockClock.for_series(series)
-        result = run_fmamm_backtest(series, clock, 0.003)
-        grid = block_grid_series(series, clock)
-        common = np.intersect1d(result.series.timestamps, grid.timestamps)
-        assert common.size == clock.n_blocks + 1
+        assert list(grid.marks.timestamps) == [0.0, 12.0, 24.0, 36.0, 48.0, 60.0]
+        assert list(grid.marks.prices) == [2000.0, 2012.0, 2024.0, 2036.0, 2048.0, 2060.0]
+        # a run is marked on its grid, so the two series intersect fully
+        result = run_fmamm_backtest(grid, 0.003)
+        assert np.array_equal(result.series.timestamps, grid.marks.timestamps)

@@ -1,5 +1,6 @@
 """Command-line interface tests: outputs, exit codes, and reproducibility."""
 
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from fmamm.backtest import (
     NoiseScenario,
     ScenarioConfig,
     balanced_reserves,
+    block_grid_series,
     run_fmamm_backtest,
 )
 from fmamm.cli import MAX_DRAWS, main
@@ -387,7 +390,7 @@ class TestSweepCommands:
         calls = []
         run = fmamm.cli.run_fmamm_backtest
         monkeypatch.setattr("fmamm.cli.run_fmamm_backtest",
-                            lambda *args: calls.append(args[2:4]) or run(*args))
+                            lambda *args: calls.append(args[1:3]) or run(*args))
         for command, key, grid, runs in (
             ("sweep-fees", "fee", [0.003, 0.0], ["fee_0.003", "fee_0"]),
             ("sweep-noise", "fraction", [0.0, 0.1], ["noise_0", "noise_0.1"]),
@@ -433,7 +436,7 @@ class TestSweepCommands:
 
     def test_one_forward_fill_warning_per_command(self, tmp_path):
         # a 360 s gap in the price rows: each command samples the block grid
-        # once per run and warns once
+        # once, for all of its runs, and warns once
         series = write_price_csv(tmp_path / "prices.csv", blocks=100)
         write_swap_csv(tmp_path / "swaps.csv", series)
         lines = (tmp_path / "prices.csv").read_text().splitlines()
@@ -446,6 +449,59 @@ class TestSweepCommands:
             assert done.returncode == 0, done.stderr
             assert done.stderr.count("forward-filled") == 1, (command, done.stderr)
             assert "(max gap 360s)" in done.stderr
+
+    @pytest.mark.parametrize("gamma, samples", [(0, 1), (5, 2)])
+    def test_one_block_grid_per_command(self, tmp_path, capsys, monkeypatch, gamma, samples):
+        # the marks, and at a latency the trade prices, are sampled once per
+        # command, however many runs share them
+        series = write_price_csv(tmp_path / "prices.csv", blocks=60)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
+                           gamma=gamma, fee_grid=[0.0, 0.0005, 0.003, 0.01],
+                           noise_fractions=[0.1, 0.3])
+        calls = []
+        for module, name in ((fmamm.cli, "block_grid_series"), (fmamm.backtest, "sample_at"),
+                             (fmamm.uniswap, "sample_at"), (fmamm.cli, "run_fmamm_backtest")):
+            def counting(*args, _name=name, _call=getattr(module, name)):
+                calls.append(_name)
+                return _call(*args)
+            monkeypatch.setattr(module, name, counting)
+        for command, runs in (("backtest", 1), ("sweep-fees", 4), ("sweep-noise", 3)):
+            calls.clear()
+            assert main([command, "--config", str(cfg)]) == 0, capsys.readouterr().err
+            assert [calls.count(name) for name in (
+                "block_grid_series", "sample_at", "run_fmamm_backtest")] == [1, samples, runs]
+
+    def test_no_dense_input_outlives_its_use(self, tmp_path, capsys, monkeypatch):
+        # when a kernel run or the swap load starts, the dense price series
+        # and every swap log loaded before it are unreachable
+        series = write_price_csv(tmp_path / "prices.csv", blocks=60)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
+                           fee_grid=[0.0, 0.003], noise_fractions=[0.1])
+        loaded, alive = [], []
+
+        def wrap(name, checked):
+            call = getattr(fmamm.cli, name)
+
+            def wrapped(*args):
+                if checked:
+                    gc.collect()
+                    alive.extend((name, held) for held, ref in loaded if ref() is not None)
+                result = call(*args)
+                if name.startswith("load_"):
+                    loaded.append((name, weakref.ref(result)))
+                return result
+            monkeypatch.setattr(fmamm.cli, name, wrapped)
+
+        wrap("load_price_series", False)
+        wrap("load_swap_records", True)
+        wrap("run_fmamm_backtest", True)
+        for command in ("backtest", "sweep-fees", "sweep-noise"):
+            loaded.clear()
+            assert main([command, "--config", str(cfg)]) == 0, capsys.readouterr().err
+            assert len(loaded) == (1 if command == "sweep-fees" else 2)
+            assert alive == [], command
 
     def test_noise_beyond_the_pole_names_the_block(self, tmp_path, capsys):
         # one asset unit of depth; random-sign noise of 0.5-2 units buys past x/2
@@ -778,8 +834,9 @@ SCENARIO_KEYS = ["fee", "mu", "gamma", "seed", "initial_x", "baseline_liquidity"
 def library_rejects(key, value) -> bool:
     """Whether the library object that takes a scenario key's value rejects it."""
     flat = PriceSeries("X-Y", [0.0, 12.0], [0.25, 0.25])  # 2*sqrt(p) = 1: no overflow
+    grid = block_grid_series(flat, BlockClock.for_series(flat))
     takes = {
-        "fee": lambda v: run_fmamm_backtest(flat, BlockClock.for_series(flat), v),
+        "fee": lambda v: run_fmamm_backtest(grid, v),
         "mu": lambda v: BlockClock(mu=v),
         "gamma": lambda v: BlockClock(gamma=v),
         "seed": lambda v: NoiseScenario(seed=v),

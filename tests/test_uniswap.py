@@ -79,6 +79,20 @@ class TestRunBaseline:
         a = run_baseline(recs, series, 1.0)
         b = run_baseline(recs, series, 1e6)
         assert np.allclose(a.roi, b.roi, rtol=1e-12, atol=1e-15)
+        # a power-of-two position scales every value exactly, so the ROI is
+        # bit-identical at each cadence; marks 5 minutes apart over 3 days
+        # leave fees pending between daily compoundings
+        rng = np.random.default_rng(29)
+        marks = PriceSeries("X-Y", 300.0 * np.arange(865),
+                            4.0 * np.exp(np.cumsum(rng.normal(0.0, 0.002, 865))))
+        times = np.sort(rng.integers(1, 300 * 864, 200))
+        recs = [record(block=i + 1, ts=int(t), fee=float(rng.uniform(1.0, 100.0)),
+                       token=("token0", "token1")[i % 2], liq=1e12) for i, t in enumerate(times)]
+        for cadence in ("swap", "block", "day"):
+            roi = run_baseline(recs, marks, 1.0, cadence).roi
+            for k in (-3, 5, 20):
+                scaled = run_baseline(recs, marks, 2.0**k, cadence).roi
+                assert np.array_equal(scaled, roi), (cadence, k)
 
     def test_fee_monotonicity(self):
         series = PriceSeries("X-Y", [0, 12, 24], [4.0, 4.1, 4.05])

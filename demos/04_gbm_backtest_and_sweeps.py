@@ -10,7 +10,6 @@ import numpy as np
 from fmamm.backtest import (
     DEFAULT_FEE_GRID,
     NO_NOISE,
-    BlockClock,
     NoiseScenario,
     block_grid_series,
     run_fmamm_backtest,
@@ -27,7 +26,7 @@ def main():
                   horizon_seconds=12 * BLOCKS, seed=7)
     )
     # one block grid for every run below: the path is sampled once
-    grid = block_grid_series(path, BlockClock.for_series(path))
+    grid = block_grid_series(path)
     print(f"path: {BLOCKS} blocks, terminal price {path.prices[-1]:.2f} "
           f"(start {path.prices[0]:.0f})\n")
 

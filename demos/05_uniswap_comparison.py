@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from fmamm.backtest import BlockClock, block_grid_series, run_fmamm_backtest
+from fmamm.backtest import block_grid_series, run_fmamm_backtest
 from fmamm.market_data import GbmParams, sample_gbm_path
 from fmamm.uniswap import SwapRecord, run_baseline
 
@@ -43,7 +43,7 @@ def main():
         GbmParams(1850.0, 0.0006, step_seconds=12, horizon_seconds=12 * BLOCKS, seed=13)
     )
     records = synthetic_swaps(path, rng)
-    grid = block_grid_series(path, BlockClock.for_series(path))
+    grid = block_grid_series(path)
     counterfactual = run_fmamm_backtest(grid, POOL_FEE)
     # both venues are marked on one block grid, so the gap is a difference
     baseline = run_baseline(records, grid.marks, initial_liquidity=1.0)

@@ -55,7 +55,6 @@ from fmamm.market_data import (
 from fmamm.uniswap import _check_cadence, _check_pool_fee
 
 __all__ = [
-    "BlockClock",
     "BlockGrid",
     "NoiseScenario",
     "NO_NOISE",
@@ -91,41 +90,6 @@ def _check_clock(mu: float, gamma: float, mu_name: str = "mu", gamma_name: str =
         raise ValueError(f"{mu_name} must be positive and finite, got {mu!r}")
     if not 0.0 <= gamma < mu:
         raise ValueError(f"{gamma_name} must be in [0, mu) with mu={mu!r}, got {gamma!r}")
-
-
-@dataclass(frozen=True)
-class BlockClock:
-    """Block cadence: settlement every ``mu`` seconds from ``start``,
-    prices observed ``gamma`` seconds before each settlement.  Every field
-    is finite, ``mu`` is positive and ``0 <= gamma < mu``."""
-
-    mu: float = 12.0
-    gamma: float = 0.0
-    start: float = 0.0
-    end: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_clock(self.mu, self.gamma)
-        for name in ("start", "end"):
-            if not -math.inf < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.end < self.start:
-            raise ValueError(f"end {self.end} before start {self.start}")
-        count = (self.end - self.start) // self.mu
-        if count > MAX_BLOCKS:
-            raise ValueError(
-                f"mu={self.mu!r} gives {format_number(count)} blocks over "
-                f"[{format_number(self.start)}, {format_number(self.end)}], "
-                f"more than MAX_BLOCKS={MAX_BLOCKS}"
-            )
-
-    @property
-    def n_blocks(self) -> int:
-        return int((self.end - self.start) // self.mu)
-
-    @classmethod
-    def for_series(cls, series: PriceSeries, mu: float = 12.0, gamma: float = 0.0) -> "BlockClock":
-        return cls(mu=mu, gamma=gamma, start=series.start, end=series.end)
 
 
 def _check_direction(direction: str, name: str = "direction") -> None:
@@ -249,15 +213,24 @@ def balanced_reserves(price: float, asset_depth: float = 1.0) -> Reserves:
     return Reserves(price * asset_depth, asset_depth)
 
 
-def block_grid_series(series: PriceSeries, clock: BlockClock) -> BlockGrid:
-    """The series sampled once onto the clock's block grid, for every
-    scenario on this path: the forward-filled marks at the start and at each
-    settlement are the trade prices too, unless ``gamma`` samples those
-    again, ``gamma`` seconds before each settlement."""
-    times = clock.start + clock.mu * np.arange(clock.n_blocks + 1)
+def block_grid_series(series: PriceSeries, mu: float = 12.0, gamma: float = 0.0) -> BlockGrid:
+    """The series sampled once onto its block grid, for every scenario on
+    this path: a settlement every ``mu`` seconds from the series' start up
+    to its end, with prices observed ``gamma`` seconds before each.  The
+    forward-filled marks at the start and at each settlement are the trade
+    prices too, unless ``gamma`` samples those again.  ``mu`` is positive
+    and finite, ``0 <= gamma < mu``, and a grid of more than
+    :data:`MAX_BLOCKS` blocks is rejected before anything is allocated."""
+    _check_clock(mu, gamma)
+    start, end = series.start, series.end
+    count = (end - start) // mu
+    if count > MAX_BLOCKS:
+        raise ValueError(f"mu={mu!r} gives {format_number(count)} blocks over "
+                         f"[{format_number(start)}, {format_number(end)}], "
+                         f"more than MAX_BLOCKS={MAX_BLOCKS}")
+    times = start + mu * np.arange(int(count) + 1)
     marks = PriceSeries(series.pair, times, sample_at(series, times))
-    return BlockGrid(marks, sample_at(series, times[1:] - clock.gamma) if clock.gamma
-                     else marks.prices[1:])
+    return BlockGrid(marks, sample_at(series, times[1:] - gamma) if gamma else marks.prices[1:])
 
 
 def _where(times: np.ndarray, i: int) -> str:
@@ -293,9 +266,10 @@ def run_fmamm_backtest(
     price, and mark the reserves at the grid's mark, as the baseline is
     marked.  ``initial`` defaults to value-balanced reserves of one asset
     unit at the first mark (the fixed point of the zero-fee strategy, so the
-    run starts neutral).  The kernel samples nothing: :func:`block_grid_series`
-    samples the grid, once for every scenario on a path, so a forward-fill
-    warning on a gapped series names that function's line.
+    run starts neutral).  The kernel samples nothing:
+    ``block_grid_series(series, mu, gamma)`` samples the grid, once for every
+    scenario on a path, so a forward-fill warning on a gapped series names
+    that function's line.
 
     The loop works on plain floats.  Its arbitrage order inlines
     :func:`fmamm.arbitrage.arbitrage_order` bit for bit, and it settles with

@@ -39,7 +39,6 @@ from fmamm.amm import (
 )
 from fmamm.arbitrage import cpamm_arbitrage_profit, malicious_operator_attack
 from fmamm.backtest import (
-    BlockClock,
     NO_NOISE,
     NoiseScenario,
     ScenarioConfig,
@@ -170,12 +169,11 @@ def _load_scenario(args, inputs: dict, needs_swaps=False):
         raise ValueError(f"{args.config}: {args.command} needs config keys 'swap_csv' and "
                          "'pool_fee' to infer per-block baseline volume")
     prices = load_price_series(cfg.price_csv, cfg.pair, inputs)
-    clock = BlockClock.for_series(prices, mu=cfg.mu, gamma=cfg.gamma)
     p0 = float(prices.prices[0])
     if not p0 * cfg.initial_x < math.inf:
         raise ValueError(f"{args.config}: config key 'initial_x' {cfg.initial_x!r} at the "
                          f"first price {p0!r} overflows the numeraire reserve")
-    return cfg, block_grid_series(prices, clock), balanced_reserves(p0, cfg.initial_x)
+    return cfg, block_grid_series(prices, cfg.mu, cfg.gamma), balanced_reserves(p0, cfg.initial_x)
 
 
 def cmd_backtest(args) -> Outputs:

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from fmamm.amm import _check_size
-from fmamm.market_data import LpReturnSeries, PriceSeries, _read_csv, format_number, sample_at
+from fmamm.market_data import LpReturnSeries, PriceSeries, _read_csv, format_number
 
 __all__ = [
     "SWAP_LOG_DTYPE",
@@ -150,8 +150,8 @@ def run_baseline(
     them by block and by timestamp.
 
     ``block`` and ``day`` compound at the mark price (``day`` at the first
-    mark of each new UTC day); ``swap`` compounds after each swap at the price
-    sampled at its timestamp, clipped to the marks' range.  A swap before
+    mark of each new UTC day); ``swap`` compounds after each swap at its own
+    ``post_price``, the pool's price right after it.  A swap before
     the first mark is accrued at the first mark, and one after the last
     mark is ignored with a warning.  ``initial_liquidity`` is a normal
     float, like every size (at least ``sys.float_info.min``).  A value that
@@ -183,7 +183,7 @@ def run_baseline(
         # it converts them at; ``passed`` counts the points at or before each mark.
         if compound_cadence == "swap":
             accrued = np.arange(1, kept + 1)
-            point_prices = sample_at(price_series, np.maximum(log.timestamp[:kept], marks[0]))
+            point_prices = log.post_price[:kept]
             passed = cut
         else:  # every mark, or the first mark of each new UTC day
             days = np.floor(marks / 86400.0)

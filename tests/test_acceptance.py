@@ -22,7 +22,6 @@ from fmamm.amm import (
 )
 from fmamm.arbitrage import cpamm_arbitrage_profit, malicious_operator_attack, optimal_rebalance
 from fmamm.backtest import (
-    BlockClock,
     block_grid_series,
     risk_monte_carlo,
     run_fmamm_backtest,
@@ -126,7 +125,7 @@ def test_criterion_4_no_residual_arbitrage():
     path = sample_gbm_path(
         GbmParams(2000.0, 0.0005, step_seconds=12, horizon_seconds=12 * 100_000, seed=11)
     )
-    grid = block_grid_series(path, BlockClock.for_series(path))
+    grid = block_grid_series(path)
     for tau in (0.0, 0.003):
         result = run_fmamm_backtest(grid, tau)
         trades = result.trades
@@ -253,7 +252,7 @@ def test_criterion_8_data_dependent_reproduction():
         pair, fee = entry["pair"], float(entry["pool_fee"])
         prices = load_price_series(data_dir / entry["price_csv"], pair)
         records = load_swap_records(data_dir / entry["swap_csv"])
-        grid = block_grid_series(prices, BlockClock.for_series(prices))
+        grid = block_grid_series(prices)
         result = run_fmamm_backtest(grid, fee)
         baseline = run_baseline(records, grid.marks, 1.0)
         got_pp = 100.0 * (result.terminal_roi - baseline.terminal_roi)

@@ -33,7 +33,6 @@ from fmamm.backtest import (
     MAX_BLOCKS,
     NOISE_DIRECTIONS,
     TRADE_LOG_DTYPE,
-    BlockClock,
     BlockGrid,
     NO_NOISE,
     NoiseScenario,
@@ -60,9 +59,9 @@ R = Reserves(20000.0, 10.0)
 TAUS = (0.0, 0.0005, 0.003, 0.01)
 
 
-def backtest(prices, clock, tau, *args, **kwargs):
+def backtest(prices, tau, *args, mu=12.0, gamma=0.0, **kwargs):
     """A run on the block grid of ``prices``, sampled as the CLI samples it."""
-    return run_fmamm_backtest(block_grid_series(prices, clock), tau, *args, **kwargs)
+    return run_fmamm_backtest(block_grid_series(prices, mu, gamma), tau, *args, **kwargs)
 
 
 def flat_series(price=2000.0, blocks=3):
@@ -71,25 +70,35 @@ def flat_series(price=2000.0, blocks=3):
 
 
 class TestBlockClock:
+    """The clock ``block_grid_series`` lays over a series: ``mu`` and ``gamma``
+    are checked there, and the start and end come from the series, which
+    holds them finite and in order."""
+
     def test_settlement_grid(self):
-        clock = BlockClock(mu=12.0, gamma=2.0, start=0.0, end=48.0)
-        assert clock.n_blocks == 4
-        grid = block_grid_series(flat_series(blocks=4), clock)
+        grid = block_grid_series(flat_series(blocks=4), mu=12.0, gamma=2.0)
         assert list(grid.marks.timestamps) == [0.0, 12.0, 24.0, 36.0, 48.0]
+        assert grid.p_stars.size == 4
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            BlockClock(mu=12.0, gamma=12.0)
-        with pytest.raises(ValueError):
-            BlockClock(mu=0.0)
-        with pytest.raises(ValueError):
-            BlockClock(start=10.0, end=0.0)
+        with pytest.raises(ValueError, match="gamma must be in"):
+            block_grid_series(flat_series(), mu=12.0, gamma=12.0)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            block_grid_series(flat_series(), mu=0.0)
+        with pytest.raises(PriceDataError, match="not after previous"):
+            PriceSeries("X-Y", [10.0, 0.0], [2000.0, 2000.0])
 
     @pytest.mark.parametrize("field", ["mu", "gamma", "start", "end"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_field_named(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be "):
-            BlockClock(**{field: value})
+        if field in ("mu", "gamma"):
+            with pytest.raises(ValueError, match=f"^{field} must be "):
+                block_grid_series(flat_series(), **{field: value})
+            return
+        # the series the grid takes its start and end from cannot hold them
+        ts = [0.0, 12.0]
+        ts[field == "end"] = value
+        with pytest.raises(PriceDataError, match="is not finite"):
+            PriceSeries("X-Y", ts, [2000.0, 2000.0])
 
     @pytest.mark.parametrize("mu, end, count", [
         (1e-300, 1e6, "1e+306"),
@@ -97,23 +106,31 @@ class TestBlockClock:
         (1.0, MAX_BLOCKS + 1.0, str(MAX_BLOCKS + 1)),
     ])
     def test_block_count_bounded_without_allocating(self, mu, end, count):
+        series = PriceSeries("X-Y", [0.0, end], [2000.0, 2000.0])
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=rf"mu={mu!r} gives {re.escape(count)} blocks"):
-                BlockClock(mu=mu, start=0.0, end=end)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"mu={mu!r} gives {count} blocks over [0, {end:.0f}], "
+                    f"more than MAX_BLOCKS={MAX_BLOCKS}")):
+                block_grid_series(series, mu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_block_count_at_the_bound_accepted(self):
-        assert BlockClock(mu=1.0, start=0.0, end=float(MAX_BLOCKS)).n_blocks == MAX_BLOCKS
+    def test_block_count_at_the_bound_accepted(self, monkeypatch):
+        # a real grid at the bound would take gigabytes: a small bound shows the edge
+        monkeypatch.setattr("fmamm.backtest.MAX_BLOCKS", 5)
+        assert block_grid_series(flat_series(blocks=5)).p_stars.size == 5
+        with pytest.raises(ValueError, match=re.escape("gives 6 blocks over [0, 72], more than "
+                                                       "MAX_BLOCKS=5")):
+            block_grid_series(flat_series(blocks=6))
 
 
 class TestRunBacktest:
     def test_constant_price_no_trades(self):
         series = flat_series()
-        result = backtest(series, BlockClock.for_series(series), 0.0, NO_NOISE, R)
+        result = backtest(series, 0.0, NO_NOISE, R)
         assert np.all(result.series.roi == 0.0)
         assert result.n_rebalances == 0
 
@@ -124,7 +141,7 @@ class TestRunBacktest:
         assert (r1.y, r1.x) == (22500.0, 9.0)
         r2 = apply_trade(r1, fmamm_supply(r1, 2000.0), 0.0)
         assert (r2.y, r2.x) == (20250.0, 10.125)
-        result = backtest(series, BlockClock.for_series(series), 0.0, NO_NOISE, R)
+        result = backtest(series, 0.0, NO_NOISE, R)
         assert result.series.values[0] == 40000.0
         assert result.series.values[1] == pytest.approx(r1.value_at(2500.0), rel=1e-12)
         assert result.series.values[2] == pytest.approx(r2.value_at(2000.0), rel=1e-12)
@@ -133,27 +150,26 @@ class TestRunBacktest:
 
     def test_wide_band_only_marks(self):
         series = PriceSeries("X-Y", [0, 12, 24], [2000.0, 2100.0, 1900.0])
-        result = backtest(series, BlockClock.for_series(series), 0.5, NO_NOISE, R)
+        result = backtest(series, 0.5, NO_NOISE, R)
         assert result.n_rebalances == 0
         assert result.series.values[1] == pytest.approx(R.value_at(2100.0), rel=1e-12)
         assert result.series.values[2] == pytest.approx(R.value_at(1900.0), rel=1e-12)
 
     def test_zero_fee_rebalance_invariance(self):
         path = sample_gbm_path(GbmParams(2000.0, 0.002, step_seconds=12, horizon_seconds=12 * 500, seed=9))
-        result = backtest(path, BlockClock.for_series(path), 0.0)
+        result = backtest(path, 0.0)
         assert result.n_rebalances > 400
         for t in result.trades:
             assert abs(t.p_star * t.x_after - t.y_after) / t.y_after < 1e-9
 
     def test_default_initial_is_balanced(self):
         series = flat_series(price=1234.0)
-        result = backtest(series, BlockClock.for_series(series), 0.0)
+        result = backtest(series, 0.0)
         assert result.summary["initial_value"] == pytest.approx(2 * 1234.0, rel=1e-12)
 
     def test_latency_samples_earlier_price(self):
         series = PriceSeries("X-Y", [0, 10, 12], [2000.0, 2500.0, 3000.0])
-        clock = BlockClock(mu=12.0, gamma=2.0, start=0.0, end=12.0)
-        result = backtest(series, clock, 0.0, NO_NOISE, R)
+        result = backtest(series, 0.0, NO_NOISE, R, gamma=2.0)
         assert result.trades[0].p_star == 2500.0
 
     def test_latency_marks_at_the_settlement_price(self):
@@ -162,8 +178,7 @@ class TestRunBacktest:
         path = sample_gbm_path(
             GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=1200, seed=6)
         )
-        clock = BlockClock.for_series(path, gamma=6.0)
-        result = backtest(path, clock, 0.003, NO_NOISE, R)
+        result = backtest(path, 0.003, NO_NOISE, R, gamma=6.0)
         last = result.trades[-1]
         assert last.time == path.end and last.p_star == sample_at(path, [path.end - 6.0])[0]
         assert result.summary["terminal_value"] == last.y_after + path.prices[-1] * last.x_after
@@ -181,7 +196,6 @@ class TestRunBacktest:
         path = sample_gbm_path(
             GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=1200, seed=6)
         )
-        clock = BlockClock.for_series(path, gamma=gamma)
         sampled = []
 
         def counting(series, times):
@@ -189,8 +203,8 @@ class TestRunBacktest:
             return sample_at(series, times)
 
         monkeypatch.setattr("fmamm.backtest.sample_at", counting)
-        grid = block_grid_series(path, clock)
-        assert len(sampled) == calls and sampled[0] == clock.n_blocks + 1
+        grid = block_grid_series(path, gamma=gamma)
+        assert len(sampled) == calls and sampled[0] == 1200 // 12 + 1
         results = [run_fmamm_backtest(grid, tau) for tau in TAUS]
         assert len(sampled) == calls
         for result in results:
@@ -210,7 +224,7 @@ class TestRunBacktest:
     ])
     def test_hand_built_grid_is_checked(self, p_stars, named):
         # every trade price the kernel reads is one a PriceSeries would hold
-        marks = block_grid_series(flat_series(blocks=3), BlockClock(start=0.0, end=36.0)).marks
+        marks = block_grid_series(flat_series(blocks=3)).marks
         with pytest.raises(ValueError, match=re.escape(named)):
             BlockGrid(marks, p_stars)
         grid = BlockGrid(marks, [2000.0, 2100.0, 1900.0])
@@ -221,12 +235,10 @@ class TestRunBacktest:
         series = flat_series(blocks=3)
         scenario = NoiseScenario(0.1)
         with pytest.raises(ValueError, match="misaligned"):
-            backtest(
-                series, BlockClock.for_series(series), 0.0, scenario, R, baseline_volume=[1.0]
-            )
+            backtest(series, 0.0, scenario, R, baseline_volume=[1.0])
         # a positive fraction of no volume is an error, not silently no noise
         with pytest.raises(ValueError, match="noise fraction 0.1 needs a per-block baseline_volume"):
-            backtest(series, BlockClock.for_series(series), 0.0, scenario, R)
+            backtest(series, 0.0, scenario, R)
 
     def test_bad_price_and_volume_name_the_problem(self):
         # the price series itself rejects an infinite price, so the kernel
@@ -237,8 +249,7 @@ class TestRunBacktest:
         scenario = NoiseScenario(0.1)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                backtest(series, BlockClock.for_series(series), 0.0, scenario, R,
-                                   baseline_volume=[1.0, bad, 1.0])
+                backtest(series, 0.0, scenario, R, baseline_volume=[1.0, bad, 1.0])
 
     @pytest.mark.parametrize("fraction, pool_fee", [(0.0, 1e-320), (1e308, 0.003)])
     def test_overflowing_noise_volume_is_rejected_without_a_warning(self, fraction, pool_fee):
@@ -246,7 +257,7 @@ class TestRunBacktest:
         # zero noise times it is NaN; a huge fraction overflows a finite one
         series = flat_series(blocks=3)
         swaps = [SwapRecord(1, 5, 1.0, "token0", 1e9, 2000.0)]
-        grid = block_grid_series(series, BlockClock.for_series(series))
+        grid = block_grid_series(series)
         volume = per_block_swap_volume(swaps, grid.marks.timestamps[1:], pool_fee)
         with pytest.raises(ValueError, match="noise volumes must be finite"):
             run_fmamm_backtest(grid, 0.003, NoiseScenario(fraction), R, volume)
@@ -265,8 +276,8 @@ class TestRunBacktest:
             for blocks in (1, 2):
                 series = flat_series(price=top, blocks=quiet + blocks)
                 with pytest.raises(ValueError, match=first):
-                    backtest(series, BlockClock.for_series(series), 0.5, scenario,
-                                       Reserves(top, 1.0), [0.0] * quiet + [1.0] * blocks)
+                    backtest(series, 0.5, scenario, Reserves(top, 1.0),
+                             [0.0] * quiet + [1.0] * blocks)
 
     def test_trade_at_the_pole_names_the_block(self):
         # a 1e13x jump: the arbitrageurs' buy rounds onto the pole x/2 itself,
@@ -275,40 +286,29 @@ class TestRunBacktest:
         with pytest.raises(InfeasibleTradeError, match=re.escape(
                 "block 2 (t=24): net trade 0.49999999999995 is at or beyond the price pole "
                 "x/2 = 0.5")):
-            backtest(series, BlockClock.for_series(series), 0.0, NO_NOISE,
-                               balanced_reserves(2000.0, 1.0))
+            backtest(series, 0.0, NO_NOISE, balanced_reserves(2000.0, 1.0))
 
     def test_arithmetic_error_names_the_block_and_reserves(self):
         series = flat_series(blocks=1)
         with pytest.raises(ValueError, match=re.escape(
                 "block 1 (t=12): float division by zero at reserves y=1.0, x=0.0")):
-            backtest(series, BlockClock.for_series(series), 0.003, NO_NOISE,
-                               Reserves(1.0, 0.0))
+            backtest(series, 0.003, NO_NOISE, Reserves(1.0, 0.0))
 
     def test_balanced_noise_lower_bound(self):
         path = sample_gbm_path(GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=12 * 300, seed=21))
-        clock = BlockClock.for_series(path)
-        volume = np.full(clock.n_blocks, 0.05)
-        zero = backtest(path, clock, 0.003, NO_NOISE, R)
-        noisy = backtest(
-            path, clock, 0.003,
-            NoiseScenario(1.0), R, volume,
-        )
+        volume = np.full(len(path) - 1, 0.05)
+        zero = backtest(path, 0.003, NO_NOISE, R)
+        noisy = backtest(path, 0.003, NoiseScenario(1.0), R, volume)
         assert noisy.terminal_roi >= zero.terminal_roi
 
     def test_random_sign_deterministic(self):
         path = sample_gbm_path(GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=1200, seed=5))
-        clock = BlockClock.for_series(path)
-        volume = np.full(clock.n_blocks, 0.02)
+        volume = np.full(len(path) - 1, 0.02)
         scenario = NoiseScenario(1.0, "random_sign", seed=77)
-        a = backtest(path, clock, 0.003, scenario, R, volume)
-        b = backtest(path, clock, 0.003, scenario, R, volume)
+        a = backtest(path, 0.003, scenario, R, volume)
+        b = backtest(path, 0.003, scenario, R, volume)
         assert np.array_equal(a.series.values, b.series.values)
-        c = backtest(
-            path, clock, 0.003,
-            NoiseScenario(1.0, "random_sign", seed=78),
-            R, volume,
-        )
+        c = backtest(path, 0.003, NoiseScenario(1.0, "random_sign", seed=78), R, volume)
         assert not np.array_equal(a.series.values, c.series.values)
 
     def test_peak_memory_per_block_is_bounded(self):
@@ -320,10 +320,9 @@ class TestRunBacktest:
         path = sample_gbm_path(
             GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=12 * blocks, seed=59)
         )
-        clock = BlockClock.for_series(path)
         tracemalloc.start()
         try:
-            result = backtest(path, clock, 0.003)
+            result = backtest(path, 0.003)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -331,13 +330,14 @@ class TestRunBacktest:
         assert peak <= 250 * blocks, peak / blocks
 
 
-def reference_backtest(prices, clock, tau, noise, initial=None, baseline_volume=None):
+def reference_backtest(prices, tau, noise, initial=None, baseline_volume=None, mu=12.0,
+                       gamma=0.0):
     """Per-block composition of ``optimal_rebalance`` and ``settle_batch``:
     the trade log and the marked values the kernel must reproduce."""
-    times = clock.start + clock.mu * np.arange(1, clock.n_blocks + 1)
-    p_stars = sample_at(prices, times - clock.gamma)
+    times = prices.start + mu * np.arange(1, int((prices.end - prices.start) // mu) + 1)
+    p_stars = sample_at(prices, times - gamma)
     marks = sample_at(prices, times)
-    p0 = float(sample_at(prices, [clock.start])[0])
+    p0 = float(sample_at(prices, [prices.start])[0])
     reserves = initial if initial is not None else balanced_reserves(p0)
     volumes = np.zeros(times.size)
     if baseline_volume is not None:
@@ -400,21 +400,20 @@ class TestKernelMatchesReference:
         path = sample_gbm_path(
             GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=12 * 2000, seed=31)
         )
-        clock = BlockClock.for_series(path)
         rng = np.random.default_rng(37)
-        volume = rng.exponential(0.01, clock.n_blocks)
-        volume[rng.random(clock.n_blocks) < 0.3] = 0.0
-        return path, clock, volume
+        volume = rng.exponential(0.01, 2000)
+        volume[rng.random(2000) < 0.3] = 0.0
+        return path, volume
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("kind", ["none", "balanced", "random_sign"])
     def test_block_by_block(self, scenario, tau, kind):
-        path, clock, volume = scenario
+        path, volume = scenario
         noise = NO_NOISE
         if kind != "none":
             noise = NoiseScenario(2.0, kind, seed=41)
-        result = backtest(path, clock, tau, noise, None, volume)
-        reference = reference_backtest(path, clock, tau, noise, None, volume)
+        result = backtest(path, tau, noise, None, volume)
+        reference = reference_backtest(path, tau, noise, None, volume)
         assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
 
         log = reference[0]
@@ -434,12 +433,12 @@ class TestKernelMatchesReference:
         # 2,000 blocks fit in one chunk of the loop; in chunks of 7 the
         # reserves and the log must carry across every boundary unchanged
         monkeypatch.setattr("fmamm.backtest._CHUNK", 7)
-        path, clock, volume = scenario
+        path, volume = scenario
         noise = NO_NOISE
         if kind != "none":
             noise = NoiseScenario(2.0, kind, seed=41)
-        result = backtest(path, clock, 0.003, noise, None, volume)
-        reference = reference_backtest(path, clock, 0.003, noise, None, volume)
+        result = backtest(path, 0.003, noise, None, volume)
+        reference = reference_backtest(path, 0.003, noise, None, volume)
         assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
 
     @pytest.mark.parametrize("kind", ["none", "random_sign"])
@@ -447,13 +446,12 @@ class TestKernelMatchesReference:
         path = sample_gbm_path(
             GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=12 * 300, seed=43)
         )
-        clock = BlockClock.for_series(path, gamma=6.0)
-        volume = np.random.default_rng(47).exponential(0.01, clock.n_blocks)
+        volume = np.random.default_rng(47).exponential(0.01, 300)
         noise = NO_NOISE
         if kind != "none":
             noise = NoiseScenario(2.0, kind, seed=53)
-        result = backtest(path, clock, 0.003, noise, None, volume)
-        reference = reference_backtest(path, clock, 0.003, noise, None, volume)
+        result = backtest(path, 0.003, noise, None, volume, gamma=6.0)
+        reference = reference_backtest(path, 0.003, noise, None, volume, gamma=6.0)
         assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
 
     @pytest.mark.parametrize("seed, settles", [(0, True), (1, False)])  # noise buy, sell
@@ -464,7 +462,7 @@ class TestKernelMatchesReference:
         # Both paths check the pin at the settled trade, so both raise.
         series = PriceSeries("X-Y", [0.0, 12.0], [1.0, 2.5e7])
         noise = NoiseScenario(1.0, "random_sign", seed)
-        args = (series, BlockClock.for_series(series), 0.0, noise, Reserves(1.0, 1.0), [0.3])
+        args = (series, 0.0, noise, Reserves(1.0, 1.0), [0.3])
         if settles:
             assert_matches_reference(backtest(*args), reference_backtest(*args), 1e-12)
             return
@@ -486,9 +484,8 @@ class TestKernelMatchesReference:
     )
     def test_single_block_property(self, y, x, ratio, volume, tau, direction, seed):
         series = PriceSeries("X-Y", [0.0, 12.0], [y / x, y / x * ratio])
-        clock = BlockClock.for_series(series)
         noise = NoiseScenario(1.0, direction, seed)
-        args = (series, clock, tau, noise, Reserves(y, x), [volume * x])
+        args = (series, tau, noise, Reserves(y, x), [volume * x])
         try:
             reference = reference_backtest(*args)
         except (ValueError, ConvergenceError) as exc:
@@ -506,7 +503,7 @@ class TestKernelMatchesReference:
         assert math.nextafter(no_trade_band(reserves, 0.0, tau)[1], math.inf) == p_star
         assert optimal_rebalance(reserves, 0.0, tau, p_star).trade == 0.0
         series = PriceSeries("A-B", [0.0, 12.0], [2171.0, p_star])
-        result = backtest(series, BlockClock.for_series(series), tau, initial=reserves)
+        result = backtest(series, tau, initial=reserves)
         assert result.n_rebalances == 0
         assert (result.columns[0, 1], result.columns[0, 2]) == (reserves.y, reserves.x)
 
@@ -529,8 +526,7 @@ class TestKernelMatchesReference:
         series = PriceSeries("X-Y", [0.0, 12.0], [y / x, p_star])
         # random-sign noise: seed 0 buys, seed 1 sells
         scenario = NoiseScenario(1.0, "random_sign", seed=int(a < 0.0))
-        result = backtest(series, BlockClock.for_series(series), tau, scenario,
-                                    reserves, [abs(a)])
+        result = backtest(series, tau, scenario, reserves, [abs(a)])
         assert result.noise_net[0] == a
         assert result.columns[0, 0] == decision.trade
 
@@ -549,14 +545,13 @@ class TestKernelMatchesReference:
         # with noisy ones, which always run the body
         path = sample_gbm_path(
             GbmParams(2000.0, 0.001, step_seconds=3, horizon_seconds=12 * blocks, seed=seed))
-        clock = BlockClock.for_series(path, gamma=gamma)
         rng = np.random.default_rng(seed)
         volume = rng.exponential(0.01, blocks)
         volume[rng.random(blocks) < 0.5] = 0.0
         noise = NO_NOISE if kind == "none" else NoiseScenario(2.0, kind, seed=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("fmamm.backtest._CHUNK", 7)
-            log = backtest(path, clock, tau, noise, None, volume).trades
+            log = backtest(path, tau, noise, None, volume, gamma=gamma).trades
         want = arbitrage_order(log.y_before, log.x_before, log.noise_net, tau, log.p_star)
         assert np.array_equal(log.arb_trade, want)
 
@@ -567,7 +562,7 @@ class TestZeroFeeClosedForm:
         path = sample_gbm_path(
             GbmParams(2000.0, 0.0005, step_seconds=12, horizon_seconds=12 * 100_000, seed=13)
         )
-        result = backtest(path, BlockClock.for_series(path), 0.0)
+        result = backtest(path, 0.0)
         p = path.prices
         x = np.cumprod((1.0 + p[:-1] / p[1:]) / 2.0)
         y = p[1:] * x
@@ -583,7 +578,7 @@ class TestZeroFeeClosedForm:
         path = sample_gbm_path(
             GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=12 * 50_000, seed=19)
         )
-        grid = block_grid_series(path, BlockClock.for_series(path, gamma=gamma))
+        grid = block_grid_series(path, gamma=gamma)
         result = run_fmamm_backtest(grid, 0.0)
         s = np.concatenate((grid.marks.prices[:1], grid.p_stars))
         x = np.cumprod((s[:-1] + s[1:]) / (2.0 * s[1:]))
@@ -609,7 +604,7 @@ class TestLvrKeptIdentity:
     def test_gross_return_ratio_is_the_cosh_product(self, blocks, volatility, seed):
         path = sample_gbm_path(GbmParams(2000.0, volatility, step_seconds=12,
                                          horizon_seconds=12 * blocks, seed=seed))
-        result = backtest(path, BlockClock.for_series(path), 0.0)
+        result = backtest(path, 0.0)
         baseline = run_baseline(np.empty(0, SWAP_LOG_DTYPE), result.grid.marks, 1.0)
         fm, cp = result.series.values, baseline.values
         ratio = (fm[-1] / fm[0]) / (cp[-1] / cp[0])
@@ -631,8 +626,7 @@ class TestZeroLvr:
     @staticmethod
     def residual(path, tau, noise=NO_NOISE, volume=None):
         """Per block: LP value change less ``x_{n-1}·Δp*``, over the pool value."""
-        result = backtest(path, BlockClock.for_series(path), tau, noise,
-                                    baseline_volume=volume)
+        result = backtest(path, tau, noise, baseline_volume=volume)
         assert np.array_equal(result.trades.p_star, path.prices[1:])
         values = result.series.values
         change = np.diff(values) - result.trades.x_before * np.diff(path.prices)
@@ -698,7 +692,7 @@ class TestTradeFrequency:
     def test_fraction_of_blocks_that_trade(self, paths, tau):
         fractions = []
         for path in paths:
-            result = backtest(path, BlockClock.for_series(path, mu=self.MU), tau)
+            result = backtest(path, tau, mu=self.MU)
             fractions.append(result.n_rebalances / result.summary["n_blocks"])
         gamma = -math.log1p(-tau)
         want = 1.0 / (1.0 + math.sqrt(2.0 / self.MU) * gamma / self.SIGMA)
@@ -728,22 +722,21 @@ class TestNoiseScenario:
 
     def test_summary_reports_the_applied_fraction(self):
         series = PriceSeries("X-Y", [0, 12], [2000.0, 2100.0])
-        clock = BlockClock.for_series(series)
         for fraction in (0.0, 0.25):
             noise = NoiseScenario(fraction, "balanced", 4)
-            summary = backtest(series, clock, 0.003, noise, R, [1.0]).summary
+            summary = backtest(series, 0.003, noise, R, [1.0]).summary
             assert "noise_mode" not in summary
             assert (summary["noise_fraction"], summary["noise_direction"], summary["seed"]) == (
                 fraction, "balanced", 4)
             # the arbitrageurs buy, so only the noise's sell leg pays in asset
             assert (summary["fee_asset_total"] > 0.0) == (fraction > 0.0)
-        assert backtest(series, clock, 0.003, NO_NOISE, R).summary["noise_fraction"] == 0.0
+        assert backtest(series, 0.003, NO_NOISE, R).summary["noise_fraction"] == 0.0
 
 
 class TestFeeSweep:
     def test_constant_price_all_zero(self):
         series = flat_series()
-        grid = block_grid_series(series, BlockClock.for_series(series))
+        grid = block_grid_series(series)
         for tau in DEFAULT_FEE_GRID:
             assert run_fmamm_backtest(grid, tau, NO_NOISE, R).terminal_roi == 0.0
 
@@ -751,16 +744,16 @@ class TestFeeSweep:
         # runs on one grid and start state share nothing: the zero-fee run
         # of a sweep is a plain run
         path = sample_gbm_path(GbmParams(2000.0, 0.001, step_seconds=12, horizon_seconds=1200, seed=2))
-        grid = block_grid_series(path, BlockClock.for_series(path))
+        grid = block_grid_series(path)
         sweep = {tau: run_fmamm_backtest(grid, tau, NO_NOISE, R) for tau in DEFAULT_FEE_GRID}
-        plain = backtest(path, BlockClock.for_series(path), 0.0, NO_NOISE, R)
+        plain = backtest(path, 0.0, NO_NOISE, R)
         assert np.array_equal(sweep[0.0].series.values, plain.series.values)
 
     def test_trend_rebalance_counts_fall_with_fee(self):
         ts = 12.0 * np.arange(101)
         prices = 2000.0 * 1.001 ** np.arange(101)  # steady one-way trend
         series = PriceSeries("X-Y", ts, prices)
-        grid = block_grid_series(series, BlockClock.for_series(series))
+        grid = block_grid_series(series)
         counts = [run_fmamm_backtest(grid, tau, NO_NOISE, R).n_rebalances
                   for tau in (0.0, 0.003, 0.05)]
         assert counts[0] == 100
@@ -774,21 +767,19 @@ class TestNoiseSweep:
 
     @staticmethod
     def sweep(path, fractions, volume):
-        grid = block_grid_series(path, BlockClock.for_series(path))
+        grid = block_grid_series(path)
         return {f: run_fmamm_backtest(grid, 0.003, NoiseScenario(f), R, volume)
                 for f in fractions}
 
     def test_zero_fraction_is_zero_noise(self):
         # given a volume, a zero fraction runs bit for bit as no noise at all
         path = self.make_path()
-        clock = BlockClock.for_series(path)
-        volume = np.full(clock.n_blocks, 0.05)
-        plain = backtest(path, clock, 0.003, NO_NOISE, R)
+        volume = np.full(len(path) - 1, 0.05)
+        plain = backtest(path, 0.003, NO_NOISE, R)
         assert plain.n_rebalances > 0
         assert self.sweep(path, (0.5,), volume)[0.5].terminal_roi > plain.terminal_roi
         for direction in NOISE_DIRECTIONS:
-            zero = backtest(path, clock, 0.003, NoiseScenario(0.0, direction, 9), R,
-                                      volume)
+            zero = backtest(path, 0.003, NoiseScenario(0.0, direction, 9), R, volume)
             assert np.array_equal(zero.series.values, plain.series.values)
             assert np.array_equal(zero.series.roi, plain.series.roi)
             for name in TRADE_LOG_DTYPE.names:
@@ -1108,8 +1099,7 @@ class TestBlockGridSeries:
         ts = np.arange(0, 61)
         prices = 2000.0 + ts
         series = PriceSeries("X-Y", ts, prices)
-        clock = BlockClock(mu=12.0, start=0.0, end=60.0)
-        grid = block_grid_series(series, clock)
+        grid = block_grid_series(series, mu=12.0)
         assert list(grid.marks.timestamps) == [0.0, 12.0, 24.0, 36.0, 48.0, 60.0]
         assert list(grid.marks.prices) == [2000.0, 2012.0, 2024.0, 2036.0, 2048.0, 2060.0]
         # a run is marked on its grid, so the two series intersect fully

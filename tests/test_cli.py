@@ -18,7 +18,6 @@ import pytest
 
 import fmamm
 from fmamm.backtest import (
-    BlockClock,
     NoiseScenario,
     ScenarioConfig,
     balanced_reserves,
@@ -461,7 +460,7 @@ class TestSweepCommands:
                            noise_fractions=[0.1, 0.3])
         calls = []
         for module, name in ((fmamm.cli, "block_grid_series"), (fmamm.backtest, "sample_at"),
-                             (fmamm.uniswap, "sample_at"), (fmamm.cli, "run_fmamm_backtest")):
+                             (fmamm.cli, "run_fmamm_backtest")):
             def counting(*args, _name=name, _call=getattr(module, name)):
                 calls.append(_name)
                 return _call(*args)
@@ -471,6 +470,25 @@ class TestSweepCommands:
             assert main([command, "--config", str(cfg)]) == 0, capsys.readouterr().err
             assert [calls.count(name) for name in (
                 "block_grid_series", "sample_at", "run_fmamm_backtest")] == [1, samples, runs]
+
+    def test_swap_cadence_samples_only_the_grid(self, tmp_path, capsys, monkeypatch):
+        # each swap compounds at its own post-swap price, so a swap-cadence
+        # backtest samples the path once, for its block grid, wherever the
+        # sampler is imported
+        series = write_price_csv(tmp_path / "prices.csv", blocks=60)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
+                           compound_cadence="swap")
+        sampled = []
+        for module in (fmamm.cli, fmamm.backtest, fmamm.uniswap):
+            if hasattr(module, "sample_at"):
+                def counting(*args, _call=module.sample_at):
+                    sampled.append(args[1])
+                    return _call(*args)
+                monkeypatch.setattr(module, "sample_at", counting)
+        assert main(["backtest", "--config", str(cfg)]) == 0
+        assert "uniswap terminal roi" in capsys.readouterr().out
+        assert len(sampled) == 1 and np.array_equal(sampled[0], series.timestamps)
 
     def test_no_dense_input_outlives_its_use(self, tmp_path, capsys, monkeypatch):
         # when a kernel run or the swap load starts, the dense price series
@@ -834,11 +852,13 @@ SCENARIO_KEYS = ["fee", "mu", "gamma", "seed", "initial_x", "baseline_liquidity"
 def library_rejects(key, value) -> bool:
     """Whether the library object that takes a scenario key's value rejects it."""
     flat = PriceSeries("X-Y", [0.0, 12.0], [0.25, 0.25])  # 2*sqrt(p) = 1: no overflow
-    grid = block_grid_series(flat, BlockClock.for_series(flat))
+    grid = block_grid_series(flat)
+    # a one-point series spans no block, so only the range of mu and gamma applies
+    point = PriceSeries("X-Y", [0.0], [0.25])
     takes = {
         "fee": lambda v: run_fmamm_backtest(grid, v),
-        "mu": lambda v: BlockClock(mu=v),
-        "gamma": lambda v: BlockClock(gamma=v),
+        "mu": lambda v: block_grid_series(point, mu=v),
+        "gamma": lambda v: block_grid_series(point, gamma=v),
         "seed": lambda v: NoiseScenario(seed=v),
         "initial_x": lambda v: balanced_reserves(1.0, v),
         "baseline_liquidity": lambda v: run_baseline([], flat, v),

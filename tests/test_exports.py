@@ -34,3 +34,30 @@ def test_names_imported_across_modules_are_exported():
                 missing += [f"{name}: {node.module}.{alias.name}" for alias in node.names
                             if not alias.name.startswith("_") and alias.name not in exported]
     assert missing == []
+
+
+
+def references(tree, name):
+    """The innermost function around each use of ``name`` in a module's tree."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_block_grid_samples():
+    # one sampler: any other use of ``sample_at`` would sample a dense path a
+    # second time, at times the block grid does not hold
+    used = [(name, where) for name in MODULES
+            for where in references(ast.parse(inspect.getsource(importlib.import_module(name))),
+                                    "sample_at")]
+    assert used == [("fmamm.backtest", "block_grid_series")] * 2

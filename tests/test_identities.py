@@ -1,0 +1,154 @@
+"""Exact identities of the kernel and the baseline, as properties.
+
+Scaling every size by a power of two, or every price by a power of four
+(whose square root is a power of two), changes no rounding: each value
+scales exactly and each ROI stays bit for bit the same.  Nothing reads the
+absolute time either, apart from the UTC day of the ``day`` cadence, so
+shifting every timestamp by whole days leaves every ROI bit-identical.  A
+size or price cut-off, or a timestamp kept at lower precision, breaks these
+identities at some scale or shift.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fmamm.backtest import (
+    NO_NOISE,
+    NOISE_DIRECTIONS,
+    NoiseScenario,
+    balanced_reserves,
+    block_grid_series,
+    run_fmamm_backtest,
+)
+from fmamm.market_data import GbmParams, PriceSeries, sample_gbm_path
+from fmamm.uniswap import COMPOUND_CADENCES, SWAP_LOG_DTYPE, per_block_swap_volume, run_baseline
+
+START = 1_680_000_000.0
+DAY = 86_400
+
+seeds = st.integers(0, 2**32 - 1)
+taus = st.sampled_from([0.0, 0.0005, 0.003]) | st.floats(0.0, 0.05)
+kinds = st.sampled_from(["none", *NOISE_DIRECTIONS])
+
+
+def gbm(seed, points, step=12.0, vol=0.001):
+    """A GBM path of ``points`` steps of ``step`` seconds from ``START``."""
+    return sample_gbm_path(GbmParams(2000.0, vol, step_seconds=step,
+                                     horizon_seconds=step * points, seed=seed, start_time=START))
+
+
+def noise_run(kind, seed, blocks):
+    """A noise scenario and its per-block volume, as a share of one asset unit."""
+    if kind == "none":
+        return NO_NOISE, None
+    rng = np.random.default_rng(seed)
+    volume = rng.exponential(0.01, blocks) * (rng.random(blocks) < 0.5)
+    return NoiseScenario(2.0, kind, seed), volume
+
+
+def swap_log(marks, seed, n=300, fee_share=(1e-12, 1e-3)):
+    """A sorted swap log around the marks, some swaps before the first and
+    after the last; each fee a log-uniform share of its active liquidity,
+    token1 fees in numeraire at the swap's price."""
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.integers(int(marks.start) - 600, int(marks.end) + 600, n))
+    post = np.interp(times, marks.timestamps, marks.prices) * np.exp(0.001 * rng.standard_normal(n))
+    liquidity = 1e9 * np.exp(0.3 * rng.standard_normal(n))
+    token1 = rng.random(n) < 0.5
+    fees = liquidity * 10.0 ** rng.uniform(*np.log10(fee_share), n) * np.where(token1, post, 1.0)
+    return np.rec.fromarrays((np.arange(n), times, fees, np.where(token1, "token1", "token0"),
+                              liquidity, post), dtype=SWAP_LOG_DTYPE)
+
+
+def baseline(log, marks, cadence):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # swaps after the last mark, large positions
+        return run_baseline(log, marks, 1.0, cadence)
+
+
+def shifted(series, days):
+    return PriceSeries(series.pair, series.timestamps + days * DAY, series.prices)
+
+
+class TestKernelIdentities:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, tau=taus, kind=kinds, k=st.integers(-40, 40))
+    def test_sizes_scaled_by_a_power_of_two(self, seed, tau, kind, k):
+        # reserves and noise volumes times 2^k: every value times 2^k exactly
+        path = gbm(seed, 200)
+        grid, scale = block_grid_series(path), 2.0**k
+        noise, volume = noise_run(kind, seed, 200)
+        initial = balanced_reserves(path.prices[0])
+        plain = run_fmamm_backtest(grid, tau, noise, initial, volume)
+        scaled = run_fmamm_backtest(grid, tau, noise, balanced_reserves(path.prices[0], scale),
+                                    None if volume is None else volume * scale)
+        assert np.array_equal(scaled.series.values, plain.series.values * scale)
+        assert np.array_equal(scaled.series.roi, plain.series.roi)
+        assert scaled.n_rebalances == plain.n_rebalances
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, tau=taus, kind=kinds, k=st.integers(-20, 20))
+    def test_prices_scaled_by_a_power_of_four(self, seed, tau, kind, k):
+        # every price times 4^k, the asset reserve and noise volumes kept
+        path = gbm(seed, 200)
+        scale = 4.0**k
+        dear = PriceSeries(path.pair, path.timestamps, path.prices * scale)
+        noise, volume = noise_run(kind, seed, 200)
+        plain = run_fmamm_backtest(block_grid_series(path), tau, noise, None, volume)
+        scaled = run_fmamm_backtest(block_grid_series(dear), tau, noise, None, volume)
+        assert np.array_equal(scaled.series.values, plain.series.values * scale)
+        assert np.array_equal(scaled.series.roi, plain.series.roi)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, tau=taus, gamma=st.sampled_from([0.0, 5.0]),
+           days=st.integers(1, 20_000))
+    def test_timestamps_shifted_by_whole_days(self, seed, tau, gamma, days):
+        # random-sign noise from a swap log's fees, shifted with the prices
+        path = gbm(seed, 12 * 200, step=1.0)
+        # volumes of about 0.1% of the one-unit asset reserve per swap, so the
+        # first block, which takes the swaps before the start too, stays far
+        # from the pole
+        log = swap_log(path, seed, fee_share=(1e-16, 1e-14))
+        later = log.copy()
+        later.timestamp += days * DAY
+        rois = []
+        for series, swaps in ((path, log), (shifted(path, days), later)):
+            grid = block_grid_series(series, gamma=gamma)
+            volume = per_block_swap_volume(swaps, grid.marks.timestamps[1:], 0.003)
+            rois.append(run_fmamm_backtest(grid, tau, NoiseScenario(1.0, "random_sign", seed),
+                                           None, volume).series.roi)
+        assert np.array_equal(rois[1], rois[0])
+
+
+class TestBaselineIdentities:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, cadence=st.sampled_from(COMPOUND_CADENCES), k=st.integers(-20, 20))
+    def test_prices_and_liquidity_scaled(self, seed, cadence, k):
+        # prices and token1 fees times 4^k, active liquidity times 2^k: fees
+        # per unit of liquidity and the growth they buy are unchanged, and
+        # every value scales by 2^k
+        marks = gbm(seed, 300, step=900.0, vol=0.0005)
+        log = swap_log(marks, seed)
+        dear = log.copy()
+        dear.post_price *= 4.0**k
+        dear.fee_amount[dear.fee_token == "token1"] *= 4.0**k
+        dear.active_liquidity *= 2.0**k
+        plain = baseline(log, marks, cadence)
+        scaled = baseline(dear, PriceSeries(marks.pair, marks.timestamps, marks.prices * 4.0**k),
+                          cadence)
+        assert np.array_equal(scaled.values, plain.values * 2.0**k)
+        assert np.array_equal(scaled.roi, plain.roi)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, cadence=st.sampled_from(COMPOUND_CADENCES), days=st.integers(1, 20_000))
+    def test_timestamps_shifted_by_whole_days(self, seed, cadence, days):
+        marks = gbm(seed, 300, step=900.0, vol=0.0005)
+        log = swap_log(marks, seed)
+        later = log.copy()
+        later.timestamp += days * DAY
+        plain = baseline(log, marks, cadence)
+        moved = baseline(later, shifted(marks, days), cadence)
+        assert np.array_equal(moved.roi, plain.roi)

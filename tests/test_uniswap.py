@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmamm.backtest import block_grid_series
 from fmamm.market_data import GbmParams, LpReturnSeries, PriceSeries, sample_at, sample_gbm_path
 from fmamm.uniswap import (
     SWAP_LOG_DTYPE,
@@ -267,10 +268,8 @@ class TestPositionValue:
 
 
 def reference_baseline(records, price_series, initial_liquidity, compound_cadence="block"):
-    """Per-record replay from the scalar helpers, one SimPosition per step."""
-    if compound_cadence == "swap" and records:
-        clipped = [min(max(r.timestamp, price_series.start), price_series.end) for r in records]
-        record_prices = sample_at(price_series, clipped)
+    """Per-record replay from the scalar helpers, one SimPosition per step;
+    ``swap`` compounds each record at its own post-swap price."""
     position = SimPosition(initial_liquidity)
     values = []
     rec_i = 0
@@ -279,7 +278,7 @@ def reference_baseline(records, price_series, initial_liquidity, compound_cadenc
         while rec_i < len(records) and records[rec_i].timestamp <= t:
             position = accrue_swap_fees(position, records[rec_i])
             if compound_cadence == "swap":
-                position = compound_fees(position, float(record_prices[rec_i]))
+                position = compound_fees(position, records[rec_i].post_price)
             rec_i += 1
         day = math.floor(t / 86400.0)
         if compound_cadence == "block" or (compound_cadence == "day" and day != prev_day):
@@ -383,6 +382,24 @@ class TestBaselineMatchesReference:
             flat = run_baseline(late, marks, 2.5e5, cadence)
         assert flat.values.tobytes() == (2.0 * 2.5e5 * np.sqrt(marks.prices)).tobytes()
         assert_matches_oracle(flat, reference_baseline(late, marks, 2.5e5, cadence))
+
+    def test_swap_cadence_compounds_at_each_swaps_price(self):
+        # marks 600 s apart on a per-second path: a swap compounds at its own
+        # post-swap price, not at a mark up to 600 s stale, so the replay reads
+        # no price between the marks and forward-fills nothing
+        path = sample_gbm_path(GbmParams(1.0, 0.002, step_seconds=1, horizon_seconds=86_400,
+                                         seed=8, start_time=1_680_000_000.0))
+        marks = block_grid_series(path, mu=600.0).marks
+        rng = np.random.default_rng(8)
+        times = np.sort(rng.integers(int(path.start) + 1, int(path.end) + 1, 2000))
+        records = [SwapRecord(i, int(t), float(f), str(k), 1e9, float(p)) for i, (t, f, k, p) in
+                   enumerate(zip(times, 2e6 * rng.exponential(1.0, times.size),
+                                 np.where(rng.random(times.size) < 0.5, "token0", "token1"),
+                                 sample_at(path, times)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_baseline(records, marks, 2.5e5, "swap")
+        assert_matches_oracle(got, reference_baseline(records, marks, 2.5e5, "swap"))
 
     def test_loaded_log_matches_records(self, tmp_path):
         marks, records = random_replay(2, n_marks=300, n_swaps=800)

@@ -187,8 +187,8 @@ def _int64(text: str) -> int:
     return value
 
 
-# how the row reader parses a field of each dtype kind
-_FIELD_PARSERS = {"i": _int64, "f": float, "U": str.strip}
+# how the row reader parses a field of each dtype kind: text into Latin-1 bytes, as loadtxt
+_FIELD_PARSERS = {"i": _int64, "f": float, "S": lambda text: text.strip().encode("latin-1")}
 
 
 # Cache entries live in this directory beside each input CSV.  Bump the
@@ -250,26 +250,15 @@ def _cache_entry(path, digest: str, dtype: np.dtype) -> Path:
     return path.parent / _CACHE_DIR / f"{path.name}.{digest}.{tag}.npy"
 
 
-def _stored_dtype(dtype: np.dtype) -> np.dtype:
-    """How a cache entry stores rows of ``dtype``: each text field as ASCII
-    bytes of the same length (a quarter of the ``U`` size), the rest as is.
-    Only rows that meet their file's rule are stored, and the one text field
-    it allows, ``fee_token``, holds a token name."""
-    return np.dtype([(name, f"S{dtype[name].itemsize // 4}" if dtype[name].kind == "U"
-                      else dtype[name]) for name in dtype.names])
-
-
 def _cached_rows(entry: Path, dtype: np.dtype, rule) -> np.ndarray | None:
-    """The rows a cache entry holds, as ``dtype``, if it loads as a 1-D
-    array of their stored dtype and ``rule`` accepts them; None otherwise."""
+    """The rows a cache entry holds, if it loads as a 1-D ``dtype`` array
+    and ``rule`` accepts them; None otherwise."""
     try:
         with open(entry, "rb") as fh:
             rows = np.load(fh, allow_pickle=False)
-        if (isinstance(rows, np.ndarray) and rows.dtype == _stored_dtype(dtype)
-                and rows.ndim == 1):
-            rows = rows.astype(dtype, copy=False)
-            if rule(rows) is None:
-                return rows
+        if (isinstance(rows, np.ndarray) and rows.dtype == dtype and rows.ndim == 1
+                and rule(rows) is None):
+            return rows
     except Exception:
         # an entry is untrusted, and a foreign file makes np.load raise
         # ValueError, EOFError, OverflowError, MemoryError, BadZipFile...:
@@ -279,8 +268,8 @@ def _cached_rows(entry: Path, dtype: np.dtype, rule) -> np.ndarray | None:
 
 
 def _store_rows(entry: Path, path, rows: np.ndarray) -> None:
-    """Save ``rows`` as ``entry`` in their stored dtype, through a temporary
-    file, and delete the other entries of the same CSV and tag: an entry of
+    """Save ``rows`` as ``entry``, as they are, through a temporary file,
+    and delete the other entries of the same CSV and tag: an entry of
     another tag is another row dtype or format, which another version of
     fmamm may still read.  A cache that cannot be written is skipped."""
     tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
@@ -288,10 +277,9 @@ def _store_rows(entry: Path, path, rows: np.ndarray) -> None:
     stale = re.compile(re.escape(Path(path).name)
                        + rf"\.[0-9a-f]{{64}}\.{tag}\.npy(\.\d+\.tmp)?")
     try:
-        stored = rows.astype(_stored_dtype(rows.dtype), copy=False)
         entry.parent.mkdir(exist_ok=True)
         with open(tmp, "wb") as fh:
-            np.save(fh, stored, allow_pickle=False)
+            np.save(fh, rows, allow_pickle=False)
         os.replace(tmp, entry)
         for old in os.listdir(entry.parent):
             if old != entry.name and stale.fullmatch(old):
@@ -338,8 +326,8 @@ def _read_rows(path, reader, dtype: np.dtype, rule, error) -> np.ndarray:
     """The row-by-row reader behind :func:`_read_csv`, from line 2 on.
 
     Each field goes through Python's ``int`` (within 64 bits) or ``float``,
-    or is stripped text, so ``1_000``, quoted fields and extra columns are
-    taken; blank lines are skipped.  The first bad line is the first row
+    or is stripped text in Latin-1 bytes, so ``1_000``, quoted fields and
+    extra columns are taken; blank lines are skipped.  The first bad line is the first row
     that does not parse, or an earlier row that ``rule`` names.
     """
     parsers = [_FIELD_PARSERS[dtype[name].kind] for name in dtype.names]
@@ -492,7 +480,7 @@ def mean_preserving_spread(base, epsilon_sd: float, rng=0) -> np.ndarray:
         raise ValueError(f"epsilon_sd must be non-negative and finite, got {epsilon_sd}")
     if epsilon_sd == 0.0:
         return base.copy()
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)  # a Generator comes back as it is
     delta = np.minimum(epsilon_sd, 0.5 * base)
     signs = gen.integers(0, 2, size=base.shape) * 2 - 1
     return base + signs * delta

@@ -16,11 +16,12 @@ Swap records load from CSVs with schema
 ``block,timestamp,fee_amount,fee_token,active_liquidity,post_price`` where
 ``fee_token`` is ``token0`` (asset) or ``token1`` (numeraire), into a
 columnar swap log (:data:`SWAP_LOG_DTYPE`) by :mod:`fmamm.market_data`'s one
-CSV reader; every log meets the swap rule.  :func:`run_baseline` replays
-the log in closed form: ``L`` is constant between compounding points, so one
-cumulative product of per-point growth factors serves every cadence, with one
-rule for swaps outside the price marks.  It agrees with a per-record replay
-within 1e-12 relative.
+CSV reader; every log meets the swap rule.  Its ``fee_token`` is ASCII
+bytes, to be compared with :data:`FEE_TOKENS` (a ``str`` matches no row).
+:func:`run_baseline` replays the log in closed form: ``L`` is constant
+between compounding points, so one cumulative product of per-point growth
+factors serves every cadence, with one rule for swaps outside the price
+marks.  It agrees with a per-record replay within 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from fmamm.amm import _check_size
 from fmamm.market_data import LpReturnSeries, PriceSeries, _read_csv, format_number
 
 __all__ = [
+    "FEE_TOKENS",
     "SWAP_LOG_DTYPE",
     "SwapRecord",
     "run_baseline",
@@ -43,26 +45,22 @@ __all__ = [
     "per_block_swap_volume",
 ]
 
-FEE_TOKENS = ("token0", "token1")
+FEE_TOKENS = (b"token0", b"token1")  # as ``log.fee_token`` holds them
 
 COMPOUND_CADENCES = ("swap", "block", "day")
 
-# One row per swap, the six CSV fields in order; ``load_swap_records``
-# returns them as columns (``log.fee_amount``), and ``log[i]`` reads one swap.
+# One row per swap, the six CSV fields in order, as parsed, cached and
+# replayed; ``log.fee_amount`` reads a column and ``log[i]`` one swap.  loadtxt
+# cuts text to the field width, so ``fee_token`` is one byte wider than a
+# token name and the swap rule rejects anything longer.
 SWAP_LOG_DTYPE = np.dtype([
     ("block", np.int64),
     ("timestamp", np.int64),
     ("fee_amount", np.float64),
-    ("fee_token", "U6"),
+    ("fee_token", "S7"),
     ("active_liquidity", np.float64),
     ("post_price", np.float64),
 ])
-
-# loadtxt cuts strings to the field width, so the parse reads one character
-# more than a token name and the check rejects anything longer
-_SWAP_PARSE_DTYPE = np.dtype(
-    [(name, "U7" if name == "fee_token" else SWAP_LOG_DTYPE[name]) for name in SWAP_LOG_DTYPE.names]
-)
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,9 @@ class SwapRecord:
 
 # The swap rule: each field's test on a column and what it must be, then the
 # columns that must never decrease
+_TOKEN_WANT = f"one of {tuple(token.decode() for token in FEE_TOKENS)}"
 _SWAP_FIELD_RULES = (
-    ("fee_token", lambda v: np.isin(v, FEE_TOKENS), f"one of {FEE_TOKENS}"),
+    ("fee_token", lambda v: np.isin(v, FEE_TOKENS), _TOKEN_WANT),
     ("fee_amount", lambda v: (v >= 0.0) & (v < np.inf), "non-negative and finite"),
     ("active_liquidity", lambda v: (v > 0.0) & (v < np.inf), "positive and finite"),
     ("post_price", lambda v: (v > 0.0) & (v < np.inf), "positive and finite"),
@@ -100,27 +99,39 @@ def _swap_fault(log) -> tuple[int, str] | None:
     k = int(bad.argmax())
     for name, ok, want in _SWAP_FIELD_RULES:
         if not ok(log[name][k]):
-            return k, f"{name} must be {want}, got {log[name][k].item()!r}"
+            value = log[name][k].item()
+            if isinstance(value, bytes):  # a token, quoted as the text it was
+                value = value.decode("latin-1")
+            return k, f"{name} must be {want}, got {value!r}"
     name = next(name for name in _SWAP_SORTED_BY if log[name][k] < log[name][k - 1])
     return k, (f"{name} {log[name][k]} before the previous record's {log[name][k - 1]}; "
                f"swap records must be sorted by {name}")
 
 
+def _token_bytes(k: int, token):
+    """Record ``k``'s fee token as the bytes a CSV field of its text parses to."""
+    try:
+        return token.encode("latin-1") if isinstance(token, str) else token
+    except UnicodeEncodeError:
+        raise ValueError(f"swap record {k}: fee_token must be {_TOKEN_WANT}, "
+                         f"got {token!r}") from None
+
+
 def as_swap_log(records) -> np.recarray:
-    """The swap log of ``records``, a :data:`SWAP_LOG_DTYPE` array or a
-    sequence of :class:`SwapRecord`, once every row meets the swap rule."""
+    """The swap log of ``records``, an array with its fields (not copied if
+    a log) or a sequence of :class:`SwapRecord`, once every row meets the swap rule."""
     if isinstance(records, np.ndarray):
         if records.dtype.names != SWAP_LOG_DTYPE.names:
             raise ValueError(f"swap log fields must be {SWAP_LOG_DTYPE.names}, "
                              f"got {records.dtype.names}")
-        rows = records
     else:
-        rows = np.array([(r.block, r.timestamp, r.fee_amount, r.fee_token, r.active_liquidity,
-                          r.post_price) for r in records], dtype=_SWAP_PARSE_DTYPE)
+        records = [(r.block, r.timestamp, r.fee_amount, _token_bytes(k, r.fee_token),
+                    r.active_liquidity, r.post_price) for k, r in enumerate(records)]
+    rows = np.asarray(records, SWAP_LOG_DTYPE)
     fault = _swap_fault(rows)
     if fault is not None:
         raise ValueError(f"swap record {fault[0]}: {fault[1]}")
-    return rows.astype(SWAP_LOG_DTYPE, copy=False).view(np.recarray)
+    return rows.view(np.recarray)
 
 
 def _check_cadence(cadence: str, name: str = "compound_cadence") -> None:
@@ -176,7 +187,7 @@ def run_baseline(
     # an overflow's inf or NaN reaches the values, which are checked below
     with np.errstate(over="ignore", invalid="ignore"):
         per_liquidity = log.fee_amount[:kept] / log.active_liquidity[:kept]
-        fees0 = np.where(log.fee_token[:kept] == "token0", per_liquidity, 0.0)
+        fees0 = np.where(log.fee_token[:kept] == FEE_TOKENS[0], per_liquidity, 0.0)
         fees1 = per_liquidity - fees0
 
         # The compounding points: how many swaps each has accrued and the price
@@ -224,12 +235,10 @@ def load_swap_records(path, digests=None) -> np.recarray:
     """Load a swap CSV as a swap log, reporting bad rows by line number.
 
     Rows must meet the swap rule (finite fields, blocks and timestamps that
-    never decrease), checked before the cast that would cut a long token
-    name.  ``len`` of the log is the number of data rows.  ``digests``, when
-    given, gets the file's SHA-256 under ``str(path)``.
+    never decrease).  ``len`` of the log is the number of data rows.
+    ``digests``, when given, gets the file's SHA-256 under ``str(path)``.
     """
-    rows = _read_csv(path, _SWAP_PARSE_DTYPE, _swap_fault, ValueError, digests)
-    return rows.astype(SWAP_LOG_DTYPE).view(np.recarray)
+    return _read_csv(path, SWAP_LOG_DTYPE, _swap_fault, ValueError, digests).view(np.recarray)
 
 
 def per_block_swap_volume(
@@ -250,7 +259,8 @@ def per_block_swap_volume(
         return volumes
     times = log.timestamp.astype(np.float64)
     with np.errstate(over="ignore"):  # the kernel rejects an overflow's inf volume
-        sizes = log.fee_amount / pool_fee / np.where(log.fee_token == "token1", log.post_price, 1.0)
+        in_numeraire = log.fee_token == FEE_TOKENS[1]
+        sizes = log.fee_amount / pool_fee / np.where(in_numeraire, log.post_price, 1.0)
     idx = np.searchsorted(settlement_times, times, side="left")
     keep = idx < settlement_times.size
     np.add.at(volumes, idx[keep], sizes[keep])

@@ -9,6 +9,7 @@ size or price cut-off, or a timestamp kept at lower precision, breaks these
 identities at some scale or shift.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -23,8 +24,15 @@ from fmamm.backtest import (
     block_grid_series,
     run_fmamm_backtest,
 )
+from fmamm.cli import main
 from fmamm.market_data import GbmParams, PriceSeries, sample_gbm_path
-from fmamm.uniswap import COMPOUND_CADENCES, SWAP_LOG_DTYPE, per_block_swap_volume, run_baseline
+from fmamm.uniswap import (
+    COMPOUND_CADENCES,
+    FEE_TOKENS,
+    SWAP_LOG_DTYPE,
+    per_block_swap_volume,
+    run_baseline,
+)
 
 START = 1_680_000_000.0
 DAY = 86_400
@@ -63,10 +71,10 @@ def swap_log(marks, seed, n=300, fee_share=(1e-12, 1e-3)):
                               liquidity, post), dtype=SWAP_LOG_DTYPE)
 
 
-def baseline(log, marks, cadence):
+def baseline(log, marks, cadence, liquidity=1.0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # swaps after the last mark, large positions
-        return run_baseline(log, marks, 1.0, cadence)
+        return run_baseline(log, marks, liquidity, cadence)
 
 
 def shifted(series, days):
@@ -134,7 +142,9 @@ class TestBaselineIdentities:
         log = swap_log(marks, seed)
         dear = log.copy()
         dear.post_price *= 4.0**k
-        dear.fee_amount[dear.fee_token == "token1"] *= 4.0**k
+        in_token1 = dear.fee_token == FEE_TOKENS[1]
+        assert in_token1.any()
+        dear.fee_amount[in_token1] *= 4.0**k
         dear.active_liquidity *= 2.0**k
         plain = baseline(log, marks, cadence)
         scaled = baseline(dear, PriceSeries(marks.pair, marks.timestamps, marks.prices * 4.0**k),
@@ -152,3 +162,92 @@ class TestBaselineIdentities:
         plain = baseline(log, marks, cadence)
         moved = baseline(later, shifted(marks, days), cadence)
         assert np.array_equal(moved.roi, plain.roi)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, cadence=st.sampled_from(COMPOUND_CADENCES), k=st.integers(-40, 40))
+    def test_position_scaled_by_a_power_of_two(self, seed, cadence, k):
+        # the position times 2^k: every value times 2^k exactly
+        marks = gbm(seed, 300, step=900.0, vol=0.0005)
+        log = swap_log(marks, seed)
+        plain = baseline(log, marks, cadence)
+        scaled = baseline(log, marks, cadence, 2.0**k)
+        assert np.array_equal(scaled.values, plain.values * 2.0**k)
+        assert np.array_equal(scaled.roi, plain.roi)
+
+
+def write_scenario(directory, seed, cadence, gamma, k=0, days=0):
+    """A price CSV, a swap CSV and a config that every command takes, with
+    prices, ``post_price`` and token1 fees times 4^k, active liquidity times
+    2^k and every timestamp ``days`` whole days on; the swaps lie within the
+    prices, and their volumes stay far below the asset reserve."""
+    marks = gbm(seed, 300)
+    log = swap_log(marks, seed, fee_share=(1e-9, 1e-7))
+    log = log[log.timestamp <= marks.end]
+    log.timestamp += days * DAY
+    log.fee_amount[log.fee_token == FEE_TOKENS[1]] *= 4.0**k
+    log.active_liquidity *= 2.0**k
+    log.post_price *= 4.0**k
+    directory.mkdir()
+    (directory / "prices.csv").write_text("timestamp,price\n" + "".join(
+        f"{int(t) + days * DAY},{p * 4.0**k!r}\n"
+        for t, p in zip(marks.timestamps.tolist(), marks.prices.tolist())))
+    (directory / "swaps.csv").write_text(
+        "block,timestamp,fee_amount,fee_token,active_liquidity,post_price\n" + "".join(
+            f"{b},{t},{f!r},{token.decode()},{a!r},{p!r}\n"
+            for b, t, f, token, a, p in log.tolist()))
+    config = directory / "config.json"
+    config.write_text(json.dumps({
+        "pair": "X-Y", "price_csv": str(directory / "prices.csv"),
+        "swap_csv": str(directory / "swaps.csv"), "pool_fee": 0.003, "initial_x": 1e6,
+        "fee_grid": [0.0, 0.0005, 0.003], "noise_fractions": [0.1, 0.5],
+        "noise_direction": "random_sign", "seed": seed, "gamma": gamma,
+        "compound_cadence": cadence}))
+    return config
+
+
+def command_rois(directory, config):
+    """What each command's out-dir says of returns, which neither scale nor
+    time enters: the last column of each CSV but ``long.csv``
+    (``cumulative_roi`` or ``roi_difference``) as written, and the ROIs of
+    ``summary.json``."""
+    said = {}
+    for command in ("backtest", "sweep-fees", "sweep-noise"):
+        out = directory / command
+        assert main([command, "--config", str(config), "--out-dir", str(out)]) == 0
+        for path in sorted(out.glob("*.csv")):
+            if path.name != "long.csv":
+                said[command, path.name] = [line.rsplit(",", 1)[1]
+                                            for line in path.read_text().splitlines()]
+        summary = json.loads((out / "summary.json").read_text())
+        if command == "backtest":
+            said[command] = (summary["fm_amm"]["terminal_roi"],
+                             summary["uniswap_v3_full_range"]["terminal_roi"],
+                             summary["terminal_difference_pp"])
+        else:
+            said[command] = [(row["terminal_roi"], row.get("diff_vs_zero_noise_pp"))
+                             for row in summary["rows"]]
+    return said
+
+
+class TestCommandIdentities:
+    """The two identities the baseline depends on, through every command
+    that replays swaps or sweeps, from the CSV text to the out-dir."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=seeds, cadence=st.sampled_from(COMPOUND_CADENCES),
+           gamma=st.sampled_from([0.0, 5.0]), k=st.integers(-16, 16))
+    def test_prices_and_liquidity_scaled(self, tmp_path_factory, seed, cadence, gamma, k):
+        root = tmp_path_factory.mktemp("scaled")
+        plain = write_scenario(root / "plain", seed, cadence, gamma)
+        dear = write_scenario(root / "dear", seed, cadence, gamma, k=k)
+        assert command_rois(root / "plain", plain) == command_rois(root / "dear", dear)
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=seeds, cadence=st.sampled_from(COMPOUND_CADENCES),
+           gamma=st.sampled_from([0.0, 5.0]), days=st.integers(1, 20_000))
+    def test_timestamps_shifted_by_whole_days(self, tmp_path_factory, seed, cadence, gamma,
+                                              days):
+        root = tmp_path_factory.mktemp("shifted")
+        plain = write_scenario(root / "plain", seed, cadence, gamma)
+        later = write_scenario(root / "later", seed, cadence, gamma, days=days)
+        assert command_rois(root / "plain", plain) == command_rois(root / "later", later)

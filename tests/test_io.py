@@ -322,6 +322,25 @@ class TestSwapParse:
         with pytest.raises(ValueError, match=r"s\.csv:3: timestamp 120 before the previous"):
             load_swap_records(path)
 
+    @pytest.mark.parametrize("token, why", [
+        ("tökX", "fee_token must be one of ('token0', 'token1'), got 'tökX'"),
+        ("t€ken0", "malformed row {row}: 'latin-1' codec can't encode character '\\u20ac' in "
+                   "position 1: ordinal not in range(256)"),
+    ], ids=["latin-1", "outside latin-1"])
+    def test_non_ascii_token_names_the_line(self, tmp_path, monkeypatch, capsys, token, why):
+        # a token parses as its Latin-1 bytes and is quoted as the text it
+        # was; one that has none cannot parse
+        monkeypatch.chdir(tmp_path)
+        series = write_price_csv(tmp_path / "prices.csv", blocks=60)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        lines = (tmp_path / "swaps.csv").read_text().splitlines()
+        lines[2] = lines[2].replace("token1", token)
+        (tmp_path / "swaps.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", "prices.csv", "swaps.csv")
+        assert main(["backtest", "--config", str(cfg)]) == 2
+        why = why.format(row=lines[2].split(","))
+        assert capsys.readouterr().err == f"error: swaps.csv:3: {why}\n"
+
     def test_plain_file_skips_the_row_reader(self, tmp_path, monkeypatch):
         def row_reader(*args):
             raise AssertionError("the row reader ran on a plain file")
@@ -331,7 +350,7 @@ class TestSwapParse:
         path.write_text(SWAP_HEADER + "\n" + SWAP_CORPUS["plain"])
         log = load_swap_records(path)
         assert len(log) == 2
-        assert log.fee_token.tolist() == ["token0", "token1"]
+        assert log.fee_token.tolist() == [b"token0", b"token1"]
         assert log[1].post_price == 2.1
 
 
@@ -660,7 +679,29 @@ class TestInputCache:
             header = fh.tell()
         assert dtype.itemsize == 47 and dtype["fee_token"] == np.dtype("S7")
         assert os.path.getsize(tmp_path / "__fmamm_cache__" / name) == header + 47 * n
-        assert log.fee_token.tolist() == [f"token{t % 2}" for t in range(n)]
+        assert log.fee_token.tolist() == [b"token%d" % (t % 2) for t in range(n)]
+
+    def test_swap_load_memory_per_row_is_bounded(self, tmp_path):
+        """A cold and a warm swap load keep one 47-byte row per swap and peak
+        under 64 B/row: the rows parse, are cached and come back in their one
+        layout, with no copy in another (a copy alone would take 94 B/row).
+        The hash's 1 MiB read buffer adds about 10 B/row at this size."""
+        n = 100_000
+        path = tmp_path / "s.csv"
+        path.write_text(SWAP_HEADER + "\n" + "".join(
+            f"{t},{10 * t},0.5,token{t % 2},1e6,2.0\n" for t in range(n)))
+        for load in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                log = load_swap_records(path)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(log) == n and len(cache_entries(tmp_path)) == 1
+            assert peak <= 64 * n, (load, peak / n)
+            assert 47 * n <= kept < 48 * n, (load, kept / n)
+            del log
+        assert SWAP_LOG_DTYPE.itemsize == 47
 
     @pytest.mark.parametrize("spoil", sorted(SPOILS))
     def test_spoiled_entry_is_a_miss_and_is_rewritten(self, tmp_path, monkeypatch, capsys, spoil):

@@ -455,6 +455,16 @@ class TestBaselineMatchesReference:
                                                        f"of ('token0', 'token1'), got {token!r}")):
             as_swap_log([record(token=token)])
 
+    @pytest.mark.parametrize("token", ["tökX", "t€ken0"], ids=["latin-1", "outside latin-1"])
+    def test_non_ascii_token_names_the_record(self, token):
+        """A record's token is checked as its Latin-1 bytes, as a CSV field
+        of the same text parses; one outside Latin-1 has none and fails there."""
+        records = [record(block=1, ts=5), record(block=2, ts=17), record(block=3, ts=29,
+                                                                         token=token)]
+        with pytest.raises(ValueError, match=re.escape(f"swap record 2: fee_token must be one "
+                                                       f"of ('token0', 'token1'), got {token!r}")):
+            as_swap_log(records)
+
 
 class TestSwapRecordIo:
     def test_round_trip(self, tmp_path):
@@ -467,7 +477,7 @@ class TestSwapRecordIo:
         recs = load_swap_records(path)
         assert len(recs) == 2
         assert recs[0].fee_amount == 12.5
-        assert recs[1].fee_token == "token0"
+        assert recs[1].fee_token == b"token0"
 
     def test_bad_row_names_line(self, tmp_path):
         path = tmp_path / "swaps.csv"

@@ -27,13 +27,14 @@ def band_table():
 
 def rebalance_examples():
     for tau, p_star in ((0.0, 2500.0), (0.003, 2500.0), (0.003, 2003.0), (0.01, 1900.0)):
-        dec = optimal_rebalance(POOL, 0.0, tau, p_star)
-        if dec.rebalanced:
-            pinned = effective_price(POOL, dec.trade, tau, dec.trade)
-            print(f"  fee {tau:<6g} p*={p_star:<7g} arb trades {dec.trade:+.5f}, "
+        trade = optimal_rebalance(POOL, 0.0, tau, p_star)
+        if trade != 0.0:
+            pinned = effective_price(POOL, trade, tau, trade)
+            print(f"  fee {tau:<6g} p*={p_star:<7g} arb trades {trade:+.5f}, "
                   f"effective price pinned to {pinned:.4f}")
         else:
-            print(f"  fee {tau:<6g} p*={p_star:<7g} inside band {dec.band[0]:.2f}..{dec.band[1]:.2f}, no trade")
+            low, high = no_trade_band(POOL, 0.0, tau)
+            print(f"  fee {tau:<6g} p*={p_star:<7g} inside band {low:.2f}..{high:.2f}, no trade")
     print()
 
 

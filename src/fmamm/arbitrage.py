@@ -5,7 +5,10 @@ the batch whenever doing so is profitable.  With fee ``tau`` the batch's buy
 and sell effective prices straddle the pre-fee price by a factor
 ``1/(1-tau)`` on each side, so there is a no-trade band: only when
 ``p_star`` leaves it do arbitrageurs submit the order that pins their own
-effective price exactly to ``p_star``.
+effective price exactly to ``p_star``.  :func:`no_trade_band` gives that
+band; :func:`arbitrage_order` gives the order, element by element, for the
+backtest kernel and the value function alike; :func:`optimal_rebalance` is
+the same float at one price, with its inputs and its pin checked.
 
 The module also prices the worst case of the off-chain batching step: an
 operator that censors everyone else's orders and rebalances the pool alone.
@@ -19,7 +22,6 @@ them is the caller's concern).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from fmamm.amm import (
 )
 
 __all__ = [
-    "RebalanceDecision",
     "no_trade_band",
     "arbitrage_order",
     "optimal_rebalance",
@@ -42,20 +43,6 @@ __all__ = [
 
 # relative tolerance required of the pinned post-rebalance effective price
 _PIN_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RebalanceDecision:
-    """Arbitrageurs' equilibrium order for one batch.
-
-    ``trade`` is the collective arbitrageur order (zero inside the band);
-    when nonzero, the effective price of the batch's net trade at the
-    arbitrageurs' order sign equals the external price.
-    """
-
-    trade: float
-    rebalanced: bool
-    band: tuple[float, float]
 
 
 def no_trade_band(reserves: Reserves, net_noise: float, tau: float) -> tuple[float, float]:
@@ -97,27 +84,25 @@ def arbitrage_order(y, x, net_noise, tau: float, p_star):
     return float(trade) if trade.ndim == 0 else trade
 
 
-def optimal_rebalance(
-    reserves: Reserves, net_noise: float, tau: float, p_star: float
-) -> RebalanceDecision:
+def optimal_rebalance(reserves: Reserves, net_noise: float, tau: float, p_star: float) -> float:
     """Collective arbitrageur order given noise flow and the external price.
 
-    :func:`arbitrage_order` at one price, with the inputs checked.  The pin
-    is checked at the batch's settled net trade, noise plus order, which
-    rounding can move off the root; a price that misses ``p_star`` raises
-    :class:`ConvergenceError`.
+    :func:`arbitrage_order` at one price, with the inputs checked: 0 inside
+    the band, otherwise the order whose effective price, at the batch's net
+    trade and the order's sign, equals ``p_star``.  The pin is checked at the
+    batch's settled net trade, noise plus order, which rounding can move off
+    the root; a price that misses ``p_star`` raises :class:`ConvergenceError`.
     """
     _check_price(p_star)
-    band = no_trade_band(reserves, net_noise, tau)
+    pre_fee_price(reserves, net_noise, tau)
     trade = arbitrage_order(reserves.y, reserves.x, net_noise, tau, p_star)
-    if trade == 0.0:
-        return RebalanceDecision(0.0, False, band)
-    pinned = effective_price(reserves, net_noise + trade, tau, trade)
-    if not math.isclose(pinned, p_star, rel_tol=_PIN_RTOL):
-        raise ConvergenceError(
-            f"rebalance solve left effective price {pinned} != target {p_star}"
-        )
-    return RebalanceDecision(trade, True, band)
+    if trade != 0.0:
+        pinned = effective_price(reserves, net_noise + trade, tau, trade)
+        if not math.isclose(pinned, p_star, rel_tol=_PIN_RTOL):
+            raise ConvergenceError(
+                f"rebalance solve left effective price {pinned} != target {p_star}"
+            )
+    return trade
 
 
 def malicious_operator_attack(reserves: Reserves, p_star: float) -> tuple[float, float]:

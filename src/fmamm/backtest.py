@@ -599,7 +599,7 @@ class ScenarioConfig:
         with open(path) as fh:
             try:
                 raw = json.load(fh, object_pairs_hook=lambda kv: _unique_keys(path, kv))
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object, got {type(raw).__name__}")

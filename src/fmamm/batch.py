@@ -231,11 +231,13 @@ def load_order_batches(path) -> list[Batch]:
     """
     bad_line = (KeyError, TypeError, ValueError, OverflowError)
     groups: list[tuple[int, list[Order]]] = []
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                # decoded strictly one line at a time, so a bad byte names its line
+                line = line.encode(fh.encoding, "surrogateescape").decode(fh.encoding)
                 row = json.loads(line)
                 block, amount = row["block"], row["amount"]
                 if not _is_integer(block):

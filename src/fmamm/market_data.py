@@ -219,7 +219,9 @@ def _read_csv(path, dtype: np.dtype, rule, error=ValueError, digests=None) -> np
     ``digests``, when given, maps ``str(path)`` to the file's SHA-256 (None
     for a file that is not regular, which is neither hashed nor cached).
     """
-    with open(path, newline="") as fh:
+    # an undecodable byte reaches the parse as a lone surrogate, which no
+    # field accepts, so the row reader names its line
+    with open(path, newline="", errors="surrogateescape") as fh:
         before = os.fstat(fh.fileno())
         digest = entry = None
         if stat.S_ISREG(before.st_mode):

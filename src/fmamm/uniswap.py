@@ -26,13 +26,15 @@ marks.  It agrees with a per-record replay within 1e-12 relative.
 
 from __future__ import annotations
 
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from fmamm.amm import _check_size
+from fmamm.amm import _check_size, _is_integer
 from fmamm.market_data import LpReturnSeries, PriceSeries, _read_csv, format_number
 
 __all__ = [
@@ -108,25 +110,63 @@ def _swap_fault(log) -> tuple[int, str] | None:
                f"swap records must be sorted by {name}")
 
 
-def _token_bytes(k: int, token):
+def _token_bytes(k: int, token) -> bytes:
     """Record ``k``'s fee token as the bytes a CSV field of its text parses to."""
-    try:
-        return token.encode("latin-1") if isinstance(token, str) else token
-    except UnicodeEncodeError:
-        raise ValueError(f"swap record {k}: fee_token must be {_TOKEN_WANT}, "
-                         f"got {token!r}") from None
+    if isinstance(token, bytes):
+        return token
+    if isinstance(token, str):
+        try:
+            return token.encode("latin-1")
+        except UnicodeEncodeError:
+            pass
+    raise ValueError(f"swap record {k}: fee_token must be {_TOKEN_WANT}, got {token!r}")
+
+
+def _is_real(value) -> bool:
+    """A real number that a float holds, NaN and inf included (the swap rule
+    names those), but no bool and no integer beyond the float range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max))
+
+
+def _swap_row(k: int, record: SwapRecord) -> tuple:
+    """Record ``k`` as a swap log row once each field has its column's type:
+    nothing is coerced, so a 12.9 timestamp is not cut to 12 nor a "1.0" fee read."""
+    row = []
+    for name in SWAP_LOG_DTYPE.names:
+        value, kind = getattr(record, name), SWAP_LOG_DTYPE[name].kind
+        if kind == "S":
+            row.append(_token_bytes(k, value))
+        elif kind == "i" and _is_integer(value) and -(2**63) <= value < 2**63:
+            row.append(value)
+        elif kind == "f" and _is_real(value):
+            row.append(value)
+        else:
+            want = ("an integer within 64 bits" if kind == "i"
+                    else "a real number within the float range")
+            raise ValueError(f"swap record {k}: {name} must be {want}, got {value!r}")
+    return tuple(row)
 
 
 def as_swap_log(records) -> np.recarray:
     """The swap log of ``records``, an array with its fields (not copied if
-    a log) or a sequence of :class:`SwapRecord`, once every row meets the swap rule."""
+    a log) or a sequence of :class:`SwapRecord`, once every row meets the swap rule.
+
+    An array's number columns must have numeric dtypes that cast safely to
+    the log's; a ``fee_token`` of ``str`` is taken as a record's is."""
     if isinstance(records, np.ndarray):
         if records.dtype.names != SWAP_LOG_DTYPE.names:
             raise ValueError(f"swap log fields must be {SWAP_LOG_DTYPE.names}, "
                              f"got {records.dtype.names}")
+        for name in SWAP_LOG_DTYPE.names:
+            dtype, column = records.dtype[name], SWAP_LOG_DTYPE[name]
+            if column.kind != "S" and (dtype.kind not in "iuf" or not np.can_cast(dtype, column)):
+                raise ValueError(f"swap log {name} must have a numeric dtype that {column} "
+                                 f"holds, got {dtype}")
+        if records.dtype["fee_token"].kind == "U":
+            records = [_swap_row(k, SwapRecord(*row)) for k, row in enumerate(records.tolist())]
     else:
-        records = [(r.block, r.timestamp, r.fee_amount, _token_bytes(k, r.fee_token),
-                    r.active_liquidity, r.post_price) for k, r in enumerate(records)]
+        records = [_swap_row(k, r) for k, r in enumerate(records)]
     rows = np.asarray(records, SWAP_LOG_DTYPE)
     fault = _swap_fault(rows)
     if fault is not None:
@@ -174,7 +214,7 @@ def run_baseline(
     log = as_swap_log(records)
 
     n = len(log)
-    share = float((initial_liquidity / log.active_liquidity).max()) if n else 0.0
+    share = float(initial_liquidity / log.active_liquidity.min()) if n else 0.0
     if share > 0.01:
         warnings.warn(
             f"position is {share:.1%} of active liquidity; the small-position "
@@ -253,15 +293,13 @@ def per_block_swap_volume(
     """
     _check_pool_fee(pool_fee)
     settlement_times = np.asarray(settlement_times, dtype=np.float64)
-    volumes = np.zeros(settlement_times.size)
     log = as_swap_log(records)
     if not len(log):
-        return volumes
+        return np.zeros(settlement_times.size)
     times = log.timestamp.astype(np.float64)
     with np.errstate(over="ignore"):  # the kernel rejects an overflow's inf volume
         in_numeraire = log.fee_token == FEE_TOKENS[1]
         sizes = log.fee_amount / pool_fee / np.where(in_numeraire, log.post_price, 1.0)
     idx = np.searchsorted(settlement_times, times, side="left")
     keep = idx < settlement_times.size
-    np.add.at(volumes, idx[keep], sizes[keep])
-    return volumes
+    return np.bincount(idx[keep], sizes[keep], settlement_times.size)

@@ -179,11 +179,11 @@ def test_criterion_6_sandwich_immunity():
         victim = float(rng.uniform(-0.02, 0.02) * r.x) or 0.01
         attacker = float(rng.uniform(0.001, 0.02) * r.x)
         p_star = r.spot_price * 1.2
-        dec_without = optimal_rebalance(r, victim, tau, p_star)
-        dec_with = optimal_rebalance(r, victim + attacker, tau, p_star)
-        assert dec_without.rebalanced and dec_with.rebalanced
-        net_without = victim + dec_without.trade
-        net_with = victim + attacker + dec_with.trade
+        arb_without = optimal_rebalance(r, victim, tau, p_star)
+        arb_with = optimal_rebalance(r, victim + attacker, tau, p_star)
+        assert arb_without != 0.0 and arb_with != 0.0
+        net_without = victim + arb_without
+        net_with = victim + attacker + arb_with
         p_victim_without = effective_price(r, net_without, tau, victim)
         p_victim_with = effective_price(r, net_with, tau, victim)
         assert p_victim_with == pytest.approx(p_victim_without, rel=1e-9)
@@ -196,12 +196,10 @@ def test_criterion_6_sandwich_immunity():
         p_star = pool.spot_price * float(rng.uniform(0.85, 1.15))
         victim = float(rng.uniform(-0.02, 0.02) * pool.x)
         attacker = float(rng.uniform(0.001, 0.05) * pool.x)
-        dec1 = optimal_rebalance(pool, victim + attacker, tau, p_star)
-        net1 = victim + attacker + dec1.trade
+        net1 = victim + attacker + optimal_rebalance(pool, victim + attacker, tau, p_star)
         buy_price = effective_price(pool, net1, tau, +1)
         mid = apply_trade(pool, net1, tau) if net1 != 0.0 else pool
-        dec2 = optimal_rebalance(mid, -attacker, tau, p_star)
-        net2 = -attacker + dec2.trade
+        net2 = -attacker + optimal_rebalance(mid, -attacker, tau, p_star)
         sell_price = effective_price(mid, net2, tau, -1)
         profit = attacker * (sell_price - buy_price)
         worst = max(worst, profit / (attacker * p_star))

@@ -6,13 +6,22 @@ against a plain bisection oracle on the effective-price curve.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmamm.amm import Reserves, effective_price, fmamm_price, fmamm_supply, pre_fee_price
+from fmamm.amm import (
+    ConvergenceError,
+    InfeasibleTradeError,
+    Reserves,
+    effective_price,
+    fmamm_price,
+    fmamm_supply,
+    pre_fee_price,
+)
 from fmamm.arbitrage import (
     arbitrage_order,
     cpamm_arbitrage_profit,
@@ -56,27 +65,26 @@ class TestNoTradeBand:
 
 class TestOptimalRebalance:
     def test_zero_fee_matches_supply(self):
-        dec = optimal_rebalance(R, 0.0, 0.0, 2500.0)
-        assert dec.rebalanced
-        assert dec.trade == pytest.approx(fmamm_supply(R, 2500.0), rel=1e-12)
-        assert dec.trade == pytest.approx(1.0, rel=1e-12)
+        trade = optimal_rebalance(R, 0.0, 0.0, 2500.0)
+        assert trade != 0.0
+        assert trade == pytest.approx(fmamm_supply(R, 2500.0), rel=1e-12)
+        assert trade == pytest.approx(1.0, rel=1e-12)
 
     def test_buy_branch_closed_form_with_fee(self):
-        dec = optimal_rebalance(R, 0.0, 0.1, 2500.0)
+        trade = optimal_rebalance(R, 0.0, 0.1, 2500.0)
         want = 0.5 * (10.0 - 20000.0 / (0.9 * 2500.0))
-        assert dec.trade == pytest.approx(want, rel=1e-12)
-        assert dec.trade == pytest.approx(0.5555555555555556, rel=1e-9)
+        assert trade == pytest.approx(want, rel=1e-12)
+        assert trade == pytest.approx(0.5555555555555556, rel=1e-9)
 
     def test_inside_band_no_trade(self):
-        dec = optimal_rebalance(R, 0.0, 0.3, 2000.0)
-        assert not dec.rebalanced
-        assert dec.trade == 0.0
+        trade = optimal_rebalance(R, 0.0, 0.3, 2000.0)
+        assert trade == 0.0
 
     def test_band_edge_is_no_trade(self):
         low, high = no_trade_band(R, 0.0, 0.1)
         for p in (low, high):
-            dec = optimal_rebalance(R, 0.0, 0.1, p)
-            assert not dec.rebalanced
+            trade = optimal_rebalance(R, 0.0, 0.1, p)
+            assert trade == 0.0
 
     def test_pinned_price_random(self):
         rng = np.random.default_rng(43)
@@ -84,10 +92,10 @@ class TestOptimalRebalance:
             tau = rng.uniform(0.0, 0.05)
             noise = rng.uniform(-2.0, 2.0)
             p_star = 2000.0 * rng.uniform(0.4, 2.5)
-            dec = optimal_rebalance(R, noise, tau, p_star)
-            if dec.rebalanced:
-                net = noise + dec.trade
-                got = effective_price(R, net, tau, dec.trade)
+            trade = optimal_rebalance(R, noise, tau, p_star)
+            if trade != 0.0:
+                net = noise + trade
+                got = effective_price(R, net, tau, trade)
                 assert got == pytest.approx(p_star, rel=1e-9)
 
     def test_bisection_oracle_agrees_with_closed_form(self):
@@ -100,8 +108,8 @@ class TestOptimalRebalance:
                 lo = mid
             else:
                 hi = mid
-        dec = optimal_rebalance(R, 0.0, tau, p_star)
-        assert dec.trade == pytest.approx(0.5 * (lo + hi), rel=1e-9)
+        trade = optimal_rebalance(R, 0.0, tau, p_star)
+        assert trade == pytest.approx(0.5 * (lo + hi), rel=1e-9)
 
     def test_sign_mixing_sell_into_buying_noise(self):
         # noise net-buys, price drops a little: arbitrageurs sell but the
@@ -110,9 +118,9 @@ class TestOptimalRebalance:
         low, _ = no_trade_band(R, noise, tau)
         p_star = low * 0.98
         assert p_star > (1 - tau) * R.spot_price  # net stays positive
-        dec = optimal_rebalance(R, noise, tau, p_star)
-        net = noise + dec.trade
-        assert dec.trade < 0 < net
+        trade = optimal_rebalance(R, noise, tau, p_star)
+        net = noise + trade
+        assert trade < 0 < net
         assert (1 - tau) * fmamm_price(R, net) == pytest.approx(p_star, rel=1e-9)
 
     def test_sign_mixing_buy_into_selling_noise(self):
@@ -120,9 +128,9 @@ class TestOptimalRebalance:
         _, high = no_trade_band(R, noise, tau)
         p_star = high * 1.02
         assert p_star < R.spot_price / (1 - tau)  # net stays negative
-        dec = optimal_rebalance(R, noise, tau, p_star)
-        net = noise + dec.trade
-        assert net < 0 < dec.trade
+        trade = optimal_rebalance(R, noise, tau, p_star)
+        net = noise + trade
+        assert net < 0 < trade
         assert fmamm_price(R, net * (1 - tau)) / (1 - tau) == pytest.approx(p_star, rel=1e-9)
 
     def test_no_residual_arbitrage(self):
@@ -131,10 +139,10 @@ class TestOptimalRebalance:
             tau = rng.uniform(0.0, 0.05)
             noise = rng.uniform(-2.0, 2.0)
             p_star = 2000.0 * rng.uniform(0.5, 2.0)
-            dec = optimal_rebalance(R, noise, tau, p_star)
-            if not dec.rebalanced:
+            trade = optimal_rebalance(R, noise, tau, p_star)
+            if trade == 0.0:
                 continue
-            net = noise + dec.trade
+            net = noise + trade
             for dr in (1e-6 * R.x, -1e-6 * R.x):
                 extra = dr * (p_star - effective_price(R, net + dr, tau, dr))
                 assert extra <= 1e-9 * abs(dr) * p_star
@@ -154,11 +162,11 @@ class TestOptimalRebalance:
         # the external price: no residual arbitrage
         reserves = Reserves(y, x)
         p_star = ratio * reserves.spot_price
-        dec = optimal_rebalance(reserves, noise * x, tau, p_star)
-        net = noise * x + dec.trade
+        trade = optimal_rebalance(reserves, noise * x, tau, p_star)
+        net = noise * x + trade
         for dr in (share * x, -share * x):
             extra = dr * (p_star - effective_price(reserves, net + dr, tau, dr))
-            assert extra <= 1e-9 * abs(dr) * p_star, (dec, dr, extra)
+            assert extra <= 1e-9 * abs(dr) * p_star, (trade, dr, extra)
 
     def test_band_consistency_when_not_rebalanced(self):
         rng = np.random.default_rng(53)
@@ -167,14 +175,30 @@ class TestOptimalRebalance:
             noise = rng.uniform(-2.0, 2.0)
             low, high = no_trade_band(R, noise, tau)
             p_star = rng.uniform(low, high)
-            dec = optimal_rebalance(R, noise, tau, p_star)
-            assert not dec.rebalanced
+            trade = optimal_rebalance(R, noise, tau, p_star)
+            assert trade == 0.0
             assert effective_price(R, noise, tau, +1) >= p_star - 1e-9 * p_star
             assert effective_price(R, noise, tau, -1) <= p_star + 1e-9 * p_star
 
+    @pytest.mark.parametrize("reserves, noise, tau, p_star, error, message", [
+        (R, 0.0, 0.0, 0.0, ValueError, "price must be positive and finite, got 0.0"),
+        (R, 0.0, 0.0, math.nan, ValueError, "price must be positive and finite, got nan"),
+        (R, 0.0, 1.0, 2000.0, ValueError, "fee must satisfy 0 <= tau < 1, got 1.0"),
+        (R, math.nan, 0.0, 2000.0, ValueError, "trade must be finite, got nan"),
+        (Reserves(1.0, 0.0), 0.0, 0.0, 2000.0, ValueError,
+         "marginal price undefined with zero asset reserve"),
+        (Reserves(2000.0, 1.0), 0.5, 0.0, 2000.0, InfeasibleTradeError,
+         "trade 0.5 is at or beyond the price pole x/2 = 0.5"),
+        # the settled net trade rounds off the root by far more than the pin's tolerance
+        (Reserves(1.0, 1.0), -0.3, 0.0, 2.5e7, ConvergenceError,
+         "rebalance solve left effective price 24999999.943769958 != target 25000000.0"),
+    ])
+    def test_rejected_input(self, reserves, noise, tau, p_star, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            optimal_rebalance(reserves, noise, tau, p_star)
+
     def test_zero_fee_rebalance_splits_value_evenly(self):
-        dec = optimal_rebalance(R, 0.0, 0.0, 2500.0)
-        net = dec.trade
+        net = optimal_rebalance(R, 0.0, 0.0, 2500.0)
         after = Reserves(R.y + net * 2500.0, R.x - net)
         assert 2500.0 * after.x == pytest.approx(after.y, rel=1e-12)
 
@@ -206,7 +230,7 @@ class TestArbitrageOrder:
                 p = math.nextafter(no_trade_band(reserves, a, tau)[edge], toward * math.inf)
             else:
                 p = price * pre_fee_price(reserves, a, tau)
-            rows.append((y, x, a, p, optimal_rebalance(reserves, a, tau, p).trade))
+            rows.append((y, x, a, p, optimal_rebalance(reserves, a, tau, p)))
         y, x, noise, p_star, want = map(np.array, zip(*rows))
         assert np.array_equal(arbitrage_order(y, x, noise, tau, p_star), want)
 
@@ -220,11 +244,12 @@ class TestArbitrageOrder:
         reserves = Reserves(y, x)
         p_star = math.nextafter(no_trade_band(reserves, 0.0, tau)[edge], toward)
         assert arbitrage_order(y, x, 0.0, tau, [p_star]).tolist() == [0.0]
-        assert optimal_rebalance(reserves, 0.0, tau, p_star).trade == 0.0
+        assert optimal_rebalance(reserves, 0.0, tau, p_star) == 0.0
 
     def test_scalar_call_returns_a_float(self):
         trade = arbitrage_order(R.y, R.x, 0.0, 0.0, 2500.0)
-        assert type(trade) is float and trade == optimal_rebalance(R, 0.0, 0.0, 2500.0).trade
+        checked = optimal_rebalance(R, 0.0, 0.0, 2500.0)
+        assert type(trade) is float and type(checked) is float and trade == checked
 
 
 class TestAttackProfits:

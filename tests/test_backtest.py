@@ -353,14 +353,14 @@ def reference_backtest(prices, tau, noise, initial=None, baseline_volume=None, m
         elif v > 0.0:
             orders = [Order("noise", "noise", int(signs[i]) * v)]
         noise_net = math.fsum(o.amount for o in orders)
-        decision = optimal_rebalance(reserves, noise_net, tau, p)
-        if decision.trade != 0.0:
-            orders.append(Order("arb", "arbitrageur", decision.trade))
+        arb = optimal_rebalance(reserves, noise_net, tau, p)
+        if arb != 0.0:
+            orders.append(Order("arb", "arbitrageur", arb))
         before, net, fee_n, fee_a = reserves, 0.0, 0.0, 0.0
         if orders:
             reserves, report = settle_batch(reserves, Batch(i + 1, tuple(orders)), tau)
             net, fee_n, fee_a = report.net_trade, report.fee_numeraire, report.fee_asset
-        rows.append((i + 1, t, p, noise_net, decision.trade, net, decision.rebalanced,
+        rows.append((i + 1, t, p, noise_net, arb, net, arb != 0.0,
                      before.y, before.x, reserves.y, reserves.x, fee_n, fee_a))
         values.append(reserves.value_at(mark))
     return np.rec.fromrecords(rows, dtype=TRADE_LOG_DTYPE), np.array(values)
@@ -501,7 +501,7 @@ class TestKernelMatchesReference:
         reserves = Reserves(56223.62199100347, 25.893870671161515)
         tau, p_star = 0.05, 2285.5895413289027
         assert math.nextafter(no_trade_band(reserves, 0.0, tau)[1], math.inf) == p_star
-        assert optimal_rebalance(reserves, 0.0, tau, p_star).trade == 0.0
+        assert optimal_rebalance(reserves, 0.0, tau, p_star) == 0.0
         series = PriceSeries("A-B", [0.0, 12.0], [2171.0, p_star])
         result = backtest(series, tau, initial=reserves)
         assert result.n_rebalances == 0
@@ -522,13 +522,13 @@ class TestKernelMatchesReference:
         # and both take the same trade, bit for bit
         reserves, a = Reserves(y, x), noise * x
         p_star = math.nextafter(no_trade_band(reserves, a, tau)[edge], toward)
-        decision = optimal_rebalance(reserves, a, tau, p_star)
+        arb = optimal_rebalance(reserves, a, tau, p_star)
         series = PriceSeries("X-Y", [0.0, 12.0], [y / x, p_star])
         # random-sign noise: seed 0 buys, seed 1 sells
         scenario = NoiseScenario(1.0, "random_sign", seed=int(a < 0.0))
         result = backtest(series, tau, scenario, reserves, [abs(a)])
         assert result.noise_net[0] == a
-        assert result.columns[0, 0] == decision.trade
+        assert result.columns[0, 0] == arb
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -821,8 +821,7 @@ class TestValueFunction:
                 for p in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
                     cases.append((reserves, tau, p))
         for reserves, tau, p in cases:
-            dec = optimal_rebalance(reserves, 0.0, tau, p)
-            want = objective_value(dec.trade, p, tau, reserves)
+            want = objective_value(optimal_rebalance(reserves, 0.0, tau, p), p, tau, reserves)
             assert value_function([p], reserves, tau)[0] == want, (reserves, tau, p)
 
     @settings(max_examples=100, deadline=None)
@@ -839,7 +838,7 @@ class TestValueFunction:
         prices = [reserves.spot_price * ratio]
         for edge in no_trade_band(reserves, 0.0, tau):
             prices.append(math.nextafter(edge, ulps * math.inf) if ulps else edge)
-        want = [objective_value(optimal_rebalance(reserves, 0.0, tau, p).trade, p, tau, reserves)
+        want = [objective_value(optimal_rebalance(reserves, 0.0, tau, p), p, tau, reserves)
                 for p in prices]
         assert value_function(prices, reserves, tau).tolist() == want
 
@@ -960,9 +959,8 @@ class TestRiskMonteCarlo:
 
 class TestSandwichImmunity:
     def run_block(self, reserves, orders_net, tau, p_star):
-        dec = optimal_rebalance(reserves, orders_net, tau, p_star)
-        net = orders_net + dec.trade
-        return dec, net
+        arb = optimal_rebalance(reserves, orders_net, tau, p_star)
+        return arb, orders_net + arb
 
     def test_victim_price_unchanged_when_arb_active(self):
         rng = np.random.default_rng(73)
@@ -974,11 +972,11 @@ class TestSandwichImmunity:
                 continue
             attack = rng.uniform(0.01, 0.5)
             p_star = 2000.0 * rng.uniform(0.9, 1.1)
-            dec0, net0 = self.run_block(R, victim, tau, p_star)
-            dec1, net1 = self.run_block(R, victim + attack, tau, p_star)
-            if not (dec0.rebalanced and dec1.rebalanced):
+            arb0, net0 = self.run_block(R, victim, tau, p_star)
+            arb1, net1 = self.run_block(R, victim + attack, tau, p_star)
+            if arb0 == 0.0 or arb1 == 0.0:
                 continue
-            if np.sign(dec0.trade) != np.sign(dec1.trade) or np.sign(net0) != np.sign(net1):
+            if np.sign(arb0) != np.sign(arb1) or np.sign(net0) != np.sign(net1):
                 continue
             checked += 1
             p_victim0 = effective_price(R, net0, tau, victim)
@@ -996,11 +994,11 @@ class TestSandwichImmunity:
             attack = rng.uniform(0.001, 0.05) * reserves.x
             # block 1: victim plus attacker front-run buy
             noise1 = victim + attack if victim != 0.0 else attack
-            dec1, net1 = self.run_block(reserves, noise1, tau, p_star)
+            arb1, net1 = self.run_block(reserves, noise1, tau, p_star)
             buy_price = effective_price(reserves, net1, tau, +1)
             mid = apply_trade(reserves, net1, tau) if net1 != 0.0 else reserves
             # block 2: attacker back-run sell, same external price
-            dec2, net2 = self.run_block(mid, -attack, tau, p_star)
+            arb2, net2 = self.run_block(mid, -attack, tau, p_star)
             sell_price = effective_price(mid, net2, tau, -1)
             profit = attack * (sell_price - buy_price)
             assert profit <= 1e-9 * attack * p_star
@@ -1012,7 +1010,7 @@ class TestSandwichImmunity:
             tau = rng.uniform(0.0, 0.05)
             noise = rng.uniform(-1.0, 1.0)
             p_star = 2000.0 * rng.uniform(0.7, 1.4)
-            dec, net = self.run_block(R, noise, tau, p_star)
+            arb, net = self.run_block(R, noise, tau, p_star)
             assert effective_price(R, net, tau, +1) >= p_star * (1 - 1e-9)
             assert effective_price(R, net, tau, -1) <= p_star * (1 + 1e-9)
 

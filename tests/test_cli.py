@@ -166,6 +166,19 @@ class TestSettle:
         assert f"error: {orders}:2: bad order line: {named}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line, named", [
+        (b'{"block": 2, "trader_kind": "no\xffise", "amount": 1.0}',
+         "'utf-8' codec can't decode byte 0xff in position 31: invalid start byte"),
+        # decoded line by line as the text it is, a byte-order mark stays a bad character
+        (b'\xef\xbb\xbf{"block": 2, "trader_kind": "noise", "amount": 1.0}',
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ], ids=["undecodable", "byte-order mark"])
+    def test_undecodable_byte_names_the_line(self, tmp_path, capsys, line, named):
+        orders = tmp_path / "orders.jsonl"
+        orders.write_bytes(b'{"block": 1, "trader_kind": "noise", "amount": 1.0}\n' + line + b"\n")
+        assert main(["settle", "--y", "20000", "--x-reserve", "10", "--orders", str(orders)]) == 2
+        assert capsys.readouterr().err == f"error: {orders}:2: bad order line: {named}\n"
+
     def test_missing_orders_file(self, tmp_path, capsys):
         code = main(["settle", "--y", "1", "--x-reserve", "1", "--orders", str(tmp_path / "no.jsonl")])
         assert code == 2
@@ -289,6 +302,13 @@ class TestBacktestCommand:
         cfg.write_text('{"pair": "WETH-USDT",')
         assert main(["backtest", "--config", str(cfg)]) == 2
         assert f"error: {cfg}: invalid JSON: " in capsys.readouterr().err
+
+    def test_undecodable_config_is_invalid_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"pair": "WETH-USDT", "price_csv": "p\xff.csv"}')
+        assert main(["backtest", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg}: invalid JSON: 'utf-8' codec can't "
+                                           "decode byte 0xff in position 37: invalid start byte\n")
 
     def test_null_swap_csv_runs_without_baseline(self, tmp_path, capsys):
         write_price_csv(tmp_path / "prices.csv", blocks=10)

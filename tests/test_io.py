@@ -202,6 +202,19 @@ class TestPriceParse:
         with pytest.raises(PriceDataError, match=r"p\.csv:4: price must be finite and positive, got nan$"):
             load_price_series(path, "X-Y")
 
+    def test_undecodable_byte_names_the_line(self, tmp_path, monkeypatch, capsys):
+        # the byte reaches the row reader as a lone surrogate, which no float takes
+        monkeypatch.chdir(tmp_path)
+        write_price_csv(tmp_path / "prices.csv", blocks=10)
+        lines = (tmp_path / "prices.csv").read_bytes().splitlines()
+        lines[2] += b"\xff"
+        (tmp_path / "prices.csv").write_bytes(b"\n".join(lines) + b"\n")
+        cfg = write_config(tmp_path / "cfg.json", "prices.csv")
+        assert main(["backtest", "--config", str(cfg)]) == 2
+        row = lines[2].decode("utf-8", "surrogateescape").split(",")
+        assert capsys.readouterr().err == (f"error: prices.csv:3: malformed row {row}: "
+                                           f"could not convert string to float: {row[1]!r}\n")
+
     def test_plain_file_skips_the_row_reader(self, tmp_path, monkeypatch):
         def row_reader(*args):
             raise AssertionError("the row reader ran on a plain file")
@@ -340,6 +353,20 @@ class TestSwapParse:
         assert main(["backtest", "--config", str(cfg)]) == 2
         why = why.format(row=lines[2].split(","))
         assert capsys.readouterr().err == f"error: swaps.csv:3: {why}\n"
+
+    def test_undecodable_byte_names_the_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        series = write_price_csv(tmp_path / "prices.csv", blocks=60)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        lines = (tmp_path / "swaps.csv").read_bytes().splitlines()
+        lines[2] = lines[2].replace(b"token1", b"tok\xffX")
+        (tmp_path / "swaps.csv").write_bytes(b"\n".join(lines) + b"\n")
+        cfg = write_config(tmp_path / "cfg.json", "prices.csv", "swaps.csv")
+        assert main(["backtest", "--config", str(cfg)]) == 2
+        row = lines[2].decode("utf-8", "surrogateescape").split(",")
+        assert capsys.readouterr().err == (
+            f"error: swaps.csv:3: malformed row {row}: 'latin-1' codec can't encode character "
+            "'\\udcff' in position 3: ordinal not in range(256)\n")
 
     def test_plain_file_skips_the_row_reader(self, tmp_path, monkeypatch):
         def row_reader(*args):

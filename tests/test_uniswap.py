@@ -465,6 +465,49 @@ class TestBaselineMatchesReference:
                                                        f"of ('token0', 'token1'), got {token!r}")):
             as_swap_log(records)
 
+    @pytest.mark.parametrize("token", ["tökX", "t€ken0"], ids=["latin-1", "outside latin-1"])
+    def test_text_token_column_names_the_record(self, token):
+        """A ``str`` token column is encoded as a record's token is, not as ASCII."""
+        dtype = [(name, "U7" if name == "fee_token" else SWAP_LOG_DTYPE[name])
+                 for name in SWAP_LOG_DTYPE.names]
+        log = np.array([(1, 5, 1.0, "token1", 1e6, 4.0), (2, 17, 1.0, token, 1e6, 4.0)], dtype)
+        with pytest.raises(ValueError, match=re.escape(f"swap record 1: fee_token must be one "
+                                                       f"of ('token0', 'token1'), got {token!r}")):
+            as_swap_log(log)
+
+    @pytest.mark.parametrize("field, value, want", [
+        # 1.5 and 12.9 were cut to 1 and 12, so the swap accrued at the t=12 mark, not at t=24
+        ("block", 1.5, "an integer within 64 bits"),
+        ("timestamp", 12.9, "an integer within 64 bits"),
+        ("block", True, "an integer within 64 bits"),
+        ("block", 2**70, "an integer within 64 bits"),
+        ("fee_amount", "1.0", "a real number within the float range"),
+        ("fee_amount", 10**400, "a real number within the float range"),
+        ("active_liquidity", True, "a real number within the float range"),
+        ("fee_token", 5, "one of ('token0', 'token1')"),
+        ("fee_token", None, "one of ('token0', 'token1')"),
+    ], ids=["float block", "float timestamp", "bool block", "block past 64 bits", "text fee",
+            "fee past the float range", "bool liquidity", "int token", "no token"])
+    def test_record_fields_are_not_coerced(self, field, value, want):
+        records = [record(block=1, ts=5), replace(record(block=2, ts=17), **{field: value})]
+        with pytest.raises(ValueError, match=re.escape(f"swap record 1: {field} must be {want}, "
+                                                       f"got {value!r}")):
+            as_swap_log(records)
+
+    @pytest.mark.parametrize("field, kind", [
+        ("block", "float64"), ("timestamp", "float64"), ("block", "bool"),
+        # 2**63 would wrap to a negative block
+        ("block", "uint64"),
+        ("fee_amount", "<U8"), ("active_liquidity", "bool"),
+    ])
+    def test_raw_log_columns_are_not_coerced(self, field, kind):
+        dtype = [(name, kind if name == field else SWAP_LOG_DTYPE[name])
+                 for name in SWAP_LOG_DTYPE.names]
+        log = np.array([(1, 5, 1.0, b"token1", 1e6, 4.0), (1, 17, 1.0, b"token1", 1e6, 4.0)], dtype)
+        with pytest.raises(ValueError, match=f"^swap log {field} must have a numeric dtype that "
+                                             f"{SWAP_LOG_DTYPE[field]} holds, got {kind}$"):
+            as_swap_log(log)
+
 
 class TestSwapRecordIo:
     def test_round_trip(self, tmp_path):

@@ -11,30 +11,29 @@ import numpy as np
 
 from fmamm.backtest import block_grid_series, run_fmamm_backtest
 from fmamm.market_data import GbmParams, sample_gbm_path
-from fmamm.uniswap import SwapRecord, run_baseline
+from fmamm.uniswap import SWAP_LOG_DTYPE, run_baseline
 
 POOL_FEE = 0.003
 BLOCKS = 5_000
 
 
 def synthetic_swaps(series, rng):
-    """A few pool swaps per block window with fee-proportional volume."""
-    records = []
+    """A few pool swaps per block window with fee-proportional volume, as a
+    swap log: one row per swap, the CSV's six fields in order."""
+    rows = []
     for i in range(1, len(series), 3):
         t, p = series[i]
         volume_asset = rng.uniform(0.5, 3.0)
         fee_is_numeraire = rng.random() < 0.5
-        records.append(
-            SwapRecord(
-                block=i,
-                timestamp=int(t),
-                fee_amount=POOL_FEE * volume_asset * (p if fee_is_numeraire else 1.0),
-                fee_token="token1" if fee_is_numeraire else "token0",
-                active_liquidity=2e5,
-                post_price=float(p),
-            )
-        )
-    return records
+        rows.append((
+            i,
+            int(t),
+            POOL_FEE * volume_asset * (p if fee_is_numeraire else 1.0),
+            b"token1" if fee_is_numeraire else b"token0",
+            2e5,
+            float(p),
+        ))
+    return np.array(rows, SWAP_LOG_DTYPE)
 
 
 def main():

@@ -179,14 +179,15 @@ def _load_scenario(args, inputs: dict, needs_swaps=False):
 def cmd_backtest(args) -> Outputs:
     inputs = {}
     cfg, grid, initial = _load_scenario(args, inputs)
+    # every input is checked before anything is printed
+    records = None if cfg.swap_csv is None else load_swap_records(cfg.swap_csv, inputs)
     result = run_fmamm_backtest(grid, cfg.fee, NO_NOISE, initial)
     print(f"{cfg.pair}: {grid.p_stars.size} blocks, fee {cfg.fee}")
     print(f"fm_amm terminal roi {result.terminal_roi:+.6%} ({result.n_rebalances} rebalances)")
     runs = {"fm_amm": result.series}
     summary = {"config": asdict(cfg), "fm_amm": result.summary}
     files = {"summary.json": summary}
-    if cfg.swap_csv is not None:
-        records = load_swap_records(cfg.swap_csv, inputs)
+    if records is not None:
         baseline = run_baseline(records, grid.marks, cfg.baseline_liquidity,
                                 cfg.compound_cadence)
         # both venues are marked on the run's block grid

@@ -18,29 +18,27 @@ Swap records load from CSVs with schema
 columnar swap log (:data:`SWAP_LOG_DTYPE`) by :mod:`fmamm.market_data`'s one
 CSV reader; every log meets the swap rule.  Its ``fee_token`` is ASCII
 bytes, to be compared with :data:`FEE_TOKENS` (a ``str`` matches no row).
-:func:`run_baseline` replays the log in closed form: ``L`` is constant
-between compounding points, so one cumulative product of per-point growth
-factors serves every cadence, with one rule for swaps outside the price
-marks.  It agrees with a per-record replay within 1e-12 relative.
+The log is the one input form: :func:`run_baseline` and
+:func:`per_block_swap_volume` take only such an array, which
+:func:`as_swap_log` checks.  :func:`run_baseline` replays it in closed
+form: ``L`` is constant between compounding points, so one cumulative
+product of per-point growth factors serves every cadence, with one rule for
+swaps outside the price marks.  It agrees with a per-record replay within
+1e-12 relative.
 """
 
 from __future__ import annotations
 
-import numbers
-import sys
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from fmamm.amm import _check_size, _is_integer
+from fmamm.amm import _check_size
 from fmamm.market_data import LpReturnSeries, PriceSeries, _read_csv, format_number
 
 __all__ = [
     "FEE_TOKENS",
     "SWAP_LOG_DTYPE",
-    "SwapRecord",
     "run_baseline",
     "as_swap_log",
     "load_swap_records",
@@ -63,18 +61,6 @@ SWAP_LOG_DTYPE = np.dtype([
     ("active_liquidity", np.float64),
     ("post_price", np.float64),
 ])
-
-
-@dataclass(frozen=True)
-class SwapRecord:
-    """One pool swap, a plain record: :func:`as_swap_log` checks it."""
-
-    block: int
-    timestamp: int
-    fee_amount: float
-    fee_token: str
-    active_liquidity: float
-    post_price: float
 
 
 # The swap rule: each field's test on a column and what it must be, then the
@@ -110,64 +96,25 @@ def _swap_fault(log) -> tuple[int, str] | None:
                f"swap records must be sorted by {name}")
 
 
-def _token_bytes(k: int, token) -> bytes:
-    """Record ``k``'s fee token as the bytes a CSV field of its text parses to."""
-    if isinstance(token, bytes):
-        return token
-    if isinstance(token, str):
-        try:
-            return token.encode("latin-1")
-        except UnicodeEncodeError:
-            pass
-    raise ValueError(f"swap record {k}: fee_token must be {_TOKEN_WANT}, got {token!r}")
+def as_swap_log(log) -> np.recarray:
+    """``log``, a 1-D array with :data:`SWAP_LOG_DTYPE`'s fields, as a swap log
+    (not copied if it has that dtype) once every row meets the swap rule.
 
-
-def _is_real(value) -> bool:
-    """A real number that a float holds, NaN and inf included (the swap rule
-    names those), but no bool and no integer beyond the float range."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max))
-
-
-def _swap_row(k: int, record: SwapRecord) -> tuple:
-    """Record ``k`` as a swap log row once each field has its column's type:
-    nothing is coerced, so a 12.9 timestamp is not cut to 12 nor a "1.0" fee read."""
-    row = []
+    Nothing is coerced: each column must be of its field's kind (bytes for
+    ``fee_token``, numbers otherwise) and cast safely to the log's column."""
+    if not (isinstance(log, np.ndarray) and log.ndim == 1):
+        got = f"a {log.ndim}-D array" if isinstance(log, np.ndarray) else type(log).__name__
+        raise ValueError(f"a swap log must be a 1-D array of SWAP_LOG_DTYPE, got {got}")
+    if log.dtype.names != SWAP_LOG_DTYPE.names:
+        raise ValueError(f"swap log fields must be {SWAP_LOG_DTYPE.names}, "
+                         f"got {log.dtype.names}")
     for name in SWAP_LOG_DTYPE.names:
-        value, kind = getattr(record, name), SWAP_LOG_DTYPE[name].kind
-        if kind == "S":
-            row.append(_token_bytes(k, value))
-        elif kind == "i" and _is_integer(value) and -(2**63) <= value < 2**63:
-            row.append(value)
-        elif kind == "f" and _is_real(value):
-            row.append(value)
-        else:
-            want = ("an integer within 64 bits" if kind == "i"
-                    else "a real number within the float range")
-            raise ValueError(f"swap record {k}: {name} must be {want}, got {value!r}")
-    return tuple(row)
-
-
-def as_swap_log(records) -> np.recarray:
-    """The swap log of ``records``, an array with its fields (not copied if
-    a log) or a sequence of :class:`SwapRecord`, once every row meets the swap rule.
-
-    An array's number columns must have numeric dtypes that cast safely to
-    the log's; a ``fee_token`` of ``str`` is taken as a record's is."""
-    if isinstance(records, np.ndarray):
-        if records.dtype.names != SWAP_LOG_DTYPE.names:
-            raise ValueError(f"swap log fields must be {SWAP_LOG_DTYPE.names}, "
-                             f"got {records.dtype.names}")
-        for name in SWAP_LOG_DTYPE.names:
-            dtype, column = records.dtype[name], SWAP_LOG_DTYPE[name]
-            if column.kind != "S" and (dtype.kind not in "iuf" or not np.can_cast(dtype, column)):
-                raise ValueError(f"swap log {name} must have a numeric dtype that {column} "
-                                 f"holds, got {dtype}")
-        if records.dtype["fee_token"].kind == "U":
-            records = [_swap_row(k, SwapRecord(*row)) for k, row in enumerate(records.tolist())]
-    else:
-        records = [_swap_row(k, r) for k, r in enumerate(records)]
-    rows = np.asarray(records, SWAP_LOG_DTYPE)
+        dtype, column = log.dtype[name], SWAP_LOG_DTYPE[name]
+        kinds, what = ("S", "bytes") if column.kind == "S" else ("iuf", "numeric")
+        if dtype.kind not in kinds or not np.can_cast(dtype, column):
+            raise ValueError(f"swap log {name} must have a {what} dtype that {column} "
+                             f"holds, got {dtype}")
+    rows = np.asarray(log, SWAP_LOG_DTYPE)
     fault = _swap_fault(rows)
     if fault is not None:
         raise ValueError(f"swap record {fault[0]}: {fault[1]}")
@@ -185,7 +132,7 @@ def _check_pool_fee(pool_fee: float, name: str = "pool_fee") -> None:
 
 
 def run_baseline(
-    records: Sequence[SwapRecord] | np.ndarray,
+    records: np.ndarray,
     price_series: PriceSeries,
     initial_liquidity: float,
     compound_cadence: str = "block",
@@ -196,8 +143,8 @@ def run_baseline(
     usual setup): fees from records up to that time are accrued pro rata to
     the position's liquidity over the swap's ``active_liquidity``,
     compounding runs per the cadence, and the position is valued at the mark
-    price as ``2*L*sqrt(p)`` plus pending fees.  Records (a swap log or a
-    sequence of :class:`SwapRecord`) must meet the swap rule, which sorts
+    price as ``2*L*sqrt(p)`` plus pending fees.  ``records`` is a swap log
+    (see :func:`as_swap_log`); its rows must meet the swap rule, which sorts
     them by block and by timestamp.
 
     ``block`` and ``day`` compound at the mark price (``day`` at the first
@@ -282,9 +229,10 @@ def load_swap_records(path, digests=None) -> np.recarray:
 
 
 def per_block_swap_volume(
-    records: Sequence[SwapRecord] | np.ndarray, settlement_times: np.ndarray, pool_fee: float
+    records: np.ndarray, settlement_times: np.ndarray, pool_fee: float
 ) -> np.ndarray:
-    """Asset-unit trade volume per block interval, inferred from fees paid.
+    """Asset-unit trade volume per block interval, inferred from fees paid
+    by the swaps of ``records``, a swap log (see :func:`as_swap_log`).
 
     Each swap's volume is ``fee / pool_fee`` in its sell token, converted to
     asset units at the swap's own price when the fee was paid in numeraire.

@@ -29,7 +29,7 @@ from fmamm.backtest import (
 from fmamm.batch import split_trade_experiment
 from fmamm.cli import main
 from fmamm.market_data import GbmParams, PriceSeries, load_price_series, sample_gbm_path
-from fmamm.uniswap import load_swap_records, run_baseline
+from fmamm.uniswap import SWAP_LOG_DTYPE, load_swap_records, run_baseline
 
 
 def report(criterion, message):
@@ -211,10 +211,10 @@ def test_criterion_6_sandwich_immunity():
 
 def test_criterion_7_baseline_roi_identity():
     """Full-range value identity: no-swap ROI is sqrt(p1/p0) - 1, size-invariant."""
-    series = PriceSeries("X-Y", [0, 12], [4.0, 9.0])
-    out = run_baseline([], series, 1.0)
+    series, no_swaps = PriceSeries("X-Y", [0, 12], [4.0, 9.0]), np.empty(0, SWAP_LOG_DTYPE)
+    out = run_baseline(no_swaps, series, 1.0)
     assert out.roi[-1] == pytest.approx(np.sqrt(9.0 / 4.0) - 1.0, rel=1e-12, abs=1e-12)
-    scaled = run_baseline([], series, 1e6)
+    scaled = run_baseline(no_swaps, series, 1e6)
     assert np.allclose(out.roi, scaled.roi, rtol=1e-12, atol=1e-15)
     report(7, f"no-swap roi {out.roi[-1]:.12f} == sqrt(9/4)-1, invariant to 1e6 scaling")
 

@@ -53,7 +53,7 @@ from fmamm.market_data import (
     sample_at,
     sample_gbm_path,
 )
-from fmamm.uniswap import SWAP_LOG_DTYPE, SwapRecord, per_block_swap_volume, run_baseline
+from fmamm.uniswap import SWAP_LOG_DTYPE, per_block_swap_volume, run_baseline
 
 R = Reserves(20000.0, 10.0)
 TAUS = (0.0, 0.0005, 0.003, 0.01)
@@ -256,7 +256,7 @@ class TestRunBacktest:
         # a fee over a subnormal pool fee overflows to an infinite volume, and
         # zero noise times it is NaN; a huge fraction overflows a finite one
         series = flat_series(blocks=3)
-        swaps = [SwapRecord(1, 5, 1.0, "token0", 1e9, 2000.0)]
+        swaps = np.array([(1, 5, 1.0, b"token0", 1e9, 2000.0)], SWAP_LOG_DTYPE)
         grid = block_grid_series(series)
         volume = per_block_swap_volume(swaps, grid.marks.timestamps[1:], pool_fee)
         with pytest.raises(ValueError, match="noise volumes must be finite"):

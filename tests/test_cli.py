@@ -26,7 +26,7 @@ from fmamm.backtest import (
 )
 from fmamm.cli import MAX_DRAWS, main
 from fmamm.market_data import GbmParams, PriceSeries, sample_gbm_path
-from fmamm.uniswap import per_block_swap_volume, run_baseline
+from fmamm.uniswap import SWAP_LOG_DTYPE, per_block_swap_volume, run_baseline
 
 
 def checkout_env():
@@ -338,8 +338,9 @@ class TestBacktestCommand:
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", swaps)
         for command in ("backtest", "sweep-noise"):
             assert main([command, "--config", str(cfg)]) == 2
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
             assert "swaps.csv:3: timestamp 1680000120 before the previous" in err, err
+            assert out == "", (command, out)  # checked before anything is printed
 
     @pytest.mark.parametrize("which, row", [
         ("prices", "1680000012,-1.0"),
@@ -512,7 +513,9 @@ class TestSweepCommands:
 
     def test_no_dense_input_outlives_its_use(self, tmp_path, capsys, monkeypatch):
         # when a kernel run or the swap load starts, the dense price series
-        # and every swap log loaded before it are unreachable
+        # and every swap log loaded before it are unreachable, except
+        # backtest's swap log: it is checked before the kernel run and
+        # replayed after it
         series = write_price_csv(tmp_path / "prices.csv", blocks=60)
         write_swap_csv(tmp_path / "swaps.csv", series)
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
@@ -539,7 +542,9 @@ class TestSweepCommands:
             loaded.clear()
             assert main([command, "--config", str(cfg)]) == 0, capsys.readouterr().err
             assert len(loaded) == (1 if command == "sweep-fees" else 2)
-            assert alive == [], command
+            held = [("run_fmamm_backtest", "load_swap_records")] if command == "backtest" else []
+            assert alive == held, command
+            alive.clear()
 
     def test_noise_beyond_the_pole_names_the_block(self, tmp_path, capsys):
         # one asset unit of depth; random-sign noise of 0.5-2 units buys past x/2
@@ -875,17 +880,18 @@ def library_rejects(key, value) -> bool:
     grid = block_grid_series(flat)
     # a one-point series spans no block, so only the range of mu and gamma applies
     point = PriceSeries("X-Y", [0.0], [0.25])
+    no_swaps = np.empty(0, SWAP_LOG_DTYPE)
     takes = {
         "fee": lambda v: run_fmamm_backtest(grid, v),
         "mu": lambda v: block_grid_series(point, mu=v),
         "gamma": lambda v: block_grid_series(point, gamma=v),
         "seed": lambda v: NoiseScenario(seed=v),
         "initial_x": lambda v: balanced_reserves(1.0, v),
-        "baseline_liquidity": lambda v: run_baseline([], flat, v),
-        "pool_fee": lambda v: per_block_swap_volume([], np.array([12.0]), v),
+        "baseline_liquidity": lambda v: run_baseline(no_swaps, flat, v),
+        "pool_fee": lambda v: per_block_swap_volume(no_swaps, np.array([12.0]), v),
         "noise_fractions": lambda v: NoiseScenario(v),
         "noise_direction": lambda v: NoiseScenario(0.0, v),
-        "compound_cadence": lambda v: run_baseline([], flat, 1.0, v),
+        "compound_cadence": lambda v: run_baseline(no_swaps, flat, 1.0, v),
     }
     try:
         takes[key](value)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from fmamm.backtest import block_grid_series
 from fmamm.market_data import GbmParams, LpReturnSeries, PriceSeries, sample_at, sample_gbm_path
 from fmamm.uniswap import (
+    FEE_TOKENS,
     SWAP_LOG_DTYPE,
-    SwapRecord,
     as_swap_log,
     load_swap_records,
     per_block_swap_volume,
@@ -22,14 +22,23 @@ from fmamm.uniswap import (
 )
 
 
-def record(block=1, ts=10, fee=100.0, token="token1", liq=1e6, price=4.0):
-    return SwapRecord(block, ts, fee, token, liq, price)
+def record(block=1, ts=10, fee=100.0, token=b"token1", liq=1e6, price=4.0):
+    """One swap log row, the CSV's six fields in order."""
+    return block, ts, fee, token, liq, price
+
+
+def log_of(*rows):
+    """A swap log of ``rows``, built without the code under test."""
+    return np.array(list(rows), SWAP_LOG_DTYPE)
+
+
+NO_SWAPS = log_of()
 
 
 class TestRunBaseline:
     def test_no_swaps_flat_price(self):
         series = PriceSeries("X-Y", [0, 12, 24], [4.0, 4.0, 4.0])
-        out = run_baseline([], series, 1.0)
+        out = run_baseline(NO_SWAPS, series, 1.0)
         assert np.all(out.roi == 0.0)
 
     @pytest.mark.parametrize("liquidity", [0.0, -1.0, math.nan, 1e-320])
@@ -37,13 +46,13 @@ class TestRunBaseline:
         series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
         with pytest.raises(ValueError, match=f"initial_liquidity must be at least "
                                              f"2.2250738585072014e-308, got {liquidity}"):
-            run_baseline([], series, liquidity)
+            run_baseline(NO_SWAPS, series, liquidity)
 
     def test_bad_cadence_rejected(self):
         series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
         with pytest.raises(ValueError, match=re.escape(
                 "compound_cadence must be one of ('swap', 'block', 'day')")):
-            run_baseline([], series, 1.0, "hourly")
+            run_baseline(NO_SWAPS, series, 1.0, "hourly")
 
     @pytest.mark.parametrize("cadence", ["swap", "block", "day"])
     def test_overflowing_value_names_the_mark(self, cadence):
@@ -52,31 +61,31 @@ class TestRunBaseline:
         series = PriceSeries("X-Y", [0, 12, 24], [4.0, 4.0, 4.0])
         with pytest.raises(ValueError, match=re.escape(
                 "baseline value is not finite at mark 0 (price 4.0) with initial_liquidity 1e+308")):
-            run_baseline([], series, 1e308, cadence)
-        swaps = [record(block=1, ts=5, fee=1e300, liq=1e-10)]
+            run_baseline(NO_SWAPS, series, 1e308, cadence)
+        swaps = log_of(record(block=1, ts=5, fee=1e300, liq=1e-10))
         with pytest.warns(UserWarning, match="small-position"), pytest.raises(
                 ValueError, match=re.escape("at mark 12 (price 4.0) with initial_liquidity 1.0")):
             run_baseline(swaps, series, 1.0, cadence)
 
     def test_no_swaps_divergence_identity(self):
         series = PriceSeries("X-Y", [0, 12], [4.0, 9.0])
-        out = run_baseline([], series, 7.0)
+        out = run_baseline(NO_SWAPS, series, 7.0)
         assert out.roi[-1] == pytest.approx(np.sqrt(9.0 / 4.0) - 1.0, rel=1e-12)
 
     def test_single_swap_flat_price(self):
         series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
         rec = record(block=1, ts=5, fee=100.0, liq=1e6, price=4.0)
-        out = run_baseline([rec], series, 1.0)
+        out = run_baseline(log_of(rec), series, 1.0)
         # share s = 1e-6; roi = s*fee / (2*L*sqrt(p))
         assert out.roi[-1] == pytest.approx(1e-4 / 4.0, rel=1e-12)
 
     def test_roi_invariant_to_position_scale(self):
         series = PriceSeries("X-Y", [0, 12, 24, 36], [4.0, 4.4, 3.9, 4.2])
-        recs = [
+        recs = log_of(
             record(block=1, ts=6, fee=10.0, liq=1e8, price=4.2),
-            record(block=2, ts=18, fee=7.0, token="token0", liq=1e8, price=4.1),
+            record(block=2, ts=18, fee=7.0, token=b"token0", liq=1e8, price=4.1),
             record(block=3, ts=30, fee=3.0, liq=1e8, price=4.0),
-        ]
+        )
         a = run_baseline(recs, series, 1.0)
         b = run_baseline(recs, series, 1e6)
         assert np.allclose(a.roi, b.roi, rtol=1e-12, atol=1e-15)
@@ -87,8 +96,8 @@ class TestRunBaseline:
         marks = PriceSeries("X-Y", 300.0 * np.arange(865),
                             4.0 * np.exp(np.cumsum(rng.normal(0.0, 0.002, 865))))
         times = np.sort(rng.integers(1, 300 * 864, 200))
-        recs = [record(block=i + 1, ts=int(t), fee=float(rng.uniform(1.0, 100.0)),
-                       token=("token0", "token1")[i % 2], liq=1e12) for i, t in enumerate(times)]
+        recs = log_of(*(record(block=i + 1, ts=int(t), fee=float(rng.uniform(1.0, 100.0)),
+                               token=FEE_TOKENS[i % 2], liq=1e12) for i, t in enumerate(times)))
         for cadence in ("swap", "block", "day"):
             roi = run_baseline(recs, marks, 1.0, cadence).roi
             for k in (-3, 5, 20):
@@ -97,12 +106,12 @@ class TestRunBaseline:
 
     def test_fee_monotonicity(self):
         series = PriceSeries("X-Y", [0, 12, 24], [4.0, 4.1, 4.05])
-        base = run_baseline([record(block=1, ts=6, fee=5.0, liq=1e8)], series, 1.0)
+        base = run_baseline(log_of(record(block=1, ts=6, fee=5.0, liq=1e8)), series, 1.0)
         more = run_baseline(
-            [
+            log_of(
                 record(block=1, ts=6, fee=5.0, liq=1e8),
                 record(block=2, ts=18, fee=5.0, liq=1e8, price=4.1),
-            ],
+            ),
             series,
             1.0,
         )
@@ -110,31 +119,32 @@ class TestRunBaseline:
 
     def test_unsorted_records_rejected(self):
         series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
-        recs = [record(block=2, ts=5), record(block=1, ts=6)]
+        recs = log_of(record(block=2, ts=5), record(block=1, ts=6))
         with pytest.raises(ValueError, match="sorted"):
             run_baseline(recs, series, 1.0)
 
     @pytest.mark.parametrize("as_log", [False, True])
     def test_decreasing_timestamps_rejected(self, as_log):
         # sorted by block, but the fee at t=120 would be missed at the t=130
-        # mark behind the record at t=150
+        # mark behind the record at t=150; a plain array and its record view
+        # are checked alike
         series = PriceSeries("X-Y", [0, 130, 260], [2.0, 2.0, 2.0])
-        recs = [record(block=1, ts=150), record(block=1, ts=120), record(block=2, ts=250)]
+        recs = log_of(record(block=1, ts=150), record(block=1, ts=120), record(block=2, ts=250))
         with pytest.raises(ValueError, match=r"swap record 1: timestamp 120 before .* 150"):
-            run_baseline(as_swap_log(recs) if as_log else recs, series, 1.0)
+            run_baseline(recs.view(np.recarray) if as_log else recs, series, 1.0)
 
     def test_cadences_agree_when_prices_align(self):
         # record timestamps sit exactly on marks, so swap/block compounding
         # use the same conversion price
         series = PriceSeries("X-Y", [0, 12, 24], [4.0, 4.0, 4.0])
-        recs = [record(block=1, ts=12, fee=10.0, liq=1e6)]
+        recs = log_of(record(block=1, ts=12, fee=10.0, liq=1e6))
         a = run_baseline(recs, series, 1.0, compound_cadence="swap")
         b = run_baseline(recs, series, 1.0, compound_cadence="block")
         assert np.allclose(a.values, b.values, rtol=1e-12)
 
     def test_day_cadence_defers_compounding(self):
         series = PriceSeries("X-Y", [0, 12, 86_500], [4.0, 4.0, 4.0])
-        recs = [record(block=1, ts=6, fee=10.0, liq=1e3)]
+        recs = log_of(record(block=1, ts=6, fee=10.0, liq=1e3))
         daily = run_baseline(recs, series, 1.0, compound_cadence="day")
         # value identical at flat price whether compounded or pending
         assert daily.values[-1] == pytest.approx(
@@ -144,7 +154,7 @@ class TestRunBaseline:
     def test_big_position_warns(self):
         series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
         with pytest.warns(UserWarning, match="small-position"):
-            run_baseline([record(liq=10.0)], series, 1.0)
+            run_baseline(log_of(record(liq=10.0)), series, 1.0)
 
 
 # The scalar reference replay: one SimPosition per step, built from the
@@ -167,11 +177,11 @@ class SimPosition:
             raise ValueError(f"liquidity must be positive, got {self.liquidity}")
 
 
-def accrue_swap_fees(position: SimPosition, record: SwapRecord) -> SimPosition:
-    """Credit the position its pro-rata share of one swap's fee."""
-    share = position.liquidity / record.active_liquidity
-    earned = record.fee_amount * share
-    if record.fee_token == "token0":
+def accrue_swap_fees(position: SimPosition, swap) -> SimPosition:
+    """Credit the position its pro-rata share of one swap's fee (a log row)."""
+    share = position.liquidity / swap["active_liquidity"]
+    earned = swap["fee_amount"] * share
+    if swap["fee_token"] == b"token0":
         return replace(position, fees_token0=position.fees_token0 + earned)
     return replace(position, fees_token1=position.fees_token1 + earned)
 
@@ -203,21 +213,22 @@ def position_value(position: SimPosition, price: float) -> float:
 
 class TestAccrual:
     def test_proportional_share(self):
-        pos = accrue_swap_fees(SimPosition(1.0), record(fee=100.0, liq=1e6))
+        pos = accrue_swap_fees(SimPosition(1.0), log_of(record(fee=100.0, liq=1e6))[0])
         assert pos.fees_token1 == pytest.approx(1e-4, rel=1e-12)
         assert pos.fees_token0 == 0.0
 
     def test_zero_fee_unchanged(self):
         pos = SimPosition(1.0)
-        assert accrue_swap_fees(pos, record(fee=0.0)) == pos
+        assert accrue_swap_fees(pos, log_of(record(fee=0.0))[0]) == pos
 
     def test_tiny_share_no_underflow(self):
-        pos = accrue_swap_fees(SimPosition(1e-6), record(fee=1.0, liq=1e6))
+        pos = accrue_swap_fees(SimPosition(1e-6), log_of(record(fee=1.0, liq=1e6))[0])
         assert pos.fees_token1 == pytest.approx(1e-12, rel=1e-12)
         assert pos.fees_token1 > 0.0
 
     def test_token0_fee(self):
-        pos = accrue_swap_fees(SimPosition(2.0), record(fee=50.0, token="token0", liq=100.0))
+        pos = accrue_swap_fees(SimPosition(2.0),
+                               log_of(record(fee=50.0, token=b"token0", liq=100.0))[0])
         assert pos.fees_token0 == pytest.approx(1.0, rel=1e-12)
 
 
@@ -268,17 +279,17 @@ class TestPositionValue:
 
 
 def reference_baseline(records, price_series, initial_liquidity, compound_cadence="block"):
-    """Per-record replay from the scalar helpers, one SimPosition per step;
-    ``swap`` compounds each record at its own post-swap price."""
+    """Per-row replay of a swap log from the scalar helpers, one SimPosition
+    per step; ``swap`` compounds each row at its own post-swap price."""
     position = SimPosition(initial_liquidity)
     values = []
     rec_i = 0
     prev_day = math.floor(price_series.start / 86400.0)
     for t, price in zip(price_series.timestamps, price_series.prices):
-        while rec_i < len(records) and records[rec_i].timestamp <= t:
+        while rec_i < len(records) and records[rec_i]["timestamp"] <= t:
             position = accrue_swap_fees(position, records[rec_i])
             if compound_cadence == "swap":
-                position = compound_fees(position, records[rec_i].post_price)
+                position = compound_fees(position, float(records[rec_i]["post_price"]))
             rec_i += 1
         day = math.floor(t / 86400.0)
         if compound_cadence == "block" or (compound_cadence == "day" and day != prev_day):
@@ -309,12 +320,10 @@ def random_replay(seed, heavy=False, n_marks=1500, n_swaps=4000, step=300.0, ove
     liquidity = 1e9 * np.exp(0.3 * rng.standard_normal(n_swaps))
     fees = (0.02 * liquidity if heavy else 2.0) * rng.exponential(1.0, n_swaps)
     fees *= rng.random(n_swaps) > 0.1
-    tokens = np.where(rng.random(n_swaps) < 0.5, "token0", "token1")
+    tokens = np.where(rng.random(n_swaps) < 0.5, b"token0", b"token1")
     prices = p0 * np.exp(0.01 * rng.standard_normal(n_swaps))
-    records = [
-        SwapRecord(i // 3, int(t), float(f), str(k), float(a), float(p))
-        for i, (t, f, k, a, p) in enumerate(zip(times, fees, tokens, liquidity, prices))
-    ]
+    records = np.rec.fromarrays((np.arange(n_swaps) // 3, times, fees, tokens, liquidity, prices),
+                                dtype=SWAP_LOG_DTYPE)
     return marks, records
 
 
@@ -334,10 +343,10 @@ def swap_logs(draw):
     marks = PriceSeries("X-Y", times, prices)
     when = st.integers(int(times[0]) - 600, int(times[-1]) + 600) | st.sampled_from(times)
     swap = st.tuples(when,
-                     st.just(0.0) | st.floats(0.0, 0.05), st.sampled_from(("token0", "token1")),
+                     st.just(0.0) | st.floats(0.0, 0.05), st.sampled_from(FEE_TOKENS),
                      st.floats(1e3, 1e12), st.floats(1e-3, 1e3))
     swaps = sorted(draw(st.lists(swap, max_size=60)), key=lambda s: s[0])
-    records = [SwapRecord(i, int(t), f * a, k, a, p) for i, (t, f, k, a, p) in enumerate(swaps)]
+    records = log_of(*((i, t, f * a, k, a, p) for i, (t, f, k, a, p) in enumerate(swaps)))
     return marks, records
 
 
@@ -349,9 +358,6 @@ class TestBaselineMatchesReference:
         want = reference_baseline(records, marks, 2.5e5, cadence)
         got = run_baseline(records, marks, 2.5e5, cadence)
         assert_matches_oracle(got, want)
-        from_log = run_baseline(as_swap_log(records), marks, 2.5e5, cadence)
-        assert from_log.values.tobytes() == got.values.tobytes()
-        assert from_log.roi.tobytes() == got.roi.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(swap_logs(), st.sampled_from(["swap", "block", "day"]))
@@ -368,11 +374,13 @@ class TestBaselineMatchesReference:
         # at the first mark, and one after the last mark is ignored
         marks, inside = random_replay(3, heavy=True, n_marks=300, n_swaps=800, overhang=0)
         start, end = int(marks.start), int(marks.end)
-        early = [replace(r, block=0, timestamp=start - 50 + 10 * k) for k, r in enumerate(inside[:4])]
-        late = [replace(r, block=10**6, timestamp=end + 1 + k) for k, r in enumerate(inside[:3])]
-        records = early + inside + late
-        want = run_baseline([replace(r, timestamp=start) for r in early] + inside,
-                            marks, 2.5e5, cadence)
+        early, late = inside[:4].copy(), inside[:3].copy()
+        early.block, early.timestamp = 0, start - 50 + 10 * np.arange(4)
+        late.block, late.timestamp = 10**6, end + 1 + np.arange(3)
+        records = np.concatenate((early, inside, late))
+        at_start = early.copy()
+        at_start.timestamp = start
+        want = run_baseline(np.concatenate((at_start, inside)), marks, 2.5e5, cadence)
         with pytest.warns(UserWarning, match="3 swap records after the last price mark"):
             got = run_baseline(records, marks, 2.5e5, cadence)
         assert got.values.tobytes() == want.values.tobytes()
@@ -392,10 +400,10 @@ class TestBaselineMatchesReference:
         marks = block_grid_series(path, mu=600.0).marks
         rng = np.random.default_rng(8)
         times = np.sort(rng.integers(int(path.start) + 1, int(path.end) + 1, 2000))
-        records = [SwapRecord(i, int(t), float(f), str(k), 1e9, float(p)) for i, (t, f, k, p) in
-                   enumerate(zip(times, 2e6 * rng.exponential(1.0, times.size),
-                                 np.where(rng.random(times.size) < 0.5, "token0", "token1"),
-                                 sample_at(path, times)))]
+        records = np.rec.fromarrays(
+            (np.arange(times.size), times, 2e6 * rng.exponential(1.0, times.size),
+             np.where(rng.random(times.size) < 0.5, b"token0", b"token1"),
+             np.full(times.size, 1e9), sample_at(path, times)), dtype=SWAP_LOG_DTYPE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = run_baseline(records, marks, 2.5e5, "swap")
@@ -406,12 +414,12 @@ class TestBaselineMatchesReference:
         path = tmp_path / "swaps.csv"
         path.write_text(
             "block,timestamp,fee_amount,fee_token,active_liquidity,post_price\n"
-            + "".join(f"{r.block},{r.timestamp},{r.fee_amount!r},{r.fee_token},"
-                      f"{r.active_liquidity!r},{r.post_price!r}\n" for r in records)
+            + "".join(f"{b},{t},{f!r},{k.decode()},{a!r},{p!r}\n"
+                      for b, t, f, k, a, p in records.tolist())
         )
         log = load_swap_records(path)
         assert log.dtype.names == SWAP_LOG_DTYPE.names
-        assert np.asarray(log).tobytes() == np.asarray(as_swap_log(records)).tobytes()
+        assert np.asarray(log).tobytes() == np.asarray(records).tobytes()
         with pytest.warns(UserWarning, match="after the last price mark"):
             got = run_baseline(log, marks, 2.5e5, "day")
         assert_matches_oracle(got, reference_baseline(records, marks, 2.5e5, "day"))
@@ -438,7 +446,7 @@ class TestBaselineMatchesReference:
     def test_raw_log_values_checked(self, field, value, message):
         """A raw array gets the record rules: "tokX" is neither token, so the
         baseline replay and the volume inference cannot read it two ways."""
-        log = np.array(as_swap_log([record(block=1, ts=5), record(block=2, ts=17)]))
+        log = log_of(record(block=1, ts=5), record(block=2, ts=17))
         log[field][1] = value
         series = PriceSeries("X-Y", [0, 12, 24], [4.0, 4.0, 4.0])
         for use in (as_swap_log, lambda log: run_baseline(log, series, 1.0),
@@ -447,65 +455,68 @@ class TestBaselineMatchesReference:
                 use(log)
 
 
-    @pytest.mark.parametrize("token", ["token00", "token1 "])
+    @pytest.mark.parametrize("token", [b"token00", b"token1 "])
     def test_records_checked_before_the_token_is_cut(self, token):
-        """A record is plain data; the log made from it is checked at one
-        character past a token name, so no longer name is cut to a valid one."""
+        """The ``S7`` token column holds one byte past a token name, so no
+        longer name is cut to a valid one."""
         with pytest.raises(ValueError, match=re.escape(f"swap record 0: fee_token must be one "
-                                                       f"of ('token0', 'token1'), got {token!r}")):
-            as_swap_log([record(token=token)])
+                                                       f"of ('token0', 'token1'), "
+                                                       f"got {token.decode()!r}")):
+            as_swap_log(log_of(record(token=token)))
 
-    @pytest.mark.parametrize("token", ["tökX", "t€ken0"], ids=["latin-1", "outside latin-1"])
+    @pytest.mark.parametrize("token", ["tökX"], ids=["latin-1"])
     def test_non_ascii_token_names_the_record(self, token):
-        """A record's token is checked as its Latin-1 bytes, as a CSV field
-        of the same text parses; one outside Latin-1 has none and fails there."""
-        records = [record(block=1, ts=5), record(block=2, ts=17), record(block=3, ts=29,
-                                                                         token=token)]
+        """A token's bytes are quoted as the Latin-1 text a CSV field of them
+        holds."""
+        log = log_of(record(block=1, ts=5), record(block=2, ts=17),
+                     record(block=3, ts=29, token=token.encode("latin-1")))
         with pytest.raises(ValueError, match=re.escape(f"swap record 2: fee_token must be one "
-                                                       f"of ('token0', 'token1'), got {token!r}")):
-            as_swap_log(records)
-
-    @pytest.mark.parametrize("token", ["tökX", "t€ken0"], ids=["latin-1", "outside latin-1"])
-    def test_text_token_column_names_the_record(self, token):
-        """A ``str`` token column is encoded as a record's token is, not as ASCII."""
-        dtype = [(name, "U7" if name == "fee_token" else SWAP_LOG_DTYPE[name])
-                 for name in SWAP_LOG_DTYPE.names]
-        log = np.array([(1, 5, 1.0, "token1", 1e6, 4.0), (2, 17, 1.0, token, 1e6, 4.0)], dtype)
-        with pytest.raises(ValueError, match=re.escape(f"swap record 1: fee_token must be one "
                                                        f"of ('token0', 'token1'), got {token!r}")):
             as_swap_log(log)
 
-    @pytest.mark.parametrize("field, value, want", [
-        # 1.5 and 12.9 were cut to 1 and 12, so the swap accrued at the t=12 mark, not at t=24
-        ("block", 1.5, "an integer within 64 bits"),
-        ("timestamp", 12.9, "an integer within 64 bits"),
-        ("block", True, "an integer within 64 bits"),
-        ("block", 2**70, "an integer within 64 bits"),
-        ("fee_amount", "1.0", "a real number within the float range"),
-        ("fee_amount", 10**400, "a real number within the float range"),
-        ("active_liquidity", True, "a real number within the float range"),
-        ("fee_token", 5, "one of ('token0', 'token1')"),
-        ("fee_token", None, "one of ('token0', 'token1')"),
-    ], ids=["float block", "float timestamp", "bool block", "block past 64 bits", "text fee",
-            "fee past the float range", "bool liquidity", "int token", "no token"])
-    def test_record_fields_are_not_coerced(self, field, value, want):
-        records = [record(block=1, ts=5), replace(record(block=2, ts=17), **{field: value})]
-        with pytest.raises(ValueError, match=re.escape(f"swap record 1: {field} must be {want}, "
-                                                       f"got {value!r}")):
-            as_swap_log(records)
+    @pytest.mark.parametrize("log, got", [
+        (5, "int"),
+        ([record()], "list"),
+        (np.zeros((), SWAP_LOG_DTYPE), "a 0-D array"),
+        (np.zeros((2, 2), SWAP_LOG_DTYPE), "a 2-D array"),
+    ], ids=["int", "list", "0-D", "2-D"])
+    def test_malformed_log_argument_rejected(self, log, got):
+        series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
+        for use in (as_swap_log, lambda log: run_baseline(log, series, 1.0),
+                    lambda log: per_block_swap_volume(log, series.timestamps[1:], 0.003)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"a swap log must be a 1-D array of SWAP_LOG_DTYPE, got {got}")):
+                use(log)
 
     @pytest.mark.parametrize("field, kind", [
         ("block", "float64"), ("timestamp", "float64"), ("block", "bool"),
         # 2**63 would wrap to a negative block
         ("block", "uint64"),
         ("fee_amount", "<U8"), ("active_liquidity", "bool"),
+        # b"token0\x00X" would be cut to b"token0"
+        ("fee_token", "S10"),
     ])
     def test_raw_log_columns_are_not_coerced(self, field, kind):
         dtype = [(name, kind if name == field else SWAP_LOG_DTYPE[name])
                  for name in SWAP_LOG_DTYPE.names]
-        log = np.array([(1, 5, 1.0, b"token1", 1e6, 4.0), (1, 17, 1.0, b"token1", 1e6, 4.0)], dtype)
-        with pytest.raises(ValueError, match=f"^swap log {field} must have a numeric dtype that "
-                                             f"{SWAP_LOG_DTYPE[field]} holds, got {kind}$"):
+        log = np.array([(1, 5, 1.0, b"token1", 1e6, 4.0), (1, 17, 1.0, b"token0\x00X", 1e6, 4.0)],
+                       dtype)
+        what = "bytes" if field == "fee_token" else "numeric"
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"swap log {field} must have a {what} dtype that {SWAP_LOG_DTYPE[field]} "
+                f"holds, got {np.dtype(kind)}") + "$"):
+            as_swap_log(log)
+
+    @pytest.mark.parametrize("token", ["tökX", "t€ken0"], ids=["latin-1", "outside latin-1"])
+    def test_text_token_column_names_the_record(self, token):
+        """A ``str`` token column is not encoded: it fails the dtype rule
+        before any record is read, whether or not its text has Latin-1 bytes."""
+        dtype = [(name, "U7" if name == "fee_token" else SWAP_LOG_DTYPE[name])
+                 for name in SWAP_LOG_DTYPE.names]
+        log = np.array([(1, 5, 1.0, "token1", 1e6, 4.0), (2, 17, 1.0, token, 1e6, 4.0)], dtype)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"swap log fee_token must have a bytes dtype that {SWAP_LOG_DTYPE['fee_token']} "
+                f"holds, got {np.dtype('U7')}") + "$"):
             as_swap_log(log)
 
 
@@ -540,11 +551,11 @@ class TestSwapRecordIo:
 
 class TestPerBlockVolume:
     def test_fee_inversion(self):
-        recs = [
-            record(block=1, ts=5, fee=3.0, token="token1", price=2.0),
-            record(block=1, ts=11, fee=1.0, token="token0", price=2.0),
-            record(block=2, ts=17, fee=2.0, token="token1", price=4.0),
-        ]
+        recs = log_of(
+            record(block=1, ts=5, fee=3.0, token=b"token1", price=2.0),
+            record(block=1, ts=11, fee=1.0, token=b"token0", price=2.0),
+            record(block=2, ts=17, fee=2.0, token=b"token1", price=4.0),
+        )
         vols = per_block_swap_volume(recs, np.array([12.0, 24.0]), pool_fee=0.01)
         # block 1: 3/0.01/2 + 1/0.01 = 150 + 100; block 2: 2/0.01/4 = 50
         assert vols[0] == pytest.approx(250.0, rel=1e-12)
@@ -553,15 +564,13 @@ class TestPerBlockVolume:
     @pytest.mark.parametrize("pool_fee", [0.0, 1.0, -0.1, math.nan])
     def test_bad_pool_fee_rejected(self, pool_fee):
         with pytest.raises(ValueError, match=f"pool_fee must be in \\(0, 1\\), got {pool_fee}"):
-            per_block_swap_volume([record()], np.array([12.0]), pool_fee)
+            per_block_swap_volume(log_of(record()), np.array([12.0]), pool_fee)
 
     def test_empty_log_is_zero_volume(self):
-        empty = np.empty(0, SWAP_LOG_DTYPE)
-        for records in ([], empty):
-            vols = per_block_swap_volume(records, np.array([12.0, 24.0]), 0.003)
-            assert vols.tolist() == [0.0, 0.0]
+        vols = per_block_swap_volume(NO_SWAPS, np.array([12.0, 24.0]), 0.003)
+        assert vols.tolist() == [0.0, 0.0]
 
     def test_swaps_after_last_block_dropped(self):
-        recs = [record(block=1, ts=100, fee=1.0)]
+        recs = log_of(record(block=1, ts=100, fee=1.0))
         vols = per_block_swap_volume(recs, np.array([12.0]), pool_fee=0.003)
         assert vols[0] == 0.0

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Sequence, get_args, get_type_hints
 
@@ -133,23 +132,11 @@ class NoiseScenario:
 NO_NOISE = NoiseScenario()
 
 
-# One row per block of the backtest log; ``BacktestResult.trades`` holds
-# them as columns (``trades.p_star``), and ``trades[i]`` reads one block.
-TRADE_LOG_DTYPE = np.dtype([
-    ("block", np.int64),
-    ("time", np.float64),
-    ("p_star", np.float64),
-    ("noise_net", np.float64),
-    ("arb_trade", np.float64),
-    ("net_trade", np.float64),
-    ("rebalanced", np.bool_),
-    ("y_before", np.float64),
-    ("x_before", np.float64),
-    ("y_after", np.float64),
-    ("x_after", np.float64),
-    ("fee_numeraire", np.float64),
-    ("fee_asset", np.float64),
-])
+# One row per block of the backtest log, as the kernel writes it: the noise's net
+# order, the arbitrage trade, the reserves after settlement and the two fee legs;
+# ``BacktestResult.trades.y_after`` reads a column, ``trades[i]`` block ``i + 1``.
+TRADE_LOG_DTYPE = np.dtype([(name, np.float64) for name in (
+    "noise_net", "arb_trade", "y_after", "x_after", "fee_numeraire", "fee_asset")])
 
 
 @dataclass(frozen=True)
@@ -171,17 +158,13 @@ class BlockGrid:
 
 @dataclass(frozen=True)
 class BacktestResult:
-    """A run's marked series and summary, its block grid, and its trade log
-    as the kernel's columns: ``columns`` holds per block the arbitrage trade,
-    the reserves ``y`` and ``x`` after settlement and the two fee legs,
-    ``noise_net`` the noise's net order; ``initial`` the reserves before block 1."""
+    """A run's marked series, its summary and its trade log: the
+    :data:`TRADE_LOG_DTYPE` array the kernel wrote, one row per block of the
+    grid it ran on."""
 
     series: LpReturnSeries
     summary: dict
-    columns: np.ndarray
-    grid: BlockGrid
-    noise_net: np.ndarray
-    initial: Reserves
+    trades: np.recarray
 
     @property
     def terminal_roi(self) -> float:
@@ -190,19 +173,6 @@ class BacktestResult:
     @property
     def n_rebalances(self) -> int:
         return self.summary["n_rebalances"]
-
-    @cached_property
-    def trades(self) -> np.recarray:
-        """The trade log as :data:`TRADE_LOG_DTYPE` records, built on first access."""
-        arb_trade, y_after, x_after, fee_n, fee_a = self.columns.T
-        y_before = np.concatenate(([self.initial.y], y_after[:-1]))
-        x_before = np.concatenate(([self.initial.x], x_after[:-1]))
-        return np.rec.fromarrays(
-            (np.arange(1, self.noise_net.size + 1), self.grid.marks.timestamps[1:],
-             self.grid.p_stars, self.noise_net, arb_trade, self.noise_net + arb_trade,
-             arb_trade != 0.0, y_before, x_before, y_after, x_after, fee_n, fee_a),
-            dtype=TRADE_LOG_DTYPE,
-        )
 
 
 def balanced_reserves(price: float, asset_depth: float = 1.0) -> Reserves:
@@ -283,8 +253,8 @@ def run_fmamm_backtest(
     move the pool are logged.  The summary's counts of buy-side and
     sell-side rebalances and sign-mixing blocks (where the arbitrageurs'
     order leaves the batch netting to the noise's side) are read off the
-    log's columns; :attr:`BacktestResult.trades` builds the
-    :data:`TRADE_LOG_DTYPE` records from them when first read.
+    log's columns.  The log is :attr:`BacktestResult.trades`, the
+    :data:`TRADE_LOG_DTYPE` array the loop wrote, returned uncopied.
 
     Errors abort the whole run.  A fee outside ``[0, 1)``, a positive noise
     fraction without a ``baseline_volume``, a non-finite noise volume, and
@@ -341,9 +311,11 @@ def run_fmamm_backtest(
     # sends a block with noise to the body (inf would pass when top is inf)
     quiet_run = not (buys.any() or sells.any())
     screen = p_stars if quiet_run else np.where((buys != 0.0) | (sells != 0.0), nan, p_stars)
-    # per block: arb trade, y and x after, fee legs; a block that moves the pool is
-    # logged as (index in chunk, row), scattered at the chunk's end, then filled forward
-    columns = np.zeros((n, 5))
+    # the trade log, written through its float view; per block the loop fills the
+    # arb trade, y and x after and the fee legs: a block that moves the pool is logged
+    # as (index in chunk, row), scattered at the chunk's end, then filled forward
+    trades = np.zeros(n, TRADE_LOG_DTYPE)
+    columns = trades.view(np.float64).reshape(n, 6)
     try:
         for lo in range(0, n, _CHUNK):
             hi = lo + _CHUNK
@@ -424,15 +396,15 @@ def run_fmamm_backtest(
                 record((i, trade, y, x, fee_n, fee_a))
             rows = np.empty((len(log) // 6, 6))
             rows.reshape(-1)[:] = log
-            at, chunk = rows[:, 0].astype(np.intp), columns[lo:hi]
+            at, chunk = rows[:, 0].astype(np.intp), columns[lo:hi, 1:]
             chunk[at] = rows[:, 1:]
             chunk[:, 1:3] = np.repeat(np.concatenate((held, rows[:, 2:4])),
                                       np.diff(at, prepend=0, append=len(chunk)), axis=0)
     except ArithmeticError as exc:
         raise ValueError(f"{_where(times, lo + i)}: {exc} at reserves y={y!r}, x={x!r}") from exc
 
-    arb_trade, y_after, x_after, fee_n_col, fee_a_col = columns.T
-    noise_net = buys + sells
+    columns[:, 0] = buys + sells
+    noise_net, arb_trade, y_after, x_after, fee_n_col, fee_a_col = columns.T
     # sign mixing: the arbitrageurs' order leaves the batch netting to the noise's side
     net_trade = noise_net + arb_trade
     buy, sell = arb_trade > 0.0, arb_trade < 0.0
@@ -458,7 +430,7 @@ def run_fmamm_backtest(
         "fee_numeraire_total": _fsum_nonzero(fee_n_col),
         "fee_asset_total": _fsum_nonzero(fee_a_col),
     }
-    return BacktestResult(series, summary, columns, grid, noise_net, initial)
+    return BacktestResult(series, summary, trades.view(np.recarray))
 
 
 def sweep_run_id(prefix: str, value: float) -> str:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -65,7 +67,11 @@ NOISE_SHARE_OF_VOLUME = 0.6
 MAX_DRAWS = 10**7
 
 
-def _file_sha256(path) -> str:
+def _file_sha256(path) -> str | None:
+    """A regular file's SHA-256; None for a pipe, FIFO or device, which a
+    second read would find drained or block on."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
     with open(path, "rb") as fh:
         return _sha256(fh)
 
@@ -84,7 +90,7 @@ class Outputs(NamedTuple):
     records ``parameters`` (by default the command-line arguments), the
     config and ``inputs`` by digest, and ``seed``; ``inputs`` maps each
     input path to the SHA-256 its loader took, or to None for ``main`` to
-    hash the file.
+    hash the file if it is a regular one (anything else is recorded as null).
     """
 
     files: dict

@@ -151,26 +151,27 @@ def run_baseline(
     mark of each new UTC day); ``swap`` compounds after each swap at its own
     ``post_price``, the pool's price right after it.  A swap before
     the first mark is accrued at the first mark, and one after the last
-    mark is ignored with a warning.  ``initial_liquidity`` is a normal
-    float, like every size (at least ``sys.float_info.min``).  A value that
-    overflows raises ``ValueError`` naming the first such mark and the
-    liquidity.
+    mark is ignored with a warning.  A position above 1% of the smallest
+    ``active_liquidity`` among the replayed swaps (ignored ones do not
+    count) warns that the small-position approximation may be poor.
+    ``initial_liquidity`` is a normal float, like every size (at least
+    ``sys.float_info.min``).  A value that overflows raises ``ValueError``
+    naming the first such mark and the liquidity.
     """
     _check_size(initial_liquidity, "initial_liquidity")
     _check_cadence(compound_cadence)
     log = as_swap_log(records)
 
-    n = len(log)
-    share = float(initial_liquidity / log.active_liquidity.min()) if n else 0.0
+    marks, prices = price_series.timestamps, price_series.prices
+    cut = np.searchsorted(log.timestamp, marks, "right")  # swaps accrued by each mark
+    kept = int(cut[-1])
+    share = float(initial_liquidity / log.active_liquidity[:kept].min()) if kept else 0.0
     if share > 0.01:
         warnings.warn(
             f"position is {share:.1%} of active liquidity; the small-position "
             "approximation may be poor",
             stacklevel=2,
         )
-    marks, prices = price_series.timestamps, price_series.prices
-    cut = np.searchsorted(log.timestamp, marks, "right")  # swaps accrued by each mark
-    kept = int(cut[-1])
     # an overflow's inf or NaN reaches the values, which are checked below
     with np.errstate(over="ignore", invalid="ignore"):
         per_liquidity = log.fee_amount[:kept] / log.active_liquidity[:kept]
@@ -210,9 +211,9 @@ def run_baseline(
         raise ValueError(f"baseline value is not finite at mark {format_number(marks[k])} "
                          f"(price {float(prices[k])!r}) with initial_liquidity "
                          f"{initial_liquidity!r}")
-    if kept < n:
+    if kept < len(log):
         warnings.warn(
-            f"{n - kept} swap records after the last price mark were ignored",
+            f"{len(log) - kept} swap records after the last price mark were ignored",
             stacklevel=2,
         )
     return LpReturnSeries.from_values("uniswap_v3_full_range", price_series.timestamps, values)

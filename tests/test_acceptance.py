@@ -22,6 +22,7 @@ from fmamm.amm import (
 )
 from fmamm.arbitrage import cpamm_arbitrage_profit, malicious_operator_attack, optimal_rebalance
 from fmamm.backtest import (
+    balanced_reserves,
     block_grid_series,
     risk_monte_carlo,
     run_fmamm_backtest,
@@ -30,6 +31,7 @@ from fmamm.batch import split_trade_experiment
 from fmamm.cli import main
 from fmamm.market_data import GbmParams, PriceSeries, load_price_series, sample_gbm_path
 from fmamm.uniswap import SWAP_LOG_DTYPE, load_swap_records, run_baseline
+from test_backtest import state_before
 
 
 def report(criterion, message):
@@ -129,19 +131,19 @@ def test_criterion_4_no_residual_arbitrage():
     for tau in (0.0, 0.003):
         result = run_fmamm_backtest(grid, tau)
         trades = result.trades
-        rebalanced = trades.rebalanced
+        rebalanced = trades.arb_trade != 0.0
         assert rebalanced.any()
-        p_star = trades.p_star[rebalanced]
-        y_before = trades.y_before[rebalanced]
-        x_before = trades.x_before[rebalanced]
-        net = trades.net_trade[rebalanced]
+        p_star = grid.p_stars[rebalanced]
+        y_before, x_before = (before[rebalanced] for before in state_before(
+            trades, balanced_reserves(float(grid.marks.prices[0]))))
+        net = (trades.noise_net + trades.arb_trade)[rebalanced]
         for direction in (+1.0, -1.0):
             dr = direction * 1e-6 * x_before
             prices = _vectorized_effective(y_before, x_before, net + dr, tau, direction)
             profit = dr * (p_star - prices)
             assert np.all(profit <= 1e-9 * np.abs(dr) * p_star)
         if tau == 0.0:
-            rel = np.abs(trades.p_star * trades.x_after - trades.y_after) / trades.y_after
+            rel = np.abs(grid.p_stars * trades.x_after - trades.y_after) / trades.y_after
             assert np.all(rel < 1e-9)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

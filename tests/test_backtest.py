@@ -9,6 +9,7 @@ and against the rebalance solver; sweeps are checked for consistency and
 monotonicity.
 """
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -157,10 +158,11 @@ class TestRunBacktest:
 
     def test_zero_fee_rebalance_invariance(self):
         path = sample_gbm_path(GbmParams(2000.0, 0.002, step_seconds=12, horizon_seconds=12 * 500, seed=9))
-        result = backtest(path, 0.0)
+        grid = block_grid_series(path)
+        result = run_fmamm_backtest(grid, 0.0)
         assert result.n_rebalances > 400
-        for t in result.trades:
-            assert abs(t.p_star * t.x_after - t.y_after) / t.y_after < 1e-9
+        for p, t in zip(grid.p_stars, result.trades):
+            assert abs(p * t.x_after - t.y_after) / t.y_after < 1e-9
 
     def test_default_initial_is_balanced(self):
         series = flat_series(price=1234.0)
@@ -169,8 +171,11 @@ class TestRunBacktest:
 
     def test_latency_samples_earlier_price(self):
         series = PriceSeries("X-Y", [0, 10, 12], [2000.0, 2500.0, 3000.0])
-        result = backtest(series, 0.0, NO_NOISE, R, gamma=2.0)
-        assert result.trades[0].p_star == 2500.0
+        grid = block_grid_series(series, gamma=2.0)
+        assert grid.p_stars[0] == 2500.0
+        # the zero-fee pool is pinned at the trade price, not the mark
+        first = run_fmamm_backtest(grid, 0.0, NO_NOISE, R).trades[0]
+        assert first.y_after / first.x_after == pytest.approx(2500.0, rel=1e-12)
 
     def test_latency_marks_at_the_settlement_price(self):
         # trades see p(t - gamma), but the pool is marked at p(t), as the
@@ -178,16 +183,18 @@ class TestRunBacktest:
         path = sample_gbm_path(
             GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=1200, seed=6)
         )
-        result = backtest(path, 0.003, NO_NOISE, R, gamma=6.0)
+        grid = block_grid_series(path, gamma=6.0)
+        result = run_fmamm_backtest(grid, 0.003, NO_NOISE, R)
         last = result.trades[-1]
-        assert last.time == path.end and last.p_star == sample_at(path, [path.end - 6.0])[0]
+        assert grid.marks.timestamps[-1] == path.end
+        assert grid.p_stars[-1] == sample_at(path, [path.end - 6.0])[0]
         assert result.summary["terminal_value"] == last.y_after + path.prices[-1] * last.x_after
         marks = sample_at(path, np.arange(0.0, path.end + 1.0, 12.0))
-        assert np.array_equal(result.grid.marks.prices, marks)
-        assert np.array_equal(result.series.timestamps, result.grid.marks.timestamps)
+        assert np.array_equal(grid.marks.prices, marks)
+        assert np.array_equal(result.series.timestamps, grid.marks.timestamps)
         values = result.trades.y_after + marks[1:] * result.trades.x_after
         assert np.array_equal(result.series.values[1:], values)
-        assert not np.array_equal(result.trades.p_star, marks[1:])
+        assert not np.array_equal(grid.p_stars, marks[1:])
 
     @pytest.mark.parametrize("gamma, calls", [(0.0, 1), (6.0, 2)])
     def test_block_grid_sampled_once(self, monkeypatch, gamma, calls):
@@ -205,12 +212,10 @@ class TestRunBacktest:
         monkeypatch.setattr("fmamm.backtest.sample_at", counting)
         grid = block_grid_series(path, gamma=gamma)
         assert len(sampled) == calls and sampled[0] == 1200 // 12 + 1
-        results = [run_fmamm_backtest(grid, tau) for tau in TAUS]
+        for tau in TAUS:
+            run_fmamm_backtest(grid, tau)
         assert len(sampled) == calls
-        for result in results:
-            assert result.grid is grid
-            assert np.array_equal(result.trades.p_star,
-                                  sample_at(path, result.trades.time - gamma))
+        assert np.array_equal(grid.p_stars, sample_at(path, grid.marks.timestamps[1:] - gamma))
         if gamma == 0.0:
             assert np.array_equal(grid.p_stars, grid.marks.prices[1:])
 
@@ -311,6 +316,20 @@ class TestRunBacktest:
         c = backtest(path, 0.003, NoiseScenario(1.0, "random_sign", seed=78), R, volume)
         assert not np.array_equal(a.series.values, c.series.values)
 
+    def test_trade_log_is_the_kernels_array(self):
+        # six float64 columns per block, the run's one log: every read gives
+        # the array the kernel wrote, and nothing is built on access
+        names = ("noise_net", "arb_trade", "y_after", "x_after", "fee_numeraire", "fee_asset")
+        assert TRADE_LOG_DTYPE.names == names
+        assert TRADE_LOG_DTYPE == np.dtype([(name, np.float64) for name in names])
+        result = backtest(flat_series(price=2100.0, blocks=3), 0.003, NO_NOISE, R)
+        assert [field.name for field in dataclasses.fields(result)] == [
+            "series", "summary", "trades"]
+        assert result.trades is result.trades
+        assert isinstance(result.trades, np.recarray)
+        assert result.trades.dtype == TRADE_LOG_DTYPE and result.trades.shape == (3,)
+        assert result.trades.flags.c_contiguous
+
     def test_peak_memory_per_block_is_bounded(self):
         # a run's numpy columns peak near 142 bytes per block, and the loop's
         # Python floats for one chunk add a fixed amount (about 50 bytes per
@@ -328,6 +347,13 @@ class TestRunBacktest:
             tracemalloc.stop()
         assert result.n_rebalances > 0
         assert peak <= 250 * blocks, peak / blocks
+
+
+# the reference's log: a block's settlement time, trade price, the reserves
+# before it and the batch's net trade, then the kernel's own columns
+REFERENCE_DTYPE = np.dtype([("time", np.float64), ("p_star", np.float64),
+                            ("y_before", np.float64), ("x_before", np.float64),
+                            ("net_trade", np.float64), *TRADE_LOG_DTYPE.descr])
 
 
 def reference_backtest(prices, tau, noise, initial=None, baseline_volume=None, mu=12.0,
@@ -360,10 +386,17 @@ def reference_backtest(prices, tau, noise, initial=None, baseline_volume=None, m
         if orders:
             reserves, report = settle_batch(reserves, Batch(i + 1, tuple(orders)), tau)
             net, fee_n, fee_a = report.net_trade, report.fee_numeraire, report.fee_asset
-        rows.append((i + 1, t, p, noise_net, arb, net, arb != 0.0,
-                     before.y, before.x, reserves.y, reserves.x, fee_n, fee_a))
+        rows.append((t, p, before.y, before.x, net,
+                     noise_net, arb, reserves.y, reserves.x, fee_n, fee_a))
         values.append(reserves.value_at(mark))
-    return np.rec.fromrecords(rows, dtype=TRADE_LOG_DTYPE), np.array(values)
+    return np.rec.fromrecords(rows, dtype=REFERENCE_DTYPE), np.array(values)
+
+
+def state_before(trades, initial):
+    """Per block: the reserves ``y`` and ``x`` it starts from, each block's
+    after state shifted one on, with the run's ``initial`` reserves in front."""
+    return (np.concatenate(([initial.y], trades.y_after[:-1])),
+            np.concatenate(([initial.x], trades.x_after[:-1])))
 
 
 def sign_mixing(log, tau):
@@ -376,15 +409,23 @@ def sign_mixing(log, tau):
     return int(np.count_nonzero(buy_mixing | sell_mixing))
 
 
-def assert_matches_reference(result, reference, rtol):
+def assert_matches_reference(result, grid, reference, rtol):
+    """The kernel's log and marked values against the reference's: bit for
+    bit at ``rtol`` 0, else to ``rtol``; the reference's own times and trade
+    prices against the grid the run used, exactly."""
     log, values = reference
     got = result.trades
     assert got.dtype == TRADE_LOG_DTYPE and got.shape == log.shape
-    for name in TRADE_LOG_DTYPE.names:
+    assert np.array_equal(log.time, grid.marks.timestamps[1:])
+    assert np.array_equal(log.p_star, grid.p_stars)
+    # and the batch's net trade, as settle_batch sums it
+    columns = {name: got[name] for name in TRADE_LOG_DTYPE.names}
+    columns["net_trade"] = got.noise_net + got.arb_trade
+    for name, column in columns.items():
         if rtol == 0.0:
-            assert np.array_equal(got[name], log[name]), name
+            assert np.array_equal(column, log[name]), name
         else:
-            np.testing.assert_allclose(got[name], log[name], rtol=rtol, atol=0.0, err_msg=name)
+            np.testing.assert_allclose(column, log[name], rtol=rtol, atol=0.0, err_msg=name)
     roi = values / values[0] - 1.0
     if rtol == 0.0:
         assert np.array_equal(result.series.values, values)
@@ -412,21 +453,22 @@ class TestKernelMatchesReference:
         noise = NO_NOISE
         if kind != "none":
             noise = NoiseScenario(2.0, kind, seed=41)
-        result = backtest(path, tau, noise, None, volume)
+        grid = block_grid_series(path)
+        result = run_fmamm_backtest(grid, tau, noise, None, volume)
         reference = reference_backtest(path, tau, noise, None, volume)
-        assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
+        assert_matches_reference(result, grid, reference, rtol=0.0 if kind == "none" else 1e-12)
 
         log = reference[0]
         summary = result.summary
-        assert summary["n_rebalances"] == np.count_nonzero(log.rebalanced) > 0
+        assert summary["n_rebalances"] == np.count_nonzero(log.arb_trade) > 0
         assert summary["n_buy_rebalances"] == np.count_nonzero(log.arb_trade > 0.0)
         assert summary["n_sell_rebalances"] == np.count_nonzero(log.arb_trade < 0.0)
         assert summary["n_sign_mixing"] == sign_mixing(log, tau)
         if kind == "random_sign":
             assert summary["n_sign_mixing"] > 0
         # the totals over the nonzero fees are the exact sums of whole columns
-        assert summary["fee_numeraire_total"] == math.fsum(result.columns[:, 3].tolist())
-        assert summary["fee_asset_total"] == math.fsum(result.columns[:, 4].tolist())
+        assert summary["fee_numeraire_total"] == math.fsum(result.trades.fee_numeraire.tolist())
+        assert summary["fee_asset_total"] == math.fsum(result.trades.fee_asset.tolist())
 
     @pytest.mark.parametrize("kind", ["none", "balanced", "random_sign"])
     def test_block_by_block_across_chunks(self, scenario, monkeypatch, kind):
@@ -437,9 +479,10 @@ class TestKernelMatchesReference:
         noise = NO_NOISE
         if kind != "none":
             noise = NoiseScenario(2.0, kind, seed=41)
-        result = backtest(path, 0.003, noise, None, volume)
+        grid = block_grid_series(path)
+        result = run_fmamm_backtest(grid, 0.003, noise, None, volume)
         reference = reference_backtest(path, 0.003, noise, None, volume)
-        assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
+        assert_matches_reference(result, grid, reference, rtol=0.0 if kind == "none" else 1e-12)
 
     @pytest.mark.parametrize("kind", ["none", "random_sign"])
     def test_block_by_block_with_latency(self, kind):
@@ -450,9 +493,10 @@ class TestKernelMatchesReference:
         noise = NO_NOISE
         if kind != "none":
             noise = NoiseScenario(2.0, kind, seed=53)
-        result = backtest(path, 0.003, noise, None, volume, gamma=6.0)
+        grid = block_grid_series(path, gamma=6.0)
+        result = run_fmamm_backtest(grid, 0.003, noise, None, volume)
         reference = reference_backtest(path, 0.003, noise, None, volume, gamma=6.0)
-        assert_matches_reference(result, reference, rtol=0.0 if kind == "none" else 1e-12)
+        assert_matches_reference(result, grid, reference, rtol=0.0 if kind == "none" else 1e-12)
 
     @pytest.mark.parametrize("seed, settles", [(0, True), (1, False)])  # noise buy, sell
     def test_pin_checked_at_the_settled_trade(self, seed, settles):
@@ -464,7 +508,9 @@ class TestKernelMatchesReference:
         noise = NoiseScenario(1.0, "random_sign", seed)
         args = (series, 0.0, noise, Reserves(1.0, 1.0), [0.3])
         if settles:
-            assert_matches_reference(backtest(*args), reference_backtest(*args), 1e-12)
+            grid = block_grid_series(series)
+            assert_matches_reference(run_fmamm_backtest(grid, *args[1:]), grid,
+                                     reference_backtest(*args), 1e-12)
             return
         with pytest.raises(ConvergenceError):
             reference_backtest(*args)
@@ -493,7 +539,8 @@ class TestKernelMatchesReference:
                 backtest(*args)
             assert type(raised.value) is type(exc)
             return
-        assert_matches_reference(backtest(*args), reference, rtol=1e-12)
+        grid = block_grid_series(series)
+        assert_matches_reference(run_fmamm_backtest(grid, *args[1:]), grid, reference, rtol=1e-12)
 
     def test_band_edge_tie_is_no_trade(self):
         # p* is one ulp above the band's upper edge; the buy root rounds to
@@ -505,7 +552,7 @@ class TestKernelMatchesReference:
         series = PriceSeries("A-B", [0.0, 12.0], [2171.0, p_star])
         result = backtest(series, tau, initial=reserves)
         assert result.n_rebalances == 0
-        assert (result.columns[0, 1], result.columns[0, 2]) == (reserves.y, reserves.x)
+        assert (result.trades.y_after[0], result.trades.x_after[0]) == (reserves.y, reserves.x)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -527,8 +574,8 @@ class TestKernelMatchesReference:
         # random-sign noise: seed 0 buys, seed 1 sells
         scenario = NoiseScenario(1.0, "random_sign", seed=int(a < 0.0))
         result = backtest(series, tau, scenario, reserves, [abs(a)])
-        assert result.noise_net[0] == a
-        assert result.columns[0, 0] == arb
+        assert result.trades.noise_net[0] == a
+        assert result.trades.arb_trade[0] == arb
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -549,10 +596,12 @@ class TestKernelMatchesReference:
         volume = rng.exponential(0.01, blocks)
         volume[rng.random(blocks) < 0.5] = 0.0
         noise = NO_NOISE if kind == "none" else NoiseScenario(2.0, kind, seed=seed)
+        grid = block_grid_series(path, gamma=gamma)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("fmamm.backtest._CHUNK", 7)
-            log = backtest(path, tau, noise, None, volume, gamma=gamma).trades
-        want = arbitrage_order(log.y_before, log.x_before, log.noise_net, tau, log.p_star)
+            log = run_fmamm_backtest(grid, tau, noise, None, volume).trades
+        y, x = state_before(log, balanced_reserves(float(grid.marks.prices[0])))
+        want = arbitrage_order(y, x, log.noise_net, tau, grid.p_stars)
         assert np.array_equal(log.arb_trade, want)
 
 
@@ -604,11 +653,12 @@ class TestLvrKeptIdentity:
     def test_gross_return_ratio_is_the_cosh_product(self, blocks, volatility, seed):
         path = sample_gbm_path(GbmParams(2000.0, volatility, step_seconds=12,
                                          horizon_seconds=12 * blocks, seed=seed))
-        result = backtest(path, 0.0)
-        baseline = run_baseline(np.empty(0, SWAP_LOG_DTYPE), result.grid.marks, 1.0)
+        grid = block_grid_series(path)
+        result = run_fmamm_backtest(grid, 0.0)
+        baseline = run_baseline(np.empty(0, SWAP_LOG_DTYPE), grid.marks, 1.0)
         fm, cp = result.series.values, baseline.values
         ratio = (fm[-1] / fm[0]) / (cp[-1] / cp[0])
-        kept = np.prod(np.cosh(0.5 * np.diff(np.log(result.grid.marks.prices))))
+        kept = np.prod(np.cosh(0.5 * np.diff(np.log(grid.marks.prices))))
         assert kept >= 1.0
         assert ratio == pytest.approx(kept, rel=1e-12, abs=0.0)
 
@@ -626,10 +676,12 @@ class TestZeroLvr:
     @staticmethod
     def residual(path, tau, noise=NO_NOISE, volume=None):
         """Per block: LP value change less ``x_{n-1}·Δp*``, over the pool value."""
-        result = backtest(path, tau, noise, baseline_volume=volume)
-        assert np.array_equal(result.trades.p_star, path.prices[1:])
+        grid = block_grid_series(path)
+        result = run_fmamm_backtest(grid, tau, noise, baseline_volume=volume)
+        assert np.array_equal(grid.p_stars, path.prices[1:])
         values = result.series.values
-        change = np.diff(values) - result.trades.x_before * np.diff(path.prices)
+        _, x_before = state_before(result.trades, balanced_reserves(float(path.prices[0])))
+        change = np.diff(values) - x_before * np.diff(path.prices)
         return change / values[1:]
 
     @pytest.mark.parametrize("tau", [0.0, 0.0005, 0.003])

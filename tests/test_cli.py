@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -790,6 +791,54 @@ class TestOutDirContract:
             manifest = json.loads((tmp_path / run / "manifest.json").read_text())
             hashed = sorted(want[d] for d in finished if d in want)
             assert hashed == sorted(Path(p).name for p in manifest["inputs"]), run
+
+    @pytest.mark.parametrize("command, name", [("settle", "orders.jsonl"),
+                                               ("backtest", "cfg.json")])
+    def test_piped_input_is_recorded_as_null(self, tmp_path, capsys, command, name):
+        # a pipe its loader drained holds nothing for a second read, whose
+        # digest would be the empty string's: the manifest records null
+        argv, data, _ = contract_argv(tmp_path, command)
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write((data / name).read_bytes())  # a few hundred bytes: the pipe holds them
+        piped = f"/dev/fd/{read_end}"
+        try:
+            argv = [piped if arg == str(data / name) else arg for arg in argv]
+            assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+        finally:
+            os.close(read_end)
+        inputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["inputs"]
+        hashed = [] if command == "settle" else ["prices.csv", "swaps.csv"]
+        assert inputs == {piped: None, **{
+            str(data / n): hashlib.sha256((data / n).read_bytes()).hexdigest() for n in hashed}}
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_price_csv_is_read_once(self, tmp_path):
+        # the loader reads a FIFO once; opening it again for the manifest's
+        # digest would wait for a writer that never comes
+        argv, data, cfg = contract_argv(tmp_path, "backtest")
+        fifo = tmp_path / "prices.fifo"
+        os.mkfifo(fifo)
+        write_config(cfg, fifo, data / "swaps.csv")
+
+        def feed():
+            with open(fifo, "wb") as fh:  # waits for the command to open it
+                fh.write((data / "prices.csv").read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            done = subprocess.run([sys.executable, "-m", "fmamm.cli", *argv, "--out-dir",
+                                   str(tmp_path / "out")], env=checkout_env(),
+                                  capture_output=True, text=True, timeout=30)
+        finally:
+            if writer.is_alive():  # the command never opened the FIFO: release the writer
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join()
+        assert done.returncode == 0, done.stderr
+        inputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["inputs"]
+        assert inputs == {str(fifo): None, **{
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (cfg, data / "swaps.csv")}}
 
     @pytest.mark.parametrize("argv", [
         ["quote"] + RESERVES + ["--trade", "6"],

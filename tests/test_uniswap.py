@@ -156,6 +156,18 @@ class TestRunBaseline:
         with pytest.warns(UserWarning, match="small-position"):
             run_baseline(log_of(record(liq=10.0)), series, 1.0)
 
+    def test_ignored_swaps_do_not_count_toward_the_share(self):
+        # the thin pool's swap after the last mark is ignored, so only the
+        # replayed swap bounds the position's share: 0.1%, under the 1% that warns
+        series = PriceSeries("X-Y", [0, 12, 24], [4.0, 4.0, 4.0])
+        late = record(block=2, ts=30, liq=1.0)
+        for swaps in (log_of(record(block=1, ts=5, liq=1e3), late), log_of(late)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_baseline(swaps, series, 1.0)
+            assert [str(w.message) for w in caught] == [
+                "1 swap records after the last price mark were ignored"]
+
 
 # The scalar reference replay: one SimPosition per step, built from the
 # per-swap helpers below.  run_baseline's cumulative products must match it

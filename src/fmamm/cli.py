@@ -232,7 +232,7 @@ def cmd_sweep_noise(args) -> Outputs:
     inputs = {}
     cfg, grid, initial = _load_scenario(args, inputs, needs_swaps=True)
     volume = per_block_swap_volume(load_swap_records(cfg.swap_csv, inputs),
-                                   grid.marks.timestamps[1:], cfg.pool_fee)
+                                   grid.marks.timestamps, cfg.pool_fee)
     # one backtest per distinct fraction, with zero first unless listed, so
     # each entry is reported against the zero-noise floor
     fractions = list(dict.fromkeys(cfg.noise_fractions))

@@ -11,7 +11,8 @@ parses in one ``np.loadtxt`` call and one rule pass, and only a file either
 rejects is read again row by row, to name its first bad line.  The rows of a
 file that loads are kept in ``__fmamm_cache__`` beside it, keyed by the
 file's SHA-256, so a later load of the same bytes skips the parse.  Output
-columns are formatted a chunk at a time by :func:`formatted_chunks`.
+columns are formatted a chunk at a time by :func:`formatted_chunks`, each
+by one ``orjson`` call, whose shortest round-trip digits are ``repr``'s.
 
 Sampling between observations forward-fills from the last point; gaps longer
 than :data:`LONG_GAP_SECONDS` are surfaced as a warning so that backtests on
@@ -36,6 +37,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 __all__ = [
     "PriceDataError",
@@ -162,22 +164,50 @@ def format_numbers(values) -> list[str]:
     """:func:`format_number` of each value.
 
     A column of integral values below 2**53 in magnitude (the usual epoch
-    timestamps) converts to integers in one pass.
+    timestamps) converts to ``int64`` and is printed by one ``orjson`` call.
     """
     values = np.asarray(values, dtype=np.float64)
     if (np.abs(values) < 2**53).all() and (values == np.trunc(values)).all():
-        return list(map(str, values.astype(np.int64).tolist()))
+        return _dumped(values.astype(np.int64))
     return list(map(format_number, values.tolist()))
+
+
+def _dumped(values: np.ndarray) -> list[str]:
+    """``orjson``'s text of each element of a contiguous 1-D ``int64`` or
+    ``float64`` array."""
+    if not values.size:
+        return []
+    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+
+
+def _repr_floats(column) -> list[str]:
+    """``repr`` of each value of a float column.
+
+    ``orjson`` prints the same shortest round-trip digits as ``repr`` (Ryū)
+    at about an eighth of its cost, but in fixed point where ``repr`` uses an
+    exponent, and ``null`` for NaN and infinities.  So each element that
+    ``repr`` writes in exponent form, a nonzero magnitude outside
+    ``[1e-4, 1e16)``, or that is not finite gets ``repr`` itself.
+    """
+    column = np.ascontiguousarray(column, dtype=np.float64)
+    text = _dumped(column)
+    magnitude = np.abs(column)
+    odd = np.flatnonzero(((magnitude < 1e-4) & (column != 0.0)) | (magnitude >= 1e16)
+                         | np.isnan(column))
+    for i, value in zip(odd.tolist(), column[odd].tolist()):
+        text[i] = repr(value)
+    return text
 
 
 def formatted_chunks(timestamps, *columns):
     """Each chunk of :data:`CSV_CHUNK_ROWS` rows as lists of field text:
     :func:`format_numbers` of the timestamps, then ``repr`` of each float
-    column, so every column is formatted once for all the files that use it."""
+    column (by :func:`_repr_floats`), so every column is formatted once for
+    all the files that use it."""
     for lo in range(0, len(timestamps), CSV_CHUNK_ROWS):
         hi = lo + CSV_CHUNK_ROWS
         yield (format_numbers(timestamps[lo:hi]),
-               *(list(map(repr, column[lo:hi].tolist())) for column in columns))
+               *(_repr_floats(column[lo:hi]) for column in columns))
 
 
 def _int64(text: str) -> int:

@@ -230,25 +230,28 @@ def load_swap_records(path, digests=None) -> np.recarray:
 
 
 def per_block_swap_volume(
-    records: np.ndarray, settlement_times: np.ndarray, pool_fee: float
+    records: np.ndarray, mark_times: np.ndarray, pool_fee: float
 ) -> np.ndarray:
-    """Asset-unit trade volume per block interval, inferred from fees paid
-    by the swaps of ``records``, a swap log (see :func:`as_swap_log`).
+    """Asset-unit trade volume per block, inferred from fees paid by the
+    swaps of ``records``, a swap log (see :func:`as_swap_log`).
 
     Each swap's volume is ``fee / pool_fee`` in its sell token, converted to
     asset units at the swap's own price when the fee was paid in numeraire.
-    Volumes are summed into the half-open block intervals ending at each
-    settlement time.
+    ``mark_times`` are a block grid's marks, the start included
+    (``grid.marks.timestamps``), and block ``k`` sums the swaps in
+    ``(mark_times[k], mark_times[k + 1]]``: one volume per block.  A swap at
+    or before the start, or after the last settlement, is in no block.
     """
     _check_pool_fee(pool_fee)
-    settlement_times = np.asarray(settlement_times, dtype=np.float64)
+    mark_times = np.asarray(mark_times, dtype=np.float64)
+    blocks = max(mark_times.size - 1, 0)
     log = as_swap_log(records)
     if not len(log):
-        return np.zeros(settlement_times.size)
+        return np.zeros(blocks)
     times = log.timestamp.astype(np.float64)
     with np.errstate(over="ignore"):  # the kernel rejects an overflow's inf volume
         in_numeraire = log.fee_token == FEE_TOKENS[1]
         sizes = log.fee_amount / pool_fee / np.where(in_numeraire, log.post_price, 1.0)
-    idx = np.searchsorted(settlement_times, times, side="left")
-    keep = idx < settlement_times.size
-    return np.bincount(idx[keep], sizes[keep], settlement_times.size)
+    block = np.searchsorted(mark_times, times, side="left") - 1
+    keep = (block >= 0) & (block < blocks)
+    return np.bincount(block[keep], sizes[keep], blocks)

@@ -245,6 +245,17 @@ class TestRunBacktest:
         with pytest.raises(ValueError, match="noise fraction 0.1 needs a per-block baseline_volume"):
             backtest(series, 0.0, scenario, R)
 
+    def test_swap_volume_is_one_per_block(self):
+        # per_block_swap_volume takes the marks, start included; the
+        # settlement times alone give one volume too few, which the run rejects
+        grid = block_grid_series(flat_series(blocks=3))
+        swaps = np.array([(1, 5, 1.0, b"token0", 1e9, 2000.0)], SWAP_LOG_DTYPE)
+        volume = per_block_swap_volume(swaps, grid.marks.timestamps, 0.003)
+        assert run_fmamm_backtest(grid, 0.003, NoiseScenario(0.1), R, volume).series.roi.size == 4
+        short = per_block_swap_volume(swaps, grid.marks.timestamps[1:], 0.003)
+        with pytest.raises(ValueError, match="misaligned: 2 entries for 3 blocks"):
+            run_fmamm_backtest(grid, 0.003, NoiseScenario(0.1), R, short)
+
     def test_bad_price_and_volume_name_the_problem(self):
         # the price series itself rejects an infinite price, so the kernel
         # never samples one
@@ -263,7 +274,7 @@ class TestRunBacktest:
         series = flat_series(blocks=3)
         swaps = np.array([(1, 5, 1.0, b"token0", 1e9, 2000.0)], SWAP_LOG_DTYPE)
         grid = block_grid_series(series)
-        volume = per_block_swap_volume(swaps, grid.marks.timestamps[1:], pool_fee)
+        volume = per_block_swap_volume(swaps, grid.marks.timestamps, pool_fee)
         with pytest.raises(ValueError, match="noise volumes must be finite"):
             run_fmamm_backtest(grid, 0.003, NoiseScenario(fraction), R, volume)
 

@@ -937,7 +937,7 @@ def library_rejects(key, value) -> bool:
         "seed": lambda v: NoiseScenario(seed=v),
         "initial_x": lambda v: balanced_reserves(1.0, v),
         "baseline_liquidity": lambda v: run_baseline(no_swaps, flat, v),
-        "pool_fee": lambda v: per_block_swap_volume(no_swaps, np.array([12.0]), v),
+        "pool_fee": lambda v: per_block_swap_volume(no_swaps, np.array([0.0, 12.0]), v),
         "noise_fractions": lambda v: NoiseScenario(v),
         "noise_direction": lambda v: NoiseScenario(0.0, v),
         "compound_cadence": lambda v: run_baseline(no_swaps, flat, 1.0, v),

@@ -2,12 +2,16 @@
 
 A stale export string in a module that no other module imports by name
 would otherwise go unnoticed until a ``from fmamm.<module> import *``.
+Every third-party module the package imports is a declared dependency.
 """
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +65,24 @@ def test_only_the_block_grid_samples():
             for where in references(ast.parse(inspect.getsource(importlib.import_module(name))),
                                     "sample_at")]
     assert used == [("fmamm.backtest", "block_grid_series")] * 2
+
+
+def test_imported_packages_are_declared_dependencies():
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    root = Path(__file__).parents[1]
+    imported = set()
+    for path in (root / "src" / "fmamm").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"fmamm"}
+    requirements = tomllib.loads((root / "pyproject.toml").read_text())["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+                for r in requirements}
+    assert "numpy" in third_party
+    assert sorted(third_party - declared) == []

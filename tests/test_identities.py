@@ -116,16 +116,15 @@ class TestKernelIdentities:
     def test_timestamps_shifted_by_whole_days(self, seed, tau, gamma, days):
         # random-sign noise from a swap log's fees, shifted with the prices
         path = gbm(seed, 12 * 200, step=1.0)
-        # volumes of about 0.1% of the one-unit asset reserve per swap, so the
-        # first block, which takes the swaps before the start too, stays far
-        # from the pole
+        # volumes of about 0.1% of the one-unit asset reserve per swap, so no
+        # block comes near the pole
         log = swap_log(path, seed, fee_share=(1e-16, 1e-14))
         later = log.copy()
         later.timestamp += days * DAY
         rois = []
         for series, swaps in ((path, log), (shifted(path, days), later)):
             grid = block_grid_series(series, gamma=gamma)
-            volume = per_block_swap_volume(swaps, grid.marks.timestamps[1:], 0.003)
+            volume = per_block_swap_volume(swaps, grid.marks.timestamps, 0.003)
             rois.append(run_fmamm_backtest(grid, tau, NoiseScenario(1.0, "random_sign", seed),
                                            None, volume).series.roi)
         assert np.array_equal(rois[1], rois[0])

@@ -28,6 +28,7 @@ from fmamm.market_data import (
     PriceSeries,
     format_number,
     format_numbers,
+    formatted_chunks,
     load_price_series,
 )
 from fmamm.uniswap import SWAP_LOG_DTYPE, load_swap_records
@@ -459,11 +460,26 @@ def assert_out_dir_matches(out, runs):
     assert (out / "long.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
+def around(x, k=4):
+    """``x`` and the ``k`` floats on each side of it."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+# where repr turns from fixed point to exponent form, and the extremes
+BOUNDARY_FLOATS = [0.0, -0.0, *around(1e-4), *around(1e16), 1e-5, 2.0**53 - 2, 2.0**53 + 2,
+                   5e-324, sys.float_info.max]
+BOUNDARY_FLOATS += [-x for x in BOUNDARY_FLOATS]
 SMALL_CHUNK = 8
 RUN = (1_680_000_000 + 12.0 * np.arange(2 * SMALL_CHUNK + 3)).tolist()  # ends mid-chunk
-ODD_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, 0.1, -2.5, 3.0]
+ODD_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, 0.1, -2.5, 3.0,
+              *BOUNDARY_FLOATS]
 STAMP_SETS = {
     "integral": [0.0, 12.0, 1_680_000_000.0, -12.0],
+    "int64 extremes": [0.0, -12.0, 2.0**53 - 1, -(2.0**53 - 1)],
     "fractional": [0.5, 12.25, 1_680_000_000.125, -0.0],
     "at 2**53": [2.0**53 - 1, 2.0**53, 2.0**60, -(2.0**53)],
     "odd": [math.nan, math.inf, -math.inf, 5e-324],
@@ -475,7 +491,15 @@ STAMP_SETS = {
     "three chunks, 2**53 in the last": RUN[:-1] + [2.0**53],
     "three chunks, fractional in the first only": [RUN[0] + 0.5] + RUN[1:],
     "two full chunks": RUN[: 2 * SMALL_CHUNK],
+    # as many rows as ODD_VALUES, so every odd value is written in every column
+    "every odd value": (1_680_000_000 + 12.0 * np.arange(len(ODD_VALUES))).tolist(),
 }
+
+
+def formatted_column(column):
+    """``formatted_chunks``' text of one float column, its chunks joined."""
+    return [text for _, chunk in formatted_chunks(np.zeros(len(column)), column)
+            for text in chunk]
 
 
 @pytest.fixture
@@ -490,6 +514,24 @@ class TestWriters:
         assert format_numbers(values) == [format_number(v) for v in values]
         stamps = STAMP_SETS[name]
         assert format_numbers(stamps) == [format_number(v) for v in stamps]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), max_size=50))
+    def test_float_columns_are_repr(self, values):
+        # NaN, infinities and subnormals included
+        assert formatted_column(np.array(values, dtype=np.float64)) == list(map(repr, values))
+
+    def test_boundary_floats_are_repr(self, small_chunks):
+        column = np.array(BOUNDARY_FLOATS)
+        assert formatted_column(column) == list(map(repr, BOUNDARY_FLOATS))
+        # a strided view formats as its values do
+        assert formatted_column(column[::2]) == list(map(repr, BOUNDARY_FLOATS[::2]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-(2**53 - 1), 2**53 - 1), max_size=50))
+    def test_integral_stamps_are_format_number(self, stamps):
+        stamps = [float(t) for t in stamps]
+        assert format_numbers(stamps) == [format_number(t) for t in stamps]
 
     @pytest.mark.parametrize("name", sorted(STAMP_SETS))
     def test_byte_identical_to_csv_writer(self, tmp_path, name, small_chunks):

@@ -435,9 +435,8 @@ class TestBaselineMatchesReference:
         with pytest.warns(UserWarning, match="after the last price mark"):
             got = run_baseline(log, marks, 2.5e5, "day")
         assert_matches_oracle(got, reference_baseline(records, marks, 2.5e5, "day"))
-        settle = marks.timestamps[1:]
-        assert np.array_equal(per_block_swap_volume(log, settle, 0.003),
-                              per_block_swap_volume(records, settle, 0.003))
+        assert np.array_equal(per_block_swap_volume(log, marks.timestamps, 0.003),
+                              per_block_swap_volume(records, marks.timestamps, 0.003))
 
     def test_foreign_array_rejected(self):
         with pytest.raises(ValueError, match="swap log fields"):
@@ -462,7 +461,7 @@ class TestBaselineMatchesReference:
         log[field][1] = value
         series = PriceSeries("X-Y", [0, 12, 24], [4.0, 4.0, 4.0])
         for use in (as_swap_log, lambda log: run_baseline(log, series, 1.0),
-                    lambda log: per_block_swap_volume(log, series.timestamps[1:], 0.003)):
+                    lambda log: per_block_swap_volume(log, series.timestamps, 0.003)):
             with pytest.raises(ValueError, match=f"swap record 1: {re.escape(message)}"):
                 use(log)
 
@@ -495,7 +494,7 @@ class TestBaselineMatchesReference:
     def test_malformed_log_argument_rejected(self, log, got):
         series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
         for use in (as_swap_log, lambda log: run_baseline(log, series, 1.0),
-                    lambda log: per_block_swap_volume(log, series.timestamps[1:], 0.003)):
+                    lambda log: per_block_swap_volume(log, series.timestamps, 0.003)):
             with pytest.raises(ValueError, match=re.escape(
                     f"a swap log must be a 1-D array of SWAP_LOG_DTYPE, got {got}")):
                 use(log)
@@ -568,7 +567,7 @@ class TestPerBlockVolume:
             record(block=1, ts=11, fee=1.0, token=b"token0", price=2.0),
             record(block=2, ts=17, fee=2.0, token=b"token1", price=4.0),
         )
-        vols = per_block_swap_volume(recs, np.array([12.0, 24.0]), pool_fee=0.01)
+        vols = per_block_swap_volume(recs, np.array([0.0, 12.0, 24.0]), pool_fee=0.01)
         # block 1: 3/0.01/2 + 1/0.01 = 150 + 100; block 2: 2/0.01/4 = 50
         assert vols[0] == pytest.approx(250.0, rel=1e-12)
         assert vols[1] == pytest.approx(50.0, rel=1e-12)
@@ -576,13 +575,22 @@ class TestPerBlockVolume:
     @pytest.mark.parametrize("pool_fee", [0.0, 1.0, -0.1, math.nan])
     def test_bad_pool_fee_rejected(self, pool_fee):
         with pytest.raises(ValueError, match=f"pool_fee must be in \\(0, 1\\), got {pool_fee}"):
-            per_block_swap_volume(log_of(record()), np.array([12.0]), pool_fee)
+            per_block_swap_volume(log_of(record()), np.array([0.0, 12.0]), pool_fee)
 
     def test_empty_log_is_zero_volume(self):
-        vols = per_block_swap_volume(NO_SWAPS, np.array([12.0, 24.0]), 0.003)
+        vols = per_block_swap_volume(NO_SWAPS, np.array([0.0, 12.0, 24.0]), 0.003)
         assert vols.tolist() == [0.0, 0.0]
 
     def test_swaps_after_last_block_dropped(self):
         recs = log_of(record(block=1, ts=100, fee=1.0))
-        vols = per_block_swap_volume(recs, np.array([12.0]), pool_fee=0.003)
-        assert vols[0] == 0.0
+        vols = per_block_swap_volume(recs, np.array([0.0, 12.0]), pool_fee=0.003)
+        assert vols.tolist() == [0.0]
+
+    def test_swaps_at_or_before_the_start_dropped(self):
+        # blocks are (1000, 1012] and (1012, 1024]: the swaps at 0 and at the
+        # start itself are in neither, the one at 1012 ends block 1
+        recs = log_of(*(record(block=b, ts=ts, fee=fee, token=b"token0")
+                        for b, (ts, fee) in enumerate([(0, 3.0), (1000, 3.0), (1005, 3.0),
+                                                       (1012, 6.0), (1013, 9.0)])))
+        vols = per_block_swap_volume(recs, np.array([1000.0, 1012.0, 1024.0]), pool_fee=0.5)
+        assert vols.tolist() == [18.0, 18.0]

@@ -118,47 +118,60 @@ def _check_trade(x_trade: float) -> None:
         raise ValueError(f"trade must be finite, got {x_trade}")
 
 
-def _finite(price: float, name: str, reserves: Reserves, net_trade: float) -> float:
-    if not math.isfinite(price):
-        raise ValueError(f"{name} overflows at y={reserves.y}, x={reserves.x}, trade {net_trade}")
-    return price
+def _finite(value: float, name: str, reserves: Reserves, amount: float,
+            what: str = "trade") -> float:
+    """``value``, a price or one of its denominators; one that overflowed
+    raises ``ValueError`` naming the reserves and the ``amount`` it was
+    computed for (a trade, or ``what`` names it)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} overflows at y={reserves.y}, x={reserves.x}, {what} {amount}")
+    return value
 
 
 def cpamm_average_price(reserves: Reserves, x_trade: float) -> float:
     """Average price y/(x - x_trade) paid on a constant-product pool.
 
     The fill keeps the reserve product constant: after trading ``x_trade``
-    at this price, ``y' * x' == y * x``.
+    at this price, ``y' * x' == y * x``.  A denominator or price that
+    overflows raises ``ValueError``, as does a trade that is not finite.
     """
+    _check_trade(x_trade)
     if x_trade >= reserves.x:
         raise InfeasibleTradeError(
             f"trade {x_trade} would drain the asset reserve {reserves.x}"
         )
-    return reserves.y / (reserves.x - x_trade)
+    denom = _finite(reserves.x - x_trade, "cpamm price denominator", reserves, x_trade)
+    return _finite(reserves.y / denom, "cpamm average price", reserves, x_trade)
 
 
 def fmamm_price(reserves: Reserves, x_trade: float) -> float:
     """Uniform batch price y/(x - 2*x_trade) of the function-maximizing pool.
 
     Equals the pool's marginal price after the trade executes, so buys only
-    clear up to the pole at ``x_trade = x/2``.
+    clear up to the pole at ``x_trade = x/2``.  A sell whose denominator
+    overflows, or a price that does, raises ``ValueError``, as does a trade
+    that is not finite.
     """
+    _check_trade(x_trade)
     denom = reserves.x - 2.0 * x_trade
     if denom <= POLE_MARGIN * reserves.x:
         raise InfeasibleTradeError(
             f"trade {x_trade} is at or beyond the price pole x/2 = {reserves.x / 2.0}"
         )
-    return reserves.y / denom
+    denom = _finite(denom, "fm-amm price denominator", reserves, x_trade)
+    return _finite(reserves.y / denom, "fm-amm price", reserves, x_trade)
 
 
 def fmamm_supply(reserves: Reserves, price: float) -> float:
     """Asset amount (x - y/price)/2 the pool supplies at a given price.
 
     Inverse of :func:`fmamm_price`: positive when the quoted price exceeds
-    the marginal price y/x, negative below it, zero at it.
+    the marginal price y/x, negative below it, zero at it.  A quotient
+    y/price that overflows raises ``ValueError``.
     """
     _check_price(price)
-    return 0.5 * (reserves.x - reserves.y / price)
+    return 0.5 * (reserves.x - _finite(reserves.y / price, "supply quotient y/price", reserves,
+                                       price, "price"))
 
 
 def pre_fee_price(reserves: Reserves, net_trade: float, tau: float = 0.0) -> float:
@@ -170,7 +183,6 @@ def pre_fee_price(reserves: Reserves, net_trade: float, tau: float = 0.0) -> flo
     A price that overflows raises ``ValueError``, as in :func:`effective_price`.
     """
     _check_fee(tau)
-    _check_trade(net_trade)
     if net_trade == 0.0:
         price = reserves.spot_price
     else:

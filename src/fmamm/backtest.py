@@ -4,8 +4,8 @@ Every ``mu`` seconds a block settles one batch: noise orders per the chosen
 scenario plus the competitive arbitrageurs' response to the external price
 sampled ``gamma`` seconds before settlement.  Reserves evolve through the
 batch engine and the LP portfolio is marked each block at the external
-price, so the resulting series is directly comparable with an external
-benchmark such as the full-range baseline in :mod:`fmamm.uniswap`.
+price, on the marks where the full-range baseline in :mod:`fmamm.uniswap`
+is valued, so the two value columns compare mark for mark.
 
 Zero-noise runs are the revenue floor: noise adds fee income and nothing
 else, so any balanced-noise scenario ends at or above the zero-noise return
@@ -45,8 +45,8 @@ from fmamm.amm import (
 )
 from fmamm.arbitrage import _PIN_RTOL, arbitrage_order
 from fmamm.market_data import (
-    LpReturnSeries,
     PriceSeries,
+    cumulative_roi,
     format_number,
     mean_preserving_spread,
     sample_at,
@@ -158,17 +158,18 @@ class BlockGrid:
 
 @dataclass(frozen=True)
 class BacktestResult:
-    """A run's marked series, its summary and its trade log: the
-    :data:`TRADE_LOG_DTYPE` array the kernel wrote, one row per block of the
-    grid it ran on."""
+    """A run's marked values, its summary and its trade log.  ``values`` is
+    the read-only LP value at each of the grid's marks
+    (``grid.marks.timestamps``); ``trades`` is the :data:`TRADE_LOG_DTYPE`
+    array the kernel wrote, one row per block of the grid."""
 
-    series: LpReturnSeries
+    values: np.ndarray
     summary: dict
     trades: np.recarray
 
     @property
     def terminal_roi(self) -> float:
-        return self.series.terminal_roi
+        return self.summary["terminal_roi"]
 
     @property
     def n_rebalances(self) -> int:
@@ -412,7 +413,7 @@ def run_fmamm_backtest(
 
     # marked at the settlement-time price, as the baseline is, whatever the latency
     out_values = np.concatenate(([initial.value_at(p0)], y_after + marks.prices[1:] * x_after))
-    series = LpReturnSeries.from_values("fm_amm", marks.timestamps, out_values)
+    out_values.setflags(write=False)
     summary = {
         "venue": "fm_amm",
         "tau": tau,
@@ -426,11 +427,11 @@ def run_fmamm_backtest(
         "n_sign_mixing": int(np.count_nonzero(mixing)),
         "initial_value": float(out_values[0]),
         "terminal_value": float(out_values[-1]),
-        "terminal_roi": float(series.roi[-1]),
+        "terminal_roi": float(cumulative_roi(out_values)[-1]),
         "fee_numeraire_total": _fsum_nonzero(fee_n_col),
         "fee_asset_total": _fsum_nonzero(fee_a_col),
     }
-    return BacktestResult(series, summary, trades.view(np.recarray))
+    return BacktestResult(out_values, summary, trades.view(np.recarray))
 
 
 def sweep_run_id(prefix: str, value: float) -> str:

@@ -34,6 +34,7 @@ from fmamm.amm import (
     POLE_MARGIN,
     Reserves,
     _check_trade,
+    _finite,
     _is_integer,
     _is_number,
     pre_fee_price,
@@ -201,6 +202,7 @@ def split_trade_experiment(reserves: Reserves, x_trade: float, n: int) -> Reserv
     factors telescope to ``y * (x - d) / (x - (n+1)*d)``.  Splitting a buy
     strictly lowers the final numeraire reserve, approaching
     ``y * x / (x - x_trade)`` -- the constant-product outcome -- as n grows.
+    A sell whose denominator ``x - (n+1)*d`` overflows raises ``ValueError``.
     """
     _check_trade(x_trade)
     if n < 1:
@@ -210,14 +212,15 @@ def split_trade_experiment(reserves: Reserves, x_trade: float, n: int) -> Reserv
     step = x_trade / n
     # step k is infeasible when x - (k+1)*d <= POLE_MARGIN*x: for a buy the
     # last step comes nearest, and a sell never gets there
-    if reserves.x - (n + 1) * step <= POLE_MARGIN * reserves.x:
+    last = reserves.x - (n + 1) * step
+    if last <= POLE_MARGIN * reserves.x:
         k = min(n, max(1, math.ceil((1.0 - POLE_MARGIN) * reserves.x / step) - 1))
         raise InfeasibleTradeError(
             f"split trade infeasible at step {k} of {n}: "
             f"slice {step} hits the price pole with asset reserve {reserves.x - (k - 1) * step}"
         )
-    return Reserves(reserves.y * (reserves.x - step) / (reserves.x - (n + 1) * step),
-                    reserves.x - n * step)
+    last = _finite(last, "split trade denominator", reserves, x_trade)
+    return Reserves(reserves.y * (reserves.x - step) / last, reserves.x - n * step)
 
 
 def load_order_batches(path) -> list[Batch]:

@@ -52,7 +52,13 @@ from fmamm.backtest import (
     sweep_run_id,
 )
 from fmamm.batch import load_order_batches, settle_batch, split_trade_experiment
-from fmamm.market_data import _sha256, formatted_chunks, load_price_series
+from fmamm.market_data import (
+    _sha256,
+    cumulative_roi,
+    format_number,
+    formatted_chunks,
+    load_price_series,
+)
 from fmamm.uniswap import load_swap_records, per_block_swap_volume, run_baseline
 
 __all__ = ["main"]
@@ -86,34 +92,37 @@ class Outputs(NamedTuple):
     """What a command leaves for ``--out-dir``.
 
     ``files`` maps a file name to a JSON payload or a ``write(path)``
-    callable, and ``runs`` maps a run id to its return series.  The manifest
-    records ``parameters`` (by default the command-line arguments), the
-    config and ``inputs`` by digest, and ``seed``; ``inputs`` maps each
+    callable.  ``runs`` maps a run id to its value column, marked at each
+    of ``marks``, the block grid's own timestamps shared by every run.  The
+    manifest records ``parameters`` (by default the command-line arguments),
+    the config and ``inputs`` by digest, and ``seed``; ``inputs`` maps each
     input path to the SHA-256 its loader took, or to None for ``main`` to
     hash the file if it is a regular one (anything else is recorded as null).
     """
 
     files: dict
     runs: dict | None = None
+    marks: np.ndarray | None = None
     parameters: dict | None = None
     inputs: dict | None = None
     seed: int | None = None
 
 
-def _write_runs(out: Path, runs: dict) -> None:
+def _write_runs(out: Path, marks: np.ndarray, runs: dict) -> None:
     """Each run's ``<run_id>_returns.csv`` and the plot-ready ``long.csv``
-    (run_id,timestamp,metric,value), all from one formatting of each column.
+    (run_id,timestamp,metric,value), all from one formatting of each column:
+    the shared ``marks``, and each run's values and :func:`cumulative_roi`.
 
     Run ids are plain labels (no comma or quote), so they go in unquoted.  A
     run's ``cumulative_roi`` rows wait in memory until its ``value`` rows are out.
     """
     with open(out / "long.csv", "w", newline="") as long:
         long.write("run_id,timestamp,metric,value\r\n")
-        for run_id, series in runs.items():
+        for run_id, values in runs.items():
             pending: list[str] = []
             with open(out / f"{run_id}_returns.csv", "w", newline="") as fh:
                 fh.write("timestamp,value,cumulative_roi\r\n")
-                for ts, vs, rs in formatted_chunks(series.timestamps, series.values, series.roi):
+                for ts, vs, rs in formatted_chunks(marks, values, cumulative_roi(values)):
                     fh.write("".join([f"{t},{v},{r}\r\n" for t, v, r in zip(ts, vs, rs)]))
                     long.write("".join([f"{run_id},{t},value,{v}\r\n" for t, v in zip(ts, vs)]))
                     pending.append("".join(
@@ -190,42 +199,42 @@ def cmd_backtest(args) -> Outputs:
     result = run_fmamm_backtest(grid, cfg.fee, NO_NOISE, initial)
     print(f"{cfg.pair}: {grid.p_stars.size} blocks, fee {cfg.fee}")
     print(f"fm_amm terminal roi {result.terminal_roi:+.6%} ({result.n_rebalances} rebalances)")
-    runs = {"fm_amm": result.series}
+    runs = {"fm_amm": result.values}
     summary = {"config": asdict(cfg), "fm_amm": result.summary}
     files = {"summary.json": summary}
     if records is not None:
         baseline = run_baseline(records, grid.marks, cfg.baseline_liquidity,
                                 cfg.compound_cadence)
         # both venues are marked on the run's block grid
-        gap = result.series.roi - baseline.roi
+        baseline_roi = cumulative_roi(baseline)
+        gap = cumulative_roi(result.values) - baseline_roi
         gap_pp = float(100.0 * gap[-1])
-        print(f"uniswap terminal roi {baseline.terminal_roi:+.6%}")
+        print(f"uniswap terminal roi {baseline_roi[-1]:+.6%}")
         print(f"difference {gap_pp:+.4f}pp (fm_amm minus uniswap)")
         runs["uniswap_v3_full_range"] = baseline
-        summary["uniswap_v3_full_range"] = {"terminal_roi": baseline.terminal_roi}
+        summary["uniswap_v3_full_range"] = {"terminal_roi": float(baseline_roi[-1])}
         summary["terminal_difference_pp"] = gap_pp
-        files["comparison.csv"] = lambda path: _write_comparison(
-            path, result.series.timestamps, gap)
-    return Outputs(files, runs, asdict(cfg), inputs, cfg.seed)
+        files["comparison.csv"] = lambda path: _write_comparison(path, grid.marks.timestamps, gap)
+    return Outputs(files, runs, grid.marks.timestamps, asdict(cfg), inputs, cfg.seed)
 
 
 def cmd_sweep_fees(args) -> Outputs:
     """One zero-noise backtest per distinct fee of ``fee_grid``, on the same
-    path and start state; a run keeps its series and the numbers printed."""
+    path and start state; a run keeps its values and the numbers printed."""
     inputs = {}
     cfg, grid, initial = _load_scenario(args, inputs)
     runs, rows = {}, []
     for tau in dict.fromkeys(cfg.fee_grid):
         result = run_fmamm_backtest(grid, tau, NO_NOISE, initial)
-        runs[sweep_run_id("fee", tau)] = result.series
+        runs[sweep_run_id("fee", tau)] = result.values
         rows.append({"fee": tau, "terminal_roi": result.terminal_roi,
                      "n_rebalances": result.n_rebalances})
     print(f"{cfg.pair}: zero-noise terminal roi by fee")
     for row in rows:
-        print(f"  fee {row['fee']:<8g} roi {row['terminal_roi']:+.6%}  "
+        print(f"  fee {format_number(row['fee']):<8} roi {row['terminal_roi']:+.6%}  "
               f"rebalances {row['n_rebalances']}")
     return Outputs({"summary.json": {"config": asdict(cfg), "rows": rows}},
-                   runs, asdict(cfg), inputs, cfg.seed)
+                   runs, grid.marks.timestamps, asdict(cfg), inputs, cfg.seed)
 
 
 def cmd_sweep_noise(args) -> Outputs:
@@ -242,7 +251,7 @@ def cmd_sweep_noise(args) -> Outputs:
     for fraction in fractions:
         scenario = NoiseScenario(fraction, cfg.noise_direction, cfg.seed)
         result = run_fmamm_backtest(grid, cfg.fee, scenario, initial, volume)
-        runs[sweep_run_id("noise", fraction)] = result.series
+        runs[sweep_run_id("noise", fraction)] = result.values
         rois[fraction] = result.terminal_roi
     print(f"{cfg.pair}: terminal roi by noise fraction (fee {cfg.fee}, {cfg.noise_direction})")
     print(f"  (fractions are of TOTAL baseline volume; the share of its noise volume "
@@ -251,12 +260,12 @@ def cmd_sweep_noise(args) -> Outputs:
     for fraction, roi in rois.items():
         diff_pp = 100.0 * (roi - rois[0.0])
         noise_share = fraction / NOISE_SHARE_OF_VOLUME
-        print(f"  fraction {fraction:<6g} (~{noise_share:.0%} of noise volume) "
+        print(f"  fraction {format_number(fraction):<6} (~{noise_share:.0%} of noise volume) "
               f"roi {roi:+.6%}  vs zero-noise {diff_pp:+.4f}pp")
         rows.append({"fraction": fraction, "approx_noise_volume_share": noise_share,
                      "terminal_roi": roi, "diff_vs_zero_noise_pp": diff_pp})
     return Outputs({"summary.json": {"config": asdict(cfg), "rows": rows}},
-                   runs, asdict(cfg), inputs, cfg.seed)
+                   runs, grid.marks.timestamps, asdict(cfg), inputs, cfg.seed)
 
 
 def cmd_attack(args) -> Outputs:
@@ -394,7 +403,7 @@ def main(argv=None) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if outputs.runs:
-            _write_runs(out, outputs.runs)
+            _write_runs(out, outputs.marks, outputs.runs)
         for name, payload in outputs.files.items():
             if callable(payload):
                 payload(out / name)

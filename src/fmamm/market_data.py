@@ -1,4 +1,5 @@
-"""Timestamped price and return series: loading, cross rates, and synthesis.
+"""Timestamped price series and marked values: loading, cross rates, returns
+and synthesis.
 
 Price CSVs use the schema ``timestamp,price`` (header required) with 64-bit
 integer epoch seconds; pairs are labeled ``BASE-QUOTE``.  One price rule holds
@@ -34,16 +35,13 @@ import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import orjson
 
 __all__ = [
     "PriceDataError",
-    "PricePoint",
     "PriceSeries",
-    "LpReturnSeries",
     "GbmParams",
     "LONG_GAP_SECONDS",
     "load_price_series",
@@ -51,6 +49,7 @@ __all__ = [
     "sample_at",
     "sample_gbm_path",
     "mean_preserving_spread",
+    "cumulative_roi",
     "format_number",
     "format_numbers",
     "formatted_chunks",
@@ -62,17 +61,6 @@ CSV_CHUNK_ROWS = 1 << 12
 
 class PriceDataError(ValueError):
     """Price input failed validation (schema, ordering, or coverage)."""
-
-
-class PricePoint(NamedTuple):
-    timestamp: float
-    price: float
-
-
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 def _price_fault(timestamps, prices) -> tuple[int, str] | None:
@@ -101,8 +89,7 @@ class PriceSeries:
     prices: np.ndarray
 
     def __post_init__(self) -> None:
-        ts = _frozen_array(self.timestamps, np.float64)
-        px = _frozen_array(self.prices, np.float64)
+        ts, px = np.array(self.timestamps, np.float64), np.array(self.prices, np.float64)
         if ts.size == 0:
             raise PriceDataError(f"{self.pair}: empty price series")
         if ts.shape != px.shape:
@@ -110,14 +97,13 @@ class PriceSeries:
         fault = _price_fault(ts, px)
         if fault is not None:
             raise PriceDataError(f"{self.pair}: point {fault[0]}: {fault[1]}")
+        ts.setflags(write=False)
+        px.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "prices", px)
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
-
-    def __getitem__(self, i: int) -> PricePoint:
-        return PricePoint(float(self.timestamps[i]), float(self.prices[i]))
 
     @property
     def start(self) -> float:
@@ -128,30 +114,12 @@ class PriceSeries:
         return float(self.timestamps[-1])
 
 
-@dataclass(frozen=True)
-class LpReturnSeries:
-    """Per-block portfolio value and cumulative return for one venue."""
-
-    venue: str
-    timestamps: np.ndarray
-    values: np.ndarray
-    roi: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "timestamps", _frozen_array(self.timestamps, np.float64))
-        object.__setattr__(self, "values", _frozen_array(self.values, np.float64))
-        object.__setattr__(self, "roi", _frozen_array(self.roi, np.float64))
-        if not self.timestamps.size == self.values.size == self.roi.size:
-            raise ValueError(f"{self.venue}: mismatched series lengths")
-
-    @classmethod
-    def from_values(cls, venue, timestamps, values) -> "LpReturnSeries":
-        values = np.asarray(values, dtype=np.float64)
-        return cls(venue, timestamps, values, values / values[0] - 1.0)
-
-    @property
-    def terminal_roi(self) -> float:
-        return float(self.roi[-1])
+def cumulative_roi(values) -> np.ndarray:
+    """The return on the first value at each point of a marked value column:
+    ``values / values[0] - 1.0``, the one ROI formula of every run (an empty
+    column gives an empty one)."""
+    values = np.asarray(values, dtype=np.float64)
+    return values / values[:1] - 1.0
 
 
 def format_number(x: float) -> str:

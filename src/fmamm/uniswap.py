@@ -9,8 +9,8 @@ liquidity ``pending_value / (2*sqrt(p))`` at zero cost.
 
 Each swap's fee is shared at its post-swap active liquidity only; intra-swap
 tick crossings are ignored.  The position is assumed small enough not to
-move anyone's incentives, and the resulting ROI series is invariant to the
-initial position size.
+move anyone's incentives, and the position's cumulative ROI is invariant to
+the initial position size.
 
 Swap records load from CSVs with schema
 ``block,timestamp,fee_amount,fee_token,active_liquidity,post_price`` where
@@ -34,7 +34,7 @@ import warnings
 import numpy as np
 
 from fmamm.amm import _check_size
-from fmamm.market_data import LpReturnSeries, PriceSeries, _read_csv, format_number
+from fmamm.market_data import PriceSeries, _read_csv, format_number
 
 __all__ = [
     "FEE_TOKENS",
@@ -136,8 +136,9 @@ def run_baseline(
     price_series: PriceSeries,
     initial_liquidity: float,
     compound_cadence: str = "block",
-) -> LpReturnSeries:
-    """Replay swap records against a price grid and return the ROI series.
+) -> np.ndarray:
+    """Replay swap records against a price grid and return the position's
+    read-only value at each mark.
 
     Each point of ``price_series`` is one mark (a block boundary, in the
     usual setup): fees from records up to that time are accrued pro rata to
@@ -216,7 +217,8 @@ def run_baseline(
             f"{len(log) - kept} swap records after the last price mark were ignored",
             stacklevel=2,
         )
-    return LpReturnSeries.from_values("uniswap_v3_full_range", price_series.timestamps, values)
+    values.setflags(write=False)
+    return values
 
 
 def load_swap_records(path, digests=None) -> np.recarray:

@@ -29,7 +29,13 @@ from fmamm.backtest import (
 )
 from fmamm.batch import split_trade_experiment
 from fmamm.cli import main
-from fmamm.market_data import GbmParams, PriceSeries, load_price_series, sample_gbm_path
+from fmamm.market_data import (
+    GbmParams,
+    PriceSeries,
+    cumulative_roi,
+    load_price_series,
+    sample_gbm_path,
+)
 from fmamm.uniswap import SWAP_LOG_DTYPE, load_swap_records, run_baseline
 from test_backtest import state_before
 
@@ -214,11 +220,11 @@ def test_criterion_6_sandwich_immunity():
 def test_criterion_7_baseline_roi_identity():
     """Full-range value identity: no-swap ROI is sqrt(p1/p0) - 1, size-invariant."""
     series, no_swaps = PriceSeries("X-Y", [0, 12], [4.0, 9.0]), np.empty(0, SWAP_LOG_DTYPE)
-    out = run_baseline(no_swaps, series, 1.0)
-    assert out.roi[-1] == pytest.approx(np.sqrt(9.0 / 4.0) - 1.0, rel=1e-12, abs=1e-12)
-    scaled = run_baseline(no_swaps, series, 1e6)
-    assert np.allclose(out.roi, scaled.roi, rtol=1e-12, atol=1e-15)
-    report(7, f"no-swap roi {out.roi[-1]:.12f} == sqrt(9/4)-1, invariant to 1e6 scaling")
+    out = cumulative_roi(run_baseline(no_swaps, series, 1.0))
+    assert out[-1] == pytest.approx(np.sqrt(9.0 / 4.0) - 1.0, rel=1e-12, abs=1e-12)
+    scaled = cumulative_roi(run_baseline(no_swaps, series, 1e6))
+    assert np.allclose(out, scaled, rtol=1e-12, atol=1e-15)
+    report(7, f"no-swap roi {out[-1]:.12f} == sqrt(9/4)-1, invariant to 1e6 scaling")
 
 
 # zero-noise return gaps (FM-AMM minus Uniswap v3, percentage points) for the
@@ -255,7 +261,7 @@ def test_criterion_8_data_dependent_reproduction():
         grid = block_grid_series(prices)
         result = run_fmamm_backtest(grid, fee)
         baseline = run_baseline(records, grid.marks, 1.0)
-        got_pp = 100.0 * (result.terminal_roi - baseline.terminal_roi)
+        got_pp = 100.0 * (result.terminal_roi - cumulative_roi(baseline)[-1])
         expected = float(entry.get("expected_diff_pp", REFERENCE_ZERO_NOISE_PP[(pair, fee)]))
         assert np.sign(got_pp) == np.sign(expected), (pair, fee, got_pp, expected)
         assert abs(got_pp - expected) <= 0.15, (pair, fee, got_pp, expected)

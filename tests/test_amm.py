@@ -371,5 +371,34 @@ class TestReserves:
         with pytest.raises(ValueError, match="effective price overflows"):
             effective_price(Reserves(1.7e308, 1.0), 0.0, 0.9, 1.0)
 
+    @pytest.mark.parametrize("call, message", [
+        # x - 2t overflows to inf: the price read 0.0, and the numeraire
+        # reserve after the trade y + t*0 = 1.0 where the true one is 0.5
+        (lambda: pre_fee_price(Reserves(1.0, 1.0), -1e308), "fm-amm price denominator"),
+        (lambda: apply_trade(Reserves(1.0, 1.0), -1e308), "fm-amm price denominator"),
+        # x - t overflows to inf: the average price read 0.0
+        (lambda: cpamm_average_price(Reserves(1.0, 1e308), -1e308), "cpamm price denominator"),
+        # a denominator that is finite but tiny, for a price that overflows
+        (lambda: fmamm_price(Reserves(1e308, 1.0), 0.25), "fm-amm price"),
+        (lambda: cpamm_average_price(Reserves(1e308, 1.0), 0.5), "cpamm average price"),
+    ], ids=["pre-fee", "apply-trade", "cpamm-denominator", "fm-amm-quotient", "cpamm-quotient"])
+    def test_overflowing_denominator_or_quotient_rejected(self, call, message):
+        with pytest.raises(ValueError, match=rf"^{message} overflows at y=1(\.0|e\+308), "
+                                             r"x=1(\.0|e\+308), trade "):
+            call()
+
+    @pytest.mark.parametrize("price", [fmamm_price, cpamm_average_price])
+    @pytest.mark.parametrize("trade", [math.nan, -math.inf])
+    def test_non_finite_trade_rejected(self, price, trade):
+        # a NaN trade priced at NaN, and -inf at 0.0
+        with pytest.raises(ValueError, match=f"^trade must be finite, got {trade}$"):
+            price(R, trade)
+
+    def test_overflowing_supply_quotient_rejected(self):
+        # y/price overflows to inf: the supply read -inf
+        with pytest.raises(ValueError, match=r"^supply quotient y/price overflows at y=1e\+308, "
+                                             r"x=1.0, price 1e-10$"):
+            fmamm_supply(Reserves(1e308, 1.0), 1e-10)
+
     def test_value_at(self):
         assert R.value_at(2000.0) == 40000.0

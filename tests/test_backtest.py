@@ -50,6 +50,7 @@ from fmamm.market_data import (
     GbmParams,
     PriceDataError,
     PriceSeries,
+    cumulative_roi,
     mean_preserving_spread,
     sample_at,
     sample_gbm_path,
@@ -132,7 +133,7 @@ class TestRunBacktest:
     def test_constant_price_no_trades(self):
         series = flat_series()
         result = backtest(series, 0.0, NO_NOISE, R)
-        assert np.all(result.series.roi == 0.0)
+        assert np.all(cumulative_roi(result.values) == 0.0)
         assert result.n_rebalances == 0
 
     def test_two_block_hand_oracle(self):
@@ -143,18 +144,18 @@ class TestRunBacktest:
         r2 = apply_trade(r1, fmamm_supply(r1, 2000.0), 0.0)
         assert (r2.y, r2.x) == (20250.0, 10.125)
         result = backtest(series, 0.0, NO_NOISE, R)
-        assert result.series.values[0] == 40000.0
-        assert result.series.values[1] == pytest.approx(r1.value_at(2500.0), rel=1e-12)
-        assert result.series.values[2] == pytest.approx(r2.value_at(2000.0), rel=1e-12)
-        assert result.series.values[2] == pytest.approx(40500.0, rel=1e-12)
-        assert result.series.values[2] > 40000.0
+        assert result.values[0] == 40000.0
+        assert result.values[1] == pytest.approx(r1.value_at(2500.0), rel=1e-12)
+        assert result.values[2] == pytest.approx(r2.value_at(2000.0), rel=1e-12)
+        assert result.values[2] == pytest.approx(40500.0, rel=1e-12)
+        assert result.values[2] > 40000.0
 
     def test_wide_band_only_marks(self):
         series = PriceSeries("X-Y", [0, 12, 24], [2000.0, 2100.0, 1900.0])
         result = backtest(series, 0.5, NO_NOISE, R)
         assert result.n_rebalances == 0
-        assert result.series.values[1] == pytest.approx(R.value_at(2100.0), rel=1e-12)
-        assert result.series.values[2] == pytest.approx(R.value_at(1900.0), rel=1e-12)
+        assert result.values[1] == pytest.approx(R.value_at(2100.0), rel=1e-12)
+        assert result.values[2] == pytest.approx(R.value_at(1900.0), rel=1e-12)
 
     def test_zero_fee_rebalance_invariance(self):
         path = sample_gbm_path(GbmParams(2000.0, 0.002, step_seconds=12, horizon_seconds=12 * 500, seed=9))
@@ -191,9 +192,9 @@ class TestRunBacktest:
         assert result.summary["terminal_value"] == last.y_after + path.prices[-1] * last.x_after
         marks = sample_at(path, np.arange(0.0, path.end + 1.0, 12.0))
         assert np.array_equal(grid.marks.prices, marks)
-        assert np.array_equal(result.series.timestamps, grid.marks.timestamps)
+        assert result.values.shape == grid.marks.timestamps.shape
         values = result.trades.y_after + marks[1:] * result.trades.x_after
-        assert np.array_equal(result.series.values[1:], values)
+        assert np.array_equal(result.values[1:], values)
         assert not np.array_equal(grid.p_stars, marks[1:])
 
     @pytest.mark.parametrize("gamma, calls", [(0.0, 1), (6.0, 2)])
@@ -251,7 +252,7 @@ class TestRunBacktest:
         grid = block_grid_series(flat_series(blocks=3))
         swaps = np.array([(1, 5, 1.0, b"token0", 1e9, 2000.0)], SWAP_LOG_DTYPE)
         volume = per_block_swap_volume(swaps, grid.marks.timestamps, 0.003)
-        assert run_fmamm_backtest(grid, 0.003, NoiseScenario(0.1), R, volume).series.roi.size == 4
+        assert run_fmamm_backtest(grid, 0.003, NoiseScenario(0.1), R, volume).values.size == 4
         short = per_block_swap_volume(swaps, grid.marks.timestamps[1:], 0.003)
         with pytest.raises(ValueError, match="misaligned: 2 entries for 3 blocks"):
             run_fmamm_backtest(grid, 0.003, NoiseScenario(0.1), R, short)
@@ -323,9 +324,9 @@ class TestRunBacktest:
         scenario = NoiseScenario(1.0, "random_sign", seed=77)
         a = backtest(path, 0.003, scenario, R, volume)
         b = backtest(path, 0.003, scenario, R, volume)
-        assert np.array_equal(a.series.values, b.series.values)
+        assert np.array_equal(a.values, b.values)
         c = backtest(path, 0.003, NoiseScenario(1.0, "random_sign", seed=78), R, volume)
-        assert not np.array_equal(a.series.values, c.series.values)
+        assert not np.array_equal(a.values, c.values)
 
     def test_trade_log_is_the_kernels_array(self):
         # six float64 columns per block, the run's one log: every read gives
@@ -335,7 +336,10 @@ class TestRunBacktest:
         assert TRADE_LOG_DTYPE == np.dtype([(name, np.float64) for name in names])
         result = backtest(flat_series(price=2100.0, blocks=3), 0.003, NO_NOISE, R)
         assert [field.name for field in dataclasses.fields(result)] == [
-            "series", "summary", "trades"]
+            "values", "summary", "trades"]
+        # one read-only value per mark, the start included
+        assert result.values.dtype == np.float64 and result.values.shape == (4,)
+        assert not result.values.flags.writeable
         assert result.trades is result.trades
         assert isinstance(result.trades, np.recarray)
         assert result.trades.dtype == TRADE_LOG_DTYPE and result.trades.shape == (3,)
@@ -439,11 +443,11 @@ def assert_matches_reference(result, grid, reference, rtol):
             np.testing.assert_allclose(column, log[name], rtol=rtol, atol=0.0, err_msg=name)
     roi = values / values[0] - 1.0
     if rtol == 0.0:
-        assert np.array_equal(result.series.values, values)
-        assert np.array_equal(result.series.roi, roi)
+        assert np.array_equal(result.values, values)
+        assert np.array_equal(cumulative_roi(result.values), roi)
     else:
-        np.testing.assert_allclose(result.series.values, values, rtol=rtol, atol=0.0)
-        np.testing.assert_allclose(result.series.roi, roi, rtol=rtol, atol=1e-15)
+        np.testing.assert_allclose(result.values, values, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(cumulative_roi(result.values), roi, rtol=rtol, atol=1e-15)
 
 
 class TestKernelMatchesReference:
@@ -628,7 +632,7 @@ class TestZeroFeeClosedForm:
         y = p[1:] * x
         np.testing.assert_allclose(result.trades.x_after, x, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(result.trades.y_after, y, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(result.series.values[1:], 2.0 * y, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(result.values[1:], 2.0 * y, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("gamma", [1.0, 6.0, 11.0])
     def test_latency_closed_form(self, gamma):
@@ -643,7 +647,7 @@ class TestZeroFeeClosedForm:
         s = np.concatenate((grid.marks.prices[:1], grid.p_stars))
         x = np.cumprod((s[:-1] + s[1:]) / (2.0 * s[1:]))
         np.testing.assert_allclose(result.trades.x_after, x, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(result.series.values[1:], x * (s[1:] + grid.marks.prices[1:]),
+        np.testing.assert_allclose(result.values[1:], x * (s[1:] + grid.marks.prices[1:]),
                                    rtol=1e-12, atol=0.0)
 
 
@@ -667,7 +671,7 @@ class TestLvrKeptIdentity:
         grid = block_grid_series(path)
         result = run_fmamm_backtest(grid, 0.0)
         baseline = run_baseline(np.empty(0, SWAP_LOG_DTYPE), grid.marks, 1.0)
-        fm, cp = result.series.values, baseline.values
+        fm, cp = result.values, baseline
         ratio = (fm[-1] / fm[0]) / (cp[-1] / cp[0])
         kept = np.prod(np.cosh(0.5 * np.diff(np.log(grid.marks.prices))))
         assert kept >= 1.0
@@ -690,7 +694,7 @@ class TestZeroLvr:
         grid = block_grid_series(path)
         result = run_fmamm_backtest(grid, tau, noise, baseline_volume=volume)
         assert np.array_equal(grid.p_stars, path.prices[1:])
-        values = result.series.values
+        values = result.values
         _, x_before = state_before(result.trades, balanced_reserves(float(path.prices[0])))
         change = np.diff(values) - x_before * np.diff(path.prices)
         return change / values[1:]
@@ -810,7 +814,7 @@ class TestFeeSweep:
         grid = block_grid_series(path)
         sweep = {tau: run_fmamm_backtest(grid, tau, NO_NOISE, R) for tau in DEFAULT_FEE_GRID}
         plain = backtest(path, 0.0, NO_NOISE, R)
-        assert np.array_equal(sweep[0.0].series.values, plain.series.values)
+        assert np.array_equal(sweep[0.0].values, plain.values)
 
     def test_trend_rebalance_counts_fall_with_fee(self):
         ts = 12.0 * np.arange(101)
@@ -843,8 +847,7 @@ class TestNoiseSweep:
         assert self.sweep(path, (0.5,), volume)[0.5].terminal_roi > plain.terminal_roi
         for direction in NOISE_DIRECTIONS:
             zero = backtest(path, 0.003, NoiseScenario(0.0, direction, 9), R, volume)
-            assert np.array_equal(zero.series.values, plain.series.values)
-            assert np.array_equal(zero.series.roi, plain.series.roi)
+            assert np.array_equal(zero.values, plain.values)
             for name in TRADE_LOG_DTYPE.names:
                 assert np.array_equal(zero.trades[name], plain.trades[name]), name
 
@@ -1163,6 +1166,6 @@ class TestBlockGridSeries:
         grid = block_grid_series(series, mu=12.0)
         assert list(grid.marks.timestamps) == [0.0, 12.0, 24.0, 36.0, 48.0, 60.0]
         assert list(grid.marks.prices) == [2000.0, 2012.0, 2024.0, 2036.0, 2048.0, 2060.0]
-        # a run is marked on its grid, so the two series intersect fully
+        # a run is marked on its grid: one value per mark
         result = run_fmamm_backtest(grid, 0.003)
-        assert np.array_equal(result.series.timestamps, grid.marks.timestamps)
+        assert result.values.shape == grid.marks.timestamps.shape

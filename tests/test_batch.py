@@ -239,6 +239,13 @@ class TestSplitTradeExperiment:
         assert final.x == pytest.approx(60.0, rel=1e-12)
         assert final.y > 0
 
+    def test_overflowing_denominator_rejected(self):
+        # x - (n+1)*d overflows to inf: the final numeraire reserve read 0.0,
+        # where the true one is 0.5
+        with pytest.raises(ValueError, match=r"^split trade denominator overflows at y=1.0, "
+                                             r"x=1.0, trade -1e\+308$"):
+            split_trade_experiment(Reserves(1.0, 1.0), -1e308, 1)
+
 
 class TestLoadOrderBatches:
     def test_round_trip(self, tmp_path):

@@ -50,7 +50,7 @@ def write_swap_csv(path, series, pool_fee=0.003, every=3):
     rng = np.random.default_rng(1)
     lines = ["block,timestamp,fee_amount,fee_token,active_liquidity,post_price"]
     for i in range(1, len(series), every):
-        t, p = series[i]
+        t, p = series.timestamps[i], series.prices[i]
         volume = rng.uniform(0.5, 2.0)
         lines.append(f"{i},{int(t)},{float(volume * pool_fee * p)!r},token1,1e9,{float(p)!r}")
     path.write_text("\n".join(lines) + "\n")
@@ -94,6 +94,17 @@ class TestQuote:
             ["quote", "--y", "20000", "--x-reserve", "10", "--trade", "1", "--fee", "0.1", "--sell"]
         ) == 0
         assert "2250.000000" in capsys.readouterr().out
+
+    def test_overflowing_denominator_is_validation_error(self, tmp_path, capsys):
+        # x - 2t overflows to inf, which wrote prices of 0.0 where the true
+        # one is about 5e-309
+        argv = ["quote", "--y", "1", "--x-reserve", "1", "--trade=-1e308"]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == ("error: fm-amm price denominator overflows at y=1.0, x=1.0, "
+                               "trade -1e+308\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSettle:
@@ -455,6 +466,48 @@ class TestSweepCommands:
             assert len(long_ids) == len(runs) * 2 * 41
         assert main(["backtest", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("command, key, width, runs", [
+        ("sweep-fees", "fee", 8, ["fee_0.001", "fee_0.0010000001"]),
+        ("sweep-noise", "fraction", 6, ["noise_0", "noise_0.1", "noise_0.10000001"]),
+    ])
+    def test_stdout_names_each_entry_as_its_run_id(self, tmp_path, capsys, command, key, width,
+                                                   runs):
+        # ``:g`` printed 0.001 and 0.0010000001 (or 0.1 and 0.10000001) alike
+        series = write_price_csv(tmp_path / "prices.csv", blocks=40)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
+                           fee_grid=[0.001, 0.0010000001], noise_fractions=[0.1, 0.10000001])
+        assert main([command, "--config", str(cfg)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith(f"  {key} ")]
+        names = [run.split("_")[1] for run in runs]
+        assert [line.split()[1] for line in lines] == names
+        # padded as before
+        assert lines[0].startswith(f"  {key} {names[0]:<{width}} ")
+
+    @pytest.mark.parametrize("command, runs", [("sweep-fees", 4), ("sweep-noise", 3)])
+    def test_each_kept_run_is_one_value_column(self, tmp_path, capsys, monkeypatch, command,
+                                               runs):
+        # a run keeps only its values; the grid's own timestamps mark them all
+        series = write_price_csv(tmp_path / "prices.csv", blocks=60)
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
+                           fee_grid=[0.0, 0.0005, 0.003, 0.01], noise_fractions=[0.1, 0.3])
+        grids = []
+        sample = fmamm.cli.block_grid_series
+        monkeypatch.setattr(fmamm.cli, "block_grid_series",
+                            lambda *args: grids.append(sample(*args)) or grids[-1])
+        args = fmamm.cli.build_parser().parse_args([command, "--config", str(cfg)])
+        outputs = args.func(args)
+        (grid,) = grids
+        assert len(outputs.runs) == runs
+        for values in outputs.runs.values():
+            assert isinstance(values, np.ndarray) and values.ndim == 1
+            assert values.dtype == np.float64 and not values.flags.writeable
+        blocks = grid.p_stars.size
+        assert sum(values.nbytes for values in outputs.runs.values()) == runs * 8 * (blocks + 1)
+        assert np.shares_memory(outputs.marks, grid.marks.timestamps)
+
     def test_one_forward_fill_warning_per_command(self, tmp_path):
         # a 360 s gap in the price rows: each command samples the block grid
         # once, for all of its runs, and warns once
@@ -676,6 +729,17 @@ class TestSplitDemoCommand:
         printed = capsys.readouterr()
         assert printed.out == ""
         assert printed.err.startswith("error: split trade infeasible at step 4 of 5")
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_denominator_is_validation_error(self, tmp_path, capsys):
+        # x - (n+1)*d overflows to inf, which printed a final numeraire
+        # reserve of 0.000000 where the true one is 0.5
+        argv = ["split-demo", "--y", "1", "--x-reserve", "1", "--trade=-1e308", "--n", "1"]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == ("error: split trade denominator overflows at y=1.0, x=1.0, "
+                               "trade -1e+308\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n", ["0", "-2"])

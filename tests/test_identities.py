@@ -25,7 +25,7 @@ from fmamm.backtest import (
     run_fmamm_backtest,
 )
 from fmamm.cli import main
-from fmamm.market_data import GbmParams, PriceSeries, sample_gbm_path
+from fmamm.market_data import GbmParams, PriceSeries, cumulative_roi, sample_gbm_path
 from fmamm.uniswap import (
     COMPOUND_CADENCES,
     FEE_TOKENS,
@@ -93,8 +93,8 @@ class TestKernelIdentities:
         plain = run_fmamm_backtest(grid, tau, noise, initial, volume)
         scaled = run_fmamm_backtest(grid, tau, noise, balanced_reserves(path.prices[0], scale),
                                     None if volume is None else volume * scale)
-        assert np.array_equal(scaled.series.values, plain.series.values * scale)
-        assert np.array_equal(scaled.series.roi, plain.series.roi)
+        assert np.array_equal(scaled.values, plain.values * scale)
+        assert np.array_equal(cumulative_roi(scaled.values), cumulative_roi(plain.values))
         assert scaled.n_rebalances == plain.n_rebalances
 
     @settings(max_examples=30, deadline=None)
@@ -107,8 +107,8 @@ class TestKernelIdentities:
         noise, volume = noise_run(kind, seed, 200)
         plain = run_fmamm_backtest(block_grid_series(path), tau, noise, None, volume)
         scaled = run_fmamm_backtest(block_grid_series(dear), tau, noise, None, volume)
-        assert np.array_equal(scaled.series.values, plain.series.values * scale)
-        assert np.array_equal(scaled.series.roi, plain.series.roi)
+        assert np.array_equal(scaled.values, plain.values * scale)
+        assert np.array_equal(cumulative_roi(scaled.values), cumulative_roi(plain.values))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds, tau=taus, gamma=st.sampled_from([0.0, 5.0]),
@@ -125,8 +125,8 @@ class TestKernelIdentities:
         for series, swaps in ((path, log), (shifted(path, days), later)):
             grid = block_grid_series(series, gamma=gamma)
             volume = per_block_swap_volume(swaps, grid.marks.timestamps, 0.003)
-            rois.append(run_fmamm_backtest(grid, tau, NoiseScenario(1.0, "random_sign", seed),
-                                           None, volume).series.roi)
+            rois.append(cumulative_roi(run_fmamm_backtest(
+                grid, tau, NoiseScenario(1.0, "random_sign", seed), None, volume).values))
         assert np.array_equal(rois[1], rois[0])
 
 
@@ -148,8 +148,8 @@ class TestBaselineIdentities:
         plain = baseline(log, marks, cadence)
         scaled = baseline(dear, PriceSeries(marks.pair, marks.timestamps, marks.prices * 4.0**k),
                           cadence)
-        assert np.array_equal(scaled.values, plain.values * 2.0**k)
-        assert np.array_equal(scaled.roi, plain.roi)
+        assert np.array_equal(scaled, plain * 2.0**k)
+        assert np.array_equal(cumulative_roi(scaled), cumulative_roi(plain))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds, cadence=st.sampled_from(COMPOUND_CADENCES), days=st.integers(1, 20_000))
@@ -160,7 +160,7 @@ class TestBaselineIdentities:
         later.timestamp += days * DAY
         plain = baseline(log, marks, cadence)
         moved = baseline(later, shifted(marks, days), cadence)
-        assert np.array_equal(moved.roi, plain.roi)
+        assert np.array_equal(cumulative_roi(moved), cumulative_roi(plain))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds, cadence=st.sampled_from(COMPOUND_CADENCES), k=st.integers(-40, 40))
@@ -170,8 +170,8 @@ class TestBaselineIdentities:
         log = swap_log(marks, seed)
         plain = baseline(log, marks, cadence)
         scaled = baseline(log, marks, cadence, 2.0**k)
-        assert np.array_equal(scaled.values, plain.values * 2.0**k)
-        assert np.array_equal(scaled.roi, plain.roi)
+        assert np.array_equal(scaled, plain * 2.0**k)
+        assert np.array_equal(cumulative_roi(scaled), cumulative_roi(plain))
 
 
 def write_scenario(directory, seed, cadence, gamma, k=0, days=0):

@@ -23,9 +23,9 @@ from test_cli import write_config, write_price_csv, write_swap_csv
 from fmamm import cli, market_data
 from fmamm.cli import _write_comparison, _write_runs, main
 from fmamm.market_data import (
-    LpReturnSeries,
     PriceDataError,
     PriceSeries,
+    cumulative_roi,
     format_number,
     format_numbers,
     formatted_chunks,
@@ -425,11 +425,11 @@ def test_oversized_field_names_its_line(tmp_path, load, header, row, big_row):
             load(path)
 
 
-def reference_returns_csv(path, series):
+def reference_returns_csv(path, marks, values):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "value", "cumulative_roi"])
-        for t, v, r in zip(series.timestamps, series.values, series.roi):
+        for t, v, r in zip(marks, values, cumulative_roi(values)):
             writer.writerow([format_number(t), repr(float(v)), repr(float(r))])
 
 
@@ -441,22 +441,22 @@ def reference_comparison_csv(path, timestamps, roi_difference):
             writer.writerow([format_number(t), repr(float(d))])
 
 
-def reference_long_csv(path, runs):
+def reference_long_csv(path, marks, runs):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_id", "timestamp", "metric", "value"])
-        for run_id, series in runs.items():
-            for metric, column in (("value", series.values), ("cumulative_roi", series.roi)):
-                for t, v in zip(series.timestamps, column):
+        for run_id, values in runs.items():
+            for metric, column in (("value", values), ("cumulative_roi", cumulative_roi(values))):
+                for t, v in zip(marks, column):
                     writer.writerow([run_id, format_number(t), metric, repr(float(v))])
 
 
-def assert_out_dir_matches(out, runs):
+def assert_out_dir_matches(out, marks, runs):
     """``_write_runs``' files against the ``csv.writer`` oracles."""
-    for run_id, series in runs.items():
-        reference_returns_csv(out / "want.csv", series)
+    for run_id, values in runs.items():
+        reference_returns_csv(out / "want.csv", marks, values)
         assert (out / f"{run_id}_returns.csv").read_bytes() == (out / "want.csv").read_bytes()
-    reference_long_csv(out / "want.csv", runs)
+    reference_long_csv(out / "want.csv", marks, runs)
     assert (out / "long.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
@@ -535,49 +535,50 @@ class TestWriters:
 
     @pytest.mark.parametrize("name", sorted(STAMP_SETS))
     def test_byte_identical_to_csv_writer(self, tmp_path, name, small_chunks):
-        stamps = STAMP_SETS[name]
+        stamps = np.asarray(STAMP_SETS[name], float)
         n = len(stamps)
-        values = (ODD_VALUES * 2)[:n]
-        roi = (ODD_VALUES[::-1] * 2)[:n]
-        series = LpReturnSeries("venue", stamps, values, roi)
-        runs = {"fm_amm": series, "fee_0.003": LpReturnSeries("v", stamps, roi, values),
-                "noise_0.1": LpReturnSeries("w", stamps[:3], roi[:3], values[:3])}
-        gap = np.asarray(roi, float)
-        _write_comparison(tmp_path / "got.csv", np.asarray(stamps, float), gap)
+        values = np.asarray((ODD_VALUES * 2)[:n], float)
+        gap = np.asarray((ODD_VALUES[::-1] * 2)[:n], float)
+        _write_comparison(tmp_path / "got.csv", stamps, gap)
         reference_comparison_csv(tmp_path / "want.csv", stamps, gap)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        _write_runs(tmp_path, runs)
-        assert_out_dir_matches(tmp_path, runs)
+        # a run's ROI column is derived from its values, so the odd values
+        # reach the value columns, and their quotients the ROI columns
+        runs = {"fm_amm": values, "fee_0.003": gap}
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _write_runs(tmp_path, stamps, runs)
+            assert_out_dir_matches(tmp_path, stamps, runs)
 
     def test_long_run_matches(self, tmp_path):
         rng = np.random.default_rng(5)
         stamps = 1_680_000_000 + 12.0 * np.arange(5000)
-        series = LpReturnSeries.from_values("v", stamps, 1.0 + rng.standard_normal(5000) ** 2)
-        _write_runs(tmp_path, {"v": series})
-        assert_out_dir_matches(tmp_path, {"v": series})
+        runs = {"v": 1.0 + rng.standard_normal(5000) ** 2}
+        _write_runs(tmp_path, stamps, runs)
+        assert_out_dir_matches(tmp_path, stamps, runs)
 
     def test_out_dir_writer_holds_one_chunk(self, tmp_path):
         """The out-dir writer's peak allocation, less the ``cumulative_roi``
         text that ``long.csv`` must hold back until the run's ``value`` rows
-        are out, stays well below one fully formatted column: it never holds
-        a whole column of strings or a whole file."""
+        are out and the float ROI column it derives from the values, stays
+        well below one fully formatted column: it never holds a whole column
+        of strings or a whole file."""
         n = 50_000  # about 12 chunks; tracemalloc makes each row cost ~20 us
         rng = np.random.default_rng(7)
-        series = LpReturnSeries.from_values(
-            "v", 1_680_000_000 + 12.0 * np.arange(n), np.exp(np.cumsum(rng.normal(0, 1e-3, n))))
-        column = list(map(repr, series.values.tolist()))
+        marks = 1_680_000_000 + 12.0 * np.arange(n)
+        values = np.exp(np.cumsum(rng.normal(0, 1e-3, n)))
+        column = list(map(repr, values.tolist()))
         column_bytes = sys.getsizeof(column) + sum(map(sys.getsizeof, column))
         del column
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _write_runs(tmp_path, {"fm_amm": series})
+            _write_runs(tmp_path, marks, {"fm_amm": values})
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         long = (tmp_path / "long.csv").read_bytes()
         pending = len(long) - long.index(b"fm_amm,1680000000,cumulative_roi,")
-        assert peak - pending < column_bytes / 2, (peak, pending, column_bytes)
+        assert peak - pending - values.nbytes < column_bytes / 2, (peak, pending, column_bytes)
 
 
 class TestCommandOutDirs:
@@ -587,21 +588,23 @@ class TestCommandOutDirs:
         monkeypatch.setattr(market_data, "CSV_CHUNK_ROWS", 32)
         seen = {}
 
-        def recording(out, runs):
-            seen.update(runs)
-            return _write_runs(out, runs)
+        def recording(out, marks, runs):
+            seen.update(runs, marks=marks)
+            return _write_runs(out, marks, runs)
 
         monkeypatch.setattr(cli, "_write_runs", recording)
         assert main(argv) == 0
-        assert len(seen) >= 2 and all(len(s.timestamps) == 101 for s in seen.values())
-        return seen
+        marks = seen.pop("marks")
+        assert len(seen) >= 2 and all(len(v) == len(marks) == 101 for v in seen.values())
+        return marks, seen
 
     def test_sweep_fees(self, tmp_path, monkeypatch):
         write_price_csv(tmp_path / "prices.csv", blocks=100)
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", fee_grid=[0.0, 0.003])
         out = tmp_path / "out"
-        runs = self.run(monkeypatch, ["sweep-fees", "--config", str(cfg), "--out-dir", str(out)])
-        assert_out_dir_matches(out, runs)
+        marks, runs = self.run(monkeypatch,
+                               ["sweep-fees", "--config", str(cfg), "--out-dir", str(out)])
+        assert_out_dir_matches(out, marks, runs)
 
     def test_sweep_noise(self, tmp_path, monkeypatch):
         series = write_price_csv(tmp_path / "prices.csv", blocks=100)
@@ -609,8 +612,9 @@ class TestCommandOutDirs:
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
                            noise_fractions=[0.1, 0.3])
         out = tmp_path / "out"
-        runs = self.run(monkeypatch, ["sweep-noise", "--config", str(cfg), "--out-dir", str(out)])
-        assert_out_dir_matches(out, runs)
+        marks, runs = self.run(monkeypatch,
+                               ["sweep-noise", "--config", str(cfg), "--out-dir", str(out)])
+        assert_out_dir_matches(out, marks, runs)
 
 
 PLAIN_PRICES = PRICE_HEADER + "\n" + "".join(f"{t},{t / 7!r}\n" for t in range(1, 200))

@@ -9,10 +9,10 @@ import pytest
 from fmamm.cli import _write_runs
 from fmamm.market_data import (
     GbmParams,
-    LpReturnSeries,
     PriceDataError,
     PriceSeries,
     cross_rate,
+    cumulative_roi,
     load_price_series,
     mean_preserving_spread,
     sample_at,
@@ -48,7 +48,7 @@ class TestLoadPriceSeries:
         path = write_csv(tmp_path / "p.csv", ["1680000000,1850.5", "1680000001,1850.75"])
         series = load_price_series(path, "WETH-USDT")
         assert len(series) == 2
-        assert series[1] == (1680000001.0, 1850.75)
+        assert (series.timestamps[1], series.prices[1]) == (1680000001.0, 1850.75)
         assert series.pair == "WETH-USDT"
 
     def test_nonpositive_price_names_row(self, tmp_path):
@@ -229,22 +229,18 @@ class TestMeanPreservingSpread:
                 mean_preserving_spread([1.0], sd)
 
 
-class TestLpReturnSeries:
-    def test_from_values_and_csv(self, tmp_path):
-        s = LpReturnSeries.from_values("venue", [0, 12, 24], [100.0, 110.0, 99.0])
-        assert s.roi[0] == 0.0
-        assert s.terminal_roi == pytest.approx(-0.01, rel=1e-12)
+class TestCumulativeRoi:
+    def test_cumulative_roi_and_csv(self, tmp_path):
+        values = [100.0, 110.0, 99.0]
+        roi = cumulative_roi(values)
+        assert roi.dtype == np.float64 and roi[0] == 0.0
+        assert roi[-1] == pytest.approx(-0.01, rel=1e-12)
         for out in (tmp_path / "a", tmp_path / "b"):
             out.mkdir()
-            _write_runs(out, {"venue": s})
+            _write_runs(out, np.array([0.0, 12.0, 24.0]), {"venue": np.array(values)})
         path = tmp_path / "a" / "venue_returns.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "timestamp,value,cumulative_roi"
         assert lines[1] == "0,100.0,0.0"
         # byte-identical on rewrite
         assert (tmp_path / "b" / "venue_returns.csv").read_bytes() == path.read_bytes()
-
-    @pytest.mark.parametrize("values, roi", [([1.0, 2.0], [0.0]), ([1.0], [0.0, 1.0])])
-    def test_mismatched_lengths_rejected(self, values, roi):
-        with pytest.raises(ValueError, match="^venue: mismatched series lengths$"):
-            LpReturnSeries("venue", [0, 12], values, roi)

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmamm.backtest import block_grid_series
-from fmamm.market_data import GbmParams, LpReturnSeries, PriceSeries, sample_at, sample_gbm_path
+from fmamm.market_data import (
+    GbmParams,
+    PriceSeries,
+    cumulative_roi,
+    sample_at,
+    sample_gbm_path,
+)
 from fmamm.uniswap import (
     FEE_TOKENS,
     SWAP_LOG_DTYPE,
@@ -39,7 +45,7 @@ class TestRunBaseline:
     def test_no_swaps_flat_price(self):
         series = PriceSeries("X-Y", [0, 12, 24], [4.0, 4.0, 4.0])
         out = run_baseline(NO_SWAPS, series, 1.0)
-        assert np.all(out.roi == 0.0)
+        assert np.all(cumulative_roi(out) == 0.0)
 
     @pytest.mark.parametrize("liquidity", [0.0, -1.0, math.nan, 1e-320])
     def test_bad_liquidity_rejected(self, liquidity):
@@ -70,14 +76,14 @@ class TestRunBaseline:
     def test_no_swaps_divergence_identity(self):
         series = PriceSeries("X-Y", [0, 12], [4.0, 9.0])
         out = run_baseline(NO_SWAPS, series, 7.0)
-        assert out.roi[-1] == pytest.approx(np.sqrt(9.0 / 4.0) - 1.0, rel=1e-12)
+        assert cumulative_roi(out)[-1] == pytest.approx(np.sqrt(9.0 / 4.0) - 1.0, rel=1e-12)
 
     def test_single_swap_flat_price(self):
         series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
         rec = record(block=1, ts=5, fee=100.0, liq=1e6, price=4.0)
         out = run_baseline(log_of(rec), series, 1.0)
         # share s = 1e-6; roi = s*fee / (2*L*sqrt(p))
-        assert out.roi[-1] == pytest.approx(1e-4 / 4.0, rel=1e-12)
+        assert cumulative_roi(out)[-1] == pytest.approx(1e-4 / 4.0, rel=1e-12)
 
     def test_roi_invariant_to_position_scale(self):
         series = PriceSeries("X-Y", [0, 12, 24, 36], [4.0, 4.4, 3.9, 4.2])
@@ -88,7 +94,7 @@ class TestRunBaseline:
         )
         a = run_baseline(recs, series, 1.0)
         b = run_baseline(recs, series, 1e6)
-        assert np.allclose(a.roi, b.roi, rtol=1e-12, atol=1e-15)
+        assert np.allclose(cumulative_roi(a), cumulative_roi(b), rtol=1e-12, atol=1e-15)
         # a power-of-two position scales every value exactly, so the ROI is
         # bit-identical at each cadence; marks 5 minutes apart over 3 days
         # leave fees pending between daily compoundings
@@ -99,9 +105,9 @@ class TestRunBaseline:
         recs = log_of(*(record(block=i + 1, ts=int(t), fee=float(rng.uniform(1.0, 100.0)),
                                token=FEE_TOKENS[i % 2], liq=1e12) for i, t in enumerate(times)))
         for cadence in ("swap", "block", "day"):
-            roi = run_baseline(recs, marks, 1.0, cadence).roi
+            roi = cumulative_roi(run_baseline(recs, marks, 1.0, cadence))
             for k in (-3, 5, 20):
-                scaled = run_baseline(recs, marks, 2.0**k, cadence).roi
+                scaled = cumulative_roi(run_baseline(recs, marks, 2.0**k, cadence))
                 assert np.array_equal(scaled, roi), (cadence, k)
 
     def test_fee_monotonicity(self):
@@ -115,7 +121,7 @@ class TestRunBaseline:
             series,
             1.0,
         )
-        assert np.all(more.roi >= base.roi - 1e-15)
+        assert np.all(cumulative_roi(more) >= cumulative_roi(base) - 1e-15)
 
     def test_unsorted_records_rejected(self):
         series = PriceSeries("X-Y", [0, 12], [4.0, 4.0])
@@ -140,15 +146,15 @@ class TestRunBaseline:
         recs = log_of(record(block=1, ts=12, fee=10.0, liq=1e6))
         a = run_baseline(recs, series, 1.0, compound_cadence="swap")
         b = run_baseline(recs, series, 1.0, compound_cadence="block")
-        assert np.allclose(a.values, b.values, rtol=1e-12)
+        assert np.allclose(a, b, rtol=1e-12)
 
     def test_day_cadence_defers_compounding(self):
         series = PriceSeries("X-Y", [0, 12, 86_500], [4.0, 4.0, 4.0])
         recs = log_of(record(block=1, ts=6, fee=10.0, liq=1e3))
         daily = run_baseline(recs, series, 1.0, compound_cadence="day")
         # value identical at flat price whether compounded or pending
-        assert daily.values[-1] == pytest.approx(
-            run_baseline(recs, series, 1.0).values[-1], rel=1e-12
+        assert daily[-1] == pytest.approx(
+            run_baseline(recs, series, 1.0)[-1], rel=1e-12
         )
 
     def test_big_position_warns(self):
@@ -308,7 +314,7 @@ def reference_baseline(records, price_series, initial_liquidity, compound_cadenc
             position = compound_fees(position, float(price))
         prev_day = day
         values.append(position_value(position, float(price)))
-    return LpReturnSeries.from_values("uniswap_v3_full_range", price_series.timestamps, values)
+    return np.array(values)
 
 
 def random_replay(seed, heavy=False, n_marks=1500, n_swaps=4000, step=300.0, overhang=900):
@@ -340,8 +346,9 @@ def random_replay(seed, heavy=False, n_marks=1500, n_swaps=4000, step=300.0, ove
 
 
 def assert_matches_oracle(got, want):
-    np.testing.assert_allclose(got.values, want.values, rtol=ORACLE_RTOL, atol=0.0)
-    assert got.timestamps.tobytes() == want.timestamps.tobytes()
+    np.testing.assert_allclose(got, want, rtol=ORACLE_RTOL, atol=0.0)
+    # one read-only value per mark
+    assert got.dtype == np.float64 and got.shape == want.shape and not got.flags.writeable
 
 
 @st.composite
@@ -395,12 +402,12 @@ class TestBaselineMatchesReference:
         want = run_baseline(np.concatenate((at_start, inside)), marks, 2.5e5, cadence)
         with pytest.warns(UserWarning, match="3 swap records after the last price mark"):
             got = run_baseline(records, marks, 2.5e5, cadence)
-        assert got.values.tobytes() == want.values.tobytes()
+        assert got.tobytes() == want.tobytes()
         assert_matches_oracle(got, reference_baseline(records, marks, 2.5e5, cadence))
         # with every swap after the last mark, the position stays at 2*L*sqrt(p)
         with pytest.warns(UserWarning, match="3 swap records after the last price mark"):
             flat = run_baseline(late, marks, 2.5e5, cadence)
-        assert flat.values.tobytes() == (2.0 * 2.5e5 * np.sqrt(marks.prices)).tobytes()
+        assert flat.tobytes() == (2.0 * 2.5e5 * np.sqrt(marks.prices)).tobytes()
         assert_matches_oracle(flat, reference_baseline(late, marks, 2.5e5, cadence))
 
     def test_swap_cadence_compounds_at_each_swaps_price(self):

@@ -46,6 +46,7 @@ from fmamm.amm import (
 from fmamm.arbitrage import _PIN_RTOL, arbitrage_order
 from fmamm.market_data import (
     PriceSeries,
+    _digest,
     cumulative_roi,
     format_number,
     mean_preserving_spread,
@@ -568,8 +569,13 @@ class ScenarioConfig:
     compound_cadence: str = "block"
 
     @classmethod
-    def from_json(cls, path) -> "ScenarioConfig":
+    def from_json(cls, path, digests=None) -> "ScenarioConfig":
+        """The config in the JSON file ``path``.  ``digests``, when given, gets
+        the SHA-256 of the bytes parsed under ``str(path)`` (None for a file
+        that is not regular)."""
         with open(path) as fh:
+            if digests is not None:
+                digests[str(path)] = _digest(fh.buffer)
             try:
                 raw = json.load(fh, object_pairs_hook=lambda kv: _unique_keys(path, kv))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:

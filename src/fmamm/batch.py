@@ -39,6 +39,7 @@ from fmamm.amm import (
     _is_number,
     pre_fee_price,
 )
+from fmamm.market_data import _digest
 
 __all__ = [
     "Order",
@@ -223,18 +224,22 @@ def split_trade_experiment(reserves: Reserves, x_trade: float, n: int) -> Reserv
     return Reserves(reserves.y * (reserves.x - step) / last, reserves.x - n * step)
 
 
-def load_order_batches(path) -> list[Batch]:
+def load_order_batches(path, digests=None) -> list[Batch]:
     """Read batches from a JSON-lines file of {block, trader_kind, amount}.
 
     Orders are grouped by block in file order; block numbers must be
     non-decreasing so that batches come out strictly increasing.  The file
-    is read in one pass, and the first malformed line is reported with its
+    is parsed in one pass, and the first malformed line is reported with its
     line number.  An optional "id" field, a JSON string, overrides the
-    default "<block>:<n>" order id.
+    default "<block>:<n>" order id.  ``digests``, when given, gets the
+    SHA-256 of the bytes parsed under ``str(path)`` (None for a file that
+    is not regular).
     """
     bad_line = (KeyError, TypeError, ValueError, OverflowError)
     groups: list[tuple[int, list[Order]]] = []
     with open(path, errors="surrogateescape") as fh:
+        if digests is not None:
+            digests[str(path)] = _digest(fh.buffer)
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -22,8 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import stat
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -53,7 +51,6 @@ from fmamm.backtest import (
 )
 from fmamm.batch import load_order_batches, settle_batch, split_trade_experiment
 from fmamm.market_data import (
-    _sha256,
     cumulative_roi,
     format_number,
     formatted_chunks,
@@ -73,15 +70,6 @@ NOISE_SHARE_OF_VOLUME = 0.6
 MAX_DRAWS = 10**7
 
 
-def _file_sha256(path) -> str | None:
-    """A regular file's SHA-256; None for a pipe, FIFO or device, which a
-    second read would find drained or block on."""
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        return None
-    with open(path, "rb") as fh:
-        return _sha256(fh)
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -96,8 +84,8 @@ class Outputs(NamedTuple):
     of ``marks``, the block grid's own timestamps shared by every run.  The
     manifest records ``parameters`` (by default the command-line arguments),
     the config and ``inputs`` by digest, and ``seed``; ``inputs`` maps each
-    input path to the SHA-256 its loader took, or to None for ``main`` to
-    hash the file if it is a regular one (anything else is recorded as null).
+    input path to the SHA-256 of the bytes its loader parsed, or to None for
+    an input that is not a regular file.
     """
 
     files: dict
@@ -158,7 +146,8 @@ def cmd_quote(args) -> Outputs:
 
 def cmd_settle(args) -> Outputs:
     reserves = _reserves(args)
-    batches = load_order_batches(args.orders)
+    inputs = {}
+    batches = load_order_batches(args.orders, inputs)
     reports = []
     for batch in batches:
         reserves, report = settle_batch(reserves, batch, args.fee)
@@ -173,13 +162,14 @@ def cmd_settle(args) -> Outputs:
     print(f"final reserves: y={reserves.y!r} x={reserves.x!r}")
     return Outputs({"settlements.json": {"reports": reports,
                                          "final_reserves": {"y": reserves.y, "x": reserves.x}}},
-                   inputs={args.orders: None})
+                   inputs=inputs)
 
 
 def _load_scenario(args, inputs: dict, needs_swaps=False):
     """The config, its block grid (the dense series is dropped once sampled)
-    and start reserves; the price CSV's digest goes into ``inputs``."""
-    cfg = ScenarioConfig.from_json(args.config)
+    and start reserves; the config's and the price CSV's digests go into
+    ``inputs``."""
+    cfg = ScenarioConfig.from_json(args.config, inputs)
     if needs_swaps and (cfg.swap_csv is None or cfg.pool_fee is None):
         raise ValueError(f"{args.config}: {args.command} needs config keys 'swap_csv' and "
                          "'pool_fee' to infer per-block baseline volume")
@@ -409,15 +399,12 @@ def main(argv=None) -> int:
                 payload(out / name)
             else:
                 _write_json(out / name, payload)
-        config = getattr(args, "config", None)
-        inputs = {config: None} if config is not None else {}
-        inputs.update(outputs.inputs or {})
         parameters = outputs.parameters
         if parameters is None:
             parameters = {k: v for k, v in vars(args).items() if not callable(v)}
         _write_json(out / "manifest.json", {
-            "command": args.command, "config": config, "parameters": parameters,
-            "inputs": {str(p): digest or _file_sha256(p) for p, digest in inputs.items()},
+            "command": args.command, "config": getattr(args, "config", None),
+            "parameters": parameters, "inputs": outputs.inputs or {},
             "seed": outputs.seed, "version": __version__})
         return 0
     except ConvergenceError as exc:

@@ -1,10 +1,9 @@
-"""Timestamped price series and marked values: loading, cross rates, returns
-and synthesis.
+"""Timestamped price series and marked values: loading, returns and synthesis.
 
 Price CSVs use the schema ``timestamp,price`` (header required) with 64-bit
 integer epoch seconds; pairs are labeled ``BASE-QUOTE``.  One price rule holds
-for every series, loaded, built or composed: finite timestamps, strictly
-increasing as float64, and finite positive prices.  Series are immutable.
+for every series, loaded or built: finite timestamps, strictly increasing as
+float64, and finite positive prices.  Series are immutable.
 
 CSV input and output are columnar.  Both loaders (swaps in
 :mod:`fmamm.uniswap`) go through one reader, :func:`_read_csv`: a plain file
@@ -45,7 +44,6 @@ __all__ = [
     "GbmParams",
     "LONG_GAP_SECONDS",
     "load_price_series",
-    "cross_rate",
     "sample_at",
     "sample_gbm_path",
     "mean_preserving_spread",
@@ -197,11 +195,15 @@ _CACHE_DIR = "__fmamm_cache__"
 _CACHE_FORMAT = 2
 
 
-def _sha256(fh) -> str:
-    """SHA-256 hex digest of the rest of an open binary file, read in 1 MiB chunks."""
+def _digest(fh) -> str | None:
+    """SHA-256 hex digest of an open binary file, read in 1 MiB chunks, which
+    it leaves rewound; None for a pipe, FIFO or device, which it would drain."""
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None
     digest = hashlib.sha256()
     for chunk in iter(lambda: fh.read(1 << 20), b""):
         digest.update(chunk)
+    fh.seek(0)
     return digest.hexdigest()
 
 
@@ -210,10 +212,10 @@ def _read_csv(path, dtype: np.dtype, rule, error=ValueError, digests=None) -> np
 
     ``rule(rows)`` gives the first row that breaks the file's rule and why,
     or None, judging a row by the rows up to it.  A regular file is hashed
-    first, and a cache entry for its bytes (:func:`_cache_entry`) that loads
-    as rows that ``rule`` accepts stands in for the parse;
-    any other entry is a miss.  On a miss the file is parsed
-    (:func:`_parse_csv`) and the accepted rows, if any, are cached.
+    first (:func:`_digest`), and a cache entry for its bytes
+    (:func:`_cache_entry`) that loads as rows that ``rule`` accepts stands
+    in for the parse; any other entry is a miss.  On a miss the file is
+    parsed (:func:`_parse_csv`) and the accepted rows, if any, are cached.
     ``digests``, when given, maps ``str(path)`` to the file's SHA-256 (None
     for a file that is not regular, which is neither hashed nor cached).
     """
@@ -221,17 +223,14 @@ def _read_csv(path, dtype: np.dtype, rule, error=ValueError, digests=None) -> np
     # field accepts, so the row reader names its line
     with open(path, newline="", errors="surrogateescape") as fh:
         before = os.fstat(fh.fileno())
-        digest = entry = None
-        if stat.S_ISREG(before.st_mode):
-            digest = _sha256(fh.buffer)
-            entry = _cache_entry(path, digest, dtype)
+        digest = _digest(fh.buffer)
+        entry = None if digest is None else _cache_entry(path, digest, dtype)
         if digests is not None:
             digests[str(path)] = digest
         if entry is not None:
             rows = _cached_rows(entry, dtype, rule)
             if rows is not None:
                 return rows
-            fh.seek(0)
         rows = _parse_csv(path, fh, dtype, rule, error)
         after = os.fstat(fh.fileno())
     # a file edited while it was read is not cached, nor one with no rows
@@ -368,26 +367,6 @@ def load_price_series(path, pair: str, digests=None) -> PriceSeries:
     if not rows.size:
         raise PriceDataError(f"{path}: no data rows")
     return PriceSeries(pair, rows["timestamp"], rows["price"])
-
-
-def _cross_label(pair_a: str, pair_b: str) -> str:
-    parts_a, parts_b = pair_a.split("-"), pair_b.split("-")
-    if len(parts_a) == len(parts_b) == 2 and parts_a[1] == parts_b[1]:
-        return f"{parts_a[0]}-{parts_b[0]}"
-    return f"{pair_a}/{pair_b}"
-
-
-def cross_rate(a: PriceSeries, b: PriceSeries) -> PriceSeries:
-    """Pointwise a/b on the timestamp intersection.
-
-    Composes e.g. LDO-USDT with ETH-USDT into LDO-ETH (price of a's base in
-    units of b's base).
-    """
-    common, ia, ib = np.intersect1d(a.timestamps, b.timestamps, return_indices=True)
-    if common.size == 0:
-        raise PriceDataError(f"{a.pair} and {b.pair} have no overlapping timestamps")
-    with np.errstate(over="ignore"):  # PriceSeries rejects an overflow's inf
-        return PriceSeries(_cross_label(a.pair, b.pair), common, a.prices[ia] / b.prices[ib])
 
 
 def sample_at(series: PriceSeries, times) -> np.ndarray:

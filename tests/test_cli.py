@@ -1,5 +1,6 @@
 """Command-line interface tests: outputs, exit codes, and reproducibility."""
 
+import builtins
 import gc
 import hashlib
 import json
@@ -12,12 +13,14 @@ import threading
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fmamm
+import fmamm.cli
 from fmamm.backtest import (
     NoiseScenario,
     ScenarioConfig,
@@ -831,10 +834,16 @@ class TestOutDirContract:
 
     @pytest.mark.parametrize("command", ["settle", "backtest", "sweep-fees", "sweep-noise"])
     def test_each_input_is_hashed_once(self, tmp_path, monkeypatch, capsys, command):
-        """The loader's digest of a CSV is the one the manifest records, so
-        no file is hashed twice, with the input cache cold or warm."""
+        """The loader's digest of an input is the one the manifest records, so
+        no file is opened or hashed twice, with the input cache cold or warm."""
         argv, data, _ = contract_argv(tmp_path, command)
         sha256, finished = hashlib.sha256, []
+        builtin_open, opened = builtins.open, Counter()
+
+        def counted_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened[os.fspath(file)] += 1
+            return builtin_open(file, *args, **kwargs)
 
         class Recorded:
             def __init__(self, *data):
@@ -849,12 +858,39 @@ class TestOutDirContract:
 
         want = {sha256(p.read_bytes()).hexdigest(): p.name for p in data.iterdir() if p.is_file()}
         monkeypatch.setattr(hashlib, "sha256", Recorded)
+        monkeypatch.setattr(builtins, "open", counted_open)
         for run in ("cold", "warm"):
             finished.clear()
+            opened.clear()
             assert main(argv + ["--out-dir", str(tmp_path / run)]) == 0
             manifest = json.loads((tmp_path / run / "manifest.json").read_text())
             hashed = sorted(want[d] for d in finished if d in want)
             assert hashed == sorted(Path(p).name for p in manifest["inputs"]), run
+            assert {p: opened[p] for p in manifest["inputs"]} == dict.fromkeys(
+                manifest["inputs"], 1), run
+
+    @pytest.mark.parametrize("command, loaded_by, name", [
+        ("backtest", "run_fmamm_backtest", "cfg.json"), ("settle", "settle_batch", "orders.jsonl")])
+    def test_digest_is_of_the_bytes_parsed(self, tmp_path, monkeypatch, capsys, command,
+                                           loaded_by, name):
+        # the input is rewritten after its loader parsed it and before the
+        # command is done: the manifest records the digest of what was parsed
+        argv, data, _ = contract_argv(tmp_path, command)
+        parsed = (data / name).read_bytes()
+        rewritten = parsed.replace(b"0.003", b"0.004").replace(b"-0.5", b"-0.25")
+        assert rewritten != parsed
+        run = getattr(fmamm.cli, loaded_by)
+
+        def rewriting(*args, **kwargs):
+            (data / name).write_bytes(rewritten)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(fmamm.cli, loaded_by, rewriting)
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["inputs"][str(data / name)] == hashlib.sha256(parsed).hexdigest()
+        if command == "backtest":
+            assert manifest["parameters"]["fee"] == 0.003
 
     @pytest.mark.parametrize("command, name", [("settle", "orders.jsonl"),
                                                ("backtest", "cfg.json")])

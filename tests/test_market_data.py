@@ -1,4 +1,4 @@
-"""Price series loading, cross rates, sampling, and synthesis tests."""
+"""Price series loading, sampling, and synthesis tests."""
 
 import math
 import re
@@ -11,7 +11,6 @@ from fmamm.market_data import (
     GbmParams,
     PriceDataError,
     PriceSeries,
-    cross_rate,
     cumulative_roi,
     load_price_series,
     mean_preserving_spread,
@@ -80,47 +79,6 @@ class TestLoadPriceSeries:
         series = load_price_series(path, "X-Y")
         with pytest.raises(ValueError):
             series.prices[0] = 5.0
-
-
-class TestCrossRate:
-    def test_ratio(self):
-        a = PriceSeries("LDO-USDT", [10, 11], [2.0, 2.2])
-        b = PriceSeries("ETH-USDT", [10, 11], [2000.0, 2000.0])
-        c = cross_rate(a, b)
-        assert c.pair == "LDO-ETH"
-        assert c.prices[0] == pytest.approx(0.001, rel=1e-15)
-
-    def test_identity(self):
-        a = PriceSeries("X-Y", [1, 2, 3], [5.0, 6.0, 7.0])
-        c = cross_rate(a, a)
-        assert np.all(c.prices == 1.0)
-
-    def test_intersection_only(self):
-        a = PriceSeries("A-Q", [1, 2, 3], [1.0, 2.0, 3.0])
-        b = PriceSeries("B-Q", [2, 3, 4], [4.0, 6.0, 8.0])
-        c = cross_rate(a, b)
-        assert list(c.timestamps) == [2.0, 3.0]
-        assert c.prices[0] == 0.5
-
-    @pytest.mark.parametrize("pair_a, pair_b, label", [
-        ("A", "B-Q", "A/B-Q"), ("A-Q", "B-R", "A-Q/B-R"), ("A-B-Q", "C-B-Q", "A-B-Q/C-B-Q")])
-    def test_label_falls_back_to_a_slash_b(self, pair_a, pair_b, label):
-        a = PriceSeries(pair_a, [1, 2], [1.0, 2.0])
-        b = PriceSeries(pair_b, [1, 2], [4.0, 4.0])
-        assert cross_rate(a, b).pair == label
-
-    def test_overflowing_ratio_rejected(self, recwarn):
-        a = PriceSeries("A-Q", [1, 2], [1.0, 1e300])
-        b = PriceSeries("B-Q", [1, 2], [1.0, 1e-10])
-        with pytest.raises(PriceDataError, match="A-B: point 1: price must be finite and positive"):
-            cross_rate(a, b)
-        assert not recwarn.list
-
-    def test_disjoint_ranges(self):
-        a = PriceSeries("A-Q", [1, 2], [1.0, 2.0])
-        b = PriceSeries("B-Q", [3, 4], [4.0, 6.0])
-        with pytest.raises(PriceDataError, match="no overlapping"):
-            cross_rate(a, b)
 
 
 class TestSampleAt:

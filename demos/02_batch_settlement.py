@@ -4,6 +4,7 @@
 # per-side fees, and token conservation across fills, fees, and the pool.
 #
 
+import json
 import math
 
 from fmamm.amm import Reserves
@@ -41,7 +42,7 @@ def main():
     print(f"  numeraire: {numeraire_flow + (after.y - POOL.y):+.3e}")
 
     print("\nsettlement report as JSON:")
-    print(report.to_json())
+    print(json.dumps(report.to_dict(), sort_keys=True))
 
 
 if __name__ == "__main__":

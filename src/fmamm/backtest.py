@@ -190,9 +190,10 @@ def block_grid_series(series: PriceSeries, mu: float = 12.0, gamma: float = 0.0)
     this path: a settlement every ``mu`` seconds from the series' start up
     to its end, with prices observed ``gamma`` seconds before each.  The
     forward-filled marks at the start and at each settlement are the trade
-    prices too, unless ``gamma`` samples those again.  ``mu`` is positive
-    and finite, ``0 <= gamma < mu``, and a grid of more than
-    :data:`MAX_BLOCKS` blocks is rejected before anything is allocated."""
+    prices too, unless ``gamma`` moves those; then one call samples both, so
+    a gap warns once.  ``mu`` is positive and finite, ``0 <= gamma < mu``,
+    and a grid of more than :data:`MAX_BLOCKS` blocks is rejected before
+    anything is allocated."""
     _check_clock(mu, gamma)
     start, end = series.start, series.end
     count = (end - start) // mu
@@ -201,8 +202,10 @@ def block_grid_series(series: PriceSeries, mu: float = 12.0, gamma: float = 0.0)
                          f"[{format_number(start)}, {format_number(end)}], "
                          f"more than MAX_BLOCKS={MAX_BLOCKS}")
     times = start + mu * np.arange(int(count) + 1)
-    marks = PriceSeries(series.pair, times, sample_at(series, times))
-    return BlockGrid(marks, sample_at(series, times[1:] - gamma) if gamma else marks.prices[1:])
+    prices = sample_at(series, np.concatenate((times, times[1:] - gamma)) if gamma else times)
+    marks = PriceSeries(series.pair, times, prices[:times.size])
+    # a copy, so the grid keeps no second set of marks alive
+    return BlockGrid(marks, prices[times.size:].copy() if gamma else marks.prices[1:])
 
 
 def _where(times: np.ndarray, i: int) -> str:
@@ -550,7 +553,9 @@ class ScenarioConfig:
     by the checks of the objects that take them.
 
     ``swap_csv`` plus ``pool_fee`` enable the baseline comparison and the
-    fee-implied per-block volume used by noise sweeps.
+    fee-implied per-block volume used by noise sweeps.  A relative
+    ``price_csv`` or ``swap_csv`` is opened from the working directory, not
+    the config's, and kept as given.
     """
 
     pair: str

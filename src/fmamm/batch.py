@@ -128,9 +128,6 @@ class SettlementReport:
             "fee_accrued": {"numeraire": self.fee_numeraire, "asset": self.fee_asset},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def net_orders(orders: Iterable[Order]) -> NetFlow:
     """Net trade, peer-to-peer matched volume, and side totals of a batch.
@@ -164,31 +161,21 @@ def settle_batch(
         buy_price = base / (1.0 - tau)
         sell_price = (1.0 - tau) * base
 
-        fills = []
-        buyer_fees = []
-        seller_fees = []
-        numeraire_flows = []
-        for order in batch.orders:
-            if order.amount > 0.0:
-                fee = order.amount * base * tau / (1.0 - tau)
-                fills.append(Fill(order.id, order.amount, buy_price, fee, "numeraire"))
-                buyer_fees.append(fee)
-                numeraire_flows.append(order.amount * buy_price)
-            else:
-                fee = tau * -order.amount
-                fills.append(Fill(order.id, order.amount, sell_price, fee, "asset"))
-                seller_fees.append(fee)
-                numeraire_flows.append(order.amount * sell_price)
-
-        after = Reserves(reserves.y + math.fsum(numeraire_flows), reserves.x - flow.net)
+        fills = tuple(
+            Fill(o.id, o.amount, buy_price, o.amount * base * tau / (1.0 - tau), "numeraire")
+            if o.amount > 0.0 else Fill(o.id, o.amount, sell_price, tau * -o.amount, "asset")
+            for o in batch.orders
+        )
+        inflow = math.fsum(f.amount * f.price for f in fills)
+        after = Reserves(reserves.y + inflow, reserves.x - flow.net)
         report = SettlementReport(
             block_index=batch.block_index,
             net_trade=flow.net,
             matched_volume=flow.matched,
             pre_fee_price=base,
-            fills=tuple(fills),
-            fee_numeraire=math.fsum(buyer_fees),
-            fee_asset=math.fsum(seller_fees),
+            fills=fills,
+            fee_numeraire=math.fsum(f.fee_paid for f in fills if f.amount > 0.0),
+            fee_asset=math.fsum(f.fee_paid for f in fills if f.amount < 0.0),
         )
         return after, report
     except OverflowError as exc:

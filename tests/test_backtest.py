@@ -197,10 +197,11 @@ class TestRunBacktest:
         assert np.array_equal(result.values[1:], values)
         assert not np.array_equal(grid.p_stars, marks[1:])
 
-    @pytest.mark.parametrize("gamma, calls", [(0.0, 1), (6.0, 2)])
-    def test_block_grid_sampled_once(self, monkeypatch, gamma, calls):
+    @pytest.mark.parametrize("gamma, times", [(0.0, 101), (6.0, 201)])
+    def test_block_grid_sampled_once(self, monkeypatch, gamma, times):
         # the grid gives the start price, the marks and, without latency, the
-        # trade prices; only a latency samples again, and the kernel never does
+        # trade prices; a latency's trade times join the marks' in the one
+        # sample, and the kernel never samples
         path = sample_gbm_path(
             GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=1200, seed=6)
         )
@@ -212,10 +213,10 @@ class TestRunBacktest:
 
         monkeypatch.setattr("fmamm.backtest.sample_at", counting)
         grid = block_grid_series(path, gamma=gamma)
-        assert len(sampled) == calls and sampled[0] == 1200 // 12 + 1
+        assert sampled == [times]
         for tau in TAUS:
             run_fmamm_backtest(grid, tau)
-        assert len(sampled) == calls
+        assert sampled == [times]
         assert np.array_equal(grid.p_stars, sample_at(path, grid.marks.timestamps[1:] - gamma))
         if gamma == 0.0:
             assert np.array_equal(grid.p_stars, grid.marks.prices[1:])

@@ -163,6 +163,29 @@ class TestSettleBatch:
         fees = report.fee_numeraire + base * report.fee_asset
         assert abs(gain - fees) <= 1e-12 * (y + base * x)
 
+    @given(
+        y=st.floats(1e-3, 1e9),
+        x=st.floats(1e-3, 1e6),
+        shares=st.lists(st.floats(-1.0, 1.0).filter(lambda s: abs(s) > 1e-12),
+                        min_size=1, max_size=8),
+        tau=st.floats(0.0, 0.2),
+    )
+    def test_totals_are_the_sums_of_the_fills(self, y, x, shares, tau):
+        # the report's totals and the reserve change are exact sums over its own fills
+        reserves = Reserves(y, x)
+        orders = tuple(order(s * x, oid=f"o{i}") for i, s in enumerate(shares))
+        try:
+            after, report = settle_batch(reserves, Batch(1, orders), tau)
+        except InfeasibleTradeError:
+            return
+        fills = report.fills
+        assert [(f.order_id, f.amount) for f in fills] == [(o.id, o.amount) for o in orders]
+        assert after.y == y + math.fsum(f.amount * f.price for f in fills)
+        assert after.x == x - report.net_trade
+        assert report.fee_numeraire == math.fsum(f.fee_paid for f in fills
+                                                 if f.fee_token == "numeraire")
+        assert report.fee_asset == math.fsum(f.fee_paid for f in fills if f.fee_token == "asset")
+
     def test_infeasible_batch_rejected_whole(self):
         with pytest.raises(InfeasibleTradeError):
             settle_batch(R, Batch(1, (order(4.0), order(1.5))), 0.0)
@@ -192,7 +215,7 @@ class TestSettleBatch:
 
     def test_report_serializes(self):
         _, report = settle_batch(R, Batch(2, (order(1.0),)), 0.003)
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict(), sort_keys=True))
         assert data["block"] == 2
         assert data["fills"][0]["fee_token"] == "numeraire"
         assert data["fee_accrued"]["asset"] == 0.0

@@ -216,6 +216,24 @@ class TestBacktestCommand:
         assert manifest["config"] == str(cfg)
         assert len(manifest["inputs"]) == 3  # config, prices, swaps
 
+    def test_relative_paths_resolve_against_the_working_directory(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # a config's relative input paths name files under the working
+        # directory, not the config's own, and the manifest keeps them as given
+        monkeypatch.chdir(tmp_path)
+        series = write_price_csv(tmp_path / "prices.csv")
+        write_swap_csv(tmp_path / "swaps.csv", series)
+        (tmp_path / "sub").mkdir()
+        for name in ("prices.csv", "swaps.csv"):
+            (tmp_path / "sub" / name).write_text("not a csv\n")
+        write_config(tmp_path / "sub" / "cfg.json", "prices.csv", "swaps.csv")
+        assert main(["backtest", "--config", "sub/cfg.json", "--out-dir", "out"]) == 0, \
+            capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("sub/cfg.json", "prices.csv", "swaps.csv")}
+
     @pytest.mark.parametrize("gamma", [0, 5])
     def test_comparison_is_the_roi_gap(self, tmp_path, capsys, gamma):
         series = write_price_csv(tmp_path / "prices.csv")
@@ -512,25 +530,30 @@ class TestSweepCommands:
         assert np.shares_memory(outputs.marks, grid.marks.timestamps)
 
     def test_one_forward_fill_warning_per_command(self, tmp_path):
-        # a 360 s gap in the price rows: each command samples the block grid
-        # once, for all of its runs, and warns once
+        # a 372 s gap in the price rows: each command samples the block grid
+        # once, for all of its runs, and warns once, at a latency too, where
+        # the trade prices are sampled with the marks (the last mark before
+        # the gap's end is 360 s stale, the last trade price 367 s)
         series = write_price_csv(tmp_path / "prices.csv", blocks=100)
         write_swap_csv(tmp_path / "swaps.csv", series)
         lines = (tmp_path / "prices.csv").read_text().splitlines()
         (tmp_path / "prices.csv").write_text("\n".join(lines[:41] + lines[71:]) + "\n")
-        cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
-                           fee_grid=[0.0, 0.003], noise_fractions=[0.1])
-        for command in ("backtest", "sweep-fees", "sweep-noise"):
-            done = subprocess.run([sys.executable, "-m", "fmamm.cli", command, "--config", str(cfg)],
-                                  env=checkout_env(), capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0, done.stderr
-            assert done.stderr.count("forward-filled") == 1, (command, done.stderr)
-            assert "(max gap 360s)" in done.stderr
+        for gamma, stale in ((0, 360), (5, 367)):
+            cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv",
+                               tmp_path / "swaps.csv", gamma=gamma,
+                               fee_grid=[0.0, 0.003], noise_fractions=[0.1])
+            for command in ("backtest", "sweep-fees", "sweep-noise"):
+                done = subprocess.run(
+                    [sys.executable, "-m", "fmamm.cli", command, "--config", str(cfg)],
+                    env=checkout_env(), capture_output=True, text=True, timeout=120)
+                assert done.returncode == 0, done.stderr
+                assert done.stderr.count("forward-filled") == 1, (gamma, command, done.stderr)
+                assert f"(max gap {stale}s)" in done.stderr
 
-    @pytest.mark.parametrize("gamma, samples", [(0, 1), (5, 2)])
-    def test_one_block_grid_per_command(self, tmp_path, capsys, monkeypatch, gamma, samples):
-        # the marks, and at a latency the trade prices, are sampled once per
-        # command, however many runs share them
+    @pytest.mark.parametrize("gamma", [0, 5])
+    def test_one_block_grid_per_command(self, tmp_path, capsys, monkeypatch, gamma):
+        # the marks, and at a latency the trade prices with them, are sampled
+        # in one call per command, however many runs share them
         series = write_price_csv(tmp_path / "prices.csv", blocks=60)
         write_swap_csv(tmp_path / "swaps.csv", series)
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
@@ -547,7 +570,7 @@ class TestSweepCommands:
             calls.clear()
             assert main([command, "--config", str(cfg)]) == 0, capsys.readouterr().err
             assert [calls.count(name) for name in (
-                "block_grid_series", "sample_at", "run_fmamm_backtest")] == [1, samples, runs]
+                "block_grid_series", "sample_at", "run_fmamm_backtest")] == [1, 1, runs]
 
     def test_swap_cadence_samples_only_the_grid(self, tmp_path, capsys, monkeypatch):
         # each swap compounds at its own post-swap price, so a swap-cadence

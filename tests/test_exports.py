@@ -8,8 +8,10 @@ Every third-party module the package imports is a declared dependency.
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,6 +42,15 @@ def test_names_imported_across_modules_are_exported():
     assert missing == []
 
 
+def test_package_root_exports_only_the_version():
+    # each public name has one import path, its module's; a bare ``import
+    # fmamm`` loads none of them
+    probe = "import sys, fmamm; print(fmamm.__all__, 'fmamm.amm' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(Path(fmamm.__file__).parents[1])),
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "['__version__'] False\n", "")
+
 
 def references(tree, name):
     """The innermost function around each use of ``name`` in a module's tree."""
@@ -64,7 +75,7 @@ def test_only_the_block_grid_samples():
     used = [(name, where) for name in MODULES
             for where in references(ast.parse(inspect.getsource(importlib.import_module(name))),
                                     "sample_at")]
-    assert used == [("fmamm.backtest", "block_grid_series")] * 2
+    assert used == [("fmamm.backtest", "block_grid_series")]
 
 
 def test_imported_packages_are_declared_dependencies():

@@ -45,12 +45,14 @@ from fmamm.amm import (
 )
 from fmamm.arbitrage import _PIN_RTOL, arbitrage_order
 from fmamm.market_data import (
+    LONG_GAP_SECONDS,
     PriceSeries,
     _digest,
+    _forward_fill,
+    _warn_long_gaps,
     cumulative_roi,
     format_number,
     mean_preserving_spread,
-    sample_at,
 )
 from fmamm.uniswap import _check_cadence, _check_pool_fee
 
@@ -191,7 +193,8 @@ def block_grid_series(series: PriceSeries, mu: float = 12.0, gamma: float = 0.0)
     to its end, with prices observed ``gamma`` seconds before each.  The
     forward-filled marks at the start and at each settlement are the trade
     prices too, unless ``gamma`` moves those; then one call samples both, so
-    a gap warns once.  ``mu`` is positive and finite, ``0 <= gamma < mu``,
+    a gap warns once, counting each block whose settlement mark or trade
+    price was filled across it.  ``mu`` is positive and finite, ``0 <= gamma < mu``,
     and a grid of more than :data:`MAX_BLOCKS` blocks is rejected before
     anything is allocated."""
     _check_clock(mu, gamma)
@@ -202,7 +205,13 @@ def block_grid_series(series: PriceSeries, mu: float = 12.0, gamma: float = 0.0)
                          f"[{format_number(start)}, {format_number(end)}], "
                          f"more than MAX_BLOCKS={MAX_BLOCKS}")
     times = start + mu * np.arange(int(count) + 1)
-    prices = sample_at(series, np.concatenate((times, times[1:] - gamma)) if gamma else times)
+    prices, gaps = _forward_fill(series, np.concatenate((times, times[1:] - gamma))
+                                 if gamma else times)
+    # a block is filled across a gap if its settlement mark or its trade price
+    # is; the start mark is an observation
+    long = gaps > LONG_GAP_SECONDS
+    filled = long[1:times.size] | long[times.size:] if gamma else long[1:]
+    _warn_long_gaps(series.pair, filled, "blocks", gaps)
     marks = PriceSeries(series.pair, times, prices[:times.size])
     # a copy, so the grid keeps no second set of marks alive
     return BlockGrid(marks, prices[times.size:].copy() if gamma else marks.prices[1:])
@@ -244,7 +253,7 @@ def run_fmamm_backtest(
     run starts neutral).  The kernel samples nothing:
     ``block_grid_series(series, mu, gamma)`` samples the grid, once for every
     scenario on a path, so a forward-fill warning on a gapped series names
-    that function's line.
+    the line that called that function.
 
     The loop works on plain floats.  Its arbitrage order inlines
     :func:`fmamm.arbitrage.arbitrage_order` bit for bit, and it settles with

@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -96,10 +97,27 @@ class Outputs(NamedTuple):
     seed: int | None = None
 
 
+def _rows(*parts) -> str:
+    """The CSV text of a chunk's rows: each part is a column of field texts
+    (lists of one length) or a constant piece (a ``str``), laid out in order
+    on every row, so ``_rows(ts, ",", vs, "\\r\\n")`` equals the rows
+    ``f"{t},{v}\\r\\n"``.  Every cell goes into one list, the constants by
+    repeating one row's template and each column by one slice assignment,
+    and the list is joined once."""
+    width = len(parts)
+    count = next(len(part) for part in parts if not isinstance(part, str))
+    cells = [part if isinstance(part, str) else None for part in parts] * count
+    for k, part in enumerate(parts):
+        if not isinstance(part, str):
+            cells[k::width] = part
+    return "".join(cells)
+
+
 def _write_runs(out: Path, marks: np.ndarray, runs: dict) -> None:
     """Each run's ``<run_id>_returns.csv`` and the plot-ready ``long.csv``
     (run_id,timestamp,metric,value), all from one formatting of each column:
-    the shared ``marks``, and each run's values and :func:`cumulative_roi`.
+    the shared ``marks``, and each run's values and :func:`cumulative_roi`,
+    which is derived a chunk at a time.
 
     Run ids are plain labels (no comma or quote), so they go in unquoted.  A
     run's ``cumulative_roi`` rows wait in memory until its ``value`` rows are out.
@@ -110,11 +128,11 @@ def _write_runs(out: Path, marks: np.ndarray, runs: dict) -> None:
             pending: list[str] = []
             with open(out / f"{run_id}_returns.csv", "w", newline="") as fh:
                 fh.write("timestamp,value,cumulative_roi\r\n")
-                for ts, vs, rs in formatted_chunks(marks, values, cumulative_roi(values)):
-                    fh.write("".join([f"{t},{v},{r}\r\n" for t, v, r in zip(ts, vs, rs)]))
-                    long.write("".join([f"{run_id},{t},value,{v}\r\n" for t, v in zip(ts, vs)]))
-                    pending.append("".join(
-                        [f"{run_id},{t},cumulative_roi,{r}\r\n" for t, r in zip(ts, rs)]))
+                for ts, vs, rs in formatted_chunks(marks, values,
+                                                   partial(cumulative_roi, values)):
+                    fh.write(_rows(ts, ",", vs, ",", rs, "\r\n"))
+                    long.write(_rows(f"{run_id},", ts, ",value,", vs, "\r\n"))
+                    pending.append(_rows(f"{run_id},", ts, ",cumulative_roi,", rs, "\r\n"))
             long.writelines(pending)
 
 
@@ -123,7 +141,7 @@ def _write_comparison(path, timestamps, roi_difference) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("timestamp,roi_difference\r\n")
         for ts, ds in formatted_chunks(timestamps, roi_difference):
-            fh.write("".join([f"{t},{d}\r\n" for t, d in zip(ts, ds)]))
+            fh.write(_rows(ts, ",", ds, "\r\n"))
 
 
 def _reserves(args) -> Reserves:

@@ -112,12 +112,14 @@ class PriceSeries:
         return float(self.timestamps[-1])
 
 
-def cumulative_roi(values) -> np.ndarray:
+def cumulative_roi(values, rows: slice = slice(None)) -> np.ndarray:
     """The return on the first value at each point of a marked value column:
     ``values / values[0] - 1.0``, the one ROI formula of every run (an empty
-    column gives an empty one)."""
+    column gives an empty one).  Only the points ``rows`` selects are
+    computed, element by element, so a slice of the ROI column has the same
+    bits either way."""
     values = np.asarray(values, dtype=np.float64)
-    return values / values[:1] - 1.0
+    return values[rows] / values[:1] - 1.0
 
 
 def format_number(x: float) -> str:
@@ -169,11 +171,13 @@ def formatted_chunks(timestamps, *columns):
     """Each chunk of :data:`CSV_CHUNK_ROWS` rows as lists of field text:
     :func:`format_numbers` of the timestamps, then ``repr`` of each float
     column (by :func:`_repr_floats`), so every column is formatted once for
-    all the files that use it."""
+    all the files that use it.  A column given as a function is derived a
+    chunk at a time: it takes the chunk's ``slice`` and returns its floats."""
     for lo in range(0, len(timestamps), CSV_CHUNK_ROWS):
-        hi = lo + CSV_CHUNK_ROWS
-        yield (format_numbers(timestamps[lo:hi]),
-               *(_repr_floats(column[lo:hi]) for column in columns))
+        rows = slice(lo, lo + CSV_CHUNK_ROWS)
+        yield (format_numbers(timestamps[rows]),
+               *(_repr_floats(column(rows) if callable(column) else column[rows])
+                 for column in columns))
 
 
 def _int64(text: str) -> int:
@@ -369,15 +373,11 @@ def load_price_series(path, pair: str, digests=None) -> PriceSeries:
     return PriceSeries(pair, rows["timestamp"], rows["price"])
 
 
-def sample_at(series: PriceSeries, times) -> np.ndarray:
-    """Forward-filled prices at the requested times.
-
-    Times must be finite and inside the series' observed range.  Fills across
-    gaps longer than :data:`LONG_GAP_SECONDS` trigger a single aggregated warning.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    if times.size == 0:
-        return np.empty(0)
+def _forward_fill(series: PriceSeries, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sampling core: forward-filled prices at ``times`` (a non-empty
+    float64 array, finite and inside the series' observed range, or
+    :class:`PriceDataError`) and each one's age, the seconds since the
+    observation it was filled from."""
     bad = np.flatnonzero(~np.isfinite(times))
     if bad.size:
         raise PriceDataError(f"{series.pair}: requested time {times[bad[0]]} is not finite")
@@ -387,15 +387,33 @@ def sample_at(series: PriceSeries, times) -> np.ndarray:
             f"observed range [{series.start}, {series.end}]"
         )
     idx = np.searchsorted(series.timestamps, times, side="right") - 1
-    gaps = times - series.timestamps[idx]
-    long = gaps > LONG_GAP_SECONDS
-    if long.any():
+    return series.prices[idx], times - series.timestamps[idx]
+
+
+def _warn_long_gaps(pair: str, filled: np.ndarray, what: str, gaps: np.ndarray) -> None:
+    """One warning, naming the caller's caller's line, if any of ``filled``
+    (one flag per ``what``) was forward-filled across a long gap."""
+    if filled.any():
         warnings.warn(
-            f"{series.pair}: forward-filled {int(long.sum())} of {times.size} samples "
+            f"{pair}: forward-filled {int(filled.sum())} of {filled.size} {what} "
             f"across gaps longer than {LONG_GAP_SECONDS}s (max gap {gaps.max():.0f}s)",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return series.prices[idx]
+
+
+def sample_at(series: PriceSeries, times) -> np.ndarray:
+    """Forward-filled prices at the requested times.
+
+    Times must be finite and inside the series' observed range.  Fills across
+    gaps longer than :data:`LONG_GAP_SECONDS` trigger a single aggregated
+    warning, which counts the samples so filled.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    if times.size == 0:
+        return np.empty(0)
+    prices, gaps = _forward_fill(series, times)
+    _warn_long_gaps(series.pair, gaps > LONG_GAP_SECONDS, "samples", gaps)
+    return prices
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from fmamm.backtest import (
 from fmamm.batch import Batch, Order, settle_batch
 from fmamm.market_data import (
     GbmParams,
+    _forward_fill,
     PriceDataError,
     PriceSeries,
     cumulative_roi,
@@ -119,6 +120,19 @@ class TestBlockClock:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("gamma, filled", [(0.0, 2), (5.0, 3)])
+    def test_gap_warning_counts_blocks(self, gamma, filled):
+        # observations at 0, 336 and 348 s: the marks at 312 and 324 s are
+        # over 300 s stale, and at a latency so are the trade prices of those
+        # blocks and of the block settling at 336 s (331 s); each block
+        # counts once, and the warning names the line that built the grid
+        series = PriceSeries("X-Y", [0.0, 336.0, 348.0], [2000.0, 2001.0, 2002.0])
+        with pytest.warns(UserWarning) as caught:
+            block_grid_series(series, 12.0, gamma)
+        [warning] = caught
+        assert f"forward-filled {filled} of 29 blocks" in str(warning.message)
+        assert warning.filename == __file__
 
     def test_block_count_at_the_bound_accepted(self, monkeypatch):
         # a real grid at the bound would take gigabytes: a small bound shows the edge
@@ -201,7 +215,7 @@ class TestRunBacktest:
     def test_block_grid_sampled_once(self, monkeypatch, gamma, times):
         # the grid gives the start price, the marks and, without latency, the
         # trade prices; a latency's trade times join the marks' in the one
-        # sample, and the kernel never samples
+        # sample by the sampling core, and the kernel never samples
         path = sample_gbm_path(
             GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=1200, seed=6)
         )
@@ -209,9 +223,9 @@ class TestRunBacktest:
 
         def counting(series, times):
             sampled.append(np.size(times))
-            return sample_at(series, times)
+            return _forward_fill(series, times)
 
-        monkeypatch.setattr("fmamm.backtest.sample_at", counting)
+        monkeypatch.setattr("fmamm.backtest._forward_fill", counting)
         grid = block_grid_series(path, gamma=gamma)
         assert sampled == [times]
         for tau in TAUS:

@@ -533,12 +533,14 @@ class TestSweepCommands:
         # a 372 s gap in the price rows: each command samples the block grid
         # once, for all of its runs, and warns once, at a latency too, where
         # the trade prices are sampled with the marks (the last mark before
-        # the gap's end is 360 s stale, the last trade price 367 s)
+        # the gap's end is 360 s stale, the last trade price 367 s).  It
+        # counts blocks: the marks of blocks 65-69 are over 300 s stale, and
+        # at a latency the trade prices of blocks 65-70 too
         series = write_price_csv(tmp_path / "prices.csv", blocks=100)
         write_swap_csv(tmp_path / "swaps.csv", series)
         lines = (tmp_path / "prices.csv").read_text().splitlines()
         (tmp_path / "prices.csv").write_text("\n".join(lines[:41] + lines[71:]) + "\n")
-        for gamma, stale in ((0, 360), (5, 367)):
+        for gamma, stale, filled in ((0, 360, 5), (5, 367, 6)):
             cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv",
                                tmp_path / "swaps.csv", gamma=gamma,
                                fee_grid=[0.0, 0.003], noise_fractions=[0.1])
@@ -548,6 +550,7 @@ class TestSweepCommands:
                     env=checkout_env(), capture_output=True, text=True, timeout=120)
                 assert done.returncode == 0, done.stderr
                 assert done.stderr.count("forward-filled") == 1, (gamma, command, done.stderr)
+                assert f"forward-filled {filled} of 100 blocks" in done.stderr, done.stderr
                 assert f"(max gap {stale}s)" in done.stderr
 
     @pytest.mark.parametrize("gamma", [0, 5])
@@ -560,7 +563,7 @@ class TestSweepCommands:
                            gamma=gamma, fee_grid=[0.0, 0.0005, 0.003, 0.01],
                            noise_fractions=[0.1, 0.3])
         calls = []
-        for module, name in ((fmamm.cli, "block_grid_series"), (fmamm.backtest, "sample_at"),
+        for module, name in ((fmamm.cli, "block_grid_series"), (fmamm.backtest, "_forward_fill"),
                              (fmamm.cli, "run_fmamm_backtest")):
             def counting(*args, _name=name, _call=getattr(module, name)):
                 calls.append(_name)
@@ -570,23 +573,23 @@ class TestSweepCommands:
             calls.clear()
             assert main([command, "--config", str(cfg)]) == 0, capsys.readouterr().err
             assert [calls.count(name) for name in (
-                "block_grid_series", "sample_at", "run_fmamm_backtest")] == [1, 1, runs]
+                "block_grid_series", "_forward_fill", "run_fmamm_backtest")] == [1, 1, runs]
 
     def test_swap_cadence_samples_only_the_grid(self, tmp_path, capsys, monkeypatch):
         # each swap compounds at its own post-swap price, so a swap-cadence
         # backtest samples the path once, for its block grid, wherever the
-        # sampler is imported
+        # sampling core is imported (sample_at calls it too)
         series = write_price_csv(tmp_path / "prices.csv", blocks=60)
         write_swap_csv(tmp_path / "swaps.csv", series)
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
                            compound_cadence="swap")
         sampled = []
-        for module in (fmamm.cli, fmamm.backtest, fmamm.uniswap):
-            if hasattr(module, "sample_at"):
-                def counting(*args, _call=module.sample_at):
+        for module in (fmamm.market_data, fmamm.cli, fmamm.backtest, fmamm.uniswap):
+            if hasattr(module, "_forward_fill"):
+                def counting(*args, _call=module._forward_fill):
                     sampled.append(args[1])
                     return _call(*args)
-                monkeypatch.setattr(module, "sample_at", counting)
+                monkeypatch.setattr(module, "_forward_fill", counting)
         assert main(["backtest", "--config", str(cfg)]) == 0
         assert "uniswap terminal roi" in capsys.readouterr().out
         assert len(sampled) == 1 and np.array_equal(sampled[0], series.timestamps)

@@ -70,12 +70,13 @@ def references(tree, name):
 
 
 def test_only_the_block_grid_samples():
-    # one sampler: any other use of ``sample_at`` would sample a dense path a
-    # second time, at times the block grid does not hold
-    used = [(name, where) for name in MODULES
+    # one sampling core, behind ``sample_at`` and the block grid: any other
+    # use of either would sample a dense path a second time, at times the
+    # block grid does not hold
+    used = [(name, where) for name in MODULES for sampler in ("sample_at", "_forward_fill")
             for where in references(ast.parse(inspect.getsource(importlib.import_module(name))),
-                                    "sample_at")]
-    assert used == [("fmamm.backtest", "block_grid_series")]
+                                    sampler)]
+    assert used == [("fmamm.backtest", "block_grid_series"), ("fmamm.market_data", "sample_at")]
 
 
 def test_imported_packages_are_declared_dependencies():

@@ -42,7 +42,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fmamm.backtest
 import fmamm.cli
+import fmamm.market_data
 from fmamm.cli import main
 
 TABLE = Path(__file__).with_name("golden.json")
@@ -191,6 +193,19 @@ def test_table_covers_every_entry_and_demo():
 
 @pytest.mark.parametrize("name", ENTRIES)
 def test_command_outputs_match_table(inputs, monkeypatch, name):
+    monkeypatch.chdir(inputs)
+    got = run_entry(name)
+    assert got["exit"] == 0
+    assert mismatches(GOLDEN[name], got) == []
+
+
+@pytest.mark.parametrize("name", [name for name, (_, config) in ENTRIES.items()
+                                  if config is not None])
+def test_command_outputs_match_table_across_chunk_seams(inputs, monkeypatch, name):
+    # the inputs are 300 blocks, inside one writer chunk and one kernel chunk,
+    # so the same entries run again with chunks small enough to cross many
+    monkeypatch.setattr(fmamm.market_data, "CSV_CHUNK_ROWS", 7)
+    monkeypatch.setattr(fmamm.backtest, "_CHUNK", 5)
     monkeypatch.chdir(inputs)
     got = run_entry(name)
     assert got["exit"] == 0

@@ -101,9 +101,15 @@ class TestSampleAt:
             sample_at(s, [5, bad])
 
     def test_long_gap_warns(self):
+        # one warning that counts the samples filled across a long gap, and
+        # names the caller's line
         s = PriceSeries("X-Y", [0, 1000], [1.0, 2.0])
-        with pytest.warns(UserWarning, match="forward-filled"):
-            sample_at(s, [500])
+        with pytest.warns(UserWarning) as caught:
+            sample_at(s, [200, 500, 700, 700, 1000])
+        [warning] = caught
+        assert "forward-filled 3 of 5 samples" in str(warning.message)
+        assert "(max gap 700s)" in str(warning.message)
+        assert warning.filename == __file__
 
     def test_short_gap_silent(self, recwarn):
         s = PriceSeries("X-Y", [0, 100], [1.0, 2.0])

@@ -19,8 +19,11 @@ from fmamm.market_data import (
     sample_gbm_path,
 )
 from fmamm.uniswap import (
+    _FEE_WORDS,
+    _SWAP_FIELD_RULES,
     FEE_TOKENS,
     SWAP_LOG_DTYPE,
+    _token_words,
     as_swap_log,
     load_swap_records,
     per_block_swap_volume,
@@ -536,6 +539,30 @@ class TestBaselineMatchesReference:
                 f"swap log fee_token must have a bytes dtype that {SWAP_LOG_DTYPE['fee_token']} "
                 f"holds, got {np.dtype('U7')}") + "$"):
             as_swap_log(log)
+
+
+# bytes a fee token column may hold: NULs (trailing or embedded), other
+# cases, prefixes and longer text
+TOKEN_BYTES = st.binary(max_size=8) | st.sampled_from([
+    *FEE_TOKENS, b"", b"token", b"token00", b"TOKEN0", b"Token1", b"token0\x00",
+    b"tok\x00en1", b"\x00token0", b"token2", b"\x00", b"token1\x00\x00"])
+
+
+class TestTokenWords:
+    """Fee tokens compared as 8-byte words agree with numpy's bytes compare."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.lists(TOKEN_BYTES, max_size=20))
+    def test_words_compare_as_the_bytes(self, width, tokens):
+        column = np.array(tokens, f"S{width}")  # cut to the width, as a parse does
+        is_fee_token = dict((name, ok) for name, ok, _ in _SWAP_FIELD_RULES)["fee_token"]
+        assert np.array_equal(is_fee_token(column), np.isin(column, FEE_TOKENS))
+        words = _token_words(column)
+        for word, token in zip(_FEE_WORDS, FEE_TOKENS):
+            assert np.array_equal(words == word, column == token)
+        # one element, as the swap rule tests the row it quotes
+        for element in column:
+            assert bool(is_fee_token(element)) == bool(np.isin(element, FEE_TOKENS))
 
 
 class TestSwapRecordIo:

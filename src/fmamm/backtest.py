@@ -211,7 +211,7 @@ def block_grid_series(series: PriceSeries, mu: float = 12.0, gamma: float = 0.0)
     # is; the start mark is an observation
     long = gaps > LONG_GAP_SECONDS
     filled = long[1:times.size] | long[times.size:] if gamma else long[1:]
-    _warn_long_gaps(series.pair, filled, "blocks", gaps)
+    _warn_long_gaps(series.pair, filled, gaps)
     marks = PriceSeries(series.pair, times, prices[:times.size])
     # a copy, so the grid keeps no second set of marks alive
     return BlockGrid(marks, prices[times.size:].copy() if gamma else marks.prices[1:])
@@ -440,7 +440,7 @@ def run_fmamm_backtest(
         "n_sign_mixing": int(np.count_nonzero(mixing)),
         "initial_value": float(out_values[0]),
         "terminal_value": float(out_values[-1]),
-        "terminal_roi": float(cumulative_roi(out_values)[-1]),
+        "terminal_roi": float(cumulative_roi(out_values, slice(-1, None))[0]),
         "fee_numeraire_total": _fsum_nonzero(fee_n_col),
         "fee_asset_total": _fsum_nonzero(fee_a_col),
     }

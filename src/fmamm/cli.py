@@ -80,13 +80,14 @@ def _write_json(path, payload) -> None:
 class Outputs(NamedTuple):
     """What a command leaves for ``--out-dir``.
 
-    ``files`` maps a file name to a JSON payload or a ``write(path)``
-    callable.  ``runs`` maps a run id to its value column, marked at each
-    of ``marks``, the block grid's own timestamps shared by every run.  The
-    manifest records ``parameters`` (by default the command-line arguments),
-    the config and ``inputs`` by digest, and ``seed``; ``inputs`` maps each
-    input path to the SHA-256 of the bytes its loader parsed, or to None for
-    an input that is not a regular file.
+    ``files`` maps a file name to its JSON payload.  ``runs`` maps a run id
+    to its value column, marked at each of ``marks``, the block grid's own
+    timestamps shared by every run.  ``compared`` names two of the runs
+    whose ROI gap goes into ``comparison.csv``.  The manifest records
+    ``parameters`` (by default the command-line arguments), the config and
+    ``inputs`` by digest, and ``seed``; ``inputs`` maps each input path to
+    the SHA-256 of the bytes its loader parsed, or to None for an input that
+    is not a regular file.
     """
 
     files: dict
@@ -95,6 +96,7 @@ class Outputs(NamedTuple):
     parameters: dict | None = None
     inputs: dict | None = None
     seed: int | None = None
+    compared: tuple[str, str] | None = None
 
 
 def _rows(*parts) -> str:
@@ -136,11 +138,13 @@ def _write_runs(out: Path, marks: np.ndarray, runs: dict) -> None:
             long.writelines(pending)
 
 
-def _write_comparison(path, timestamps, roi_difference) -> None:
-    """``comparison.csv``: the ROI gap between two venues marked on one grid."""
+def _write_comparison(path, marks: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``comparison.csv``: the ROI gap ``cumulative_roi(a) - cumulative_roi(b)``
+    between two value columns marked at ``marks``, derived a chunk at a time."""
     with open(path, "w", newline="") as fh:
         fh.write("timestamp,roi_difference\r\n")
-        for ts, ds in formatted_chunks(timestamps, roi_difference):
+        for ts, ds in formatted_chunks(
+                marks, lambda rows: cumulative_roi(a, rows) - cumulative_roi(b, rows)):
             fh.write(_rows(ts, ",", ds, "\r\n"))
 
 
@@ -214,16 +218,16 @@ def cmd_backtest(args) -> Outputs:
         baseline = run_baseline(records, grid.marks, cfg.baseline_liquidity,
                                 cfg.compound_cadence)
         # both venues are marked on the run's block grid
-        baseline_roi = cumulative_roi(baseline)
-        gap = cumulative_roi(result.values) - baseline_roi
-        gap_pp = float(100.0 * gap[-1])
-        print(f"uniswap terminal roi {baseline_roi[-1]:+.6%}")
+        baseline_roi = float(cumulative_roi(baseline, slice(-1, None))[0])
+        gap_pp = 100.0 * (result.terminal_roi - baseline_roi)
+        print(f"uniswap terminal roi {baseline_roi:+.6%}")
         print(f"difference {gap_pp:+.4f}pp (fm_amm minus uniswap)")
         runs["uniswap_v3_full_range"] = baseline
-        summary["uniswap_v3_full_range"] = {"terminal_roi": float(baseline_roi[-1])}
+        summary["uniswap_v3_full_range"] = {"terminal_roi": baseline_roi}
         summary["terminal_difference_pp"] = gap_pp
-        files["comparison.csv"] = lambda path: _write_comparison(path, grid.marks.timestamps, gap)
-    return Outputs(files, runs, grid.marks.timestamps, asdict(cfg), inputs, cfg.seed)
+    # comparison.csv is fm_amm minus uniswap, when there is a baseline
+    return Outputs(files, runs, grid.marks.timestamps, asdict(cfg), inputs, cfg.seed,
+                   None if records is None else tuple(runs))
 
 
 def cmd_sweep_fees(args) -> Outputs:
@@ -412,11 +416,11 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         if outputs.runs:
             _write_runs(out, outputs.marks, outputs.runs)
+        if outputs.compared:
+            a, b = (outputs.runs[run_id] for run_id in outputs.compared)
+            _write_comparison(out / "comparison.csv", outputs.marks, a, b)
         for name, payload in outputs.files.items():
-            if callable(payload):
-                payload(out / name)
-            else:
-                _write_json(out / name, payload)
+            _write_json(out / name, payload)
         parameters = outputs.parameters
         if parameters is None:
             parameters = {k: v for k, v in vars(args).items() if not callable(v)}

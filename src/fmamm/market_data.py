@@ -14,8 +14,9 @@ file's SHA-256, so a later load of the same bytes skips the parse.  Output
 columns are formatted a chunk at a time by :func:`formatted_chunks`, each
 by one ``orjson`` call, whose shortest round-trip digits are ``repr``'s.
 
-Sampling between observations forward-fills from the last point; gaps longer
-than :data:`LONG_GAP_SECONDS` are surfaced as a warning so that backtests on
+Sampling a series onto its block grid (``backtest.block_grid_series``, the
+one sampler) forward-fills from the last point; gaps longer than
+:data:`LONG_GAP_SECONDS` are surfaced as a warning so that backtests on
 patchy data are flagged rather than silently smoothed.
 
 Synthetic paths come from a driftless log-Euler geometric Brownian motion
@@ -44,7 +45,6 @@ __all__ = [
     "GbmParams",
     "LONG_GAP_SECONDS",
     "load_price_series",
-    "sample_at",
     "sample_gbm_path",
     "mean_preserving_spread",
     "cumulative_roi",
@@ -374,10 +374,10 @@ def load_price_series(path, pair: str, digests=None) -> PriceSeries:
 
 
 def _forward_fill(series: PriceSeries, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sampling core: forward-filled prices at ``times`` (a non-empty
-    float64 array, finite and inside the series' observed range, or
-    :class:`PriceDataError`) and each one's age, the seconds since the
-    observation it was filled from."""
+    """The sampling core of ``backtest.block_grid_series``: forward-filled
+    prices at ``times`` (a non-empty float64 array, finite and inside the
+    series' observed range, or :class:`PriceDataError`) and each one's age,
+    the seconds since the observation it was filled from."""
     bad = np.flatnonzero(~np.isfinite(times))
     if bad.size:
         raise PriceDataError(f"{series.pair}: requested time {times[bad[0]]} is not finite")
@@ -390,30 +390,15 @@ def _forward_fill(series: PriceSeries, times: np.ndarray) -> tuple[np.ndarray, n
     return series.prices[idx], times - series.timestamps[idx]
 
 
-def _warn_long_gaps(pair: str, filled: np.ndarray, what: str, gaps: np.ndarray) -> None:
+def _warn_long_gaps(pair: str, filled: np.ndarray, gaps: np.ndarray) -> None:
     """One warning, naming the caller's caller's line, if any of ``filled``
-    (one flag per ``what``) was forward-filled across a long gap."""
+    (one flag per block) was forward-filled across a long gap."""
     if filled.any():
         warnings.warn(
-            f"{pair}: forward-filled {int(filled.sum())} of {filled.size} {what} "
+            f"{pair}: forward-filled {int(filled.sum())} of {filled.size} blocks "
             f"across gaps longer than {LONG_GAP_SECONDS}s (max gap {gaps.max():.0f}s)",
             stacklevel=3,
         )
-
-
-def sample_at(series: PriceSeries, times) -> np.ndarray:
-    """Forward-filled prices at the requested times.
-
-    Times must be finite and inside the series' observed range.  Fills across
-    gaps longer than :data:`LONG_GAP_SECONDS` trigger a single aggregated
-    warning, which counts the samples so filled.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    if times.size == 0:
-        return np.empty(0)
-    prices, gaps = _forward_fill(series, times)
-    _warn_long_gaps(series.pair, gaps > LONG_GAP_SECONDS, "samples", gaps)
-    return prices
 
 
 @dataclass(frozen=True)

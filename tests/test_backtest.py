@@ -13,6 +13,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -47,13 +48,13 @@ from fmamm.backtest import (
 )
 from fmamm.batch import Batch, Order, settle_batch
 from fmamm.market_data import (
+    LONG_GAP_SECONDS,
     GbmParams,
     _forward_fill,
     PriceDataError,
     PriceSeries,
     cumulative_roi,
     mean_preserving_spread,
-    sample_at,
     sample_gbm_path,
 )
 from fmamm.uniswap import SWAP_LOG_DTYPE, per_block_swap_volume, run_baseline
@@ -65,6 +66,14 @@ TAUS = (0.0, 0.0005, 0.003, 0.01)
 def backtest(prices, tau, *args, mu=12.0, gamma=0.0, **kwargs):
     """A run on the block grid of ``prices``, sampled as the CLI samples it."""
     return run_fmamm_backtest(block_grid_series(prices, mu, gamma), tau, *args, **kwargs)
+
+
+def forward_fill(series, times):
+    """The oracle of every sampled price: the last observation at or before
+    each time, and the seconds since it."""
+    times = np.asarray(times, dtype=np.float64)
+    idx = np.searchsorted(series.timestamps, times, "right") - 1
+    return series.prices[idx], times - series.timestamps[idx]
 
 
 def flat_series(price=2000.0, blocks=3):
@@ -202,9 +211,9 @@ class TestRunBacktest:
         result = run_fmamm_backtest(grid, 0.003, NO_NOISE, R)
         last = result.trades[-1]
         assert grid.marks.timestamps[-1] == path.end
-        assert grid.p_stars[-1] == sample_at(path, [path.end - 6.0])[0]
+        assert grid.p_stars[-1] == forward_fill(path, [path.end - 6.0])[0][0]
         assert result.summary["terminal_value"] == last.y_after + path.prices[-1] * last.x_after
-        marks = sample_at(path, np.arange(0.0, path.end + 1.0, 12.0))
+        marks = forward_fill(path, np.arange(0.0, path.end + 1.0, 12.0))[0]
         assert np.array_equal(grid.marks.prices, marks)
         assert result.values.shape == grid.marks.timestamps.shape
         values = result.trades.y_after + marks[1:] * result.trades.x_after
@@ -231,7 +240,6 @@ class TestRunBacktest:
         for tau in TAUS:
             run_fmamm_backtest(grid, tau)
         assert sampled == [times]
-        assert np.array_equal(grid.p_stars, sample_at(path, grid.marks.timestamps[1:] - gamma))
         if gamma == 0.0:
             assert np.array_equal(grid.p_stars, grid.marks.prices[1:])
 
@@ -391,9 +399,9 @@ def reference_backtest(prices, tau, noise, initial=None, baseline_volume=None, m
     """Per-block composition of ``optimal_rebalance`` and ``settle_batch``:
     the trade log and the marked values the kernel must reproduce."""
     times = prices.start + mu * np.arange(1, int((prices.end - prices.start) // mu) + 1)
-    p_stars = sample_at(prices, times - gamma)
-    marks = sample_at(prices, times)
-    p0 = float(sample_at(prices, [prices.start])[0])
+    p_stars = forward_fill(prices, times - gamma)[0]
+    marks = forward_fill(prices, times)[0]
+    p0 = float(prices.prices[0])
     reserves = initial if initial is not None else balanced_reserves(p0)
     volumes = np.zeros(times.size)
     if baseline_volume is not None:
@@ -1184,3 +1192,32 @@ class TestBlockGridSeries:
         # a run is marked on its grid: one value per mark
         result = run_fmamm_backtest(grid, 0.003)
         assert result.values.shape == grid.marks.timestamps.shape
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.integers(1, 30) | st.integers(295, 2000), max_size=40),
+           start=st.integers(-10**6, 10**6), offset=st.sampled_from([0.0, 0.25, 0.5]),
+           prices=st.lists(st.floats(1e-3, 1e6), min_size=41, max_size=41),
+           mu=st.floats(1.0, 400.0), latency=st.floats(0.0, 1.0, exclude_max=True),
+           with_latency=st.booleans())
+    def test_grid_is_the_forward_fill_oracle(self, steps, start, offset, prices, mu, latency,
+                                             with_latency):
+        # the marks and the trade prices, bit for bit, and the gap warning's
+        # count of blocks, on series whose gaps straddle the 300 s threshold
+        ts = start + offset + np.cumsum([0] + steps, dtype=np.float64)
+        series = PriceSeries("X-Y", ts, prices[:ts.size])
+        gamma = latency * mu if with_latency else 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grid = block_grid_series(series, mu, gamma)
+        times = series.start + mu * np.arange((series.end - series.start) // mu + 1)
+        marks, mark_ages = forward_fill(series, times)
+        p_stars, trade_ages = forward_fill(series, times[1:] - gamma)
+        assert grid.marks.timestamps.tobytes() == times.tobytes()
+        assert grid.marks.prices.tobytes() == marks.tobytes()
+        assert grid.p_stars.tobytes() == p_stars.tobytes()
+        filled = int(np.count_nonzero((mark_ages[1:] > LONG_GAP_SECONDS)
+                                      | (trade_ages > LONG_GAP_SECONDS)))
+        oldest = np.concatenate((mark_ages, trade_ages)).max()
+        assert [str(w.message) for w in caught] == [
+            f"X-Y: forward-filled {filled} of {times.size - 1} blocks across gaps longer "
+            f"than {LONG_GAP_SECONDS}s (max gap {oldest:.0f}s)"] * (filled > 0)

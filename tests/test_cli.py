@@ -578,7 +578,7 @@ class TestSweepCommands:
     def test_swap_cadence_samples_only_the_grid(self, tmp_path, capsys, monkeypatch):
         # each swap compounds at its own post-swap price, so a swap-cadence
         # backtest samples the path once, for its block grid, wherever the
-        # sampling core is imported (sample_at calls it too)
+        # sampling core is imported
         series = write_price_csv(tmp_path / "prices.csv", blocks=60)
         write_swap_csv(tmp_path / "swaps.csv", series)
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",

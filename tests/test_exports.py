@@ -70,13 +70,12 @@ def references(tree, name):
 
 
 def test_only_the_block_grid_samples():
-    # one sampling core, behind ``sample_at`` and the block grid: any other
-    # use of either would sample a dense path a second time, at times the
-    # block grid does not hold
-    used = [(name, where) for name in MODULES for sampler in ("sample_at", "_forward_fill")
+    # one sampling core, behind the block grid: any other use would sample a
+    # dense path a second time, at times the block grid does not hold
+    used = [(name, where) for name in MODULES
             for where in references(ast.parse(inspect.getsource(importlib.import_module(name))),
-                                    sampler)]
-    assert used == [("fmamm.backtest", "block_grid_series"), ("fmamm.market_data", "sample_at")]
+                                    "_forward_fill")]
+    assert used == [("fmamm.backtest", "block_grid_series")]
 
 
 def test_imported_packages_are_declared_dependencies():

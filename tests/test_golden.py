@@ -218,20 +218,21 @@ def test_demo_stdout_matches_table(demo):
 
 
 def test_one_ulp_in_one_value_fails_the_check(inputs, monkeypatch):
-    # the first run's last value, one ulp up, as the out-dir writer gets it
-    write_runs = fmamm.cli._write_runs
+    # the fm_amm run's last value, one ulp up, in the outputs main gets: every
+    # file derived from that column moves with it, and nothing else does
+    backtest = fmamm.cli.cmd_backtest
 
-    def nudged(out, marks, runs):
-        run_id, values = next(iter(runs.items()))
-        values = values.copy()
+    def nudged(args):
+        outputs = backtest(args)
+        values = outputs.runs["fm_amm"].copy()
         values[-1] = np.nextafter(values[-1], np.inf)
-        write_runs(out, marks, {**runs, run_id: values})
+        return outputs._replace(runs={**outputs.runs, "fm_amm": values})
 
-    monkeypatch.setattr(fmamm.cli, "_write_runs", nudged)
+    monkeypatch.setattr(fmamm.cli, "cmd_backtest", nudged)
     monkeypatch.chdir(inputs)
     name = "backtest-block-gamma0"
     got = run_entry(name)
-    assert mismatches(GOLDEN[name], got) == ["fm_amm_returns.csv", "long.csv"]
+    assert mismatches(GOLDEN[name], got) == ["comparison.csv", "fm_amm_returns.csv", "long.csv"]
 
 
 if __name__ == "__main__":

@@ -433,11 +433,11 @@ def reference_returns_csv(path, marks, values):
             writer.writerow([format_number(t), repr(float(v)), repr(float(r))])
 
 
-def reference_comparison_csv(path, timestamps, roi_difference):
+def reference_comparison_csv(path, marks, a, b):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "roi_difference"])
-        for t, d in zip(timestamps, roi_difference):
+        for t, d in zip(marks, cumulative_roi(a) - cumulative_roi(b)):
             writer.writerow([format_number(t), repr(float(d))])
 
 
@@ -553,14 +553,14 @@ class TestWriters:
         stamps = np.asarray(STAMP_SETS[name], float)
         n = len(stamps)
         values = np.asarray((ODD_VALUES * 2)[:n], float)
-        gap = np.asarray((ODD_VALUES[::-1] * 2)[:n], float)
-        _write_comparison(tmp_path / "got.csv", stamps, gap)
-        reference_comparison_csv(tmp_path / "want.csv", stamps, gap)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        # a run's ROI column is derived from its values, so the odd values
-        # reach the value columns, and their quotients the ROI columns
-        runs = {"fm_amm": values, "fee_0.003": gap}
+        other = np.asarray((ODD_VALUES[::-1] * 2)[:n], float)
+        # the ROI columns and their gap are derived from the values, so the
+        # odd values reach the value columns, and their quotients the others
+        runs = {"fm_amm": values, "fee_0.003": other}
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _write_comparison(tmp_path / "got.csv", stamps, values, other)
+            reference_comparison_csv(tmp_path / "want.csv", stamps, values, other)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
             _write_runs(tmp_path, stamps, runs)
             assert_out_dir_matches(tmp_path, stamps, runs)
 
@@ -593,6 +593,33 @@ class TestWriters:
         long = (tmp_path / "long.csv").read_bytes()
         pending = len(long) - long.index(b"fm_amm,1680000000,cumulative_roi,")
         assert peak - pending < column_bytes / 2, (peak, pending, column_bytes)
+
+    def test_comparison_writer_holds_one_chunk(self, tmp_path):
+        """``comparison.csv``'s writer takes the two whole value columns and
+        derives their ROI gap a chunk at a time: its peak allocation stays
+        under the run writer's bound, and does not grow with the columns, so
+        it never holds a whole gap, ROI or text column."""
+        def peak(n):
+            rng = np.random.default_rng(7)
+            marks = 1_680_000_000 + 12.0 * np.arange(n)
+            a, b = (np.exp(np.cumsum(rng.normal(0, 1e-3, n))) for _ in range(2))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                _write_comparison(tmp_path / "comparison.csv", marks, a, b)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        n = 50_000  # about 12 chunks
+        values = np.exp(np.cumsum(np.random.default_rng(7).normal(0, 1e-3, n)))
+        column = list(map(repr, values.tolist()))
+        column_bytes = sys.getsizeof(column) + sum(map(sys.getsizeof, column))
+        del column
+        few, many = peak(2 * market_data.CSV_CHUNK_ROWS), peak(n)
+        assert many < column_bytes / 2, (many, column_bytes)
+        # one whole float column more would add 8 B a row
+        assert many - few < values.nbytes / 4, (few, many)
 
 
 class TestCommandOutDirs:

@@ -6,15 +6,16 @@ import re
 import numpy as np
 import pytest
 
+from fmamm.backtest import block_grid_series
 from fmamm.cli import _write_runs
 from fmamm.market_data import (
     GbmParams,
     PriceDataError,
     PriceSeries,
+    _forward_fill,
     cumulative_roi,
     load_price_series,
     mean_preserving_spread,
-    sample_at,
     sample_gbm_path,
 )
 
@@ -82,38 +83,42 @@ class TestLoadPriceSeries:
 
 
 class TestSampleAt:
+    """Sampling a series at given times: the core behind the block grid,
+    ``_forward_fill``, and the grid's gap warning."""
+
     def test_forward_fill(self):
         s = PriceSeries("X-Y", [0, 10, 20], [1.0, 2.0, 3.0])
-        got = sample_at(s, [0, 5, 10, 19, 20])
-        assert list(got) == [1.0, 1.0, 2.0, 2.0, 3.0]
+        prices, ages = _forward_fill(s, np.array([0.0, 5.0, 10.0, 19.0, 20.0]))
+        assert list(prices) == [1.0, 1.0, 2.0, 2.0, 3.0]
+        assert list(ages) == [0.0, 5.0, 0.0, 9.0, 0.0]
 
     def test_out_of_range_rejected(self):
         s = PriceSeries("X-Y", [0, 10], [1.0, 2.0])
         with pytest.raises(PriceDataError, match="outside"):
-            sample_at(s, [11])
+            _forward_fill(s, np.array([11.0]))
         with pytest.raises(PriceDataError, match="outside"):
-            sample_at(s, [-1])
+            _forward_fill(s, np.array([-1.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, bad):
         s = PriceSeries("X-Y", [0, 10, 20], [1.0, 2.0, 3.0])
         with pytest.raises(PriceDataError, match=rf"X-Y: requested time {bad} is not finite"):
-            sample_at(s, [5, bad])
+            _forward_fill(s, np.array([5.0, bad]))
 
     def test_long_gap_warns(self):
-        # one warning that counts the samples filled across a long gap, and
-        # names the caller's line
+        # one warning that counts the blocks filled across a long gap (the
+        # marks at 400-900 s), and names the line that built the grid
         s = PriceSeries("X-Y", [0, 1000], [1.0, 2.0])
         with pytest.warns(UserWarning) as caught:
-            sample_at(s, [200, 500, 700, 700, 1000])
+            block_grid_series(s, mu=100.0)
         [warning] = caught
-        assert "forward-filled 3 of 5 samples" in str(warning.message)
-        assert "(max gap 700s)" in str(warning.message)
+        assert "forward-filled 6 of 10 blocks" in str(warning.message)
+        assert "(max gap 900s)" in str(warning.message)
         assert warning.filename == __file__
 
     def test_short_gap_silent(self, recwarn):
         s = PriceSeries("X-Y", [0, 100], [1.0, 2.0])
-        sample_at(s, [50])
+        block_grid_series(s, mu=50.0)
         assert not recwarn.list
 
 

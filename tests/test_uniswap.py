@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_backtest import forward_fill
 
 from fmamm.backtest import block_grid_series
 from fmamm.market_data import (
     GbmParams,
     PriceSeries,
     cumulative_roi,
-    sample_at,
     sample_gbm_path,
 )
 from fmamm.uniswap import (
@@ -425,7 +425,7 @@ class TestBaselineMatchesReference:
         records = np.rec.fromarrays(
             (np.arange(times.size), times, 2e6 * rng.exponential(1.0, times.size),
              np.where(rng.random(times.size) < 0.5, b"token0", b"token1"),
-             np.full(times.size, 1e9), sample_at(path, times)), dtype=SWAP_LOG_DTYPE)
+             np.full(times.size, 1e9), forward_fill(path, times)[0]), dtype=SWAP_LOG_DTYPE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = run_baseline(records, marks, 2.5e5, "swap")

@@ -7,6 +7,11 @@ batch engine and the LP portfolio is marked each block at the external
 price, on the marks where the full-range baseline in :mod:`fmamm.uniswap`
 is valued, so the two value columns compare mark for mark.
 
+:func:`block_grid_series` is the one sampler: it forward-fills the series
+from its last observation at each mark and trade time, and a fill across a
+gap longer than :data:`LONG_GAP_SECONDS` is surfaced as a warning, so that
+backtests on patchy data are flagged rather than silently smoothed.
+
 Zero-noise runs are the revenue floor: noise adds fee income and nothing
 else, so any balanced-noise scenario ends at or above the zero-noise return
 on the same price path.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence, get_args, get_type_hints
@@ -45,11 +51,8 @@ from fmamm.amm import (
 )
 from fmamm.arbitrage import _PIN_RTOL, arbitrage_order
 from fmamm.market_data import (
-    LONG_GAP_SECONDS,
     PriceSeries,
     _digest,
-    _forward_fill,
-    _warn_long_gaps,
     cumulative_roi,
     format_number,
     mean_preserving_spread,
@@ -65,6 +68,7 @@ __all__ = [
     "RiskMonteCarloResult",
     "ScenarioConfig",
     "DEFAULT_FEE_GRID",
+    "LONG_GAP_SECONDS",
     "MAX_BLOCKS",
     "balanced_reserves",
     "block_grid_series",
@@ -80,6 +84,9 @@ DEFAULT_FEE_GRID = (0.0, 0.0005, 0.003, 0.01)
 # clock with more blocks comes from a mistyped ``mu``, and its settlement
 # grid alone would take gigabytes.
 MAX_BLOCKS = 10**8
+
+# a block filled from an observation older than this warns
+LONG_GAP_SECONDS = 300.0
 
 NOISE_DIRECTIONS = ("balanced", "random_sign")
 
@@ -190,28 +197,50 @@ def balanced_reserves(price: float, asset_depth: float = 1.0) -> Reserves:
 def block_grid_series(series: PriceSeries, mu: float = 12.0, gamma: float = 0.0) -> BlockGrid:
     """The series sampled once onto its block grid, for every scenario on
     this path: a settlement every ``mu`` seconds from the series' start up
-    to its end, with prices observed ``gamma`` seconds before each.  The
-    forward-filled marks at the start and at each settlement are the trade
-    prices too, unless ``gamma`` moves those; then one call samples both, so
-    a gap warns once, counting each block whose settlement mark or trade
-    price was filled across it.  ``mu`` is positive and finite, ``0 <= gamma < mu``,
-    and a grid of more than :data:`MAX_BLOCKS` blocks is rejected before
-    anything is allocated."""
+    to its end, with prices observed ``gamma`` seconds before each.  Each
+    mark and trade price is the last observation at or before its time.  The
+    marks at the start and at each settlement are the trade prices too,
+    unless ``gamma`` moves those; then one search samples both, so a gap
+    warns once, counting each block whose settlement mark or trade price was
+    filled across it, and the warning names the line that called this.
+
+    ``mu`` is positive and finite, ``0 <= gamma < mu``, and a grid of more
+    than :data:`MAX_BLOCKS` blocks is rejected before anything is allocated.
+    So is, naming ``mu``, a clock that float64 rounding breaks: one finer
+    than the spacing of the times it steps over puts two marks on one time,
+    and rounding can carry the last mark past the series' end or the first
+    trade time before its start."""
     _check_clock(mu, gamma)
     start, end = series.start, series.end
     count = (end - start) // mu
-    if count > MAX_BLOCKS:
+    if not count <= MAX_BLOCKS:  # the negated comparison also rejects an infinite span's NaN
         raise ValueError(f"mu={mu!r} gives {format_number(count)} blocks over "
                          f"[{format_number(start)}, {format_number(end)}], "
                          f"more than MAX_BLOCKS={MAX_BLOCKS}")
     times = start + mu * np.arange(int(count) + 1)
-    prices, gaps = _forward_fill(series, np.concatenate((times, times[1:] - gamma))
-                                 if gamma else times)
+    repeated = np.flatnonzero(times[1:] == times[:-1])  # rounded, the times never decrease
+    if repeated.size:
+        raise ValueError(f"mu={mu!r} is finer than the float64 spacing of the times it steps "
+                         f"over: marks {repeated[0]} and {repeated[0] + 1} both fall at "
+                         f"{format_number(times[repeated[0]])}")
+    sampled = np.concatenate((times, times[1:] - gamma)) if gamma else times
+    if sampled.min() < start or sampled.max() > end:
+        raise ValueError(f"mu={mu!r} and gamma={gamma!r} round to times "
+                         f"[{format_number(sampled.min())}, {format_number(sampled.max())}] "
+                         f"outside the series' range [{format_number(start)}, "
+                         f"{format_number(end)}]")
+    idx = np.searchsorted(series.timestamps, sampled, side="right") - 1
+    prices, gaps = series.prices[idx], sampled - series.timestamps[idx]
     # a block is filled across a gap if its settlement mark or its trade price
     # is; the start mark is an observation
     long = gaps > LONG_GAP_SECONDS
     filled = long[1:times.size] | long[times.size:] if gamma else long[1:]
-    _warn_long_gaps(series.pair, filled, gaps)
+    if filled.any():
+        warnings.warn(
+            f"{series.pair}: forward-filled {int(filled.sum())} of {filled.size} blocks "
+            f"across gaps longer than {LONG_GAP_SECONDS}s (max gap {gaps.max():.0f}s)",
+            stacklevel=2,
+        )
     marks = PriceSeries(series.pair, times, prices[:times.size])
     # a copy, so the grid keeps no second set of marks alive
     return BlockGrid(marks, prices[times.size:].copy() if gamma else marks.prices[1:])

@@ -14,11 +14,6 @@ file's SHA-256, so a later load of the same bytes skips the parse.  Output
 columns are formatted a chunk at a time by :func:`formatted_chunks`, each
 by one ``orjson`` call, whose shortest round-trip digits are ``repr``'s.
 
-Sampling a series onto its block grid (``backtest.block_grid_series``, the
-one sampler) forward-fills from the last point; gaps longer than
-:data:`LONG_GAP_SECONDS` are surfaced as a warning so that backtests on
-patchy data are flagged rather than silently smoothed.
-
 Synthetic paths come from a driftless log-Euler geometric Brownian motion
 (the simplest positive martingale), and :func:`mean_preserving_spread` adds
 exactly conditional-mean-zero two-point noise for risk experiments.
@@ -28,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import os
 import re
@@ -43,7 +39,6 @@ __all__ = [
     "PriceDataError",
     "PriceSeries",
     "GbmParams",
-    "LONG_GAP_SECONDS",
     "load_price_series",
     "sample_gbm_path",
     "mean_preserving_spread",
@@ -53,7 +48,6 @@ __all__ = [
     "formatted_chunks",
 ]
 
-LONG_GAP_SECONDS = 300.0
 CSV_CHUNK_ROWS = 1 << 12
 
 
@@ -221,7 +215,8 @@ def _read_csv(path, dtype: np.dtype, rule, error=ValueError, digests=None) -> np
     in for the parse; any other entry is a miss.  On a miss the file is
     parsed (:func:`_parse_csv`) and the accepted rows, if any, are cached.
     ``digests``, when given, maps ``str(path)`` to the file's SHA-256 (None
-    for a file that is not regular, which is neither hashed nor cached).
+    for a file that is not regular, which is read into memory, and neither
+    hashed nor cached).
     """
     # an undecodable byte reaches the parse as a lone surrogate, which no
     # field accepts, so the row reader names its line
@@ -235,7 +230,9 @@ def _read_csv(path, dtype: np.dtype, rule, error=ValueError, digests=None) -> np
             rows = _cached_rows(entry, dtype, rule)
             if rows is not None:
                 return rows
-        rows = _parse_csv(path, fh, dtype, rule, error)
+        # a pipe or FIFO cannot seek back for the row reader: it is parsed from memory
+        rows = _parse_csv(path, fh if digest else io.StringIO(fh.read(), newline=""), dtype,
+                          rule, error)
         after = os.fstat(fh.fileno())
     # a file edited while it was read is not cached, nor one with no rows
     # (which a loader may still reject: a price file needs one)
@@ -371,34 +368,6 @@ def load_price_series(path, pair: str, digests=None) -> PriceSeries:
     if not rows.size:
         raise PriceDataError(f"{path}: no data rows")
     return PriceSeries(pair, rows["timestamp"], rows["price"])
-
-
-def _forward_fill(series: PriceSeries, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sampling core of ``backtest.block_grid_series``: forward-filled
-    prices at ``times`` (a non-empty float64 array, finite and inside the
-    series' observed range, or :class:`PriceDataError`) and each one's age,
-    the seconds since the observation it was filled from."""
-    bad = np.flatnonzero(~np.isfinite(times))
-    if bad.size:
-        raise PriceDataError(f"{series.pair}: requested time {times[bad[0]]} is not finite")
-    if times.min() < series.start or times.max() > series.end:
-        raise PriceDataError(
-            f"{series.pair}: requested times [{times.min()}, {times.max()}] outside "
-            f"observed range [{series.start}, {series.end}]"
-        )
-    idx = np.searchsorted(series.timestamps, times, side="right") - 1
-    return series.prices[idx], times - series.timestamps[idx]
-
-
-def _warn_long_gaps(pair: str, filled: np.ndarray, gaps: np.ndarray) -> None:
-    """One warning, naming the caller's caller's line, if any of ``filled``
-    (one flag per block) was forward-filled across a long gap."""
-    if filled.any():
-        warnings.warn(
-            f"{pair}: forward-filled {int(filled.sum())} of {filled.size} blocks "
-            f"across gaps longer than {LONG_GAP_SECONDS}s (max gap {gaps.max():.0f}s)",
-            stacklevel=3,
-        )
 
 
 @dataclass(frozen=True)

@@ -109,28 +109,17 @@ def _swap_fault(log) -> tuple[int, str] | None:
 
 
 def as_swap_log(log) -> np.recarray:
-    """``log``, a 1-D array with :data:`SWAP_LOG_DTYPE`'s fields, as a swap log
-    (not copied if it has that dtype) once every row meets the swap rule.
-
-    Nothing is coerced: each column must be of its field's kind (bytes for
-    ``fee_token``, numbers otherwise) and cast safely to the log's column."""
-    if not (isinstance(log, np.ndarray) and log.ndim == 1):
-        got = f"a {log.ndim}-D array" if isinstance(log, np.ndarray) else type(log).__name__
+    """``log``, a 1-D array of :data:`SWAP_LOG_DTYPE`, as a swap log (not
+    copied) once every row meets the swap rule.  Nothing is coerced: an
+    array of any other dtype is rejected."""
+    if not (isinstance(log, np.ndarray) and log.ndim == 1 and log.dtype == SWAP_LOG_DTYPE):
+        got = (type(log).__name__ if not isinstance(log, np.ndarray) else
+               f"a {log.ndim}-D array" if log.ndim != 1 else f"an array of dtype {log.dtype}")
         raise ValueError(f"a swap log must be a 1-D array of SWAP_LOG_DTYPE, got {got}")
-    if log.dtype.names != SWAP_LOG_DTYPE.names:
-        raise ValueError(f"swap log fields must be {SWAP_LOG_DTYPE.names}, "
-                         f"got {log.dtype.names}")
-    for name in SWAP_LOG_DTYPE.names:
-        dtype, column = log.dtype[name], SWAP_LOG_DTYPE[name]
-        kinds, what = ("S", "bytes") if column.kind == "S" else ("iuf", "numeric")
-        if dtype.kind not in kinds or not np.can_cast(dtype, column):
-            raise ValueError(f"swap log {name} must have a {what} dtype that {column} "
-                             f"holds, got {dtype}")
-    rows = np.asarray(log, SWAP_LOG_DTYPE)
-    fault = _swap_fault(rows)
+    fault = _swap_fault(log)
     if fault is not None:
         raise ValueError(f"swap record {fault[0]}: {fault[1]}")
-    return rows.view(np.recarray)
+    return log.view(np.recarray)
 
 
 def _check_cadence(cadence: str, name: str = "compound_cadence") -> None:

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fmamm.amm import (
@@ -30,8 +30,10 @@ from fmamm.amm import (
     objective_value,
 )
 from fmamm.arbitrage import arbitrage_order, no_trade_band, optimal_rebalance
+import fmamm.backtest
 from fmamm.backtest import (
     DEFAULT_FEE_GRID,
+    LONG_GAP_SECONDS,
     MAX_BLOCKS,
     NOISE_DIRECTIONS,
     TRADE_LOG_DTYPE,
@@ -48,9 +50,7 @@ from fmamm.backtest import (
 )
 from fmamm.batch import Batch, Order, settle_batch
 from fmamm.market_data import (
-    LONG_GAP_SECONDS,
     GbmParams,
-    _forward_fill,
     PriceDataError,
     PriceSeries,
     cumulative_roi,
@@ -98,6 +98,17 @@ class TestBlockClock:
             block_grid_series(flat_series(), mu=0.0)
         with pytest.raises(PriceDataError, match="not after previous"):
             PriceSeries("X-Y", [10.0, 0.0], [2000.0, 2000.0])
+
+    def test_clock_finer_than_the_timestamps_rejected(self):
+        # near 1680307200 float64 times are 2**-22 s apart: a 1e-7 s clock
+        # puts two marks on one time, and the error is the clock's, not the
+        # price data's
+        series = PriceSeries("X-Y", [1680307200, 1680307201], [2000.0, 2000.0])
+        with pytest.raises(ValueError, match=re.escape(
+                "mu=1e-07 is finer than the float64 spacing of the times it steps over: "
+                "marks 0 and 1 both fall at 1680307200")) as caught:
+            block_grid_series(series, mu=1e-7)
+        assert type(caught.value) is ValueError
 
     @pytest.mark.parametrize("field", ["mu", "gamma", "start", "end"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -223,23 +234,23 @@ class TestRunBacktest:
     @pytest.mark.parametrize("gamma, times", [(0.0, 101), (6.0, 201)])
     def test_block_grid_sampled_once(self, monkeypatch, gamma, times):
         # the grid gives the start price, the marks and, without latency, the
-        # trade prices; a latency's trade times join the marks' in the one
-        # sample by the sampling core, and the kernel never samples
+        # trade prices; a latency's trade times join the marks' in one search
+        # of the series, and the kernel never samples
         path = sample_gbm_path(
             GbmParams(2000.0, 0.0005, step_seconds=1, horizon_seconds=1200, seed=6)
         )
-        sampled = []
-
-        def counting(series, times):
-            sampled.append(np.size(times))
-            return _forward_fill(series, times)
-
-        monkeypatch.setattr("fmamm.backtest._forward_fill", counting)
-        grid = block_grid_series(path, gamma=gamma)
-        assert sampled == [times]
+        grids, searched = [], []
+        sample, search = fmamm.backtest.block_grid_series, np.searchsorted
+        monkeypatch.setattr(fmamm.backtest, "block_grid_series",
+                            lambda *args, **kwargs: grids.append(args) or sample(*args, **kwargs))
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda a, v, *args, **kwargs: searched.append(np.size(v))
+                            or search(a, v, *args, **kwargs))
+        grid = fmamm.backtest.block_grid_series(path, gamma=gamma)
+        assert searched == [times]
         for tau in TAUS:
             run_fmamm_backtest(grid, tau)
-        assert sampled == [times]
+        assert len(grids) == 1 and searched == [times]
         if gamma == 0.0:
             assert np.array_equal(grid.p_stars, grid.marks.prices[1:])
 
@@ -1180,6 +1191,27 @@ class TestBalancedReserves:
             balanced_reserves(price, depth)
 
 
+@st.composite
+def block_clocks(draw):
+    """Finite series bounds, the end anywhere after the start or a few float64
+    steps after it, and a clock ``_check_clock`` accepts: ``mu`` near the span
+    over a block count, near the float64 spacing of the bounds, or any
+    float, and ``gamma`` anywhere in ``[0, mu)``, often its top."""
+    bound = st.floats(allow_nan=False, allow_infinity=False) | st.builds(
+        lambda e, sign: sign * 2.0**e, st.integers(-1074, 1023), st.sampled_from([-1.0, 1.0]))
+    start = draw(bound)
+    end = draw((bound | st.integers(1, 10**5).map(lambda n: start + n * math.ulp(start)))
+               .filter(lambda end: start < end < math.inf))
+    span, spacing = end - start, math.ulp(max(abs(start), abs(end)))
+    mu = draw(st.integers(1, 10**4).map(lambda k: span / k)
+              | st.floats(0.25, 8.0).map(lambda f: f * spacing)
+              | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    mu *= draw(st.sampled_from([1.0, 1.0 - 2.0**-52, 1.0 + 2.0**-52]) | st.floats(0.5, 2.0))
+    assume(0.0 < mu < math.inf)
+    return start, end, mu, draw(st.floats(0.0, mu, exclude_max=True)
+                                | st.just(math.nextafter(mu, 0.0)))
+
+
 class TestBlockGridSeries:
     def test_dense_series_resampled_to_blocks(self):
         # per-second observations, 12s blocks: marks land on block boundaries
@@ -1221,3 +1253,33 @@ class TestBlockGridSeries:
         assert [str(w.message) for w in caught] == [
             f"X-Y: forward-filled {filled} of {times.size - 1} blocks across gaps longer "
             f"than {LONG_GAP_SECONDS}s (max gap {oldest:.0f}s)"] * (filled > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(block_clocks())
+    # the clocks float64 rounding carries past the series' end, and before its
+    # start at a latency (see test_market_data's TestSampleAt)
+    @example((-1.0, 2.0**53 + 2.0, 2.0**53 + 4.0, 0.0))
+    @example((-1e308, 1e308, 1e300, 0.0))  # the span overflows: NaN blocks
+    @example((2.0**40, 2.0**40 + 100.0, 12.0 + 0.4 * 2.0**-12,
+              math.nextafter(12.0 + 0.4 * 2.0**-12, 0.0)))
+    def test_grid_times_are_finite_and_in_range(self, clock):
+        # every time the grid samples, mark or trade time, is finite and
+        # inside the series, and the marks increase; a clock that rounding
+        # would break is rejected as the clock's error, never the data's.  A
+        # smaller block bound keeps each grid small
+        start, end, mu, gamma = clock
+        series = PriceSeries("X-Y", [start, end], [2000.0, 2001.0])
+        sampled, search = [], np.searchsorted
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            patch.setattr(fmamm.backtest, "MAX_BLOCKS", 10**5)
+            patch.setattr(np, "searchsorted", lambda a, v, *args, **kwargs: sampled.append(v)
+                          or search(a, v, *args, **kwargs))
+            try:
+                grid = block_grid_series(series, mu, gamma)
+            except ValueError as exc:
+                assert type(exc) is ValueError and str(exc).startswith(f"mu={mu!r} "), exc
+                return
+        (times,) = sampled
+        assert np.isfinite(times).all() and start <= times.min() and times.max() <= end
+        assert (grid.marks.timestamps[1:] > grid.marks.timestamps[:-1]).all()

@@ -563,7 +563,7 @@ class TestSweepCommands:
                            gamma=gamma, fee_grid=[0.0, 0.0005, 0.003, 0.01],
                            noise_fractions=[0.1, 0.3])
         calls = []
-        for module, name in ((fmamm.cli, "block_grid_series"), (fmamm.backtest, "_forward_fill"),
+        for module, name in ((fmamm.cli, "block_grid_series"), (fmamm.backtest, "block_grid_series"),
                              (fmamm.cli, "run_fmamm_backtest")):
             def counting(*args, _name=name, _call=getattr(module, name)):
                 calls.append(_name)
@@ -573,26 +573,26 @@ class TestSweepCommands:
             calls.clear()
             assert main([command, "--config", str(cfg)]) == 0, capsys.readouterr().err
             assert [calls.count(name) for name in (
-                "block_grid_series", "_forward_fill", "run_fmamm_backtest")] == [1, 1, runs]
+                "block_grid_series", "run_fmamm_backtest")] == [1, runs]
 
     def test_swap_cadence_samples_only_the_grid(self, tmp_path, capsys, monkeypatch):
         # each swap compounds at its own post-swap price, so a swap-cadence
         # backtest samples the path once, for its block grid, wherever the
-        # sampling core is imported
+        # sampler is imported
         series = write_price_csv(tmp_path / "prices.csv", blocks=60)
         write_swap_csv(tmp_path / "swaps.csv", series)
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "prices.csv", tmp_path / "swaps.csv",
                            compound_cadence="swap")
-        sampled = []
+        grids = []
         for module in (fmamm.market_data, fmamm.cli, fmamm.backtest, fmamm.uniswap):
-            if hasattr(module, "_forward_fill"):
-                def counting(*args, _call=module._forward_fill):
-                    sampled.append(args[1])
-                    return _call(*args)
-                monkeypatch.setattr(module, "_forward_fill", counting)
+            if hasattr(module, "block_grid_series"):
+                def counting(*args, _call=module.block_grid_series):
+                    grids.append(_call(*args))
+                    return grids[-1]
+                monkeypatch.setattr(module, "block_grid_series", counting)
         assert main(["backtest", "--config", str(cfg)]) == 0
         assert "uniswap terminal roi" in capsys.readouterr().out
-        assert len(sampled) == 1 and np.array_equal(sampled[0], series.timestamps)
+        assert len(grids) == 1 and np.array_equal(grids[0].marks.timestamps, series.timestamps)
 
     def test_no_dense_input_outlives_its_use(self, tmp_path, capsys, monkeypatch):
         # when a kernel run or the swap load starts, the dense price series
@@ -938,6 +938,24 @@ class TestOutDirContract:
         assert inputs == {piped: None, **{
             str(data / n): hashlib.sha256((data / n).read_bytes()).hexdigest() for n in hashed}}
 
+    @staticmethod
+    def run_on_fifo(fifo, payload: bytes, argv):
+        """``fmamm`` run on ``argv`` in a fresh interpreter while a thread
+        writes ``payload`` into ``fifo``."""
+        def feed():
+            with open(fifo, "wb") as fh:  # waits for the command to open it
+                fh.write(payload)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            return subprocess.run([sys.executable, "-m", "fmamm.cli", *argv], env=checkout_env(),
+                                  capture_output=True, text=True, timeout=30)
+        finally:
+            if writer.is_alive():  # the command never opened the FIFO: release the writer
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join()
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     def test_fifo_price_csv_is_read_once(self, tmp_path):
         # the loader reads a FIFO once; opening it again for the manifest's
@@ -946,25 +964,32 @@ class TestOutDirContract:
         fifo = tmp_path / "prices.fifo"
         os.mkfifo(fifo)
         write_config(cfg, fifo, data / "swaps.csv")
-
-        def feed():
-            with open(fifo, "wb") as fh:  # waits for the command to open it
-                fh.write((data / "prices.csv").read_bytes())
-
-        writer = threading.Thread(target=feed, daemon=True)
-        writer.start()
-        try:
-            done = subprocess.run([sys.executable, "-m", "fmamm.cli", *argv, "--out-dir",
-                                   str(tmp_path / "out")], env=checkout_env(),
-                                  capture_output=True, text=True, timeout=30)
-        finally:
-            if writer.is_alive():  # the command never opened the FIFO: release the writer
-                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
-            writer.join()
+        done = self.run_on_fifo(fifo, (data / "prices.csv").read_bytes(),
+                                argv + ["--out-dir", str(tmp_path / "out")])
         assert done.returncode == 0, done.stderr
         inputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["inputs"]
         assert inputs == {str(fifo): None, **{
             str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (cfg, data / "swaps.csv")}}
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("name, bad_row", [
+        ("prices.csv", "1680000012,oops"),
+        ("swaps.csv", "4,1680000048,oops,token1,1e9,2000.0"),
+    ], ids=["prices", "swaps"])
+    def test_fifo_csv_bad_row_names_its_line(self, tmp_path, name, bad_row):
+        # a FIFO cannot seek back for the row reader, so it is parsed from
+        # memory, and its first bad line is named as a regular file's is
+        argv, data, cfg = contract_argv(tmp_path, "backtest")
+        lines = (data / name).read_text().splitlines()
+        lines[2] = bad_row
+        fifo = tmp_path / name.replace(".csv", ".fifo")
+        os.mkfifo(fifo)
+        inputs = {"prices.csv": data / "prices.csv", "swaps.csv": data / "swaps.csv", name: fifo}
+        write_config(cfg, inputs["prices.csv"], inputs["swaps.csv"])
+        done = self.run_on_fifo(fifo, "\n".join(lines).encode() + b"\n", argv)
+        assert done.returncode == 2
+        assert done.stderr.startswith(
+            f"error: {fifo}:3: malformed row {bad_row.split(',')}: "), done.stderr
 
     @pytest.mark.parametrize("argv", [
         ["quote"] + RESERVES + ["--trade", "6"],

@@ -52,32 +52,6 @@ def test_package_root_exports_only_the_version():
     assert (done.returncode, done.stdout, done.stderr) == (0, "['__version__'] False\n", "")
 
 
-def references(tree, name):
-    """The innermost function around each use of ``name`` in a module's tree."""
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if (isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name):
-            found.append(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(tree, "<module>")
-    return found
-
-
-def test_only_the_block_grid_samples():
-    # one sampling core, behind the block grid: any other use would sample a
-    # dense path a second time, at times the block grid does not hold
-    used = [(name, where) for name in MODULES
-            for where in references(ast.parse(inspect.getsource(importlib.import_module(name))),
-                                    "_forward_fill")]
-    assert used == [("fmamm.backtest", "block_grid_series")]
-
-
 def test_imported_packages_are_declared_dependencies():
     if sys.version_info >= (3, 11):
         import tomllib

@@ -12,7 +12,6 @@ from fmamm.market_data import (
     GbmParams,
     PriceDataError,
     PriceSeries,
-    _forward_fill,
     cumulative_roi,
     load_price_series,
     mean_preserving_spread,
@@ -83,27 +82,37 @@ class TestLoadPriceSeries:
 
 
 class TestSampleAt:
-    """Sampling a series at given times: the core behind the block grid,
-    ``_forward_fill``, and the grid's gap warning."""
+    """Sampling a series onto its block grid: forward-filled marks and trade
+    prices, the times float64 rounding puts outside the series, and the
+    grid's gap warning."""
 
     def test_forward_fill(self):
         s = PriceSeries("X-Y", [0, 10, 20], [1.0, 2.0, 3.0])
-        prices, ages = _forward_fill(s, np.array([0.0, 5.0, 10.0, 19.0, 20.0]))
-        assert list(prices) == [1.0, 1.0, 2.0, 2.0, 3.0]
-        assert list(ages) == [0.0, 5.0, 0.0, 9.0, 0.0]
+        grid = block_grid_series(s, mu=5.0, gamma=1.0)
+        assert list(grid.marks.prices) == [1.0, 1.0, 2.0, 2.0, 3.0]
+        assert list(grid.p_stars) == [1.0, 1.0, 2.0, 2.0]  # at 4, 9, 14 and 19 s
 
     def test_out_of_range_rejected(self):
-        s = PriceSeries("X-Y", [0, 10], [1.0, 2.0])
-        with pytest.raises(PriceDataError, match="outside"):
-            _forward_fill(s, np.array([11.0]))
-        with pytest.raises(PriceDataError, match="outside"):
-            _forward_fill(s, np.array([-1.0]))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_time_rejected(self, bad):
-        s = PriceSeries("X-Y", [0, 10, 20], [1.0, 2.0, 3.0])
-        with pytest.raises(PriceDataError, match=rf"X-Y: requested time {bad} is not finite"):
-            _forward_fill(s, np.array([5.0, bad]))
+        # float64 rounding carries these clocks outside the series, and the
+        # error is the clock's, not the price data's
+        fine = 12.0 + 0.4 * 2.0**-12
+        for (start, end), mu, gamma, problem in [
+            # the span 2**53 + 3 rounds up to one mu, and so does the last mark
+            ((-1.0, 2.0**53 + 2), 2.0**53 + 4, 0.0,
+             "round to times [-1, 9007199254740996.0] outside the series' range "
+             "[-1, 9007199254740994.0]"),
+            # the first settlement rounds down by more than a quarter of the
+            # spacing above 2**40, and a latency just under mu takes its trade
+            # time below 2**40, where the spacing halves
+            ((2.0**40, 2.0**40 + 100), fine, math.nextafter(fine, 0.0),
+             "round to times [1099511627775.9999, 1099511627872.0007] outside the series' "
+             "range [1099511627776, 1099511627876]"),
+        ]:
+            s = PriceSeries("X-Y", [start, end], [1.0, 2.0])
+            with pytest.raises(ValueError, match=re.escape(
+                    f"mu={mu!r} and gamma={gamma!r} {problem}")) as caught:
+                block_grid_series(s, mu, gamma)
+            assert type(caught.value) is ValueError
 
     def test_long_gap_warns(self):
         # one warning that counts the blocks filled across a long gap (the

@@ -449,8 +449,10 @@ class TestBaselineMatchesReference:
                               per_block_swap_volume(records, marks.timestamps, 0.003))
 
     def test_foreign_array_rejected(self):
-        with pytest.raises(ValueError, match="swap log fields"):
-            as_swap_log(np.zeros(2, dtype=[("block", "i8")]))
+        foreign = np.dtype([("block", "i8")])
+        with pytest.raises(ValueError, match=re.escape(
+                f"a swap log must be a 1-D array of SWAP_LOG_DTYPE, got an array of dtype {foreign}")):
+            as_swap_log(np.zeros(2, foreign))
 
     @pytest.mark.parametrize("field, value, message", [
         ("fee_token", "tokX", "fee_token must be one of"),
@@ -516,28 +518,29 @@ class TestBaselineMatchesReference:
         ("fee_amount", "<U8"), ("active_liquidity", "bool"),
         # b"token0\x00X" would be cut to b"token0"
         ("fee_token", "S10"),
+        # safe casts are not taken either: the log has one dtype
+        ("block", "int32"), ("timestamp", ">i8"), ("fee_amount", "float32"), ("fee_token", "S6"),
     ])
     def test_raw_log_columns_are_not_coerced(self, field, kind):
         dtype = [(name, kind if name == field else SWAP_LOG_DTYPE[name])
                  for name in SWAP_LOG_DTYPE.names]
         log = np.array([(1, 5, 1.0, b"token1", 1e6, 4.0), (1, 17, 1.0, b"token0\x00X", 1e6, 4.0)],
                        dtype)
-        what = "bytes" if field == "fee_token" else "numeric"
         with pytest.raises(ValueError, match="^" + re.escape(
-                f"swap log {field} must have a {what} dtype that {SWAP_LOG_DTYPE[field]} "
-                f"holds, got {np.dtype(kind)}") + "$"):
+                f"a swap log must be a 1-D array of SWAP_LOG_DTYPE, got an array of dtype "
+                f"{np.dtype(dtype)}") + "$"):
             as_swap_log(log)
 
     @pytest.mark.parametrize("token", ["tökX", "t€ken0"], ids=["latin-1", "outside latin-1"])
     def test_text_token_column_names_the_record(self, token):
         """A ``str`` token column is not encoded: it fails the dtype rule
         before any record is read, whether or not its text has Latin-1 bytes."""
-        dtype = [(name, "U7" if name == "fee_token" else SWAP_LOG_DTYPE[name])
-                 for name in SWAP_LOG_DTYPE.names]
+        dtype = np.dtype([(name, "U7" if name == "fee_token" else SWAP_LOG_DTYPE[name])
+                          for name in SWAP_LOG_DTYPE.names])
         log = np.array([(1, 5, 1.0, "token1", 1e6, 4.0), (2, 17, 1.0, token, 1e6, 4.0)], dtype)
         with pytest.raises(ValueError, match="^" + re.escape(
-                f"swap log fee_token must have a bytes dtype that {SWAP_LOG_DTYPE['fee_token']} "
-                f"holds, got {np.dtype('U7')}") + "$"):
+                f"a swap log must be a 1-D array of SWAP_LOG_DTYPE, got an array of dtype "
+                f"{dtype}") + "$"):
             as_swap_log(log)
 
 

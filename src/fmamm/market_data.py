@@ -5,14 +5,14 @@ integer epoch seconds; pairs are labeled ``BASE-QUOTE``.  One price rule holds
 for every series, loaded or built: finite timestamps, strictly increasing as
 float64, and finite positive prices.  Series are immutable.
 
-CSV input and output are columnar.  Both loaders (swaps in
-:mod:`fmamm.uniswap`) go through one reader, :func:`_read_csv`: a plain file
-parses in one ``np.loadtxt`` call and one rule pass, and only a file either
-rejects is read again row by row, to name its first bad line.  The rows of a
-file that loads are kept in ``__fmamm_cache__`` beside it, keyed by the
-file's SHA-256, so a later load of the same bytes skips the parse.  Output
-columns are formatted a chunk at a time by :func:`formatted_chunks`, each
-by one ``orjson`` call, whose shortest round-trip digits are ``repr``'s.
+CSV input is columnar.  Both loaders (swaps in :mod:`fmamm.uniswap`) go
+through one reader, :func:`_read_csv`: a plain file parses in one
+``np.loadtxt`` call and one rule pass, and only a file either rejects is
+read again row by row, to name its first bad line.  The rows of a file that
+loads are kept in ``__fmamm_cache__`` beside it, keyed by the file's
+SHA-256, so a later load of the same bytes skips the parse.  The ROI of a
+value column is :func:`cumulative_roi`; the out-dir's CSV text is
+:mod:`fmamm.cli`'s.
 
 Synthetic paths come from a driftless log-Euler geometric Brownian motion
 (the simplest positive martingale), and :func:`mean_preserving_spread` adds
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import orjson
 
 __all__ = [
     "PriceDataError",
@@ -44,11 +43,7 @@ __all__ = [
     "mean_preserving_spread",
     "cumulative_roi",
     "format_number",
-    "format_numbers",
-    "formatted_chunks",
 ]
-
-CSV_CHUNK_ROWS = 1 << 12
 
 
 class PriceDataError(ValueError):
@@ -120,58 +115,6 @@ def format_number(x: float) -> str:
     """Shortest exact decimal form; integral values print without a dot."""
     x = float(x)
     return str(int(x)) if x.is_integer() and abs(x) < 2**53 else repr(x)
-
-
-def format_numbers(values) -> list[str]:
-    """:func:`format_number` of each value.
-
-    A column of integral values below 2**53 in magnitude (the usual epoch
-    timestamps) converts to ``int64`` and is printed by one ``orjson`` call.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if (np.abs(values) < 2**53).all() and (values == np.trunc(values)).all():
-        return _dumped(values.astype(np.int64))
-    return list(map(format_number, values.tolist()))
-
-
-def _dumped(values: np.ndarray) -> list[str]:
-    """``orjson``'s text of each element of a contiguous 1-D ``int64`` or
-    ``float64`` array."""
-    if not values.size:
-        return []
-    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
-
-
-def _repr_floats(column) -> list[str]:
-    """``repr`` of each value of a float column.
-
-    ``orjson`` prints the same shortest round-trip digits as ``repr`` (Ryū)
-    at about an eighth of its cost, but in fixed point where ``repr`` uses an
-    exponent, and ``null`` for NaN and infinities.  So each element that
-    ``repr`` writes in exponent form, a nonzero magnitude outside
-    ``[1e-4, 1e16)``, or that is not finite gets ``repr`` itself.
-    """
-    column = np.ascontiguousarray(column, dtype=np.float64)
-    text = _dumped(column)
-    magnitude = np.abs(column)
-    odd = np.flatnonzero(((magnitude < 1e-4) & (column != 0.0)) | (magnitude >= 1e16)
-                         | np.isnan(column))
-    for i, value in zip(odd.tolist(), column[odd].tolist()):
-        text[i] = repr(value)
-    return text
-
-
-def formatted_chunks(timestamps, *columns):
-    """Each chunk of :data:`CSV_CHUNK_ROWS` rows as lists of field text:
-    :func:`format_numbers` of the timestamps, then ``repr`` of each float
-    column (by :func:`_repr_floats`), so every column is formatted once for
-    all the files that use it.  A column given as a function is derived a
-    chunk at a time: it takes the chunk's ``slice`` and returns its floats."""
-    for lo in range(0, len(timestamps), CSV_CHUNK_ROWS):
-        rows = slice(lo, lo + CSV_CHUNK_ROWS)
-        yield (format_numbers(timestamps[rows]),
-               *(_repr_floats(column(rows) if callable(column) else column[rows])
-                 for column in columns))
 
 
 def _int64(text: str) -> int:

@@ -1213,17 +1213,67 @@ def block_clocks(draw):
 
 
 class TestBlockGridSeries:
-    def test_dense_series_resampled_to_blocks(self):
+    """Sampling a series onto its block grid: forward-filled marks and trade
+    prices, the times float64 rounding puts outside the series, and the
+    grid's gap warning."""
+
+    @pytest.mark.parametrize("ts, prices, mu, gamma, marks, p_stars", [
         # per-second observations, 12s blocks: marks land on block boundaries
-        ts = np.arange(0, 61)
-        prices = 2000.0 + ts
-        series = PriceSeries("X-Y", ts, prices)
-        grid = block_grid_series(series, mu=12.0)
-        assert list(grid.marks.timestamps) == [0.0, 12.0, 24.0, 36.0, 48.0, 60.0]
-        assert list(grid.marks.prices) == [2000.0, 2012.0, 2024.0, 2036.0, 2048.0, 2060.0]
+        pytest.param(np.arange(0, 61), 2000.0 + np.arange(0, 61), 12.0, 0.0,
+                     [(0.0, 2000.0), (12.0, 2012.0), (24.0, 2024.0), (36.0, 2036.0),
+                      (48.0, 2048.0), (60.0, 2060.0)], [2012.0, 2024.0, 2036.0, 2048.0, 2060.0],
+                     id="dense"),
+        # sparse observations, forward-filled; trades at 4, 9, 14 and 19 s
+        pytest.param([0, 10, 20], [1.0, 2.0, 3.0], 5.0, 1.0,
+                     [(0.0, 1.0), (5.0, 1.0), (10.0, 2.0), (15.0, 2.0), (20.0, 3.0)],
+                     [1.0, 1.0, 2.0, 2.0], id="sparse, latency"),
+    ])
+    def test_series_resampled_to_blocks(self, ts, prices, mu, gamma, marks, p_stars):
+        grid = block_grid_series(PriceSeries("X-Y", ts, prices), mu, gamma)
+        assert list(zip(grid.marks.timestamps.tolist(), grid.marks.prices.tolist())) == marks
+        assert grid.p_stars.tolist() == p_stars
         # a run is marked on its grid: one value per mark
         result = run_fmamm_backtest(grid, 0.003)
         assert result.values.shape == grid.marks.timestamps.shape
+
+    @pytest.mark.parametrize("start, end, mu, gamma, problem", [
+        # the span 2**53 + 3 rounds up to one mu, and so does the last mark
+        pytest.param(-1.0, 2.0**53 + 2, 2.0**53 + 4, 0.0,
+                     "round to times [-1, 9007199254740996.0] outside the series' range "
+                     "[-1, 9007199254740994.0]", id="past the end"),
+        # the first settlement rounds down by more than a quarter of the
+        # spacing above 2**40, and a latency just under mu takes its trade
+        # time below 2**40, where the spacing halves
+        pytest.param(2.0**40, 2.0**40 + 100, 12.0 + 0.4 * 2.0**-12,
+                     math.nextafter(12.0 + 0.4 * 2.0**-12, 0.0),
+                     "round to times [1099511627775.9999, 1099511627872.0007] outside the "
+                     "series' range [1099511627776, 1099511627876]", id="before the start"),
+    ])
+    def test_out_of_range_rejected(self, start, end, mu, gamma, problem):
+        # float64 rounding carries these clocks outside the series, and the
+        # error is the clock's, not the price data's
+        series = PriceSeries("X-Y", [start, end], [1.0, 2.0])
+        with pytest.raises(ValueError, match=re.escape(
+                f"mu={mu!r} and gamma={gamma!r} {problem}")) as caught:
+            block_grid_series(series, mu, gamma)
+        assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize("end, mu, warned", [
+        # the marks at 400-900 s are filled across the gap
+        pytest.param(1000, 100.0, ["forward-filled 6 of 10 blocks", "(max gap 900s)"],
+                     id="long gap"),
+        pytest.param(100, 50.0, [], id="short gap"),
+    ])
+    def test_gap_warning(self, end, mu, warned):
+        # one warning that counts the blocks filled across a long gap, and
+        # names the line that built the grid
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            block_grid_series(PriceSeries("X-Y", [0, end], [1.0, 2.0]), mu)
+        assert len(caught) == bool(warned)
+        for warning in caught:
+            assert warning.category is UserWarning and warning.filename == __file__
+            assert all(part in str(warning.message) for part in warned)
 
     @settings(max_examples=200, deadline=None)
     @given(steps=st.lists(st.integers(1, 30) | st.integers(295, 2000), max_size=40),
@@ -1256,17 +1306,13 @@ class TestBlockGridSeries:
 
     @settings(max_examples=300, deadline=None)
     @given(block_clocks())
-    # the clocks float64 rounding carries past the series' end, and before its
-    # start at a latency (see test_market_data's TestSampleAt)
-    @example((-1.0, 2.0**53 + 2.0, 2.0**53 + 4.0, 0.0))
     @example((-1e308, 1e308, 1e300, 0.0))  # the span overflows: NaN blocks
-    @example((2.0**40, 2.0**40 + 100.0, 12.0 + 0.4 * 2.0**-12,
-              math.nextafter(12.0 + 0.4 * 2.0**-12, 0.0)))
     def test_grid_times_are_finite_and_in_range(self, clock):
         # every time the grid samples, mark or trade time, is finite and
         # inside the series, and the marks increase; a clock that rounding
-        # would break is rejected as the clock's error, never the data's.  A
-        # smaller block bound keeps each grid small
+        # would break is rejected as the clock's error, never the data's (the
+        # clocks of test_out_of_range_rejected).  A smaller block bound keeps
+        # each grid small
         start, end, mu, gamma = clock
         series = PriceSeries("X-Y", [start, end], [2000.0, 2001.0])
         sampled, search = [], np.searchsorted

@@ -52,6 +52,17 @@ def test_package_root_exports_only_the_version():
     assert (done.returncode, done.stdout, done.stderr) == (0, "['__version__'] False\n", "")
 
 
+@pytest.mark.parametrize("name, loads", [("fmamm.market_data", False), ("fmamm.uniswap", False),
+                                         ("fmamm.backtest", False), ("fmamm.cli", True)])
+def test_only_the_cli_loads_orjson(name, loads):
+    # orjson formats the out-dir's CSV text, which is the CLI's alone
+    probe = f"import sys, {name}; print('orjson' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(Path(fmamm.__file__).parents[1])),
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{loads}\n", "")
+
+
 def test_imported_packages_are_declared_dependencies():
     if sys.version_info >= (3, 11):
         import tomllib

@@ -44,7 +44,6 @@ import pytest
 
 import fmamm.backtest
 import fmamm.cli
-import fmamm.market_data
 from fmamm.cli import main
 
 TABLE = Path(__file__).with_name("golden.json")
@@ -204,7 +203,7 @@ def test_command_outputs_match_table(inputs, monkeypatch, name):
 def test_command_outputs_match_table_across_chunk_seams(inputs, monkeypatch, name):
     # the inputs are 300 blocks, inside one writer chunk and one kernel chunk,
     # so the same entries run again with chunks small enough to cross many
-    monkeypatch.setattr(fmamm.market_data, "CSV_CHUNK_ROWS", 7)
+    monkeypatch.setattr(fmamm.cli, "CSV_CHUNK_ROWS", 7)
     monkeypatch.setattr(fmamm.backtest, "_CHUNK", 5)
     monkeypatch.chdir(inputs)
     got = run_entry(name)

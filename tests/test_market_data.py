@@ -1,4 +1,4 @@
-"""Price series loading, sampling, and synthesis tests."""
+"""Price series loading and synthesis tests."""
 
 import math
 import re
@@ -6,7 +6,6 @@ import re
 import numpy as np
 import pytest
 
-from fmamm.backtest import block_grid_series
 from fmamm.cli import _write_runs
 from fmamm.market_data import (
     GbmParams,
@@ -79,56 +78,6 @@ class TestLoadPriceSeries:
         series = load_price_series(path, "X-Y")
         with pytest.raises(ValueError):
             series.prices[0] = 5.0
-
-
-class TestSampleAt:
-    """Sampling a series onto its block grid: forward-filled marks and trade
-    prices, the times float64 rounding puts outside the series, and the
-    grid's gap warning."""
-
-    def test_forward_fill(self):
-        s = PriceSeries("X-Y", [0, 10, 20], [1.0, 2.0, 3.0])
-        grid = block_grid_series(s, mu=5.0, gamma=1.0)
-        assert list(grid.marks.prices) == [1.0, 1.0, 2.0, 2.0, 3.0]
-        assert list(grid.p_stars) == [1.0, 1.0, 2.0, 2.0]  # at 4, 9, 14 and 19 s
-
-    def test_out_of_range_rejected(self):
-        # float64 rounding carries these clocks outside the series, and the
-        # error is the clock's, not the price data's
-        fine = 12.0 + 0.4 * 2.0**-12
-        for (start, end), mu, gamma, problem in [
-            # the span 2**53 + 3 rounds up to one mu, and so does the last mark
-            ((-1.0, 2.0**53 + 2), 2.0**53 + 4, 0.0,
-             "round to times [-1, 9007199254740996.0] outside the series' range "
-             "[-1, 9007199254740994.0]"),
-            # the first settlement rounds down by more than a quarter of the
-            # spacing above 2**40, and a latency just under mu takes its trade
-            # time below 2**40, where the spacing halves
-            ((2.0**40, 2.0**40 + 100), fine, math.nextafter(fine, 0.0),
-             "round to times [1099511627775.9999, 1099511627872.0007] outside the series' "
-             "range [1099511627776, 1099511627876]"),
-        ]:
-            s = PriceSeries("X-Y", [start, end], [1.0, 2.0])
-            with pytest.raises(ValueError, match=re.escape(
-                    f"mu={mu!r} and gamma={gamma!r} {problem}")) as caught:
-                block_grid_series(s, mu, gamma)
-            assert type(caught.value) is ValueError
-
-    def test_long_gap_warns(self):
-        # one warning that counts the blocks filled across a long gap (the
-        # marks at 400-900 s), and names the line that built the grid
-        s = PriceSeries("X-Y", [0, 1000], [1.0, 2.0])
-        with pytest.warns(UserWarning) as caught:
-            block_grid_series(s, mu=100.0)
-        [warning] = caught
-        assert "forward-filled 6 of 10 blocks" in str(warning.message)
-        assert "(max gap 900s)" in str(warning.message)
-        assert warning.filename == __file__
-
-    def test_short_gap_silent(self, recwarn):
-        s = PriceSeries("X-Y", [0, 100], [1.0, 2.0])
-        block_grid_series(s, mu=50.0)
-        assert not recwarn.list
 
 
 class TestGbm:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 
@@ -176,6 +177,22 @@ class TestRunBaseline:
                 run_baseline(swaps, series, 1.0)
             assert [str(w.message) for w in caught] == [
                 "1 swap records after the last price mark were ignored"]
+
+    # measured at 73.1, 89.8 and 98.0 B/swap; one per-swap column kept as a
+    # Python list of floats would add about 32
+    @pytest.mark.parametrize("cadence, bound", [("day", 88), ("block", 108), ("swap", 118)])
+    def test_peak_memory_per_swap_is_bounded(self, cadence, bound):
+        # the replay-1s benchmark's shape: 200,000 swaps over 83,334 marks
+        marks, records = random_replay(11, n_marks=83_333, n_swaps=200_000, step=12.0,
+                                       overhang=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_baseline(records, marks, 1e3, cadence)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(records), peak / len(records)
 
 
 # The scalar reference replay: one SimPosition per step, built from the

@@ -165,9 +165,9 @@ def _rows(*parts) -> str:
 
 def _write_runs(out: Path, marks: np.ndarray, runs: dict) -> None:
     """Each run's ``<run_id>_returns.csv`` and the plot-ready ``long.csv``
-    (run_id,timestamp,metric,value), a chunk at a time, each column
-    formatted once: the shared ``marks``, and each run's values and
-    :func:`cumulative_roi`.
+    (run_id,timestamp,metric,value), a chunk at a time.  Each run's values
+    and :func:`cumulative_roi` are formatted once; the shared ``marks`` are
+    formatted once per run, and again for ``comparison.csv``.
 
     Run ids are plain labels (no comma or quote), so they go in unquoted.  A
     run's ``cumulative_roi`` rows of ``long.csv`` follow all its ``value``

@@ -242,21 +242,20 @@ def per_block_swap_volume(
 
     Each swap's volume is ``fee / pool_fee`` in its sell token, converted to
     asset units at the swap's own price when the fee was paid in numeraire.
-    ``mark_times`` are a block grid's marks, the start included
-    (``grid.marks.timestamps``), and block ``k`` sums the swaps in
-    ``(mark_times[k], mark_times[k + 1]]``: one volume per block.  A swap at
-    or before the start, or after the last settlement, is in no block.
+    ``mark_times``, a block grid's strictly increasing marks from the start
+    (``grid.marks.timestamps``), cut the log as in :func:`run_baseline`, with
+    ``cut[k]`` swaps at or before mark ``k``: block ``k`` sums swaps
+    ``cut[k]:cut[k + 1]``, those in ``(mark_times[k], mark_times[k + 1]]``.
     """
     _check_pool_fee(pool_fee)
-    mark_times = np.asarray(mark_times, dtype=np.float64)
-    blocks = max(mark_times.size - 1, 0)
     log = as_swap_log(records)
-    if not len(log):
-        return np.zeros(blocks)
-    times = log.timestamp.astype(np.float64)
+    cut = np.searchsorted(log.timestamp, mark_times, "right")  # as run_baseline's
+    blocks = max(cut.size - 1, 0)
+    kept = log[cut[0]:cut[-1]] if blocks else log[:0]
     with np.errstate(over="ignore"):  # the kernel rejects an overflow's inf volume
-        in_numeraire = _token_words(log.fee_token) == _FEE_WORDS[1]
-        sizes = log.fee_amount / pool_fee / np.where(in_numeraire, log.post_price, 1.0)
-    block = np.searchsorted(mark_times, times, side="left") - 1
-    keep = (block >= 0) & (block < blocks)
-    return np.bincount(block[keep], sizes[keep], blocks)
+        in_numeraire = _token_words(kept.fee_token) == _FEE_WORDS[1]
+        sizes = kept.fee_amount / pool_fee / np.where(in_numeraire, kept.post_price, 1.0)
+    counts = np.diff(cut)
+    del cut  # a sweep's marks can outnumber its swaps: hold one per-mark column less
+    volume = np.bincount(np.repeat(np.arange(blocks), counts), sizes, blocks)
+    return volume.astype(np.float64, copy=False)  # integer zeros when no block holds a swap

@@ -38,6 +38,7 @@ from fmamm.market_data import (
 )
 from fmamm.uniswap import SWAP_LOG_DTYPE, load_swap_records, run_baseline
 from test_backtest import state_before
+from test_golden import build_inputs
 
 
 def report(criterion, message):
@@ -244,16 +245,13 @@ REFERENCE_ZERO_NOISE_PP = {
 }
 
 
-@pytest.mark.skipif(
-    "FMAMM_DATA_DIR" not in os.environ,
-    reason="criterion 8 needs external market data: set FMAMM_DATA_DIR to a directory "
-    "containing pairs.json (see README)",
-)
-def test_criterion_8_data_dependent_reproduction():
-    """With user-supplied 2023 data, zero-noise gaps match the reference table."""
-    data_dir = Path(os.environ["FMAMM_DATA_DIR"])
+def zero_noise_gaps(data_dir: Path) -> list[tuple]:
+    """Each entry of ``data_dir``'s ``pairs.json`` as ``(pair, fee, got_pp,
+    expected_pp)``: the zero-noise FM-AMM terminal ROI at fee ``fee`` minus
+    the baseline's, in percentage points, and the gap the entry expects."""
     manifest = json.loads((data_dir / "pairs.json").read_text())
     assert manifest, "pairs.json lists no pairs"
+    gaps = []
     for entry in manifest:
         pair, fee = entry["pair"], float(entry["pool_fee"])
         prices = load_price_series(data_dir / entry["price_csv"], pair)
@@ -263,9 +261,41 @@ def test_criterion_8_data_dependent_reproduction():
         baseline = run_baseline(records, grid.marks, 1.0)
         got_pp = 100.0 * (result.terminal_roi - cumulative_roi(baseline)[-1])
         expected = float(entry.get("expected_diff_pp", REFERENCE_ZERO_NOISE_PP[(pair, fee)]))
+        gaps.append((pair, fee, got_pp, expected))
+    return gaps
+
+
+@pytest.mark.skipif(
+    "FMAMM_DATA_DIR" not in os.environ,
+    reason="criterion 8 needs external market data: set FMAMM_DATA_DIR to a directory "
+    "containing pairs.json (see README)",
+)
+def test_criterion_8_data_dependent_reproduction():
+    """With user-supplied 2023 data, zero-noise gaps match the reference table."""
+    gaps = zero_noise_gaps(Path(os.environ["FMAMM_DATA_DIR"]))
+    for pair, fee, got_pp, expected in gaps:
         assert np.sign(got_pp) == np.sign(expected), (pair, fee, got_pp, expected)
         assert abs(got_pp - expected) <= 0.15, (pair, fee, got_pp, expected)
-    report(8, f"{len(manifest)} pairs within +-0.15pp of the reference gaps")
+    report(8, f"{len(gaps)} pairs within +-0.15pp of the reference gaps")
+
+
+def test_criterion_8_gap_is_the_backtest_command_gap(tmp_path):
+    """On a one-entry data directory built from integers, criterion 8's gap
+    is, bit for bit, the ``terminal_difference_pp`` that ``backtest`` writes
+    for the same files with ``fee = pool_fee``."""
+    build_inputs(tmp_path)
+    data = tmp_path / "data"
+    files = {"price_csv": "prices.csv", "swap_csv": "swaps.csv"}
+    (data / "pairs.json").write_text(json.dumps([{"pair": "WETH-USDT", "pool_fee": 0.003,
+                                                  **files}]))
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"pair": "WETH-USDT", "pool_fee": 0.003, "fee": 0.003,
+                                  **{key: str(data / name) for key, name in files.items()}}))
+    assert main(["backtest", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    [(pair, fee, got_pp, expected)] = zero_noise_gaps(data)
+    assert (pair, fee, expected) == ("WETH-USDT", 0.003, 0.12)
+    assert got_pp == summary["terminal_difference_pp"]
 
 
 def test_criterion_9_determinism(tmp_path):

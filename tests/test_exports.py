@@ -2,11 +2,13 @@
 
 A stale export string in a module that no other module imports by name
 would otherwise go unnoticed until a ``from fmamm.<module> import *``.
-Every third-party module the package imports is a declared dependency.
+Every third-party module the package imports is a declared dependency, and
+every name the benchmark's tracer wraps resolves.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -28,6 +30,30 @@ def test_all_names_resolve_once(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported), sorted(n for n in exported if exported.count(n) > 1)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+# bench/tracing.py times a run by wrapping the (module, attribute) targets of
+# its SPAN_TARGETS and ALLOC_TARGETS where their callers look them up: a
+# missing module crashes a traced run, and a missing name silently zeroes its
+# metric.  These targets are gone already (ROADMAP item 1); no other may go.
+GONE_BENCH_TARGETS = {
+    ("fmamm.backtest", "ReturnComparison.write_csv"), ("fmamm.backtest", "optimal_rebalance"),
+    ("fmamm.backtest", "sample_at"), ("fmamm.backtest", "settle_batch"),
+    ("fmamm.cli", "compare_returns"), ("fmamm.cli", "fee_sweep"),
+    ("fmamm.cli", "noise_volume_sweep"), ("fmamm.market_data", "LpReturnSeries.write_csv"),
+    ("fmamm.uniswap", "sample_at"),
+}
+
+
+def test_names_the_benchmark_wraps_resolve():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = {(module, attr) for module, attr, *_ in tracing.SPAN_TARGETS}
+    targets |= {target for layer in tracing.ALLOC_TARGETS.values() for target in layer}
+    # _resolve imports the target's module, as a traced run does
+    assert sorted(t for t in targets - GONE_BENCH_TARGETS if tracing._resolve(*t) is None) == []
 
 
 def test_names_imported_across_modules_are_exported():

@@ -293,11 +293,11 @@ def run_fmamm_backtest(
     is checked at that settled price.  The loop walks the blocks in chunks,
     so only one chunk's Python floats are alive at a time.  A block without
     noise inside the no-trade band costs one comparison; only blocks that
-    move the pool are logged.  The summary's counts of buy-side and
+    move the pool are logged, with their settled price, and each chunk's
+    fee legs are set from those rows.  The summary's counts of buy-side and
     sell-side rebalances and sign-mixing blocks (where the arbitrageurs'
     order leaves the batch netting to the noise's side) are read off the
-    log's columns.  The log is :attr:`BacktestResult.trades`, the
-    :data:`TRADE_LOG_DTYPE` array the loop wrote, returned uncopied.
+    log's columns, :attr:`BacktestResult.trades`, returned uncopied.
 
     Errors abort the whole run.  A fee outside ``[0, 1)``, a positive noise
     fraction without a ``baseline_volume``, a non-finite noise volume, and
@@ -354,16 +354,15 @@ def run_fmamm_backtest(
     # sends a block with noise to the body (inf would pass when top is inf)
     quiet_run = not (buys.any() or sells.any())
     screen = p_stars if quiet_run else np.where((buys != 0.0) | (sells != 0.0), nan, p_stars)
-    # the trade log, written through its float view; per block the loop fills the
-    # arb trade, y and x after and the fee legs: a block that moves the pool is logged
-    # as (index in chunk, row), scattered at the chunk's end, then filled forward
+    # the trade log, written through its float view; a block that moves the pool is logged
+    # as (index in chunk, arb trade, y and x after, settled price): at the chunk's end y and
+    # x are filled forward, and the fee legs set from the trades, noise legs and prices
     trades = np.zeros(n, TRADE_LOG_DTYPE)
     columns = trades.view(np.float64).reshape(n, 6)
     try:
         for lo in range(0, n, _CHUNK):
             hi = lo + _CHUNK
             log, held = [], [(y, x)]
-            record = log.extend
             screened = screen[lo:hi].tolist()
             ps, bs, ss = (screened, [0.0] * _CHUNK, [0.0] * _CHUNK) if quiet_run else (
                 p_stars[lo:hi].tolist(), buys[lo:hi].tolist(), sells[lo:hi].tolist())
@@ -403,7 +402,7 @@ def run_fmamm_backtest(
                     if not (b or s):
                         continue  # the tie without noise moves nothing either
                     flow = a
-                    arb_flow = fee_n = fee_a = 0.0
+                    arb_flow = 0.0
                 else:
                     # the batch's net trade against the pool, priced once; the
                     # arbitrageurs' effective price there must be the one they pin
@@ -417,15 +416,11 @@ def run_fmamm_backtest(
                         raise ConvergenceError(f"{_where(times, lo + i)}: rebalance left "
                                                f"effective price {pinned} != target {p}")
                     arb_flow = trade * pinned
-                    fee_n = trade * base * tau / keep if trade > 0.0 else 0.0
-                    fee_a = 0.0 if trade > 0.0 else tau * -trade
                 # every order fills at the uniform price: buyers pay base/(1-tau)
                 # and fund the fee in numeraire, sellers get (1-tau)*base and pay
                 # it in asset; all of it stays in the pool
                 if b or s:
                     y += fsum((b * (base / keep), s * (keep * base), arb_flow))
-                    fee_n += b * base * tau / keep
-                    fee_a += tau * -s
                 else:
                     y += arb_flow
                 x -= flow
@@ -436,13 +431,17 @@ def run_fmamm_backtest(
                                      f"and non-negative, got y={y!r}, x={x!r}")
                 spot = y / x if x else nan
                 top, bottom = spot / keep, keep * spot
-                record((i, trade, y, x, fee_n, fee_a))
-            rows = np.empty((len(log) // 6, 6))
+                log += (i, trade, y, x, base)
+            rows = np.empty((len(log) // 5, 5))
             rows.reshape(-1)[:] = log
             at, chunk = rows[:, 0].astype(np.intp), columns[lo:hi, 1:]
-            chunk[at] = rows[:, 1:]
+            trade, base = rows[:, 1], rows[:, 4]
+            chunk[at, 0] = trade
             chunk[:, 1:3] = np.repeat(np.concatenate((held, rows[:, 2:4])),
                                       np.diff(at, prepend=0, append=len(chunk)), axis=0)
+            chunk[at, 3] = (np.where(trade > 0.0, trade, 0.0) * base * tau / keep
+                            + buys[lo:hi][at] * base * tau / keep)
+            chunk[at, 4] = np.where(trade < 0.0, -trade, 0.0) * tau + tau * -sells[lo:hi][at]
     except ArithmeticError as exc:
         raise ValueError(f"{_where(times, lo + i)}: {exc} at reserves y={y!r}, x={x!r}") from exc
 

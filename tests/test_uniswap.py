@@ -24,6 +24,7 @@ from fmamm.market_data import (
 from fmamm.uniswap import (
     _FEE_WORDS,
     _SWAP_FIELD_RULES,
+    COMPOUND_CADENCES,
     FEE_TOKENS,
     SWAP_LOG_DTYPE,
     _token_words,
@@ -561,6 +562,98 @@ class TestBaselineMatchesReference:
                 f"a swap log must be a 1-D array of SWAP_LOG_DTYPE, got an array of dtype "
                 f"{dtype}") + "$"):
             as_swap_log(log)
+
+
+# An independent oracle for the replay (ROADMAP item 14): a full-range
+# constant-product pool, arbitraged on a block grid, writes its own swap log,
+# and a small position in it is valued from the pool's fees as they happen.
+# It shares no code with run_baseline or with reference_baseline.
+
+def constant_product_replay(marks: PriceSeries, liquidity: float, pool_fee: float):
+    """The swap log of a full-range constant-product pool arbitraged at the
+    ``marks``, and per cadence the value at each mark of a position of
+    ``liquidity / 1000`` in that pool.
+
+    The pool starts at the first mark's price.  Each swap pays ``pool_fee``
+    of its input, in the input token, and the fee is kept off the curve, as
+    in v3, so the pool's liquidity ``L`` stays constant.  At each mark whose
+    price ``p`` leaves the band ``[(1 - fee) q, q / (1 - fee)]`` around the
+    pool price ``q``, one arbitrage swap at the mark's time moves ``q`` to
+    the band's near edge: to ``(1 - fee) p`` by buying token0 with token1,
+    to ``p / (1 - fee)`` by selling token0.
+
+    The position ``L_sim`` earns ``L_sim / L`` of each fee.  It is worth
+    ``2 L_sim sqrt(p)`` plus the fees since it last compounded, and
+    compounding at price ``c`` turns those fees, worth ``f0 c + f1``, into
+    ``(f0 c + f1) / (2 sqrt(c))`` more liquidity: after each swap, at its
+    post-swap price (``swap``), or at a mark's price, at every mark
+    (``block``) or at the first mark of each new UTC day (``day``).
+    """
+    keep = 1.0 - pool_fee
+    q = float(marks.prices[0])
+    rows = []
+    # per cadence: the position's liquidity and its uncompounded token0 and token1 fees
+    positions = {cadence: [liquidity / 1000.0, 0.0, 0.0] for cadence in COMPOUND_CADENCES}
+    values = {cadence: [] for cadence in COMPOUND_CADENCES}
+
+    def compound(position, price):
+        held, fee0, fee1 = position
+        position[:] = [held + (fee0 * price + fee1) / (2.0 * math.sqrt(price)), 0.0, 0.0]
+
+    days = np.floor(marks.timestamps / 86400.0)
+    for k, (t, p) in enumerate(zip(marks.timestamps.tolist(), marks.prices.tolist())):
+        if not keep * q <= p <= q / keep:
+            target = keep * p if p > q else p / keep
+            # what reaches the curve: token1 L (sqrt(q') - sqrt(q)) on a buy of
+            # token0, token0 L (1/sqrt(q') - 1/sqrt(q)) on a sale
+            if target > q:
+                token, side, moved = b"token1", 2, liquidity * (math.sqrt(target) - math.sqrt(q))
+            else:
+                token, side, moved = b"token0", 1, liquidity * (1.0 / math.sqrt(target)
+                                                                - 1.0 / math.sqrt(q))
+            fee = moved / keep * pool_fee
+            q = target
+            rows.append((k, int(t), fee, token, liquidity, q))
+            for position in positions.values():
+                position[side] += position[0] / liquidity * fee
+            compound(positions["swap"], q)
+        compound(positions["block"], p)
+        if k and days[k] != days[k - 1]:
+            compound(positions["day"], p)
+        for cadence, (held, fee0, fee1) in positions.items():
+            values[cadence].append(2.0 * held * math.sqrt(p) + fee0 * p + fee1)
+    return log_of(*rows).view(np.recarray), {cadence: np.array(v) for cadence, v in values.items()}
+
+
+class TestConstantProductOracle:
+    LIQUIDITY, POOL_FEE = 1e6, 0.003
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        # 3.5 days from 10:40 UTC on 2-minute blocks, across three UTC midnights
+        path = sample_gbm_path(GbmParams(2000.0, 0.0005, step_seconds=60,
+                                         horizon_seconds=3.5 * 86400, seed=61,
+                                         start_time=1_680_000_000.0))
+        marks = block_grid_series(path, mu=120.0).marks
+        return marks, *constant_product_replay(marks, self.LIQUIDITY, self.POOL_FEE)
+
+    def test_the_pool_trades_both_ways_across_days(self, pool):
+        marks, log, _ = pool
+        assert np.unique(np.floor(marks.timestamps / 86400.0)).size == 4
+        assert 0 < np.count_nonzero(log.fee_token == b"token0") < len(log) < len(marks)
+        # after each swap the mark's price is on the edge of the pool's band
+        p = marks.prices[log.block]
+        keep = 1.0 - self.POOL_FEE
+        edge = np.where(log.fee_token == b"token1", log.post_price / keep, log.post_price * keep)
+        np.testing.assert_allclose(edge, p, rtol=1e-15)
+
+    @pytest.mark.parametrize("cadence", COMPOUND_CADENCES)
+    def test_baseline_matches_the_pool(self, pool, cadence):
+        marks, log, values = pool
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a position of L/1000: no share warning
+            got = run_baseline(log, marks, self.LIQUIDITY / 1000.0, cadence)
+        assert_matches_oracle(got, values[cadence])
 
 
 # bytes a fee token column may hold: NULs (trailing or embedded), other

@@ -6,13 +6,14 @@ counterfactual return studies, ``attack`` for the operator-vs-arbitrageur
 profit bounds, ``mc-risk`` for the spread Monte Carlo, and ``split-demo``
 for the trade-splitting path-dependence table.
 
-A command computes and prints its human-readable table to stdout, and
-returns its :class:`Outputs`.  When ``--out-dir`` is given, :func:`main`
-alone writes them: every numeric result as CSV/JSON alongside a
-``manifest.json`` recording the command, resolved parameters, input digests,
-seed, and tool version, so identical manifests reproduce outputs byte for
-byte (no wall-clock state enters any output).  A failing command writes
-nothing to ``--out-dir`` and does not create it.
+A command computes and returns its :class:`Outputs`; :func:`main` prints
+its stdout lines once it has returned, so a failing command prints no result
+line, and then, when ``--out-dir`` is given, alone writes the rest: every
+numeric result as CSV/JSON alongside a ``manifest.json`` recording the
+command, resolved parameters, input digests, seed, and tool version, so
+identical manifests reproduce outputs byte for byte (no wall-clock state
+enters any output).  A failing command writes nothing to ``--out-dir`` and
+does not create it.
 
 This module alone turns numbers into out-dir CSV text.  Each writer walks
 its columns :data:`CSV_CHUNK_ROWS` rows at a time and holds one chunk of
@@ -87,7 +88,8 @@ def _write_json(path, payload) -> None:
 
 
 class Outputs(NamedTuple):
-    """What a command leaves for ``--out-dir``.
+    """What a command leaves for :func:`main`: its stdout ``lines`` (at
+    least one), and the rest for ``--out-dir``.
 
     ``files`` maps a file name to its JSON payload.  ``runs`` maps a run id
     to its value column, marked at each of ``marks``, the block grid's own
@@ -99,6 +101,7 @@ class Outputs(NamedTuple):
     is not a regular file.
     """
 
+    lines: list[str]
     files: dict
     runs: dict | None = None
     marks: np.ndarray | None = None
@@ -213,11 +216,10 @@ def cmd_quote(args) -> Outputs:
     sign = args.side_sign if args.side_sign is not None else (1.0 if args.trade >= 0 else -1.0)
     base = pre_fee_price(reserves, args.trade, args.fee)
     effective = effective_price(reserves, args.trade, args.fee, sign)
-    print(f"pre-fee price    {base:.6f}")
-    print(f"effective price  {effective:.6f}")
+    lines = [f"pre-fee price    {base:.6f}", f"effective price  {effective:.6f}"]
     if args.trade != 0.0 and args.trade < reserves.x:
-        print(f"cpamm average    {cpamm_average_price(reserves, args.trade):.6f}")
-    return Outputs({"quote.json": {
+        lines.append(f"cpamm average    {cpamm_average_price(reserves, args.trade):.6f}")
+    return Outputs(lines, {"quote.json": {
         "pre_fee_price": base, "effective_price": effective, "net_trade": args.trade,
         "fee": args.fee, "order_sign": sign, "y": reserves.y, "x": reserves.x}})
 
@@ -226,20 +228,20 @@ def cmd_settle(args) -> Outputs:
     reserves = _reserves(args)
     inputs = {}
     batches = load_order_batches(args.orders, inputs)
-    reports = []
+    lines, reports = [], []
     for batch in batches:
         reserves, report = settle_batch(reserves, batch, args.fee)
         reports.append(report.to_dict())
         fills = ", ".join(
             f"{f.order_id}@{f.price:.6f}" for f in report.fills
         )
-        print(
+        lines.append(
             f"block {batch.block_index}: net {report.net_trade:+.6f} "
             f"matched {report.matched_volume:.6f} pre-fee {report.pre_fee_price:.6f} | {fills}"
         )
-    print(f"final reserves: y={reserves.y!r} x={reserves.x!r}")
-    return Outputs({"settlements.json": {"reports": reports,
-                                         "final_reserves": {"y": reserves.y, "x": reserves.x}}},
+    lines.append(f"final reserves: y={reserves.y!r} x={reserves.x!r}")
+    final = {"y": reserves.y, "x": reserves.x}
+    return Outputs(lines, {"settlements.json": {"reports": reports, "final_reserves": final}},
                    inputs=inputs)
 
 
@@ -262,11 +264,10 @@ def _load_scenario(args, inputs: dict, needs_swaps=False):
 def cmd_backtest(args) -> Outputs:
     inputs = {}
     cfg, grid, initial = _load_scenario(args, inputs)
-    # every input is checked before anything is printed
     records = None if cfg.swap_csv is None else load_swap_records(cfg.swap_csv, inputs)
     result = run_fmamm_backtest(grid, cfg.fee, NO_NOISE, initial)
-    print(f"{cfg.pair}: {grid.p_stars.size} blocks, fee {cfg.fee}")
-    print(f"fm_amm terminal roi {result.terminal_roi:+.6%} ({result.n_rebalances} rebalances)")
+    lines = [f"{cfg.pair}: {grid.p_stars.size} blocks, fee {cfg.fee}",
+             f"fm_amm terminal roi {result.terminal_roi:+.6%} ({result.n_rebalances} rebalances)"]
     runs = {"fm_amm": result.values}
     summary = {"config": asdict(cfg), "fm_amm": result.summary}
     files = {"summary.json": summary}
@@ -276,13 +277,13 @@ def cmd_backtest(args) -> Outputs:
         # both venues are marked on the run's block grid
         baseline_roi = float(cumulative_roi(baseline, slice(-1, None))[0])
         gap_pp = 100.0 * (result.terminal_roi - baseline_roi)
-        print(f"uniswap terminal roi {baseline_roi:+.6%}")
-        print(f"difference {gap_pp:+.4f}pp (fm_amm minus uniswap)")
+        lines += [f"uniswap terminal roi {baseline_roi:+.6%}",
+                  f"difference {gap_pp:+.4f}pp (fm_amm minus uniswap)"]
         runs["uniswap_v3_full_range"] = baseline
         summary["uniswap_v3_full_range"] = {"terminal_roi": baseline_roi}
         summary["terminal_difference_pp"] = gap_pp
     # comparison.csv is fm_amm minus uniswap, when there is a baseline
-    return Outputs(files, runs, grid.marks.timestamps, asdict(cfg), inputs, cfg.seed,
+    return Outputs(lines, files, runs, grid.marks.timestamps, asdict(cfg), inputs, cfg.seed,
                    None if records is None else tuple(runs))
 
 
@@ -291,17 +292,15 @@ def cmd_sweep_fees(args) -> Outputs:
     path and start state; a run keeps its values and the numbers printed."""
     inputs = {}
     cfg, grid, initial = _load_scenario(args, inputs)
-    runs, rows = {}, []
+    runs, rows, lines = {}, [], [f"{cfg.pair}: zero-noise terminal roi by fee"]
     for tau in dict.fromkeys(cfg.fee_grid):
         result = run_fmamm_backtest(grid, tau, NO_NOISE, initial)
         runs[sweep_run_id("fee", tau)] = result.values
         rows.append({"fee": tau, "terminal_roi": result.terminal_roi,
                      "n_rebalances": result.n_rebalances})
-    print(f"{cfg.pair}: zero-noise terminal roi by fee")
-    for row in rows:
-        print(f"  fee {format_number(row['fee']):<8} roi {row['terminal_roi']:+.6%}  "
-              f"rebalances {row['n_rebalances']}")
-    return Outputs({"summary.json": {"config": asdict(cfg), "rows": rows}},
+        lines.append(f"  fee {format_number(tau):<8} roi {result.terminal_roi:+.6%}  "
+                     f"rebalances {result.n_rebalances}")
+    return Outputs(lines, {"summary.json": {"config": asdict(cfg), "rows": rows}},
                    runs, grid.marks.timestamps, asdict(cfg), inputs, cfg.seed)
 
 
@@ -321,18 +320,18 @@ def cmd_sweep_noise(args) -> Outputs:
         result = run_fmamm_backtest(grid, cfg.fee, scenario, initial, volume)
         runs[sweep_run_id("noise", fraction)] = result.values
         rois[fraction] = result.terminal_roi
-    print(f"{cfg.pair}: terminal roi by noise fraction (fee {cfg.fee}, {cfg.noise_direction})")
-    print(f"  (fractions are of TOTAL baseline volume; the share of its noise volume "
-          f"assumes ~{NOISE_SHARE_OF_VOLUME:.0%} of volume is noise)")
+    lines = [f"{cfg.pair}: terminal roi by noise fraction (fee {cfg.fee}, {cfg.noise_direction})",
+             f"  (fractions are of TOTAL baseline volume; the share of its noise volume "
+             f"assumes ~{NOISE_SHARE_OF_VOLUME:.0%} of volume is noise)"]
     rows = []
     for fraction, roi in rois.items():
         diff_pp = 100.0 * (roi - rois[0.0])
         noise_share = fraction / NOISE_SHARE_OF_VOLUME
-        print(f"  fraction {format_number(fraction):<6} (~{noise_share:.0%} of noise volume) "
-              f"roi {roi:+.6%}  vs zero-noise {diff_pp:+.4f}pp")
+        lines.append(f"  fraction {format_number(fraction):<6} (~{noise_share:.0%} of noise "
+                     f"volume) roi {roi:+.6%}  vs zero-noise {diff_pp:+.4f}pp")
         rows.append({"fraction": fraction, "approx_noise_volume_share": noise_share,
                      "terminal_roi": roi, "diff_vs_zero_noise_pp": diff_pp})
-    return Outputs({"summary.json": {"config": asdict(cfg), "rows": rows}},
+    return Outputs(lines, {"summary.json": {"config": asdict(cfg), "rows": rows}},
                    runs, grid.marks.timestamps, asdict(cfg), inputs, cfg.seed)
 
 
@@ -340,11 +339,11 @@ def cmd_attack(args) -> Outputs:
     reserves = _reserves(args)
     x_op, op_profit = malicious_operator_attack(reserves, args.p_star)
     x_arb, arb_profit = cpamm_arbitrage_profit(reserves, args.p_star)
-    print(f"batch-operator attack:  trade {x_op:+.6f}  profit {op_profit:.6f}")
-    print(f"cpamm arbitrageur:      trade {x_arb:+.6f}  profit {arb_profit:.6f}")
     ratio = op_profit / arb_profit if arb_profit > 0 else 0.5
-    print(f"operator/cpamm profit ratio: {ratio:.6f}")
-    return Outputs({"attack.json": {
+    lines = [f"batch-operator attack:  trade {x_op:+.6f}  profit {op_profit:.6f}",
+             f"cpamm arbitrageur:      trade {x_arb:+.6f}  profit {arb_profit:.6f}",
+             f"operator/cpamm profit ratio: {ratio:.6f}"]
+    return Outputs(lines, {"attack.json": {
         "p_star": args.p_star, "y": reserves.y, "x": reserves.x,
         "operator_trade": x_op, "operator_profit": op_profit,
         "cpamm_trade": x_arb, "cpamm_profit": arb_profit, "ratio": ratio}})
@@ -363,26 +362,25 @@ def cmd_mc_risk(args) -> Outputs:
     _check_seed(args.seed, "--seed")
     base = np.full(args.n_draws, base_price)
     result = risk_monte_carlo(base, args.epsilon_sd, reserves, args.fee, seed=args.seed)
-    print(f"mean objective, base prices:   {result.mean_value_base:.6f}")
-    print(f"mean objective, spread prices: {result.mean_value_spread:.6f}")
     z = "n/a" if result.z_score is None else f"{result.z_score:.2f}"
-    print(f"difference {result.difference:.6f} (paired se {result.paired_se:.6f}, "
-          f"z {z}, n {result.n_draws})")
-    return Outputs({"mc_risk.json": asdict(result)}, seed=args.seed)
+    lines = [f"mean objective, base prices:   {result.mean_value_base:.6f}",
+             f"mean objective, spread prices: {result.mean_value_spread:.6f}",
+             f"difference {result.difference:.6f} (paired se {result.paired_se:.6f}, "
+             f"z {z}, n {result.n_draws})"]
+    return Outputs(lines, {"mc_risk.json": asdict(result)}, seed=args.seed)
 
 
 def cmd_split_demo(args) -> Outputs:
     reserves = _reserves(args)
-    # every row before the first line, so a failing n prints nothing
-    finals = [split_trade_experiment(reserves, args.trade, n) for n in args.n]
-    print(f"splitting a trade of {args.trade} into n sequential batches:")
-    for n, final in zip(args.n, finals):
-        print(f"  n {n:<8d} final numeraire reserve {final.y:.6f}")
-    rows = [{"n": n, "final_y": final.y, "final_x": final.x} for n, final in zip(args.n, finals)]
+    lines, rows = [f"splitting a trade of {args.trade} into n sequential batches:"], []
+    for n in args.n:
+        final = split_trade_experiment(reserves, args.trade, n)
+        lines.append(f"  n {n:<8d} final numeraire reserve {final.y:.6f}")
+        rows.append({"n": n, "final_y": final.y, "final_x": final.x})
     if args.trade < reserves.x:
         limit = reserves.y * reserves.x / (reserves.x - args.trade)
-        print(f"  constant-product limit       {limit:.6f}")
-    return Outputs({"split_demo.json": {"rows": rows}})
+        lines.append(f"  constant-product limit       {limit:.6f}")
+    return Outputs(lines, {"split_demo.json": {"rows": rows}})
 
 
 def _add_reserves_args(parser) -> None:
@@ -466,6 +464,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         outputs = args.func(args)
+        print(*outputs.lines, sep="\n")
         if args.out_dir is None:
             return 0
         out = Path(args.out_dir)

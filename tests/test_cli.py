@@ -1,14 +1,18 @@
 """Command-line interface tests: outputs, exit codes, and reproducibility."""
 
 import builtins
+import contextlib
+import functools
 import gc
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -18,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmamm
 import fmamm.cli
@@ -1044,9 +1050,9 @@ def contract_cases():
 
 def contract_breach(argv, out_dir, capsys, codes=(0, 2, 3)):
     """How one run of ``argv`` with ``--out-dir`` breaks the exit-code
-    contract, or None: an exit code in ``codes``; ``error:`` and no out-dir
-    on a failure; no nan or inf printed on a success; every out-dir JSON
-    strict."""
+    contract, or None: an exit code in ``codes``; ``error:``, no stdout and
+    no out-dir on a failure; no nan or inf printed on a success; every
+    out-dir JSON strict."""
     try:
         code = main(argv + ["--out-dir", str(out_dir)])
     except SystemExit as exc:  # argparse rejects the value
@@ -1058,6 +1064,8 @@ def contract_breach(argv, out_dir, capsys, codes=(0, 2, 3)):
         return f"exit {code}"
     if code and ("error:" not in err or out_dir.exists()):
         return "no error line, or an out-dir left"
+    if code and out:
+        return "a result line printed"
     if not code and re.search(r"\b(nan|inf)\b", out, re.IGNORECASE):
         return "nan or inf printed"
     for path in out_dir.glob("*.json"):
@@ -1167,6 +1175,110 @@ class TestExitCodeContract:
                     if breach:
                         broken.append((key, extreme, command, breach))
         assert not broken, (len(broken), broken[:10])
+
+    @pytest.mark.parametrize("command, message", [
+        ("backtest", "baseline value is not finite at mark 1680307212"),
+        ("settle", "trade 100.0 is at or beyond the price pole x/2 = 4.5"),
+        ("quote", "cpamm price denominator overflows"),
+    ], ids=["backtest", "settle", "quote"])
+    def test_late_failure_prints_no_result_line(self, tmp_path, capsys, command, message):
+        """Each command fails only after it has some results in hand: the
+        baseline overflows after the FM-AMM run, the second batch reaches the
+        pole after the first settles, and the CPAMM average overflows after
+        both prices.  It prints none of them."""
+        (tmp_path / "prices.csv").write_text(
+            "timestamp,price\n1680307200,2000.0\n1680307212,2100.0\n1680307224,2050.0\n")
+        (tmp_path / "swaps.csv").write_text(
+            "block,timestamp,fee_amount,fee_token,active_liquidity,post_price\n"
+            "1,1680307201,1e300,token0,1e-300,2000.0\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "pair": "A-B", "price_csv": str(tmp_path / "prices.csv"),
+            "swap_csv": str(tmp_path / "swaps.csv"), "pool_fee": 0.003,
+            "baseline_liquidity": 1e-303}))
+        (tmp_path / "orders.jsonl").write_text(
+            '{"block": 1, "trader_kind": "noise", "amount": 1.0}\n'
+            '{"block": 2, "trader_kind": "noise", "amount": 100.0}\n')
+        argv = {
+            "backtest": ["--config", str(tmp_path / "cfg.json")],
+            "settle": RESERVES + ["--orders", str(tmp_path / "orders.jsonl")],
+            "quote": ["--y", "1", "--x-reserve", "1e308", "--trade=-1.5e308", "--fee", "0.9"],
+        }[command]
+        assert main([command] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+# a small valid scenario for the malformed-input property: 45 price rows, 15
+# swaps and two order batches, which run clean (no warning) through backtest,
+# sweep-noise and settle
+MALFORMED_ORDERS = ['{"block": 1, "trader_kind": "noise", "amount": 1.0}',
+                    '{"block": 1, "trader_kind": "arbitrageur", "amount": -0.5}',
+                    '{"block": 2, "trader_kind": "noise", "amount": -1.0}',
+                    '{"block": 2, "trader_kind": "noise", "amount": 0.25}']
+
+
+@functools.cache
+def clean_inputs() -> dict:
+    """Each input file's lines, by name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp)
+        write_swap_csv(data / "swaps.csv", write_price_csv(data / "prices.csv", blocks=44))
+        lines = {name: (data / name).read_text().splitlines()
+                 for name in ("prices.csv", "swaps.csv")}
+    return {**lines, "orders.jsonl": MALFORMED_ORDERS}
+
+
+@st.composite
+def corrupted_input(draw):
+    """A command, the input it reads that is corrupted, and that input's
+    lines with one data line corrupted."""
+    command = draw(st.sampled_from(["backtest", "sweep-noise", "settle"]))
+    csvs = st.sampled_from(["prices.csv", "swaps.csv"])
+    name = "orders.jsonl" if command == "settle" else draw(csvs)
+    lines = list(clean_inputs()[name])
+    i = draw(st.integers(0 if name == "orders.jsonl" else 1, len(lines) - 1))  # not a header
+    kinds = ["brace"] if name == "orders.jsonl" else ["field", "last field"]
+    kind = draw(st.sampled_from(kinds + ["swap"] * (i + 1 < len(lines))))
+    if kind == "field":
+        fields = lines[i].split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = "x"
+        lines[i] = ",".join(fields)
+    elif kind == "last field":
+        lines[i] = lines[i].rsplit(",", 1)[0]
+    elif kind == "brace":
+        lines[i] = lines[i].removesuffix("}")
+    else:
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return command, name, lines
+
+
+class TestMalformedInput:
+    @settings(max_examples=100, deadline=None)
+    @given(corrupted_input())
+    def test_one_corrupted_line_prints_one_error_line_and_no_result(self, case):
+        """Exit 0, or exit 2 with empty stdout and, last on stderr, one
+        ``error:`` line that names the corrupted file; a traceback or a
+        warning escapes ``main`` and fails the test."""
+        command, name, lines = case
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp)
+            for each, clean in clean_inputs().items():
+                (data / each).write_text("\n".join(lines if each == name else clean) + "\n")
+            cfg = write_config(data / "cfg.json", data / "prices.csv", data / "swaps.csv",
+                               noise_fractions=[0.1])
+            argv = (RESERVES + ["--orders", str(data / name)] if command == "settle"
+                    else ["--config", str(cfg)])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command] + argv)
+        out, err = out.getvalue(), err.getvalue().splitlines()
+        assert code in (0, 2)
+        if code == 0:
+            assert out and not any(line.startswith("error:") for line in err)
+        else:
+            assert out == "" and err[-1].startswith("error:") and str(data / name) in err[-1]
+            assert sum(line.startswith("error:") for line in err) == 1
 
 
 class TestParser:

@@ -569,7 +569,7 @@ class TestBaselineMatchesReference:
 # and a small position in it is valued from the pool's fees as they happen.
 # It shares no code with run_baseline or with reference_baseline.
 
-def constant_product_replay(marks: PriceSeries, liquidity: float, pool_fee: float):
+def constant_product_replay(marks: PriceSeries, liquidity: float, pool_fee: float, seed=None):
     """The swap log of a full-range constant-product pool arbitraged at the
     ``marks``, and per cadence the value at each mark of a position of
     ``liquidity / 1000`` in that pool.
@@ -581,6 +581,14 @@ def constant_product_replay(marks: PriceSeries, liquidity: float, pool_fee: floa
     pool price ``q``, one arbitrage swap at the mark's time moves ``q`` to
     the band's near edge: to ``(1 - fee) p`` by buying token0 with token1,
     to ``p / (1 - fee)`` by selling token0.
+
+    With a ``seed``, noise swaps come between the arbitrage: about three per
+    mark, at whole seconds from 600 s before the first mark to the last
+    mark, a tenth of them moved onto a mark's own time.  Each has a side and
+    a size, a move of up to 0.05% in ``sqrt(q)`` on a buy of token0 (in
+    ``1 / sqrt(q)`` on a sale), and is priced on the same curve.  A mark
+    accrues the noise swaps at or before its time ahead of its own
+    arbitrage swap.
 
     The position ``L_sim`` earns ``L_sim / L`` of each fee.  It is worth
     ``2 L_sim sqrt(p)`` plus the fees since it last compounded, and
@@ -600,23 +608,43 @@ def constant_product_replay(marks: PriceSeries, liquidity: float, pool_fee: floa
         held, fee0, fee1 = position
         position[:] = [held + (fee0 * price + fee1) / (2.0 * math.sqrt(price)), 0.0, 0.0]
 
+    def swap(block, t, target):
+        """One swap in ``block`` at time ``t`` that moves the pool price to ``target``."""
+        nonlocal q
+        # what reaches the curve: token1 L (sqrt(q') - sqrt(q)) on a buy of
+        # token0, token0 L (1/sqrt(q') - 1/sqrt(q)) on a sale
+        if target > q:
+            token, side, moved = b"token1", 2, liquidity * (math.sqrt(target) - math.sqrt(q))
+        else:
+            token, side, moved = b"token0", 1, liquidity * (1.0 / math.sqrt(target)
+                                                            - 1.0 / math.sqrt(q))
+        fee = moved / keep * pool_fee
+        q = target
+        rows.append((block, t, fee, token, liquidity, q))
+        for position in positions.values():
+            position[side] += position[0] / liquidity * fee
+        compound(positions["swap"], q)
+
+    times, moves, buys = [], [], []
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        count = 3 * len(marks)
+        times = rng.integers(int(marks.timestamps[0]) - 600, int(marks.timestamps[-1]), count,
+                             endpoint=True)
+        on_mark = rng.random(count) < 0.1
+        times[on_mark] = rng.choice(marks.timestamps.astype(np.int64), on_mark.sum())
+        times = np.sort(times).tolist()
+        moves = ((1.0 + rng.uniform(0.0, 5e-4, count)) ** 2).tolist()
+        buys = (rng.random(count) < 0.5).tolist()
+
     days = np.floor(marks.timestamps / 86400.0)
+    j = 0
     for k, (t, p) in enumerate(zip(marks.timestamps.tolist(), marks.prices.tolist())):
+        while j < len(times) and times[j] <= t:
+            swap(k, times[j], q * moves[j] if buys[j] else q / moves[j])
+            j += 1
         if not keep * q <= p <= q / keep:
-            target = keep * p if p > q else p / keep
-            # what reaches the curve: token1 L (sqrt(q') - sqrt(q)) on a buy of
-            # token0, token0 L (1/sqrt(q') - 1/sqrt(q)) on a sale
-            if target > q:
-                token, side, moved = b"token1", 2, liquidity * (math.sqrt(target) - math.sqrt(q))
-            else:
-                token, side, moved = b"token0", 1, liquidity * (1.0 / math.sqrt(target)
-                                                                - 1.0 / math.sqrt(q))
-            fee = moved / keep * pool_fee
-            q = target
-            rows.append((k, int(t), fee, token, liquidity, q))
-            for position in positions.values():
-                position[side] += position[0] / liquidity * fee
-            compound(positions["swap"], q)
+            swap(k, int(t), keep * p if p > q else p / keep)
         compound(positions["block"], p)
         if k and days[k] != days[k - 1]:
             compound(positions["day"], p)
@@ -629,13 +657,20 @@ class TestConstantProductOracle:
     LIQUIDITY, POOL_FEE = 1e6, 0.003
 
     @pytest.fixture(scope="class")
-    def pool(self):
+    def marks(self):
         # 3.5 days from 10:40 UTC on 2-minute blocks, across three UTC midnights
         path = sample_gbm_path(GbmParams(2000.0, 0.0005, step_seconds=60,
                                          horizon_seconds=3.5 * 86400, seed=61,
                                          start_time=1_680_000_000.0))
-        marks = block_grid_series(path, mu=120.0).marks
+        return block_grid_series(path, mu=120.0).marks
+
+    @pytest.fixture(scope="class")
+    def pool(self, marks):
         return marks, *constant_product_replay(marks, self.LIQUIDITY, self.POOL_FEE)
+
+    @pytest.fixture(scope="class")
+    def noisy_pool(self, marks):
+        return marks, *constant_product_replay(marks, self.LIQUIDITY, self.POOL_FEE, seed=62)
 
     def test_the_pool_trades_both_ways_across_days(self, pool):
         marks, log, _ = pool
@@ -652,6 +687,24 @@ class TestConstantProductOracle:
         marks, log, values = pool
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a position of L/1000: no share warning
+            got = run_baseline(log, marks, self.LIQUIDITY / 1000.0, cadence)
+        assert_matches_oracle(got, values[cadence])
+
+    def test_noise_swaps_fall_between_on_and_before_the_marks(self, noisy_pool):
+        marks, log, _ = noisy_pool
+        t, first, last = log.timestamp, marks.timestamps[0], marks.timestamps[-1]
+        assert np.count_nonzero(t < first) > 1 and np.count_nonzero(t == first) >= 1
+        assert np.isin(t, marks.timestamps[1:]).sum() > len(marks) // 20 and t[-1] <= last
+        assert np.bincount(log.block)[1:].max() >= 6  # several swaps in one later block
+        assert 0.3 < np.count_nonzero(log.fee_token == b"token0") / len(log) < 0.7
+
+    @pytest.mark.parametrize("cadence", COMPOUND_CADENCES)
+    def test_baseline_matches_the_noisy_pool(self, noisy_pool, cadence):
+        """Noise swaps put several swaps in a block, and ``day`` carries
+        pending fees across many of them."""
+        marks, log, values = noisy_pool
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing after the last mark, no share warning
             got = run_baseline(log, marks, self.LIQUIDITY / 1000.0, cadence)
         assert_matches_oracle(got, values[cadence])
 

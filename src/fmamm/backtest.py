@@ -308,7 +308,8 @@ def run_fmamm_backtest(
     more) raises :class:`InfeasibleTradeError` naming the block and its
     settlement time.  A rebalance that misses the external price it pins
     raises :class:`ConvergenceError`.  Reserves that stop being finite and
-    non-negative raise ``ValueError`` naming the first such block.  On the
+    non-negative raise ``ValueError`` naming the first such block, and a
+    marked value that overflows names the first such mark.  On the
     command line these are exit code 2, except 3 for the pin.
     """
     _check_fee(tau)
@@ -453,7 +454,13 @@ def run_fmamm_backtest(
     mixing = buy & (net_trade < 0.0) | sell & (net_trade > 0.0)
 
     # marked at the settlement-time price, as the baseline is, whatever the latency
-    out_values = np.concatenate(([initial.value_at(p0)], y_after + marks.prices[1:] * x_after))
+    with np.errstate(over="ignore"):  # a value that overflows is rejected below
+        out_values = np.concatenate(([initial.value_at(p0)], y_after + marks.prices[1:] * x_after))
+    bad = ~np.isfinite(out_values)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"fm_amm value is not finite at mark {format_number(marks.timestamps[k])} "
+                         f"(price {float(marks.prices[k])!r})")
     out_values.setflags(write=False)
     summary = {
         "venue": "fm_amm",

@@ -6,14 +6,15 @@ counterfactual return studies, ``attack`` for the operator-vs-arbitrageur
 profit bounds, ``mc-risk`` for the spread Monte Carlo, and ``split-demo``
 for the trade-splitting path-dependence table.
 
-A command computes and returns its :class:`Outputs`; :func:`main` prints
-its stdout lines once it has returned, so a failing command prints no result
-line, and then, when ``--out-dir`` is given, alone writes the rest: every
+A command computes and returns its :class:`Outputs`.  Once it has returned,
+:func:`main` alone writes the rest when ``--out-dir`` is given: every
 numeric result as CSV/JSON alongside a ``manifest.json`` recording the
 command, resolved parameters, input digests, seed, and tool version, so
 identical manifests reproduce outputs byte for byte (no wall-clock state
-enters any output).  A failing command writes nothing to ``--out-dir`` and
-does not create it.
+enters any output).  Then it prints the stdout lines, so a failing command,
+or an out-dir that cannot be written, prints no result line.  A failing
+command writes nothing to ``--out-dir`` and does not create it; a write that
+fails part way leaves the files written before it.
 
 This module alone turns numbers into out-dir CSV text.  Each writer walks
 its columns :data:`CSV_CHUNK_ROWS` rows at a time and holds one chunk of
@@ -464,25 +465,24 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         outputs = args.func(args)
+        if args.out_dir is not None:
+            out = Path(args.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            if outputs.runs:
+                _write_runs(out, outputs.marks, outputs.runs)
+            if outputs.compared:
+                a, b = (outputs.runs[run_id] for run_id in outputs.compared)
+                _write_comparison(out / "comparison.csv", outputs.marks, a, b)
+            for name, payload in outputs.files.items():
+                _write_json(out / name, payload)
+            parameters = outputs.parameters
+            if parameters is None:
+                parameters = {k: v for k, v in vars(args).items() if not callable(v)}
+            _write_json(out / "manifest.json", {
+                "command": args.command, "config": getattr(args, "config", None),
+                "parameters": parameters, "inputs": outputs.inputs or {},
+                "seed": outputs.seed, "version": __version__})
         print(*outputs.lines, sep="\n")
-        if args.out_dir is None:
-            return 0
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        if outputs.runs:
-            _write_runs(out, outputs.marks, outputs.runs)
-        if outputs.compared:
-            a, b = (outputs.runs[run_id] for run_id in outputs.compared)
-            _write_comparison(out / "comparison.csv", outputs.marks, a, b)
-        for name, payload in outputs.files.items():
-            _write_json(out / name, payload)
-        parameters = outputs.parameters
-        if parameters is None:
-            parameters = {k: v for k, v in vars(args).items() if not callable(v)}
-        _write_json(out / "manifest.json", {
-            "command": args.command, "config": getattr(args, "config", None),
-            "parameters": parameters, "inputs": outputs.inputs or {},
-            "seed": outputs.seed, "version": __version__})
         return 0
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

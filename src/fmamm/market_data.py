@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "PriceDataError",
     "PriceSeries",
     "GbmParams",
     "load_price_series",
@@ -44,10 +43,6 @@ __all__ = [
     "cumulative_roi",
     "format_number",
 ]
-
-
-class PriceDataError(ValueError):
-    """Price input failed validation (schema, ordering, or coverage)."""
 
 
 def _price_fault(timestamps, prices) -> tuple[int, str] | None:
@@ -69,7 +64,7 @@ def _price_fault(timestamps, prices) -> tuple[int, str] | None:
 @dataclass(frozen=True)
 class PriceSeries:
     """External equilibrium prices for one pair: finite positive prices at
-    finite, strictly increasing timestamps (:class:`PriceDataError` otherwise)."""
+    finite, strictly increasing timestamps (``ValueError`` otherwise)."""
 
     pair: str
     timestamps: np.ndarray
@@ -78,12 +73,12 @@ class PriceSeries:
     def __post_init__(self) -> None:
         ts, px = np.array(self.timestamps, np.float64), np.array(self.prices, np.float64)
         if ts.size == 0:
-            raise PriceDataError(f"{self.pair}: empty price series")
+            raise ValueError(f"{self.pair}: empty price series")
         if ts.shape != px.shape:
-            raise PriceDataError(f"{self.pair}: {ts.size} timestamps vs {px.size} prices")
+            raise ValueError(f"{self.pair}: {ts.size} timestamps vs {px.size} prices")
         fault = _price_fault(ts, px)
         if fault is not None:
-            raise PriceDataError(f"{self.pair}: point {fault[0]}: {fault[1]}")
+            raise ValueError(f"{self.pair}: point {fault[0]}: {fault[1]}")
         ts.setflags(write=False)
         px.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
@@ -148,7 +143,7 @@ def _digest(fh) -> str | None:
     return digest.hexdigest()
 
 
-def _read_csv(path, dtype: np.dtype, rule, error=ValueError, digests=None) -> np.ndarray:
+def _read_csv(path, dtype: np.dtype, rule, digests=None) -> np.ndarray:
     """Every data row of a CSV as one ``dtype`` array that ``rule`` accepts.
 
     ``rule(rows)`` gives the first row that breaks the file's rule and why,
@@ -175,7 +170,7 @@ def _read_csv(path, dtype: np.dtype, rule, error=ValueError, digests=None) -> np
                 return rows
         # a pipe or FIFO cannot seek back for the row reader: it is parsed from memory
         rows = _parse_csv(path, fh if digest else io.StringIO(fh.read(), newline=""), dtype,
-                          rule, error)
+                          rule)
         after = os.fstat(fh.fileno())
     # a file edited while it was read is not cached, nor one with no rows
     # (which a loader may still reject: a price file needs one)
@@ -234,23 +229,23 @@ def _store_rows(entry: Path, path, rows: np.ndarray) -> None:
             pass
 
 
-def _parse_csv(path, fh, dtype: np.dtype, rule, error) -> np.ndarray:
+def _parse_csv(path, fh, dtype: np.dtype, rule) -> np.ndarray:
     """The rows of an open CSV (text, ``newline=""``) for :func:`_read_csv`.
 
     The header is ``dtype``'s field names (case and spaces aside, extra
     trailing names allowed).  ``np.loadtxt`` reads only the named columns,
     with the csv module's quoting, so extra columns take the one-call parse
     too.  Only a file that ``np.loadtxt`` or the rule rejects goes on to
-    :func:`_read_rows`, which raises ``error`` naming ``path:line``.
+    :func:`_read_rows`, which raises ``ValueError`` naming ``path:line``.
     """
     names = list(dtype.names)
     reader = csv.reader(fh)
     try:
         header = next(reader, None)
     except csv.Error as exc:
-        raise error(f"{path}:1: {exc}") from exc
+        raise ValueError(f"{path}:1: {exc}") from exc
     if [h.strip().lower() for h in (header or [])[: len(names)]] != names:
-        raise error(f"{path}:1: expected header {','.join(names)!r}, got {header}")
+        raise ValueError(f"{path}:1: expected header {','.join(names)!r}, got {header}")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on an empty body
@@ -262,10 +257,10 @@ def _parse_csv(path, fh, dtype: np.dtype, rule, error) -> np.ndarray:
         pass
     fh.seek(0)
     next(reader)
-    return _read_rows(path, reader, dtype, rule, error)
+    return _read_rows(path, reader, dtype, rule)
 
 
-def _read_rows(path, reader, dtype: np.dtype, rule, error) -> np.ndarray:
+def _read_rows(path, reader, dtype: np.dtype, rule) -> np.ndarray:
     """The row-by-row reader behind :func:`_read_csv`, from line 2 on.
 
     Each field goes through Python's ``int`` (within 64 bits) or ``float``,
@@ -293,7 +288,7 @@ def _read_rows(path, reader, dtype: np.dtype, rule, error) -> np.ndarray:
     if fault is not None:
         failure = f"{lines[fault[0]]}: {fault[1]}"
     if failure is not None:
-        raise error(f"{path}:{failure}")
+        raise ValueError(f"{path}:{failure}")
     return rows
 
 
@@ -306,10 +301,9 @@ def load_price_series(path, pair: str, digests=None) -> PriceSeries:
     ``digests``, when given, gets the file's SHA-256 under ``str(path)``.
     """
     rows = _read_csv(path, _PRICE_ROW_DTYPE,
-                     lambda rows: _price_fault(rows["timestamp"], rows["price"]), PriceDataError,
-                     digests)
+                     lambda rows: _price_fault(rows["timestamp"], rows["price"]), digests)
     if not rows.size:
-        raise PriceDataError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return PriceSeries(pair, rows["timestamp"], rows["price"])
 
 

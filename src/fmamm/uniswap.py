@@ -19,8 +19,9 @@ columnar swap log (:data:`SWAP_LOG_DTYPE`) by :mod:`fmamm.market_data`'s one
 CSV reader; every log meets the swap rule.  Its ``fee_token`` is ASCII
 bytes, to be compared with :data:`FEE_TOKENS` (a ``str`` matches no row).
 The log is the one input form: :func:`run_baseline` and
-:func:`per_block_swap_volume` take only such an array, which
-:func:`as_swap_log` checks.  :func:`run_baseline` replays it in closed
+:func:`per_block_swap_volume` take only such an array, which one function,
+:func:`_cut`, checks, cuts at the price marks and reports the swaps after
+the last mark for both.  :func:`run_baseline` replays it in closed
 form: ``L`` is constant between compounding points, so one cumulative
 product of per-point growth factors serves every cadence, with one rule for
 swaps outside the price marks.  It agrees with a per-record replay within
@@ -122,6 +123,19 @@ def as_swap_log(log) -> np.recarray:
     return log.view(np.recarray)
 
 
+def _cut(records, marks: np.ndarray) -> tuple[np.recarray, np.ndarray]:
+    """``records`` checked as a swap log (:func:`as_swap_log`), and ``cut[k]``,
+    its swaps at or before each of the ``marks``; those after the last mark
+    (all, with no marks) are ignored with a warning naming the caller's caller."""
+    log = as_swap_log(records)
+    cut = np.searchsorted(log.timestamp, marks, "right")
+    ignored = len(log) - (int(cut[-1]) if cut.size else 0)
+    if ignored:
+        warnings.warn(f"{ignored} swap records after the last price mark were ignored",
+                      stacklevel=3)
+    return log, cut
+
+
 def _check_cadence(cadence: str, name: str = "compound_cadence") -> None:
     if cadence not in COMPOUND_CADENCES:
         raise ValueError(f"{name} must be one of {COMPOUND_CADENCES}, got {cadence!r}")
@@ -153,7 +167,8 @@ def run_baseline(
     mark of each new UTC day); ``swap`` compounds after each swap at its own
     ``post_price``, the pool's price right after it.  A swap before
     the first mark is accrued at the first mark, and one after the last
-    mark is ignored with a warning.  A position above 1% of the smallest
+    mark is ignored with a warning (:func:`_cut`, as for
+    :func:`per_block_swap_volume`).  A position above 1% of the smallest
     ``active_liquidity`` among the replayed swaps (ignored ones do not
     count) warns that the small-position approximation may be poor.
     ``initial_liquidity`` is a normal float, like every size (at least
@@ -162,18 +177,13 @@ def run_baseline(
     """
     _check_size(initial_liquidity, "initial_liquidity")
     _check_cadence(compound_cadence)
-    log = as_swap_log(records)
-
     marks, prices = price_series.timestamps, price_series.prices
-    cut = np.searchsorted(log.timestamp, marks, "right")  # swaps accrued by each mark
+    log, cut = _cut(records, marks)  # cut[k] swaps accrued by mark k
     kept = int(cut[-1])
     share = float(initial_liquidity / log.active_liquidity[:kept].min()) if kept else 0.0
     if share > 0.01:
-        warnings.warn(
-            f"position is {share:.1%} of active liquidity; the small-position "
-            "approximation may be poor",
-            stacklevel=2,
-        )
+        warnings.warn(f"position is {share:.1%} of active liquidity; the small-position "
+                      "approximation may be poor", stacklevel=2)
     # an overflow's inf or NaN reaches the values, which are checked below
     with np.errstate(over="ignore", invalid="ignore"):
         per_liquidity = log.fee_amount[:kept] / log.active_liquidity[:kept]
@@ -215,11 +225,6 @@ def run_baseline(
         raise ValueError(f"baseline value is not finite at mark {format_number(marks[k])} "
                          f"(price {float(prices[k])!r}) with initial_liquidity "
                          f"{initial_liquidity!r}")
-    if kept < len(log):
-        warnings.warn(
-            f"{len(log) - kept} swap records after the last price mark were ignored",
-            stacklevel=2,
-        )
     values.setflags(write=False)
     return values
 
@@ -231,7 +236,7 @@ def load_swap_records(path, digests=None) -> np.recarray:
     never decrease).  ``len`` of the log is the number of data rows.
     ``digests``, when given, gets the file's SHA-256 under ``str(path)``.
     """
-    return _read_csv(path, SWAP_LOG_DTYPE, _swap_fault, ValueError, digests).view(np.recarray)
+    return _read_csv(path, SWAP_LOG_DTYPE, _swap_fault, digests).view(np.recarray)
 
 
 def per_block_swap_volume(
@@ -243,13 +248,12 @@ def per_block_swap_volume(
     Each swap's volume is ``fee / pool_fee`` in its sell token, converted to
     asset units at the swap's own price when the fee was paid in numeraire.
     ``mark_times``, a block grid's strictly increasing marks from the start
-    (``grid.marks.timestamps``), cut the log as in :func:`run_baseline`, with
-    ``cut[k]`` swaps at or before mark ``k``: block ``k`` sums swaps
+    (``grid.marks.timestamps``), cut the log by :func:`_cut`, with its
+    warning, as for :func:`run_baseline`: block ``k`` sums swaps
     ``cut[k]:cut[k + 1]``, those in ``(mark_times[k], mark_times[k + 1]]``.
     """
     _check_pool_fee(pool_fee)
-    log = as_swap_log(records)
-    cut = np.searchsorted(log.timestamp, mark_times, "right")  # as run_baseline's
+    log, cut = _cut(records, mark_times)
     blocks = max(cut.size - 1, 0)
     kept = log[cut[0]:cut[-1]] if blocks else log[:0]
     with np.errstate(over="ignore"):  # the kernel rejects an overflow's inf volume

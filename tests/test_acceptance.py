@@ -8,6 +8,7 @@ needs externally supplied market data and is skipped unless
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from fmamm.amm import (
 )
 from fmamm.arbitrage import cpamm_arbitrage_profit, malicious_operator_attack, optimal_rebalance
 from fmamm.backtest import (
+    NO_NOISE,
     balanced_reserves,
     block_grid_series,
     risk_monte_carlo,
@@ -37,8 +39,9 @@ from fmamm.market_data import (
     sample_gbm_path,
 )
 from fmamm.uniswap import SWAP_LOG_DTYPE, load_swap_records, run_baseline
-from test_backtest import state_before
-from test_golden import build_inputs
+from test_backtest import reference_backtest, state_before
+from test_golden import _lcg, build_inputs
+from test_uniswap import constant_product_replay
 
 
 def report(criterion, message):
@@ -265,6 +268,13 @@ def zero_noise_gaps(data_dir: Path) -> list[tuple]:
     return gaps
 
 
+def assert_gaps_match(gaps) -> None:
+    """Criterion 8's test of each gap: the expected sign, within 0.15 pp."""
+    for pair, fee, got_pp, expected in gaps:
+        assert np.sign(got_pp) == np.sign(expected), (pair, fee, got_pp, expected)
+        assert abs(got_pp - expected) <= 0.15, (pair, fee, got_pp, expected)
+
+
 @pytest.mark.skipif(
     "FMAMM_DATA_DIR" not in os.environ,
     reason="criterion 8 needs external market data: set FMAMM_DATA_DIR to a directory "
@@ -273,10 +283,81 @@ def zero_noise_gaps(data_dir: Path) -> list[tuple]:
 def test_criterion_8_data_dependent_reproduction():
     """With user-supplied 2023 data, zero-noise gaps match the reference table."""
     gaps = zero_noise_gaps(Path(os.environ["FMAMM_DATA_DIR"]))
-    for pair, fee, got_pp, expected in gaps:
-        assert np.sign(got_pp) == np.sign(expected), (pair, fee, got_pp, expected)
-        assert abs(got_pp - expected) <= 0.15, (pair, fee, got_pp, expected)
+    assert_gaps_match(gaps)
     report(8, f"{len(gaps)} pairs within +-0.15pp of the reference gaps")
+
+
+# The rehearsal's price paths, by pair: the start price in units of
+# 10**-places, and the largest 12-second step in hundred-thousandths of the
+# price, from a quiet WBTC-WETH to a volatile MATIC-WETH
+REHEARSAL_PATHS = {
+    "WBTC-WETH": (15_500_000, 6, 30),
+    "WBTC-USDT": (2_850_000, 2, 150),
+    "WBTC-USDC": (2_850_000, 2, 150),
+    "WETH-USDT": (18_500_000, 4, 600),
+    "WETH-USDC": (18_500_000, 4, 600),
+    "UNI-WETH": (28_000_000, 10, 400),
+    "LINK-WETH": (39_000_000, 10, 500),
+    "LDO-WETH": (11_000_000, 10, 1000),
+    "MATIC-WETH": (5_700_000, 10, 1500),
+}
+REHEARSAL_START = 1_680_307_200  # 2023-04-01 00:00 UTC
+REHEARSAL_BLOCKS = 1200
+
+
+def write_rehearsal(data_dir: Path) -> None:
+    """A criterion 8 data directory of synthetic pairs whose gaps are known:
+    one entry per key of :data:`REFERENCE_ZERO_NOISE_PP`.
+
+    Each price path is built from integers and written as decimal text, so
+    it parses to the same floats everywhere.  Each swap log is the one a
+    constant-product pool of liquidity 1000 at the entry's pool fee writes,
+    arbitraged at the marks and traded by noise between them
+    (``test_uniswap.constant_product_replay``), none after the last mark.
+    Each ``expected_diff_pp`` comes from oracles that share no code with the
+    kernel or the replay: the per-block reference backtest for the FM-AMM,
+    and the pool's own position of liquidity 1 for the baseline.
+    """
+    data_dir.mkdir(parents=True, exist_ok=True)
+    manifest = []
+    for i, (pair, fee) in enumerate(REFERENCE_ZERO_NOISE_PP):
+        level, places, step = REHEARSAL_PATHS[pair]
+        draws, texts = _lcg(i + 1), []
+        for _ in range(REHEARSAL_BLOCKS + 1):
+            texts.append(f"{level // 10**places}.{level % 10**places:0{places}d}")
+            level += level * (next(draws) % (2 * step + 1) - step) // 100_000
+        times = REHEARSAL_START + 12 * np.arange(REHEARSAL_BLOCKS + 1)
+        marks = PriceSeries(pair, times, [float(text) for text in texts])
+        log, pool_values = constant_product_replay(marks, 1000.0, fee, seed=i + 1)
+        fm_values = reference_backtest(marks, fee, NO_NOISE)[1]
+        name = f"{pair}-{fee}"
+        (data_dir / f"{name}-prices.csv").write_text("timestamp,price\n" + "".join(
+            f"{t},{text}\n" for t, text in zip(times.tolist(), texts)))
+        (data_dir / f"{name}-swaps.csv").write_text(
+            "block,timestamp,fee_amount,fee_token,active_liquidity,post_price\n" + "".join(
+                f"{b},{t},{f!r},{k.decode()},{a!r},{p!r}\n" for b, t, f, k, a, p in log.tolist()))
+        baseline = pool_values["block"]
+        gap = (fm_values[-1] / fm_values[0]) - (baseline[-1] / baseline[0])
+        manifest.append({"pair": pair, "pool_fee": fee, "price_csv": f"{name}-prices.csv",
+                         "swap_csv": f"{name}-swaps.csv", "expected_diff_pp": 100.0 * gap})
+    (data_dir / "pairs.json").write_text(json.dumps(manifest, indent=1) + "\n")
+
+
+def test_criterion_8_rehearsal(tmp_path):
+    """Criterion 8's path and assertions on the rehearsal's directory, whose
+    gaps the oracles know; the run raises no warning."""
+    start = time.perf_counter()
+    write_rehearsal(tmp_path)
+    gaps = zero_noise_gaps(tmp_path)
+    assert [(pair, fee) for pair, fee, _, _ in gaps] == list(REFERENCE_ZERO_NOISE_PP)
+    # every known gap is clearly off zero, so its sign is a test
+    assert min(abs(expected) for _, _, _, expected in gaps) > 0.02
+    assert_gaps_match(gaps)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0
+    report(8, f"rehearsal: {len(gaps)} synthetic pairs match their known gaps "
+              f"({min(g[3] for g in gaps):+.2f} to {max(g[3] for g in gaps):+.2f} pp), "
+              f"{elapsed:.2f}s")
 
 
 def test_criterion_8_gap_is_the_backtest_command_gap(tmp_path):
@@ -320,3 +401,8 @@ def test_criterion_9_determinism(tmp_path):
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     report(9, f"backtest outputs byte-identical across reruns ({', '.join(names)})")
+
+
+if __name__ == "__main__":
+    write_rehearsal(Path(sys.argv[1]))
+    print(f"wrote criterion 8's rehearsal data directory to {sys.argv[1]}", file=sys.stderr)

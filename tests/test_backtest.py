@@ -51,7 +51,6 @@ from fmamm.backtest import (
 from fmamm.batch import Batch, Order, settle_batch
 from fmamm.market_data import (
     GbmParams,
-    PriceDataError,
     PriceSeries,
     cumulative_roi,
     mean_preserving_spread,
@@ -96,7 +95,7 @@ class TestBlockClock:
             block_grid_series(flat_series(), mu=12.0, gamma=12.0)
         with pytest.raises(ValueError, match="mu must be positive"):
             block_grid_series(flat_series(), mu=0.0)
-        with pytest.raises(PriceDataError, match="not after previous"):
+        with pytest.raises(ValueError, match="not after previous"):
             PriceSeries("X-Y", [10.0, 0.0], [2000.0, 2000.0])
 
     def test_clock_finer_than_the_timestamps_rejected(self):
@@ -120,7 +119,7 @@ class TestBlockClock:
         # the series the grid takes its start and end from cannot hold them
         ts = [0.0, 12.0]
         ts[field == "end"] = value
-        with pytest.raises(PriceDataError, match="is not finite"):
+        with pytest.raises(ValueError, match="is not finite"):
             PriceSeries("X-Y", ts, [2000.0, 2000.0])
 
     @pytest.mark.parametrize("mu, end, count", [
@@ -294,7 +293,7 @@ class TestRunBacktest:
     def test_bad_price_and_volume_name_the_problem(self):
         # the price series itself rejects an infinite price, so the kernel
         # never samples one
-        with pytest.raises(PriceDataError, match="X-Y: point 2: price must be finite and positive"):
+        with pytest.raises(ValueError, match="X-Y: point 2: price must be finite and positive"):
             PriceSeries("X-Y", [0, 12, 24, 36], [2000.0, 2000.0, math.inf, 2000.0])
         series = flat_series(blocks=3)
         scenario = NoiseScenario(0.1)

@@ -2,6 +2,7 @@
 
 import builtins
 import contextlib
+import errno
 import functools
 import gc
 import hashlib
@@ -440,6 +441,28 @@ class TestSweepCommands:
         diffs = [r["diff_vs_zero_noise_pp"] for r in rows]
         assert diffs[0] == 0.0
         assert diffs[1] <= diffs[2] + 1e-12
+
+    def test_swaps_after_the_last_mark_warn_alike(self, tmp_path, capsys):
+        """``backtest`` and ``sweep-noise`` ignore the swap after the last
+        mark with one and the same warning, which names the command's line."""
+        (tmp_path / "prices.csv").write_text(
+            "timestamp,price\n1680307200,2000.0\n1680307212,2010.0\n1680307224,1990.0\n")
+        (tmp_path / "swaps.csv").write_text(
+            "block,timestamp,fee_amount,fee_token,active_liquidity,post_price\n"
+            "1,1680307205,0.001,token0,1000000.0,2000.0\n"
+            "2,1680307300,0.001,token0,1000000.0,2000.0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pair": "A-B", "price_csv": str(tmp_path / "prices.csv"),
+                                   "swap_csv": str(tmp_path / "swaps.csv"), "pool_fee": 0.003}))
+        seen = {}
+        for command in ("backtest", "sweep-noise"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([command, "--config", str(cfg)]) == 0
+            seen[command] = [(w.category, str(w.message), Path(w.filename).name)
+                             for w in caught]
+        assert seen["backtest"] == seen["sweep-noise"] == [
+            (UserWarning, "1 swap records after the last price mark were ignored", "cli.py")]
 
     def test_duplicate_grid_entries_run_once(self, tmp_path, capsys, monkeypatch):
         series = write_price_csv(tmp_path / "prices.csv", blocks=100)
@@ -1207,6 +1230,36 @@ class TestExitCodeContract:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("out_dir, code", [("F", errno.EEXIST), ("F/sub", errno.ENOTDIR)])
+    def test_unwritable_out_dir_prints_no_result_line(self, tmp_path, monkeypatch, capsys,
+                                                      out_dir, code):
+        """An out-dir that cannot be made, a regular file or a path under
+        one, fails after the command has its results: it prints none."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "F").write_text("")
+        argv = ["attack", *RESERVES, "--p-star", "2420", "--out-dir", out_dir]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: [Errno {code}] {os.strerror(code)}: {out_dir!r}\n"
+
+    @pytest.mark.parametrize("command", ["backtest", "sweep-fees"])
+    def test_overflowing_value_names_the_mark(self, tmp_path, capsys, command):
+        """Reserves that stay finite while their marked value ``y + p*x``
+        overflows: the run exits 2 naming the first such mark, and prints
+        and writes nothing."""
+        (tmp_path / "prices.csv").write_text("timestamp,price\n" + "".join(
+            f"{1680307200 + 12 * i},{4.0 if i % 2 else 1.0}\n" for i in range(400)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pair": "A-B", "price_csv": str(tmp_path / "prices.csv"),
+                                   "fee": 0.5, "fee_grid": [0.5], "initial_x": 3e307}))
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: fm_amm value is not finite at mark 1680307308 (price 4.0)\n"
+        assert not out_dir.exists()
 
 
 # a small valid scenario for the malformed-input property: 45 price rows, 15

@@ -23,7 +23,6 @@ from test_cli import write_config, write_price_csv, write_swap_csv
 from fmamm import cli, market_data
 from fmamm.cli import _repr_floats, _write_comparison, _write_runs, format_numbers, main
 from fmamm.market_data import (
-    PriceDataError,
     PriceSeries,
     cumulative_roi,
     format_number,
@@ -64,17 +63,17 @@ def reference_prices(path, pair):
     """Row-by-row price reader: csv.reader, int() and float() per row."""
     timestamps, prices = [], []
     for lineno, (ts, price) in reference_rows(path, ["timestamp", "price"], [int64, float],
-                                              PriceDataError):
+                                              ValueError):
         if not math.isfinite(price) or price <= 0.0:
-            raise PriceDataError(
+            raise ValueError(
                 f"{path}:{lineno}: price must be finite and positive, got {price!r}")
         if timestamps and float(ts) <= float(timestamps[-1]):
-            raise PriceDataError(f"{path}:{lineno}: timestamp {format_number(ts)} not after "
-                                 f"previous {format_number(timestamps[-1])}")
+            raise ValueError(f"{path}:{lineno}: timestamp {format_number(ts)} not after "
+                             f"previous {format_number(timestamps[-1])}")
         timestamps.append(ts)
         prices.append(price)
     if not timestamps:
-        raise PriceDataError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return PriceSeries(pair, np.array(timestamps, float), np.array(prices, float))
 
 
@@ -198,7 +197,7 @@ class TestPriceParse:
     def test_errors_name_the_line(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(PRICE_HEADER + "\n1,1.5\n2,2.5\n3,nan\n")
-        with pytest.raises(PriceDataError, match=r"p\.csv:4: price must be finite and positive, got nan$"):
+        with pytest.raises(ValueError, match=r"p\.csv:4: price must be finite and positive, got nan$"):
             load_price_series(path, "X-Y")
 
     def test_undecodable_byte_names_the_line(self, tmp_path, monkeypatch, capsys):

@@ -9,7 +9,6 @@ import pytest
 from fmamm.cli import _write_runs
 from fmamm.market_data import (
     GbmParams,
-    PriceDataError,
     PriceSeries,
     cumulative_roi,
     load_price_series,
@@ -37,7 +36,7 @@ class TestPriceSeries:
     ], ids=["inf-price", "zero-price", "inf-time", "nan-time-one-point", "repeated-time",
             "ints-colliding-as-float64", "empty", "mismatched"])
     def test_rule(self, timestamps, prices, problem):
-        with pytest.raises(PriceDataError, match=f"^X-Y: {re.escape(problem)}$"):
+        with pytest.raises(ValueError, match=f"^X-Y: {re.escape(problem)}$"):
             PriceSeries("X-Y", timestamps, prices)
 
 
@@ -51,22 +50,22 @@ class TestLoadPriceSeries:
 
     def test_nonpositive_price_names_row(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", ["100,2.0", "101,-1.0"])
-        with pytest.raises(PriceDataError, match=":3:"):
+        with pytest.raises(ValueError, match=":3:"):
             load_price_series(path, "X-Y")
 
     def test_out_of_order_timestamps(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", ["100,2.0", "100,2.1"])
-        with pytest.raises(PriceDataError, match="not after"):
+        with pytest.raises(ValueError, match="not after"):
             load_price_series(path, "X-Y")
 
     def test_bad_header(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", ["100,2.0"], header="time,px")
-        with pytest.raises(PriceDataError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             load_price_series(path, "X-Y")
 
     def test_malformed_row_names_line(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", ["100,2.0", "oops"])
-        with pytest.raises(PriceDataError, match=":3:"):
+        with pytest.raises(ValueError, match=":3:"):
             load_price_series(path, "X-Y")
 
     def test_missing_file(self, tmp_path):

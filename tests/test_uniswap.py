@@ -465,8 +465,10 @@ class TestBaselineMatchesReference:
         with pytest.warns(UserWarning, match="after the last price mark"):
             got = run_baseline(log, marks, 2.5e5, "day")
         assert_matches_oracle(got, reference_baseline(records, marks, 2.5e5, "day"))
-        assert np.array_equal(per_block_swap_volume(log, marks.timestamps, 0.003),
-                              per_block_swap_volume(records, marks.timestamps, 0.003))
+        with pytest.warns(UserWarning, match="after the last price mark"):
+            volumes = [per_block_swap_volume(swaps, marks.timestamps, 0.003)
+                       for swaps in (log, records)]
+        assert np.array_equal(*volumes)
 
     def test_foreign_array_rejected(self):
         foreign = np.dtype([("block", "i8")])
@@ -783,13 +785,15 @@ def volume_cases(draw):
 
 def volume_oracle(rows, marks, pool_fee):
     """The volume by a walk over the swaps in order: each goes to block
-    ``bisect_left(marks, t) - 1`` when that is a block, in asset units."""
-    volume = [0.0] * max(len(marks) - 1, 0)
+    ``bisect_left(marks, t) - 1`` when that is a block, in asset units; and
+    the count of swaps after the last mark (every swap, with no marks)."""
+    volume, after = [0.0] * max(len(marks) - 1, 0), 0
     for _, t, fee, token, _, price in rows:
         k = bisect.bisect_left(marks, t) - 1
         if 0 <= k < len(volume):
             volume[k] += fee / pool_fee / (price if token == b"token1" else 1.0)
-    return volume
+        after += k == len(marks) - 1
+    return volume, after
 
 
 class TestPerBlockVolume:
@@ -815,7 +819,9 @@ class TestPerBlockVolume:
 
     def test_swaps_after_last_block_dropped(self):
         recs = log_of(record(block=1, ts=100, fee=1.0))
-        vols = per_block_swap_volume(recs, np.array([0.0, 12.0]), pool_fee=0.003)
+        with pytest.warns(UserWarning, match="^1 swap records after the last price mark were "
+                                             "ignored$"):
+            vols = per_block_swap_volume(recs, np.array([0.0, 12.0]), pool_fee=0.003)
         assert vols.tolist() == [0.0]
 
     def test_swaps_at_or_before_the_start_dropped(self):
@@ -831,12 +837,17 @@ class TestPerBlockVolume:
     @given(case=volume_cases(), pool_fee=st.floats(1e-6, 0.9))
     def test_matches_walk_over_the_swaps_property(self, case, pool_fee):
         # bincount adds each block's sizes in swap order, as the walk does, so
-        # the two agree bit for bit
+        # the two agree bit for bit, and the warning counts the swaps the walk
+        # finds after the last mark
         marks, rows = case
-        vols = per_block_swap_volume(log_of(*rows), np.array(marks, np.float64), pool_fee)
-        want = np.array(volume_oracle(rows, marks, pool_fee), np.float64)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vols = per_block_swap_volume(log_of(*rows), np.array(marks, np.float64), pool_fee)
+        want, after = volume_oracle(rows, marks, pool_fee)
         assert vols.dtype == np.float64
-        assert vols.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert vols.view(np.uint64).tolist() == np.array(want, np.float64).view(np.uint64).tolist()
+        assert [str(w.message) for w in caught] == [
+            f"{after} swap records after the last price mark were ignored"] * (after > 0)
 
     # the peak holds per-swap and per-mark columns, so it is bounded per
     # (swap + mark) at the benchmark's replay-1s shape (more swaps than marks)
